@@ -6,7 +6,7 @@ fixed-point integral, and ``extract`` recovers universal series from
 oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error or no generic character draw for the oracle.
 
 The default truncation order is 10 for pure series work and 4 for
 oracle-driven commands; the HILBSERIES_ORDER environment variable
@@ -23,6 +23,7 @@ import sys
 from . import catalog, extraction, verify
 from .localization import (
     DEFAULT_SEED,
+    DrawError,
     chern_integral,
     get_surface,
     parse_class,
@@ -263,7 +264,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = {"series": _cmd_series, "verify": _cmd_verify,
                "oracle": _cmd_oracle, "extract": _cmd_extract}[args.command]
-    return handler(args, parser)
+    try:
+        return handler(args, parser)
+    except DrawError as exc:
+        parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
 
 
 if __name__ == "__main__":

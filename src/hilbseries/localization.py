@@ -19,7 +19,9 @@ Integrals are evaluated at two independent generic integer
 specializations of the characters and must agree; Euler characteristics
 additionally require all sub-leading Laurent coefficients to cancel
 across fixed points and the result to be an integer.  Any violation
-raises, loudly, instead of returning data.
+raises, loudly, instead of returning data, and so does a draw box with
+fewer than two usable directions (DrawError).  The kernels run on integer
+coefficient lists; Fraction appears only at the per-point division.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
-
-from .series import Series
+from math import comb
+from operator import mul
 
 __all__ = [
     "DEFAULT_SEED",
+    "DrawError",
     "EqKClass",
     "HilbFixedPoint",
     "ToricSurface",
@@ -55,6 +58,10 @@ DEFAULT_SEED = 20260815
 
 class _BadDraw(Exception):
     """A character specialization annihilated a tangent weight."""
+
+
+class DrawError(ArithmeticError):
+    """Fewer than two directions in the draw box keep every weight nonzero."""
 
 
 def _dot(vec, q):
@@ -94,10 +101,6 @@ class HilbFixedPoint:
     """One partition per surface chart; the total size is the point count."""
 
     parts: tuple
-
-    @property
-    def n(self):
-        return sum(sum(lam) for lam in self.parts)
 
 
 class ToricSurface:
@@ -159,27 +162,22 @@ class ToricSurface:
         return total
 
     def _validate(self):
-        rng = random.Random(DEFAULT_SEED)
         k_lift = self.lift_canonical()
         gen_lifts = [self.lift(tuple(1 if j == i else 0 for j in range(len(self.generators))))
                      for i in range(len(self.generators))]
-        for _ in range(2):
-            q = _draw_direction(rng)
-            try:
-                for i, la in enumerate(gen_lifts):
-                    for j, lb in enumerate(gen_lifts):
-                        if self._surface_integral(la, lb, q) != self.pairing[i][j]:
-                            raise ArithmeticError(
-                                "%s: localized pairing (%d,%d) disagrees" % (self.name, i, j))
-                    if self._surface_integral(la, k_lift, q) != self.k_dot[i]:
-                        raise ArithmeticError(
-                            "%s: localized K pairing %d disagrees" % (self.name, i))
-                if self._surface_integral(k_lift, k_lift, q) != self.ksq:
-                    raise ArithmeticError("%s: localized K^2 disagrees" % self.name)
-            except _BadDraw:
-                continue
-        if self._chi_trivial() != self.chi_O:
-            raise ArithmeticError("%s: localized chi(O) disagrees" % self.name)
+
+        def localized(q):
+            pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
+                       for la in gen_lifts]
+            k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
+            chi = _euler_sum([(0, [_spec_nonzero(t, q) for t in self.tangent_chars(index)])
+                              for index in range(len(self.charts))], 2)
+            return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
+
+        found = _at_two_directions(localized, DEFAULT_SEED, "%s intersections" % self.name)
+        if found != (self.pairing, self.k_dot, self.ksq, self.chi_O):
+            raise ArithmeticError("%s: localized pairing, K pairings, K^2, chi(O) %s "
+                                  "disagree with the tables" % (self.name, found))
 
     def lift_canonical(self):
         """Lift of the canonical class, minus the sum of all ray divisors."""
@@ -188,21 +186,12 @@ class ToricSurface:
             out.append(_vadd(u1, u2))
         return tuple(out)
 
-    def _chi_trivial(self):
-        rng = random.Random(DEFAULT_SEED + 1)
-        while True:
-            q = _draw_direction(rng)
-            data = []
-            try:
-                for index in range(len(self.charts)):
-                    ks = [_spec_nonzero(t, q) for t in self.tangent_chars(index)]
-                    data.append((0, ks))
-            except _BadDraw:
-                continue
-            return _euler_sum(data, 2)
-
     def __repr__(self):
         return "ToricSurface(%r)" % self.name
+
+
+# directions _draw_direction can return: [-9, 9]^2 off the axes and both diagonals
+_DIRECTION_COUNT = 18 * 18 - 2 * 18
 
 
 def _draw_direction(rng):
@@ -210,6 +199,36 @@ def _draw_direction(rng):
         q = (rng.randint(-9, 9), rng.randint(-9, 9))
         if q[0] and q[1] and q[0] != q[1] and q[0] != -q[1]:
             return q
+
+
+def _at_two_directions(evaluate, seed, what):
+    """The agreed value of ``evaluate(q)`` at two distinct generic directions.
+
+    Directions come from ``random.Random(seed)``; one whose evaluation
+    raises _BadDraw is not evaluated again, and DrawError ends the search
+    once every direction in the box has been tried.
+    """
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    seen = set()
+    draws = []
+    values = []
+    while len(values) < 2:
+        if len(seen) == _DIRECTION_COUNT:
+            raise DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
+                            "generic for %s" % (_DIRECTION_COUNT, what))
+        q = _draw_direction(rng)
+        if q in seen:
+            continue
+        seen.add(q)
+        try:
+            values.append(evaluate(q))
+        except _BadDraw:
+            continue
+        draws.append(q)
+    if values[0] != values[1]:
+        raise ArithmeticError(
+            "directions %s disagree on %s: %s vs %s" % (draws, what, values[0], values[1]))
+    return values[0]
 
 
 def _spec_nonzero(char, q):
@@ -402,63 +421,37 @@ def taut_weights(kclass, fp):
     return out
 
 
-def _char_poly_factor(k, order, inverted):
-    if inverted:
-        return Series([(-k) ** j for j in range(order + 1)], order, "u")
-    return Series([1, k], order, "u")
-
-
 def _integral_at(surface, kclass, n, q, chern):
+    """Sum over fixed points of [u^2n] prod (1+ku)^(-/+1) / prod tangent weights."""
     total = F(0)
     order = 2 * n
     for fp in enumerate_fixed_points(surface, n):
         denom = 1
         for weight in tangent_weights(fp, surface):
             denom *= _spec_nonzero(weight, q)
-        numer = Series.one(order, "u")
+        c = [1] + [0] * order
         for sign, char in taut_weights(kclass, fp):
-            inverted = (sign > 0) if not chern else (sign < 0)
-            numer = numer * _char_poly_factor(_dot(char, q), order, inverted)
-        total += numer.coefficient(order) / denom
+            k = _dot(char, q)
+            if (sign > 0) != chern:
+                for j in range(1, order + 1):  # divide by 1 + k u
+                    c[j] -= k * c[j - 1]
+            else:
+                for j in range(order, 0, -1):  # multiply by 1 + k u
+                    c[j] += k * c[j - 1]
+        total += F(c[order], denom)
     return total
-
-
-def _two_draw_integral(surface, kclass, n, seed, chern):
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    values = []
-    draws = []
-    while len(values) < 2:
-        q = _draw_direction(rng)
-        if q in draws:
-            continue
-        try:
-            values.append(_integral_at(surface, kclass, n, q, chern))
-        except _BadDraw:
-            continue
-        draws.append(q)
-    if values[0] != values[1]:
-        raise ArithmeticError(
-            "specializations %s disagree on %r: %s vs %s"
-            % (draws, kclass, values[0], values[1]))
-    return values[0]
 
 
 def segre_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Segre class of the tautological class."""
-    return _two_draw_integral(surface, kclass, n, seed, chern=False)
+    return _at_two_directions(lambda q: _integral_at(surface, kclass, n, q, False),
+                              seed, repr(kclass))
 
 
 def chern_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Chern class of the tautological class."""
-    return _two_draw_integral(surface, kclass, n, seed, chern=True)
-
-
-@lru_cache(maxsize=None)
-def _unit_ratio_inverse(k, order):
-    # 1 / [ (1 - (1+e)^(-k)) / (k e) ], a unit series reused across points
-    e = Series.gen(order + 1, "e")
-    num = 1 - (1 + e) ** (-k)
-    return (num.shift(-1) / k).inverse()
+    return _at_two_directions(lambda q: _integral_at(surface, kclass, n, q, True),
+                              seed, repr(kclass))
 
 
 def _euler_sum(point_data, order):
@@ -467,24 +460,58 @@ def _euler_sum(point_data, order):
     Each point contributes a Laurent series with pole order len(ks); the
     poles must cancel across points and the constant term is the Euler
     characteristic.  Both facts are asserted.
+
+    With P_m(e) = ((1+e)^m - 1)/e = sum_{i<m} C(m, i+1) e^i, a point's
+    term times e^len(ks) is (-1)^#{k<0} (1+e)^A / prod P_|k|(e), where
+    A = a + sum of the positive k.  Numerator N and denominator Q are
+    integer polynomials; the quotient's coefficients are d_j / Q_0^(j+1)
+    with the integers d_j = Q_0^j N_j - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i).
     """
-    total = Series.zero(order, "e")
-    e = Series.gen(order, "e")
+    total = [F(0)] * (order + 1)
     for a, ks in point_data:
-        prod = (1 + e) ** a
-        scalar = 1
+        exponent = a + sum(k for k in ks if k > 0)
+        negative = sum(1 for k in ks if k < 0) % 2
+        numer = [1] * (order + 1)
+        for j in range(1, order + 1):
+            numer[j] = numer[j - 1] * (exponent - j + 1) // j
+        denom = [1] + [0] * order
         for k in ks:
-            prod = prod * _unit_ratio_inverse(k, order)
-            scalar *= k
-        total = total + prod / scalar
+            p = [comb(abs(k), i + 1) for i in range(min(abs(k), order + 1))]
+            for j in range(order, -1, -1):
+                denom[j] = sum(map(mul, p, denom[j::-1]))
+        q0 = denom[0]
+        scaled = [denom[i] * q0 ** (i - 1) for i in range(1, order + 1)]
+        d = []
+        for j in range(order + 1):
+            d.append(numer[j] * q0 ** j - sum(map(mul, scaled, reversed(d))))
+            total[j] += F(-d[j] if negative else d[j], q0 ** (j + 1))
     for j in range(order):
-        if total.coefficient(j) != 0:
+        if total[j] != 0:
             raise ArithmeticError(
                 "fixed-point sum has a surviving pole coefficient at order %d" % (j - order))
-    value = total.coefficient(order)
+    value = total[order]
     if value.denominator != 1:
         raise ArithmeticError("Euler characteristic %s is not an integer" % value)
     return int(value)
+
+
+def _euler_data(surface, kclass, r, fps, q):
+    """Per-point (a, tangent weights) of the Verlinde sum at direction q."""
+    lifts = kclass.lifts[0]
+    data = []
+    for fp in fps:
+        ks = [_spec_nonzero(w, q) for w in tangent_weights(fp, surface)]
+        a = 0
+        for index, lam in enumerate(fp.parts):
+            _, _, u1, u2 = surface.charts[index]
+            m_spec = _dot(lifts[index], q)
+            box_spec = _dot(u1, q)
+            row_spec = _dot(u2, q)
+            for row, part in enumerate(lam):
+                for col in range(part):
+                    a += m_spec + r * (col * box_spec + row * row_spec)
+        data.append((a, ks))
+    return data
 
 
 def verlinde_chi(surface, kclass, r, n, seed=None):
@@ -495,34 +522,7 @@ def verlinde_chi(surface, kclass, r, n, seed=None):
     """
     if kclass.rank != 1 or len(kclass.terms) != 1:
         raise ValueError("verlinde_chi expects a single line bundle, got %r" % kclass)
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     fps = enumerate_fixed_points(surface, n)
-    lifts = kclass.lifts[0]
-    values = []
-    draws = []
-    while len(values) < 2:
-        q = _draw_direction(rng)
-        if q in draws:
-            continue
-        data = []
-        try:
-            for fp in fps:
-                ks = [_spec_nonzero(w, q) for w in tangent_weights(fp, surface)]
-                a = 0
-                for index, lam in enumerate(fp.parts):
-                    _, _, u1, u2 = surface.charts[index]
-                    m_spec = _dot(lifts[index], q)
-                    box_spec = _dot(u1, q)
-                    row_spec = _dot(u2, q)
-                    for row, part in enumerate(lam):
-                        for col in range(part):
-                            a += m_spec + r * (col * box_spec + row * row_spec)
-                data.append((a, ks))
-        except _BadDraw:
-            continue
-        values.append(_euler_sum(data, 2 * n))
-        draws.append(q)
-    if values[0] != values[1]:
-        raise ArithmeticError(
-            "directions %s disagree on chi: %s vs %s" % (draws, values[0], values[1]))
-    return values[0]
+    return _at_two_directions(
+        lambda q: _euler_sum(_euler_data(surface, kclass, r, fps, q), 2 * n),
+        seed, "chi of %r at twist %d" % (kclass, r))

@@ -21,6 +21,8 @@ coefficient of a two-variable expansion has to be extracted exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 __all__ = [
     "Series",
@@ -122,13 +124,6 @@ class Series:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def valuation(self):
-        """Index of the first nonzero coefficient; order + 1 for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order + 1
-
     def truncate(self, order):
         """Drop coefficients above ``order``; extension is never allowed."""
         if order > self.order:
@@ -186,15 +181,12 @@ class Series:
             return Series([x * c for c in self.coeffs], self.order, self.var)
         self._require_same_order(other)
         n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        # integer convolution over one common denominator per factor
+        da = lcm(*(c.denominator for c in self.coeffs))
+        db = lcm(*(c.denominator for c in other.coeffs))
+        a = [c.numerator * (da // c.denominator) for c in self.coeffs]
+        b = [c.numerator * (db // c.denominator) for c in reversed(other.coeffs)]
+        out = [Fraction(sum(map(mul, a[:k + 1], b[n - k:])), da * db) for k in range(n + 1)]
         return Series(out, n, self.var)
 
     __rmul__ = __mul__

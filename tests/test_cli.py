@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hilbseries import cli, verify
+from hilbseries import localization as loc
 
 
 def run(capsys, *argv):
@@ -127,6 +128,23 @@ class TestOracle:
     def test_negative_n_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
                                "O(2)", "--n", "-1", "--kind", "segre") == 2
+
+    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
+    def test_no_generic_draw_exits_two(self, capsys, monkeypatch, kind):
+        def reject(char, q):
+            raise loc._BadDraw
+
+        monkeypatch.setattr(loc, "_spec_nonzero", reject)
+        argv = ["oracle", "--surface", "p2", "--class", "O(2)", "--n", "1", "--kind", kind]
+        if kind == "verlinde":
+            argv += ["--r", "2"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "generic" in captured.err
 
 
 class TestExtract:

@@ -34,6 +34,14 @@ def test_surface_factories_validate():
     assert loc.get_surface("f1").pairing == [[0, 1], [1, -1]]
 
 
+@pytest.mark.parametrize("pairing,k_dot,ksq", [([[2]], [-3], 9), ([[1]], [3], 9),
+                                                ([[1]], [-3], 8)])
+def test_wrong_intersection_table_raises(pairing, k_dot, ksq):
+    with pytest.raises(ArithmeticError, match="disagree"):
+        loc.ToricSurface("bad", [(1, 0), (0, 1), (-1, -1)], generators=[(1, 0, 0)],
+                         pairing=pairing, k_dot=k_dot, ksq=ksq)
+
+
 def test_unknown_surface_raises():
     with pytest.raises(KeyError):
         loc.get_surface("k3")

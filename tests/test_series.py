@@ -68,6 +68,20 @@ class TestArithmetic:
         t = Series.gen(3)
         assert (1 + t) * (1 - t) == Series([1, 0, -1, 0], 3)
 
+    def test_product_matches_fraction_schoolbook(self):
+        # the earlier product: one Fraction multiply-add per coefficient pair
+        rng = random.Random(11)
+        for order in range(13):
+            for _ in range(5):
+                a, b = ([F(rng.choice((0, rng.randint(-10**6, 10**6))), rng.randint(1, 10**4))
+                         for _ in range(order + 1)] for _ in range(2))
+                want = [F(0)] * (order + 1)
+                for i in range(order + 1):
+                    for j in range(order + 1 - i):
+                        want[i + j] += a[i] * b[j]
+                got = Series(a, order) * Series(b, order)
+                assert list(got.coeffs) == want
+
     def test_order_mismatch_raises(self):
         with pytest.raises(OrderMismatchError):
             Series.gen(3) * Series.gen(4)
