@@ -2,7 +2,6 @@
 of points on surfaces, verified against an equivariant localization oracle."""
 
 from .series import (
-    BiSeries,
     BranchError,
     CompositionError,
     ConstantTermError,
@@ -36,7 +35,7 @@ from .localization import (
     verlinde_chi,
 )
 from .extraction import (
-    GeometryPanel,
+    Panel,
     PanelError,
     UniversalityError,
     build_panel,

@@ -90,36 +90,13 @@ def _relabel(s, var):
     return Series(list(s.coeffs), s.order, var)
 
 
-# polynomial-in-(y, t) helpers for the quartic branch relations
-
-def _pmul(*polys):
-    out = {(0, 0): F(1)}
-    for p in polys:
-        nxt = {}
-        for (i, j), a in out.items():
-            for (k, l), b in p.items():
-                key = (i + k, j + l)
-                nxt[key] = nxt.get(key, F(0)) + F(a) * F(b)
-        out = {k: v for k, v in nxt.items() if v}
-    return out
-
-
-def _psub(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, F(0)) - v
-    return {k: v for k, v in out.items() if v}
-
-
-_Y = {(1, 0): 1}
-_T = {(0, 1): 1}
-_CUBE_LHS = _pmul(_Y, {(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (1, 0): 1})
-_CUBE_RHS = _pmul(_T, {(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (3, 0): -1})
-
+# The quartic branch relations as {(i, j): coefficient of y^i t^j}.
 # y (1+y)^2 = t (1-y)(1-y^3), branch through the origin
-_TWIST3_RELATION = _psub(_CUBE_LHS, _CUBE_RHS)
+_TWIST3_RELATION = {(0, 1): -1, (1, 0): 1, (1, 1): 1, (2, 0): 2, (3, 0): 1,
+                    (3, 1): 1, (4, 1): -1}
 # y (1+y)^2 (1+3t) = t (1-y)(1-y^3)
-_RANK2_RELATION = _psub(_pmul(_CUBE_LHS, {(0, 0): 1, (0, 1): 3}), _CUBE_RHS)
+_RANK2_RELATION = {(0, 1): -1, (1, 0): 1, (1, 1): 4, (2, 0): 2, (2, 1): 6,
+                   (3, 0): 1, (3, 1): 4, (4, 1): -1}
 
 
 def segre_rank2_branch(order):

@@ -225,27 +225,16 @@ def _cmd_extract(args, parser):
     order = _resolve_order(args, parser, ORACLE_DEFAULT_ORDER)
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
-    if args.kind == "segre":
-        panel = extraction.build_panel(args.rank)
-        report = extraction.predict_unknown(args.rank, order, panel, args.seed)
-        payload = {
-            "panel": [{"surface": surface.name, "class": cls.spec()}
-                      for surface, cls in panel],
-            "exponent_columns": list(extraction.GeometryPanel.COLUMNS),
-            "exponent_matrix": [[str(x) for x in row]
-                                for row in panel.exponent_matrix],
-        }
-    else:
-        rows = extraction._default_verlinde_rows()
-        report = extraction.predict_verlinde(args.rank, order, rows, args.seed)
-        payload = {
-            "panel": [{"surface": surface.name, "class": cls.spec()}
-                      for surface, cls in rows],
-            "exponent_columns": ["chiL", "chiO", "c1K-Ksq/2", "Ksq"],
-            "exponent_matrix": [[str(x) for x in row]
-                                for row in extraction._verlinde_matrix(rows)],
-        }
-    payload["series"] = report["series"]
+    panel = extraction.default_panel(args.kind, args.rank)
+    predict = {"segre": extraction.predict_unknown,
+               "verlinde": extraction.predict_verlinde}[args.kind]
+    report = predict(args.rank, order, panel, args.seed)
+    payload = {
+        "panel": [{"surface": surface.name, "class": cls.spec()} for surface, cls in panel],
+        "exponent_columns": list(panel.columns),
+        "exponent_matrix": [[str(x) for x in row] for row in panel.exponent_matrix],
+        "series": report["series"],
+    }
     if args.json is not None:
         _emit(_json_doc(config, payload), args.json)
     else:

@@ -13,6 +13,7 @@ raised as an error rather than averaged away.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction as F
 
 from . import catalog
@@ -25,10 +26,11 @@ from .localization import (
 )
 
 __all__ = [
-    "GeometryPanel",
+    "Panel",
     "PanelError",
     "UniversalityError",
     "build_panel",
+    "default_panel",
     "extract_universal",
     "extract_verlinde",
     "frac_str",
@@ -126,32 +128,63 @@ def solve_exact(matrix, rhs):
     return out
 
 
-class GeometryPanel:
-    """(surface, class) rows whose exponent vectors span all five series.
+def _segre_exponents(surface, cls, s):
+    if cls.rank != s:
+        raise PanelError("class %r has rank %d, panel wants %d" % (cls, cls.rank, s))
+    return [cls.c2, cls.c1sq, surface.chi_O, cls.c1K, surface.ksq]
 
-    Columns are (c2, c1^2, chi(O), c1.K, K^2); construction asserts the
-    matrix has rank 5, which a single surface can never reach since its
+
+def _verlinde_exponents(surface, cls, r):
+    chi_L = surface.chi_O + F(cls.c1sq - cls.c1K, 2)
+    if chi_L.denominator != 1:
+        raise PanelError("chi(L) of %r is not an integer" % cls)
+    return [chi_L, F(surface.chi_O), cls.c1K - F(surface.ksq, 2), F(surface.ksq)]
+
+
+# Per kind: the report key of the panel parameter, the exponent columns,
+# exponents(surface, class, param), oracle(surface, class, param, n, seed),
+# lookup(param, index, order) of a catalog entry, the series variable,
+# the series label and the index of the first series.
+_Kind = namedtuple("_Kind", "param columns exponents oracle lookup var label first")
+
+# The lambdas look the oracle and catalog up at call time, so a wrapper
+# installed on those functions later (a tracer, a test double) is seen.
+_KINDS = {
+    "segre": _Kind(
+        "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
+        lambda surface, cls, s, n, seed: segre_integral(surface, cls, n, seed),
+        lambda s, index, order: catalog.segre_A(s, index, order),
+        "z", "A%d", 0),
+    "verlinde": _Kind(
+        "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
+        lambda surface, cls, r, n, seed: F(verlinde_chi(surface, cls, r, n, seed)),
+        lambda r, index, order: catalog.verlinde_B(r, index, order),
+        "w", "B%d", 1),
+}
+
+
+class Panel:
+    """(surface, class) rows whose exponent vectors span every universal series.
+
+    ``kind`` is "segre", with columns (c2, c1^2, chi(O), c1.K, K^2) for
+    classes of rank ``param``, or "verlinde", with columns (chi(L),
+    chi(O), c1.K - K^2/2, K^2) at twist ``param``.  Construction asserts
+    full column rank, which a single surface can never reach since its
     chi(O) and K^2 columns are proportional.
     """
 
-    COLUMNS = ("c2", "c1sq", "chiO", "c1K", "Ksq")
-
-    def __init__(self, s, rows):
-        if not rows:
-            raise PanelError("empty panel")
-        self.s = s
+    def __init__(self, kind, param, rows):
+        spec = _KINDS[kind]
+        self.kind = kind
+        self.param = param
         self.rows = list(rows)
-        matrix = []
-        for surface, cls in self.rows:
-            if cls.rank != s:
-                raise PanelError("class %r has rank %d, panel wants %d"
-                                 % (cls, cls.rank, s))
-            matrix.append([cls.c2, cls.c1sq, surface.chi_O, cls.c1K, surface.ksq])
-        self.exponent_matrix = matrix
-        rank = matrix_rank(matrix)
-        if rank < 5:
-            raise PanelError(
-                "exponent matrix has rank %d < 5; add geometries or classes" % rank)
+        self.columns = spec.columns
+        self.exponent_matrix = [spec.exponents(surface, cls, param)
+                                for surface, cls in self.rows]
+        rank = matrix_rank(self.exponent_matrix)
+        if rank < len(self.columns):
+            raise PanelError("exponent matrix has rank %d < %d; add geometries or classes"
+                             % (rank, len(self.columns)))
 
     def __len__(self):
         return len(self.rows)
@@ -189,7 +222,7 @@ def _probe_classes(surface, s):
 
 
 def build_panel(s, size=6):
-    """Assemble a rank-5 panel of small classes over all three surfaces.
+    """Assemble a rank-5 Segre panel of small classes over all three surfaces.
 
     Rows are taken round-robin from per-surface probe streams; a probe
     is kept while it raises the exponent-matrix rank, then extra rows
@@ -197,98 +230,77 @@ def build_panel(s, size=6):
     """
     if size < 5:
         raise PanelError("need at least 5 rows, got %d" % size)
-    surfaces = [get_surface(name) for name in ("p2", "p1xp1", "f1")]
-    streams = [iter(_probe_classes(surface, s)) for surface in surfaces]
-    rows = []
-    matrix = []
-    exhausted = [False] * len(streams)
-    while len(rows) < size and not all(exhausted):
-        for index, stream in enumerate(streams):
-            if len(rows) >= size:
-                break
-            try:
-                cls = next(stream)
-            except StopIteration:
-                exhausted[index] = True
+    streams = [_probe_classes(get_surface(name), s) for name in ("p2", "p1xp1", "f1")]
+    rows, matrix, rank = [], [], 0
+    for cls in itertools.chain.from_iterable(itertools.zip_longest(*streams)):
+        if len(rows) == size:
+            break
+        if cls is None:  # an exhausted stream
+            continue
+        vector = _segre_exponents(cls.surface, cls, s)
+        if rank < 5:
+            grown = matrix_rank(matrix + [vector])
+            if grown == rank:
                 continue
-            surface = surfaces[index]
-            vector = [cls.c2, cls.c1sq, surface.chi_O, cls.c1K, surface.ksq]
-            if matrix_rank(matrix + [vector]) > matrix_rank(matrix):
-                rows.append((surface, cls))
-                matrix.append(vector)
-            elif matrix_rank(matrix) == 5:
-                rows.append((surface, cls))
-                matrix.append(vector)
-    if matrix_rank(matrix) < 5:
+            rank = grown
+        rows.append((cls.surface, cls))
+        matrix.append(vector)
+    if rank < 5:
         raise PanelError("probe streams could not reach exponent rank 5")
-    return GeometryPanel(s, rows)
+    return Panel("segre", s, rows)
 
 
-def _log_series(values, order, var):
-    total = Series(values, order, var)
-    if total.coefficient(0) != 1:
-        raise ArithmeticError("n=0 integral should be 1, got %s" % values[0])
-    return total.log()
+_VERLINDE_LINES = (("p2", (0,)), ("p2", (1,)), ("p2", (2,)),
+                   ("p1xp1", (0, 0)), ("p1xp1", (1, 1)), ("p1xp1", (1, 2)),
+                   ("f1", (1, 1)))
 
 
-def _solve_log_systems(matrix, logs, order, var):
-    """One exact solve per coefficient order; exponentiate the results."""
-    width = len(matrix[0])
-    columns = [[F(0)] for _ in range(width)]
+def default_panel(kind, param):
+    """The panel extraction uses when given none.
+
+    Segre panels come from ``build_panel``; Verlinde panels are seven
+    line bundles, which reach rank 4 at every twist.
+    """
+    if kind == "segre":
+        return build_panel(param)
+    rows = []
+    for name, line in _VERLINDE_LINES:
+        surface = get_surface(name)
+        rows.append((surface, EqKClass(surface, [(1, line)])))
+    return Panel(kind, param, rows)
+
+
+def _extract(kind, param, order, panel, seed):
+    """Log of each row's series, one exact solve per order, exp."""
+    if panel is None:
+        panel = default_panel(kind, param)
+    if (panel.kind, panel.param) != (kind, param):
+        raise PanelError("panel was built for %s %d, not %s %d"
+                         % (panel.kind, panel.param, kind, param))
+    spec = _KINDS[kind]
+    logs = []
+    for surface, cls in panel:
+        values = [spec.oracle(surface, cls, param, n, seed) for n in range(order + 1)]
+        total = Series(values, order, spec.var)
+        if total.coefficient(0) != 1:
+            raise ArithmeticError("n=0 integral should be 1, got %s" % values[0])
+        logs.append(total.log())
+    columns = [[F(0)] for _ in panel.columns]
     for n in range(1, order + 1):
-        rhs = [lg.coefficient(n) for lg in logs]
-        solution = solve_exact(matrix, rhs)
-        for i in range(width):
-            columns[i].append(solution[i])
-    return [Series(col, order, var).exp() for col in columns]
+        solution = solve_exact(panel.exponent_matrix, [lg.coefficient(n) for lg in logs])
+        for column, value in zip(columns, solution):
+            column.append(value)
+    return [Series(column, order, spec.var).exp() for column in columns]
 
 
 def extract_universal(s, order, panel=None, seed=None):
     """Recover A0..A4 at rank s from oracle Segre integrals over a panel."""
-    if panel is None:
-        panel = build_panel(s)
-    if panel.s != s:
-        raise PanelError("panel was built for rank %d, not %d" % (panel.s, s))
-    logs = []
-    for surface, cls in panel:
-        values = [segre_integral(surface, cls, n, seed) for n in range(order + 1)]
-        logs.append(_log_series(values, order, "z"))
-    return _solve_log_systems(panel.exponent_matrix, logs, order, "z")
+    return _extract("segre", s, order, panel, seed)
 
 
-def _default_verlinde_rows():
-    p2 = get_surface("p2")
-    quadric = get_surface("p1xp1")
-    hirzebruch = get_surface("f1")
-    specs = [(p2, (0,)), (p2, (1,)), (p2, (2,)),
-             (quadric, (0, 0)), (quadric, (1, 1)), (quadric, (1, 2)),
-             (hirzebruch, (1, 1))]
-    return [(surface, EqKClass(surface, [(1, coeffs)])) for surface, coeffs in specs]
-
-
-def _verlinde_matrix(rows):
-    matrix = []
-    for surface, cls in rows:
-        chi_L = surface.chi_O + F(cls.c1sq - cls.c1K, 2)
-        if chi_L.denominator != 1:
-            raise PanelError("chi(L) of %r is not an integer" % cls)
-        matrix.append([chi_L, F(surface.chi_O), cls.c1K - F(surface.ksq, 2),
-                       F(surface.ksq)])
-    if matrix_rank(matrix) < 4:
-        raise PanelError("Euler-characteristic rows have exponent rank < 4")
-    return matrix
-
-
-def extract_verlinde(r, order, rows=None, seed=None):
+def extract_verlinde(r, order, panel=None, seed=None):
     """Recover B1..B4 at twist r from oracle Euler characteristics."""
-    if rows is None:
-        rows = _default_verlinde_rows()
-    matrix = _verlinde_matrix(rows)
-    logs = []
-    for surface, cls in rows:
-        values = [F(verlinde_chi(surface, cls, r, n, seed)) for n in range(order + 1)]
-        logs.append(_log_series(values, order, "w"))
-    return _solve_log_systems(matrix, logs, order, "w")
+    return _extract("verlinde", r, order, panel, seed)
 
 
 def _agreement_order(a, b, order):
@@ -299,16 +311,26 @@ def _agreement_order(a, b, order):
     return order
 
 
-def _series_report(label, extracted, reference, status, order):
-    entry = {
-        "series": label,
-        "extracted": [frac_str(extracted.coefficient(n)) for n in range(order + 1)],
-        "status": status,
-    }
-    if reference is not None:
-        entry["reference"] = [frac_str(reference.coefficient(n)) for n in range(order + 1)]
-        entry["agreement_order"] = _agreement_order(extracted, reference, order)
-    return entry
+def _report(kind, param, order, extracted):
+    """Each extracted series beside its catalog closed form, if any."""
+    spec = _KINDS[kind]
+    report = {"kind": kind, spec.param: param, "order": order, "series": []}
+    for index, series in enumerate(extracted, start=spec.first):
+        entry = {
+            "series": spec.label % index,
+            "extracted": [frac_str(series.coefficient(n)) for n in range(order + 1)],
+        }
+        try:
+            closed = spec.lookup(param, index, order)
+        except catalog.UnknownSeriesError:
+            entry["status"] = catalog.CONJECTURAL
+        else:
+            entry["status"] = closed.status
+            entry["reference"] = [frac_str(closed.series.coefficient(n))
+                                  for n in range(order + 1)]
+            entry["agreement_order"] = _agreement_order(series, closed.series, order)
+        report["series"].append(entry)
+    return report
 
 
 def predict_unknown(s, order, panel=None, seed=None):
@@ -319,29 +341,9 @@ def predict_unknown(s, order, panel=None, seed=None):
     closed forms when the catalog has them (e.g. rank 0) and otherwise
     emitted as conjecture-grade data (e.g. rank 3).
     """
-    extracted = extract_universal(s, order, panel, seed)
-    report = {"kind": "segre", "rank": s, "order": order, "series": []}
-    for index, series in enumerate(extracted):
-        try:
-            entry = catalog.segre_A(s, index, order)
-            reference, status = entry.series, entry.status
-        except catalog.UnknownSeriesError:
-            reference, status = None, catalog.CONJECTURAL
-        report["series"].append(
-            _series_report("A%d" % index, series, reference, status, order))
-    return report
+    return _report("segre", s, order, extract_universal(s, order, panel, seed))
 
 
-def predict_verlinde(r, order, rows=None, seed=None):
+def predict_verlinde(r, order, panel=None, seed=None):
     """Confront extracted B-series with printed closed forms at twist r."""
-    extracted = extract_verlinde(r, order, rows, seed)
-    report = {"kind": "verlinde", "twist": r, "order": order, "series": []}
-    for index, series in enumerate(extracted, start=1):
-        try:
-            entry = catalog.verlinde_B(r, index, order)
-            reference, status = entry.series, entry.status
-        except catalog.UnknownSeriesError:
-            reference, status = None, catalog.CONJECTURAL
-        report["series"].append(
-            _series_report("B%d" % index, series, reference, status, order))
-    return report
+    return _report("verlinde", r, order, extract_verlinde(r, order, panel, seed))

@@ -13,9 +13,6 @@ Compositional structure follows the same discipline: ``compose`` and
 ``revert`` demand the substituted series vanish at the origin, rational
 powers demand constant term 1, and violations raise typed errors instead
 of producing garbage coefficients.
-
-:class:`BiSeries` is the dense bivariate analogue, used where a single
-coefficient of a two-variable expansion has to be extracted exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from operator import mul
 
 __all__ = [
     "Series",
-    "BiSeries",
     "SeriesError",
     "OrderMismatchError",
     "ConstantTermError",
@@ -76,8 +72,8 @@ class Series:
     1 + t - 1/2*t^2 + O(t^3)
 
     Instances are treated as immutable.  The variable name is carried
-    along for readable errors and serialization; it does not participate
-    in equality.
+    along for readable errors and printing; it does not participate in
+    equality.
     """
 
     def __init__(self, coeffs, order=None, var="t"):
@@ -317,20 +313,6 @@ class Series:
             return b
         raise ReversionError("Newton reversion failed to converge")  # pragma: no cover
 
-    # serialization: exact 'p/q' strings, bit-exact round trip
-
-    def to_json(self):
-        return {
-            "variable": self.var,
-            "order": self.order,
-            "coefficients": [str(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([Fraction(c) for c in data["coefficients"]],
-                   data["order"], data["variable"])
-
     def __eq__(self, other):
         if isinstance(other, Series):
             return self.order == other.order and self.coeffs == other.coeffs
@@ -408,183 +390,3 @@ def solve_algebraic(relation, order, var="t"):
     if horner(p, y).is_zero():
         return y
     raise BranchError("Newton failed to reach a root to the requested order")
-
-
-class BiSeries:
-    """Dense bivariate truncated series over exact rationals.
-
-    Coefficients fill the rectangle 0 <= i <= order1, 0 <= j <= order2
-    with the row index attached to the first variable.  Arithmetic skips
-    zero entries, and ``inverse`` runs a graded convolution over the
-    nonzero support only, so sparse inputs stay cheap.
-    """
-
-    def __init__(self, rows, orders=None, vars=("x", "y")):
-        rows = [[as_fraction(c) for c in row] for row in rows]
-        if orders is None:
-            if not rows:
-                raise ValueError("empty rows need explicit orders")
-            orders = (len(rows) - 1, max(len(r) for r in rows) - 1)
-        d1, d2 = orders
-        if d1 < 0 or d2 < 0:
-            raise ValueError("truncation orders must be >= 0")
-        if len(rows) > d1 + 1 or any(len(r) > d2 + 1 for r in rows):
-            raise ValueError("more coefficients than the truncation orders allow")
-        grid = [[Fraction(0)] * (d2 + 1) for _ in range(d1 + 1)]
-        for i, r in enumerate(rows):
-            for j, c in enumerate(r):
-                grid[i][j] = c
-        self.rows = tuple(tuple(r) for r in grid)
-        self.orders = (d1, d2)
-        self.vars = tuple(vars)
-
-    @classmethod
-    def zero(cls, orders, vars=("x", "y")):
-        return cls([], orders, vars)
-
-    @classmethod
-    def one(cls, orders, vars=("x", "y")):
-        return cls([[1]], orders, vars)
-
-    @classmethod
-    def gens(cls, orders, vars=("x", "y")):
-        """The two variables themselves, truncated at ``orders``."""
-        d1, d2 = orders
-        x = cls([[0], [1]] if d1 >= 1 else [[0]], orders, vars)
-        y = cls([[0, 1]] if d2 >= 1 else [[0]], orders, vars)
-        return x, y
-
-    def bicoeff(self, i, j):
-        """Coefficient of vars[0]^i vars[1]^j."""
-        d1, d2 = self.orders
-        if not (0 <= i <= d1 and 0 <= j <= d2):
-            raise IndexError("coefficient (%d, %d) of a series of orders %s"
-                             % (i, j, (d1, d2)))
-        return self.rows[i][j]
-
-    def _require_same_orders(self, other):
-        if self.orders != other.orders:
-            raise OrderMismatchError("order mismatch: %s vs %s; truncate explicitly"
-                                     % (self.orders, other.orders))
-
-    def truncate(self, orders):
-        d1, d2 = orders
-        if d1 > self.orders[0] or d2 > self.orders[1]:
-            raise ValueError("cannot extend %s to %s" % (self.orders, orders))
-        return BiSeries([list(r[:d2 + 1]) for r in self.rows[:d1 + 1]], orders, self.vars)
-
-    def _support(self):
-        return [(i, j, c)
-                for i, row in enumerate(self.rows)
-                for j, c in enumerate(row) if c]
-
-    def __add__(self, other):
-        if isinstance(other, BiSeries):
-            self._require_same_orders(other)
-            return BiSeries([[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self.rows, other.rows)],
-                            self.orders, self.vars)
-        grid = [list(r) for r in self.rows]
-        grid[0][0] += as_fraction(other)
-        return BiSeries(grid, self.orders, self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiSeries([[-c for c in r] for r in self.rows], self.orders, self.vars)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, BiSeries) else -as_fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            x = as_fraction(other)
-            return BiSeries([[x * c for c in r] for r in self.rows],
-                            self.orders, self.vars)
-        self._require_same_orders(other)
-        d1, d2 = self.orders
-        out = [[Fraction(0)] * (d2 + 1) for _ in range(d1 + 1)]
-        orows = other.rows
-        for i, j, a in self._support():
-            for k in range(d1 + 1 - i):
-                row = orows[k]
-                orow = out[i + k]
-                for l in range(d2 + 1 - j):
-                    b = row[l]
-                    if b:
-                        orow[j + l] += a * b
-        return BiSeries(out, self.orders, self.vars)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            raise TypeError("BiSeries powers must be integers")
-        if e < 0:
-            # raise first: powers of a sparse base stay sparse, and the
-            # graded inverse is cheap on sparse input
-            return (self ** (-e)).inverse()
-        out = BiSeries.one(self.orders, self.vars)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
-    def inverse(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
-        a00 = self.rows[0][0]
-        if a00 == 0:
-            raise ConstantTermError("cannot invert a bivariate series with zero constant term")
-        d1, d2 = self.orders
-        inv0 = Fraction(1) / a00
-        support = [(i, j, c) for i, j, c in self._support() if (i, j) != (0, 0)]
-        out = [[Fraction(0)] * (d2 + 1) for _ in range(d1 + 1)]
-        out[0][0] = inv0
-        for i in range(d1 + 1):
-            for j in range(d2 + 1):
-                if i == j == 0:
-                    continue
-                acc = Fraction(0)
-                for k, l, c in support:
-                    if k <= i and l <= j:
-                        acc += c * out[i - k][j - l]
-                if acc:
-                    out[i][j] = -inv0 * acc
-        return BiSeries(out, self.orders, self.vars)
-
-    def __truediv__(self, other):
-        if isinstance(other, BiSeries):
-            return self * other.inverse()
-        return self * (Fraction(1) / as_fraction(other))
-
-    def __eq__(self, other):
-        if isinstance(other, BiSeries):
-            return self.orders == other.orders and self.rows == other.rows
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        u, v = self.vars
-        terms = []
-        for i, j, c in self._support():
-            unit = "*".join(s for s in (
-                "" if i == 0 else (u if i == 1 else "%s^%d" % (u, i)),
-                "" if j == 0 else (v if j == 1 else "%s^%d" % (v, j))) if s)
-            if not unit:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(unit)
-            elif c == -1:
-                terms.append("-%s" % unit)
-            else:
-                terms.append("%s*%s" % (c, unit))
-        body = " + ".join(terms) if terms else "0"
-        return "%s + O(%s^%d, %s^%d)" % (body, u, self.orders[0] + 1, v, self.orders[1] + 1)

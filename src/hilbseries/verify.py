@@ -21,13 +21,12 @@ from math import factorial
 import random
 
 from . import catalog
-from .series import BiSeries, Series
+from .series import Series
 
 __all__ = [
     "CheckReport",
     "ModuliNumerics",
     "binom",
-    "check_2pt",
     "check_2pt_grid",
     "check_abelian",
     "check_asymptotics",
@@ -205,14 +204,6 @@ def _2pt_printed(s, c1sq, c2):
                       + 12 * s ** 3 + 2 * s ** 4)
 
 
-def check_2pt(s, c1sq, c2):
-    """Two-point Segre integral on K3 numerics vs the printed quartic in s."""
-    got = catalog.segre_full(s, c2, c1sq, 2, 0, 0, 2).coefficient(2)
-    tally = _Tally()
-    tally.eq(got, _2pt_printed(s, c1sq, c2), s, c1sq, c2)
-    return tally.report("2pt", "point (s=%d, c1sq=%d, c2=%d)" % (s, c1sq, c2))
-
-
 def check_2pt_grid(s_range=range(-4, 5), c1sq_range=range(-2, 3), c2_range=range(-2, 3)):
     """Grid proof of the two-point polynomial identity.
 
@@ -384,12 +375,14 @@ def check_enriques(r, n_max=5, chi_range=range(1, 7), form_order=20):
 
 
 def check_blowup_excess(n):
-    """Coefficient of h^(2n) zeta^n in (1-zeta)^(3n+2) / (1-h-zeta)^2."""
-    if n == 0:
-        return F(1)
-    h, zeta = BiSeries.gens((2 * n, n), ("h", "zeta"))
-    series = (1 - zeta) ** (3 * n + 2) * (1 - h - zeta) ** -2
-    return series.bicoeff(2 * n, n)
+    """Coefficient of h^(2n) zeta^n in (1-zeta)^(3n+2) / (1-h-zeta)^2.
+
+    Expanding in h first, (1-h-zeta)^(-2) = sum_a (a+1) h^a (1-zeta)^(-a-2),
+    so the h^(2n) part is (2n+1) (1-zeta)^(-2n-2) and the coefficient is
+    (2n+1) [zeta^n] (1-zeta)^(3n+2) (1-zeta)^(-2n-2), a one-variable series.
+    """
+    zeta = Series.gen(n, "zeta")
+    return (2 * n + 1) * ((1 - zeta) ** (3 * n + 2) * (1 - zeta) ** (-2 * n - 2)).coefficient(n)
 
 
 def _blowup_direct(n):

@@ -81,6 +81,22 @@ class TestBranchSeries:
         rhs = t * (1 - y) * (1 - y ** 3)
         assert lhs == rhs
 
+    def test_relation_dicts_match_printed_equations(self):
+        # both relations are linear in t: collect y^i t^0 and y^i t^1 as
+        # coefficient lists of polynomials in y of degree <= 4
+        y = Series.gen(4, "y")
+        cube = y * (1 + y) ** 2
+        quartic = (1 - y) * (1 - y ** 3)
+
+        def relation(t0, t1):
+            return {(i, j): c for j, poly in enumerate((t0, t1))
+                    for i, c in enumerate(poly.coeffs) if c}
+
+        # y (1+y)^2 = t (1-y)(1-y^3)
+        assert catalog._TWIST3_RELATION == relation(cube, -quartic)
+        # y (1+y)^2 (1+3t) = t (1-y)(1-y^3)
+        assert catalog._RANK2_RELATION == relation(cube, 3 * cube - quartic)
+
 
 class TestSegreFactors:
     def test_rank2_closed_forms(self):

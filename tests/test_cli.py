@@ -182,3 +182,384 @@ class TestReproducibility:
         _, out_b = run(capsys, *(base + ["--seed", "6"]))
         assert "seed=5" in out_a and "seed=6" in out_b
         assert out_a.strip().splitlines()[-1] == out_b.strip().splitlines()[-1]
+
+
+# Full stdout of fixed invocations.  Any moved byte fails: panel rows,
+# exponent-matrix strings, check counts, the ranges text.
+EXTRACT_SEGRE_RANK1_TABLE = """\
+# hilbseries command=extract kind=segre order=2 rank=1 seed=20260815
+A0 [proven]: 1/1, -1/1, 4/1  (matches reference through order 2)
+A1 [proven]: 1/1, 1/1, -9/2  (matches reference through order 2)
+A2 [proven]: 1/1, 0/1, 6/1  (matches reference through order 2)
+A3 [proven]: 1/1, 0/1, -5/2  (matches reference through order 2)
+A4 [proven]: 1/1, 0/1, -1/1  (matches reference through order 2)
+"""
+
+EXTRACT_VERLINDE_TWIST0_TABLE = """\
+# hilbseries command=extract kind=verlinde order=2 rank=0 seed=20260815
+B1 [proven]: 1/1, 1/1, 1/1  (matches reference through order 2)
+B2 [proven]: 1/1, 0/1, 0/1  (matches reference through order 2)
+B3 [trivial]: 1/1, 0/1, 0/1  (matches reference through order 2)
+B4 [trivial]: 1/1, 0/1, 0/1  (matches reference through order 2)
+"""
+
+EXTRACT_SEGRE_RANK2_JSON = """\
+{
+  "config": {
+    "command": "extract",
+    "kind": "segre",
+    "order": 2,
+    "rank": 2,
+    "seed": 20260815
+  },
+  "exponent_columns": [
+    "c2",
+    "c1sq",
+    "chiO",
+    "c1K",
+    "Ksq"
+  ],
+  "exponent_matrix": [
+    [
+      "0",
+      "0",
+      "1",
+      "0",
+      "9"
+    ],
+    [
+      "0",
+      "0",
+      "1",
+      "0",
+      "8"
+    ],
+    [
+      "0",
+      "1",
+      "1",
+      "-3",
+      "9"
+    ],
+    [
+      "0",
+      "0",
+      "1",
+      "-2",
+      "8"
+    ],
+    [
+      "1",
+      "4",
+      "1",
+      "-6",
+      "9"
+    ],
+    [
+      "0",
+      "-2",
+      "1",
+      "0",
+      "8"
+    ]
+  ],
+  "panel": [
+    {
+      "class": "O(0)+O(0)",
+      "surface": "p2"
+    },
+    {
+      "class": "O(0,0)+O(0,0)",
+      "surface": "p1xp1"
+    },
+    {
+      "class": "O(0)+O(1)",
+      "surface": "p2"
+    },
+    {
+      "class": "O(0,0)+O(1,0)",
+      "surface": "p1xp1"
+    },
+    {
+      "class": "O(1)+O(1)",
+      "surface": "p2"
+    },
+    {
+      "class": "O(0,0)+O(-1,1)",
+      "surface": "p1xp1"
+    }
+  ],
+  "series": [
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "-1/1",
+        "7/1"
+      ],
+      "reference": [
+        "1/1",
+        "-1/1",
+        "7/1"
+      ],
+      "series": "A0",
+      "status": "proven"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "1/1",
+        "-9/1"
+      ],
+      "reference": [
+        "1/1",
+        "1/1",
+        "-9/1"
+      ],
+      "series": "A1",
+      "status": "proven"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "0/1",
+        "30/1"
+      ],
+      "reference": [
+        "1/1",
+        "0/1",
+        "30/1"
+      ],
+      "series": "A2",
+      "status": "proven"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "0/1",
+        "-7/1"
+      ],
+      "reference": [
+        "1/1",
+        "0/1",
+        "-7/1"
+      ],
+      "series": "A3",
+      "status": "proven"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "0/1",
+        "-5/1"
+      ],
+      "reference": [
+        "1/1",
+        "0/1",
+        "-5/1"
+      ],
+      "series": "A4",
+      "status": "proven"
+    }
+  ]
+}
+"""
+
+EXTRACT_VERLINDE_TWIST_MINUS1_JSON = """\
+{
+  "config": {
+    "command": "extract",
+    "kind": "verlinde",
+    "order": 2,
+    "rank": -1,
+    "seed": 20260815
+  },
+  "exponent_columns": [
+    "chiL",
+    "chiO",
+    "c1K-Ksq/2",
+    "Ksq"
+  ],
+  "exponent_matrix": [
+    [
+      "1",
+      "1",
+      "-9/2",
+      "9"
+    ],
+    [
+      "3",
+      "1",
+      "-15/2",
+      "9"
+    ],
+    [
+      "6",
+      "1",
+      "-21/2",
+      "9"
+    ],
+    [
+      "1",
+      "1",
+      "-4",
+      "8"
+    ],
+    [
+      "4",
+      "1",
+      "-8",
+      "8"
+    ],
+    [
+      "6",
+      "1",
+      "-10",
+      "8"
+    ],
+    [
+      "3",
+      "1",
+      "-7",
+      "8"
+    ]
+  ],
+  "panel": [
+    {
+      "class": "O(0)",
+      "surface": "p2"
+    },
+    {
+      "class": "O(1)",
+      "surface": "p2"
+    },
+    {
+      "class": "O(2)",
+      "surface": "p2"
+    },
+    {
+      "class": "O(0,0)",
+      "surface": "p1xp1"
+    },
+    {
+      "class": "O(1,1)",
+      "surface": "p1xp1"
+    },
+    {
+      "class": "O(1,2)",
+      "surface": "p1xp1"
+    },
+    {
+      "class": "O(1,1)",
+      "surface": "f1"
+    }
+  ],
+  "series": [
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "1/1",
+        "0/1"
+      ],
+      "reference": [
+        "1/1",
+        "1/1",
+        "0/1"
+      ],
+      "series": "B1",
+      "status": "proven"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "0/1",
+        "0/1"
+      ],
+      "reference": [
+        "1/1",
+        "0/1",
+        "0/1"
+      ],
+      "series": "B2",
+      "status": "proven"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "0/1",
+        "0/1"
+      ],
+      "reference": [
+        "1/1",
+        "0/1",
+        "0/1"
+      ],
+      "series": "B3",
+      "status": "trivial"
+    },
+    {
+      "agreement_order": 2,
+      "extracted": [
+        "1/1",
+        "0/1",
+        "0/1"
+      ],
+      "reference": [
+        "1/1",
+        "0/1",
+        "0/1"
+      ],
+      "series": "B4",
+      "status": "trivial"
+    }
+  ]
+}
+"""
+
+VERIFY_BLOWUP_TABLE = """\
+# hilbseries command=verify order=10 suite=blowup
+blowup             PASS  (32 checks)
+"""
+
+VERIFY_BLOWUP_JSON = """\
+{
+  "config": {
+    "command": "verify",
+    "order": 10,
+    "suite": "blowup"
+  },
+  "passed": true,
+  "reports": [
+    {
+      "checks": 32,
+      "counterexample": null,
+      "detail": "",
+      "name": "blowup",
+      "passed": true,
+      "ranges": "n<=20, double-sum cross-check n<=10"
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("extract --rank 1 --order 2", EXTRACT_SEGRE_RANK1_TABLE),
+    ("extract --rank 0 --order 2 --kind verlinde", EXTRACT_VERLINDE_TWIST0_TABLE),
+    ("extract --rank 2 --order 2 --json", EXTRACT_SEGRE_RANK2_JSON),
+    ("extract --rank -1 --order 2 --kind verlinde --json", EXTRACT_VERLINDE_TWIST_MINUS1_JSON),
+    ("verify --suite blowup", VERIFY_BLOWUP_TABLE),
+    ("verify --suite blowup --json", VERIFY_BLOWUP_JSON),
+])
+def test_golden_stdout(capsys, monkeypatch, argv, expected):
+    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert out == expected

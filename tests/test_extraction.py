@@ -14,6 +14,50 @@ from hilbseries import extraction as ext
 from hilbseries import localization as loc
 
 
+# build_panel's chosen rows, pinned from the rank-growth rule that keeps a
+# probe while it raises the exponent rank and every probe once it is 5.
+PANEL_ROWS = {
+    -4: [
+        "p2 O(0)-O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p2 O(0)-O(0)-O(0)-O(0)-O(0)-O(1)",
+        "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(1,0)",
+        "p2 O(0)-O(0)-O(0)-O(0)-O(1)-O(1)",
+        "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(-1,1)",
+    ],
+    -3: [
+        "p2 O(0)-O(0)-O(0)-O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p2 O(0)-O(0)-O(0)-O(0)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(1,0)",
+        "p2 O(0)-O(0)-O(0)-O(1)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(-1,1)",
+    ],
+    -2: [
+        "p2 O(0)-O(0)-O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p2 O(0)-O(0)-O(0)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(1,0)",
+        "p2 O(0)-O(0)-O(1)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(-1,1)",
+    ],
+    -1: [
+        "p2 O(0)-O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)-O(0,0)", "p2 O(0)-O(0)-O(1)",
+        "p1xp1 O(0,0)-O(0,0)-O(1,0)", "p2 O(0)-O(1)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(-1,1)",
+    ],
+    0: [
+        "p2 O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)", "p2 O(0)-O(1)", "p1xp1 O(0,0)-O(1,0)",
+        "p2 O(1)-O(0)", "p1xp1 O(0,0)-O(-1,1)",
+    ],
+    1: [
+        "p2 O(0)", "p1xp1 O(0,0)", "p2 O(1)", "p1xp1 O(1,0)", "p2 O(0)+O(0)-O(1)",
+        "p1xp1 O(2,2)",
+    ],
+    2: [
+        "p2 O(0)+O(0)", "p1xp1 O(0,0)+O(0,0)", "p2 O(0)+O(1)", "p1xp1 O(0,0)+O(1,0)",
+        "p2 O(1)+O(1)", "p1xp1 O(0,0)+O(-1,1)",
+    ],
+    3: [
+        "p2 O(0)+O(0)+O(0)", "p1xp1 O(0,0)+O(0,0)+O(0,0)", "p2 O(0)+O(0)+O(1)",
+        "p1xp1 O(0,0)+O(0,0)+O(1,0)", "p2 O(0)+O(1)+O(1)", "p1xp1 O(0,0)+O(0,0)+O(-1,1)",
+    ],
+}
+
+
 class TestSolveExact:
     def test_plain_square_system(self):
         sol = ext.solve_exact([[2, 1], [1, 3]], [5, 10])
@@ -56,12 +100,17 @@ class TestPanels:
         rows = [(p2, loc.parse_class(p2, spec)) for spec in
                 ("O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")]
         with pytest.raises(ext.PanelError):
-            ext.GeometryPanel(1, rows)
+            ext.Panel("segre", 1, rows)
 
     def test_panel_rejects_wrong_rank(self):
         p2 = loc.get_surface("p2")
         with pytest.raises(ext.PanelError):
-            ext.GeometryPanel(2, [(p2, loc.parse_class(p2, "O(1)"))])
+            ext.Panel("segre", 2, [(p2, loc.parse_class(p2, "O(1)"))])
+
+    def test_build_panel_rows_pinned(self):
+        for s, expected in PANEL_ROWS.items():
+            panel = ext.build_panel(s)
+            assert ["%s %s" % (surface.name, cls.spec()) for surface, cls in panel] == expected
 
     def test_too_small_size_rejected(self):
         with pytest.raises(ext.PanelError):
@@ -94,7 +143,7 @@ class TestExtractUniversal:
 
     def test_panel_row_order_irrelevant(self):
         panel = ext.build_panel(1)
-        shuffled = ext.GeometryPanel(1, list(reversed(panel.rows)))
+        shuffled = ext.Panel("segre", 1, list(reversed(panel.rows)))
         a = ext.extract_universal(1, 2, panel)
         b = ext.extract_universal(1, 2, shuffled)
         for x, y in zip(a, b):
@@ -118,7 +167,7 @@ class TestExtractVerlinde:
         p2 = loc.get_surface("p2")
         rows = [(p2, loc.EqKClass(p2, [(1, (d,))])) for d in (0, 1, 2, 3)]
         with pytest.raises(ext.PanelError):
-            ext.extract_verlinde(0, 1, rows)
+            ext.Panel("verlinde", 0, rows)
 
 
 class TestPredictions:

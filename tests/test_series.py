@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-from math import comb
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbseries import (
-    BiSeries,
     BranchError,
     CompositionError,
     ConstantTermError,
@@ -272,53 +270,3 @@ class TestSolveAlgebraic:
             solve_algebraic({(0, 0): 1, (1, 0): 1}, 4)
         with pytest.raises(BranchError):
             solve_algebraic({(2, 0): 1, (0, 1): -1}, 4)
-
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self):
-        a = Series([F(1), F(-1, 2), F(3), F(22, 7)], 3, var="z")
-        data = a.to_json()
-        assert data == {"variable": "z", "order": 3,
-                        "coefficients": ["1", "-1/2", "3", "22/7"]}
-        b = Series.from_json(data)
-        assert b == a and b.var == "z" and b.to_json() == data
-
-    def test_round_trip_random(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            a = rand_series(rng, rng.randint(0, 9))
-            assert Series.from_json(a.to_json()) == a
-
-
-class TestBiSeries:
-    def test_inverse_times_self_is_one(self):
-        rng = random.Random(14)
-        for _ in range(10):
-            rows = [[F(rng.randint(-4, 4)) for _ in range(5)] for _ in range(4)]
-            rows[0][0] = F(1) if rows[0][0] == 0 else rows[0][0]
-            a = BiSeries(rows, (3, 4))
-            assert a * a.inverse() == BiSeries.one((3, 4))
-
-    def test_zero_constant_not_invertible(self):
-        x, _ = BiSeries.gens((2, 2))
-        with pytest.raises(ConstantTermError):
-            x.inverse()
-
-    def test_excess_coefficient_small_case(self):
-        # coeff of h^2 zeta in (1-zeta)^5 / (1-h-zeta)^2 equals -3,
-        # checked against the closed double sum sum (k+1) C(k, 2) over h^2 zeta^j
-        h, z = BiSeries.gens((2, 1), ("h", "zeta"))
-        val = ((1 - z) ** 5 * (1 - h - z) ** -2).bicoeff(2, 1)
-        # (1-h-zeta)^-2 = sum (k+1)(h+zeta)^k puts (j+3) C(j+2, 2) on h^2 zeta^j
-        direct = sum((j + 3) * comb(j + 2, 2) * [1, -5][1 - j] for j in (0, 1))
-        assert val == direct == -3
-
-    def test_pow_matches_repeated_product(self):
-        x, y = BiSeries.gens((3, 3))
-        a = 1 + x + 2 * y - x * y
-        assert a ** 3 == a * a * a
-        assert a ** -2 == (a * a).inverse()
-
-    def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            BiSeries.one((2, 2)) * BiSeries.one((2, 3))

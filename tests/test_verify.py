@@ -10,7 +10,6 @@ from hilbseries.verify import (
     CheckReport,
     ModuliNumerics,
     binom,
-    check_2pt,
     check_2pt_grid,
     check_abelian,
     check_asymptotics,
@@ -93,7 +92,6 @@ class TestChecks:
         assert report.passed and report.checks > 100
 
     def test_2pt_point_and_grid(self):
-        assert check_2pt(1, 2, 3).passed
         report = check_2pt_grid(range(-2, 3), range(-1, 2), range(-1, 2))
         assert report.passed
         assert "deg 4" in report.ranges
@@ -122,6 +120,11 @@ class TestChecks:
         assert check_blowup_excess(2) == 5
         assert check_blowup_excess(0) == 1
         assert check_blowup(n_max=12).passed
+
+    def test_blowup_one_variable_route_matches_double_sum(self):
+        # the suite cross-checks the double sum only for n <= 10
+        for n in range(21):
+            assert check_blowup_excess(n) == verify._blowup_direct(n) == (-1) ** n * (2 * n + 1)
 
     def test_theta_dichotomy(self):
         for n in range(13):
