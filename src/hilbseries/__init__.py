@@ -25,7 +25,6 @@ from .catalog import (
 )
 from .localization import (
     EqKClass,
-    HilbFixedPoint,
     ToricSurface,
     chern_integral,
     enumerate_fixed_points,

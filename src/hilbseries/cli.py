@@ -93,8 +93,8 @@ def _resolve_order(args, parser, default):
                          % (ORDER_ENV, os.environ[ORDER_ENV]))
     else:
         order = default
-    if order < 0:
-        parser.error("order must be nonnegative")
+    if order < 1:
+        parser.error("order must be at least 1")
     return order
 
 
@@ -203,7 +203,10 @@ def _cmd_oracle(args, parser):
         if args.r is None:
             parser.error("--r is required for kind verlinde")
         config["r"] = args.r
-        value = verlinde_chi(surface, kclass, args.r, args.n, args.seed)
+        try:
+            value = verlinde_chi(surface, kclass, args.r, args.n, args.seed)
+        except ValueError as exc:  # not a single line bundle
+            parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
         result = "%d/1" % value
     else:
         if args.r is not None:

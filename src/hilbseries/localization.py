@@ -15,13 +15,19 @@ characters are -u1, -u2, and the equivariant lift of O(sum d_i D_i) is
 the character m with <m, v_i> = -d_i.  A box in column c, row s of a
 partition carries the monomial character c u1 + s u2.
 
-Integrals are evaluated at two independent generic integer
-specializations of the characters and must agree; Euler characteristics
-additionally require all sub-leading Laurent coefficients to cancel
-across fixed points and the result to be an integer.  Any violation
-raises, loudly, instead of returning data, and so does a draw box with
-fewer than two usable directions (DrawError).  The kernels run on integer
-coefficient lists; Fraction appears only at the per-point division.
+Every quantity takes one path: the fixed points are enumerated once, and
+at each drawn direction each point becomes a record of its integer
+tangent and signed tautological weights.  Two kernels read the records:
+the top Segre coefficient (Chern is Segre of the negated class) and the
+Euler characteristic of the determinant line (Verlinde: of L + (r-1) O).
+
+Values are computed at two independent generic directions and must
+agree; Euler characteristics additionally require all sub-leading
+Laurent coefficients to cancel across fixed points and the result to be
+an integer.  Any violation raises, loudly, instead of returning data, and
+so does a draw box with fewer than two usable directions (DrawError).
+The kernels run on integer coefficient lists; Fraction appears only at
+the Segre kernel's per-point division and at the Euler sum's result.
 """
 
 from __future__ import annotations
@@ -29,17 +35,15 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb
+from math import comb, lcm, prod
 from operator import mul
 
 __all__ = [
     "DEFAULT_SEED",
     "DrawError",
     "EqKClass",
-    "HilbFixedPoint",
     "ToricSurface",
     "chern_integral",
     "enumerate_fixed_points",
@@ -94,13 +98,6 @@ def _conjugate(lam):
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part > col) for col in range(lam[0]))
-
-
-@dataclass(frozen=True)
-class HilbFixedPoint:
-    """One partition per surface chart; the total size is the point count."""
-
-    parts: tuple
 
 
 class ToricSurface:
@@ -170,7 +167,7 @@ class ToricSurface:
             pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
                        for la in gen_lifts]
             k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
-            chi = _euler_sum([(0, [_spec_nonzero(t, q) for t in self.tangent_chars(index)])
+            chi = _euler_sum([([_spec_nonzero(t, q) for t in self.tangent_chars(index)], [])
                               for index in range(len(self.charts))], 2)
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
@@ -292,10 +289,11 @@ class EqKClass:
             lift_shifts = [(0, 0)] * len(self.terms)
         if len(lift_shifts) != len(self.terms):
             raise ValueError("one lift shift per term expected")
+        self.shifts = [tuple(shift) for shift in lift_shifts]
         self.lifts = []
-        for (sign, coeffs), shift in zip(self.terms, lift_shifts):
+        for (sign, coeffs), shift in zip(self.terms, self.shifts):
             base = surface.lift(coeffs)
-            self.lifts.append(tuple(_vadd(m, tuple(shift)) for m in base))
+            self.lifts.append(tuple(_vadd(m, shift) for m in base))
         gens = len(surface.generators)
         c1 = [0] * gens
         c2 = 0
@@ -375,8 +373,7 @@ def enumerate_fixed_points(surface, n):
     out = []
     charts = len(surface.charts)
     for comp in _compositions(n, charts):
-        for tup in itertools.product(*(partitions(k) for k in comp)):
-            out.append(HilbFixedPoint(tup))
+        out.extend(itertools.product(*(partitions(k) for k in comp)))
     return out
 
 
@@ -388,7 +385,7 @@ def tangent_weights(fp, surface):
     and -a chi1 + (l+1) chi2.
     """
     out = []
-    for index, lam in enumerate(fp.parts):
+    for index, lam in enumerate(fp):
         chi1, chi2 = surface.tangent_chars(index)
         conj = _conjugate(lam)
         for row, part in enumerate(lam):
@@ -409,56 +406,72 @@ def taut_weights(kclass, fp):
     Each term contributes, for every box in column c row s of the
     chart's partition, its lift character plus c u1 + s u2.
     """
-    surface = kclass.surface
-    out = []
-    for (sign, _), lifts in zip(kclass.terms, kclass.lifts):
-        for index, lam in enumerate(fp.parts):
-            _, _, u1, u2 = surface.charts[index]
-            m = lifts[index]
-            for row, part in enumerate(lam):
-                for col in range(part):
-                    out.append((sign, _vadd(m, _vadd(_vscale(col, u1), _vscale(row, u2)))))
-    return out
+    boxes = []
+    for index, lam in enumerate(fp):
+        _, _, u1, u2 = kclass.surface.charts[index]
+        for row, part in enumerate(lam):
+            for col in range(part):
+                boxes.append((index, _vadd(_vscale(col, u1), _vscale(row, u2))))
+    return [(sign, _vadd(lifts[index], box))
+            for (sign, _), lifts in zip(kclass.terms, kclass.lifts) for index, box in boxes]
 
 
-def _integral_at(surface, kclass, n, q, chern):
-    """Sum over fixed points of [u^2n] prod (1+ku)^(-/+1) / prod tangent weights."""
+def _records(surface, kclass, fps, q):
+    """Each fixed point at direction q: (tangent weights, signed tautological weights).
+
+    The one place where fixed points are specialized; a zero tangent
+    weight rejects the direction.
+    """
+    for fp in fps:
+        yield ([_spec_nonzero(w, q) for w in tangent_weights(fp, surface)],
+               [(sign, _dot(char, q)) for sign, char in taut_weights(kclass, fp)])
+
+
+def _fixed_point_sum(kernel, surface, kclass, n, seed, what):
+    """kernel(records, 2n) agreed at two directions; fixed points enumerated once."""
+    fps = enumerate_fixed_points(surface, n)
+    return _at_two_directions(lambda q: kernel(_records(surface, kclass, fps, q), 2 * n),
+                              seed, what)
+
+
+def _segre_top(records, order):
+    """Sum over points of [u^order] prod (1+ku)^(-sign) / prod tangent weights."""
     total = F(0)
-    order = 2 * n
-    for fp in enumerate_fixed_points(surface, n):
-        denom = 1
-        for weight in tangent_weights(fp, surface):
-            denom *= _spec_nonzero(weight, q)
+    for ks, weights in records:
         c = [1] + [0] * order
-        for sign, char in taut_weights(kclass, fp):
-            k = _dot(char, q)
-            if (sign > 0) != chern:
+        for sign, k in weights:
+            if sign > 0:
                 for j in range(1, order + 1):  # divide by 1 + k u
                     c[j] -= k * c[j - 1]
             else:
                 for j in range(order, 0, -1):  # multiply by 1 + k u
                     c[j] += k * c[j - 1]
-        total += F(c[order], denom)
+        total += F(c[order], prod(ks))
     return total
 
 
 def segre_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Segre class of the tautological class."""
-    return _at_two_directions(lambda q: _integral_at(surface, kclass, n, q, False),
-                              seed, repr(kclass))
+    return _fixed_point_sum(_segre_top, surface, kclass, n, seed, repr(kclass))
 
 
 def chern_integral(surface, kclass, n, seed=None):
-    """Integral of the degree-2n Chern class of the tautological class."""
-    return _at_two_directions(lambda q: _integral_at(surface, kclass, n, q, True),
-                              seed, repr(kclass))
+    """Integral of the degree-2n Chern class of the tautological class.
+
+    c(E) = s(-E), so this is the Segre integral of the negated class.
+    """
+    negated = EqKClass(surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
+                       kclass.shifts)
+    return _fixed_point_sum(_segre_top, surface, negated, n, seed, repr(kclass))
 
 
-def _euler_sum(point_data, order):
+def _euler_sum(records, order):
     """Sum of (1+e)^a / prod_k (1-(1+e)^(-k)) over points, as an integer.
 
-    Each point contributes a Laurent series with pole order len(ks); the
-    poles must cancel across points and the constant term is the Euler
+    A point's ks are its tangent weights and a = sum of sign * k over its
+    tautological weights, the weight of the determinant line.  Each point
+    contributes a Laurent series with pole order len(ks); the poles must
+    cancel across points and the constant term is the Euler
     characteristic.  Both facts are asserted.
 
     With P_m(e) = ((1+e)^m - 1)/e = sum_{i<m} C(m, i+1) e^i, a point's
@@ -466,10 +479,13 @@ def _euler_sum(point_data, order):
     A = a + sum of the positive k.  Numerator N and denominator Q are
     integer polynomials; the quotient's coefficients are d_j / Q_0^(j+1)
     with the integers d_j = Q_0^j N_j - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i).
+    The points are added over the lcm of their Q_0, so the only Fraction
+    is the result.
     """
-    total = [F(0)] * (order + 1)
-    for a, ks in point_data:
-        exponent = a + sum(k for k in ks if k > 0)
+    total = [0] * (order + 1)  # the sum's e^j coefficient is total[j] / scale^(j+1)
+    scale = 1  # lcm of the Q_0 so far
+    for ks, weights in records:
+        exponent = sum(sign * k for sign, k in weights) + sum(k for k in ks if k > 0)
         negative = sum(1 for k in ks if k < 0) % 2
         numer = [1] * (order + 1)
         for j in range(1, order + 1):
@@ -481,48 +497,42 @@ def _euler_sum(point_data, order):
                 denom[j] = sum(map(mul, p, denom[j::-1]))
         q0 = denom[0]
         scaled = [denom[i] * q0 ** (i - 1) for i in range(1, order + 1)]
+        grown = lcm(scale, q0)
+        if grown != scale:
+            total = [t * (grown // scale) ** (j + 1) for j, t in enumerate(total)]
+            scale = grown
+        factor = scale // q0
+        power = -factor if negative else factor
         d = []
         for j in range(order + 1):
             d.append(numer[j] * q0 ** j - sum(map(mul, scaled, reversed(d))))
-            total[j] += F(-d[j] if negative else d[j], q0 ** (j + 1))
+            total[j] += d[j] * power
+            power *= factor
     for j in range(order):
         if total[j] != 0:
             raise ArithmeticError(
                 "fixed-point sum has a surviving pole coefficient at order %d" % (j - order))
-    value = total[order]
+    value = F(total[order], scale ** (order + 1))
     if value.denominator != 1:
         raise ArithmeticError("Euler characteristic %s is not an integer" % value)
     return int(value)
 
 
-def _euler_data(surface, kclass, r, fps, q):
-    """Per-point (a, tangent weights) of the Verlinde sum at direction q."""
-    lifts = kclass.lifts[0]
-    data = []
-    for fp in fps:
-        ks = [_spec_nonzero(w, q) for w in tangent_weights(fp, surface)]
-        a = 0
-        for index, lam in enumerate(fp.parts):
-            _, _, u1, u2 = surface.charts[index]
-            m_spec = _dot(lifts[index], q)
-            box_spec = _dot(u1, q)
-            row_spec = _dot(u2, q)
-            for row, part in enumerate(lam):
-                for col in range(part):
-                    a += m_spec + r * (col * box_spec + row * row_spec)
-        data.append((a, ks))
-    return data
+def _twisted_class(kclass, r):
+    """L + (r-1) O, of rank r, for the line bundle L of kclass."""
+    extra = abs(r - 1)
+    trivial = (1 if r > 1 else -1, (0,) * len(kclass.surface.generators))
+    return EqKClass(kclass.surface, kclass.terms + [trivial] * extra,
+                    kclass.shifts + [(0, 0)] * extra)
 
 
 def verlinde_chi(surface, kclass, r, n, seed=None):
     """chi of det(L^[n]) (x) det(O^[n])^(r-1) on the Hilbert scheme.
 
-    kclass must be a single unsigned line bundle.  Computed at two
-    generic integer one-parameter directions which must agree.
+    That line bundle is the determinant of the tautological class of
+    L + (r-1) O.  kclass must be a single unsigned line bundle.
     """
     if kclass.rank != 1 or len(kclass.terms) != 1:
         raise ValueError("verlinde_chi expects a single line bundle, got %r" % kclass)
-    fps = enumerate_fixed_points(surface, n)
-    return _at_two_directions(
-        lambda q: _euler_sum(_euler_data(surface, kclass, r, fps, q), 2 * n),
-        seed, "chi of %r at twist %d" % (kclass, r))
+    return _fixed_point_sum(_euler_sum, surface, _twisted_class(kclass, r), n, seed,
+                            "chi of %r at twist %d" % (kclass, r))

@@ -323,7 +323,7 @@ def _enriques_w_chart(r, order):
     """u(t), w(t), F(t), G(t) for the Enriques closed form, in the t chart."""
     t = Series.gen(order, "t")
     u = t * (1 - r * t).inverse()
-    w = t * (1 + (1 - r) * t) ** (r * r - 1) * (1 - r * t) ** (-r * r)
+    w = catalog.segre_verlinde_vars(r, order)[1]
     f_big = (1 + u) ** (r * r) * (1 + r * r * u).inverse()
     g_big = 1 + u
     return u, w, f_big, g_big
@@ -587,45 +587,22 @@ def check_verlinde_segre_prediction(order=10):
         detail="conjecture-consistency only, not a proof")
 
 
-def _suite_thm3(order):
-    return _merge("thm3", [check_thm3(r) for r in range(2, 7)])
-
-
-def _suite_asymptotics(order):
-    return _merge("asymptotics", [check_asymptotics(r, max(order, 6)) for r in range(2, 7)])
-
-
-def _suite_spherical(order):
-    return _merge("spherical_chern", [check_spherical_chern(s) for s in range(2, 6)])
-
-
-def _suite_abelian(order):
-    return _merge("abelian", [check_abelian(r) for r in range(2, 6)])
-
-
-def _suite_enriques(order):
-    return _merge("enriques",
-                  [check_enriques(r, form_order=max(order, 10)) for r in range(2, 6)])
-
-
-def _suite_theta(order):
-    return _merge("theta", [check_theta_constant(n) for n in range(13)])
-
-
+# Each suite's reports at a given order; run_suite merges them under the suite's name.
 _SUITES = {
-    "thm3": _suite_thm3,
-    "2pt": lambda order: check_2pt_grid(),
-    "asymptotics": _suite_asymptotics,
-    "chern_rank2": lambda order: check_chern_rank2(order),
-    "spherical_chern": _suite_spherical,
-    "abelian": _suite_abelian,
-    "enriques": _suite_enriques,
-    "blowup": lambda order: check_blowup(20),
-    "theta": _suite_theta,
-    "fgh": lambda order: check_fgh_derivation(max(order, 10)),
-    "lagrange_burmann": lambda order: _lagrange_burmann_suite(max(order, 5)),
-    "verlinde_trivial": lambda order: check_verlinde_trivial(order),
-    "verlinde_segre": lambda order: check_verlinde_segre_prediction(order),
+    "thm3": lambda order: [check_thm3(r) for r in range(2, 7)],
+    "2pt": lambda order: [check_2pt_grid()],
+    "asymptotics": lambda order: [check_asymptotics(r, max(order, 6)) for r in range(2, 7)],
+    "chern_rank2": lambda order: [check_chern_rank2(order)],
+    "spherical_chern": lambda order: [check_spherical_chern(s) for s in range(2, 6)],
+    "abelian": lambda order: [check_abelian(r) for r in range(2, 6)],
+    "enriques": lambda order: [check_enriques(r, form_order=max(order, 10))
+                               for r in range(2, 6)],
+    "blowup": lambda order: [check_blowup(20)],
+    "theta": lambda order: [check_theta_constant(n) for n in range(13)],
+    "fgh": lambda order: [check_fgh_derivation(max(order, 10))],
+    "lagrange_burmann": lambda order: [_lagrange_burmann_suite(max(order, 5))],
+    "verlinde_trivial": lambda order: [check_verlinde_trivial(order)],
+    "verlinde_segre": lambda order: [check_verlinde_segre_prediction(order)],
 }
 
 
@@ -640,4 +617,4 @@ def run_suite(names=None, order=10):
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise KeyError("unknown check suite(s): %s" % ", ".join(unknown))
-    return [_SUITES[name](order) for name in sorted(names)]
+    return [_merge(name, _SUITES[name](order)) for name in sorted(names)]

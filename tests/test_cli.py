@@ -68,6 +68,30 @@ class TestSeries:
         assert run_usage_error(capsys, "series", "--family", "y") == 2
 
 
+ORDER_COMMANDS = [
+    "series --family segreA --rank 1 --index 3",
+    "series --family chernA --rank 1 --index 0",
+    "series --family verlindeB --rank 2 --index 3",
+    "series --family y",
+    "verify --suite all",
+    "extract --rank 1",
+    "extract --rank 0 --kind verlinde",
+]
+
+
+class TestOrderBelowOne:
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize("argv", ORDER_COMMANDS)
+    def test_order_flag_is_usage_error(self, capsys, monkeypatch, argv, order):
+        monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+        assert run_usage_error(capsys, *argv.split(), "--order", order) == 2
+
+    @pytest.mark.parametrize("argv", ORDER_COMMANDS)
+    def test_order_env_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv(cli.ORDER_ENV, "0")
+        assert run_usage_error(capsys, *argv.split()) == 2
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "--suite", "theta", "--order", "6")
@@ -128,6 +152,17 @@ class TestOracle:
     def test_negative_n_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
                                "O(2)", "--n", "-1", "--kind", "segre") == 2
+
+    @pytest.mark.parametrize("spec", ["O(1)+O(2)", "-O(1)", "O(2)-O(1)+O(0)"])
+    def test_verlinde_needs_one_line_bundle(self, capsys, spec):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle", "--surface", "p2", "--class=" + spec, "--n", "1",
+                      "--kind", "verlinde", "--r", "2"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "single line bundle" in captured.err
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_no_generic_draw_exits_two(self, capsys, monkeypatch, kind):

@@ -1,9 +1,10 @@
 """Integer oracle kernels against the Series-product formulation they replace.
 
-The reference functions below are the earlier kernels, written with
-truncated power series over Fraction: one Series product per weight.
-Every comparison is exact equality, at a fixed direction and through the
-public entry points with their character draws.
+The reference kernels below are written with truncated power series over
+Fraction: one Series product per weight.  ref_euler_data is the box walk
+the Verlinde sum used before its records came from the tautological
+class of L + (r-1) O.  Every comparison is exact equality, at a fixed
+direction and through the public entry points with their character draws.
 """
 
 import time
@@ -16,16 +17,14 @@ from hilbseries import localization as loc
 from hilbseries.series import Series
 
 
-def ref_integral_at(surface, kclass, n, q, chern):
+def ref_segre_top(records, order, chern=False):
     total = F(0)
-    order = 2 * n
-    for fp in loc.enumerate_fixed_points(surface, n):
+    for ks, weights in records:
         denom = 1
-        for weight in loc.tangent_weights(fp, surface):
-            denom *= loc._spec_nonzero(weight, q)
+        for k in ks:
+            denom *= k
         numer = Series.one(order, "u")
-        for sign, char in loc.taut_weights(kclass, fp):
-            k = loc._dot(char, q)
+        for sign, k in weights:
             inverted = (sign > 0) if not chern else (sign < 0)
             if inverted:
                 factor = Series([(-k) ** j for j in range(order + 1)], order, "u")
@@ -36,6 +35,25 @@ def ref_integral_at(surface, kclass, n, q, chern):
     return total
 
 
+def ref_euler_data(surface, kclass, r, fps, q):
+    """Per-point (a, tangent weights) of the Verlinde sum, by a walk over the boxes."""
+    lifts = kclass.lifts[0]
+    data = []
+    for fp in fps:
+        ks = [loc._spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)]
+        a = 0
+        for index, lam in enumerate(fp):
+            _, _, u1, u2 = surface.charts[index]
+            m_spec = loc._dot(lifts[index], q)
+            box_spec = loc._dot(u1, q)
+            row_spec = loc._dot(u2, q)
+            for row, part in enumerate(lam):
+                for col in range(part):
+                    a += m_spec + r * (col * box_spec + row * row_spec)
+        data.append((a, ks))
+    return data
+
+
 @lru_cache(maxsize=None)
 def _ref_unit_ratio_inverse(k, order):
     # 1 / [ (1 - (1+e)^(-k)) / (k e) ]
@@ -44,11 +62,11 @@ def _ref_unit_ratio_inverse(k, order):
     return (num.shift(-1) / k).inverse()
 
 
-def ref_euler_sum(point_data, order):
+def ref_euler_sum(records, order):
     total = Series.zero(order, "e")
     e = Series.gen(order, "e")
-    for a, ks in point_data:
-        prod = (1 + e) ** a
+    for ks, weights in records:
+        prod = (1 + e) ** sum(sign * k for sign, k in weights)
         scalar = 1
         for k in ks:
             prod = prod * _ref_unit_ratio_inverse(k, order)
@@ -79,17 +97,44 @@ CLASSES = {
 DIRECTIONS = [(2, 5), (-3, 7), (1, -4), (6, 1), (1, 1)]  # (1, 1) kills weights
 
 
+def negated(kclass):
+    return loc.EqKClass(kclass.surface, [(-sign, coeffs) for sign, coeffs in kclass.terms])
+
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_integral_at_fixed_directions(name):
     surface = loc.get_surface(name)
     for spec in CLASSES[name]:
         kclass = loc.parse_class(surface, spec)
         for n in range(4):
+            fps = loc.enumerate_fixed_points(surface, n)
             for q in DIRECTIONS:
                 for chern in (False, True):
-                    args = (surface, kclass, n, q, chern)
-                    assert outcome(loc._integral_at, *args) == \
-                        outcome(ref_integral_at, *args), (spec, n, q, chern)
+                    # the Chern class of E is the Segre class of -E
+                    new_class = negated(kclass) if chern else kclass
+                    assert outcome(loc._segre_top, loc._records(surface, new_class, fps, q),
+                                   2 * n) == \
+                        outcome(ref_segre_top, loc._records(surface, kclass, fps, q), 2 * n,
+                                chern), (spec, n, q, chern)
+
+
+def exponents(records):
+    return [(sum(sign * k for sign, k in weights), ks) for ks, weights in records]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_record_exponent_is_the_box_walk(name):
+    surface = loc.get_surface(name)
+    gens = len(surface.generators)
+    for n in range(4):
+        fps = loc.enumerate_fixed_points(surface, n)
+        for r in range(-3, 4):
+            for degree in range(-1, 2):
+                kclass = loc.EqKClass(surface, [(1, tuple([degree] * gens))])
+                for q in DIRECTIONS:
+                    records = loc._records(surface, loc._twisted_class(kclass, r), fps, q)
+                    assert outcome(exponents, records) == \
+                        outcome(ref_euler_data, surface, kclass, r, fps, q), (n, r, degree, q)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -102,7 +147,7 @@ def test_euler_sum_fixed_directions(name):
             kclass = loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))])
             for q in DIRECTIONS[r % 2::2]:
                 try:
-                    data = loc._euler_data(surface, kclass, r, fps, q)
+                    data = list(loc._records(surface, loc._twisted_class(kclass, r), fps, q))
                 except loc._BadDraw:
                     continue
                 assert loc._euler_sum(data, 2 * n) == ref_euler_sum(data, 2 * n), (n, r, q)
@@ -115,7 +160,7 @@ def test_segre_and_chern_through_draws(name, monkeypatch):
              for spec in CLASSES[name] for n in range(4) for seed in (None, 3, 41)]
     new = [(loc.segre_integral(surface, c, n, seed), loc.chern_integral(surface, c, n, seed))
            for c, n, seed in cases]
-    monkeypatch.setattr(loc, "_integral_at", ref_integral_at)
+    monkeypatch.setattr(loc, "_segre_top", ref_segre_top)
     old = [(loc.segre_integral(surface, c, n, seed), loc.chern_integral(surface, c, n, seed))
            for c, n, seed in cases]
     assert new == old
@@ -134,16 +179,35 @@ def test_verlinde_through_draws(name, monkeypatch):
     assert new == old
 
 
+@pytest.mark.parametrize("oracle, args", [
+    (loc.segre_integral, ("O(2)+O(-1)-O(1)", 3)),
+    (loc.chern_integral, ("O(2)+O(-1)-O(1)", 3)),
+    (loc.verlinde_chi, ("O(1)", -2, 3)),
+])
+def test_one_fixed_point_enumeration_per_call(oracle, args, monkeypatch):
+    surface = loc.get_surface("p2")
+    original = loc.enumerate_fixed_points
+    calls = []
+
+    def counted(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(loc, "enumerate_fixed_points", counted)
+    oracle(surface, loc.parse_class(surface, args[0]), *args[1:])
+    assert len(calls) == 1
+
+
 class TestChecksStillFire:
     def test_uncancelled_pole_raises(self):
         with pytest.raises(ArithmeticError, match="pole"):
-            loc._euler_sum([(0, [1, 1])], 2)
+            loc._euler_sum([([1, 1], [])], 2)
         with pytest.raises(ArithmeticError):
-            ref_euler_sum([(0, [1, 1])], 2)
+            ref_euler_sum([([1, 1], [])], 2)
 
     def test_non_integer_result_raises(self):
         # the e^-1 poles 1/2 and -1/2 cancel; the constant term is 1/2
-        data = [(0, [2]), (1, [-2])]
+        data = [([2], []), ([-2], [(1, 1)])]
         with pytest.raises(ArithmeticError, match="not an integer"):
             loc._euler_sum(data, 1)
         with pytest.raises(ArithmeticError, match="not an integer"):
@@ -151,8 +215,8 @@ class TestChecksStillFire:
 
     def test_integer_result_passes(self):
         # same points with equal a: the constant term is 1
-        assert loc._euler_sum([(1, [2]), (1, [-2])], 1) == 1 == \
-            ref_euler_sum([(1, [2]), (1, [-2])], 1)
+        data = [([2], [(1, 1)]), ([-2], [(1, 1)])]
+        assert loc._euler_sum(data, 1) == 1 == ref_euler_sum(data, 1)
 
 
 class TestDrawHelper:
