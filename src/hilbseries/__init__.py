@@ -31,7 +31,9 @@ from .localization import (
     get_surface,
     parse_class,
     segre_integral,
+    segre_integrals,
     verlinde_chi,
+    verlinde_chis,
 )
 from .extraction import (
     Panel,

@@ -65,7 +65,9 @@ def build_parser():
     p_oracle = sub.add_parser("oracle", help="one fixed-point integral or Euler char")
     p_oracle.add_argument("--surface", required=True, choices=surface_names())
     p_oracle.add_argument("--class", dest="class_spec", required=True,
-                          help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"')
+                          help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that '
+                               'starts with a minus needs the = form, '
+                               '--class=-O(1)+O(2)')
     p_oracle.add_argument("--n", type=int, required=True, help="number of points")
     p_oracle.add_argument("--kind", required=True, choices=("segre", "chern", "verlinde"))
     p_oracle.add_argument("--r", type=int, default=None, help="twist (verlinde only)")

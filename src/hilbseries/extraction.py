@@ -21,8 +21,9 @@ from .series import Series
 from .localization import (
     EqKClass,
     get_surface,
-    segre_integral,
-    verlinde_chi,
+    segre_integral,  # noqa: F401  not called here; perfbench's tracer test reads this binding
+    segre_integrals,
+    verlinde_chis,
 )
 
 __all__ = [
@@ -142,7 +143,8 @@ def _verlinde_exponents(surface, cls, r):
 
 
 # Per kind: the report key of the panel parameter, the exponent columns,
-# exponents(surface, class, param), oracle(surface, class, param, n, seed),
+# exponents(surface, class, param), oracle(surface, classes, param, n, seed)
+# with one value per class of one surface,
 # lookup(param, index, order) of a catalog entry, the series variable,
 # the series label and the index of the first series.
 _Kind = namedtuple("_Kind", "param columns exponents oracle lookup var label first")
@@ -152,12 +154,13 @@ _Kind = namedtuple("_Kind", "param columns exponents oracle lookup var label fir
 _KINDS = {
     "segre": _Kind(
         "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
-        lambda surface, cls, s, n, seed: segre_integral(surface, cls, n, seed),
+        lambda surface, classes, s, n, seed: segre_integrals(surface, classes, n, seed),
         lambda s, index, order: catalog.segre_A(s, index, order),
         "z", "A%d", 0),
     "verlinde": _Kind(
         "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
-        lambda surface, cls, r, n, seed: F(verlinde_chi(surface, cls, r, n, seed)),
+        lambda surface, classes, r, n, seed: [F(value) for value in
+                                              verlinde_chis(surface, classes, r, n, seed)],
         lambda r, index, order: catalog.verlinde_B(r, index, order),
         "w", "B%d", 1),
 }
@@ -278,12 +281,20 @@ def _extract(kind, param, order, panel, seed):
         raise PanelError("panel was built for %s %d, not %s %d"
                          % (panel.kind, panel.param, kind, param))
     spec = _KINDS[kind]
+    by_surface = {}  # rows on one surface share its fixed points and draws
+    for index, (surface, _) in enumerate(panel):
+        by_surface.setdefault(surface, []).append(index)
+    values = [[] for _ in panel.rows]
+    for surface, indices in by_surface.items():
+        classes = [panel.rows[index][1] for index in indices]
+        for n in range(order + 1):
+            for index, value in zip(indices, spec.oracle(surface, classes, param, n, seed)):
+                values[index].append(value)
     logs = []
-    for surface, cls in panel:
-        values = [spec.oracle(surface, cls, param, n, seed) for n in range(order + 1)]
-        total = Series(values, order, spec.var)
+    for row in values:
+        total = Series(row, order, spec.var)
         if total.coefficient(0) != 1:
-            raise ArithmeticError("n=0 integral should be 1, got %s" % values[0])
+            raise ArithmeticError("n=0 integral should be 1, got %s" % row[0])
         logs.append(total.log())
     columns = [[F(0)] for _ in panel.columns]
     for n in range(1, order + 1):

@@ -15,19 +15,27 @@ characters are -u1, -u2, and the equivariant lift of O(sum d_i D_i) is
 the character m with <m, v_i> = -d_i.  A box in column c, row s of a
 partition carries the monomial character c u1 + s u2.
 
-Every quantity takes one path: the fixed points are enumerated once, and
-at each drawn direction each point becomes a record of its integer
-tangent and signed tautological weights.  Two kernels read the records:
-the top Segre coefficient (Chern is Segre of the negated class) and the
-Euler characteristic of the determinant line (Verlinde: of L + (r-1) O).
+Every quantity takes one path, for a batch of classes on one surface at
+a time (segre_integrals, verlinde_chis; the single-class entry points
+are batches of one).  The fixed points are enumerated once per call, and
+at each drawn direction each point is specialized once: its integer
+tangent weights and its box characters, shared by every class, then each
+class's signed tautological weights.  Two kernels read these records,
+points outside and classes inside, so per-point work is done once for
+the batch: the top Segre coefficient (Chern is Segre of the negated
+class) and the Euler characteristic of the determinant line (Verlinde:
+of L + (r-1) O).
 
 Values are computed at two independent generic directions and must
-agree; Euler characteristics additionally require all sub-leading
-Laurent coefficients to cancel across fixed points and the result to be
-an integer.  Any violation raises, loudly, instead of returning data, and
-so does a draw box with fewer than two usable directions (DrawError).
-The kernels run on integer coefficient lists; Fraction appears only at
-the Segre kernel's per-point division and at the Euler sum's result.
+agree, class by class; Euler characteristics additionally require all
+sub-leading Laurent coefficients to cancel across fixed points and the
+result to be an integer.  Any violation raises, loudly, instead of
+returning data, and so does a draw box with fewer than two usable
+directions (DrawError).  Whether a direction is usable at n depends only
+on the hook lengths a partition of n can have, so that is settled before
+any fixed point is built.  The kernels run on integer coefficient lists;
+Fraction appears only at the Segre kernel's per-point division and at
+the Euler sum's result.
 """
 
 from __future__ import annotations
@@ -51,10 +59,12 @@ __all__ = [
     "parse_class",
     "partitions",
     "segre_integral",
+    "segre_integrals",
     "surface_names",
     "tangent_weights",
     "taut_weights",
     "verlinde_chi",
+    "verlinde_chis",
 ]
 
 DEFAULT_SEED = 20260815
@@ -167,8 +177,8 @@ class ToricSurface:
             pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
                        for la in gen_lifts]
             k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
-            chi = _euler_sum([([_spec_nonzero(t, q) for t in self.tangent_chars(index)], [])
-                              for index in range(len(self.charts))], 2)
+            chi, = _euler_sum([([_spec_nonzero(t, q) for t in self.tangent_chars(index)], [[]])
+                               for index in range(len(self.charts))], 2, 1)
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
         found = _at_two_directions(localized, DEFAULT_SEED, "%s intersections" % self.name)
@@ -187,19 +197,28 @@ class ToricSurface:
         return "ToricSurface(%r)" % self.name
 
 
-# directions _draw_direction can return: [-9, 9]^2 off the axes and both diagonals
-_DIRECTION_COUNT = 18 * 18 - 2 * 18
+def _in_box(q):
+    """Whether _draw_direction can return q: [-9, 9]^2 off the axes and both diagonals."""
+    return q[0] != 0 and q[1] != 0 and abs(q[0]) != abs(q[1])
+
+
+_DIRECTIONS = tuple(q for q in itertools.product(range(-9, 10), repeat=2) if _in_box(q))
 
 
 def _draw_direction(rng):
     while True:
         q = (rng.randint(-9, 9), rng.randint(-9, 9))
-        if q[0] and q[1] and q[0] != q[1] and q[0] != -q[1]:
+        if _in_box(q):
             return q
 
 
-def _at_two_directions(evaluate, seed, what):
-    """The agreed value of ``evaluate(q)`` at two distinct generic directions.
+def _no_two_directions(what):
+    return DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
+                     "generic for %s" % (len(_DIRECTIONS), what))
+
+
+def _two_draws(evaluate, seed, what):
+    """The first two directions at which ``evaluate(q)`` returns, and its values there.
 
     Directions come from ``random.Random(seed)``; one whose evaluation
     raises _BadDraw is not evaluated again, and DrawError ends the search
@@ -210,9 +229,8 @@ def _at_two_directions(evaluate, seed, what):
     draws = []
     values = []
     while len(values) < 2:
-        if len(seen) == _DIRECTION_COUNT:
-            raise DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
-                            "generic for %s" % (_DIRECTION_COUNT, what))
+        if len(seen) == len(_DIRECTIONS):
+            raise _no_two_directions(what)
         q = _draw_direction(rng)
         if q in seen:
             continue
@@ -222,10 +240,20 @@ def _at_two_directions(evaluate, seed, what):
         except _BadDraw:
             continue
         draws.append(q)
-    if values[0] != values[1]:
+    return draws, values
+
+
+def _agreed(draws, what, first, second):
+    if first != second:
         raise ArithmeticError(
-            "directions %s disagree on %s: %s vs %s" % (draws, what, values[0], values[1]))
-    return values[0]
+            "directions %s disagree on %s: %s vs %s" % (draws, what, first, second))
+    return first
+
+
+def _at_two_directions(evaluate, seed, what):
+    """The agreed value of ``evaluate(q)`` at two distinct generic directions."""
+    draws, (first, second) = _two_draws(evaluate, seed, what)
+    return _agreed(draws, what, first, second)
 
 
 def _spec_nonzero(char, q):
@@ -404,7 +432,9 @@ def taut_weights(kclass, fp):
     """Signed fiber characters of the tautological class at a fixed point.
 
     Each term contributes, for every box in column c row s of the
-    chart's partition, its lift character plus c u1 + s u2.
+    chart's partition, its lift character plus c u1 + s u2.  The oracle
+    specializes the same weights batch-wise in _records; this is the
+    plain form the tests compare it with.
     """
     boxes = []
     for index, lam in enumerate(fp):
@@ -416,43 +446,94 @@ def taut_weights(kclass, fp):
             for (sign, _), lifts in zip(kclass.terms, kclass.lifts) for index, box in boxes]
 
 
-def _records(surface, kclass, fps, q):
-    """Each fixed point at direction q: (tangent weights, signed tautological weights).
+def _hook_generic(surface, n, q):
+    """Whether q keeps every tangent weight of every fixed point of S^[n] nonzero.
+
+    A box with arm a and leg l has the weights (a+1) chi1 - l chi2 and
+    -a chi1 + (l+1) chi2 (see tangent_weights), and some fixed point has
+    a box with hook (a, l) in a given chart exactly when a + l + 1 <= n.
+    """
+    for index in range(len(surface.charts)):
+        x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
+        for arm in range(n):
+            for leg in range(n - arm):
+                if (arm + 1) * x == leg * y or arm * x == (leg + 1) * y:
+                    return False
+    return True
+
+
+def _records(surface, kclasses, fps, q):
+    """Each fixed point at direction q: its tangent weights and, per class,
+    its signed tautological weights.
 
     The one place where fixed points are specialized; a zero tangent
-    weight rejects the direction.
+    weight rejects the direction.  A box in column c, row s of chart i
+    specializes to c u1.q + s u2.q once per point, for every class; each
+    term adds the specialization of its lift (the order of taut_weights).
     """
+    steps = [(_dot(u1, q), _dot(u2, q)) for _, _, u1, u2 in surface.charts]
+    terms = [[(sign, [_dot(m, q) for m in lifts])
+              for (sign, _), lifts in zip(kclass.terms, kclass.lifts)] for kclass in kclasses]
     for fp in fps:
-        yield ([_spec_nonzero(w, q) for w in tangent_weights(fp, surface)],
-               [(sign, _dot(char, q)) for sign, char in taut_weights(kclass, fp)])
+        ks = [_spec_nonzero(w, q) for w in tangent_weights(fp, surface)]
+        boxes = [(index, col * across + row * up)
+                 for index, (lam, (across, up)) in enumerate(zip(fp, steps))
+                 for row, part in enumerate(lam) for col in range(part)]
+        yield ks, [[(sign, lift[index] + box) for sign, lift in class_terms
+                    for index, box in boxes] for class_terms in terms]
 
 
-def _fixed_point_sum(kernel, surface, kclass, n, seed, what):
-    """kernel(records, 2n) agreed at two directions; fixed points enumerated once."""
+def _fixed_point_sum(kernel, surface, kclasses, n, seed, whats):
+    """Per class, kernel(records, 2n, len(kclasses)) agreed at two directions.
+
+    ``whats`` names each class in errors.  The fixed points are
+    enumerated once, and only when the draw box holds two directions
+    that are generic for every one of them.
+    """
+    what = ", ".join(whats)
+    generic = (q for q in _DIRECTIONS if _hook_generic(surface, n, q))
+    if len(list(itertools.islice(generic, 2))) < 2:
+        raise _no_two_directions(what)
     fps = enumerate_fixed_points(surface, n)
-    return _at_two_directions(lambda q: kernel(_records(surface, kclass, fps, q), 2 * n),
-                              seed, what)
+    draws, (first, second) = _two_draws(
+        lambda q: kernel(_records(surface, kclasses, fps, q), 2 * n, len(kclasses)),
+        seed, what)
+    return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
 
 
-def _segre_top(records, order):
-    """Sum over points of [u^order] prod (1+ku)^(-sign) / prod tangent weights."""
-    total = F(0)
-    for ks, weights in records:
-        c = [1] + [0] * order
-        for sign, k in weights:
-            if sign > 0:
-                for j in range(1, order + 1):  # divide by 1 + k u
-                    c[j] -= k * c[j - 1]
-            else:
-                for j in range(order, 0, -1):  # multiply by 1 + k u
-                    c[j] += k * c[j - 1]
-        total += F(c[order], prod(ks))
-    return total
+def _segre_top(records, order, count):
+    """Per class, the sum over points of [u^order] prod (1+ku)^(-sign) / prod tangent weights.
+
+    Each record holds the weights of ``count`` classes.
+    """
+    totals = [F(0)] * count
+    for ks, class_weights in records:
+        denom = prod(ks)
+        for index, weights in enumerate(class_weights):
+            c = [1] + [0] * order
+            for sign, k in weights:
+                if sign > 0:
+                    for j in range(1, order + 1):  # divide by 1 + k u
+                        c[j] -= k * c[j - 1]
+                else:
+                    for j in range(order, 0, -1):  # multiply by 1 + k u
+                        c[j] += k * c[j - 1]
+            totals[index] += F(c[order], denom)
+    return totals
+
+
+def segre_integrals(surface, classes, n, seed=None):
+    """Integrals of the degree-2n Segre classes of tautological classes on one surface.
+
+    One value per class, from one pass over the fixed points.
+    """
+    classes = list(classes)
+    return _fixed_point_sum(_segre_top, surface, classes, n, seed, [repr(c) for c in classes])
 
 
 def segre_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Segre class of the tautological class."""
-    return _fixed_point_sum(_segre_top, surface, kclass, n, seed, repr(kclass))
+    return segre_integrals(surface, [kclass], n, seed)[0]
 
 
 def chern_integral(surface, kclass, n, seed=None):
@@ -462,17 +543,18 @@ def chern_integral(surface, kclass, n, seed=None):
     """
     negated = EqKClass(surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
                        kclass.shifts)
-    return _fixed_point_sum(_segre_top, surface, negated, n, seed, repr(kclass))
+    return _fixed_point_sum(_segre_top, surface, [negated], n, seed, [repr(kclass)])[0]
 
 
-def _euler_sum(records, order):
-    """Sum of (1+e)^a / prod_k (1-(1+e)^(-k)) over points, as an integer.
+def _euler_sum(records, order, count):
+    """Per class, the sum of (1+e)^a / prod_k (1-(1+e)^(-k)) over points, as an integer.
 
-    A point's ks are its tangent weights and a = sum of sign * k over its
-    tautological weights, the weight of the determinant line.  Each point
-    contributes a Laurent series with pole order len(ks); the poles must
-    cancel across points and the constant term is the Euler
-    characteristic.  Both facts are asserted.
+    A point's ks are its tangent weights and a = sum of sign * k over a
+    class's tautological weights, the weight of the determinant line.
+    Each point contributes a Laurent series with pole order len(ks); the
+    poles must cancel across points and the constant term is the Euler
+    characteristic.  Both facts are asserted for each of the ``count``
+    classes.
 
     With P_m(e) = ((1+e)^m - 1)/e = sum_{i<m} C(m, i+1) e^i, a point's
     term times e^len(ks) is (-1)^#{k<0} (1+e)^A / prod P_|k|(e), where
@@ -480,16 +562,15 @@ def _euler_sum(records, order):
     integer polynomials; the quotient's coefficients are d_j / Q_0^(j+1)
     with the integers d_j = Q_0^j N_j - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i).
     The points are added over the lcm of their Q_0, so the only Fraction
-    is the result.
+    is each result.  Q, and with it the scale, depends on the point
+    alone; only N and the d_j are worked out per class.
     """
-    total = [0] * (order + 1)  # the sum's e^j coefficient is total[j] / scale^(j+1)
+    # class i's e^j coefficient is totals[i][j] / scale^(j+1)
+    totals = [[0] * (order + 1) for _ in range(count)]
     scale = 1  # lcm of the Q_0 so far
-    for ks, weights in records:
-        exponent = sum(sign * k for sign, k in weights) + sum(k for k in ks if k > 0)
+    for ks, class_weights in records:
+        shift = sum(k for k in ks if k > 0)
         negative = sum(1 for k in ks if k < 0) % 2
-        numer = [1] * (order + 1)
-        for j in range(1, order + 1):
-            numer[j] = numer[j - 1] * (exponent - j + 1) // j
         denom = [1] + [0] * order
         for k in ks:
             p = [comb(abs(k), i + 1) for i in range(min(abs(k), order + 1))]
@@ -499,23 +580,32 @@ def _euler_sum(records, order):
         scaled = [denom[i] * q0 ** (i - 1) for i in range(1, order + 1)]
         grown = lcm(scale, q0)
         if grown != scale:
-            total = [t * (grown // scale) ** (j + 1) for j, t in enumerate(total)]
+            ratio = grown // scale
+            totals = [[t * ratio ** (j + 1) for j, t in enumerate(total)] for total in totals]
             scale = grown
         factor = scale // q0
-        power = -factor if negative else factor
-        d = []
-        for j in range(order + 1):
-            d.append(numer[j] * q0 ** j - sum(map(mul, scaled, reversed(d))))
-            total[j] += d[j] * power
-            power *= factor
-    for j in range(order):
-        if total[j] != 0:
-            raise ArithmeticError(
-                "fixed-point sum has a surviving pole coefficient at order %d" % (j - order))
-    value = F(total[order], scale ** (order + 1))
-    if value.denominator != 1:
-        raise ArithmeticError("Euler characteristic %s is not an integer" % value)
-    return int(value)
+        q0_powers = [q0 ** j for j in range(order + 1)]
+        powers = [(-1) ** negative * factor ** (j + 1) for j in range(order + 1)]
+        for total, weights in zip(totals, class_weights):
+            exponent = sum(sign * k for sign, k in weights) + shift
+            numer = 1
+            d = []
+            for j in range(order + 1):
+                if j:
+                    numer = numer * (exponent - j + 1) // j
+                d.append(numer * q0_powers[j] - sum(map(mul, scaled, reversed(d))))
+                total[j] += d[j] * powers[j]
+    values = []
+    for total in totals:
+        for j in range(order):
+            if total[j] != 0:
+                raise ArithmeticError(
+                    "fixed-point sum has a surviving pole coefficient at order %d" % (j - order))
+        value = F(total[order], scale ** (order + 1))
+        if value.denominator != 1:
+            raise ArithmeticError("Euler characteristic %s is not an integer" % value)
+        values.append(int(value))
+    return values
 
 
 def _twisted_class(kclass, r):
@@ -526,13 +616,21 @@ def _twisted_class(kclass, r):
                     kclass.shifts + [(0, 0)] * extra)
 
 
-def verlinde_chi(surface, kclass, r, n, seed=None):
-    """chi of det(L^[n]) (x) det(O^[n])^(r-1) on the Hilbert scheme.
+def verlinde_chis(surface, classes, r, n, seed=None):
+    """chi of det(L^[n]) (x) det(O^[n])^(r-1) on the Hilbert scheme, per line bundle L.
 
     That line bundle is the determinant of the tautological class of
-    L + (r-1) O.  kclass must be a single unsigned line bundle.
+    L + (r-1) O.  Every class must be a single unsigned line bundle on
+    ``surface``; one value per class, from one pass over the fixed points.
     """
-    if kclass.rank != 1 or len(kclass.terms) != 1:
-        raise ValueError("verlinde_chi expects a single line bundle, got %r" % kclass)
-    return _fixed_point_sum(_euler_sum, surface, _twisted_class(kclass, r), n, seed,
-                            "chi of %r at twist %d" % (kclass, r))
+    classes = list(classes)
+    for kclass in classes:
+        if kclass.rank != 1 or len(kclass.terms) != 1:
+            raise ValueError("verlinde_chi expects a single line bundle, got %r" % kclass)
+    return _fixed_point_sum(_euler_sum, surface, [_twisted_class(c, r) for c in classes],
+                            n, seed, ["chi of %r at twist %d" % (c, r) for c in classes])
+
+
+def verlinde_chi(surface, kclass, r, n, seed=None):
+    """chi of det(L^[n]) (x) det(O^[n])^(r-1) for one line bundle L; see verlinde_chis."""
+    return verlinde_chis(surface, [kclass], r, n, seed)[0]

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, config echo, exit codes, reproducibility."""
 
 import json
+import time
 
 import pytest
 
@@ -163,6 +164,34 @@ class TestOracle:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "single line bundle" in captured.err
+
+    def test_leading_minus_class_needs_the_equals_form(self, capsys):
+        code, out = run(capsys, "oracle", "--surface", "p2", "--class=-O(1)+O(3)",
+                        "--n", "2", "--kind", "segre")
+        p2 = loc.get_surface("p2")
+        value = loc.segre_integral(p2, loc.parse_class(p2, "-O(1)+O(3)"), 2)
+        assert code == 0
+        assert out.splitlines()[-1] == "%d/%d" % (value.numerator, value.denominator)
+        assert "class=-O(1)+O(3)" in out
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle", "--surface", "p2", "--class", "-O(1)+O(3)",
+                      "--n", "2", "--kind", "segre"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert "expected one argument" in captured.err
+
+    def test_n_beyond_the_draw_box_exits_two_quickly(self, capsys):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle", "--surface", "p1xp1", "--class", "O(1,0)", "--n", "17",
+                      "--kind", "segre"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 5
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "hilbseries: error: fewer than two of the 288 directions in [-9, 9]^2 "
+            "are generic for EqKClass(p1xp1, O(1,0))"]
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_no_generic_draw_exits_two(self, capsys, monkeypatch, kind):

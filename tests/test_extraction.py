@@ -163,6 +163,19 @@ class TestExtractVerlinde:
         for index in (3, 4):
             assert (series[index - 1] - 1).is_zero()
 
+    def test_one_enumeration_per_surface_and_n(self, monkeypatch):
+        # the seven default rows lie on three surfaces: n = 0..3 on each
+        original = loc.enumerate_fixed_points
+        calls = []
+
+        def counted(surface, n):
+            calls.append((surface.name, n))
+            return original(surface, n)
+
+        monkeypatch.setattr(loc, "enumerate_fixed_points", counted)
+        ext.extract_verlinde(0, 3)
+        assert sorted(calls) == [(name, n) for name in ("f1", "p1xp1", "p2") for n in range(4)]
+
     def test_rank4_row_requirement(self):
         p2 = loc.get_surface("p2")
         rows = [(p2, loc.EqKClass(p2, [(1, (d,))])) for d in (0, 1, 2, 3)]
