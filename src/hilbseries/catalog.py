@@ -7,15 +7,16 @@ generating function is
 
     A0(z)^c2 * A1(z)^(c1^2) * A2(z)^chi(O) * A3(z)^(c1.K) * A4(z)^(K^2)
 
-with Chern analogues C0, C1, C2 on K-trivial numerics, and the Euler
-characteristic (Verlinde) generating function at twist r is
+with Chern analogues C0, C1, C2 (read off the Segre factors at rank -s)
+on K-trivial numerics, and the Euler characteristic (Verlinde)
+generating function at twist r is
 
     B1(w)^chi(c1) * B2(w)^chi(O) * B3(w)^(c1.K - K^2/2) * B4(w)^(K^2).
 
 Each factor this module knows has an algebraic closed form in an
-auxiliary variable t with a rational change of variable z(t) or w(t),
-and carries a provenance status: "proven", "trivial" (identically 1 for
-elementary reasons), or "conjectural".  Nothing here is numeric; every
+auxiliary variable t, with z or w = t (1+at)^b substituted by
+Lagrange-Buermann, and carries a provenance status: "proven", "trivial"
+(identically 1 for elementary reasons), or "conjectural".  Every
 coefficient is an exact rational.
 
 Supported ranks for the third and fourth Segre factors are -4..2; the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as F
+from math import lcm
 
 from .series import Series, solve_algebraic
 
@@ -86,8 +88,19 @@ def _t(order):
     return Series.gen(order, "t")
 
 
-def _relabel(s, var):
-    return Series(list(s.coeffs), s.order, var)
+def _lagrange(h, a, b, var):
+    """h(t(x)) in ``var`` for x = t (1+at)^b, by Lagrange-Buermann:
+    [x^n] h(t(x)) = (1/n) [t^(n-1)] h'(t) (1+at)^(-bn) for n >= 1."""
+    d = lcm(*(c.denominator for c in h.coeffs))
+    dh = [k * c.numerator * (d // c.denominator) for k, c in enumerate(h.coeffs)]
+    out = [h.coeffs[0]]
+    for n in range(1, h.order + 1):
+        acc, binom = 0, 1  # binom = C(-bn, k) a^k
+        for k in range(n):
+            acc += dh[n - k] * binom
+            binom = binom * (-b * n - k) * a // (k + 1)
+        out.append(F(acc, n * d))
+    return Series(out, h.order, var)
 
 
 # The quartic branch relations as {(i, j): coefficient of y^i t^j}.
@@ -120,15 +133,13 @@ def verlinde_r3_branch(order):
 def segre_change_of_var(r, order):
     """Natural Segre variable z = t (1+rt)^r and its inverse t(z)."""
     t = _t(order)
-    z_of_t = t * (1 + r * t) ** r
-    return z_of_t, _relabel(z_of_t.revert(), "z")
+    return t * (1 + r * t) ** r, _lagrange(t, r, r, "z")
 
 
 def verlinde_change_of_var(r, order):
     """Natural Verlinde variable w = t (1+t)^(r^2-1) and its inverse t(w)."""
     t = _t(order)
-    w_of_t = t * (1 + t) ** (r * r - 1)
-    return w_of_t, _relabel(w_of_t.revert(), "w")
+    return t * (1 + t) ** (r * r - 1), _lagrange(t, 1, r * r - 1, "w")
 
 
 def segre_verlinde_vars(r, order):
@@ -166,9 +177,8 @@ def _segre34_in_t(s, index, order):
         y_over_t = y.shift(-1)
         if index == 3:
             return (1 + 3 * t).inverse() * y_over_t.pow_rational(F(-1, 2))
-        dy = y.derivative()
         return ((1 + 3 * t) * y_over_t ** 3 * (1 + y.truncate(order)) ** 2
-                * (1 - y.truncate(order)).inverse() * dy.inverse())
+                * (1 - y.truncate(order)).inverse() * y.derivative().inverse())
     if s == 1:
         root2 = (1 + 2 * t).sqrt()
         root6 = (1 + 6 * t).sqrt()
@@ -180,7 +190,7 @@ def _segre34_in_t(s, index, order):
     if s in (-3, -4):
         return _segre34_by_duality(-s - 2, order)[index - 3]
     # s = 0 index 4, and s = -1, -2: identically 1
-    return Series.one(order, "t")
+    return Series.one(order)
 
 
 def _duality_pref(r, index, order):
@@ -204,11 +214,9 @@ def _segre34_to_verlinde(s, order):
     r = s + 1
     a3 = _segre34_in_t(s, 3, order)
     a4 = _segre34_in_t(s, 4, order)
-    tau = _t(order)
-    t_of_tau = tau * (1 - r * tau).inverse()
-    b3 = (a3 * _duality_pref(r, 3, order)).compose(t_of_tau)
-    b4 = ((a4 * a3.pow_rational(F(-1, 2)) * _duality_pref(r, 4, order))
-          .compose(t_of_tau))
+    b3 = _lagrange(a3 * _duality_pref(r, 3, order), r, -1, "t")
+    b4 = _lagrange(a4 * a3.pow_rational(F(-1, 2)) * _duality_pref(r, 4, order),
+                   r, -1, "t")
     return b3, b4
 
 
@@ -222,11 +230,8 @@ def _segre34_by_duality(src_rank, order):
     """
     r = src_rank + 1
     b3, b4 = _segre34_to_verlinde(src_rank, order)
-    b3 = b3.inverse()
-    t = _t(order)
-    tau_of_t = t * (1 - r * t).inverse()
-    a3 = b3.compose(tau_of_t) * _duality_pref(-r, 3, order).inverse()
-    a4 = (b4.compose(tau_of_t) * _duality_pref(-r, 4, order).inverse()
+    a3 = _lagrange(b3.inverse(), r, -1, "t") * _duality_pref(-r, 3, order).inverse()
+    a4 = (_lagrange(b4, r, -1, "t") * _duality_pref(-r, 4, order).inverse()
           * a3.pow_rational(F(1, 2)))
     return a3, a4
 
@@ -246,40 +251,31 @@ def segre_A(s, index, order):
         in_t = _segre34_in_t(s, index, order)
         if s in (1, 2):
             status = PROVEN
-        elif s in (0,) and index == 3:
-            status = CONJECTURAL
-        elif s in (-3, -4):
+        elif s in (-3, -4) or (s == 0 and index == 3):
             status = CONJECTURAL
         else:
             status = TRIVIAL
     else:
         raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
-    z_of_t, t_of_z = segre_change_of_var(s + 1, order)
-    return SeriesEntry("segre", index, s, status, in_t.compose(t_of_z), z_of_t)
+    return SeriesEntry("segre", index, s, status, _lagrange(in_t, s + 1, s + 1, "z"),
+                       segre_change_of_var(s + 1, order)[0])
 
 
 def chern_A(s, index, order):
     """The index-th universal Chern factor at rank s (indices 0..2).
 
-    Valid on K-trivial numerics, where the Chern generating function
-    factors through these three series alone.
+    Valid on K-trivial numerics.  As c(E) = s(-E), these are C0 = 1/A0,
+    C1 = A0 A1 and C2 = A2 of the Segre factors at rank -s.
     """
     if index not in (0, 1, 2):
         raise UnknownSeriesError("Chern factor index must be 0..2, got %r" % (index,))
-    r = s - 1
-    t = _t(order)
-    u = 1 - r * t
-    v = 1 + (1 - r) * t
+    entry = segre_A(-s, index, order)
+    series = entry.series
     if index == 0:
-        in_t = u ** (-r) * v ** (r + 1)
+        series = series.inverse()
     elif index == 1:
-        in_t = u.pow_rational(F(r - 1, 2)) * v.pow_rational(F(-r, 2))
-    else:
-        w = 1 + (r * r - r) * t
-        in_t = (w.pow_rational(F(-1, 2)) * u.pow_rational(F(r * r - 1, 2))
-                * v.pow_rational(-r - F(r * r, 2)))
-    z_of_t, t_of_z = segre_change_of_var(-r, order)
-    return SeriesEntry("chern", index, s, PROVEN, in_t.compose(t_of_z), z_of_t)
+        series = series * segre_A(-s, 0, order).series
+    return SeriesEntry("chern", index, s, PROVEN, series, entry.change_of_var)
 
 
 def _verlinde34_in_t(r, order):
@@ -297,7 +293,7 @@ def _verlinde34_in_t(r, order):
               * (1 + yy.truncate(order)) ** 2
               * (1 - yy.truncate(order)).inverse() * yy.derivative().inverse())
         return b3, b4
-    one = Series.one(order, "t")
+    one = Series.one(order)
     return one, one
 
 
@@ -326,8 +322,8 @@ def verlinde_B(r, index, order):
         status = TRIVIAL if abs(r) <= 1 else CONJECTURAL
     else:
         raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
-    w_of_t, t_of_w = verlinde_change_of_var(r, order)
-    return SeriesEntry("verlinde", index, r, status, in_t.compose(t_of_w), w_of_t)
+    return SeriesEntry("verlinde", index, r, status, _lagrange(in_t, 1, r * r - 1, "w"),
+                       verlinde_change_of_var(r, order)[0])
 
 
 def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
@@ -344,12 +340,8 @@ def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
 
 
 def chern_full(s, c2, c1sq, chiO, order):
-    """Assembled Chern generating series in z; K-trivial numerics only."""
-    out = Series.one(order, "z")
-    for index, e in enumerate((c2, c1sq, chiO)):
-        if e:
-            out = out * chern_A(s, index, order).series ** e
-    return out
+    """Assembled Chern series in z, K-trivial numerics: Segre at -s, c1^2 - c2."""
+    return segre_full(-s, c1sq - c2, c1sq, chiO, 0, 0, order)
 
 
 def verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
@@ -368,9 +360,7 @@ def verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
         b3 = verlinde_B(r, 3, order).series
         if e3.denominator == 1:
             out = out * b3 ** int(e3)
-        elif (b3 - 1).is_zero():
-            pass
-        else:
+        elif not (b3 - 1).is_zero():
             raise ValueError(
                 "third-factor exponent %s is not an integer (odd K^2) and the "
                 "factor at twist %d is nontrivial" % (e3, r))

@@ -366,7 +366,7 @@ def check_enriques(r, n_max=5, chi_range=range(1, 7), form_order=20):
                  "verlinde assembly", r, chi)
         for n in range(n_max + 1):
             c2 = chi - (r - 1) * (n - 1)
-            chern = catalog.chern_full(r + 1, c2, 2 * chi - 2, 1, max(n, 1)).coefficient(n)
+            chern = catalog.chern_full(r + 1, c2, 2 * chi - 2, 1, n).coefficient(n)
             tally.eq(chern, v_in_w.coefficient(n), "chern=verlinde", r, chi, n)
     return tally.report(
         "enriques",

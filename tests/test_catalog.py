@@ -1,5 +1,6 @@
 """Catalog anchors: printed closed forms, branch series, duality transport."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,28 @@ class TestChangesOfVariable:
             u = t_gen()
             w_chart = u * (1 + u) ** (r * r - 1)
             assert w_of_t == w_chart.compose(u_of_t)
+
+    def test_lagrange_matches_compose_with_revert(self):
+        # the coefficient formula against the Newton reversion it replaces
+        rng = random.Random(20260815)
+        order = 20
+        t = Series.gen(order)
+        pairs = [(0, 0), (0, 3), (3, 0), (-2, -1), (4, -1)]
+        pairs += [(rng.randint(-4, 5), rng.randint(-4, 5)) for _ in range(6)]
+        for a, b in pairs:
+            h = Series([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order + 1)])
+            x_of_t = t * (1 + a * t) ** b
+            got = catalog._lagrange(h, a, b, "x")
+            assert got == h.compose(x_of_t.revert()), (a, b)
+            assert got.var == "x"
+
+    def test_inverse_charts_match_revert(self):
+        order = 30
+        for r in range(-4, 6):
+            z_of_t, t_of_z = segre_change_of_var(r, order)
+            assert t_of_z == z_of_t.revert() and t_of_z.var == "z"
+            w_of_t, t_of_w = verlinde_change_of_var(r, order)
+            assert t_of_w == w_of_t.revert() and t_of_w.var == "w"
 
 
 class TestBranchSeries:
@@ -223,8 +246,9 @@ class TestChernFactors:
         assert chern_A(2, 2, N).series == 1
 
     def test_printed_forms_general_rank(self):
-        t = t_gen()
-        for s in (-1, 0, 1, 3, 4):
+        order = 12
+        t = t_gen(order)
+        for s in range(-4, 6):
             r = s - 1
             u = 1 - r * t
             v = 1 + (1 - r) * t
@@ -236,7 +260,7 @@ class TestChernFactors:
                 * v.pow_rational(-r - F(r * r, 2)),
             ]
             for i, form in enumerate(printed):
-                entry = chern_A(s, i, N)
+                entry = chern_A(s, i, order)
                 assert entry.status == PROVEN
                 assert in_t(entry) == form
 
@@ -346,3 +370,18 @@ class TestAssemblers:
         assert got == prod
         with pytest.raises(UnknownSeriesError):
             segre_full(4, 3, 2, 2, 1, 0, N)
+
+
+def test_order_zero_is_the_constant_one():
+    # no reversion is needed, so order 0 is a valid request everywhere
+    for s in range(-4, 3):
+        for i in range(5):
+            assert segre_A(s, i, 0).series == Series.one(0, "z")
+        for i in range(3):
+            assert chern_A(s, i, 0).series == Series.one(0, "z")
+    for r in range(-3, 4):
+        for i in range(1, 5):
+            assert verlinde_B(r, i, 0).series == Series.one(0, "w")
+    assert segre_full(1, 1, 1, 1, 0, 0, 0) == Series.one(0, "z")
+    assert chern_full(3, 2, -1, 2, 0) == Series.one(0, "z")
+    assert verlinde_full(2, 3, 1, 1, 2, 0) == Series.one(0, "w")

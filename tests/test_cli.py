@@ -613,6 +613,23 @@ VERIFY_BLOWUP_JSON = """\
 }
 """
 
+# Series whose catalog route is a chart change, the duality transport
+# (rank -4) and the Serre inversion (twist -3).
+SERIES_CHERN_A1_RANK_MINUS3 = """\
+# hilbseries command=series family=chernA format=table index=1 order=8 rank=-3 status=proven
+1/1, 0/1, -5/1, 190/1, -7020/1, 267148/1, -10481350/1, 421894980/1, -17340503950/1
+"""
+
+SERIES_SEGRE_A4_RANK_MINUS4 = """\
+# hilbseries command=series family=segreA format=table index=4 order=8 rank=-4 status=conjectural
+1/1, 0/1, -1/1, 34/1, -788/1, 16494/1, -332102/1, 6572426/1, -129009794/1
+"""
+
+SERIES_VERLINDE_B3_TWIST_MINUS3 = """\
+# hilbseries command=series family=verlindeB format=table index=3 order=8 rank=-3 status=conjectural
+1/1, 0/1, 4/1, -87/1, 1754/1, -35343/1, 719520/1, -14813224/1, 308084464/1
+"""
+
 
 @pytest.mark.parametrize("argv, expected", [
     ("extract --rank 1 --order 2", EXTRACT_SEGRE_RANK1_TABLE),
@@ -621,6 +638,12 @@ VERIFY_BLOWUP_JSON = """\
     ("extract --rank -1 --order 2 --kind verlinde --json", EXTRACT_VERLINDE_TWIST_MINUS1_JSON),
     ("verify --suite blowup", VERIFY_BLOWUP_TABLE),
     ("verify --suite blowup --json", VERIFY_BLOWUP_JSON),
+    ("series --family chernA --rank -3 --index 1 --order 8",
+     SERIES_CHERN_A1_RANK_MINUS3),
+    ("series --family segreA --rank -4 --index 4 --order 8",
+     SERIES_SEGRE_A4_RANK_MINUS4),
+    ("series --family verlindeB --rank -3 --index 3 --order 8",
+     SERIES_VERLINDE_B3_TWIST_MINUS3),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, expected):
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)
