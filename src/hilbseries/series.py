@@ -4,7 +4,8 @@ Every series carries an explicit truncation order: a :class:`Series` of
 order ``n`` stores coefficients ``c_0 .. c_n`` and stands for a power
 series known modulo ``x^(n+1)``.  Coefficients are `fractions.Fraction`
 values throughout; floats are rejected so nothing ever leaves exact
-arithmetic.
+arithmetic.  Product, inverse and exp run integer recurrences over one
+common denominator and build one `Fraction` per output coefficient.
 
 Binary operations insist that both operands carry the same truncation
 order.  Silently taking the minimum hides bookkeeping bugs in long
@@ -18,7 +19,8 @@ of producing garbage coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import factorial, lcm
 from operator import mul
 
 __all__ = [
@@ -59,6 +61,8 @@ class BranchError(SeriesError):
 
 def as_fraction(x):
     """Coerce x to Fraction, rejecting floats to keep arithmetic exact."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("float coefficients are not allowed; pass Fraction, int or 'p/q'")
     return Fraction(x)
@@ -149,6 +153,11 @@ class Series:
                 "order mismatch: %d (%s) vs %d (%s); truncate explicitly"
                 % (self.order, self.var, other.order, other.var))
 
+    def _over_lcm(self):
+        """(D, [A_k]) with coefficient k = A_k / D, D the lcm of denominators."""
+        d = lcm(*(c.denominator for c in self.coeffs))
+        return d, [c.numerator * (d // c.denominator) for c in self.coeffs]
+
     # arithmetic; scalars act as constant series of the same order
 
     def __add__(self, other):
@@ -178,10 +187,9 @@ class Series:
         self._require_same_order(other)
         n = self.order
         # integer convolution over one common denominator per factor
-        da = lcm(*(c.denominator for c in self.coeffs))
-        db = lcm(*(c.denominator for c in other.coeffs))
-        a = [c.numerator * (da // c.denominator) for c in self.coeffs]
-        b = [c.numerator * (db // c.denominator) for c in reversed(other.coeffs)]
+        da, a = self._over_lcm()
+        db, b = other._over_lcm()
+        b.reverse()
         out = [Fraction(sum(map(mul, a[:k + 1], b[n - k:])), da * db) for k in range(n + 1)]
         return Series(out, n, self.var)
 
@@ -213,19 +221,19 @@ class Series:
 
     def inverse(self):
         """Multiplicative inverse; the constant term must be nonzero."""
-        a = self.coeffs
-        if a[0] == 0:
+        if self.coeffs[0] == 0:
             raise ConstantTermError("cannot invert a series in %s with zero constant term"
                                     % self.var)
-        inv0 = Fraction(1) / a[0]
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += a[k] * out[n - k]
-            out.append(-inv0 * acc)
-        return Series(out, self.order, self.var)
+        # a = A/D, so 1/a = D/A; [x^n] 1/A = B_n / A_0^(n+1) with B_0 = 1 and
+        # B_n = -sum_(k=1..n) A_k A_0^(k-1) B_(n-k), all integers
+        d, a = self._over_lcm()
+        powers = [a[0] ** k for k in range(self.order + 2)]
+        c = list(map(mul, a[1:], powers))
+        b = [1]
+        for _ in range(self.order):
+            b.append(-sum(map(mul, c, reversed(b))))
+        return Series([Fraction(d * x, p) for x, p in zip(b, powers[1:])],
+                      self.order, self.var)
 
     def derivative(self):
         """Formal derivative; the truncation order drops by one."""
@@ -253,17 +261,18 @@ class Series:
         """Series exponential; requires constant term 0."""
         if self.coeffs[0] != 0:
             raise ConstantTermError("exp needs constant term 0, got %s" % self.coeffs[0])
+        # with a = A/D, e' = a' e gives e_m = E_m / (m! D^m), E_0 = 1 and
+        # E_(m+1) = sum_(k=0..m) (k+1) A_(k+1) D^k m!/(m-k)! E_(m-k)
         n = self.order
-        a = self.coeffs
-        out = [Fraction(1)] + [Fraction(0)] * n
+        d, a = self._over_lcm()
+        powers = [d ** k for k in range(n + 1)]
+        g = [(k + 1) * a[k + 1] * powers[k] for k in range(n)]
+        e = [1]
         for m in range(n):
-            # (m+1) e_{m+1} = sum_k (k+1) a_{k+1} e_{m-k}, from e' = a' e
-            acc = Fraction(0)
-            for k in range(m + 1):
-                if a[k + 1]:
-                    acc += (k + 1) * a[k + 1] * out[m - k]
-            out[m + 1] = acc / (m + 1)
-        return Series(out, n, self.var)
+            falling = accumulate(range(m, 0, -1), mul, initial=1)
+            e.append(sum(map(mul, map(mul, g, falling), reversed(e))))
+        return Series([Fraction(x, factorial(m) * p) for m, (x, p) in enumerate(zip(e, powers))],
+                      n, self.var)
 
     def pow_rational(self, e):
         """Arbitrary rational power via exp(e*log); constant term must be 1."""

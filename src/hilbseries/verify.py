@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 import random
 
 from . import catalog
@@ -156,12 +156,19 @@ def _merge(name, reports):
     )
 
 
+def _comb(a, k):
+    """C(a, k) for any integer a; C(a, k) = (-1)^k C(k-a-1, k) if a < 0."""
+    return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
+
+
 def residue_coeff(d, chi, r, n):
-    """Coefficient of t^n in (1+(1+r)t)^d (1+rt)^(chi-rn-d), exactly."""
+    """[t^n] (1+(1+r)t)^d (1+rt)^e, e = chi-rn-d, as the Fraction of the
+    integer sum over i of C(d,i) (1+r)^i C(e,n-i) r^(n-i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = Series.gen(n, "t")
-    return ((1 + (1 + r) * t) ** d * (1 + r * t) ** (chi - r * n - d)).coefficient(n)
+    e = chi - r * n - d
+    return F(sum(_comb(d, i) * (1 + r) ** i * _comb(e, n - i) * r ** (n - i)
+                 for i in range(n + 1)))
 
 
 def check_thm3(r, n_max=8, chi_range=None):

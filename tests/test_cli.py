@@ -631,6 +631,55 @@ SERIES_VERLINDE_B3_TWIST_MINUS3 = """\
 """
 
 
+# The binomial-residue sweep, the spherical Chern sweep, and a branch
+# series whose Newton solve inverts at every step.
+VERIFY_THM3_JSON = """\
+{
+  "config": {
+    "command": "verify",
+    "order": 10,
+    "suite": "thm3"
+  },
+  "passed": true,
+  "reports": [
+    {
+      "checks": 5210,
+      "counterexample": null,
+      "detail": "",
+      "name": "thm3",
+      "passed": true,
+      "ranges": "r=2, n<=8, chi in [-3,35); r=3, n<=8, chi in [-3,43); r=4, n<=8, chi in [-3,51); r=5, n<=8, chi in [-3,59); r=6, n<=8, chi in [-3,67)"
+    }
+  ]
+}
+"""
+
+VERIFY_SPHERICAL_CHERN_JSON = """\
+{
+  "config": {
+    "command": "verify",
+    "order": 10,
+    "suite": "spherical_chern"
+  },
+  "passed": true,
+  "reports": [
+    {
+      "checks": 1143,
+      "counterexample": null,
+      "detail": "",
+      "name": "spherical_chern",
+      "passed": true,
+      "ranges": "s=2, n<=6, chi in [-4,17); s=3, n<=6, chi in [-3,23); s=4, n<=6, chi in [-2,29); s=5, n<=6, chi in [-1,35)"
+    }
+  ]
+}
+"""
+
+SERIES_Y_ORDER20 = """\
+# hilbseries command=series family=Y format=table order=20 status=proven
+1/1, -3/1, 14/1, -80/1, 509/1, -3459/1, 24579/1, -180389/1, 1356743/1, -10402493/1, 81004516/1, -638886082/1, 5093081983/1, -40971735401/1, 332187974718/1, -2711668091448/1, 22267979870143/1, -183830653156341/1, 1524747465249750/1, -12700172705956876/1
+"""
+
 @pytest.mark.parametrize("argv, expected", [
     ("extract --rank 1 --order 2", EXTRACT_SEGRE_RANK1_TABLE),
     ("extract --rank 0 --order 2 --kind verlinde", EXTRACT_VERLINDE_TWIST0_TABLE),
@@ -644,6 +693,9 @@ SERIES_VERLINDE_B3_TWIST_MINUS3 = """\
      SERIES_SEGRE_A4_RANK_MINUS4),
     ("series --family verlindeB --rank -3 --index 3 --order 8",
      SERIES_VERLINDE_B3_TWIST_MINUS3),
+    ("verify --suite thm3 --json --order 10", VERIFY_THM3_JSON),
+    ("verify --suite spherical_chern --json --order 10", VERIFY_SPHERICAL_CHERN_JSON),
+    ("series --family Y --order 20", SERIES_Y_ORDER20),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, expected):
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)

@@ -17,6 +17,7 @@ from hilbseries import (
     Series,
     solve_algebraic,
 )
+from hilbseries.series import as_fraction
 
 ORDER = 8
 
@@ -47,6 +48,39 @@ def rand_series(rng, order, const=None):
     c = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order + 1)]
     if const is not None:
         c[0] = F(const)
+    return Series(c, order)
+
+
+def ref_inverse(a):
+    """The Fraction-loop inverse that the integer recurrence replaced."""
+    c = a.coeffs
+    inv0 = F(1) / c[0]
+    out = [inv0]
+    for n in range(1, a.order + 1):
+        acc = F(0)
+        for k in range(1, n + 1):
+            if c[k]:
+                acc += c[k] * out[n - k]
+        out.append(-inv0 * acc)
+    return tuple(out)
+
+def ref_exp(a):
+    """The Fraction-loop exp that the integer recurrence replaced."""
+    n, c = a.order, a.coeffs
+    out = [F(1)] + [F(0)] * n
+    for m in range(n):
+        acc = F(0)
+        for k in range(m + 1):
+            if c[k + 1]:
+                acc += (k + 1) * c[k + 1] * out[m - k]
+        out[m + 1] = acc / (m + 1)
+    return tuple(out)
+
+def sparse_series(rng, order, const):
+    """Random rationals, about half of them zero, with a given constant term."""
+    c = [F(rng.choice((0, rng.randint(-40, 40))), rng.randint(1, 12))
+         for _ in range(order + 1)]
+    c[0] = F(const)
     return Series(c, order)
 
 
@@ -105,6 +139,20 @@ class TestArithmetic:
         assert (1 + t) ** -1 == Series([1, -1, 1, -1, 1], 4)
         assert (1 + t) ** 0 == Series.one(4)
 
+    def test_inverse_matches_fraction_loop(self):
+        rng = random.Random(41)
+        for order in range(41):
+            for const in (1, -1, F(3, 7), -5, F(-9, 2)):
+                a = sparse_series(rng, order, const)
+                got = a.inverse()
+                assert got.coeffs == ref_inverse(a)
+                assert all(type(c) is F for c in got.coeffs)
+
+    def test_inverse_of_a_polynomial_with_gaps(self):
+        t = Series.gen(40)
+        a = 2 - 3 * t ** 5 + F(1, 3) * t ** 17
+        assert a.inverse().coeffs == ref_inverse(a)
+
     def test_inverse_needs_nonzero_constant(self):
         with pytest.raises(ConstantTermError):
             Series.gen(3).inverse()
@@ -120,6 +168,50 @@ class TestArithmetic:
     def test_truncate_never_extends(self):
         with pytest.raises(ValueError):
             Series.gen(3).truncate(4)
+
+
+class TestAsFraction:
+    """Coercion contract: Fraction passes through, int and 'p/q' convert, float is refused."""
+
+    FLOAT_OPS = [
+        lambda t: Series([F(1), 0.5], 2),
+        lambda t: t + 0.5,
+        lambda t: 0.5 + t,
+        lambda t: t - 0.5,
+        lambda t: 0.5 - t,
+        lambda t: 0.5 * t,
+        lambda t: t / 0.5,
+        lambda t: 0.5 / (1 + t),
+    ]
+
+    @pytest.mark.parametrize("op", FLOAT_OPS)
+    def test_float_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Series.gen(2))
+
+    def test_float_never_compares_equal(self):
+        one = Series.one(2)
+        with pytest.raises(TypeError):
+            as_fraction(1.0)
+        assert one.__eq__(1.0) is NotImplemented
+        assert not one == 1.0
+        assert one != 1.0
+
+    def test_fraction_passes_through_unchanged(self):
+        x = F(-7, 3)
+        assert as_fraction(x) is x
+        assert Series([x, 1], 1).coeffs[0] is x
+
+    def test_ints_and_strings_convert(self):
+        t = Series.gen(2)
+        a = Series(["1/2", 3, "-4"], 2)
+        assert a.coeffs == (F(1, 2), F(3), F(-4))
+        assert all(type(c) is F for c in a.coeffs)
+        assert t * "2/3" == Series([0, F(2, 3), 0], 2)
+        assert t + "1/3" == Series([F(1, 3), 1, 0], 2)
+        assert t / "3" == Series([0, F(1, 3), 0], 2)
+        assert Series.one(2) == "1" and Series.one(2) == 1
+        assert as_fraction("5/10") == F(1, 2) and as_fraction(4) == F(4)
 
 
 class TestTranscendental:
@@ -163,6 +255,16 @@ class TestTranscendental:
             p = F(rng.randint(-5, 5), rng.randint(1, 4))
             q = F(rng.randint(-5, 5), rng.randint(1, 4))
             assert a.pow_rational(p) * a.pow_rational(q) == a.pow_rational(p + q)
+
+    def test_exp_matches_fraction_loop(self):
+        rng = random.Random(42)
+        for order in range(41):
+            for _ in range(3):
+                a = sparse_series(rng, order, 0)
+                got = a.exp()
+                assert got.coeffs == ref_exp(a)
+                assert all(type(c) is F for c in got.coeffs)
+        assert Series.zero(40).exp() == Series.one(40)
 
     def test_domain_errors(self):
         t = Series.gen(3)

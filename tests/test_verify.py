@@ -1,6 +1,7 @@
 """Verifier checks: anchors for each identity plus report plumbing."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -28,6 +29,17 @@ from hilbseries.verify import (
     run_suite,
     suite_names,
 )
+
+
+@lru_cache(maxsize=None)
+def ref_power(c, e, n):
+    """(1 + c t)^e as a Series power at order n."""
+    return (1 + c * Series.gen(n, "t")) ** e
+
+
+def ref_residue_coeff(d, chi, r, n):
+    """The Series-power formulation that the binomial sum replaced."""
+    return (ref_power(1 + r, d, n) * ref_power(r, chi - r * n - d, n)).coefficient(n)
 
 
 class TestModuliNumerics:
@@ -71,6 +83,24 @@ class TestResidueCoeff:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             residue_coeff(0, 1, 2, -1)
+
+    def test_matches_series_powers(self):
+        # the sweep reaches e = chi - rn - d < 0, r = -1 and r = 0
+        for d in range(-2, 3):
+            for r in range(-4, 6):
+                for chi in range(-5, 26):
+                    for n in range(11):
+                        got = residue_coeff(d, chi, r, n)
+                        assert type(got) is F
+                        assert got == ref_residue_coeff(d, chi, r, n), (d, chi, r, n)
+
+    def test_builds_no_series_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("residue_coeff multiplied series")
+        monkeypatch.setattr(Series, "__mul__", refuse)
+        monkeypatch.setattr(Series, "__rmul__", refuse)
+        # [t^6] (1+3t)(1+2t)^-6 = C(11,6) 2^6 - 3 C(10,5) 2^5
+        assert residue_coeff(1, 7, 2, 6) == 5376
 
 
 class TestBinom:
