@@ -32,8 +32,10 @@ from .localization import (
     parse_class,
     segre_integral,
     segre_integrals,
+    segre_series,
     verlinde_chi,
     verlinde_chis,
+    verlinde_series,
 )
 from .extraction import (
     Panel,

@@ -21,9 +21,10 @@ from .series import Series
 from .localization import (
     EqKClass,
     get_surface,
+    require_draws,
     segre_integral,  # noqa: F401  not called here; perfbench's tracer test reads this binding
-    segre_integrals,
-    verlinde_chis,
+    segre_series,
+    verlinde_series,
 )
 
 __all__ = [
@@ -143,8 +144,8 @@ def _verlinde_exponents(surface, cls, r):
 
 
 # Per kind: the report key of the panel parameter, the exponent columns,
-# exponents(surface, class, param), oracle(surface, classes, param, n, seed)
-# with one value per class of one surface,
+# exponents(surface, class, param), oracle(surface, classes, param, order,
+# seed) with the values for n = 0..order per class of one surface,
 # lookup(param, index, order) of a catalog entry, the series variable,
 # the series label and the index of the first series.
 _Kind = namedtuple("_Kind", "param columns exponents oracle lookup var label first")
@@ -154,13 +155,12 @@ _Kind = namedtuple("_Kind", "param columns exponents oracle lookup var label fir
 _KINDS = {
     "segre": _Kind(
         "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
-        lambda surface, classes, s, n, seed: segre_integrals(surface, classes, n, seed),
+        lambda surface, classes, s, order, seed: segre_series(surface, classes, order, seed),
         lambda s, index, order: catalog.segre_A(s, index, order),
         "z", "A%d", 0),
     "verlinde": _Kind(
         "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
-        lambda surface, classes, r, n, seed: [F(value) for value in
-                                              verlinde_chis(surface, classes, r, n, seed)],
+        lambda surface, classes, r, order, seed: verlinde_series(surface, classes, r, order, seed),
         lambda r, index, order: catalog.verlinde_B(r, index, order),
         "w", "B%d", 1),
 }
@@ -281,15 +281,16 @@ def _extract(kind, param, order, panel, seed):
         raise PanelError("panel was built for %s %d, not %s %d"
                          % (panel.kind, panel.param, kind, param))
     spec = _KINDS[kind]
-    by_surface = {}  # rows on one surface share its fixed points and draws
+    by_surface = {}  # rows on one surface share one chart pass and its draws
     for index, (surface, _) in enumerate(panel):
         by_surface.setdefault(surface, []).append(index)
-    values = [[] for _ in panel.rows]
+    for surface in by_surface:  # a dead order fails before any oracle work
+        require_draws(surface, order, "%s at n = %d" % (surface.name, order))
+    values = [None] * len(panel.rows)
     for surface, indices in by_surface.items():
         classes = [panel.rows[index][1] for index in indices]
-        for n in range(order + 1):
-            for index, value in zip(indices, spec.oracle(surface, classes, param, n, seed)):
-                values[index].append(value)
+        for index, row in zip(indices, spec.oracle(surface, classes, param, order, seed)):
+            values[index] = row
     logs = []
     for row in values:
         total = Series(row, order, spec.var)

@@ -2,10 +2,8 @@
 
 Computes tautological Segre and Chern integrals over Hilbert schemes of
 points, and holomorphic Euler characteristics of tautological line
-bundles, by summation over torus-fixed points.  Fixed points of the
-Hilbert scheme are tuples of partitions, one monomial ideal per chart of
-the surface; everything reduces to exact rational arithmetic in the two
-torus characters.
+bundles, by localization at torus-fixed points, in exact arithmetic in
+the two torus characters.
 
 Conventions (fixed once, validated by anchors in the test suite): at the
 chart of a smooth cone spanned by rays v, v' the coordinate characters
@@ -15,27 +13,23 @@ characters are -u1, -u2, and the equivariant lift of O(sum d_i D_i) is
 the character m with <m, v_i> = -d_i.  A box in column c, row s of a
 partition carries the monomial character c u1 + s u2.
 
-Every quantity takes one path, for a batch of classes on one surface at
-a time (segre_integrals, verlinde_chis; the single-class entry points
-are batches of one).  The fixed points are enumerated once per call, and
-at each drawn direction each point is specialized once: its integer
-tangent weights and its box characters, shared by every class, then each
-class's signed tautological weights.  Two kernels read these records,
-points outside and classes inside, so per-point work is done once for
-the batch: the top Segre coefficient (Chern is Segre of the negated
-class) and the Euler characteristic of the determinant line (Verlinde:
-of L + (r-1) O).
+A fixed point of S^[n] is one partition (monomial ideal) per chart, of
+total size n, and its tangent and tautological weights are the union of
+per-chart weights.  Both integrands are products over those weights, so
+the sum over the fixed points of S^[n] is [x^n] of the product over the
+charts of sum_lambda x^|lambda| g(lambda), |lambda| <= N, and no fixed
+point is ever built.  g is prod (1+ku)^(-sign) / prod tangent weights in
+u, read at u^2n (Chern is Segre of the negated class), or the Euler
+characteristic of the determinant line times e^(2|lambda|) in e, read at
+e^2n (Verlinde: of L + (r-1) O).  One chart pass serves every n <= N and
+a batch of classes on one surface (segre_series, verlinde_series).
 
 Values are computed at two independent generic directions and must
-agree, class by class; Euler characteristics additionally require all
-sub-leading Laurent coefficients to cancel across fixed points and the
-result to be an integer.  Any violation raises, loudly, instead of
-returning data, and so does a draw box with fewer than two usable
-directions (DrawError).  Whether a direction is usable at n depends only
-on the hook lengths a partition of n can have, so that is settled before
-any fixed point is built.  The kernels run on integer coefficient lists;
-Fraction appears only at the Segre kernel's per-point division and at
-the Euler sum's result.
+agree; Euler characteristics additionally require every coefficient
+below e^2n to cancel and the result to be an integer.  Any violation
+raises, loudly, instead of returning data, and so does a draw box with
+fewer than two usable directions (DrawError), which the hook lengths of
+the partitions settle before any chart is specialized.
 """
 
 from __future__ import annotations
@@ -58,13 +52,16 @@ __all__ = [
     "get_surface",
     "parse_class",
     "partitions",
+    "require_draws",
     "segre_integral",
     "segre_integrals",
+    "segre_series",
     "surface_names",
     "tangent_weights",
     "taut_weights",
     "verlinde_chi",
     "verlinde_chis",
+    "verlinde_series",
 ]
 
 DEFAULT_SEED = 20260815
@@ -102,12 +99,6 @@ def partitions(n, max_part=None):
         for tail in partitions(n - head, head):
             out.append((head,) + tail)
     return tuple(out)
-
-
-def _conjugate(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > col) for col in range(lam[0]))
 
 
 class ToricSurface:
@@ -177,8 +168,7 @@ class ToricSurface:
             pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
                        for la in gen_lifts]
             k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
-            chi, = _euler_sum([([_spec_nonzero(t, q) for t in self.tangent_chars(index)], [[]])
-                               for index in range(len(self.charts))], 2, 1)
+            chi = _euler_values(*_chart_product(self, [[]], 1, q, _euler_term)[0])[1]
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
         found = _at_two_directions(localized, DEFAULT_SEED, "%s intersections" % self.name)
@@ -198,18 +188,11 @@ class ToricSurface:
 
 
 def _in_box(q):
-    """Whether _draw_direction can return q: [-9, 9]^2 off the axes and both diagonals."""
+    """Whether _two_draws can draw q: [-9, 9]^2 off the axes and both diagonals."""
     return q[0] != 0 and q[1] != 0 and abs(q[0]) != abs(q[1])
 
 
 _DIRECTIONS = tuple(q for q in itertools.product(range(-9, 10), repeat=2) if _in_box(q))
-
-
-def _draw_direction(rng):
-    while True:
-        q = (rng.randint(-9, 9), rng.randint(-9, 9))
-        if _in_box(q):
-            return q
 
 
 def _no_two_directions(what):
@@ -231,8 +214,8 @@ def _two_draws(evaluate, seed, what):
     while len(values) < 2:
         if len(seen) == len(_DIRECTIONS):
             raise _no_two_directions(what)
-        q = _draw_direction(rng)
-        if q in seen:
+        q = (rng.randint(-9, 9), rng.randint(-9, 9))
+        if q in seen or not _in_box(q):
             continue
         seen.add(q)
         try:
@@ -254,13 +237,6 @@ def _at_two_directions(evaluate, seed, what):
     """The agreed value of ``evaluate(q)`` at two distinct generic directions."""
     draws, (first, second) = _two_draws(evaluate, seed, what)
     return _agreed(draws, what, first, second)
-
-
-def _spec_nonzero(char, q):
-    k = _dot(char, q)
-    if k == 0:
-        raise _BadDraw
-    return k
 
 
 @lru_cache(maxsize=None)
@@ -385,46 +361,35 @@ def parse_class(surface, text):
     return EqKClass(surface, terms)
 
 
-def _compositions(n, parts):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
-
-
 def enumerate_fixed_points(surface, n):
     """All tuples of partitions of total size n, one per chart."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return [fp for sizes in itertools.product(range(n + 1), repeat=len(surface.charts))
+            if sum(sizes) == n for fp in itertools.product(*map(partitions, sizes))]
+
+
+def _hook_coefficients(lam):
+    """Per box of lam, row by row, the coefficients (a, b) of its two tangent
+    weights a chi1 + b chi2: (arm+1, -leg) and (-arm, leg+1)."""
     out = []
-    charts = len(surface.charts)
-    for comp in _compositions(n, charts):
-        out.extend(itertools.product(*(partitions(k) for k in comp)))
+    for row, part in enumerate(lam):
+        for col in range(part):
+            arm, leg = part - col - 1, sum(1 for below in lam[row + 1:] if below > col)
+            out.extend(((arm + 1, -leg), (-arm, leg + 1)))
     return out
 
 
 def tangent_weights(fp, surface):
-    """The 2n tangent characters of the Hilbert scheme at a fixed point.
-
-    Standard arm/leg formula per box, in the tangent characters of the
-    chart: a box with arm a and leg l contributes (a+1) chi1 - l chi2
-    and -a chi1 + (l+1) chi2.
-    """
+    """The 2n tangent characters of the Hilbert scheme at a fixed point."""
     out = []
     for index, lam in enumerate(fp):
         chi1, chi2 = surface.tangent_chars(index)
-        conj = _conjugate(lam)
-        for row, part in enumerate(lam):
-            for col in range(part):
-                arm = part - col - 1
-                leg = conj[col] - row - 1
-                w1 = _vadd(_vscale(arm + 1, chi1), _vscale(-leg, chi2))
-                w2 = _vadd(_vscale(-arm, chi1), _vscale(leg + 1, chi2))
-                if w1 == (0, 0) or w2 == (0, 0):
-                    raise ArithmeticError("zero tangent weight: chart data is wrong")
-                out.extend((w1, w2))
+        for a, b in _hook_coefficients(lam):
+            weight = _vadd(_vscale(a, chi1), _vscale(b, chi2))
+            if weight == (0, 0):
+                raise ArithmeticError("zero tangent weight: chart data is wrong")
+            out.append(weight)
     return out
 
 
@@ -433,8 +398,8 @@ def taut_weights(kclass, fp):
 
     Each term contributes, for every box in column c row s of the
     chart's partition, its lift character plus c u1 + s u2.  The oracle
-    specializes the same weights batch-wise in _records; this is the
-    plain form the tests compare it with.
+    specializes the same weights chart by chart in _chart_product; this
+    is the plain form the tests compare it with.
     """
     boxes = []
     for index, lam in enumerate(fp):
@@ -447,12 +412,8 @@ def taut_weights(kclass, fp):
 
 
 def _hook_generic(surface, n, q):
-    """Whether q keeps every tangent weight of every fixed point of S^[n] nonzero.
-
-    A box with arm a and leg l has the weights (a+1) chi1 - l chi2 and
-    -a chi1 + (l+1) chi2 (see tangent_weights), and some fixed point has
-    a box with hook (a, l) in a given chart exactly when a + l + 1 <= n.
-    """
+    """Whether q keeps every tangent weight of every fixed point of S^[n] nonzero:
+    a box with hook (a, l) occurs in size at most n exactly when a + l + 1 <= n."""
     for index in range(len(surface.charts)):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
         for arm in range(n):
@@ -462,73 +423,163 @@ def _hook_generic(surface, n, q):
     return True
 
 
-def _records(surface, kclasses, fps, q):
-    """Each fixed point at direction q: its tangent weights and, per class,
-    its signed tautological weights.
-
-    The one place where fixed points are specialized; a zero tangent
-    weight rejects the direction.  A box in column c, row s of chart i
-    specializes to c u1.q + s u2.q once per point, for every class; each
-    term adds the specialization of its lift (the order of taut_weights).
-    """
-    steps = [(_dot(u1, q), _dot(u2, q)) for _, _, u1, u2 in surface.charts]
-    terms = [[(sign, [_dot(m, q) for m in lifts])
-              for (sign, _), lifts in zip(kclass.terms, kclass.lifts)] for kclass in kclasses]
-    for fp in fps:
-        ks = [_spec_nonzero(w, q) for w in tangent_weights(fp, surface)]
-        boxes = [(index, col * across + row * up)
-                 for index, (lam, (across, up)) in enumerate(zip(fp, steps))
-                 for row, part in enumerate(lam) for col in range(part)]
-        yield ks, [[(sign, lift[index] + box) for sign, lift in class_terms
-                    for index, box in boxes] for class_terms in terms]
-
-
-def _fixed_point_sum(kernel, surface, kclasses, n, seed, whats):
-    """Per class, kernel(records, 2n, len(kclasses)) agreed at two directions.
-
-    ``whats`` names each class in errors.  The fixed points are
-    enumerated once, and only when the draw box holds two directions
-    that are generic for every one of them.
-    """
-    what = ", ".join(whats)
+def require_draws(surface, n, what):
+    """Raise DrawError, naming ``what``, unless two directions are generic for S^[n]."""
     generic = (q for q in _DIRECTIONS if _hook_generic(surface, n, q))
     if len(list(itertools.islice(generic, 2))) < 2:
         raise _no_two_directions(what)
-    fps = enumerate_fixed_points(surface, n)
-    draws, (first, second) = _two_draws(
-        lambda q: kernel(_records(surface, kclasses, fps, q), 2 * n, len(kclasses)),
-        seed, what)
+
+
+def _segre_term(ks, class_weights, degree):
+    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree, as (denominator, 1, numerators)."""
+    den = prod(ks)
+    out = []
+    for weights in class_weights:
+        c = [1 if den > 0 else -1] + [0] * degree
+        for sign, k in weights:
+            if sign > 0:
+                for j in range(1, degree + 1):  # divide by 1 + k u
+                    c[j] -= k * c[j - 1]
+            else:
+                for j in range(degree, 0, -1):  # multiply by 1 + k u
+                    c[j] += k * c[j - 1]
+        out.append(c)
+    return abs(den), 1, out
+
+
+def _euler_term(ks, class_weights, degree):
+    """Per class, e^len(ks) (1+e)^a / prod_k (1-(1+e)^(-k)) to e^degree, a = sum sign * k.
+
+    With P_m(e) = ((1+e)^m - 1)/e this is (-1)^#{k<0} (1+e)^A / Q(e),
+    Q = prod P_|k|, A = a + sum of the positive k.  Its coefficients are
+    d_j / Q_0^(j+1) with d_j = Q_0^j C(A, j) - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i);
+    returned as (Q_0, Q_0, signed d).  Only the d_j are worked out per class.
+    """
+    shift = sum(k for k in ks if k > 0)
+    sign = -1 if sum(1 for k in ks if k < 0) % 2 else 1
+    denom = [1] + [0] * degree
+    for k in ks:
+        p = [comb(abs(k), i + 1) for i in range(min(abs(k), degree + 1))]
+        for j in range(degree, -1, -1):
+            denom[j] = sum(map(mul, p, denom[j::-1]))
+    q0 = denom[0]
+    scaled = [denom[i] * q0 ** (i - 1) for i in range(1, degree + 1)]
+    out = []
+    for weights in class_weights:
+        exponent = sum(s * k for s, k in weights) + shift
+        numer, d = 1, []
+        for j in range(degree + 1):
+            if j:
+                numer = numer * (exponent - j + 1) // j
+            d.append(numer * q0 ** j - sum(map(mul, scaled, reversed(d))))
+        out.append([sign * v for v in d])
+    return q0, q0, out
+
+
+def _times(a, b):
+    """The product of two series in x of lists in v, truncated as they are."""
+    out = []
+    for n, width in enumerate(map(len, a)):
+        row = [0] * width
+        for i in range(n + 1):
+            p, r = a[i], b[n - i]
+            for j in range(width):
+                row[j] += sum(map(mul, p[:j + 1], reversed(r[:j + 1])))
+        out.append(row)
+    return out
+
+
+def _chart_product(surface, classes, order, q, term):
+    """Per class, prod over charts of sum_lambda x^|lambda| term(lambda) at direction q.
+
+    ``classes`` holds each class's terms as (sign, per-chart lifts).  Each
+    partition of size at most ``order`` gets its integer tangent weights
+    ks, where a zero rejects q, and its box characters c u1.q + s u2.q plus
+    each term's lift; ``term(ks, class_weights, degree)`` returns its
+    (den, scale, numerators per class), with numerator_j / (den scale^j)
+    at v^j.  Returns (rows, den, scale) per class, rows[n][j] for j <= 2 order.
+    """
+    degree = 2 * order
+    shapes = [(size, _hook_coefficients(lam),
+               [(col, row) for row, part in enumerate(lam) for col in range(part)])
+              for size in range(order + 1) for lam in partitions(size)]
+    charts = []
+    for index, (_, _, u1, u2) in enumerate(surface.charts):
+        x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
+        across, up = _dot(u1, q), _dot(u2, q)
+        lifts = [[(sign, _dot(lift[index], q)) for sign, lift in terms] for terms in classes]
+        terms = []
+        for size, hooks, cells in shapes:
+            ks = [a * x + b * y for a, b in hooks]
+            if 0 in ks:
+                raise _BadDraw
+            boxes = [col * across + row * up for col, row in cells]
+            terms.append((size, term(ks, [[(sign, m + box) for sign, m in class_lifts
+                                           for box in boxes] for class_lifts in lifts], degree)))
+        charts.append(terms)
+    scale = lcm(*(s for terms in charts for _, (_, s, _) in terms))
+    product, den = None, 1
+    for terms in charts:
+        chart_den = lcm(*(d for _, (d, _, _) in terms))
+        chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in classes]
+        for size, (d, s, numerators) in terms:
+            for series, c in zip(chart, numerators):
+                row, factor = series[size], chart_den // d
+                for j in range(degree + 1):
+                    row[j] += c[j] * factor
+                    factor *= scale // s
+        den *= chart_den
+        product = chart if product is None else list(map(_times, product, chart))
+    return [(rows, den, scale) for rows in product]
+
+
+def _top_values(rows, den, scale):
+    """Per n, [x^n v^2n] of a chart product; for Segre, the integral over S^[n]."""
+    return tuple(F(row[2 * n], den * scale ** (2 * n)) for n, row in enumerate(rows))
+
+
+def _euler_values(rows, den, scale):
+    """Per n, [x^n e^2n] of an Euler chart product, where every lower power is a pole."""
+    for n, row in enumerate(rows):
+        for j, c in enumerate(row[:2 * n]):
+            if c:
+                raise ArithmeticError("fixed-point sum has a surviving pole coefficient "
+                                      "at order %d" % (j - 2 * n))
+    values = _top_values(rows, den, scale)
+    for value in values:
+        if value.denominator != 1:
+            raise ArithmeticError("Euler characteristic %s is not an integer" % value)
+    return tuple(map(int, values))
+
+
+def _chart_pass(term, read, surface, kclasses, order, seed, whats):
+    """Per class, read(*chart product) for n = 0..order, agreed at two directions.
+
+    ``whats`` names each class in errors.  Each drawn direction is screened
+    by hook length at S^[order] before any chart is specialized.
+    """
+    what = ", ".join(whats)
+    classes = [list(zip((sign for sign, _ in c.terms), c.lifts)) for c in kclasses]
+
+    def evaluate(q):
+        if not _hook_generic(surface, order, q):
+            raise _BadDraw
+        return [read(*c) for c in _chart_product(surface, classes, order, q, term)]
+
+    draws, (first, second) = _two_draws(evaluate, seed, what)
     return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
 
 
-def _segre_top(records, order, count):
-    """Per class, the sum over points of [u^order] prod (1+ku)^(-sign) / prod tangent weights.
-
-    Each record holds the weights of ``count`` classes.
-    """
-    totals = [F(0)] * count
-    for ks, class_weights in records:
-        denom = prod(ks)
-        for index, weights in enumerate(class_weights):
-            c = [1] + [0] * order
-            for sign, k in weights:
-                if sign > 0:
-                    for j in range(1, order + 1):  # divide by 1 + k u
-                        c[j] -= k * c[j - 1]
-                else:
-                    for j in range(order, 0, -1):  # multiply by 1 + k u
-                        c[j] += k * c[j - 1]
-            totals[index] += F(c[order], denom)
-    return totals
+def segre_series(surface, classes, order, seed=None):
+    """Per class, its degree-2n Segre integral over S^[n] for n = 0..order, in one pass."""
+    classes = list(classes)
+    return _chart_pass(_segre_term, _top_values, surface, classes, order, seed,
+                       [repr(c) for c in classes])
 
 
 def segre_integrals(surface, classes, n, seed=None):
-    """Integrals of the degree-2n Segre classes of tautological classes on one surface.
-
-    One value per class, from one pass over the fixed points.
-    """
-    classes = list(classes)
-    return _fixed_point_sum(_segre_top, surface, classes, n, seed, [repr(c) for c in classes])
+    """Per class, the integral of its degree-2n Segre class over S^[n]."""
+    return tuple(values[n] for values in segre_series(surface, classes, n, seed))
 
 
 def segre_integral(surface, kclass, n, seed=None):
@@ -537,75 +588,11 @@ def segre_integral(surface, kclass, n, seed=None):
 
 
 def chern_integral(surface, kclass, n, seed=None):
-    """Integral of the degree-2n Chern class of the tautological class.
-
-    c(E) = s(-E), so this is the Segre integral of the negated class.
-    """
+    """Integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
     negated = EqKClass(surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
                        kclass.shifts)
-    return _fixed_point_sum(_segre_top, surface, [negated], n, seed, [repr(kclass)])[0]
-
-
-def _euler_sum(records, order, count):
-    """Per class, the sum of (1+e)^a / prod_k (1-(1+e)^(-k)) over points, as an integer.
-
-    A point's ks are its tangent weights and a = sum of sign * k over a
-    class's tautological weights, the weight of the determinant line.
-    Each point contributes a Laurent series with pole order len(ks); the
-    poles must cancel across points and the constant term is the Euler
-    characteristic.  Both facts are asserted for each of the ``count``
-    classes.
-
-    With P_m(e) = ((1+e)^m - 1)/e = sum_{i<m} C(m, i+1) e^i, a point's
-    term times e^len(ks) is (-1)^#{k<0} (1+e)^A / prod P_|k|(e), where
-    A = a + sum of the positive k.  Numerator N and denominator Q are
-    integer polynomials; the quotient's coefficients are d_j / Q_0^(j+1)
-    with the integers d_j = Q_0^j N_j - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i).
-    The points are added over the lcm of their Q_0, so the only Fraction
-    is each result.  Q, and with it the scale, depends on the point
-    alone; only N and the d_j are worked out per class.
-    """
-    # class i's e^j coefficient is totals[i][j] / scale^(j+1)
-    totals = [[0] * (order + 1) for _ in range(count)]
-    scale = 1  # lcm of the Q_0 so far
-    for ks, class_weights in records:
-        shift = sum(k for k in ks if k > 0)
-        negative = sum(1 for k in ks if k < 0) % 2
-        denom = [1] + [0] * order
-        for k in ks:
-            p = [comb(abs(k), i + 1) for i in range(min(abs(k), order + 1))]
-            for j in range(order, -1, -1):
-                denom[j] = sum(map(mul, p, denom[j::-1]))
-        q0 = denom[0]
-        scaled = [denom[i] * q0 ** (i - 1) for i in range(1, order + 1)]
-        grown = lcm(scale, q0)
-        if grown != scale:
-            ratio = grown // scale
-            totals = [[t * ratio ** (j + 1) for j, t in enumerate(total)] for total in totals]
-            scale = grown
-        factor = scale // q0
-        q0_powers = [q0 ** j for j in range(order + 1)]
-        powers = [(-1) ** negative * factor ** (j + 1) for j in range(order + 1)]
-        for total, weights in zip(totals, class_weights):
-            exponent = sum(sign * k for sign, k in weights) + shift
-            numer = 1
-            d = []
-            for j in range(order + 1):
-                if j:
-                    numer = numer * (exponent - j + 1) // j
-                d.append(numer * q0_powers[j] - sum(map(mul, scaled, reversed(d))))
-                total[j] += d[j] * powers[j]
-    values = []
-    for total in totals:
-        for j in range(order):
-            if total[j] != 0:
-                raise ArithmeticError(
-                    "fixed-point sum has a surviving pole coefficient at order %d" % (j - order))
-        value = F(total[order], scale ** (order + 1))
-        if value.denominator != 1:
-            raise ArithmeticError("Euler characteristic %s is not an integer" % value)
-        values.append(int(value))
-    return values
+    return _chart_pass(_segre_term, _top_values, surface, [negated], n, seed,
+                       [repr(kclass)])[0][n]
 
 
 def _twisted_class(kclass, r):
@@ -616,21 +603,23 @@ def _twisted_class(kclass, r):
                     kclass.shifts + [(0, 0)] * extra)
 
 
-def verlinde_chis(surface, classes, r, n, seed=None):
-    """chi of det(L^[n]) (x) det(O^[n])^(r-1) on the Hilbert scheme, per line bundle L.
-
-    That line bundle is the determinant of the tautological class of
-    L + (r-1) O.  Every class must be a single unsigned line bundle on
-    ``surface``; one value per class, from one pass over the fixed points.
-    """
+def verlinde_series(surface, classes, r, order, seed=None):
+    """Per line bundle L on ``surface``, chi of det(L^[n]) (x) det(O^[n])^(r-1),
+    the determinant of the tautological class of L + (r-1) O, for n = 0..order."""
     classes = list(classes)
     for kclass in classes:
         if kclass.rank != 1 or len(kclass.terms) != 1:
             raise ValueError("verlinde_chi expects a single line bundle, got %r" % kclass)
-    return _fixed_point_sum(_euler_sum, surface, [_twisted_class(c, r) for c in classes],
-                            n, seed, ["chi of %r at twist %d" % (c, r) for c in classes])
+    return _chart_pass(_euler_term, _euler_values, surface,
+                       [_twisted_class(c, r) for c in classes], order, seed,
+                       ["chi of %r at twist %d" % (c, r) for c in classes])
+
+
+def verlinde_chis(surface, classes, r, n, seed=None):
+    """Per line bundle L, chi of det(L^[n]) (x) det(O^[n])^(r-1); see verlinde_series."""
+    return tuple(values[n] for values in verlinde_series(surface, classes, r, n, seed))
 
 
 def verlinde_chi(surface, kclass, r, n, seed=None):
-    """chi of det(L^[n]) (x) det(O^[n])^(r-1) for one line bundle L; see verlinde_chis."""
+    """chi of det(L^[n]) (x) det(O^[n])^(r-1) for one line bundle L; see verlinde_series."""
     return verlinde_chis(surface, [kclass], r, n, seed)[0]

@@ -50,6 +50,8 @@ def binom(a, n):
     """Binomial coefficient a(a-1)...(a-n+1)/n! for arbitrary rational a."""
     if n < 0:
         return F(0)
+    if isinstance(a, int):
+        return F(_comb(a, n))
     num = F(1)
     for k in range(n):
         num *= F(a) - k

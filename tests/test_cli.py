@@ -194,11 +194,30 @@ class TestOracle:
             "are generic for EqKClass(p1xp1, O(1,0))"]
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
+    def test_extract_beyond_the_draw_box_exits_two_before_any_oracle_work(
+            self, capsys, monkeypatch, kind):
+        # p2 is live at n = 17, p1xp1 and f1 are not
+        def refuse(*args):
+            raise AssertionError("oracle work for an order beyond the draw box")
+
+        monkeypatch.setattr(loc, "_chart_pass", refuse)
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["extract", "--kind", kind, "--rank", "1", "--order", "17"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - started < 10
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "hilbseries: error: fewer than two of the 288 directions in [-9, 9]^2 "
+            "are generic for p1xp1 at n = 17"]
+
+    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_no_generic_draw_exits_two(self, capsys, monkeypatch, kind):
-        def reject(char, q):
+        def reject(*args):
             raise loc._BadDraw
 
-        monkeypatch.setattr(loc, "_spec_nonzero", reject)
+        monkeypatch.setattr(loc, "_chart_product", reject)
         argv = ["oracle", "--surface", "p2", "--class", "O(2)", "--n", "1", "--kind", kind]
         if kind == "verlinde":
             argv += ["--r", "2"]

@@ -163,18 +163,18 @@ class TestExtractVerlinde:
         for index in (3, 4):
             assert (series[index - 1] - 1).is_zero()
 
-    def test_one_enumeration_per_surface_and_n(self, monkeypatch):
-        # the seven default rows lie on three surfaces: n = 0..3 on each
-        original = loc.enumerate_fixed_points
+    def test_one_chart_pass_per_surface(self, monkeypatch):
+        # the seven default rows lie on three surfaces: one pass for n = 0..3 on each
+        original = loc._chart_pass
         calls = []
 
-        def counted(surface, n):
-            calls.append((surface.name, n))
-            return original(surface, n)
+        def counted(term, read, surface, kclasses, order, seed, whats):
+            calls.append((surface.name, order, len(kclasses)))
+            return original(term, read, surface, kclasses, order, seed, whats)
 
-        monkeypatch.setattr(loc, "enumerate_fixed_points", counted)
+        monkeypatch.setattr(loc, "_chart_pass", counted)
         ext.extract_verlinde(0, 3)
-        assert sorted(calls) == [(name, n) for name in ("f1", "p1xp1", "p2") for n in range(4)]
+        assert sorted(calls) == [("f1", 3, 1), ("p1xp1", 3, 3), ("p2", 3, 3)]
 
     def test_rank4_row_requirement(self):
         p2 = loc.get_surface("p2")

@@ -1,22 +1,37 @@
-"""Integer oracle kernels against the Series-product formulation they replace.
+"""The chart-factorized oracle against the per-point path, and that path
+against the Series-product formulation it replaced.
 
-The reference kernels below are written with truncated power series over
-Fraction: one Series product per weight, one class at a time.
-ref_euler_data is the box walk the Verlinde sum used before its records
-came from the tautological class of L + (r-1) O, and ref_records is the
-specialization of each class on its own, through taut_weights, that the
-batched records replace.  Every comparison is exact equality, at a fixed
-direction and through the public entry points with their character draws.
+Two references live here.  The per-point path (point_records, point_sum,
+point_segre_top, point_euler_sum) enumerates the fixed points of S^[n]
+and sums an integer kernel over them, as the oracle did before it became
+a product over charts; the chart pass must equal it exactly, for every
+n <= 6.  Below it, the ref_* kernels are written with truncated power
+series over Fraction, one Series product per weight and one class at a
+time; ref_euler_data is the box walk the Verlinde sum used before its
+records came from the tautological class of L + (r-1) O.  Every
+comparison is exact equality, at a fixed direction and through the
+public entry points with their character draws.
 """
 
+import re
 import time
 from fractions import Fraction as F
 from functools import lru_cache
+from math import comb, lcm, prod
+from operator import mul
 
 import pytest
 
 from hilbseries import localization as loc
 from hilbseries.series import Series
+
+
+def spec_nonzero(char, q):
+    """The integer weight char.q, which must not vanish at a usable direction."""
+    k = loc._dot(char, q)
+    if k == 0:
+        raise loc._BadDraw
+    return k
 
 
 def ref_segre_top(records, order, chern=False):
@@ -35,13 +50,6 @@ def ref_segre_top(records, order, chern=False):
             numer = numer * factor
         total += numer.coefficient(order) / denom
     return total
-
-
-def ref_records(surface, kclass, fps, q):
-    """One class's records: tangent weights and taut_weights, each dotted with q."""
-    for fp in fps:
-        yield ([loc._spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)],
-               [(sign, loc._dot(char, q)) for sign, char in loc.taut_weights(kclass, fp)])
 
 
 def single(records):
@@ -63,7 +71,7 @@ def ref_euler_data(surface, kclass, r, fps, q):
     lifts = kclass.lifts[0]
     data = []
     for fp in fps:
-        ks = [loc._spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)]
+        ks = [spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)]
         a = 0
         for index, lam in enumerate(fp):
             _, _, u1, u2 = surface.charts[index]
@@ -104,6 +112,107 @@ def ref_euler_sum(records, order):
     return int(value)
 
 
+# The per-point path: the fixed-point sum the chart pass replaced, kept as
+# its differential reference.  It enumerates the fixed points of S^[n],
+# specializes each once per direction for a batch of classes, and sums an
+# integer kernel over the points.
+
+def point_records(surface, kclasses, fps, q):
+    """Each fixed point at direction q: its tangent weights and, per class,
+    its signed tautological weights (the order of taut_weights)."""
+    steps = [(loc._dot(u1, q), loc._dot(u2, q)) for _, _, u1, u2 in surface.charts]
+    terms = [[(sign, [loc._dot(m, q) for m in lifts])
+              for (sign, _), lifts in zip(kclass.terms, kclass.lifts)] for kclass in kclasses]
+    for fp in fps:
+        ks = [spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)]
+        boxes = [(index, col * across + row * up)
+                 for index, (lam, (across, up)) in enumerate(zip(fp, steps))
+                 for row, part in enumerate(lam) for col in range(part)]
+        yield ks, [[(sign, lift[index] + box) for sign, lift in class_terms
+                    for index, box in boxes] for class_terms in terms]
+
+
+def point_sum(kernel, surface, kclasses, n, seed, whats):
+    """Per class, kernel(records, 2n, len(kclasses)) agreed at two directions."""
+    what = ", ".join(whats)
+    generic = [q for q in loc._DIRECTIONS if loc._hook_generic(surface, n, q)]
+    if len(generic) < 2:
+        raise loc._no_two_directions(what)
+    fps = loc.enumerate_fixed_points(surface, n)
+    draws, (first, second) = loc._two_draws(
+        lambda q: kernel(point_records(surface, kclasses, fps, q), 2 * n, len(kclasses)),
+        seed, what)
+    return tuple(loc._agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
+
+
+def point_segre_top(records, order, count):
+    """Per class, the sum over points of [u^order] prod (1+ku)^(-sign) / prod ks."""
+    totals = [F(0)] * count
+    for ks, class_weights in records:
+        denom = prod(ks)
+        for index, weights in enumerate(class_weights):
+            c = [1] + [0] * order
+            for sign, k in weights:
+                if sign > 0:
+                    for j in range(1, order + 1):  # divide by 1 + k u
+                        c[j] -= k * c[j - 1]
+                else:
+                    for j in range(order, 0, -1):  # multiply by 1 + k u
+                        c[j] += k * c[j - 1]
+            totals[index] += F(c[order], denom)
+    return totals
+
+
+def point_euler_sum(records, order, count):
+    """Per class, the sum of (1+e)^a / prod_k (1-(1+e)^(-k)) over points, as an integer.
+
+    Each point's term times e^len(ks) is (-1)^#{k<0} (1+e)^A / prod P_|k|(e)
+    with P_m(e) = ((1+e)^m - 1)/e and A = a + sum of the positive k; its
+    coefficients are d_j / Q_0^(j+1), and the points are added over the
+    lcm of their Q_0.  The poles must cancel and the result be an integer.
+    """
+    totals = [[0] * (order + 1) for _ in range(count)]
+    scale = 1
+    for ks, class_weights in records:
+        shift = sum(k for k in ks if k > 0)
+        negative = sum(1 for k in ks if k < 0) % 2
+        denom = [1] + [0] * order
+        for k in ks:
+            p = [comb(abs(k), i + 1) for i in range(min(abs(k), order + 1))]
+            for j in range(order, -1, -1):
+                denom[j] = sum(map(mul, p, denom[j::-1]))
+        q0 = denom[0]
+        scaled = [denom[i] * q0 ** (i - 1) for i in range(1, order + 1)]
+        grown = lcm(scale, q0)
+        if grown != scale:
+            ratio = grown // scale
+            totals = [[t * ratio ** (j + 1) for j, t in enumerate(total)] for total in totals]
+            scale = grown
+        factor = scale // q0
+        q0_powers = [q0 ** j for j in range(order + 1)]
+        powers = [(-1) ** negative * factor ** (j + 1) for j in range(order + 1)]
+        for total, weights in zip(totals, class_weights):
+            exponent = sum(sign * k for sign, k in weights) + shift
+            numer = 1
+            d = []
+            for j in range(order + 1):
+                if j:
+                    numer = numer * (exponent - j + 1) // j
+                d.append(numer * q0_powers[j] - sum(map(mul, scaled, reversed(d))))
+                total[j] += d[j] * powers[j]
+    values = []
+    for total in totals:
+        for j in range(order):
+            if total[j] != 0:
+                raise ArithmeticError(
+                    "fixed-point sum has a surviving pole coefficient at order %d" % (j - order))
+        value = F(total[order], scale ** (order + 1))
+        if value.denominator != 1:
+            raise ArithmeticError("Euler characteristic %s is not an integer" % value)
+        values.append(int(value))
+    return values
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the name of the exception it raised."""
     try:
@@ -121,7 +230,14 @@ DIRECTIONS = [(2, 5), (-3, 7), (1, -4), (6, 1), (1, 1)]  # (1, 1) kills weights
 
 
 def negated(kclass):
-    return loc.EqKClass(kclass.surface, [(-sign, coeffs) for sign, coeffs in kclass.terms])
+    return loc.EqKClass(kclass.surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
+                        kclass.shifts)
+
+
+def chart_values(read, surface, classes, order, q, term):
+    """Per class, the values n = 0..order of the chart product at direction q."""
+    terms = [list(zip((sign for sign, _ in c.terms), c.lifts)) for c in classes]
+    return [read(*c) for c in loc._chart_product(surface, terms, order, q, term)]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -135,11 +251,18 @@ def test_integral_at_fixed_directions(name):
                 for chern in (False, True):
                     # the Chern class of E is the Segre class of -E
                     new_class = negated(kclass) if chern else kclass
-                    assert outcome(loc._segre_top, loc._records(surface, [new_class], fps, q),
-                                   2 * n, 1) == \
+                    point = outcome(point_segre_top, point_records(surface, [new_class], fps, q),
+                                    2 * n, 1)
+                    assert point == \
                         outcome(lambda *a: [ref_segre_top(*a)],
-                                single(loc._records(surface, [kclass], fps, q)), 2 * n,
+                                single(point_records(surface, [kclass], fps, q)), 2 * n,
                                 chern), (spec, n, q, chern)
+                    chart = outcome(chart_values, loc._top_values, surface, [new_class],
+                                    n, q, loc._segre_term)
+                    if isinstance(point, str):
+                        assert chart == point, (spec, n, q, chern)
+                    else:
+                        assert chart[0][n] == point[0], (spec, n, q, chern)
 
 
 def exponents(records):
@@ -156,7 +279,7 @@ def test_record_exponent_is_the_box_walk(name):
             for degree in range(-1, 2):
                 kclass = loc.EqKClass(surface, [(1, tuple([degree] * gens))])
                 for q in DIRECTIONS:
-                    records = loc._records(surface, [loc._twisted_class(kclass, r)], fps, q)
+                    records = point_records(surface, [loc._twisted_class(kclass, r)], fps, q)
                     assert outcome(exponents, records) == \
                         outcome(ref_euler_data, surface, kclass, r, fps, q), (n, r, degree, q)
 
@@ -169,38 +292,43 @@ def test_euler_sum_fixed_directions(name):
         fps = loc.enumerate_fixed_points(surface, n)
         for r in range(-3, 4):
             kclass = loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))])
+            twisted = loc._twisted_class(kclass, r)
             for q in DIRECTIONS[r % 2::2]:
                 try:
-                    data = list(loc._records(surface, [loc._twisted_class(kclass, r)], fps, q))
+                    data = list(point_records(surface, [twisted], fps, q))
                 except loc._BadDraw:
                     continue
-                assert loc._euler_sum(data, 2 * n, 1) == [ref_euler_sum(single(data), 2 * n)], \
-                    (n, r, q)
+                value = point_euler_sum(data, 2 * n, 1)
+                assert value == [ref_euler_sum(single(data), 2 * n)], (n, r, q)
+                chart = chart_values(loc._euler_values, surface, [twisted], n, q,
+                                     loc._euler_term)
+                assert chart[0][n] == value[0], (n, r, q)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
-def test_segre_and_chern_through_draws(name, monkeypatch):
+def test_segre_and_chern_through_draws(name):
     surface = loc.get_surface(name)
     cases = [(loc.parse_class(surface, spec), n, seed)
              for spec in CLASSES[name] for n in range(4) for seed in (None, 3, 41)]
     new = [(loc.segre_integral(surface, c, n, seed), loc.chern_integral(surface, c, n, seed))
            for c, n, seed in cases]
-    monkeypatch.setattr(loc, "_segre_top", ref_batch(ref_segre_top))
-    old = [(loc.segre_integral(surface, c, n, seed), loc.chern_integral(surface, c, n, seed))
+    kernel = ref_batch(ref_segre_top)
+    old = [(point_sum(kernel, surface, [c], n, seed, [repr(c)])[0],
+            point_sum(kernel, surface, [negated(c)], n, seed, [repr(c)])[0])
            for c, n, seed in cases]
     assert new == old
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
-def test_verlinde_through_draws(name, monkeypatch):
+def test_verlinde_through_draws(name):
     surface = loc.get_surface(name)
     gens = len(surface.generators)
     cases = [(loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))]),
               r, n, seed)
              for d, r in enumerate(range(-3, 4)) for n, seed in enumerate((None, 17, 5, 17))]
     new = [loc.verlinde_chi(surface, c, r, n, seed) for c, r, n, seed in cases]
-    monkeypatch.setattr(loc, "_euler_sum", ref_batch(ref_euler_sum))
-    old = [loc.verlinde_chi(surface, c, r, n, seed) for c, r, n, seed in cases]
+    old = [point_sum(ref_batch(ref_euler_sum), surface, [loc._twisted_class(c, r)], n, seed,
+                     [repr(c)])[0] for c, r, n, seed in cases]
     assert new == old
 
 
@@ -209,16 +337,20 @@ def test_verlinde_through_draws(name, monkeypatch):
     (loc.chern_integral, ("O(2)+O(-1)-O(1)", 3)),
     (loc.verlinde_chi, ("O(1)", -2, 3)),
 ])
-def test_one_fixed_point_enumeration_per_call(oracle, args, monkeypatch):
+def test_one_chart_pass_per_call(oracle, args, monkeypatch):
     surface = loc.get_surface("p2")
-    original = loc.enumerate_fixed_points
+    original = loc._chart_pass
     calls = []
 
     def counted(*a):
         calls.append(a)
         return original(*a)
 
-    monkeypatch.setattr(loc, "enumerate_fixed_points", counted)
+    def refuse(*args):
+        raise AssertionError("a fixed point was enumerated")
+
+    monkeypatch.setattr(loc, "_chart_pass", counted)
+    monkeypatch.setattr(loc, "enumerate_fixed_points", refuse)
     oracle(surface, loc.parse_class(surface, args[0]), *args[1:])
     assert len(calls) == 1
 
@@ -234,6 +366,14 @@ def shifted_classes(surface):
     return out
 
 
+def shifted_lines(surface):
+    """Four line bundles with moved lifts."""
+    gens = len(surface.generators)
+    return [loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))],
+                         [(d - 1, 2 - d)])
+            for d in range(4)]
+
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_shared_specialization_is_taut_weights(name):
     surface = loc.get_surface(name)
@@ -243,7 +383,7 @@ def test_shared_specialization_is_taut_weights(name):
         for q in DIRECTIONS:
             if not loc._hook_generic(surface, n, q):
                 continue
-            records = list(loc._records(surface, classes, fps, q))
+            records = list(point_records(surface, classes, fps, q))
             assert len(records) == len(fps)
             for fp, (ks, class_weights) in zip(fps, records):
                 assert ks == [loc._dot(w, q) for w in loc.tangent_weights(fp, surface)]
@@ -254,62 +394,154 @@ def test_shared_specialization_is_taut_weights(name):
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
-def test_batches_equal_the_references_class_by_class(name, monkeypatch):
+def test_batches_equal_the_references_class_by_class(name):
     surface = loc.get_surface(name)
-    gens = len(surface.generators)
     classes = shifted_classes(surface)
-    lines = [loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))],
-                          [(d - 1, 2 - d)])
-             for d in range(4)]
+    lines = shifted_lines(surface)
     cases = list(enumerate((None, 3, 41, 3)))
     segre = [loc.segre_integrals(surface, classes, n, seed) for n, seed in cases]
     chis = [loc.verlinde_chis(surface, lines, r, n, seed) for n, seed in cases
             for r in range(-3, 4)]
-    monkeypatch.setattr(loc, "_segre_top", ref_batch(ref_segre_top))
-    monkeypatch.setattr(loc, "_euler_sum", ref_batch(ref_euler_sum))
-    assert segre == [tuple(loc.segre_integral(surface, c, n, seed) for c in classes)
+    segre_ref, euler_ref = ref_batch(ref_segre_top), ref_batch(ref_euler_sum)
+    assert segre == [tuple(point_sum(segre_ref, surface, [c], n, seed, [repr(c)])[0]
+                           for c in classes)
                      for n, seed in cases]
-    assert chis == [tuple(loc.verlinde_chi(surface, c, r, n, seed) for c in lines)
+    assert chis == [tuple(point_sum(euler_ref, surface, [loc._twisted_class(c, r)], n, seed,
+                                    [repr(c)])[0] for c in lines)
                     for n, seed in cases for r in range(-3, 4)]
+
+
+# The chart pass against the per-point path, exactly, for every n <= 6.
+CHART_ORDER = 6
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_chart_pass_is_the_point_sum_segre(name):
+    surface = loc.get_surface(name)
+    # every mixed-sign class, with and without shifts, twisted by O(t, ..., t)
+    classes = [loc.EqKClass(surface, [(sign, tuple(c + t for c in coeffs))
+                                      for sign, coeffs in kclass.terms], kclass.shifts)
+               for kclass in shifted_classes(surface) for t in range(-3, 4)]
+    whats = [repr(c) for c in classes]
+    chart = loc.segre_series(surface, classes, CHART_ORDER, 7)
+    point = [point_sum(point_segre_top, surface, classes, n, 7, whats)
+             for n in range(CHART_ORDER + 1)]
+    assert chart == tuple(zip(*point))
+    # Chern through its own entry point, at the top n, on the untwisted classes
+    classes = shifted_classes(surface)
+    chern = [loc.chern_integral(surface, c, CHART_ORDER, 7) for c in classes]
+    assert chern == list(point_sum(point_segre_top, surface, [negated(c) for c in classes],
+                                   CHART_ORDER, 7, [repr(c) for c in classes]))
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_chart_pass_is_the_point_sum_verlinde(name):
+    surface = loc.get_surface(name)
+    lines = shifted_lines(surface)
+    twists = range(-3, 4)
+    chart = [values for r in twists
+             for values in loc.verlinde_series(surface, lines, r, CHART_ORDER, 11)]
+    # one point sum per n for every twist at once
+    twisted = [loc._twisted_class(c, r) for r in twists for c in lines]
+    point = [point_sum(point_euler_sum, surface, twisted, n, 11, [repr(c) for c in twisted])
+             for n in range(CHART_ORDER + 1)]
+    assert chart == list(zip(*point))
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_batch_rows_are_the_single_n_calls(name):
+    surface = loc.get_surface(name)
+    classes = shifted_classes(surface)
+    lines = shifted_lines(surface)
+    order = 5
+    assert loc.segre_series(surface, classes, order, 3) == \
+        tuple(zip(*(loc.segre_integrals(surface, classes, n, 3) for n in range(order + 1))))
+    for r in (-2, 0, 3):
+        assert loc.verlinde_series(surface, lines, r, order, 3) == \
+            tuple(zip(*(loc.verlinde_chis(surface, lines, r, n, 3)
+                        for n in range(order + 1)))), r
 
 
 class TestChecksStillFire:
     def test_uncancelled_pole_raises(self):
         with pytest.raises(ArithmeticError, match="pole"):
-            loc._euler_sum([([1, 1], [[]])], 2, 1)
+            point_euler_sum([([1, 1], [[]])], 2, 1)
         with pytest.raises(ArithmeticError):
             ref_euler_sum([([1, 1], [])], 2)
+        # x^1 e^0 is a pole of the chart product
+        with pytest.raises(ArithmeticError, match="pole coefficient at order -2"):
+            loc._euler_values([[1, 0, 0], [1, 0, 0]], 1, 1)
 
     def test_non_integer_result_raises(self):
         # the e^-1 poles 1/2 and -1/2 cancel; the constant term is 1/2
         data = [([2], [[]]), ([-2], [[(1, 1)]])]
         with pytest.raises(ArithmeticError, match="not an integer"):
-            loc._euler_sum(data, 1, 1)
+            point_euler_sum(data, 1, 1)
         with pytest.raises(ArithmeticError, match="not an integer"):
             ref_euler_sum(single(data), 1)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            loc._euler_values([[1, 5, 5], [0, 0, 3]], 2, 1)
 
     def test_integer_result_passes(self):
         # same points with equal a: the constant term is 1
         data = [([2], [[(1, 1)]]), ([-2], [[(1, 1)]])]
-        assert loc._euler_sum(data, 1, 1) == [1] == [ref_euler_sum(single(data), 1)]
-
+        assert point_euler_sum(data, 1, 1) == [1] == [ref_euler_sum(single(data), 1)]
+        assert loc._euler_values([[2, 7, 7], [0, 0, 36]], 2, 3) == (1, 2)
 
     def test_checks_run_per_class(self):
         # the second class of each batch fails its check, the first passes
         data = [([2], [[(1, 1)], []]), ([-2], [[(1, 1)], [(1, 1)]])]
-        assert loc._euler_sum(data, 1, 1) == [1]
+        assert point_euler_sum(data, 1, 1) == [1]
         with pytest.raises(ArithmeticError, match="not an integer"):
-            loc._euler_sum(data, 1, 2)
+            point_euler_sum(data, 1, 2)
         # chi(O) of P2 from its three charts at q = (2, 5), and a weight
         # at one chart only, which leaves a pole
         data = [([-2, -5], [[], [(1, 1)]]), ([-3, 2], [[], []]), ([5, 3], [[], []])]
-        assert loc._euler_sum(data, 2, 1) == [1]
+        assert point_euler_sum(data, 2, 1) == [1]
         with pytest.raises(ArithmeticError, match="pole"):
-            loc._euler_sum(data, 2, 2)
+            point_euler_sum(data, 2, 2)
+
+    def test_chart_checks_run_per_class(self, monkeypatch):
+        # a term that doubles the second class's numerators off the empty
+        # partition breaks that class's sum and no other
+        p2 = loc.get_surface("p2")
+        line = loc.parse_class(p2, "O(1)")
+        original = loc._euler_term
+
+        def broken(ks, class_weights, degree):
+            den, scale, numerators = original(ks, class_weights, degree)
+            if ks and len(numerators) > 1:
+                numerators[1] = [2 * c for c in numerators[1]]
+            return den, scale, numerators
+
+        value = loc.verlinde_chis(p2, [line], 2, 4)
+        monkeypatch.setattr(loc, "_euler_term", broken)
+        assert loc.verlinde_chis(p2, [line], 2, 4) == value == (6,)
+        with pytest.raises(ArithmeticError, match="pole|not an integer"):
+            loc.verlinde_chis(p2, [line, line], 2, 4)
+
+
+    def test_directions_are_compared_per_class(self, monkeypatch):
+        # a product whose second class depends on the direction
+        p2 = loc.get_surface("p2")
+        first, second = (loc.parse_class(p2, spec) for spec in ("O(1)", "O(2)-O(1)"))
+        original = loc._chart_product
+
+        def skewed(surface, classes, order, q, term):
+            out = original(surface, classes, order, q, term)
+            if len(out) > 1:
+                rows, den, scale = out[1]
+                rows[order][2 * order] += q[0] * den * scale ** (2 * order)
+            return out
+
+        monkeypatch.setattr(loc, "_chart_product", skewed)
+        assert loc.segre_integrals(p2, [first], 2) == (loc.segre_integral(p2, first, 2),)
+        with pytest.raises(ArithmeticError, match="disagree on " + re.escape(repr(second))):
+            loc.segre_integrals(p2, [first, second], 2)
 
 
 class TestHookScan:
-    """Directions are screened by hook length before any fixed point is built."""
+    """Directions are screened by hook length before any chart is specialized."""
 
     # (surface, first n at which no direction of the box is generic)
     DEAD_FROM = [("p2", 25), ("p1xp1", 17), ("f1", 17)]
@@ -319,8 +551,9 @@ class TestHookScan:
         surface = loc.get_surface(name)
 
         def refuse(*args):
-            raise AssertionError("fixed points enumerated for n beyond the draw box")
+            raise AssertionError("charts specialized for n beyond the draw box")
 
+        monkeypatch.setattr(loc, "_chart_product", refuse)
         monkeypatch.setattr(loc, "enumerate_fixed_points", refuse)
         line = loc.EqKClass(surface, [(1, (1,) + (0,) * (len(surface.generators) - 1))])
         oracles = [lambda n: loc.segre_integral(surface, line, n),
@@ -338,18 +571,36 @@ class TestHookScan:
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_hook_generic_is_what_records_accept(self, name):
+        # the chart pass specializes every partition of size <= n per chart
         surface = loc.get_surface(name)
         for n in range(7):
-            fps = loc.enumerate_fixed_points(surface, n)
             for q in loc._DIRECTIONS:
                 try:
-                    for _ in loc._records(surface, [], fps, q):
-                        pass
+                    loc._chart_product(surface, [], n, q, loc._segre_term)
                 except loc._BadDraw:
                     accepted = False
                 else:
                     accepted = True
                 assert loc._hook_generic(surface, n, q) == accepted, (n, q)
+
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_the_chart_pass_accepts_what_the_points_accept(self, name):
+        # a direction zeroes a weight of a chart partition of size <= n
+        # exactly when it zeroes a weight of a fixed point of S^[n]
+        surface = loc.get_surface(name)
+        for n in range(5):
+            fps = loc.enumerate_fixed_points(surface, n)
+            for q in loc._DIRECTIONS:
+                verdicts = []
+                for attempt in (lambda: loc._chart_product(surface, [], n, q, loc._segre_term),
+                                lambda: list(point_records(surface, [], fps, q))):
+                    try:
+                        attempt()
+                    except loc._BadDraw:
+                        verdicts.append(False)
+                    else:
+                        verdicts.append(True)
+                assert verdicts[0] == verdicts[1], (n, q)
 
 
 class TestDrawHelper:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -103,7 +104,29 @@ class TestResidueCoeff:
         assert residue_coeff(1, 7, 2, 6) == 5376
 
 
+def ref_binom(a, n):
+    """The Fraction loop that binom runs for rational a, and ran for every a before."""
+    if n < 0:
+        return F(0)
+    num = F(1)
+    for k in range(n):
+        num *= F(a) - k
+    return num / factorial(n)
+
+
 class TestBinom:
+    def test_integers_match_the_fraction_loop(self):
+        for a in range(-30, 31):
+            for n in range(-2, 16):
+                value = binom(a, n)
+                assert type(value) is F
+                assert value == ref_binom(a, n), (a, n)
+
+    def test_rationals_match_the_fraction_loop(self):
+        for a in (F(1, 2), F(-7, 3), F(4, 1), F(-5, 1)):
+            for n in range(-1, 10):
+                assert binom(a, n) == ref_binom(a, n), (a, n)
+
     def test_matches_comb_on_naturals(self):
         from math import comb
         for a in range(8):
