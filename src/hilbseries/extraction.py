@@ -7,7 +7,8 @@ Euler-characteristic side).  Taking logarithms turns each coefficient
 order into an exact linear system over the exponent vectors of a panel
 of (surface, class) pairs.  Because the factorization is exact, every
 redundant panel row must be exactly consistent; any disagreement is
-raised as an error rather than averaged away.
+raised as an error rather than averaged away.  Each system is solved
+fraction-free, in integers, reducing rows in the caller's order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction as F
+from math import gcd, lcm
 
 from . import catalog
 from .series import Series
@@ -56,78 +58,77 @@ def frac_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _eliminate(matrix, rhs):
-    """Row-reduce with full pivoting; returns (pivots, rows, rhs, colperm)."""
-    rows = [[F(x) for x in row] for row in matrix]
-    rhs = [F(x) for x in rhs]
-    if len(rows) != len(rhs):
-        raise ValueError("matrix and right-hand side sizes differ")
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
+def _cleared(row):
+    """The row times the lcm of its entries' denominators, as integers."""
+    row = [F(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _reduce(basis, row, width):
+    """Reduce an integer row against ``basis``; True if it raised the rank.
+
+    ``basis`` holds echelon rows as (pivot column, row), each zero in the
+    pivot columns of the rows before it; a row that raises the rank joins
+    it.  Each pivot p clears the row's entry f without division, by
+    row := (p/g) row - (f/g) pivot row, g = gcd(p, f).  Entries past
+    ``width``, a right-hand side, ride along.
+    """
+    for col, pivot_row in basis:
+        f = row[col]
+        if f:
+            p = pivot_row[col]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(row, pivot_row)]
+    for col in range(width):
+        if row[col]:
+            basis.append((col, row))
+            return True
+    return False
+
+
+def _width(matrix):
+    width = len(matrix[0]) if matrix else 0
+    if any(len(row) != width for row in matrix):
         raise ValueError("ragged matrix")
-    colperm = list(range(width))
-    pivots = 0
-    for step in range(min(height, width)):
-        best = None
-        for i in range(step, height):
-            for j in range(step, width):
-                if rows[i][j] != 0 and (best is None or abs(rows[i][j]) > abs(rows[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        rows[step], rows[bi] = rows[bi], rows[step]
-        rhs[step], rhs[bi] = rhs[bi], rhs[step]
-        if bj != step:
-            for row in rows:
-                row[step], row[bj] = row[bj], row[step]
-            colperm[step], colperm[bj] = colperm[bj], colperm[step]
-        for i in range(step + 1, height):
-            if rows[i][step] == 0:
-                continue
-            factor = rows[i][step] / rows[step][step]
-            rhs[i] -= factor * rhs[step]
-            for j in range(step, width):
-                rows[i][j] -= factor * rows[step][j]
-        pivots = step + 1
-    return pivots, rows, rhs, colperm
+    return width
 
 
 def matrix_rank(matrix):
-    if not matrix:
-        return 0
-    pivots, _, _, _ = _eliminate(matrix, [0] * len(matrix))
-    return pivots
+    width, basis = _width(matrix), []
+    for row in matrix:
+        _reduce(basis, _cleared(row), width)
+    return len(basis)
 
 
 def solve_exact(matrix, rhs):
     """Solve an exactly consistent linear system over the rationals.
 
-    Full-pivot Gaussian elimination; the system may be overdetermined,
-    in which case the eliminated extra rows must have exactly zero
-    residual (raises UniversalityError otherwise).  Underdetermined
-    systems raise ValueError.
+    Equations are reduced fraction-free in the caller's row order.  The
+    rows that raise the rank are solved by back-substitution; any other
+    row that fails to hold raises UniversalityError with its index and
+    residual rhs_i - row_i.x.  Underdetermined systems raise ValueError.
     """
-    pivots, rows, red, colperm = _eliminate(matrix, rhs)
-    width = len(matrix[0]) if matrix else 0
-    if pivots < width:
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix and right-hand side sizes differ")
+    width, basis, redundant = _width(matrix), [], []
+    for i, (row, value) in enumerate(zip(matrix, rhs)):
+        if not _reduce(basis, _cleared([*row, value]), width):
+            redundant.append(i)
+    if len(basis) < width:
         raise ValueError("system is underdetermined: rank %d < %d unknowns"
-                         % (pivots, width))
-    for i in range(pivots, len(rows)):
-        if red[i] != 0:
+                         % (len(basis), width))
+    solution = [None] * width
+    for col, row in reversed(basis):
+        solution[col] = F(row[width] - sum(row[j] * solution[j]
+                                           for j in range(col + 1, width) if row[j]), row[col])
+    for i in redundant:
+        residual = rhs[i] - sum(x * y for x, y in zip(matrix[i], solution))
+        if residual:
             raise UniversalityError(
-                "redundant row %d has nonzero residual %s" % (i, red[i]))
-    solution = [F(0)] * width
-    for i in range(pivots - 1, -1, -1):
-        acc = red[i]
-        for j in range(i + 1, width):
-            acc -= rows[i][j] * solution[j]
-        solution[i] = acc / rows[i][i]
-    out = [F(0)] * width
-    for position, original in enumerate(colperm):
-        out[original] = solution[position]
-    return out
+                "redundant row %d has nonzero residual %s" % (i, residual))
+    return solution
 
 
 def _segre_exponents(surface, cls, s):
@@ -234,21 +235,15 @@ def build_panel(s, size=6):
     if size < 5:
         raise PanelError("need at least 5 rows, got %d" % size)
     streams = [_probe_classes(get_surface(name), s) for name in ("p2", "p1xp1", "f1")]
-    rows, matrix, rank = [], [], 0
+    rows, basis = [], []
     for cls in itertools.chain.from_iterable(itertools.zip_longest(*streams)):
         if len(rows) == size:
             break
         if cls is None:  # an exhausted stream
             continue
-        vector = _segre_exponents(cls.surface, cls, s)
-        if rank < 5:
-            grown = matrix_rank(matrix + [vector])
-            if grown == rank:
-                continue
-            rank = grown
-        rows.append((cls.surface, cls))
-        matrix.append(vector)
-    if rank < 5:
+        if len(basis) == 5 or _reduce(basis, _cleared(_segre_exponents(cls.surface, cls, s)), 5):
+            rows.append((cls.surface, cls))
+    if len(basis) < 5:
         raise PanelError("probe streams could not reach exponent rank 5")
     return Panel("segre", s, rows)
 

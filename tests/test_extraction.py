@@ -5,6 +5,7 @@ only; comparing them against the closed-form catalog cross-validates all
 three layers at once.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -58,13 +59,121 @@ PANEL_ROWS = {
 }
 
 
+# The full-pivot Fraction elimination that solve_exact and matrix_rank
+# used before the fraction-free reduction, kept as their reference.
+def _ref_eliminate(matrix, rhs):
+    rows = [[F(x) for x in row] for row in matrix]
+    rhs = [F(x) for x in rhs]
+    if len(rows) != len(rhs):
+        raise ValueError("matrix and right-hand side sizes differ")
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    colperm = list(range(width))
+    pivots = 0
+    for step in range(min(height, width)):
+        best = None
+        for i in range(step, height):
+            for j in range(step, width):
+                if rows[i][j] != 0 and (best is None or abs(rows[i][j]) > abs(rows[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        rows[step], rows[bi] = rows[bi], rows[step]
+        rhs[step], rhs[bi] = rhs[bi], rhs[step]
+        if bj != step:
+            for row in rows:
+                row[step], row[bj] = row[bj], row[step]
+            colperm[step], colperm[bj] = colperm[bj], colperm[step]
+        for i in range(step + 1, height):
+            if rows[i][step] == 0:
+                continue
+            factor = rows[i][step] / rows[step][step]
+            rhs[i] -= factor * rhs[step]
+            for j in range(step, width):
+                rows[i][j] -= factor * rows[step][j]
+        pivots = step + 1
+    return pivots, rows, rhs, colperm
+
+
+def _ref_matrix_rank(matrix):
+    if not matrix:
+        return 0
+    return _ref_eliminate(matrix, [0] * len(matrix))[0]
+
+
+def _ref_solve_exact(matrix, rhs):
+    pivots, rows, red, colperm = _ref_eliminate(matrix, rhs)
+    width = len(matrix[0]) if matrix else 0
+    if pivots < width:
+        raise ValueError("system is underdetermined: rank %d < %d unknowns" % (pivots, width))
+    for i in range(pivots, len(rows)):
+        if red[i] != 0:
+            raise ext.UniversalityError("redundant row %d has nonzero residual %s" % (i, red[i]))
+    solution = [F(0)] * width
+    for i in range(pivots - 1, -1, -1):
+        acc = red[i]
+        for j in range(i + 1, width):
+            acc -= rows[i][j] * solution[j]
+        solution[i] = acc / rows[i][i]
+    out = [F(0)] * width
+    for position, original in enumerate(colperm):
+        out[original] = solution[position]
+    return out
+
+
+def _outcome(solve, matrix, rhs):
+    """The solution, or the type of the error raised."""
+    try:
+        return solve(matrix, rhs)
+    except (ValueError, ext.UniversalityError) as error:
+        return type(error)
+
+
+def _random_matrix(rng, height, width):
+    """Entries in -5..5 and their halves, with zero, duplicate and dependent rows mixed in."""
+    entries = [F(k, d) for k in range(-5, 6) for d in (1, 2)]
+    rows = []
+    for _ in range(height):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and pick < 0.3:
+            a, b = rng.sample(rows, 2)
+            u, v = rng.choice(entries), rng.choice(entries)
+            rows.append([u * x + v * y for x, y in zip(a, b)])
+        elif pick < 0.35:
+            rows.append([F(0)] * width)
+        else:
+            rows.append([rng.choice(entries) for _ in range(width)])
+    return rows
+
+
+def _right_hand_sides(rng, matrix):
+    """A consistent right-hand side and one with a single entry nudged."""
+    width = len(matrix[0])
+    x = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(width)]
+    consistent = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    nudged = list(consistent)
+    nudged[rng.randrange(len(nudged))] += F(1, rng.randint(1, 3))
+    return consistent, nudged
+
+
+def _assert_matches_reference(matrix, rng):
+    assert ext.matrix_rank(matrix) == _ref_matrix_rank(matrix)
+    for rhs in _right_hand_sides(rng, matrix):
+        assert _outcome(ext.solve_exact, matrix, rhs) == _outcome(_ref_solve_exact, matrix, rhs)
+
+
 class TestSolveExact:
     def test_plain_square_system(self):
         sol = ext.solve_exact([[2, 1], [1, 3]], [5, 10])
         assert sol == [F(1), F(3)]
 
     def test_rational_entries_and_pivoting(self):
-        # leading zeros force a pivot search
+        # a leading zero: the first row pivots on its second column
         sol = ext.solve_exact([[0, 1], [F(1, 2), 0]], [3, 2])
         assert sol == [F(4), F(3)]
 
@@ -84,6 +193,55 @@ class TestSolveExact:
         assert ext.matrix_rank([[1, 2], [2, 4]]) == 1
         assert ext.matrix_rank([[1, 0, 0], [0, 0, 1]]) == 2
         assert ext.matrix_rank([]) == 0
+
+    def test_residual_names_caller_row(self):
+        # row 1 is the inconsistent one; its residual is 3 - 2 * 1 in the caller's units
+        with pytest.raises(ext.UniversalityError, match=r"^redundant row 1 has nonzero residual 1$"):
+            ext.solve_exact([[1, 0], [2, 0], [0, 1]], [1, 3, 1])
+
+    def test_half_integer_verlinde_rows(self):
+        # (chi(L), chi(O), c1.K - K^2/2, K^2) of the default twist-0 panel
+        matrix = ext.default_panel("verlinde", 0).exponent_matrix
+        assert any(F(x).denominator == 2 for row in matrix for x in row)
+        x = [F(1, 3), F(-2), F(5, 7), F(1, 2)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+        assert ext.solve_exact(matrix, rhs) == x
+
+    def test_inconsistent_rational_rows_raise(self):
+        matrix = [[F(1, 2), F(1, 3)], [F(1, 4), 0], [F(3, 2), 1]]
+        with pytest.raises(ext.UniversalityError, match="redundant row 2 has nonzero residual 1/6"):
+            ext.solve_exact(matrix, [1, F(1, 2), F(19, 6)])
+        assert ext.solve_exact(matrix, [1, F(1, 2), 3]) == [F(2), F(0)]
+
+    def test_rational_rank_deficient(self):
+        assert ext.matrix_rank([[F(1, 2), F(1, 3), 1], [F(3, 2), 1, 3], [F(1, 4), 0, F(-1, 2)]]) == 2
+
+    def test_malformed_input_raises_value_error(self):
+        with pytest.raises(ValueError, match="ragged"):
+            ext.solve_exact([[1, 0], [1]], [1, 2])
+        with pytest.raises(ValueError, match="ragged"):
+            ext.matrix_rank([[1, 0], [1]])
+        with pytest.raises(ValueError, match="sizes differ"):
+            ext.solve_exact([[1, 0], [0, 1]], [1])
+
+
+class TestAgainstFractionReference:
+    """The fraction-free reduction against the full-pivot Fraction elimination."""
+
+    def test_random_matrices(self):
+        rng = random.Random(9)
+        for _ in range(400):
+            matrix = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 6))
+            _assert_matches_reference(matrix, rng)
+
+    @pytest.mark.parametrize("s", range(-4, 4))
+    def test_segre_panels(self, s):
+        _assert_matches_reference(ext.build_panel(s).exponent_matrix, random.Random(s))
+
+    @pytest.mark.parametrize("r", range(-3, 4))
+    def test_verlinde_panels(self, r):
+        _assert_matches_reference(ext.default_panel("verlinde", r).exponent_matrix,
+                                  random.Random(r))
 
 
 class TestPanels:
@@ -111,6 +269,21 @@ class TestPanels:
         for s, expected in PANEL_ROWS.items():
             panel = ext.build_panel(s)
             assert ["%s %s" % (surface.name, cls.spec()) for surface, cls in panel] == expected
+
+    def test_build_panel_reduces_each_probe_once(self, monkeypatch):
+        # probes are reduced into a running basis; only Panel checks the rank
+        original = ext.matrix_rank
+        calls = []
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(ext, "matrix_rank", counted)
+        for s in range(-4, 4):
+            calls.clear()
+            ext.build_panel(s)
+            assert calls == [6], s
 
     def test_too_small_size_rejected(self):
         with pytest.raises(ext.PanelError):
