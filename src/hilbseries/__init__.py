@@ -31,10 +31,8 @@ from .localization import (
     get_surface,
     parse_class,
     segre_integral,
-    segre_integrals,
     segre_series,
     verlinde_chi,
-    verlinde_chis,
     verlinde_series,
 )
 from .extraction import (

@@ -72,8 +72,8 @@ class SeriesEntry:
     """One universal factor: the series in its natural variable plus provenance.
 
     ``series`` is expanded in the natural variable (z for Segre/Chern, w
-    for Verlinde); ``change_of_var`` expresses that variable as a series
-    in the auxiliary t, which is how the closed forms are stated.
+    for Verlinde); the closed forms are stated in the auxiliary t, which
+    segre_change_of_var and verlinde_change_of_var relate to it.
     """
 
     family: str
@@ -81,7 +81,6 @@ class SeriesEntry:
     rank: int
     status: str
     series: Series
-    change_of_var: Series
 
 
 def _t(order):
@@ -257,8 +256,7 @@ def segre_A(s, index, order):
             status = TRIVIAL
     else:
         raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
-    return SeriesEntry("segre", index, s, status, _lagrange(in_t, s + 1, s + 1, "z"),
-                       segre_change_of_var(s + 1, order)[0])
+    return SeriesEntry("segre", index, s, status, _lagrange(in_t, s + 1, s + 1, "z"))
 
 
 def chern_A(s, index, order):
@@ -269,13 +267,12 @@ def chern_A(s, index, order):
     """
     if index not in (0, 1, 2):
         raise UnknownSeriesError("Chern factor index must be 0..2, got %r" % (index,))
-    entry = segre_A(-s, index, order)
-    series = entry.series
+    series = segre_A(-s, index, order).series
     if index == 0:
         series = series.inverse()
     elif index == 1:
         series = series * segre_A(-s, 0, order).series
-    return SeriesEntry("chern", index, s, PROVEN, series, entry.change_of_var)
+    return SeriesEntry("chern", index, s, PROVEN, series)
 
 
 def _verlinde34_in_t(r, order):
@@ -322,8 +319,7 @@ def verlinde_B(r, index, order):
         status = TRIVIAL if abs(r) <= 1 else CONJECTURAL
     else:
         raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
-    return SeriesEntry("verlinde", index, r, status, _lagrange(in_t, 1, r * r - 1, "w"),
-                       verlinde_change_of_var(r, order)[0])
+    return SeriesEntry("verlinde", index, r, status, _lagrange(in_t, 1, r * r - 1, "w"))
 
 
 def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):

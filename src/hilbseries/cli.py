@@ -6,7 +6,8 @@ fixed-point integral, and ``extract`` recovers universal series from
 oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error or no generic character draw for the oracle.
+failure, 2 usage error, no generic character draw for the oracle, or
+a --json PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
 oracle-driven commands; the HILBSERIES_ORDER environment variable
@@ -100,12 +101,17 @@ def _resolve_order(args, parser, default):
     return order
 
 
-def _emit(text, path):
+def _emit(text, path, parser):
+    text = text if text.endswith("\n") else text + "\n"
     if path in (None, "-"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
+    except OSError as exc:
+        parser.exit(2, "%s: error: cannot write %s: %s\n"
+                    % (parser.prog, path, exc.strerror or exc))
 
 
 def _json_doc(config, payload):
@@ -153,7 +159,7 @@ def _cmd_series(args, parser):
         text = "\n".join(lines)
     else:
         text = _config_line(config) + "\n" + ", ".join(values)
-    _emit(text, None)
+    _emit(text, None, parser)
     return 0
 
 
@@ -172,7 +178,7 @@ def _cmd_verify(args, parser):
     if args.json is not None:
         text = _json_doc(config, {"passed": all_passed,
                                   "reports": [r.to_dict() for r in reports]})
-        _emit(text, args.json)
+        _emit(text, args.json, parser)
         if args.json != "-":
             _print_verify_table(config, reports)
     else:
@@ -219,7 +225,7 @@ def _cmd_oracle(args, parser):
                 "c1K": kclass.c1K, "Ksq": surface.ksq, "chiO": surface.chi_O}
     if args.json is not None:
         _emit(_json_doc(config, {"value": result, "class_numerics": numerics}),
-              args.json)
+              args.json, parser)
     else:
         print(_config_line(config))
         print(result)
@@ -241,7 +247,7 @@ def _cmd_extract(args, parser):
         "series": report["series"],
     }
     if args.json is not None:
-        _emit(_json_doc(config, payload), args.json)
+        _emit(_json_doc(config, payload), args.json, parser)
     else:
         print(_config_line(config))
         for entry in report["series"]:

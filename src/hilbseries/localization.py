@@ -24,12 +24,14 @@ characteristic of the determinant line times e^(2|lambda|) in e, read at
 e^2n (Verlinde: of L + (r-1) O).  One chart pass serves every n <= N and
 a batch of classes on one surface (segre_series, verlinde_series).
 
-Values are computed at two independent generic directions and must
-agree; Euler characteristics additionally require every coefficient
-below e^2n to cancel and the result to be an integer.  Any violation
-raises, loudly, instead of returning data, and so does a draw box with
-fewer than two usable directions (DrawError), which the hook lengths of
-the partitions settle before any chart is specialized.
+One rule draws the directions (_two_draws): the first two directions of
+a seeded stream over the draw box whose hook lengths keep every tangent
+weight of every fixed point of S^[n] nonzero, screened before any chart
+is specialized; a box with fewer than two such directions raises
+DrawError.  Values are computed at both directions and must agree; Euler
+characteristics additionally require every coefficient below e^2n to
+cancel and the result to be an integer.  Any violation raises, loudly,
+instead of returning data.
 """
 
 from __future__ import annotations
@@ -54,21 +56,15 @@ __all__ = [
     "partitions",
     "require_draws",
     "segre_integral",
-    "segre_integrals",
     "segre_series",
     "surface_names",
     "tangent_weights",
     "taut_weights",
     "verlinde_chi",
-    "verlinde_chis",
     "verlinde_series",
 ]
 
 DEFAULT_SEED = 20260815
-
-
-class _BadDraw(Exception):
-    """A character specialization annihilated a tangent weight."""
 
 
 class DrawError(ArithmeticError):
@@ -155,7 +151,7 @@ class ToricSurface:
         for index, (_, _, u1, u2) in enumerate(self.charts):
             k1, k2 = _dot(u1, q), _dot(u2, q)
             if k1 == 0 or k2 == 0:
-                raise _BadDraw
+                raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
             total += F(_dot(lift_a[index], q) * _dot(lift_b[index], q), k1 * k2)
         return total
 
@@ -171,7 +167,9 @@ class ToricSurface:
             chi = _euler_values(*_chart_product(self, [[]], 1, q, _euler_term)[0])[1]
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
-        found = _at_two_directions(localized, DEFAULT_SEED, "%s intersections" % self.name)
+        what = "%s intersections" % self.name
+        draws = _two_draws(self, 1, DEFAULT_SEED, what)
+        found = _agreed(draws, what, *map(localized, draws))
         if found != (self.pairing, self.k_dot, self.ksq, self.chi_O):
             raise ArithmeticError("%s: localized pairing, K pairings, K^2, chi(O) %s "
                                   "disagree with the tables" % (self.name, found))
@@ -195,35 +193,28 @@ def _in_box(q):
 _DIRECTIONS = tuple(q for q in itertools.product(range(-9, 10), repeat=2) if _in_box(q))
 
 
-def _no_two_directions(what):
-    return DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
-                     "generic for %s" % (len(_DIRECTIONS), what))
+def _two_draws(surface, n, seed, what):
+    """The oracle's one draw rule: the first two directions that are generic for S^[n].
 
-
-def _two_draws(evaluate, seed, what):
-    """The first two directions at which ``evaluate(q)`` returns, and its values there.
-
-    Directions come from ``random.Random(seed)``; one whose evaluation
-    raises _BadDraw is not evaluated again, and DrawError ends the search
-    once every direction in the box has been tried.
+    Directions come from ``random.Random(seed)`` and are screened once
+    each, by hook length (_hook_generic); DrawError, naming ``what``, ends
+    the search once every direction in the box has been tried.  Callers
+    evaluate at both directions and compare the values with _agreed.
     """
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     seen = set()
     draws = []
-    values = []
-    while len(values) < 2:
+    while len(draws) < 2:
         if len(seen) == len(_DIRECTIONS):
-            raise _no_two_directions(what)
+            raise DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
+                            "generic for %s" % (len(_DIRECTIONS), what))
         q = (rng.randint(-9, 9), rng.randint(-9, 9))
         if q in seen or not _in_box(q):
             continue
         seen.add(q)
-        try:
-            values.append(evaluate(q))
-        except _BadDraw:
-            continue
-        draws.append(q)
-    return draws, values
+        if _hook_generic(surface, n, q):
+            draws.append(q)
+    return draws
 
 
 def _agreed(draws, what, first, second):
@@ -231,12 +222,6 @@ def _agreed(draws, what, first, second):
         raise ArithmeticError(
             "directions %s disagree on %s: %s vs %s" % (draws, what, first, second))
     return first
-
-
-def _at_two_directions(evaluate, seed, what):
-    """The agreed value of ``evaluate(q)`` at two distinct generic directions."""
-    draws, (first, second) = _two_draws(evaluate, seed, what)
-    return _agreed(draws, what, first, second)
 
 
 @lru_cache(maxsize=None)
@@ -425,9 +410,7 @@ def _hook_generic(surface, n, q):
 
 def require_draws(surface, n, what):
     """Raise DrawError, naming ``what``, unless two directions are generic for S^[n]."""
-    generic = (q for q in _DIRECTIONS if _hook_generic(surface, n, q))
-    if len(list(itertools.islice(generic, 2))) < 2:
-        raise _no_two_directions(what)
+    _two_draws(surface, n, None, what)
 
 
 def _segre_term(ks, class_weights, degree):
@@ -494,7 +477,7 @@ def _chart_product(surface, classes, order, q, term):
 
     ``classes`` holds each class's terms as (sign, per-chart lifts).  Each
     partition of size at most ``order`` gets its integer tangent weights
-    ks, where a zero rejects q, and its box characters c u1.q + s u2.q plus
+    ks, none zero at a drawn q, and its box characters c u1.q + s u2.q plus
     each term's lift; ``term(ks, class_weights, degree)`` returns its
     (den, scale, numerators per class), with numerator_j / (den scale^j)
     at v^j.  Returns (rows, den, scale) per class, rows[n][j] for j <= 2 order.
@@ -512,7 +495,7 @@ def _chart_product(surface, classes, order, q, term):
         for size, hooks, cells in shapes:
             ks = [a * x + b * y for a, b in hooks]
             if 0 in ks:
-                raise _BadDraw
+                raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
             boxes = [col * across + row * up for col, row in cells]
             terms.append((size, term(ks, [[(sign, m + box) for sign, m in class_lifts
                                            for box in boxes] for class_lifts in lifts], degree)))
@@ -555,18 +538,12 @@ def _euler_values(rows, den, scale):
 def _chart_pass(term, read, surface, kclasses, order, seed, whats):
     """Per class, read(*chart product) for n = 0..order, agreed at two directions.
 
-    ``whats`` names each class in errors.  Each drawn direction is screened
-    by hook length at S^[order] before any chart is specialized.
+    ``whats`` names each class in errors.
     """
-    what = ", ".join(whats)
+    draws = _two_draws(surface, order, seed, ", ".join(whats))
     classes = [list(zip((sign for sign, _ in c.terms), c.lifts)) for c in kclasses]
-
-    def evaluate(q):
-        if not _hook_generic(surface, order, q):
-            raise _BadDraw
-        return [read(*c) for c in _chart_product(surface, classes, order, q, term)]
-
-    draws, (first, second) = _two_draws(evaluate, seed, what)
+    first, second = ([read(*c) for c in _chart_product(surface, classes, order, q, term)]
+                     for q in draws)
     return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
 
 
@@ -577,14 +554,9 @@ def segre_series(surface, classes, order, seed=None):
                        [repr(c) for c in classes])
 
 
-def segre_integrals(surface, classes, n, seed=None):
-    """Per class, the integral of its degree-2n Segre class over S^[n]."""
-    return tuple(values[n] for values in segre_series(surface, classes, n, seed))
-
-
 def segre_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Segre class of the tautological class."""
-    return segre_integrals(surface, [kclass], n, seed)[0]
+    return segre_series(surface, [kclass], n, seed)[0][n]
 
 
 def chern_integral(surface, kclass, n, seed=None):
@@ -615,11 +587,6 @@ def verlinde_series(surface, classes, r, order, seed=None):
                        ["chi of %r at twist %d" % (c, r) for c in classes])
 
 
-def verlinde_chis(surface, classes, r, n, seed=None):
-    """Per line bundle L, chi of det(L^[n]) (x) det(O^[n])^(r-1); see verlinde_series."""
-    return tuple(values[n] for values in verlinde_series(surface, classes, r, n, seed))
-
-
 def verlinde_chi(surface, kclass, r, n, seed=None):
     """chi of det(L^[n]) (x) det(O^[n])^(r-1) for one line bundle L; see verlinde_series."""
-    return verlinde_chis(surface, [kclass], r, n, seed)[0]
+    return verlinde_series(surface, [kclass], r, n, seed)[0][n]

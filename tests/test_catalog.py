@@ -33,8 +33,18 @@ def t_gen(order=N):
 
 
 def in_t(entry):
-    """Pull an entry's series back to the auxiliary variable t."""
-    return entry.series.compose(entry.change_of_var)
+    """Pull an entry's series back to the auxiliary variable t.
+
+    Segre factors at rank s are in z(t) at s + 1, Chern factors at rank s
+    (Segre at -s) in z(t) at 1 - s, Verlinde factors at twist r in w(t).
+    """
+    order = entry.series.order
+    if entry.family == "verlinde":
+        forward = verlinde_change_of_var(entry.rank, order)[0]
+    else:
+        r = entry.rank + 1 if entry.family == "segre" else 1 - entry.rank
+        forward = segre_change_of_var(r, order)[0]
+    return entry.series.compose(forward)
 
 
 class TestChangesOfVariable:
@@ -194,7 +204,24 @@ class TestSegreFactors:
     def test_natural_variable_labels(self):
         entry = segre_A(2, 0, N)
         assert entry.series.var == "z"
-        assert entry.change_of_var.var == "t"
+        assert segre_change_of_var(entry.rank + 1, N)[0].var == "t"
+        assert in_t(entry).var == "t"
+
+    def test_lookups_build_no_change_of_variable(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a catalog lookup built a change of variable")
+
+        monkeypatch.setattr(catalog, "segre_change_of_var", refuse)
+        monkeypatch.setattr(catalog, "verlinde_change_of_var", refuse)
+        for s in range(-4, 3):
+            for index in range(5):
+                assert segre_A(s, index, N).series.var == "z"
+        for s in range(-4, 3):
+            for index in range(3):
+                assert chern_A(s, index, N).series.var == "z"
+        for r in range(-3, 4):
+            for index in range(1, 5):
+                assert verlinde_B(r, index, N).series.var == "w"
 
 
 class TestDualityTransport:

@@ -214,10 +214,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_no_generic_draw_exits_two(self, capsys, monkeypatch, kind):
-        def reject(*args):
-            raise loc._BadDraw
-
-        monkeypatch.setattr(loc, "_chart_product", reject)
+        loc.get_surface("p2")  # validated before every direction is rejected
+        monkeypatch.setattr(loc, "_hook_generic", lambda *args: False)
         argv = ["oracle", "--surface", "p2", "--class", "O(2)", "--n", "1", "--kind", kind]
         if kind == "verlinde":
             argv += ["--r", "2"]
@@ -228,6 +226,23 @@ class TestOracle:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "generic" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "theta", "--order", "2"],
+    ["oracle", "--surface", "p2", "--class", "O(1)", "--n", "1", "--kind", "segre"],
+    ["extract", "--rank", "1", "--order", "1"],
+])
+def test_unwritable_json_path_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--json", str(path)])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.err.splitlines() == [
+        "hilbseries: error: cannot write %s: No such file or directory" % path]
+    assert "Traceback" not in captured.out + captured.err
+    assert not path.exists()
 
 
 class TestExtract:
