@@ -18,18 +18,18 @@ total size n, and its tangent and tautological weights are the union of
 per-chart weights.  Both integrands are products over those weights, so
 the sum over the fixed points of S^[n] is [x^n] of the product over the
 charts of sum_lambda x^|lambda| g(lambda), |lambda| <= N, and no fixed
-point is ever built.  g is prod (1+ku)^(-sign) / prod tangent weights in
-u, read at u^2n (Chern is Segre of the negated class), or the Euler
-characteristic of the determinant line times e^(2|lambda|) in e, read at
-e^2n (Verlinde: of L + (r-1) O).  One chart pass serves every n <= N and
-a batch of classes on one surface (segre_series, verlinde_series).
+point is ever built.  g is a series in u over the tangent weights, read
+at u^2n: the Segre class prod (1+ku)^(-sign) (Chern is Segre of the
+negated class), or by Hirzebruch-Riemann-Roch ch(det) td = e^(au) prod
+td(ku) (Verlinde: det of L + (r-1) O).  One chart pass serves every n <= N
+and a batch of classes on one surface (segre_series, verlinde_series).
 
 One rule draws the directions (_two_draws): the first two directions of
 a seeded stream over the draw box whose hook lengths keep every tangent
 weight of every fixed point of S^[n] nonzero, screened before any chart
 is specialized; a box with fewer than two such directions raises
 DrawError.  Values are computed at both directions and must agree; Euler
-characteristics additionally require every coefficient below e^2n to
+characteristics additionally require every coefficient below u^2n to
 cancel and the result to be an integer.  Any violation raises, loudly,
 instead of returning data.
 """
@@ -41,8 +41,10 @@ import random
 import re
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
+
+from .series import Series, exp_numerators
 
 __all__ = [
     "DEFAULT_SEED",
@@ -414,11 +416,10 @@ def require_draws(surface, n, what):
 
 
 def _segre_term(ks, class_weights, degree):
-    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree, as (denominator, 1, numerators)."""
-    den = prod(ks)
+    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree, as (denominator, numerators)."""
     out = []
     for weights in class_weights:
-        c = [1 if den > 0 else -1] + [0] * degree
+        c = [1] + [0] * degree
         for sign, k in weights:
             if sign > 0:
                 for j in range(1, degree + 1):  # divide by 1 + k u
@@ -427,40 +428,35 @@ def _segre_term(ks, class_weights, degree):
                 for j in range(degree, 0, -1):  # multiply by 1 + k u
                     c[j] += k * c[j - 1]
         out.append(c)
-    return abs(den), 1, out
+    return prod(ks), out
+
+
+@lru_cache(maxsize=None)
+def _todd_log(degree):
+    """(D, [D tau_j], degree! D^degree) for tau = log(x / (1 - e^-x)) = x/2 - x^2/24 +
+    x^4/2880 - ... to x^degree; the last is the denominator exp_numerators puts at E_0."""
+    tau = -Series([F((-1) ** j, factorial(j + 1)) for j in range(degree + 1)]).log()
+    d = lcm(*(c.denominator for c in tau.coeffs))
+    return (d, tuple(c.numerator * (d // c.denominator) for c in tau.coeffs),
+            factorial(degree) * d ** degree)
 
 
 def _euler_term(ks, class_weights, degree):
-    """Per class, e^len(ks) (1+e)^a / prod_k (1-(1+e)^(-k)) to e^degree, a = sum sign * k.
-
-    With P_m(e) = ((1+e)^m - 1)/e this is (-1)^#{k<0} (1+e)^A / Q(e),
-    Q = prod P_|k|, A = a + sum of the positive k.  Its coefficients are
-    d_j / Q_0^(j+1) with d_j = Q_0^j C(A, j) - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i);
-    returned as (Q_0, Q_0, signed d).  Only the d_j are worked out per class.
-    """
-    shift = sum(k for k in ks if k > 0)
-    sign = -1 if sum(1 for k in ks if k < 0) % 2 else 1
-    denom = [1] + [0] * degree
-    for k in ks:
-        p = [comb(abs(k), i + 1) for i in range(min(abs(k), degree + 1))]
-        for j in range(degree, -1, -1):
-            denom[j] = sum(map(mul, p, denom[j::-1]))
-    q0 = denom[0]
-    scaled = [denom[i] * q0 ** (i - 1) for i in range(1, degree + 1)]
+    """Per class, e^(au) prod td(ku) / prod ks to u^degree, a = sum sign * k, as
+    (denominator, numerators): by Hirzebruch-Riemann-Roch, the Euler characteristic
+    of the determinant line, and prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j."""
+    d, tau, den = _todd_log(degree)
+    exponent = [t and t * sum(k ** j for k in ks) for j, t in enumerate(tau)] + [0]  # a_1 slot
+    linear = exponent[1]
     out = []
     for weights in class_weights:
-        exponent = sum(s * k for s, k in weights) + shift
-        numer, d = 1, []
-        for j in range(degree + 1):
-            if j:
-                numer = numer * (exponent - j + 1) // j
-            d.append(numer * q0 ** j - sum(map(mul, scaled, reversed(d))))
-        out.append([sign * v for v in d])
-    return q0, q0, out
+        exponent[1] = linear + d * sum(s * k for s, k in weights)
+        out.append(exp_numerators(exponent, d, degree))
+    return prod(ks) * den, out
 
 
 def _times(a, b):
-    """The product of two series in x of lists in v, truncated as they are."""
+    """The product of two series in x of lists in u, truncated as they are."""
     out = []
     for n, width in enumerate(map(len, a)):
         row = [0] * width
@@ -479,14 +475,16 @@ def _chart_product(surface, classes, order, q, term):
     partition of size at most ``order`` gets its integer tangent weights
     ks, none zero at a drawn q, and its box characters c u1.q + s u2.q plus
     each term's lift; ``term(ks, class_weights, degree)`` returns its
-    (den, scale, numerators per class), with numerator_j / (den scale^j)
-    at v^j.  Returns (rows, den, scale) per class, rows[n][j] for j <= 2 order.
+    (den, numerators per class), with numerator_j / den at u^j.  Each chart's
+    sums are divided by their gcd with the chart's denominator, which cancels
+    most of the Euler terms' degree! D^degree.  Returns (rows, den) per class,
+    rows[n][j] for j <= 2 order.
     """
     degree = 2 * order
     shapes = [(size, _hook_coefficients(lam),
                [(col, row) for row, part in enumerate(lam) for col in range(part)])
               for size in range(order + 1) for lam in partitions(size)]
-    charts = []
+    product, den = None, 1
     for index, (_, _, u1, u2) in enumerate(surface.charts):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
         across, up = _dot(u1, q), _dot(u2, q)
@@ -499,36 +497,32 @@ def _chart_product(surface, classes, order, q, term):
             boxes = [col * across + row * up for col, row in cells]
             terms.append((size, term(ks, [[(sign, m + box) for sign, m in class_lifts
                                            for box in boxes] for class_lifts in lifts], degree)))
-        charts.append(terms)
-    scale = lcm(*(s for terms in charts for _, (_, s, _) in terms))
-    product, den = None, 1
-    for terms in charts:
-        chart_den = lcm(*(d for _, (d, _, _) in terms))
+        chart_den = lcm(*(d for _, (d, _) in terms))
         chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in classes]
-        for size, (d, s, numerators) in terms:
+        for size, (d, numerators) in terms:
+            factor = chart_den // d
             for series, c in zip(chart, numerators):
-                row, factor = series[size], chart_den // d
-                for j in range(degree + 1):
-                    row[j] += c[j] * factor
-                    factor *= scale // s
-        den *= chart_den
+                series[size] = [a + b * factor for a, b in zip(series[size], c)]
+        g = gcd(chart_den, *(c for series in chart for row in series for c in row))
+        chart = [[[c // g for c in row] for row in series] for series in chart]
+        den *= chart_den // g
         product = chart if product is None else list(map(_times, product, chart))
-    return [(rows, den, scale) for rows in product]
+    return [(rows, den) for rows in product]
 
 
-def _top_values(rows, den, scale):
-    """Per n, [x^n v^2n] of a chart product; for Segre, the integral over S^[n]."""
-    return tuple(F(row[2 * n], den * scale ** (2 * n)) for n, row in enumerate(rows))
+def _top_values(rows, den):
+    """Per n, [x^n u^2n] of a chart product: the integral over S^[n]."""
+    return tuple(F(row[2 * n], den) for n, row in enumerate(rows))
 
 
-def _euler_values(rows, den, scale):
-    """Per n, [x^n e^2n] of an Euler chart product, where every lower power is a pole."""
+def _euler_values(rows, den):
+    """Per n, [x^n u^2n] of an Euler chart product, where every lower power is a pole."""
     for n, row in enumerate(rows):
         for j, c in enumerate(row[:2 * n]):
             if c:
                 raise ArithmeticError("fixed-point sum has a surviving pole coefficient "
                                       "at order %d" % (j - 2 * n))
-    values = _top_values(rows, den, scale)
+    values = _top_values(rows, den)
     for value in values:
         if value.denominator != 1:
             raise ArithmeticError("Euler characteristic %s is not an integer" % value)
@@ -581,7 +575,7 @@ def verlinde_series(surface, classes, r, order, seed=None):
     classes = list(classes)
     for kclass in classes:
         if kclass.rank != 1 or len(kclass.terms) != 1:
-            raise ValueError("verlinde_chi expects a single line bundle, got %r" % kclass)
+            raise ValueError("verlinde_series expects a single line bundle, got %r" % kclass)
     return _chart_pass(_euler_term, _euler_values, surface,
                        [_twisted_class(c, r) for c in classes], order, seed,
                        ["chi of %r at twist %d" % (c, r) for c in classes])

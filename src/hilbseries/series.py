@@ -5,7 +5,8 @@ order ``n`` stores coefficients ``c_0 .. c_n`` and stands for a power
 series known modulo ``x^(n+1)``.  Coefficients are `fractions.Fraction`
 values throughout; floats are rejected so nothing ever leaves exact
 arithmetic.  Product, inverse and exp run integer recurrences over one
-common denominator and build one `Fraction` per output coefficient.
+common denominator and build one `Fraction` per output coefficient; the
+exp recurrence, `exp_numerators`, also serves the fixed-point oracle.
 
 Binary operations insist that both operands carry the same truncation
 order.  Silently taking the minimum hides bookkeeping bugs in long
@@ -19,7 +20,6 @@ of producing garbage coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial, lcm
 from operator import mul
 
@@ -31,6 +31,7 @@ __all__ = [
     "CompositionError",
     "ReversionError",
     "BranchError",
+    "exp_numerators",
     "solve_algebraic",
 ]
 
@@ -261,18 +262,9 @@ class Series:
         """Series exponential; requires constant term 0."""
         if self.coeffs[0] != 0:
             raise ConstantTermError("exp needs constant term 0, got %s" % self.coeffs[0])
-        # with a = A/D, e' = a' e gives e_m = E_m / (m! D^m), E_0 = 1 and
-        # E_(m+1) = sum_(k=0..m) (k+1) A_(k+1) D^k m!/(m-k)! E_(m-k)
-        n = self.order
         d, a = self._over_lcm()
-        powers = [d ** k for k in range(n + 1)]
-        g = [(k + 1) * a[k + 1] * powers[k] for k in range(n)]
-        e = [1]
-        for m in range(n):
-            falling = accumulate(range(m, 0, -1), mul, initial=1)
-            e.append(sum(map(mul, map(mul, g, falling), reversed(e))))
-        return Series([Fraction(x, factorial(m) * p) for m, (x, p) in enumerate(zip(e, powers))],
-                      n, self.var)
+        e = exp_numerators(a, d, self.order)
+        return Series([Fraction(x, e[0]) for x in e], self.order, self.var)
 
     def pow_rational(self, e):
         """Arbitrary rational power via exp(e*log); constant term must be 1."""
@@ -357,6 +349,17 @@ class Series:
             if body.startswith("+ "):
                 body = body[2:]
         return "%s + O(%s^%d)" % (body, self.var, self.order + 1)
+
+
+def exp_numerators(a, d, order):
+    """E_0..E_order with exp(sum_k a_k x^k / d) = sum_m E_m x^m / E_0, E_0 = order! d^order;
+    a_0 is not read.  e' = a' e gives (m+1) d E_(m+1) = sum_(k<=m) (k+1) a_(k+1) E_(m-k);
+    the division is exact, as m! d^m [x^m] exp is an integer and m <= order."""
+    e = [factorial(order) * d ** order]
+    for m in range(order):
+        total = sum(map(mul, map(mul, range(1, m + 2), a[1:m + 2]), reversed(e)))
+        e.append(total // ((m + 1) * d))
+    return e
 
 
 def solve_algebraic(relation, order, var="t"):

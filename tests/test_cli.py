@@ -714,6 +714,23 @@ SERIES_Y_ORDER20 = """\
 1/1, -3/1, 14/1, -80/1, 509/1, -3459/1, 24579/1, -180389/1, 1356743/1, -10402493/1, 81004516/1, -638886082/1, 5093081983/1, -40971735401/1, 332187974718/1, -2711668091448/1, 22267979870143/1, -183830653156341/1, 1524747465249750/1, -12700172705956876/1
 """
 
+# Verlinde at n = 10, deeper than any benchmark job, one class per surface
+ORACLE_VERLINDE_P2_N10 = """\
+# hilbseries class=O(1) command=oracle kind=verlinde n=10 r=2 seed=20260815 surface=p2
+-15802395/1
+"""
+
+ORACLE_VERLINDE_P1XP1_N10 = """\
+# hilbseries class=O(1,0) command=oracle kind=verlinde n=10 r=3 seed=20260815 surface=p1xp1
+-345971278434/1
+"""
+
+ORACLE_VERLINDE_F1_N10 = """\
+# hilbseries class=O(1,1) command=oracle kind=verlinde n=10 r=-2 seed=20260815 surface=f1
+-106870500/1
+"""
+
+
 @pytest.mark.parametrize("argv, expected", [
     ("extract --rank 1 --order 2", EXTRACT_SEGRE_RANK1_TABLE),
     ("extract --rank 0 --order 2 --kind verlinde", EXTRACT_VERLINDE_TWIST0_TABLE),
@@ -730,6 +747,11 @@ SERIES_Y_ORDER20 = """\
     ("verify --suite thm3 --json --order 10", VERIFY_THM3_JSON),
     ("verify --suite spherical_chern --json --order 10", VERIFY_SPHERICAL_CHERN_JSON),
     ("series --family Y --order 20", SERIES_Y_ORDER20),
+    ("oracle --surface p2 --class O(1) --kind verlinde --r 2 --n 10", ORACLE_VERLINDE_P2_N10),
+    ("oracle --surface p1xp1 --class O(1,0) --kind verlinde --r 3 --n 10",
+     ORACLE_VERLINDE_P1XP1_N10),
+    ("oracle --surface f1 --class O(1,1) --kind verlinde --r -2 --n 10",
+     ORACLE_VERLINDE_F1_N10),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, expected):
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)

@@ -8,9 +8,11 @@ a product over charts; the chart pass must equal it exactly, for every
 n <= 6.  Below it, the ref_* kernels are written with truncated power
 series over Fraction, one Series product per weight and one class at a
 time; ref_euler_data is the box walk the Verlinde sum used before its
-records came from the tautological class of L + (r-1) O.  Every
-comparison is exact equality, at a fixed direction and through the
-public entry points with their character draws.
+records came from the tautological class of L + (r-1) O, and
+ref_euler_term is the binomial Euler term in e = e^u - 1 that the
+Hirzebruch-Riemann-Roch term in u replaced; the chart pass must give the
+same values with either.  Every comparison is exact equality, at a fixed
+direction and through the public entry points with their character draws.
 """
 
 import re
@@ -114,6 +116,36 @@ def ref_euler_sum(records, order):
     if value.denominator != 1:
         raise ArithmeticError("Euler characteristic %s is not an integer" % value)
     return int(value)
+
+
+def ref_euler_term(ks, class_weights, degree):
+    """Per class, e^len(ks) (1+e)^a / prod_k (1-(1+e)^(-k)) to e^degree, a = sum sign * k:
+    the binomial Euler term in e = e^u - 1 that the HRR term replaced.
+
+    With P_m(e) = ((1+e)^m - 1)/e this is (-1)^#{k<0} (1+e)^A / Q(e),
+    Q = prod P_|k|, A = a + sum of the positive k.  Its coefficients are
+    d_j / Q_0^(j+1) with d_j = Q_0^j C(A, j) - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i);
+    returned over the one denominator Q_0^(degree+1), as the chart pass reads terms.
+    """
+    shift = sum(k for k in ks if k > 0)
+    sign = -1 if sum(1 for k in ks if k < 0) % 2 else 1
+    denom = [1] + [0] * degree
+    for k in ks:
+        p = [comb(abs(k), i + 1) for i in range(min(abs(k), degree + 1))]
+        for j in range(degree, -1, -1):
+            denom[j] = sum(map(mul, p, denom[j::-1]))
+    q0 = denom[0]
+    scaled = [denom[i] * q0 ** (i - 1) for i in range(1, degree + 1)]
+    out = []
+    for weights in class_weights:
+        exponent = sum(s * k for s, k in weights) + shift
+        numer, d = 1, []
+        for j in range(degree + 1):
+            if j:
+                numer = numer * (exponent - j + 1) // j
+            d.append(numer * q0 ** j - sum(map(mul, scaled, reversed(d))))
+        out.append([sign * v * q0 ** (degree - j) for j, v in enumerate(d)])
+    return q0 ** (degree + 1), out
 
 
 # The per-point path: the fixed-point sum the chart pass replaced, kept as
@@ -314,6 +346,27 @@ def test_euler_sum_fixed_directions(name):
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
+def test_hrr_term_is_the_binomial_term(name):
+    # the chart pass read in u (HRR) and in e = e^u - 1 gives the same values,
+    # poles and errors: every twist at each direction's top generic order <= 8
+    # (so every n up to it), at orders 0 and 1 (ToricSurface._validate reads
+    # chi(O) at order 1), and one 3-class batch
+    surface = loc.get_surface(name)
+    gens = len(surface.generators)
+    twisted = [loc._twisted_class(loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))]), r)
+               for r in range(-3, 4)]
+    batch = [loc._twisted_class(c, 2) for c in shifted_lines(surface)[:3]]
+    cases = [(twisted, order, q) for q in DIRECTIONS
+             for order in {0, 1, max(n for n in range(9) if loc._hook_generic(surface, n, q))}]
+    for classes, order, q in cases + [(batch, 4, (2, 5))]:
+        hrr, ref = (outcome(chart_values, loc._euler_values, surface, classes, order, q, term)
+                    for term in (loc._euler_term, ref_euler_term))
+        assert hrr == ref, (q, order, len(classes))
+    assert loc._euler_values(*loc._chart_product(surface, [[]], 1, (2, 5),
+                                                 loc._euler_term)[0]) == (1, surface.chi_O)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
 def test_segre_and_chern_through_draws(name):
     surface = loc.get_surface(name)
     cases = [(loc.parse_class(surface, spec), n, seed)
@@ -361,6 +414,25 @@ def test_one_chart_pass_per_call(oracle, args, monkeypatch):
     monkeypatch.setattr(loc, "enumerate_fixed_points", refuse)
     oracle(surface, loc.parse_class(surface, args[0]), *args[1:])
     assert len(calls) == 1
+
+
+def test_no_series_in_the_chart_pass(monkeypatch):
+    # the tau table, once per degree, is the oracle's only Series computation
+    surface = loc.get_surface("p2")
+    loc._todd_log(8)
+    built = []
+    original = Series.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Series, "__init__", counted)
+    loc.verlinde_series(surface, [loc.parse_class(surface, "O(1)")], 2, 4)
+    loc.segre_series(surface, [loc.parse_class(surface, "O(2)+O(-1)-O(1)")], 4)
+    assert built == []
+    Series.one(4)
+    assert len(built) == 1
 
 
 def shifted_classes(surface):
@@ -477,9 +549,9 @@ class TestChecksStillFire:
             point_euler_sum([([1, 1], [[]])], 2, 1)
         with pytest.raises(ArithmeticError):
             ref_euler_sum([([1, 1], [])], 2)
-        # x^1 e^0 is a pole of the chart product
+        # x^1 u^0 is a pole of the chart product
         with pytest.raises(ArithmeticError, match="pole coefficient at order -2"):
-            loc._euler_values([[1, 0, 0], [1, 0, 0]], 1, 1)
+            loc._euler_values([[1, 0, 0], [1, 0, 0]], 1)
 
     def test_non_integer_result_raises(self):
         # the e^-1 poles 1/2 and -1/2 cancel; the constant term is 1/2
@@ -489,13 +561,13 @@ class TestChecksStillFire:
         with pytest.raises(ArithmeticError, match="not an integer"):
             ref_euler_sum(single(data), 1)
         with pytest.raises(ArithmeticError, match="not an integer"):
-            loc._euler_values([[1, 5, 5], [0, 0, 3]], 2, 1)
+            loc._euler_values([[1, 5, 5], [0, 0, 3]], 2)
 
     def test_integer_result_passes(self):
         # same points with equal a: the constant term is 1
         data = [([2], [[(1, 1)]]), ([-2], [[(1, 1)]])]
         assert point_euler_sum(data, 1, 1) == [1] == [ref_euler_sum(single(data), 1)]
-        assert loc._euler_values([[2, 7, 7], [0, 0, 36]], 2, 3) == (1, 2)
+        assert loc._euler_values([[18, 7, 7], [0, 0, 36]], 18) == (1, 2)
 
     def test_checks_run_per_class(self):
         # the second class of each batch fails its check, the first passes
@@ -518,10 +590,10 @@ class TestChecksStillFire:
         original = loc._euler_term
 
         def broken(ks, class_weights, degree):
-            den, scale, numerators = original(ks, class_weights, degree)
+            den, numerators = original(ks, class_weights, degree)
             if ks and len(numerators) > 1:
                 numerators[1] = [2 * c for c in numerators[1]]
-            return den, scale, numerators
+            return den, numerators
 
         value = at_n(loc.verlinde_series(p2, [line], 2, 4), 4)
         monkeypatch.setattr(loc, "_euler_term", broken)
@@ -539,8 +611,8 @@ class TestChecksStillFire:
         def skewed(surface, classes, order, q, term):
             out = original(surface, classes, order, q, term)
             if len(out) > 1:
-                rows, den, scale = out[1]
-                rows[order][2 * order] += q[0] * den * scale ** (2 * order)
+                rows, den = out[1]
+                rows[order][2 * order] += q[0] * den
             return out
 
         monkeypatch.setattr(loc, "_chart_product", skewed)
