@@ -14,10 +14,11 @@ generating function at twist r is
     B1(w)^chi(c1) * B2(w)^chi(O) * B3(w)^(c1.K - K^2/2) * B4(w)^(K^2).
 
 Each factor this module knows has an algebraic closed form in an
-auxiliary variable t, with z or w = t (1+at)^b substituted by
-Lagrange-Buermann, and carries a provenance status: "proven", "trivial"
-(identically 1 for elementary reasons), or "conjectural".  Every
-coefficient is an exact rational.
+auxiliary variable t, held as its logarithm in t, and carries a
+provenance status: "proven", "trivial" (identically 1 for elementary
+reasons), or "conjectural".  A factor, or a product of powers of
+factors, is one Lagrange-Buermann substitution of a sum of logs to z or
+w = t (1+at)^b and one exp.  Every coefficient is an exact rational.
 
 Supported ranks for the third and fourth Segre factors are -4..2; the
 negative ranks -3 and -4 are produced from ranks 1 and 2 by a duality
@@ -154,73 +155,82 @@ def segre_verlinde_vars(r, order):
     return z_of_t, w_of_t
 
 
-def _segre012_in_t(s, index, order):
+def _log1p_sum(order, *pairs):
+    """sum_j e_j log(1 + c_j t) over pairs (c_j, e_j), in closed form:
+    coefficient k is -sum_j e_j (-c_j)^k / k, with no series product."""
+    return Series([0] + [F(-sum(e * (-c) ** k for c, e in pairs)) / k
+                         for k in range(1, order + 1)], order)
+
+
+def _branch_tail(y):
+    """log((1+y)^2 / ((1-y) y')) in t for a branch y = t + O(t^2) of one order more."""
+    low = y.truncate(y.order - 1)
+    return 2 * (1 + low).log() - (1 - low).log() - y.derivative().log()
+
+
+def _mean_root_log(order, c, d):
+    """log((sqrt(1+ct) + sqrt(1+dt)) / 2) in t."""
+    root_c, root_d = (_log1p_sum(order, (x, F(1, 2))).exp() for x in (c, d))
+    return ((root_c + root_d) / 2).log()
+
+
+def _segre_log(s, index, order):
+    """(status, log in t) of the index-th Segre factor at rank s."""
     r = s + 1
-    t = _t(order)
-    u = 1 + r * t
-    v = 1 + (1 + r) * t
-    if index == 0:
-        return u ** (-r) * v ** (r - 1)
-    if index == 1:
-        return u.pow_rational(F(r - 1, 2)) * v.pow_rational(1 - F(r, 2))
-    w = 1 + r * (1 + r) * t
-    return (u.pow_rational(F(r * r - 1, 2))
-            * v.pow_rational(r - F(r * r, 2))
-            * w.pow_rational(F(-1, 2)))
-
-
-def _segre34_in_t(s, index, order):
-    t = _t(order)
+    if index in (0, 1, 2):
+        return PROVEN, _log1p_sum(order, *(
+            ((r, -r), (1 + r, r - 1)),
+            ((r, F(r - 1, 2)), (1 + r, 1 - F(r, 2))),
+            ((r, F(r * r - 1, 2)), (1 + r, r - F(r * r, 2)), (r * (1 + r), F(-1, 2))),
+        )[index])
+    if index not in (3, 4):
+        raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
+    if s not in SEGRE_34_RANKS:
+        raise UnknownSeriesError(
+            "Segre factor %d has no known closed form at rank %d" % (index, s))
     if s == 2:
         y = segre_rank2_branch(order + 1)
-        y_over_t = y.shift(-1)
+        log_y = y.shift(-1).log()  # log(y/t)
         if index == 3:
-            return (1 + 3 * t).inverse() * y_over_t.pow_rational(F(-1, 2))
-        return ((1 + 3 * t) * y_over_t ** 3 * (1 + y.truncate(order)) ** 2
-                * (1 - y.truncate(order)).inverse() * y.derivative().inverse())
+            return PROVEN, -_log1p_sum(order, (3, 1)) - log_y / 2
+        return PROVEN, _log1p_sum(order, (3, 1)) + 3 * log_y + _branch_tail(y)
     if s == 1:
-        root2 = (1 + 2 * t).sqrt()
-        root6 = (1 + 6 * t).sqrt()
+        half = _mean_root_log(order, 2, 6)
         if index == 3:
-            return F(1, 2) * (1 + 2 * t).inverse() * (root2 + root6)
-        return 4 * root2 * root6 * (root2 + root6) ** -2
+            return PROVEN, half - _log1p_sum(order, (2, 1))
+        return PROVEN, _log1p_sum(order, (2, F(1, 2)), (6, F(1, 2))) - 2 * half
     if s == 0 and index == 3:
-        return (1 + t).inverse() * (1 + 2 * t).sqrt()
+        return CONJECTURAL, _log1p_sum(order, (1, -1), (2, F(1, 2)))
     if s in (-3, -4):
-        return _segre34_by_duality(-s - 2, order)[index - 3]
+        return CONJECTURAL, _segre34_by_duality(-s - 2, order)[index - 3]
     # s = 0 index 4, and s = -1, -2: identically 1
-    return Series.one(order)
+    return TRIVIAL, Series.zero(order)
 
 
 def _duality_pref(r, index, order):
-    # bridge between the rank r-1 Segre factor and the twist r Euler
-    # characteristic factor, in the shared auxiliary variable; pinned by
-    # the proven twist 0, +-1 factors and both printed conjecture pairs
-    t = _t(order)
-    u = 1 + r * t
-    v = 1 + (1 + r) * t
+    # log of the bridge between the rank r-1 Segre factor and the twist r
+    # Euler characteristic factor, in the shared auxiliary variable; pinned
+    # by the proven twist 0, +-1 factors and both printed conjecture pairs
     if index == 3:
-        return u.pow_rational(F(r + 1, 2)) * v.pow_rational(F(-r, 2))
-    return v.pow_rational(F(r, 4)) * u.pow_rational(F(-(r + 1), 4))
+        return _log1p_sum(order, (r, F(r + 1, 2)), (1 + r, F(-r, 2)))
+    return _log1p_sum(order, (1 + r, F(r, 4)), (r, F(-(r + 1), 4)))
 
 
 def _segre34_to_verlinde(s, order):
     """Transport the rank-s third/fourth Segre factors to Verlinde twist s+1.
 
-    Returns the pair (third, fourth) as series in the Verlinde auxiliary
+    Returns the logs of the pair (third, fourth) in the Verlinde auxiliary
     variable tau, where tau = t/(1+rt) links the two closed-form charts.
     """
     r = s + 1
-    a3 = _segre34_in_t(s, 3, order)
-    a4 = _segre34_in_t(s, 4, order)
-    b3 = _lagrange(a3 * _duality_pref(r, 3, order), r, -1, "t")
-    b4 = _lagrange(a4 * a3.pow_rational(F(-1, 2)) * _duality_pref(r, 4, order),
-                   r, -1, "t")
+    a3, a4 = (_segre_log(s, index, order)[1] for index in (3, 4))
+    b3 = _lagrange(a3 + _duality_pref(r, 3, order), r, -1, "t")
+    b4 = _lagrange(a4 - a3 / 2 + _duality_pref(r, 4, order), r, -1, "t")
     return b3, b4
 
 
 def _segre34_by_duality(src_rank, order):
-    """Conjectural third/fourth Segre factors at rank -src_rank - 2.
+    """Logs of the conjectural third/fourth Segre factors at rank -src_rank - 2.
 
     Transport the known rank 1 or 2 factors to the Euler-characteristic
     side, apply the Serre symmetry there (third factor inverts, fourth is
@@ -229,10 +239,23 @@ def _segre34_by_duality(src_rank, order):
     """
     r = src_rank + 1
     b3, b4 = _segre34_to_verlinde(src_rank, order)
-    a3 = _lagrange(b3.inverse(), r, -1, "t") * _duality_pref(-r, 3, order).inverse()
-    a4 = (_lagrange(b4, r, -1, "t") * _duality_pref(-r, 4, order).inverse()
-          * a3.pow_rational(F(1, 2)))
+    a3 = -_lagrange(b3, r, -1, "t") - _duality_pref(-r, 3, order)
+    a4 = _lagrange(b4, r, -1, "t") - _duality_pref(-r, 4, order) + a3 / 2
     return a3, a4
+
+
+def _exp_in(log, a, b, var):
+    """exp of a log in t, read in var = t (1+at)^b; every factor and full series ends here."""
+    return _lagrange(log, a, b, var).exp()
+
+
+def _log_sum(log_of, param, exponents, order):
+    """sum_i e_i log F_i in t over (index i, e_i); zero exponents are skipped."""
+    log = Series.zero(order)
+    for index, e in exponents:
+        if e:
+            log = log + e * log_of(param, index, order)[1]
+    return log
 
 
 def segre_A(s, index, order):
@@ -241,22 +264,8 @@ def segre_A(s, index, order):
     Indices 0..2 exist for every integer rank; indices 3 and 4 only for
     ranks -4..2, conjecturally at rank 0 (index 3) and ranks -3, -4.
     """
-    if index in (0, 1, 2):
-        in_t, status = _segre012_in_t(s, index, order), PROVEN
-    elif index in (3, 4):
-        if s not in SEGRE_34_RANKS:
-            raise UnknownSeriesError(
-                "Segre factor %d has no known closed form at rank %d" % (index, s))
-        in_t = _segre34_in_t(s, index, order)
-        if s in (1, 2):
-            status = PROVEN
-        elif s in (-3, -4) or (s == 0 and index == 3):
-            status = CONJECTURAL
-        else:
-            status = TRIVIAL
-    else:
-        raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
-    return SeriesEntry("segre", index, s, status, _lagrange(in_t, s + 1, s + 1, "z"))
+    status, log = _segre_log(s, index, order)
+    return SeriesEntry("segre", index, s, status, _exp_in(log, s + 1, s + 1, "z"))
 
 
 def chern_A(s, index, order):
@@ -267,31 +276,38 @@ def chern_A(s, index, order):
     """
     if index not in (0, 1, 2):
         raise UnknownSeriesError("Chern factor index must be 0..2, got %r" % (index,))
-    series = segre_A(-s, index, order).series
-    if index == 0:
-        series = series.inverse()
-    elif index == 1:
-        series = series * segre_A(-s, 0, order).series
-    return SeriesEntry("chern", index, s, PROVEN, series)
+    log = _log_sum(_segre_log, -s, (((0, -1),), ((0, 1), (1, 1)), ((2, 1),))[index], order)
+    return SeriesEntry("chern", index, s, PROVEN, _exp_in(log, 1 - s, 1 - s, "z"))
 
 
-def _verlinde34_in_t(r, order):
-    t = _t(order)
-    if r == 2:
-        half = (1 + (1 + 4 * t).sqrt()) / 2
-        b3 = half * (1 + t).inverse()
-        b4 = ((1 + t).sqrt() * (1 + 4 * t).sqrt() * half.pow_rational(F(-5, 2)))
-        return b3, b4
-    if r == 3:
-        yy = verlinde_r3_branch(order + 1)
-        y_over_t = yy.shift(-1)
-        b3 = (1 + t).pow_rational(F(-3, 2)) * y_over_t.pow_rational(F(-1, 2))
-        b4 = ((1 + t).pow_rational(F(3, 4)) * y_over_t.pow_rational(F(13, 4))
-              * (1 + yy.truncate(order)) ** 2
-              * (1 - yy.truncate(order)).inverse() * yy.derivative().inverse())
-        return b3, b4
-    one = Series.one(order)
-    return one, one
+def _verlinde_log(r, index, order):
+    """(status, log in t) of the index-th Verlinde factor at twist r."""
+    if index == 1:
+        return PROVEN, _log1p_sum(order, (1, 1))
+    if index == 2:
+        return PROVEN, _log1p_sum(order, (1, F(r * r, 2)), (r * r, F(-1, 2)))
+    if index not in (3, 4):
+        raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
+    if r not in VERLINDE_34_TWISTS:
+        raise UnknownSeriesError(
+            "Verlinde factor %d has no known closed form at twist %d" % (index, r))
+    if abs(r) <= 1:
+        return TRIVIAL, Series.zero(order)
+    if abs(r) == 2:
+        half = _mean_root_log(order, 0, 4)  # log((1 + sqrt(1+4t))/2)
+        if index == 3:
+            log = half - _log1p_sum(order, (1, 1))
+        else:
+            log = _log1p_sum(order, (1, F(1, 2)), (4, F(1, 2))) - F(5, 2) * half
+    else:
+        y = verlinde_r3_branch(order + 1)
+        log_y = y.shift(-1).log()  # log(Y/t)
+        if index == 3:
+            log = _log1p_sum(order, (1, F(-3, 2))) - log_y / 2
+        else:
+            log = _log1p_sum(order, (1, F(3, 4))) + F(13, 4) * log_y + _branch_tail(y)
+    # Serre symmetry: the negative twist inverts the third factor
+    return CONJECTURAL, -log if r < 0 and index == 3 else log
 
 
 def verlinde_B(r, index, order):
@@ -302,24 +318,8 @@ def verlinde_B(r, index, order):
     negative twists come from the positive ones by Serre symmetry, which
     inverts the third factor and fixes the fourth.
     """
-    t = _t(order)
-    if index == 1:
-        in_t, status = 1 + t, PROVEN
-    elif index == 2:
-        in_t = (1 + t).pow_rational(F(r * r, 2)) * (1 + r * r * t).pow_rational(F(-1, 2))
-        status = PROVEN
-    elif index in (3, 4):
-        if r not in VERLINDE_34_TWISTS:
-            raise UnknownSeriesError(
-                "Verlinde factor %d has no known closed form at twist %d" % (index, r))
-        b3, b4 = _verlinde34_in_t(abs(r), order)
-        if r < 0:
-            b3 = b3.inverse()
-        in_t = b3 if index == 3 else b4
-        status = TRIVIAL if abs(r) <= 1 else CONJECTURAL
-    else:
-        raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
-    return SeriesEntry("verlinde", index, r, status, _lagrange(in_t, 1, r * r - 1, "w"))
+    status, log = _verlinde_log(r, index, order)
+    return SeriesEntry("verlinde", index, r, status, _exp_in(log, 1, r * r - 1, "w"))
 
 
 def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
@@ -328,11 +328,8 @@ def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
     Factors with zero exponent are skipped, so any rank assembles on
     K-trivial numerics even where the last two factors are unknown.
     """
-    out = Series.one(order, "z")
-    for index, e in enumerate((c2, c1sq, chiO, c1K, Ksq)):
-        if e:
-            out = out * segre_A(s, index, order).series ** e
-    return out
+    log = _log_sum(_segre_log, s, enumerate((c2, c1sq, chiO, c1K, Ksq)), order)
+    return _exp_in(log, s + 1, s + 1, "z")
 
 
 def chern_full(s, c2, c1sq, chiO, order):
@@ -347,17 +344,14 @@ def verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
     integer (odd K^2) the assembly is refused unless the factor is
     trivially 1, rather than silently taking a square root.
     """
-    out = Series.one(order, "w")
-    for index, e in ((1, chi_c1), (2, chiO), (4, Ksq)):
-        if e:
-            out = out * verlinde_B(r, index, order).series ** e
+    log = _log_sum(_verlinde_log, r, ((1, chi_c1), (2, chiO), (4, Ksq)), order)
     e3 = F(2 * c1K - Ksq, 2)
     if e3:
-        b3 = verlinde_B(r, 3, order).series
+        b3 = _verlinde_log(r, 3, order)[1]
         if e3.denominator == 1:
-            out = out * b3 ** int(e3)
-        elif not (b3 - 1).is_zero():
+            log = log + e3 * b3
+        elif not b3.is_zero():
             raise ValueError(
                 "third-factor exponent %s is not an integer (odd K^2) and the "
                 "factor at twist %d is nontrivial" % (e3, r))
-    return out
+    return _exp_in(log, 1, r * r - 1, "w")

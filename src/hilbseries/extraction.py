@@ -102,6 +102,33 @@ def matrix_rank(matrix):
     return len(basis)
 
 
+def _solve(matrix, rhs_columns):
+    """``solve_exact`` for every right-hand side in ``rhs_columns`` by one
+    reduction, the right-hand sides riding along as trailing row entries.
+    Returns, per unknown, its value for each right-hand side."""
+    if any(len(rhs) != len(matrix) for rhs in rhs_columns):
+        raise ValueError("matrix and right-hand side sizes differ")
+    width, basis, redundant = _width(matrix), [], []
+    for i, row in enumerate(matrix):
+        if not _reduce(basis, _cleared([*row, *(rhs[i] for rhs in rhs_columns)]), width):
+            redundant.append(i)
+    if len(basis) < width:
+        raise ValueError("system is underdetermined: rank %d < %d unknowns"
+                         % (len(basis), width))
+    solution = [None] * width
+    for col, row in reversed(basis):
+        solution[col] = [F(row[width + k] - sum(row[j] * solution[j][k]
+                                                for j in range(col + 1, width) if row[j]),
+                           row[col]) for k in range(len(rhs_columns))]
+    for k, rhs in enumerate(rhs_columns):
+        for i in redundant:
+            residual = rhs[i] - sum(x * values[k] for x, values in zip(matrix[i], solution))
+            if residual:
+                raise UniversalityError(
+                    "redundant row %d has nonzero residual %s" % (i, residual))
+    return solution
+
+
 def solve_exact(matrix, rhs):
     """Solve an exactly consistent linear system over the rationals.
 
@@ -110,25 +137,7 @@ def solve_exact(matrix, rhs):
     row that fails to hold raises UniversalityError with its index and
     residual rhs_i - row_i.x.  Underdetermined systems raise ValueError.
     """
-    if len(matrix) != len(rhs):
-        raise ValueError("matrix and right-hand side sizes differ")
-    width, basis, redundant = _width(matrix), [], []
-    for i, (row, value) in enumerate(zip(matrix, rhs)):
-        if not _reduce(basis, _cleared([*row, value]), width):
-            redundant.append(i)
-    if len(basis) < width:
-        raise ValueError("system is underdetermined: rank %d < %d unknowns"
-                         % (len(basis), width))
-    solution = [None] * width
-    for col, row in reversed(basis):
-        solution[col] = F(row[width] - sum(row[j] * solution[j]
-                                           for j in range(col + 1, width) if row[j]), row[col])
-    for i in redundant:
-        residual = rhs[i] - sum(x * y for x, y in zip(matrix[i], solution))
-        if residual:
-            raise UniversalityError(
-                "redundant row %d has nonzero residual %s" % (i, residual))
-    return solution
+    return [values[0] for values in _solve(matrix, [rhs])]
 
 
 def _segre_exponents(surface, cls, s):
@@ -269,7 +278,7 @@ def default_panel(kind, param):
 
 
 def _extract(kind, param, order, panel, seed):
-    """Log of each row's series, one exact solve per order, exp."""
+    """Log of each row's series, one exact solve for every order at once, exp."""
     if panel is None:
         panel = default_panel(kind, param)
     if (panel.kind, panel.param) != (kind, param):
@@ -292,12 +301,9 @@ def _extract(kind, param, order, panel, seed):
         if total.coefficient(0) != 1:
             raise ArithmeticError("n=0 integral should be 1, got %s" % row[0])
         logs.append(total.log())
-    columns = [[F(0)] for _ in panel.columns]
-    for n in range(1, order + 1):
-        solution = solve_exact(panel.exponent_matrix, [lg.coefficient(n) for lg in logs])
-        for column, value in zip(columns, solution):
-            column.append(value)
-    return [Series(column, order, spec.var).exp() for column in columns]
+    by_unknown = _solve(panel.exponent_matrix,
+                        [[lg.coefficient(n) for lg in logs] for n in range(1, order + 1)])
+    return [Series([0, *values], order, spec.var).exp() for values in by_unknown]
 
 
 def extract_universal(s, order, panel=None, seed=None):

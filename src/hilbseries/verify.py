@@ -455,11 +455,7 @@ def check_fgh_derivation(order=20):
     """
     big = order + 1
     t = Series.gen(big, "t")
-    a0 = catalog._segre012_in_t(2, 0, big)
-    a1 = catalog._segre012_in_t(2, 1, big)
-    a2 = catalog._segre012_in_t(2, 2, big)
-    a3 = catalog._segre34_in_t(2, 3, big)
-    a4 = catalog._segre34_in_t(2, 4, big)
+    a0, a1, a2, a3, a4 = (catalog._segre_log(2, i, big)[1].exp() for i in range(5))
     f = a0 ** 5 * a1 ** 20 * a3 ** 2
     g = a0 ** -4 * a1 ** -22 * a2 ** 2 * a3 ** -4 * a4 ** -1
     h = a0 ** -3 * a1 ** -18 * a2 ** 2 * a3 ** -2 * a4 ** -1

@@ -47,6 +47,182 @@ def in_t(entry):
     return entry.series.compose(forward)
 
 
+# The product form the catalog replaced by sums of logs: each factor built
+# in t from rational powers, the duality transport on the series
+# themselves, and the assemblers as products of integer powers.  Kept as
+# the differential reference of TestAgainstProductForm.
+
+def ref_segre012_in_t(s, index, order):
+    r = s + 1
+    t = t_gen(order)
+    u = 1 + r * t
+    v = 1 + (1 + r) * t
+    if index == 0:
+        return u ** (-r) * v ** (r - 1)
+    if index == 1:
+        return u.pow_rational(F(r - 1, 2)) * v.pow_rational(1 - F(r, 2))
+    w = 1 + r * (1 + r) * t
+    return (u.pow_rational(F(r * r - 1, 2))
+            * v.pow_rational(r - F(r * r, 2))
+            * w.pow_rational(F(-1, 2)))
+
+
+def ref_segre34_in_t(s, index, order):
+    t = t_gen(order)
+    if s == 2:
+        y = segre_rank2_branch(order + 1)
+        y_over_t = y.shift(-1)
+        if index == 3:
+            return (1 + 3 * t).inverse() * y_over_t.pow_rational(F(-1, 2))
+        return ((1 + 3 * t) * y_over_t ** 3 * (1 + y.truncate(order)) ** 2
+                * (1 - y.truncate(order)).inverse() * y.derivative().inverse())
+    if s == 1:
+        root2 = (1 + 2 * t).sqrt()
+        root6 = (1 + 6 * t).sqrt()
+        if index == 3:
+            return F(1, 2) * (1 + 2 * t).inverse() * (root2 + root6)
+        return 4 * root2 * root6 * (root2 + root6) ** -2
+    if s == 0 and index == 3:
+        return (1 + t).inverse() * (1 + 2 * t).sqrt()
+    if s in (-3, -4):
+        return ref_segre34_by_duality(-s - 2, order)[index - 3]
+    return Series.one(order)
+
+
+def ref_duality_pref(r, index, order):
+    t = t_gen(order)
+    u = 1 + r * t
+    v = 1 + (1 + r) * t
+    if index == 3:
+        return u.pow_rational(F(r + 1, 2)) * v.pow_rational(F(-r, 2))
+    return v.pow_rational(F(r, 4)) * u.pow_rational(F(-(r + 1), 4))
+
+
+def ref_segre34_to_verlinde(s, order):
+    r = s + 1
+    a3 = ref_segre34_in_t(s, 3, order)
+    a4 = ref_segre34_in_t(s, 4, order)
+    b3 = catalog._lagrange(a3 * ref_duality_pref(r, 3, order), r, -1, "t")
+    b4 = catalog._lagrange(a4 * a3.pow_rational(F(-1, 2)) * ref_duality_pref(r, 4, order),
+                           r, -1, "t")
+    return b3, b4
+
+
+def ref_segre34_by_duality(src_rank, order):
+    r = src_rank + 1
+    b3, b4 = ref_segre34_to_verlinde(src_rank, order)
+    a3 = (catalog._lagrange(b3.inverse(), r, -1, "t")
+          * ref_duality_pref(-r, 3, order).inverse())
+    a4 = (catalog._lagrange(b4, r, -1, "t") * ref_duality_pref(-r, 4, order).inverse()
+          * a3.pow_rational(F(1, 2)))
+    return a3, a4
+
+
+def ref_verlinde34_in_t(r, order):
+    t = t_gen(order)
+    if r == 2:
+        half = (1 + (1 + 4 * t).sqrt()) / 2
+        b3 = half * (1 + t).inverse()
+        b4 = (1 + t).sqrt() * (1 + 4 * t).sqrt() * half.pow_rational(F(-5, 2))
+        return b3, b4
+    if r == 3:
+        yy = verlinde_r3_branch(order + 1)
+        y_over_t = yy.shift(-1)
+        b3 = (1 + t).pow_rational(F(-3, 2)) * y_over_t.pow_rational(F(-1, 2))
+        b4 = ((1 + t).pow_rational(F(3, 4)) * y_over_t.pow_rational(F(13, 4))
+              * (1 + yy.truncate(order)) ** 2
+              * (1 - yy.truncate(order)).inverse() * yy.derivative().inverse())
+        return b3, b4
+    one = Series.one(order)
+    return one, one
+
+
+def ref_segre_A(s, index, order):
+    if index in (0, 1, 2):
+        series, status = ref_segre012_in_t(s, index, order), PROVEN
+    elif index in (3, 4):
+        if s not in catalog.SEGRE_34_RANKS:
+            raise UnknownSeriesError(
+                "Segre factor %d has no known closed form at rank %d" % (index, s))
+        series = ref_segre34_in_t(s, index, order)
+        if s in (1, 2):
+            status = PROVEN
+        elif s in (-3, -4) or (s == 0 and index == 3):
+            status = CONJECTURAL
+        else:
+            status = TRIVIAL
+    else:
+        raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
+    return catalog.SeriesEntry("segre", index, s, status,
+                               catalog._lagrange(series, s + 1, s + 1, "z"))
+
+
+def ref_chern_A(s, index, order):
+    if index not in (0, 1, 2):
+        raise UnknownSeriesError("Chern factor index must be 0..2, got %r" % (index,))
+    series = ref_segre_A(-s, index, order).series
+    if index == 0:
+        series = series.inverse()
+    elif index == 1:
+        series = series * ref_segre_A(-s, 0, order).series
+    return catalog.SeriesEntry("chern", index, s, PROVEN, series)
+
+
+def ref_verlinde_B(r, index, order):
+    t = t_gen(order)
+    if index == 1:
+        series, status = 1 + t, PROVEN
+    elif index == 2:
+        series = (1 + t).pow_rational(F(r * r, 2)) * (1 + r * r * t).pow_rational(F(-1, 2))
+        status = PROVEN
+    elif index in (3, 4):
+        if r not in catalog.VERLINDE_34_TWISTS:
+            raise UnknownSeriesError(
+                "Verlinde factor %d has no known closed form at twist %d" % (index, r))
+        b3, b4 = ref_verlinde34_in_t(abs(r), order)
+        if r < 0:
+            b3 = b3.inverse()
+        series = b3 if index == 3 else b4
+        status = TRIVIAL if abs(r) <= 1 else CONJECTURAL
+    else:
+        raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
+    return catalog.SeriesEntry("verlinde", index, r, status,
+                               catalog._lagrange(series, 1, r * r - 1, "w"))
+
+
+def ref_segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
+    out = Series.one(order, "z")
+    for index, e in enumerate((c2, c1sq, chiO, c1K, Ksq)):
+        if e:
+            out = out * ref_segre_A(s, index, order).series ** e
+    return out
+
+
+def ref_verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
+    out = Series.one(order, "w")
+    for index, e in ((1, chi_c1), (2, chiO), (4, Ksq)):
+        if e:
+            out = out * ref_verlinde_B(r, index, order).series ** e
+    e3 = F(2 * c1K - Ksq, 2)
+    if e3:
+        b3 = ref_verlinde_B(r, 3, order).series
+        if e3.denominator == 1:
+            out = out * b3 ** int(e3)
+        elif not (b3 - 1).is_zero():
+            raise ValueError(
+                "third-factor exponent %s is not an integer (odd K^2) and the "
+                "factor at twist %d is nontrivial" % (e3, r))
+    return out
+
+
+def outcome(fn, *args):
+    """repr of the result, the variable name included, or the error raised."""
+    try:
+        return repr(fn(*args))
+    except (UnknownSeriesError, ValueError) as error:
+        return "%s: %s" % (type(error).__name__, error)
+
+
 class TestChangesOfVariable:
     def test_segre_roundtrip(self):
         for r in (-3, -1, 0, 1, 2, 3):
@@ -229,27 +405,27 @@ class TestDualityTransport:
         t = t_gen()
         b3, b4 = catalog._segre34_to_verlinde(1, N)
         half = (1 + (1 + 4 * t).sqrt()) / 2
-        assert b3 == half * (1 + t).inverse()
-        assert b4 == (1 + t).sqrt() * (1 + 4 * t).sqrt() * half.pow_rational(F(-5, 2))
+        assert b3.exp() == half * (1 + t).inverse()
+        assert b4.exp() == (1 + t).sqrt() * (1 + 4 * t).sqrt() * half.pow_rational(F(-5, 2))
 
     def test_reproduces_twist3_pair(self):
         t = t_gen()
         Y = verlinde_r3_branch(N + 1)
         y_over_t = Y.shift(-1)
         b3, b4 = catalog._segre34_to_verlinde(2, N)
-        assert b3 == (1 + t).pow_rational(F(-3, 2)) * y_over_t.pow_rational(F(-1, 2))
-        assert b4 == ((1 + t).pow_rational(F(3, 4)) * y_over_t.pow_rational(F(13, 4))
+        assert b3.exp() == (1 + t).pow_rational(F(-3, 2)) * y_over_t.pow_rational(F(-1, 2))
+        assert b4.exp() == ((1 + t).pow_rational(F(3, 4)) * y_over_t.pow_rational(F(13, 4))
                       * (1 + Y.truncate(N)) ** 2 * (1 - Y.truncate(N)).inverse()
                       * Y.derivative().inverse())
 
     def test_trivial_at_small_twists(self):
         for src in (0, -1):
             b3, b4 = catalog._segre34_to_verlinde(src, N)
-            assert b3 == 1 and b4 == 1
+            assert b3.is_zero() and b4.is_zero()
 
     def test_rank0_roundtrip_gives_proven_rank_minus2(self):
         a3, a4 = catalog._segre34_by_duality(0, N)
-        assert a3 == 1 and a4 == 1
+        assert a3.is_zero() and a4.is_zero()
 
     def test_transport_is_involutive(self):
         # transporting the derived rank -3 factors back must return the
@@ -257,8 +433,8 @@ class TestDualityTransport:
         for src in (1, 2):
             derived = -src - 2
             back3, back4 = catalog._segre34_by_duality(derived, N)
-            assert back3 == catalog._segre34_in_t(src, 3, N)
-            assert back4 == catalog._segre34_in_t(src, 4, N)
+            assert back3.exp() == ref_segre34_in_t(src, 3, N)
+            assert back4.exp() == ref_segre34_in_t(src, 4, N)
 
     def test_negative_rank_statuses(self):
         for s in (-3, -4):
@@ -376,6 +552,19 @@ class TestAssemblers:
         # even K^2, integral exponent: assembles fine
         verlinde_full(2, 3, 1, -2, 8, N)
 
+    def test_verlinde_refuses_half_integer_third_exponent(self):
+        # 2 c1.K - K^2 = -1: the third exponent is -1/2
+        for r in (2, -2, 3, -3):
+            message = ("third-factor exponent -1/2 is not an integer (odd K^2) and the "
+                       "factor at twist %d is nontrivial" % r)
+            with pytest.raises(ValueError) as info:
+                verlinde_full(r, 3, 1, 4, 9, N)
+            assert str(info.value) == message
+        for r in (0, 1, -1):
+            got = verlinde_full(r, 3, 1, 4, 9, N)
+            assert isinstance(got, Series)
+            assert got == ref_verlinde_full(r, 3, 1, 4, 9, N)
+
     def test_verlinde_skips_unknown_factor_on_zero_exponent(self):
         got = verlinde_full(5, 2, 1, 0, 0, N)
         b1 = verlinde_B(5, 1, N).series
@@ -412,3 +601,66 @@ def test_order_zero_is_the_constant_one():
     assert segre_full(1, 1, 1, 1, 0, 0, 0) == Series.one(0, "z")
     assert chern_full(3, 2, -1, 2, 0) == Series.one(0, "z")
     assert verlinde_full(2, 3, 1, 1, 2, 0) == Series.one(0, "w")
+
+
+class TestAgainstProductForm:
+    """The log-space catalog against the product form it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("order", [0, 1, 6, 20])
+    def test_factors(self, order):
+        for s in range(-4, 5):
+            for index in range(-1, 6):
+                assert (outcome(segre_A, s, index, order)
+                        == outcome(ref_segre_A, s, index, order)), (s, index)
+            for index in range(4):
+                assert (outcome(chern_A, s, index, order)
+                        == outcome(ref_chern_A, s, index, order)), (s, index)
+        for r in range(-4, 5):
+            for index in range(6):
+                assert (outcome(verlinde_B, r, index, order)
+                        == outcome(ref_verlinde_B, r, index, order)), (r, index)
+
+    @pytest.mark.parametrize("order", [0, 1, 6, 20])
+    def test_assemblers(self, order):
+        segre_exponents = [(0, 0, 0, 0, 0), (3, -2, 1, 0, 0), (40, -40, 7, 0, 0),
+                           (2, -1, 1, 3, 1), (-5, 40, -3, -2, 9)]
+        for s in range(-4, 5):
+            for exponents in segre_exponents:
+                assert (outcome(segre_full, s, *exponents, order)
+                        == outcome(ref_segre_full, s, *exponents, order)), (s, exponents)
+        verlinde_exponents = [(0, 0, 0, 0), (3, 1, 4, 9), (40, -2, 4, 8), (-7, 3, -5, 2),
+                              (4, 2, 0, 0), (1, 1, 40, 40), (0, 0, -20, 1)]
+        for r in range(-4, 5):
+            for exponents in verlinde_exponents:
+                assert (outcome(verlinde_full, r, *exponents, order)
+                        == outcome(ref_verlinde_full, r, *exponents, order)), (r, exponents)
+
+
+def test_no_series_power_in_the_catalog(monkeypatch):
+    # every factor is a sum of logs in t: one substitution and one exp
+    raised = []
+    power, rational = Series.__pow__, Series.pow_rational
+
+    def counted_power(self, e):
+        raised.append(e)
+        return power(self, e)
+
+    def counted_rational(self, e):
+        raised.append(e)
+        return rational(self, e)
+
+    monkeypatch.setattr(Series, "__pow__", counted_power)
+    monkeypatch.setattr(Series, "pow_rational", counted_rational)
+    for s in catalog.SEGRE_34_RANKS:
+        for index in range(5):
+            segre_A(s, index, N)
+        for index in range(3):
+            chern_A(s, index, N)
+        segre_full(s, 3, -2, 1, 5, 9, N)
+    for r in catalog.VERLINDE_34_TWISTS:
+        for index in range(1, 5):
+            verlinde_B(r, index, N)
+        verlinde_full(r, 3, 1, -5, 8, N)
+    assert raised == []
+    Series.gen(N) ** 2
+    assert raised == [2]

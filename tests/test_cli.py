@@ -1,5 +1,6 @@
 """CLI behavior: output formats, config echo, exit codes, reproducibility."""
 
+import hashlib
 import json
 import time
 
@@ -758,3 +759,29 @@ def test_golden_stdout(capsys, monkeypatch, argv, expected):
     code, out = run(capsys, *argv.split())
     assert code == 0
     assert out == expected
+
+
+# sha256 of the full stdout at order 60, deeper than the benchmark's catalog
+# jobs (orders 20..40) reach: the branch factors, a duality-transported
+# factor, a Chern product and a Serre-inverted Verlinde factor.
+DEEP_SERIES_SHA256 = {
+    "series --family=segreA --rank=2 --index=4 --order=60":
+        "76585e28f7af2a648da8d7904fe31ca45247490cbe233f4fc66f5b300eecb664",
+    "series --family=segreA --rank=-4 --index=3 --order=60":
+        "6b56a4ab4a98b48ce594dc3e879f1600e4fc7e41d5f25235f22ffcf918ea38f7",
+    "series --family=chernA --rank=-3 --index=1 --order=60":
+        "6bce8d3a4297447e2fdfa15b04ba6f2dfd1ea7c8f64779cfe6a8332016792da6",
+    "series --family=verlindeB --rank=3 --index=4 --order=60":
+        "c1af811ceb71f080f497f51c60a5fb1a48ba6998193246393bd2354ef69fd23e",
+    "series --family=verlindeB --rank=-2 --index=3 --order=60":
+        "c5f99a77d353df313fd56870f0fc047f6082e6b3c78da02758728616c6ec877e",
+}
+
+
+@pytest.mark.parametrize("argv, digest", sorted(DEEP_SERIES_SHA256.items()),
+                         ids=sorted(DEEP_SERIES_SHA256))
+def test_deep_series_digest(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

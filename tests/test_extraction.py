@@ -167,6 +167,24 @@ def _assert_matches_reference(matrix, rng):
         assert _outcome(ext.solve_exact, matrix, rhs) == _outcome(_ref_solve_exact, matrix, rhs)
 
 
+def _one_solve_per_column(matrix, columns):
+    """solve_exact per right-hand side: the values per unknown, or the first error."""
+    solutions = []
+    for rhs in columns:
+        try:
+            solutions.append(ext.solve_exact(matrix, rhs))
+        except (ValueError, ext.UniversalityError) as error:
+            return type(error), str(error)
+    return [list(values) for values in zip(*solutions)]
+
+
+def _one_reduction(matrix, columns):
+    try:
+        return ext._solve(matrix, columns)
+    except (ValueError, ext.UniversalityError) as error:
+        return type(error), str(error)
+
+
 class TestSolveExact:
     def test_plain_square_system(self):
         sol = ext.solve_exact([[2, 1], [1, 3]], [5, 10])
@@ -233,6 +251,19 @@ class TestAgainstFractionReference:
         for _ in range(400):
             matrix = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 6))
             _assert_matches_reference(matrix, rng)
+
+    def test_many_right_hand_sides_in_one_reduction(self):
+        # every order of an extraction rides along in one reduction; the
+        # values and the first failing right-hand side's error are those of
+        # one solve per right-hand side
+        rng = random.Random(12)
+        for _ in range(200):
+            width = rng.randint(1, 5)
+            matrix = _random_matrix(rng, rng.randint(width, 8), width)
+            columns = [rhs for _ in range(3) for rhs in _right_hand_sides(rng, matrix)]
+            rng.shuffle(columns)
+            columns = columns[:rng.randint(1, 6)]
+            assert _one_reduction(matrix, columns) == _one_solve_per_column(matrix, columns)
 
     @pytest.mark.parametrize("s", range(-4, 4))
     def test_segre_panels(self, s):
@@ -308,6 +339,23 @@ class TestExtractUniversal:
         assert [series[0].coefficient(n) for n in range(4)] == [1, -1, 1, -1]
         for index in (3, 4):
             assert (series[index] - 1).is_zero()
+
+    def test_one_reduction_for_every_order(self, monkeypatch):
+        # each panel row is reduced once per extraction, with one trailing
+        # entry per order
+        panel = ext.build_panel(1)
+        original = ext._reduce
+        trailing = []
+
+        def counted(basis, row, width):
+            trailing.append(len(row) - width)
+            return original(basis, row, width)
+
+        monkeypatch.setattr(ext, "_reduce", counted)
+        for order in (1, 3):
+            trailing.clear()
+            ext.extract_universal(1, order, panel)
+            assert trailing == [order] * len(panel)
 
     def test_panel_rank_mismatch_rejected(self):
         panel = ext.build_panel(1)
