@@ -188,23 +188,28 @@ def _segre_log(s, index, order):
     if s not in SEGRE_34_RANKS:
         raise UnknownSeriesError(
             "Segre factor %d has no known closed form at rank %d" % (index, s))
+    return _segre34_logs(s, order)[index - 3]
+
+
+def _segre34_logs(s, order):
+    """(status, log in t) of the third and of the fourth Segre factor at a rank s
+    in SEGRE_34_RANKS, from one branch or one mean root."""
     if s == 2:
         y = segre_rank2_branch(order + 1)
         log_y = y.shift(-1).log()  # log(y/t)
-        if index == 3:
-            return PROVEN, -_log1p_sum(order, (3, 1)) - log_y / 2
-        return PROVEN, _log1p_sum(order, (3, 1)) + 3 * log_y + _branch_tail(y)
+        log_1p3t = _log1p_sum(order, (3, 1))
+        return ((PROVEN, -log_1p3t - log_y / 2),
+                (PROVEN, log_1p3t + 3 * log_y + _branch_tail(y)))
     if s == 1:
         half = _mean_root_log(order, 2, 6)
-        if index == 3:
-            return PROVEN, half - _log1p_sum(order, (2, 1))
-        return PROVEN, _log1p_sum(order, (2, F(1, 2)), (6, F(1, 2))) - 2 * half
-    if s == 0 and index == 3:
-        return CONJECTURAL, _log1p_sum(order, (1, -1), (2, F(1, 2)))
+        return ((PROVEN, half - _log1p_sum(order, (2, 1))),
+                (PROVEN, _log1p_sum(order, (2, F(1, 2)), (6, F(1, 2))) - 2 * half))
+    one = (TRIVIAL, Series.zero(order))  # s = 0 index 4, and s = -1, -2
+    if s == 0:
+        return (CONJECTURAL, _log1p_sum(order, (1, -1), (2, F(1, 2)))), one
     if s in (-3, -4):
-        return CONJECTURAL, _segre34_by_duality(-s - 2, order)[index - 3]
-    # s = 0 index 4, and s = -1, -2: identically 1
-    return TRIVIAL, Series.zero(order)
+        return tuple((CONJECTURAL, log) for log in _segre34_by_duality(-s - 2, order))
+    return one, one
 
 
 def _duality_pref(r, index, order):
@@ -223,7 +228,7 @@ def _segre34_to_verlinde(s, order):
     variable tau, where tau = t/(1+rt) links the two closed-form charts.
     """
     r = s + 1
-    a3, a4 = (_segre_log(s, index, order)[1] for index in (3, 4))
+    a3, a4 = (log for _, log in _segre34_logs(s, order))
     b3 = _lagrange(a3 + _duality_pref(r, 3, order), r, -1, "t")
     b4 = _lagrange(a4 - a3 / 2 + _duality_pref(r, 4, order), r, -1, "t")
     return b3, b4

@@ -216,22 +216,14 @@ _PROBE_LINES = {
 
 
 def _probe_classes(surface, s):
-    """Deterministic stream of rank-s classes with varied Chern data."""
+    """Deterministic stream of rank-s classes with varied Chern data: p positive and
+    p - s negative probe lines, for p = max(s, 1) and then one more."""
     lines = _PROBE_LINES[surface.name]
-    if s >= 1:
-        for combo in itertools.combinations_with_replacement(lines, s):
-            yield EqKClass(surface, [(1, c) for c in combo])
-        for combo in itertools.combinations_with_replacement(lines, s + 1):
-            for neg in lines:
-                yield EqKClass(surface, [(1, c) for c in combo] + [(-1, neg)])
-    else:
-        minus = 1 - s
-        for pos in lines:
-            for combo in itertools.combinations_with_replacement(lines, minus):
-                yield EqKClass(surface, [(1, pos)] + [(-1, c) for c in combo])
-        for pcombo in itertools.combinations_with_replacement(lines, 2):
-            for ncombo in itertools.combinations_with_replacement(lines, minus + 1):
-                yield EqKClass(surface, [(1, c) for c in pcombo] + [(-1, c) for c in ncombo])
+    low = max(s, 1)
+    for p in (low, low + 1):
+        for plus in itertools.combinations_with_replacement(lines, p):
+            for minus in itertools.combinations_with_replacement(lines, p - s):
+                yield EqKClass(surface, [(1, c) for c in plus] + [(-1, c) for c in minus])
 
 
 def build_panel(s, size=6):

@@ -21,8 +21,10 @@ charts of sum_lambda x^|lambda| g(lambda), |lambda| <= N, and no fixed
 point is ever built.  g is a series in u over the tangent weights, read
 at u^2n: the Segre class prod (1+ku)^(-sign) (Chern is Segre of the
 negated class), or by Hirzebruch-Riemann-Roch ch(det) td = e^(au) prod
-td(ku) (Verlinde: det of L + (r-1) O).  One chart pass serves every n <= N
-and a batch of classes on one surface (segre_series, verlinde_series).
+td(ku) (Verlinde: det of L + (r-1) O, L and one trivial term of weight
+r-1).  A class enters as its terms' weights and per-chart lifts
+(EqKClass.signed_lifts).  One chart pass serves every n <= N and a batch
+of classes on one surface (segre_series, verlinde_series).
 
 One rule draws the directions (_two_draws): the first two directions of
 a seeded stream over the draw box whose hook lengths keep every tangent
@@ -281,10 +283,6 @@ class EqKClass:
         if len(lift_shifts) != len(self.terms):
             raise ValueError("one lift shift per term expected")
         self.shifts = [tuple(shift) for shift in lift_shifts]
-        self.lifts = []
-        for (sign, coeffs), shift in zip(self.terms, self.shifts):
-            base = surface.lift(coeffs)
-            self.lifts.append(tuple(_vadd(m, shift) for m in base))
         gens = len(surface.generators)
         c1 = [0] * gens
         c2 = 0
@@ -300,6 +298,12 @@ class EqKClass:
         self.c1sq = surface.pair(c1, c1)
         self.c2 = c2
         self.c1K = sum(a * k for a, k in zip(c1, surface.k_dot))
+
+    def signed_lifts(self, sign=1):
+        """Per term (sign times its sign, its per-chart lift plus shift): the class
+        as the chart pass reads it; sign -1 gives the negated class."""
+        return [(sign * term_sign, tuple(_vadd(m, shift) for m in self.surface.lift(coeffs)))
+                for (term_sign, coeffs), shift in zip(self.terms, self.shifts)]
 
     def shifted(self, term_index, char):
         """Same class with one term's lift moved by a global character."""
@@ -380,22 +384,22 @@ def tangent_weights(fp, surface):
     return out
 
 
-def taut_weights(kclass, fp):
-    """Signed fiber characters of the tautological class at a fixed point.
+def taut_weights(lifts, fp, surface):
+    """Weighted fiber characters of the tautological class at a fixed point.
 
-    Each term contributes, for every box in column c row s of the
-    chart's partition, its lift character plus c u1 + s u2.  The oracle
-    specializes the same weights chart by chart in _chart_product; this
-    is the plain form the tests compare it with.
+    ``lifts`` is a class as signed_lifts gives it.  Each term contributes,
+    for every box in column c row s of the chart's partition, its weight
+    and its lift character plus c u1 + s u2.  The oracle specializes the
+    same weights chart by chart in _chart_product; this is the plain form
+    the tests compare it with.
     """
     boxes = []
     for index, lam in enumerate(fp):
-        _, _, u1, u2 = kclass.surface.charts[index]
+        _, _, u1, u2 = surface.charts[index]
         for row, part in enumerate(lam):
             for col in range(part):
                 boxes.append((index, _vadd(_vscale(col, u1), _vscale(row, u2))))
-    return [(sign, _vadd(lifts[index], box))
-            for (sign, _), lifts in zip(kclass.terms, kclass.lifts) for index, box in boxes]
+    return [(weight, _vadd(lift[index], box)) for weight, lift in lifts for index, box in boxes]
 
 
 def _hook_generic(surface, n, q):
@@ -415,18 +419,20 @@ def require_draws(surface, n, what):
     _two_draws(surface, n, None, what)
 
 
-def _segre_term(ks, class_weights, degree):
-    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree, as (denominator, numerators)."""
+def _segre_term(ks, boxes, lifts, degree):
+    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree over k = m + box, as
+    (denominator, numerators); every sign is +-1, as every EqKClass term's is."""
     out = []
-    for weights in class_weights:
+    for class_lifts in lifts:
         c = [1] + [0] * degree
-        for sign, k in weights:
-            if sign > 0:
-                for j in range(1, degree + 1):  # divide by 1 + k u
-                    c[j] -= k * c[j - 1]
-            else:
-                for j in range(degree, 0, -1):  # multiply by 1 + k u
-                    c[j] += k * c[j - 1]
+        for sign, m in class_lifts:
+            for k in (m + box for box in boxes):
+                if sign > 0:
+                    for j in range(1, degree + 1):  # divide by 1 + k u
+                        c[j] -= k * c[j - 1]
+                else:
+                    for j in range(degree, 0, -1):  # multiply by 1 + k u
+                        c[j] += k * c[j - 1]
         out.append(c)
     return prod(ks), out
 
@@ -441,16 +447,18 @@ def _todd_log(degree):
             factorial(degree) * d ** degree)
 
 
-def _euler_term(ks, class_weights, degree):
-    """Per class, e^(au) prod td(ku) / prod ks to u^degree, a = sum sign * k, as
-    (denominator, numerators): by Hirzebruch-Riemann-Roch, the Euler characteristic
-    of the determinant line, and prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j."""
+def _euler_term(ks, boxes, lifts, degree):
+    """Per class, e^(au) prod td(ku) / prod ks to u^degree, as (denominator, numerators):
+    by Hirzebruch-Riemann-Roch, the Euler characteristic of the determinant line, with
+    prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j, and a = sum weight (|lambda| m
+    + B), B the sum of the boxes: |lambda| m_L + r B for L + (r-1) O."""
     d, tau, den = _todd_log(degree)
     exponent = [t and t * sum(k ** j for k in ks) for j, t in enumerate(tau)] + [0]  # a_1 slot
     linear = exponent[1]
+    size, total = len(boxes), sum(boxes)
     out = []
-    for weights in class_weights:
-        exponent[1] = linear + d * sum(s * k for s, k in weights)
+    for class_lifts in lifts:
+        exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
         out.append(exp_numerators(exponent, d, degree))
     return prod(ks) * den, out
 
@@ -471,11 +479,11 @@ def _times(a, b):
 def _chart_product(surface, classes, order, q, term):
     """Per class, prod over charts of sum_lambda x^|lambda| term(lambda) at direction q.
 
-    ``classes`` holds each class's terms as (sign, per-chart lifts).  Each
-    partition of size at most ``order`` gets its integer tangent weights
-    ks, none zero at a drawn q, and its box characters c u1.q + s u2.q plus
-    each term's lift; ``term(ks, class_weights, degree)`` returns its
-    (den, numerators per class), with numerator_j / den at u^j.  Each chart's
+    ``classes`` holds each class as signed_lifts gives it.  Each partition
+    of size at most ``order`` gets its integer tangent weights ks, none zero
+    at a drawn q, and its box characters c u1.q + s u2.q; with each class's
+    (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree)`` returns
+    its (den, numerators per class), with numerator_j / den at u^j.  Each chart's
     sums are divided by their gcd with the chart's denominator, which cancels
     most of the Euler terms' degree! D^degree.  Returns (rows, den) per class,
     rows[n][j] for j <= 2 order.
@@ -488,15 +496,14 @@ def _chart_product(surface, classes, order, q, term):
     for index, (_, _, u1, u2) in enumerate(surface.charts):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
         across, up = _dot(u1, q), _dot(u2, q)
-        lifts = [[(sign, _dot(lift[index], q)) for sign, lift in terms] for terms in classes]
+        lifts = [[(w, _dot(lift[index], q)) for w, lift in c] for c in classes]
         terms = []
         for size, hooks, cells in shapes:
             ks = [a * x + b * y for a, b in hooks]
             if 0 in ks:
                 raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
             boxes = [col * across + row * up for col, row in cells]
-            terms.append((size, term(ks, [[(sign, m + box) for sign, m in class_lifts
-                                           for box in boxes] for class_lifts in lifts], degree)))
+            terms.append((size, term(ks, boxes, lifts, degree)))
         chart_den = lcm(*(d for _, (d, _) in terms))
         chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in classes]
         for size, (d, numerators) in terms:
@@ -529,13 +536,11 @@ def _euler_values(rows, den):
     return tuple(map(int, values))
 
 
-def _chart_pass(term, read, surface, kclasses, order, seed, whats):
-    """Per class, read(*chart product) for n = 0..order, agreed at two directions.
-
-    ``whats`` names each class in errors.
+def _chart_pass(term, read, surface, classes, order, seed, whats):
+    """Per class, given as signed_lifts gives it, read(*chart product) for
+    n = 0..order, agreed at two directions.  ``whats`` names each class in errors.
     """
     draws = _two_draws(surface, order, seed, ", ".join(whats))
-    classes = [list(zip((sign for sign, _ in c.terms), c.lifts)) for c in kclasses]
     first, second = ([read(*c) for c in _chart_product(surface, classes, order, q, term)]
                      for q in draws)
     return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
@@ -544,8 +549,8 @@ def _chart_pass(term, read, surface, kclasses, order, seed, whats):
 def segre_series(surface, classes, order, seed=None):
     """Per class, its degree-2n Segre integral over S^[n] for n = 0..order, in one pass."""
     classes = list(classes)
-    return _chart_pass(_segre_term, _top_values, surface, classes, order, seed,
-                       [repr(c) for c in classes])
+    return _chart_pass(_segre_term, _top_values, surface, [c.signed_lifts() for c in classes],
+                       order, seed, [repr(c) for c in classes])
 
 
 def segre_integral(surface, kclass, n, seed=None):
@@ -555,18 +560,8 @@ def segre_integral(surface, kclass, n, seed=None):
 
 def chern_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
-    negated = EqKClass(surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
-                       kclass.shifts)
-    return _chart_pass(_segre_term, _top_values, surface, [negated], n, seed,
+    return _chart_pass(_segre_term, _top_values, surface, [kclass.signed_lifts(-1)], n, seed,
                        [repr(kclass)])[0][n]
-
-
-def _twisted_class(kclass, r):
-    """L + (r-1) O, of rank r, for the line bundle L of kclass."""
-    extra = abs(r - 1)
-    trivial = (1 if r > 1 else -1, (0,) * len(kclass.surface.generators))
-    return EqKClass(kclass.surface, kclass.terms + [trivial] * extra,
-                    kclass.shifts + [(0, 0)] * extra)
 
 
 def verlinde_series(surface, classes, r, order, seed=None):
@@ -576,8 +571,9 @@ def verlinde_series(surface, classes, r, order, seed=None):
     for kclass in classes:
         if kclass.rank != 1 or len(kclass.terms) != 1:
             raise ValueError("verlinde_series expects a single line bundle, got %r" % kclass)
+    trivial = (r - 1, ((0, 0),) * len(surface.charts))
     return _chart_pass(_euler_term, _euler_values, surface,
-                       [_twisted_class(c, r) for c in classes], order, seed,
+                       [c.signed_lifts() + [trivial] for c in classes], order, seed,
                        ["chi of %r at twist %d" % (c, r) for c in classes])
 
 

@@ -366,11 +366,11 @@ def check_enriques(r, n_max=5, chi_range=range(1, 7), form_order=20):
             rhs = rhs_chi * dw * w_over_t ** (-(n + 1))
             tally.eq(lhs, rhs, "forms", r, chi, n)
     # (b) == (c), and (c) matches the assembled Euler-characteristic series
+    _, w2, f2, g2 = _enriques_w_chart(r, n_max)
+    root = f2.pow_rational(F(1, 2))
+    t_of_w = Series(list(w2.revert().coeffs), n_max, "w")
     for chi in chi_range:
-        u2, w2, f2, g2 = _enriques_w_chart(r, n_max)
-        v_in_t = f2.pow_rational(F(1, 2)) * g2 ** chi
-        t_of_w = Series(list(w2.revert().coeffs), n_max, "w")
-        v_in_w = v_in_t.compose(t_of_w)
+        v_in_w = (root * g2 ** chi).compose(t_of_w)
         tally.eq(v_in_w, catalog.verlinde_full(r, chi, 1, 0, 0, n_max),
                  "verlinde assembly", r, chi)
         for n in range(n_max + 1):

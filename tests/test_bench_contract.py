@@ -1,9 +1,11 @@
-"""The benchmark's traced names must exist in the package.
+"""The benchmark's traced names and job argvs must exist in the package.
 
 ``perfbench/spans.py`` wraps hilbseries functions by (module, attribute
-path).  Its own tests are not part of this suite, so a renamed or deleted
-traced function would otherwise surface only in a traced benchmark run.
-The spans module is loaded from its file and only read.
+path), and ``perfbench/workloads.py`` writes the CLI argvs its jobs run.
+Their own tests are not part of this suite, so a renamed or deleted
+traced function, or an option the CLI no longer takes, would otherwise
+surface only in a benchmark run.  Both modules are loaded from their
+files and only read.
 """
 
 import importlib
@@ -11,18 +13,19 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("_perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_path_resolves():
-    spans = _load_spans()
+    spans = _load("spans")
     for name, module_name, path in spans.TRACED:
         owner = importlib.import_module(module_name)
         for part in path.split("."):
@@ -35,3 +38,13 @@ def test_every_traced_path_resolves():
     from hilbseries import extraction
     for fn in (extraction.extract_universal, extraction.extract_verlinde):
         assert list(inspect.signature(fn).parameters)[2] == "panel"
+
+
+def test_every_benchmark_argv_parses():
+    # argparse exits 2 on an argv it cannot parse, which fails this test
+    from hilbseries import cli
+    workloads = _load("workloads")
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        for argv in next(workloads.blocks(workload, 1)):
+            parser.parse_args(argv)

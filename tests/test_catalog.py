@@ -441,6 +441,21 @@ class TestDualityTransport:
             for i in (3, 4):
                 assert segre_A(s, i, N).status == CONJECTURAL
 
+    def test_one_branch_solve_per_transport(self, monkeypatch):
+        # both transported factors come from one rank-2 branch
+        original = catalog.segre_rank2_branch
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return original(order)
+
+        monkeypatch.setattr(catalog, "segre_rank2_branch", counted)
+        for index in (3, 4):
+            calls.clear()
+            segre_A(-4, index, N)
+            assert calls == [N + 1], index
+
 
 class TestChernFactors:
     def test_rank2_is_one_plus_z(self):

@@ -316,6 +316,22 @@ class TestPanels:
             ext.build_panel(s)
             assert calls == [6], s
 
+    def test_build_panel_lifts_no_probe(self, monkeypatch):
+        # a probe is ranked by its Chern numbers; lifts wait for the oracle
+        for name in loc.surface_names():
+            loc.get_surface(name)
+        original = loc.ToricSurface.lift
+        calls = []
+
+        def counted(self, coeffs):
+            calls.append(coeffs)
+            return original(self, coeffs)
+
+        monkeypatch.setattr(loc.ToricSurface, "lift", counted)
+        for s in range(4):
+            ext.build_panel(s)
+        assert calls == []
+
     def test_too_small_size_rejected(self):
         with pytest.raises(ext.PanelError):
             ext.build_panel(1, size=4)

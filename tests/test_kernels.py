@@ -11,8 +11,12 @@ time; ref_euler_data is the box walk the Verlinde sum used before its
 records came from the tautological class of L + (r-1) O, and
 ref_euler_term is the binomial Euler term in e = e^u - 1 that the
 Hirzebruch-Riemann-Roch term in u replaced; the chart pass must give the
-same values with either.  Every comparison is exact equality, at a fixed
-direction and through the public entry points with their character draws.
+same values with either.  The references build the Verlinde class as
+twisted_class does, a rank-r EqKClass with |r-1| trivial terms, and the
+Chern class as the negated EqKClass, where the oracle passes one trivial
+term of weight r-1 and signed_lifts(-1).  Every comparison is exact
+equality, at a fixed direction and through the public entry points with
+their character draws.
 """
 
 import re
@@ -74,7 +78,7 @@ def ref_batch(ref):
 
 def ref_euler_data(surface, kclass, r, fps, q):
     """Per-point (a, tangent weights) of the Verlinde sum, by a walk over the boxes."""
-    lifts = kclass.lifts[0]
+    (_, lifts), = kclass.signed_lifts()
     data = []
     for fp in fps:
         ks = [spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)]
@@ -126,6 +130,8 @@ def ref_euler_term(ks, class_weights, degree):
     Q = prod P_|k|, A = a + sum of the positive k.  Its coefficients are
     d_j / Q_0^(j+1) with d_j = Q_0^j C(A, j) - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i);
     returned over the one denominator Q_0^(degree+1), as the chart pass reads terms.
+    It reads each class as its list of (sign, k); run it under the chart pass's
+    contract through weight_lists.
     """
     shift = sum(k for k in ks if k > 0)
     sign = -1 if sum(1 for k in ks if k < 0) % 2 else 1
@@ -148,6 +154,23 @@ def ref_euler_term(ks, class_weights, degree):
     return q0 ** (degree + 1), out
 
 
+def weight_lists(kernel):
+    """A kernel under the contract term(ks, boxes, lifts, degree) from one that reads
+    each class as its list of (weight, m + box), term by term and box by box."""
+    def term(ks, boxes, lifts, degree):
+        return kernel(ks, [[(w, m + box) for w, m in class_lifts for box in boxes]
+                           for class_lifts in lifts], degree)
+    return term
+
+
+def twisted_class(kclass, r):
+    """L + (r-1) O, of rank r, for the line bundle L of kclass: |r-1| trivial terms."""
+    extra = abs(r - 1)
+    trivial = (1 if r > 1 else -1, (0,) * len(kclass.surface.generators))
+    return loc.EqKClass(kclass.surface, kclass.terms + [trivial] * extra,
+                        kclass.shifts + [(0, 0)] * extra)
+
+
 # The per-point path: the fixed-point sum the chart pass replaced, kept as
 # its differential reference.  It enumerates the fixed points of S^[n],
 # specializes each once per direction for a batch of classes, and sums an
@@ -157,8 +180,8 @@ def point_records(surface, kclasses, fps, q):
     """Each fixed point at direction q: its tangent weights and, per class,
     its signed tautological weights (the order of taut_weights)."""
     steps = [(loc._dot(u1, q), loc._dot(u2, q)) for _, _, u1, u2 in surface.charts]
-    terms = [[(sign, [loc._dot(m, q) for m in lifts])
-              for (sign, _), lifts in zip(kclass.terms, kclass.lifts)] for kclass in kclasses]
+    terms = [[(sign, [loc._dot(m, q) for m in lifts]) for sign, lifts in kclass.signed_lifts()]
+             for kclass in kclasses]
     for fp in fps:
         ks = [spec_nonzero(w, q) for w in loc.tangent_weights(fp, surface)]
         boxes = [(index, col * across + row * up)
@@ -276,8 +299,8 @@ def negated(kclass):
 
 def chart_values(read, surface, classes, order, q, term):
     """Per class, the values n = 0..order of the chart product at direction q."""
-    terms = [list(zip((sign for sign, _ in c.terms), c.lifts)) for c in classes]
-    return [read(*c) for c in loc._chart_product(surface, terms, order, q, term)]
+    lifts = [c.signed_lifts() for c in classes]
+    return [read(*c) for c in loc._chart_product(surface, lifts, order, q, term)]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -319,7 +342,7 @@ def test_record_exponent_is_the_box_walk(name):
             for degree in range(-1, 2):
                 kclass = loc.EqKClass(surface, [(1, tuple([degree] * gens))])
                 for q in DIRECTIONS:
-                    records = point_records(surface, [loc._twisted_class(kclass, r)], fps, q)
+                    records = point_records(surface, [twisted_class(kclass, r)], fps, q)
                     assert outcome(exponents, records) == \
                         outcome(ref_euler_data, surface, kclass, r, fps, q), (n, r, degree, q)
 
@@ -332,7 +355,7 @@ def test_euler_sum_fixed_directions(name):
         fps = loc.enumerate_fixed_points(surface, n)
         for r in range(-3, 4):
             kclass = loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))])
-            twisted = loc._twisted_class(kclass, r)
+            twisted = twisted_class(kclass, r)
             for q in DIRECTIONS[r % 2::2]:
                 try:
                     data = list(point_records(surface, [twisted], fps, q))
@@ -353,17 +376,34 @@ def test_hrr_term_is_the_binomial_term(name):
     # chi(O) at order 1), and one 3-class batch
     surface = loc.get_surface(name)
     gens = len(surface.generators)
-    twisted = [loc._twisted_class(loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))]), r)
+    twisted = [twisted_class(loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))]), r)
                for r in range(-3, 4)]
-    batch = [loc._twisted_class(c, 2) for c in shifted_lines(surface)[:3]]
+    batch = [twisted_class(c, 2) for c in shifted_lines(surface)[:3]]
     cases = [(twisted, order, q) for q in DIRECTIONS
              for order in {0, 1, max(n for n in range(9) if loc._hook_generic(surface, n, q))}]
     for classes, order, q in cases + [(batch, 4, (2, 5))]:
         hrr, ref = (outcome(chart_values, loc._euler_values, surface, classes, order, q, term)
-                    for term in (loc._euler_term, ref_euler_term))
+                    for term in (loc._euler_term, weight_lists(ref_euler_term)))
         assert hrr == ref, (q, order, len(classes))
     assert loc._euler_values(*loc._chart_product(surface, [[]], 1, (2, 5),
                                                  loc._euler_term)[0]) == (1, surface.chi_O)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_trivial_term_of_weight_r_minus_1_is_the_twisted_class(name):
+    # the oracle's Verlinde class, L and one trivial term of weight r-1, against
+    # the rank-r class with |r-1| unit trivial terms, at fixed directions
+    surface = loc.get_surface(name)
+    zero = ((0, 0),) * len(surface.charts)
+    for line in shifted_lines(surface):
+        for r in range(-3, 4):
+            lifts = line.signed_lifts() + [(r - 1, zero)]
+            for q in DIRECTIONS:
+                weighted = outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
+                    surface, [lifts], 4, q, loc._euler_term)])
+                assert weighted == outcome(chart_values, loc._euler_values, surface,
+                                           [twisted_class(line, r)], 4, q, loc._euler_term), \
+                    (line, r, q)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -388,7 +428,7 @@ def test_verlinde_through_draws(name):
               r, n, seed)
              for d, r in enumerate(range(-3, 4)) for n, seed in enumerate((None, 17, 5, 17))]
     new = [loc.verlinde_chi(surface, c, r, n, seed) for c, r, n, seed in cases]
-    old = [point_sum(ref_batch(ref_euler_sum), surface, [loc._twisted_class(c, r)], n, seed,
+    old = [point_sum(ref_batch(ref_euler_sum), surface, [twisted_class(c, r)], n, seed,
                      [repr(c)])[0] for c, r, n, seed in cases]
     assert new == old
 
@@ -435,6 +475,29 @@ def test_no_series_in_the_chart_pass(monkeypatch):
     assert len(built) == 1
 
 
+def test_the_oracle_builds_no_class(monkeypatch):
+    # classes reach the chart pass as signed lifts: no negated Chern class
+    # and no twisted Verlinde class
+    surface = loc.get_surface("p1xp1")
+    kclass = loc.parse_class(surface, "O(2,1)+O(0,1)-O(1,0)")
+    line = loc.parse_class(surface, "O(1,0)")
+    built = []
+    original = loc.EqKClass.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(loc.EqKClass, "__init__", counted)
+    loc.segre_series(surface, [kclass, line], 3)
+    loc.chern_integral(surface, kclass, 3)
+    for r in (-2, 0, 1, 3):
+        loc.verlinde_series(surface, [line], r, 3)
+    assert built == []
+    loc.EqKClass(surface, kclass.terms)
+    assert len(built) == 1
+
+
 def shifted_classes(surface):
     """CLASSES of the surface, each also with its terms' lifts moved."""
     out = []
@@ -469,7 +532,8 @@ def test_shared_specialization_is_taut_weights(name):
                 assert ks == [loc._dot(w, q) for w in loc.tangent_weights(fp, surface)]
                 assert len(class_weights) == len(classes)
                 for kclass, weights in zip(classes, class_weights):
-                    old = [(sign, loc._dot(c, q)) for sign, c in loc.taut_weights(kclass, fp)]
+                    old = [(sign, loc._dot(c, q))
+                           for sign, c in loc.taut_weights(kclass.signed_lifts(), fp, surface)]
                     assert sorted(weights) == sorted(old), (kclass, n, q, fp)
 
 
@@ -486,7 +550,7 @@ def test_batches_equal_the_references_class_by_class(name):
     assert segre == [tuple(point_sum(segre_ref, surface, [c], n, seed, [repr(c)])[0]
                            for c in classes)
                      for n, seed in cases]
-    assert chis == [tuple(point_sum(euler_ref, surface, [loc._twisted_class(c, r)], n, seed,
+    assert chis == [tuple(point_sum(euler_ref, surface, [twisted_class(c, r)], n, seed,
                                     [repr(c)])[0] for c in lines)
                     for n, seed in cases for r in range(-3, 4)]
 
@@ -522,7 +586,7 @@ def test_chart_pass_is_the_point_sum_verlinde(name):
     chart = [values for r in twists
              for values in loc.verlinde_series(surface, lines, r, CHART_ORDER, 11)]
     # one point sum per n for every twist at once
-    twisted = [loc._twisted_class(c, r) for r in twists for c in lines]
+    twisted = [twisted_class(c, r) for r in twists for c in lines]
     point = [point_sum(point_euler_sum, surface, twisted, n, 11, [repr(c) for c in twisted])
              for n in range(CHART_ORDER + 1)]
     assert chart == list(zip(*point))
@@ -589,8 +653,8 @@ class TestChecksStillFire:
         line = loc.parse_class(p2, "O(1)")
         original = loc._euler_term
 
-        def broken(ks, class_weights, degree):
-            den, numerators = original(ks, class_weights, degree)
+        def broken(ks, boxes, lifts, degree):
+            den, numerators = original(ks, boxes, lifts, degree)
             if ks and len(numerators) > 1:
                 numerators[1] = [2 * c for c in numerators[1]]
             return den, numerators
