@@ -185,15 +185,16 @@ def _segre_log(s, index, order):
         )[index])
     if index not in (3, 4):
         raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
+    return _segre34_logs(s, order, index)[index - 3]
+
+
+def _segre34_logs(s, order, index=3):
+    """(status, log in t) of the third and of the fourth Segre factor at rank s,
+    from one branch or one mean root; index names the factor an unknown rank
+    is reported for."""
     if s not in SEGRE_34_RANKS:
         raise UnknownSeriesError(
             "Segre factor %d has no known closed form at rank %d" % (index, s))
-    return _segre34_logs(s, order)[index - 3]
-
-
-def _segre34_logs(s, order):
-    """(status, log in t) of the third and of the fourth Segre factor at a rank s
-    in SEGRE_34_RANKS, from one branch or one mean root."""
     if s == 2:
         y = segre_rank2_branch(order + 1)
         log_y = y.shift(-1).log()  # log(y/t)
@@ -333,7 +334,10 @@ def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
     Factors with zero exponent are skipped, so any rank assembles on
     K-trivial numerics even where the last two factors are unknown.
     """
-    log = _log_sum(_segre_log, s, enumerate((c2, c1sq, chiO, c1K, Ksq)), order)
+    log = _log_sum(_segre_log, s, enumerate((c2, c1sq, chiO)), order)
+    if c1K or Ksq:  # the last two factors share one branch or mean root
+        a3, a4 = (tail for _, tail in _segre34_logs(s, order, 3 if c1K else 4))
+        log = log + c1K * a3 + Ksq * a4
     return _exp_in(log, s + 1, s + 1, "z")
 
 

@@ -455,7 +455,8 @@ def check_fgh_derivation(order=20):
     """
     big = order + 1
     t = Series.gen(big, "t")
-    a0, a1, a2, a3, a4 = (catalog._segre_log(2, i, big)[1].exp() for i in range(5))
+    logs = [catalog._segre_log(2, i, big) for i in range(3)]
+    a0, a1, a2, a3, a4 = (log.exp() for _, log in logs + list(catalog._segre34_logs(2, big)))
     f = a0 ** 5 * a1 ** 20 * a3 ** 2
     g = a0 ** -4 * a1 ** -22 * a2 ** 2 * a3 ** -4 * a4 ** -1
     h = a0 ** -3 * a1 ** -18 * a2 ** 2 * a3 ** -2 * a4 ** -1

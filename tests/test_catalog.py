@@ -443,18 +443,32 @@ class TestDualityTransport:
 
     def test_one_branch_solve_per_transport(self, monkeypatch):
         # both transported factors come from one rank-2 branch
-        original = catalog.segre_rank2_branch
-        calls = []
-
-        def counted(order):
-            calls.append(order)
-            return original(order)
-
-        monkeypatch.setattr(catalog, "segre_rank2_branch", counted)
+        calls = count_branch_solves(monkeypatch)
         for index in (3, 4):
             calls.clear()
             segre_A(-4, index, N)
             assert calls == [N + 1], index
+
+    def test_one_branch_solve_per_assembly(self, monkeypatch):
+        # the third and fourth factors of a full series share one branch
+        calls = count_branch_solves(monkeypatch)
+        for s in (2, -4):
+            calls.clear()
+            segre_full(s, 2, -1, 1, 3, 1, N)
+            assert calls == [N + 1], s
+
+
+def count_branch_solves(monkeypatch):
+    """The orders of every rank-2 branch solve from here on."""
+    original = catalog.segre_rank2_branch
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return original(order)
+
+    monkeypatch.setattr(catalog, "segre_rank2_branch", counted)
+    return calls
 
 
 class TestChernFactors:
@@ -589,18 +603,23 @@ class TestAssemblers:
             verlinde_full(5, 2, 1, 2, 2, N)
 
     def test_segre_full_is_factor_product(self):
-        prod = Series.one(N, "z")
-        for i, e in enumerate((2, -1, 1, 3, 1)):
-            prod = prod * segre_A(1, i, N).series ** e
-        assert segre_full(1, 2, -1, 1, 3, 1, N) == prod
+        for s in (2, 1, 0, -4):
+            for tail in ((3, 1), (3, 0), (0, 1)):
+                prod = Series.one(N, "z")
+                for i, e in enumerate((2, -1, 1) + tail):
+                    prod = prod * segre_A(s, i, N).series ** e
+                assert segre_full(s, 2, -1, 1, *tail, N) == prod, (s, tail)
 
     def test_segre_full_skips_unknown_factor_on_zero_exponent(self):
         got = segre_full(4, 3, 2, 2, 0, 0, N)
         prod = (segre_A(4, 0, N).series ** 3 * segre_A(4, 1, N).series ** 2
                 * segre_A(4, 2, N).series ** 2)
         assert got == prod
-        with pytest.raises(UnknownSeriesError):
-            segre_full(4, 3, 2, 2, 1, 0, N)
+        for tail, index in (((1, 0), 3), ((1, 1), 3), ((0, 1), 4)):
+            with pytest.raises(UnknownSeriesError,
+                               match="Segre factor %d has no known closed form at rank 4$"
+                               % index):
+                segre_full(4, 3, 2, 2, *tail, N)
 
 
 def test_order_zero_is_the_constant_one():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from hilbseries import verify
+from hilbseries import catalog, verify
 from hilbseries.series import Series
 from hilbseries.verify import (
     CheckReport,
@@ -188,6 +188,16 @@ class TestChecks:
 
     def test_fgh(self):
         assert check_fgh_derivation(order=12).passed
+
+    def test_fgh_reads_the_catalog_branch_once(self, monkeypatch):
+        # one solve for the catalog's third and fourth factors, one for the
+        # branch y(t) they are checked against
+        original = catalog.segre_rank2_branch
+        calls = []
+        monkeypatch.setattr(catalog, "segre_rank2_branch",
+                            lambda order: calls.append(order) or original(order))
+        check_fgh_derivation(order=12)
+        assert calls == [14, 13]
 
     def test_lagrange_burmann_anchor(self):
         order = 8
