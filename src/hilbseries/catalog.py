@@ -49,7 +49,6 @@ __all__ = [
     "segre_change_of_var",
     "segre_full",
     "segre_rank2_branch",
-    "segre_verlinde_vars",
     "verlinde_B",
     "verlinde_change_of_var",
     "verlinde_full",
@@ -84,23 +83,19 @@ class SeriesEntry:
     series: Series
 
 
-def _t(order):
-    return Series.gen(order, "t")
-
-
 def _lagrange(h, a, b, var):
     """h(t(x)) in ``var`` for x = t (1+at)^b, by Lagrange-Buermann:
     [x^n] h(t(x)) = (1/n) [t^(n-1)] h'(t) (1+at)^(-bn) for n >= 1."""
-    d = lcm(*(c.denominator for c in h.coeffs))
-    dh = [k * c.numerator * (d // c.denominator) for k, c in enumerate(h.coeffs)]
-    out = [h.coeffs[0]]
+    dh = [k * x for k, x in enumerate(h.nums)]
+    m = lcm(*range(1, h.order + 1))  # the 1/n, over one denominator
+    out = [h.nums[0] * m]
     for n in range(1, h.order + 1):
         acc, binom = 0, 1  # binom = C(-bn, k) a^k
         for k in range(n):
             acc += dh[n - k] * binom
             binom = binom * (-b * n - k) * a // (k + 1)
-        out.append(F(acc, n * d))
-    return Series(out, h.order, var)
+        out.append(acc * (m // n))
+    return Series._over(h.den * m, out, var)
 
 
 # The quartic branch relations as {(i, j): coefficient of y^i t^j}.
@@ -132,34 +127,23 @@ def verlinde_r3_branch(order):
 
 def segre_change_of_var(r, order):
     """Natural Segre variable z = t (1+rt)^r and its inverse t(z)."""
-    t = _t(order)
+    t = Series.gen(order)
     return t * (1 + r * t) ** r, _lagrange(t, r, r, "z")
 
 
 def verlinde_change_of_var(r, order):
     """Natural Verlinde variable w = t (1+t)^(r^2-1) and its inverse t(w)."""
-    t = _t(order)
+    t = Series.gen(order)
     return t * (1 + t) ** (r * r - 1), _lagrange(t, 1, r * r - 1, "w")
 
 
-def segre_verlinde_vars(r, order):
-    """The change-of-variable pair matching Segre to Verlinde series.
-
-    Returns (z(t), w(t)) with z = t(1-rt)^(-r) and
-    w = t (1-(r-1)t)^(r^2-1) / (1-rt)^(r^2), the proposed dictionary
-    between the two generating functions at rank shift r = rank - 1.
-    """
-    t = _t(order)
-    z_of_t = t * (1 - r * t) ** (-r)
-    w_of_t = t * (1 - (r - 1) * t) ** (r * r - 1) * (1 - r * t) ** (-r * r)
-    return z_of_t, w_of_t
-
-
 def _log1p_sum(order, *pairs):
-    """sum_j e_j log(1 + c_j t) over pairs (c_j, e_j), in closed form:
-    coefficient k is -sum_j e_j (-c_j)^k / k, with no series product."""
-    return Series([0] + [F(-sum(e * (-c) ** k for c, e in pairs)) / k
-                         for k in range(1, order + 1)], order)
+    """sum_j e_j log(1 + c_j t) over pairs (c_j, e_j) of an integer and a rational, in
+    closed form: coefficient k is -sum_j e_j (-c_j)^k / k, with no series product."""
+    de, m = lcm(*(e.denominator for _, e in pairs)), lcm(*range(1, order + 1))
+    ints = [(c, e.numerator * (de // e.denominator)) for c, e in pairs]  # (c_j, de e_j)
+    return Series._over(de * m, [k and -(m // k) * sum(x * (-c) ** k for c, x in ints)
+                                 for k in range(order + 1)], "t")
 
 
 def _branch_tail(y):

@@ -442,9 +442,7 @@ def _todd_log(degree):
     """(D, [D tau_j], degree! D^degree) for tau = log(x / (1 - e^-x)) = x/2 - x^2/24 +
     x^4/2880 - ... to x^degree; the last is the denominator exp_numerators puts at E_0."""
     tau = -Series([F((-1) ** j, factorial(j + 1)) for j in range(degree + 1)]).log()
-    d = lcm(*(c.denominator for c in tau.coeffs))
-    return (d, tuple(c.numerator * (d // c.denominator) for c in tau.coeffs),
-            factorial(degree) * d ** degree)
+    return tau.den, tau.nums, factorial(degree) * tau.den ** degree
 
 
 def _euler_term(ks, boxes, lifts, degree):

@@ -1,12 +1,14 @@
 """Truncated power series with exact rational coefficients.
 
 Every series carries an explicit truncation order: a :class:`Series` of
-order ``n`` stores coefficients ``c_0 .. c_n`` and stands for a power
-series known modulo ``x^(n+1)``.  Coefficients are `fractions.Fraction`
-values throughout; floats are rejected so nothing ever leaves exact
-arithmetic.  Product, inverse and exp run integer recurrences over one
-common denominator and build one `Fraction` per output coefficient; the
-exp recurrence, `exp_numerators`, also serves the fixed-point oracle.
+order ``n`` stands for a power series known modulo ``x^(n+1)``.  It is
+stored as integer numerators ``nums[0..n]`` over one positive
+denominator ``den``, in lowest terms (``gcd(den, *nums) == 1``), so
+equal series store equal integers.  Arithmetic reads and writes those
+integers only; ``coefficient`` and ``coeffs`` build the
+`fractions.Fraction` values on request.  Floats are rejected so nothing
+ever leaves exact arithmetic.  The exp recurrence, `exp_numerators`,
+also serves the fixed-point oracle.
 
 Binary operations insist that both operands carry the same truncation
 order.  Silently taking the minimum hides bookkeeping bugs in long
@@ -20,7 +22,8 @@ of producing garbage coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from functools import cached_property
+from math import factorial, gcd, lcm
 from operator import mul
 
 __all__ = [
@@ -69,6 +72,12 @@ def as_fraction(x):
     return Fraction(x)
 
 
+def _ratio(x):
+    """(numerator, denominator) of an exact scalar; ints and Fractions build nothing."""
+    x = x if isinstance(x, (int, Fraction)) else as_fraction(x)
+    return x.numerator, x.denominator
+
+
 class Series:
     """A power series truncated at a fixed order, over exact rationals.
 
@@ -76,9 +85,9 @@ class Series:
     >>> (1 + 2 * t).pow_rational(Fraction(1, 2)).truncate(2)
     1 + t - 1/2*t^2 + O(t^3)
 
-    Instances are treated as immutable.  The variable name is carried
-    along for readable errors and printing; it does not participate in
-    equality.
+    Instances are treated as immutable.  Coefficient k is ``nums[k] / den``.
+    The variable name is carried along for readable errors and printing;
+    it does not participate in equality.
     """
 
     def __init__(self, coeffs, order=None, var="t"):
@@ -93,44 +102,58 @@ class Series:
             raise ValueError("got %d coefficients but order %d allows at most %d"
                              % (len(coeffs), order, order + 1))
         coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(coeffs)  # as given; operation results build theirs on first read
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self.den = lcm(*(c.denominator for c in coeffs))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
         self.order = order
         self.var = var
 
     @classmethod
+    def _over(cls, den, nums, var):
+        """The series sum_k nums[k]/den var^k, in lowest terms with den > 0."""
+        if not nums:
+            raise ValueError("truncation order must be >= 0")
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        out = cls.__new__(cls)
+        out.den = den // g
+        out.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+        out.order = len(out.nums) - 1
+        out.var = var
+        return out
+
+    @cached_property
+    def coeffs(self):
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @classmethod
     def zero(cls, order, var="t"):
-        return cls([], order, var)
+        return cls._over(1, [0] * (order + 1), var)
 
     @classmethod
     def one(cls, order, var="t"):
-        return cls([1], order, var)
-
-    @classmethod
-    def constant(cls, value, order, var="t"):
-        return cls([value], order, var)
+        return cls._over(1, [int(k == 0) for k in range(order + 1)], var)
 
     @classmethod
     def gen(cls, order, var="t"):
         """The variable itself, truncated at ``order``."""
-        return cls([0, 1] if order >= 1 else [0], order, var)
+        return cls._over(1, [int(k == 1) for k in range(order + 1)], var)
 
     def coefficient(self, n):
         """Coefficient of var^n; n must not exceed the truncation order."""
         if not 0 <= n <= self.order:
             raise IndexError("coefficient %d of a series of order %d" % (n, self.order))
-        return self.coeffs[n]
-
-    __getitem__ = coefficient
+        return Fraction(self.nums[n], self.den)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def truncate(self, order):
         """Drop coefficients above ``order``; extension is never allowed."""
         if order > self.order:
             raise ValueError("cannot extend a series of order %d to order %d"
                              % (self.order, order))
-        return Series(list(self.coeffs[:order + 1]), order, self.var)
+        return Series._over(self.den, self.nums[:max(order + 1, 0)], self.var)
 
     def shift(self, k):
         """Multiply by var**k.  Negative k demands the low coefficients vanish.
@@ -140,13 +163,13 @@ class Series:
         costs one order of precision, visibly.
         """
         if k >= 0:
-            return Series([Fraction(0)] * k + list(self.coeffs), self.order + k, self.var)
+            return Series._over(self.den, (0,) * k + self.nums, self.var)
         if self.order + k < 0:
             raise ValueError("shift below order 0")
-        if any(self.coeffs[:-k]):
+        if any(self.nums[:-k]):
             raise ConstantTermError("cannot divide by %s^%d: low-order terms present"
                                     % (self.var, -k))
-        return Series(list(self.coeffs[-k:]), self.order + k, self.var)
+        return Series._over(self.den, self.nums[-k:], self.var)
 
     def _require_same_order(self, other):
         if self.order != other.order:
@@ -154,52 +177,47 @@ class Series:
                 "order mismatch: %d (%s) vs %d (%s); truncate explicitly"
                 % (self.order, self.var, other.order, other.var))
 
-    def _over_lcm(self):
-        """(D, [A_k]) with coefficient k = A_k / D, D the lcm of denominators."""
-        d = lcm(*(c.denominator for c in self.coeffs))
-        return d, [c.numerator * (d // c.denominator) for c in self.coeffs]
-
     # arithmetic; scalars act as constant series of the same order
 
     def __add__(self, other):
         if isinstance(other, Series):
             self._require_same_order(other)
-            return Series([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                          self.order, self.var)
-        c = list(self.coeffs)
-        c[0] += as_fraction(other)
-        return Series(c, self.order, self.var)
+            da, db = self.den, other.den
+            return Series._over(da * db, [a * db + b * da for a, b in zip(self.nums, other.nums)],
+                                self.var)
+        p, q = _ratio(other)
+        return self + Series._over(q, [p] + [0] * self.order, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order, self.var)
+        return Series._over(self.den, [-a for a in self.nums], self.var)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Series) else -as_fraction(other))
+        return -(-self + other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            x = as_fraction(other)
-            return Series([x * c for c in self.coeffs], self.order, self.var)
+            p, q = _ratio(other)
+            return Series._over(q * self.den, [p * a for a in self.nums], self.var)
         self._require_same_order(other)
         n = self.order
-        # integer convolution over one common denominator per factor
-        da, a = self._over_lcm()
-        db, b = other._over_lcm()
-        b.reverse()
-        out = [Fraction(sum(map(mul, a[:k + 1], b[n - k:])), da * db) for k in range(n + 1)]
-        return Series(out, n, self.var)
+        a, b = self.nums, other.nums[::-1]
+        out = [sum(map(mul, a[:k + 1], b[n - k:])) for k in range(n + 1)]
+        return Series._over(self.den * other.den, out, self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.inverse()
-        return self * (Fraction(1) / as_fraction(other))
+        p, q = _ratio(other)
+        if not p:
+            raise ZeroDivisionError("series divided by zero")
+        return Series._over(p * self.den, [q * a for a in self.nums], self.var)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -222,37 +240,37 @@ class Series:
 
     def inverse(self):
         """Multiplicative inverse; the constant term must be nonzero."""
-        if self.coeffs[0] == 0:
+        if not self.nums[0]:
             raise ConstantTermError("cannot invert a series in %s with zero constant term"
                                     % self.var)
         # a = A/D, so 1/a = D/A; [x^n] 1/A = B_n / A_0^(n+1) with B_0 = 1 and
         # B_n = -sum_(k=1..n) A_k A_0^(k-1) B_(n-k), all integers
-        d, a = self._over_lcm()
-        powers = [a[0] ** k for k in range(self.order + 2)]
+        n, a = self.order, self.nums
+        powers = [a[0] ** k for k in range(n + 2)]
         c = list(map(mul, a[1:], powers))
         b = [1]
-        for _ in range(self.order):
+        for _ in range(n):
             b.append(-sum(map(mul, c, reversed(b))))
-        return Series([Fraction(d * x, p) for x, p in zip(b, powers[1:])],
-                      self.order, self.var)
+        return Series._over(powers[-1], [self.den * x * powers[n - k] for k, x in enumerate(b)],
+                            self.var)
 
     def derivative(self):
         """Formal derivative; the truncation order drops by one."""
         if self.order == 0:
             raise ValueError("cannot differentiate a series of order 0")
-        return Series([k * self.coeffs[k] for k in range(1, self.order + 1)],
-                      self.order - 1, self.var)
+        return Series._over(self.den, [k * self.nums[k] for k in range(1, self.order + 1)],
+                            self.var)
 
     def integral(self):
         """Antiderivative with constant term 0; the order grows by one."""
-        out = [Fraction(0)]
-        out.extend(self.coeffs[k] / (k + 1) for k in range(self.order + 1))
-        return Series(out, self.order + 1, self.var)
+        m = lcm(*range(1, self.order + 2))
+        nums = [a * (m // k) for k, a in enumerate(self.nums, 1)]
+        return Series._over(self.den * m, [0] + nums, self.var)
 
     def log(self):
         """Series logarithm, integral of a'/a; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ConstantTermError("log needs constant term 1, got %s" % self.coeffs[0])
+        if self.nums[0] != self.den:
+            raise ConstantTermError("log needs constant term 1, got %s" % self.coefficient(0))
         if self.order == 0:
             return Series.zero(0, self.var)
         quot = self.derivative() * self.truncate(self.order - 1).inverse()
@@ -260,18 +278,16 @@ class Series:
 
     def exp(self):
         """Series exponential; requires constant term 0."""
-        if self.coeffs[0] != 0:
-            raise ConstantTermError("exp needs constant term 0, got %s" % self.coeffs[0])
-        d, a = self._over_lcm()
-        e = exp_numerators(a, d, self.order)
-        return Series([Fraction(x, e[0]) for x in e], self.order, self.var)
+        if self.nums[0]:
+            raise ConstantTermError("exp needs constant term 0, got %s" % self.coefficient(0))
+        e = exp_numerators(self.nums, self.den, self.order)
+        return Series._over(e[0], e, self.var)
 
     def pow_rational(self, e):
         """Arbitrary rational power via exp(e*log); constant term must be 1."""
-        e = as_fraction(e)
-        if self.coeffs[0] != 1:
+        if self.nums[0] != self.den:
             raise ConstantTermError("rational power needs constant term 1, got %s"
-                                    % self.coeffs[0])
+                                    % self.coefficient(0))
         return (self.log() * e).exp()
 
     def sqrt(self):
@@ -282,13 +298,13 @@ class Series:
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
         self._require_same_order(inner)
-        if inner.coeffs[0] != 0:
+        if inner.nums[0]:
             raise CompositionError("inner series has constant term %s, expected 0"
-                                   % inner.coeffs[0])
-        out = Series.constant(self.coeffs[self.order], self.order, inner.var)
-        for k in range(self.order - 1, -1, -1):
-            out = out * inner + self.coeffs[k]
-        return out
+                                   % inner.coefficient(0))
+        out = Series.zero(self.order, inner.var)
+        for a in reversed(self.nums):
+            out = out * inner + a
+        return out / self.den
 
     def revert(self):
         """Compositional inverse b with self(b(x)) = x, by Newton iteration.
@@ -297,14 +313,15 @@ class Series:
         variable name; callers relabel if they care.
         """
         n = self.order
-        if n < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
+        if n < 1 or self.nums[0] or not self.nums[1]:
             raise ReversionError("reversion needs a(0) = 0 and a'(0) != 0 at order >= 1")
         x = Series.gen(n, self.var)
         # zero-pad the derivative back to order n: the junk top coefficient
         # is always multiplied by a series of valuation >= 1 below, so it
         # cannot reach any retained order
-        da = Series(list(self.derivative().coeffs) + [0], n, self.var)
-        b = x * (Fraction(1) / self.coeffs[1])
+        slope = self.derivative()
+        da = Series._over(slope.den, slope.nums + (0,), self.var)
+        b = x * self.den / self.nums[1]
         for _ in range(n.bit_length() + 2):
             err = self.compose(b) - x
             if err.is_zero():
@@ -316,12 +333,12 @@ class Series:
 
     def __eq__(self, other):
         if isinstance(other, Series):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
         try:
-            x = as_fraction(other)
+            p, q = _ratio(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.coeffs[0] == x and not any(self.coeffs[1:])
+        return self.nums[0] * q == p * self.den and not any(self.nums[1:])
 
     __hash__ = None
 

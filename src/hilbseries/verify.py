@@ -332,7 +332,7 @@ def _enriques_w_chart(r, order):
     """u(t), w(t), F(t), G(t) for the Enriques closed form, in the t chart."""
     t = Series.gen(order, "t")
     u = t * (1 - r * t).inverse()
-    w = catalog.segre_verlinde_vars(r, order)[1]
+    w = u * (1 + u) ** (r * r - 1)  # the Verlinde variable, read in its chart u
     f_big = (1 + u) ** (r * r) * (1 + r * r * u).inverse()
     g_big = 1 + u
     return u, w, f_big, g_big

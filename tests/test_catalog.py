@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hilbseries import catalog
+from hilbseries import catalog, verify
 from hilbseries.catalog import (
     CONJECTURAL,
     PROVEN,
@@ -17,7 +17,6 @@ from hilbseries.catalog import (
     segre_change_of_var,
     segre_full,
     segre_rank2_branch,
-    segre_verlinde_vars,
     verlinde_B,
     verlinde_change_of_var,
     verlinde_full,
@@ -235,16 +234,13 @@ class TestChangesOfVariable:
             assert w_of_t.compose(Series(list(t_of_w.coeffs), N, "t")) == Series.gen(N, "w")
 
     def test_matching_vars_agree_across_charts(self):
-        # w written in the Segre chart t must equal u(1+u)^(r^2-1) with
-        # u = t/(1-rt), the Verlinde chart in its own coordinate
+        # the printed dictionary w = t(1-(r-1)t)^(r^2-1) / (1-rt)^(r^2), in the
+        # Segre chart t, against the Enriques check's w = u(1+u)^(r^2-1) at
+        # u = t/(1-rt), the Verlinde chart
         t = t_gen()
-        for r in (0, 1, 2, 3, -2):
-            z_of_t, w_of_t = segre_verlinde_vars(r, N)
-            assert z_of_t == t * (1 - r * t) ** (-r)
-            u_of_t = t * (1 - r * t).inverse()
-            u = t_gen()
-            w_chart = u * (1 + u) ** (r * r - 1)
-            assert w_of_t == w_chart.compose(u_of_t)
+        for r in range(-3, 7):
+            printed = t * (1 - (r - 1) * t) ** (r * r - 1) * (1 - r * t) ** (-r * r)
+            assert verify._enriques_w_chart(r, N)[1] == printed, r
 
     def test_lagrange_matches_compose_with_revert(self):
         # the coefficient formula against the Newton reversion it replaces
@@ -635,6 +631,17 @@ def test_order_zero_is_the_constant_one():
     assert segre_full(1, 1, 1, 1, 0, 0, 0) == Series.one(0, "z")
     assert chern_full(3, 2, -1, 2, 0) == Series.one(0, "z")
     assert verlinde_full(2, 3, 1, 1, 2, 0) == Series.one(0, "w")
+
+
+@pytest.mark.parametrize("order", [-1, -2])
+def test_negative_order_is_refused(order):
+    # every factor is built from integers; a negative order must not pass as order 0
+    for lookup in (lambda: segre_A(1, 2, order), lambda: segre_A(-3, 4, order),
+                   lambda: chern_A(1, 1, order), lambda: verlinde_B(2, 3, order),
+                   lambda: segre_full(1, 1, 1, 1, 0, 0, order),
+                   lambda: segre_change_of_var(2, order)):
+        with pytest.raises(ValueError):
+            lookup()
 
 
 class TestAgainstProductForm:

@@ -461,18 +461,26 @@ def test_no_series_in_the_chart_pass(monkeypatch):
     surface = loc.get_surface("p2")
     loc._todd_log(8)
     built = []
-    original = Series.__init__
+    original, original_over = Series.__init__, Series._over.__func__
 
     def counted(self, *args, **kwargs):
         built.append(args)
         original(self, *args, **kwargs)
 
+    def counted_over(cls, *args):
+        # operation results are built here, not by __init__
+        built.append(args)
+        return original_over(cls, *args)
+
     monkeypatch.setattr(Series, "__init__", counted)
+    monkeypatch.setattr(Series, "_over", classmethod(counted_over))
     loc.verlinde_series(surface, [loc.parse_class(surface, "O(1)")], 2, 4)
     loc.segre_series(surface, [loc.parse_class(surface, "O(2)+O(-1)-O(1)")], 4)
     assert built == []
-    Series.one(4)
+    Series([1], 4)
     assert len(built) == 1
+    Series.one(4) * Series.one(4)
+    assert len(built) == 4
 
 
 def test_the_oracle_builds_no_class(monkeypatch):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import fractions
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +170,69 @@ class TestArithmetic:
     def test_truncate_never_extends(self):
         with pytest.raises(ValueError):
             Series.gen(3).truncate(4)
+
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_negative_order_is_refused(self, order):
+        for build in (Series.zero, Series.one, Series.gen, Series.gen(3).truncate,
+                      lambda order: Series([], order)):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                build(order)
+
+
+THIRD = F(1, 3)
+
+def operation_results(a, b, y):
+    """Every arithmetic operation once, on units a and b and on y with y(0) = 0."""
+    return [a * b, a + b, a - b, -a, a.inverse(), a.log(), y.exp(), a.pow_rational(THIRD),
+            a.truncate(3), y.shift(-1), a.shift(2), a.derivative(), a.integral(),
+            a * THIRD, 2 * a, a / 3, 1 + a, THIRD - a, y.compose(y), y.revert()]
+
+
+class TestRepresentation:
+    """A series is integer numerators over one positive denominator, in lowest terms."""
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        rng = random.Random(14)
+        a, b = rand_series(rng, 12, const=1), rand_series(rng, 12, const=F(-3, 5))
+        y = rand_series(rng, 12, const=0)
+        y = y + Series.gen(12) - y.coefficient(1) * Series.gen(12)  # y'(0) = 1
+        built = []
+        original = fractions.Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+        results = operation_results(a, b, y)
+        assert results[0] == a * b and a != b and a != 1
+        assert built == []
+        results[0].coefficient(3)
+        assert len(built) == 1
+
+    @given(unit_series(), small_fractions.filter(bool), novanish_series())
+    @settings(deadline=None, max_examples=40)
+    def test_results_are_in_lowest_terms(self, a, c, y):
+        b = a * c
+        if y.coefficient(1) == 0:
+            y = y + Series.gen(y.order)
+        for out in operation_results(a, b, y):
+            assert out.den > 0 and gcd(out.den, *out.nums) == 1
+            assert out.coeffs == tuple(F(x, out.den) for x in out.nums)
+            # the public constructor lands on the same integers
+            again = Series(list(out.coeffs), out.order)
+            assert (again.den, again.nums) == (out.den, out.nums)
+
+    @given(unit_series(), unit_series(), novanish_series(), small_fractions.filter(bool))
+    @settings(deadline=None, max_examples=40)
+    def test_equality_is_coefficientwise(self, a, b, c, k):
+        u = a * k  # a unit whose constant term need not be 1
+        assert (a * b) * c == a * (b * c)
+        assert u * u.inverse() == 1 and u * u.inverse() == Series.one(u.order)
+        assert (a + c) - c == a and a - a == Series.zero(a.order)
+        assert (u * c) / u == c
+        for x, z in ((a, b), (a * b, b * a), (a + c, c + a), (u, a)):
+            assert (x == z) == (x.coeffs == z.coeffs)
 
 
 class TestAsFraction:
