@@ -161,12 +161,13 @@ def _mean_root_log(order, c, d):
 def _segre_log(s, index, order):
     """(status, log in t) of the index-th Segre factor at rank s."""
     r = s + 1
-    if index in (0, 1, 2):
-        return PROVEN, _log1p_sum(order, *(
-            ((r, -r), (1 + r, r - 1)),
-            ((r, F(r - 1, 2)), (1 + r, 1 - F(r, 2))),
-            ((r, F(r * r - 1, 2)), (1 + r, r - F(r * r, 2)), (r * (1 + r), F(-1, 2))),
-        )[index])
+    if index == 0:
+        return PROVEN, _log1p_sum(order, (r, -r), (1 + r, r - 1))
+    if index == 1:
+        return PROVEN, _log1p_sum(order, (r, F(r - 1, 2)), (1 + r, 1 - F(r, 2)))
+    if index == 2:
+        return PROVEN, _log1p_sum(order, (r, F(r * r - 1, 2)), (1 + r, r - F(r * r, 2)),
+                                  (r * (1 + r), F(-1, 2)))
     if index not in (3, 4):
         raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
     return _segre34_logs(s, order, index)[index - 3]
@@ -278,26 +279,29 @@ def _verlinde_log(r, index, order):
         return PROVEN, _log1p_sum(order, (1, F(r * r, 2)), (r * r, F(-1, 2)))
     if index not in (3, 4):
         raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
+    return _verlinde34_logs(r, order, index)[index - 3]
+
+
+def _verlinde34_logs(r, order, index=3):
+    """(status, log in t) of the third and of the fourth Verlinde factor at twist r,
+    from one mean root or one branch; index names the factor an unknown twist is
+    reported for."""
     if r not in VERLINDE_34_TWISTS:
         raise UnknownSeriesError(
             "Verlinde factor %d has no known closed form at twist %d" % (index, r))
     if abs(r) <= 1:
-        return TRIVIAL, Series.zero(order)
+        return ((TRIVIAL, Series.zero(order)),) * 2
     if abs(r) == 2:
         half = _mean_root_log(order, 0, 4)  # log((1 + sqrt(1+4t))/2)
-        if index == 3:
-            log = half - _log1p_sum(order, (1, 1))
-        else:
-            log = _log1p_sum(order, (1, F(1, 2)), (4, F(1, 2))) - F(5, 2) * half
+        b3 = half - _log1p_sum(order, (1, 1))
+        b4 = _log1p_sum(order, (1, F(1, 2)), (4, F(1, 2))) - F(5, 2) * half
     else:
         y = verlinde_r3_branch(order + 1)
         log_y = y.shift(-1).log()  # log(Y/t)
-        if index == 3:
-            log = _log1p_sum(order, (1, F(-3, 2))) - log_y / 2
-        else:
-            log = _log1p_sum(order, (1, F(3, 4))) + F(13, 4) * log_y + _branch_tail(y)
+        b3 = _log1p_sum(order, (1, F(-3, 2))) - log_y / 2
+        b4 = _log1p_sum(order, (1, F(3, 4))) + F(13, 4) * log_y + _branch_tail(y)
     # Serre symmetry: the negative twist inverts the third factor
-    return CONJECTURAL, -log if r < 0 and index == 3 else log
+    return (CONJECTURAL, -b3 if r < 0 else b3), (CONJECTURAL, b4)
 
 
 def verlinde_B(r, index, order):
@@ -337,10 +341,11 @@ def verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
     integer (odd K^2) the assembly is refused unless the factor is
     trivially 1, rather than silently taking a square root.
     """
-    log = _log_sum(_verlinde_log, r, ((1, chi_c1), (2, chiO), (4, Ksq)), order)
+    log = _log_sum(_verlinde_log, r, ((1, chi_c1), (2, chiO)), order)
     e3 = F(2 * c1K - Ksq, 2)
-    if e3:
-        b3 = _verlinde_log(r, 3, order)[1]
+    if e3 or Ksq:  # the last two factors share one branch or mean root
+        b3, b4 = (tail for _, tail in _verlinde34_logs(r, order, 4 if Ksq else 3))
+        log = log + Ksq * b4
         if e3.denominator == 1:
             log = log + e3 * b3
         elif not b3.is_zero():

@@ -24,7 +24,10 @@ negated class), or by Hirzebruch-Riemann-Roch ch(det) td = e^(au) prod
 td(ku) (Verlinde: det of L + (r-1) O, L and one trivial term of weight
 r-1).  A class enters as its terms' weights and per-chart lifts
 (EqKClass.signed_lifts).  One chart pass serves every n <= N and a batch
-of classes on one surface (segre_series, verlinde_series).
+of classes on one surface (segre_series, verlinde_series).  Each partition
+comes after its parent, itself without the last box of its last row, and
+its Segre term is the parent's times that box's factors; the chart sums
+are multiplied with each u-row packed into one integer.
 
 One rule draws the directions (_two_draws): the first two directions of
 a seeded stream over the draw box whose hook lengths keep every tangent
@@ -44,7 +47,7 @@ import re
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import lshift, mul
 
 from .series import Series, exp_numerators
 
@@ -419,20 +422,24 @@ def require_draws(surface, n, what):
     _two_draws(surface, n, None, what)
 
 
-def _segre_term(ks, boxes, lifts, degree):
+def _segre_term(ks, boxes, lifts, degree, parent):
     """Per class, prod (1+ku)^(-sign) / prod ks to u^degree over k = m + box, as
-    (denominator, numerators); every sign is +-1, as every EqKClass term's is."""
+    (denominator, numerators): the parent's numerators times the factors of the new
+    box, boxes[-1], or 1 for the empty partition (parent None).  Every sign is +-1,
+    as every EqKClass term's is."""
+    if parent is None:
+        return prod(ks), [[1] + [0] * degree for _ in lifts]
     out = []
-    for class_lifts in lifts:
-        c = [1] + [0] * degree
+    for c, class_lifts in zip(parent, lifts):
+        c = list(c)
         for sign, m in class_lifts:
-            for k in (m + box for box in boxes):
-                if sign > 0:
-                    for j in range(1, degree + 1):  # divide by 1 + k u
-                        c[j] -= k * c[j - 1]
-                else:
-                    for j in range(degree, 0, -1):  # multiply by 1 + k u
-                        c[j] += k * c[j - 1]
+            k = m + boxes[-1]
+            if sign > 0:
+                for j in range(1, degree + 1):  # divide by 1 + k u
+                    c[j] -= k * c[j - 1]
+            else:
+                for j in range(degree, 0, -1):  # multiply by 1 + k u
+                    c[j] += k * c[j - 1]
         out.append(c)
     return prod(ks), out
 
@@ -445,13 +452,18 @@ def _todd_log(degree):
     return tau.den, tau.nums, factorial(degree) * tau.den ** degree
 
 
-def _euler_term(ks, boxes, lifts, degree):
+def _euler_term(ks, boxes, lifts, degree, parent):
     """Per class, e^(au) prod td(ku) / prod ks to u^degree, as (denominator, numerators):
     by Hirzebruch-Riemann-Roch, the Euler characteristic of the determinant line, with
-    prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j, and a = sum weight (|lambda| m
-    + B), B the sum of the boxes: |lambda| m_L + r B for L + (r-1) O."""
+    prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j as running products, and a =
+    sum weight (|lambda| m + B), B the sum of the boxes: |lambda| m_L + r B for L +
+    (r-1) O.  The parent is not read."""
     d, tau, den = _todd_log(degree)
-    exponent = [t and t * sum(k ** j for k in ks) for j, t in enumerate(tau)] + [0]  # a_1 slot
+    exponent, powers = [0], ks
+    for t in tau[1:]:
+        exponent.append(t and t * sum(powers))
+        powers = list(map(mul, powers, ks))
+    exponent.append(0)  # a_1 exists at degree 0 too
     linear = exponent[1]
     size, total = len(boxes), sum(boxes)
     out = []
@@ -462,15 +474,21 @@ def _euler_term(ks, boxes, lifts, degree):
 
 
 def _times(a, b):
-    """The product of two series in x of lists in u, truncated as they are."""
+    """The product of two series in x of rows in u of one width, truncated as they are.
+    A row is packed into one integer in s-bit slots, rows * width * max|a| * max|b| <
+    2^(s-1) bounding every coefficient, so x-row n is one sum of integer products."""
+    rows, width = len(a), len(a[0])
+    bound = (rows * width * max(map(abs, itertools.chain(*a)))
+             * max(map(abs, itertools.chain(*b))))
+    s = bound.bit_length() + 1
+    shifts = range(0, s * width, s)
+    packed_a, packed_b = ([sum(map(lshift, row, shifts)) for row in x] for x in (a, b))
+    half, mask, top = 1 << (s - 1), (1 << s) - 1, (1 << (s * width)) - 1
+    bias = sum(half << shift for shift in shifts)  # makes every slot >= 0
     out = []
-    for n, width in enumerate(map(len, a)):
-        row = [0] * width
-        for i in range(n + 1):
-            p, r = a[i], b[n - i]
-            for j in range(width):
-                row[j] += sum(map(mul, p[:j + 1], reversed(r[:j + 1])))
-        out.append(row)
+    for n in range(rows):
+        v = (sum(map(mul, packed_a[:n + 1], reversed(packed_b[:n + 1]))) + bias) & top
+        out.append([(v >> shift & mask) - half for shift in shifts])
     return out
 
 
@@ -479,29 +497,35 @@ def _chart_product(surface, classes, order, q, term):
 
     ``classes`` holds each class as signed_lifts gives it.  Each partition
     of size at most ``order`` gets its integer tangent weights ks, none zero
-    at a drawn q, and its box characters c u1.q + s u2.q; with each class's
-    (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree)`` returns
-    its (den, numerators per class), with numerator_j / den at u^j.  Each chart's
-    sums are divided by their gcd with the chart's denominator, which cancels
-    most of the Euler terms' degree! D^degree.  Returns (rows, den) per class,
-    rows[n][j] for j <= 2 order.
+    at a drawn q, and its box characters c u1.q + s u2.q, row by row; with each
+    class's (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree,
+    parent)`` returns its (den, numerators per class), with numerator_j / den at
+    u^j.  Partitions come by size, so after their parents (without the last of
+    boxes), and ``parent`` is the parent's numerators, None for the empty one.
+    Each chart's sums are divided by their gcd with the chart's denominator,
+    which cancels most of the Euler terms' degree! D^degree.  Returns (rows, den)
+    per class, rows[n][j] for j <= 2 order.
     """
     degree = 2 * order
-    shapes = [(size, _hook_coefficients(lam),
-               [(col, row) for row, part in enumerate(lam) for col in range(part)])
-              for size in range(order + 1) for lam in partitions(size)]
+    shapes, where = [], {}
+    for lam in (lam for size in range(order + 1) for lam in partitions(size)):
+        where[lam] = len(shapes)
+        cells = [(col, row) for row, part in enumerate(lam) for col in range(part)]
+        parent = lam[:-1] + (lam[-1] - 1,) * (lam[-1] > 1) if lam else None
+        shapes.append((len(cells), _hook_coefficients(lam), cells, where.get(parent)))
     product, den = None, 1
     for index, (_, _, u1, u2) in enumerate(surface.charts):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
         across, up = _dot(u1, q), _dot(u2, q)
         lifts = [[(w, _dot(lift[index], q)) for w, lift in c] for c in classes]
         terms = []
-        for size, hooks, cells in shapes:
+        for size, hooks, cells, parent in shapes:
             ks = [a * x + b * y for a, b in hooks]
             if 0 in ks:
                 raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
             boxes = [col * across + row * up for col, row in cells]
-            terms.append((size, term(ks, boxes, lifts, degree)))
+            parent = None if parent is None else terms[parent][1][1]
+            terms.append((size, term(ks, boxes, lifts, degree, parent)))
         chart_den = lcm(*(d for _, (d, _) in terms))
         chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in classes]
         for size, (d, numerators) in terms:

@@ -368,7 +368,8 @@ def check_enriques(r, n_max=5, chi_range=range(1, 7), form_order=20):
     # (b) == (c), and (c) matches the assembled Euler-characteristic series
     _, w2, f2, g2 = _enriques_w_chart(r, n_max)
     root = f2.pow_rational(F(1, 2))
-    t_of_w = Series(list(w2.revert().coeffs), n_max, "w")
+    t_of_w = w2.revert()
+    t_of_w = Series._over(t_of_w.den, t_of_w.nums, "w")
     for chi in chi_range:
         v_in_w = (root * g2 ** chi).compose(t_of_w)
         tally.eq(v_in_w, catalog.verlinde_full(r, chi, 1, 0, 0, n_max),
@@ -519,7 +520,8 @@ def check_lagrange_burmann(f, g, order):
         power = power * f
     lhs = Series(coeffs, order, "z").truncate(order - 1)
     z_of_w = Series.gen(order, "w") * f.inverse()
-    w_of_z = Series(list(z_of_w.revert().coeffs), order, "z")
+    w_of_z = z_of_w.revert()
+    w_of_z = Series._over(w_of_z.den, w_of_z.nums, "z")
     rhs = ((g.compose(w_of_z) * f.compose(w_of_z).inverse()).truncate(order - 1)
            * w_of_z.derivative())
     tally = _Tally()

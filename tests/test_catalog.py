@@ -453,17 +453,27 @@ class TestDualityTransport:
             segre_full(s, 2, -1, 1, 3, 1, N)
             assert calls == [N + 1], s
 
+    def test_one_verlinde_branch_solve_per_assembly(self, monkeypatch):
+        # the third and fourth Verlinde factors at twist +-3 share one branch
+        calls = count_branch_solves(monkeypatch, "verlinde_r3_branch")
+        verlinde_full(3, 2, 1, 2, 2, 10)
+        assert calls == [11]
+        for r in (3, -3):
+            calls.clear()
+            verlinde_full(r, 3, 1, 5, 8, N)
+            assert calls == [N + 1], r
 
-def count_branch_solves(monkeypatch):
-    """The orders of every rank-2 branch solve from here on."""
-    original = catalog.segre_rank2_branch
+
+def count_branch_solves(monkeypatch, name="segre_rank2_branch"):
+    """The orders of every solve of the named branch from here on."""
+    original = getattr(catalog, name)
     calls = []
 
     def counted(order):
         calls.append(order)
         return original(order)
 
-    monkeypatch.setattr(catalog, "segre_rank2_branch", counted)
+    monkeypatch.setattr(catalog, name, counted)
     return calls
 
 

@@ -11,7 +11,10 @@ time; ref_euler_data is the box walk the Verlinde sum used before its
 records came from the tautological class of L + (r-1) O, and
 ref_euler_term is the binomial Euler term in e = e^u - 1 that the
 Hirzebruch-Riemann-Roch term in u replaced; the chart pass must give the
-same values with either.  The references build the Verlinde class as
+same values with either.  ref_segre_term, the Segre term over every box of
+a partition, and ref_times, the triple-loop chart product, are what the
+parent walk and the packed product replaced; the chart pass and _times
+must equal them exactly.  The references build the Verlinde class as
 twisted_class does, a rank-r EqKClass with |r-1| trivial terms, and the
 Chern class as the negated EqKClass, where the oracle passes one trivial
 term of weight r-1 and signed_lifts(-1).  Every comparison is exact
@@ -19,6 +22,7 @@ equality, at a fixed direction and through the public entry points with
 their character draws.
 """
 
+import random
 import re
 import time
 from fractions import Fraction as F
@@ -155,12 +159,50 @@ def ref_euler_term(ks, class_weights, degree):
 
 
 def weight_lists(kernel):
-    """A kernel under the contract term(ks, boxes, lifts, degree) from one that reads
-    each class as its list of (weight, m + box), term by term and box by box."""
-    def term(ks, boxes, lifts, degree):
+    """A kernel under the contract term(ks, boxes, lifts, degree, parent) from one that
+    reads each class as its list of (weight, m + box), term by term and box by box;
+    the parent's numerators are not read."""
+    def term(ks, boxes, lifts, degree, parent):
         return kernel(ks, [[(w, m + box) for w, m in class_lifts for box in boxes]
                            for class_lifts in lifts], degree)
     return term
+
+
+def ref_segre_term(ks, boxes, lifts, degree):
+    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree over k = m + box, from 1
+    over every box: the Segre term the parent walk replaced."""
+    out = []
+    for class_lifts in lifts:
+        c = [1] + [0] * degree
+        for sign, m in class_lifts:
+            for k in (m + box for box in boxes):
+                if sign > 0:
+                    for j in range(1, degree + 1):  # divide by 1 + k u
+                        c[j] -= k * c[j - 1]
+                else:
+                    for j in range(degree, 0, -1):  # multiply by 1 + k u
+                        c[j] += k * c[j - 1]
+        out.append(c)
+    return prod(ks), out
+
+
+def every_box(kernel):
+    """A kernel under the chart pass's contract that ignores the parent's numerators."""
+    return lambda ks, boxes, lifts, degree, parent: kernel(ks, boxes, lifts, degree)
+
+
+def ref_times(a, b):
+    """The product of two series in x of lists in u, truncated as they are, by the
+    triple loop the packed product replaced."""
+    out = []
+    for n, width in enumerate(map(len, a)):
+        row = [0] * width
+        for i in range(n + 1):
+            p, r = a[i], b[n - i]
+            for j in range(width):
+                row[j] += sum(map(mul, p[:j + 1], reversed(r[:j + 1])))
+        out.append(row)
+    return out
 
 
 def twisted_class(kclass, r):
@@ -615,6 +657,39 @@ def test_batch_rows_are_the_single_n_calls(name):
                         for n in range(order + 1)))), r
 
 
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_parent_walk_is_the_full_box_term(name):
+    # each partition's Segre term from its parent's and the new box against the
+    # term over every box: the same chart product, or the same error, at every
+    # direction and order <= 8, for mixed-sign classes and their negations
+    surface = loc.get_surface(name)
+    classes = shifted_classes(surface)
+    lifts = [c.signed_lifts(sign) for c in classes for sign in (1, -1)]
+    for q in DIRECTIONS:
+        for order in range(9):
+            walked, full = (outcome(loc._chart_product, surface, lifts, order, q, term)
+                            for term in (loc._segre_term, every_box(ref_segre_term)))
+            assert walked == full, (q, order)
+
+
+def test_packed_times_is_the_triple_loop():
+    rng = random.Random(15)
+
+    def rows(count, width, bits):
+        return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(width)]
+                for _ in range(count)]
+
+    cases = [(rows(count, width, bits_a), rows(count, width, bits_b))
+             for count, width in ((1, 1), (1, 7), (4, 1), (6, 11), (9, 17))
+             for bits_a, bits_b in ((0, 0), (3, 60), (57, 36), (230, 201), (300, 1))]
+    zeros = [[0] * 5 for _ in range(3)]
+    cases += [(zeros, zeros), (zeros, rows(3, 5, 220)), (rows(3, 5, 220), zeros),
+              ([[-(1 << 250)] * 4] * 3, [[-(1 << 210)] * 4] * 3),
+              ([[1 << 250, -(1 << 250)] * 3] * 2, [[1 << 205] * 6] * 2)]
+    for a, b in cases:
+        assert loc._times(a, b) == ref_times(a, b), (a, b)
+
+
 class TestChecksStillFire:
     def test_uncancelled_pole_raises(self):
         with pytest.raises(ArithmeticError, match="pole"):
@@ -661,8 +736,8 @@ class TestChecksStillFire:
         line = loc.parse_class(p2, "O(1)")
         original = loc._euler_term
 
-        def broken(ks, boxes, lifts, degree):
-            den, numerators = original(ks, boxes, lifts, degree)
+        def broken(ks, boxes, lifts, degree, parent):
+            den, numerators = original(ks, boxes, lifts, degree, parent)
             if ks and len(numerators) > 1:
                 numerators[1] = [2 * c for c in numerators[1]]
             return den, numerators
