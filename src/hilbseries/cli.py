@@ -11,7 +11,8 @@ a --json PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
 oracle-driven commands; the HILBSERIES_ORDER environment variable
-overrides either default, and --order overrides everything.
+overrides either default, and --order overrides everything.  A call
+whose first argument names a subcommand builds only that one's parser.
 """
 
 from __future__ import annotations
@@ -40,48 +41,68 @@ ORACLE_DEFAULT_ORDER = 4
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
 
-def build_parser():
+def _series_arguments(p):
+    p.add_argument("--family", required=True, choices=_FAMILIES)
+    p.add_argument("--rank", type=int, default=None,
+                   help="class rank (segreA/chernA) or twist (verlindeB)")
+    p.add_argument("--index", type=int, default=None,
+                   help="which factor of the family, e.g. 3 for A3")
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+
+
+def _verify_arguments(p):
+    p.add_argument("--suite", default="all",
+                   help="'all' or one of: %s" % ", ".join(verify.suite_names()))
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
+                   help="write a JSON report to PATH (or stdout)")
+
+
+def _oracle_arguments(p):
+    p.add_argument("--surface", required=True, choices=surface_names())
+    p.add_argument("--class", dest="class_spec", required=True,
+                   help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that '
+                        'starts with a minus needs the = form, --class=-O(1)+O(2)')
+    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument("--kind", required=True, choices=("segre", "chern", "verlinde"))
+    p.add_argument("--r", type=int, default=None, help="twist (verlinde only)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
+
+
+def _extract_arguments(p):
+    p.add_argument("--rank", type=int, required=True,
+                   help="class rank (segre) or twist (verlinde)")
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--kind", choices=("segre", "verlinde"), default="segre")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
+
+
+# (name, help, function that adds its arguments), in usage order
+_SUBCOMMANDS = (
+    ("series", "print coefficients of a catalog series", _series_arguments),
+    ("verify", "run identity-check suites", _verify_arguments),
+    ("oracle", "one fixed-point integral or Euler char", _oracle_arguments),
+    ("extract", "recover universal series from the oracle", _extract_arguments),
+)
+_COMMANDS = tuple(name for name, _, _ in _SUBCOMMANDS)
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of ``command`` alone.  The explicit
+    metavar keeps all four names in the top-level usage of the one-subcommand
+    parser; the full parser leaves it unset, so a missing command is "command"."""
     parser = argparse.ArgumentParser(
         prog="hilbseries",
         description="Universal tautological-integral series over Hilbert "
                     "schemes of surface points, with a toric fixed-point oracle.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_series = sub.add_parser("series", help="print coefficients of a catalog series")
-    p_series.add_argument("--family", required=True, choices=_FAMILIES)
-    p_series.add_argument("--rank", type=int, default=None,
-                          help="class rank (segreA/chernA) or twist (verlindeB)")
-    p_series.add_argument("--index", type=int, default=None,
-                          help="which factor of the family, e.g. 3 for A3")
-    p_series.add_argument("--order", type=int, default=None)
-    p_series.add_argument("--format", choices=("json", "csv", "table"), default="table")
-
-    p_verify = sub.add_parser("verify", help="run identity-check suites")
-    p_verify.add_argument("--suite", default="all",
-                          help="'all' or one of: %s" % ", ".join(verify.suite_names()))
-    p_verify.add_argument("--order", type=int, default=None)
-    p_verify.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
-                          help="write a JSON report to PATH (or stdout)")
-
-    p_oracle = sub.add_parser("oracle", help="one fixed-point integral or Euler char")
-    p_oracle.add_argument("--surface", required=True, choices=surface_names())
-    p_oracle.add_argument("--class", dest="class_spec", required=True,
-                          help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that '
-                               'starts with a minus needs the = form, '
-                               '--class=-O(1)+O(2)')
-    p_oracle.add_argument("--n", type=int, required=True, help="number of points")
-    p_oracle.add_argument("--kind", required=True, choices=("segre", "chern", "verlinde"))
-    p_oracle.add_argument("--r", type=int, default=None, help="twist (verlinde only)")
-    p_oracle.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_oracle.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-
-    p_extract = sub.add_parser("extract", help="recover universal series from the oracle")
-    p_extract.add_argument("--rank", type=int, required=True,
-                           help="class rank (segre) or twist (verlinde)")
-    p_extract.add_argument("--order", type=int, default=None)
-    p_extract.add_argument("--kind", choices=("segre", "verlinde"), default="segre")
-    p_extract.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_extract.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, text, add_arguments in _SUBCOMMANDS:
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
@@ -260,7 +281,8 @@ def _cmd_extract(args, parser):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     handler = {"series": _cmd_series, "verify": _cmd_verify,
                "oracle": _cmd_oracle, "extract": _cmd_extract}[args.command]

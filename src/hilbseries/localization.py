@@ -167,11 +167,13 @@ class ToricSurface:
         gen_lifts = [self.lift(tuple(1 if j == i else 0 for j in range(len(self.generators))))
                      for i in range(len(self.generators))]
 
+        shapes = _shapes(1)
+
         def localized(q):
             pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
                        for la in gen_lifts]
             k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
-            chi = _euler_values(*_chart_product(self, [[]], 1, q, _euler_term)[0])[1]
+            chi = _euler_values(*_chart_product(self, [[]], 1, q, _euler_term, shapes)[0])[1]
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
         what = "%s intersections" % self.name
@@ -455,16 +457,16 @@ def _todd_log(degree):
 def _euler_term(ks, boxes, lifts, degree, parent):
     """Per class, e^(au) prod td(ku) / prod ks to u^degree, as (denominator, numerators):
     by Hirzebruch-Riemann-Roch, the Euler characteristic of the determinant line, with
-    prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j as running products, and a =
+    prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j in steps of k^2, and a =
     sum weight (|lambda| m + B), B the sum of the boxes: |lambda| m_L + r B for L +
     (r-1) O.  The parent is not read."""
     d, tau, den = _todd_log(degree)
-    exponent, powers = [0], ks
-    for t in tau[1:]:
-        exponent.append(t and t * sum(powers))
-        powers = list(map(mul, powers, ks))
-    exponent.append(0)  # a_1 exists at degree 0 too
-    linear = exponent[1]
+    exponent = [0] * (degree + 2)  # a_1 exists at degree 0 too
+    powers = squares = list(map(mul, ks, ks))
+    for j in range(2, degree + 1, 2):  # tau_j = 0 at odd j >= 3
+        exponent[j] = tau[j] * sum(powers)
+        powers = list(map(mul, powers, squares))
+    linear = degree and tau[1] * sum(ks)
     size, total = len(boxes), sum(boxes)
     out = []
     for class_lifts in lifts:
@@ -492,27 +494,33 @@ def _times(a, b):
     return out
 
 
-def _chart_product(surface, classes, order, q, term):
-    """Per class, prod over charts of sum_lambda x^|lambda| term(lambda) at direction q.
-
-    ``classes`` holds each class as signed_lifts gives it.  Each partition
-    of size at most ``order`` gets its integer tangent weights ks, none zero
-    at a drawn q, and its box characters c u1.q + s u2.q, row by row; with each
-    class's (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree,
-    parent)`` returns its (den, numerators per class), with numerator_j / den at
-    u^j.  Partitions come by size, so after their parents (without the last of
-    boxes), and ``parent`` is the parent's numerators, None for the empty one.
-    Each chart's sums are divided by their gcd with the chart's denominator,
-    which cancels most of the Euler terms' degree! D^degree.  Returns (rows, den)
-    per class, rows[n][j] for j <= 2 order.
-    """
-    degree = 2 * order
+def _shapes(order):
+    """Per partition of size at most ``order``, by size, so after its parent (itself
+    without the last box of its last row): (size, hook coefficients, cells (col, row)
+    row by row, the parent's index or None).  Built once per pass, for both directions."""
     shapes, where = [], {}
     for lam in (lam for size in range(order + 1) for lam in partitions(size)):
         where[lam] = len(shapes)
         cells = [(col, row) for row, part in enumerate(lam) for col in range(part)]
         parent = lam[:-1] + (lam[-1] - 1,) * (lam[-1] > 1) if lam else None
         shapes.append((len(cells), _hook_coefficients(lam), cells, where.get(parent)))
+    return shapes
+
+
+def _chart_product(surface, classes, order, q, term, shapes):
+    """Per class, prod over charts of sum_lambda x^|lambda| term(lambda) at direction q.
+
+    ``classes`` holds each class as signed_lifts gives it.  Each partition
+    of ``shapes`` = _shapes(order) gets its integer tangent weights ks, none zero
+    at a drawn q, and its box characters c u1.q + s u2.q, row by row; with each
+    class's (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree,
+    parent)`` returns its (den, numerators per class), with numerator_j / den at
+    u^j; ``parent`` is the parent's numerators, None for the empty partition.
+    Each chart's sums are divided by their gcd with the chart's denominator,
+    which cancels most of the Euler terms' degree! D^degree.  Returns (rows, den)
+    per class, rows[n][j] for j <= 2 order.
+    """
+    degree = 2 * order
     product, den = None, 1
     for index, (_, _, u1, u2) in enumerate(surface.charts):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
@@ -563,7 +571,8 @@ def _chart_pass(term, read, surface, classes, order, seed, whats):
     n = 0..order, agreed at two directions.  ``whats`` names each class in errors.
     """
     draws = _two_draws(surface, order, seed, ", ".join(whats))
-    first, second = ([read(*c) for c in _chart_product(surface, classes, order, q, term)]
+    shapes = _shapes(order)
+    first, second = ([read(*c) for c in _chart_product(surface, classes, order, q, term, shapes)]
                      for q in draws)
     return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
 

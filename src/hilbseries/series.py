@@ -372,10 +372,10 @@ def exp_numerators(a, d, order):
     """E_0..E_order with exp(sum_k a_k x^k / d) = sum_m E_m x^m / E_0, E_0 = order! d^order;
     a_0 is not read.  e' = a' e gives (m+1) d E_(m+1) = sum_(k<=m) (k+1) a_(k+1) E_(m-k);
     the division is exact, as m! d^m [x^m] exp is an integer and m <= order."""
+    b = list(map(mul, range(1, order + 1), a[1:order + 1]))  # (k+1) a_(k+1)
     e = [factorial(order) * d ** order]
     for m in range(order):
-        total = sum(map(mul, map(mul, range(1, m + 2), a[1:m + 2]), reversed(e)))
-        e.append(total // ((m + 1) * d))
+        e.append(sum(map(mul, b, reversed(e))) // ((m + 1) * d))
     return e
 
 

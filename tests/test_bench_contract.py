@@ -57,6 +57,31 @@ def test_every_benchmark_argv_parses():
             parser.parse_args(argv)
 
 
+def test_a_named_subcommand_builds_only_its_parser(monkeypatch):
+    # every benchmark argv names its subcommand first and pays for that parser
+    # alone; help, no arguments and an unknown command build all four
+    import argparse
+    from hilbseries import cli
+    added = []
+    original = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or original(self, name, **kw))
+    for name in ("series", "verify", "oracle", "extract"):
+        monkeypatch.setattr(cli, "_cmd_" + name, lambda args, parser: 0)
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        for argv in next(workloads.blocks(workload, 1)):
+            added.clear()
+            assert cli.main(list(argv)) == 0
+            assert added == argv[:1], argv
+    for argv in (["--help"], [], ["bogus"]):
+        added.clear()
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        assert added == ["series", "verify", "oracle", "extract"], argv
+
+
 # The first 16 hex digits of the sha256 of each job's stdout, seed 1, first
 # block, in block order.
 FIRST_BLOCK_SHA256 = {

@@ -785,3 +785,119 @@ def test_deep_series_digest(capsys, monkeypatch, argv, digest):
     code, out = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every help, usage and error text with its exit code, at COLUMNS=80: stdout and
+# stderr byte for byte, whether main built one subcommand's parser or all four.
+TOP_USAGE = "usage: hilbseries [-h] {series,verify,oracle,extract} ...\n"
+ORACLE_USAGE = """\
+usage: hilbseries oracle [-h] --surface {f1,p1xp1,p2} --class CLASS_SPEC --n N
+                         --kind {segre,chern,verlinde} [--r R] [--seed SEED]
+                         [--json [PATH]]
+"""
+USAGE_TEXTS = [
+    ("--help", 0, TOP_USAGE + """\
+
+Universal tautological-integral series over Hilbert schemes of surface points,
+with a toric fixed-point oracle.
+
+positional arguments:
+  {series,verify,oracle,extract}
+    series              print coefficients of a catalog series
+    verify              run identity-check suites
+    oracle              one fixed-point integral or Euler char
+    extract             recover universal series from the oracle
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("", 2, "",
+     TOP_USAGE + "hilbseries: error: the following arguments are required: command\n"),
+    ("bogus", 2, "",
+     TOP_USAGE + "hilbseries: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'series', 'verify', 'oracle', 'extract')\n"),
+    ("series --help", 0, """\
+usage: hilbseries series [-h] --family {segreA,chernA,verlindeB,y,Y}
+                         [--rank RANK] [--index INDEX] [--order ORDER]
+                         [--format {json,csv,table}]
+
+options:
+  -h, --help            show this help message and exit
+  --family {segreA,chernA,verlindeB,y,Y}
+  --rank RANK           class rank (segreA/chernA) or twist (verlindeB)
+  --index INDEX         which factor of the family, e.g. 3 for A3
+  --order ORDER
+  --format {json,csv,table}
+""", ""),
+    ("verify --help", 0, """\
+usage: hilbseries verify [-h] [--suite SUITE] [--order ORDER] [--json [PATH]]
+
+options:
+  -h, --help     show this help message and exit
+  --suite SUITE  'all' or one of: 2pt, abelian, asymptotics, blowup,
+                 chern_rank2, enriques, fgh, lagrange_burmann,
+                 spherical_chern, theta, thm3, verlinde_segre,
+                 verlinde_trivial
+  --order ORDER
+  --json [PATH]  write a JSON report to PATH (or stdout)
+""", ""),
+    ("oracle --help", 0, ORACLE_USAGE + """\
+
+options:
+  -h, --help            show this help message and exit
+  --surface {f1,p1xp1,p2}
+  --class CLASS_SPEC    signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that
+                        starts with a minus needs the = form,
+                        --class=-O(1)+O(2)
+  --n N                 number of points
+  --kind {segre,chern,verlinde}
+  --r R                 twist (verlinde only)
+  --seed SEED
+  --json [PATH]
+""", ""),
+    ("extract --help", 0, """\
+usage: hilbseries extract [-h] --rank RANK [--order ORDER]
+                          [--kind {segre,verlinde}] [--seed SEED]
+                          [--json [PATH]]
+
+options:
+  -h, --help            show this help message and exit
+  --rank RANK           class rank (segre) or twist (verlinde)
+  --order ORDER
+  --kind {segre,verlinde}
+  --seed SEED
+  --json [PATH]
+""", ""),
+    ("oracle", 2, "",
+     ORACLE_USAGE + "hilbseries oracle: error: the following arguments are required: "
+                    "--surface, --class, --n, --kind\n"),
+    # handler errors print the top-level usage
+    ("oracle --surface=p2 --class=O(1) --n=2 --kind=verlinde", 2, "",
+     TOP_USAGE + "hilbseries: error: --r is required for kind verlinde\n"),
+    ("series --family=segreA", 2, "",
+     TOP_USAGE + "hilbseries: error: --rank and --index are required for family segreA\n"),
+    ("verify --suite=nope", 2, "",
+     TOP_USAGE + "hilbseries: error: unknown suite 'nope'; choose from all, 2pt, abelian, "
+                 "asymptotics, blowup, chern_rank2, enriques, fgh, lagrange_burmann, "
+                 "spherical_chern, theta, thm3, verlinde_segre, verlinde_trivial\n"),
+    ("extract --rank=1 --order=0", 2, "",
+     TOP_USAGE + "hilbseries: error: order must be at least 1\n"),
+    # argparse errors: a subcommand's own, and an unknown option at the top
+    ("oracle --surface=p2 --class=O(1) --n=x --kind=segre", 2, "",
+     ORACLE_USAGE + "hilbseries oracle: error: argument --n: invalid int value: 'x'\n"),
+    ("oracle --surface=p9 --class=O(1) --n=2 --kind=segre", 2, "",
+     ORACLE_USAGE + "hilbseries oracle: error: argument --surface: invalid choice: 'p9' "
+                    "(choose from 'f1', 'p1xp1', 'p2')\n"),
+    ("series --family=y --bogus", 2, "",
+     TOP_USAGE + "hilbseries: error: unrecognized arguments: --bogus\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_TEXTS,
+                         ids=[argv or "no-arguments" for argv, *_ in USAGE_TEXTS])
+def test_usage_texts_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv.split())
+    assert (info.value.code, *capsys.readouterr()) == (code, out, err)

@@ -14,10 +14,12 @@ Hirzebruch-Riemann-Roch term in u replaced; the chart pass must give the
 same values with either.  ref_segre_term, the Segre term over every box of
 a partition, and ref_times, the triple-loop chart product, are what the
 parent walk and the packed product replaced; the chart pass and _times
-must equal them exactly.  The references build the Verlinde class as
-twisted_class does, a rank-r EqKClass with |r-1| trivial terms, and the
-Chern class as the negated EqKClass, where the oracle passes one trivial
-term of weight r-1 and signed_lifts(-1).  Every comparison is exact
+must equal them exactly; ref_power_euler_term, whose power sums step by k
+at every j, is what the steps by k^2 replaced.  The references build the
+Verlinde class as twisted_class does, a rank-r EqKClass with |r-1|
+trivial terms, and the Chern class as the negated EqKClass, where the
+oracle passes one trivial term of weight r-1 and signed_lifts(-1).
+Every comparison is exact
 equality, at a fixed direction and through the public entry points with
 their character draws.
 """
@@ -33,7 +35,7 @@ from operator import mul
 import pytest
 
 from hilbseries import localization as loc
-from hilbseries.series import Series
+from hilbseries.series import Series, exp_numerators
 
 
 class ZeroWeight(ArithmeticError):
@@ -184,6 +186,24 @@ def ref_segre_term(ks, boxes, lifts, degree):
                         c[j] += k * c[j - 1]
         out.append(c)
     return prod(ks), out
+
+
+def ref_power_euler_term(ks, boxes, lifts, degree, parent):
+    """The HRR Euler term with p_j = sum k^j built for every j <= degree, odd j >= 3
+    too, where tau_j = 0: the per-j power loop the steps by k^2 replaced."""
+    d, tau, den = loc._todd_log(degree)
+    exponent, powers = [0], ks
+    for t in tau[1:]:
+        exponent.append(t and t * sum(powers))
+        powers = list(map(mul, powers, ks))
+    exponent.append(0)  # a_1 exists at degree 0 too
+    linear = exponent[1]
+    size, total = len(boxes), sum(boxes)
+    out = []
+    for class_lifts in lifts:
+        exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
+        out.append(exp_numerators(exponent, d, degree))
+    return prod(ks) * den, out
 
 
 def every_box(kernel):
@@ -342,7 +362,8 @@ def negated(kclass):
 def chart_values(read, surface, classes, order, q, term):
     """Per class, the values n = 0..order of the chart product at direction q."""
     lifts = [c.signed_lifts() for c in classes]
-    return [read(*c) for c in loc._chart_product(surface, lifts, order, q, term)]
+    return [read(*c) for c in loc._chart_product(surface, lifts, order, q, term,
+                                                  loc._shapes(order))]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -427,8 +448,8 @@ def test_hrr_term_is_the_binomial_term(name):
         hrr, ref = (outcome(chart_values, loc._euler_values, surface, classes, order, q, term)
                     for term in (loc._euler_term, weight_lists(ref_euler_term)))
         assert hrr == ref, (q, order, len(classes))
-    assert loc._euler_values(*loc._chart_product(surface, [[]], 1, (2, 5),
-                                                 loc._euler_term)[0]) == (1, surface.chi_O)
+    assert loc._euler_values(*loc._chart_product(surface, [[]], 1, (2, 5), loc._euler_term,
+                                                 loc._shapes(1))[0]) == (1, surface.chi_O)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -442,7 +463,7 @@ def test_trivial_term_of_weight_r_minus_1_is_the_twisted_class(name):
             lifts = line.signed_lifts() + [(r - 1, zero)]
             for q in DIRECTIONS:
                 weighted = outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
-                    surface, [lifts], 4, q, loc._euler_term)])
+                    surface, [lifts], 4, q, loc._euler_term, loc._shapes(4))])
                 assert weighted == outcome(chart_values, loc._euler_values, surface,
                                            [twisted_class(line, r)], 4, q, loc._euler_term), \
                     (line, r, q)
@@ -667,9 +688,41 @@ def test_parent_walk_is_the_full_box_term(name):
     lifts = [c.signed_lifts(sign) for c in classes for sign in (1, -1)]
     for q in DIRECTIONS:
         for order in range(9):
-            walked, full = (outcome(loc._chart_product, surface, lifts, order, q, term)
+            walked, full = (outcome(loc._chart_product, surface, lifts, order, q, term,
+                                    loc._shapes(order))
                             for term in (loc._segre_term, every_box(ref_segre_term)))
             assert walked == full, (q, order)
+
+
+def test_square_steps_are_the_power_loop():
+    # tau_j = 0 at odd j >= 3: the term from steps by k^2 against the term from
+    # every power, on random signed weights, boxes and classes, degrees 0..16
+    rng = random.Random(16)
+    for degree in range(17):
+        for _ in range(6):
+            ks = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(rng.randint(0, 12))]
+            boxes = [rng.randint(-30, 30) for _ in range(rng.randint(0, 6))]
+            lifts = [[(rng.randint(-3, 3), rng.randint(-20, 20))
+                      for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 3))]
+            assert loc._euler_term(ks, boxes, lifts, degree, None) == \
+                ref_power_euler_term(ks, boxes, lifts, degree, None), (degree, ks, boxes, lifts)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 7])
+def test_one_shape_table_per_pass(order, monkeypatch):
+    # both directions of a pass, and every chart, read one table: one
+    # _hook_coefficients call per partition of size <= order
+    surface = loc.get_surface("p1xp1")
+    kclass, line = (loc.parse_class(surface, spec) for spec in ("O(1,0)-O(0,1)", "O(1,1)"))
+    calls = []
+    original = loc._hook_coefficients
+    monkeypatch.setattr(loc, "_hook_coefficients", lambda lam: calls.append(lam) or original(lam))
+    partitions = sum(len(loc.partitions(k)) for k in range(order + 1))
+    for run in (lambda: loc.segre_series(surface, [kclass], order),
+                lambda: loc.verlinde_series(surface, [line], 2, order)):
+        calls.clear()
+        run()
+        assert len(calls) == partitions, order
 
 
 def test_packed_times_is_the_triple_loop():
@@ -755,8 +808,8 @@ class TestChecksStillFire:
         first, second = (loc.parse_class(p2, spec) for spec in ("O(1)", "O(2)-O(1)"))
         original = loc._chart_product
 
-        def skewed(surface, classes, order, q, term):
-            out = original(surface, classes, order, q, term)
+        def skewed(surface, classes, order, q, term, shapes):
+            out = original(surface, classes, order, q, term, shapes)
             if len(out) > 1:
                 rows, den = out[1]
                 rows[order][2 * order] += q[0] * den
@@ -804,7 +857,7 @@ class TestHookScan:
         for n in range(7):
             for q in loc._DIRECTIONS:
                 try:
-                    loc._chart_product(surface, [], n, q, loc._segre_term)
+                    loc._chart_product(surface, [], n, q, loc._segre_term, loc._shapes(n))
                 except ArithmeticError:
                     accepted = False
                 else:
@@ -820,7 +873,8 @@ class TestHookScan:
             fps = loc.enumerate_fixed_points(surface, n)
             for q in loc._DIRECTIONS:
                 verdicts = []
-                for attempt in (lambda: loc._chart_product(surface, [], n, q, loc._segre_term),
+                for attempt in (lambda: loc._chart_product(surface, [], n, q, loc._segre_term,
+                                                           loc._shapes(n)),
                                 lambda: list(point_records(surface, [], fps, q))):
                     try:
                         attempt()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import fractions
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from hilbseries import (
     Series,
     solve_algebraic,
 )
-from hilbseries.series import as_fraction
+from hilbseries.series import as_fraction, exp_numerators
 
 ORDER = 8
 
@@ -77,6 +78,15 @@ def ref_exp(a):
                 acc += (k + 1) * c[k + 1] * out[m - k]
         out[m + 1] = acc / (m + 1)
     return tuple(out)
+
+def ref_exp_numerators(a, d, order):
+    """The integer exp recurrence with the weights (k+1) a_(k+1) rebuilt for every m,
+    as exp_numerators computed them before it built them once."""
+    e = [factorial(order) * d ** order]
+    for m in range(order):
+        total = sum(map(mul, map(mul, range(1, m + 2), a[1:m + 2]), reversed(e)))
+        e.append(total // ((m + 1) * d))
+    return e
 
 def sparse_series(rng, order, const):
     """Random rationals, about half of them zero, with a given constant term."""
@@ -330,6 +340,21 @@ class TestTranscendental:
                 assert got.coeffs == ref_exp(a)
                 assert all(type(c) is F for c in got.coeffs)
         assert Series.zero(40).exp() == Series.one(40)
+
+    def test_exp_numerators_match_the_per_m_weights(self):
+        # dense, zero-heavy and all-negative exponents, as long as the order
+        # reads (Series.exp) and one longer (the Euler kernel)
+        rng = random.Random(16)
+        draws = [lambda: rng.randint(-10 ** 6, 10 ** 6),
+                 lambda: rng.choice((0, 0, 0, rng.randint(-99, 99))),
+                 lambda: -rng.randint(1, 10 ** 4)]
+        for order in range(41):
+            for draw in draws:
+                for extra in (1, 2):
+                    a = [draw() for _ in range(order + extra)]
+                    d = rng.randint(1, 50)
+                    assert exp_numerators(a, d, order) == ref_exp_numerators(a, d, order), \
+                        (order, a, d)
 
     def test_domain_errors(self):
         t = Series.gen(3)
