@@ -136,6 +136,12 @@ class _Tally:
         if self.counterexample is None and got != want:
             self.counterexample = context + (got, want)
 
+    def eq_ratio(self, got, num, den, *context):
+        """eq(F(got), F(num, den)) on integers as got * den == num; den 0 raises."""
+        self.checks += 1
+        if (self.counterexample is None and got * den != num) or not den:
+            self.counterexample = context + (F(got), F(num, den))
+
     def ok(self, cond, *context):
         self.checks += 1
         if self.counterexample is None and not cond:
@@ -163,14 +169,19 @@ def _comb(a, k):
     return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
 
 
+def _residue(d, chi, r, n, c):
+    """[t^n] (1+ct)^d (1+rt)^e, e = chi-rn-d: the integer sum over i of
+    C(d,i) c^i C(e,n-i) r^(n-i), where C(d,i) = 0 for i > d >= 0."""
+    e = chi - r * n - d
+    return sum(_comb(d, i) * c ** i * _comb(e, n - i) * r ** (n - i)
+               for i in range(n + 1 if d < 0 else min(n, d) + 1))
+
+
 def residue_coeff(d, chi, r, n):
-    """[t^n] (1+(1+r)t)^d (1+rt)^e, e = chi-rn-d, as the Fraction of the
-    integer sum over i of C(d,i) (1+r)^i C(e,n-i) r^(n-i)."""
+    """[t^n] (1+(1+r)t)^d (1+rt)^e, e = chi-rn-d, as a Fraction."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    e = chi - r * n - d
-    return F(sum(_comb(d, i) * (1 + r) ** i * _comb(e, n - i) * r ** (n - i)
-                 for i in range(n + 1)))
+    return F(_residue(d, chi, r, n, 1 + r))
 
 
 def check_thm3(r, n_max=8, chi_range=None):
@@ -178,25 +189,26 @@ def check_thm3(r, n_max=8, chi_range=None):
 
     Rigid case: r^n C(chi-rn, n) with vanishing for rn <= chi < (r+1)n;
     one-dimensional case: r^n (-r + 1/r + chi/n) C(chi-rn-1, n-1) with
-    vanishing for rn+1 <= chi < (r+1)n.
+    vanishing for rn+1 <= chi < (r+1)n.  The one-dimensional case is
+    compared in integers times rn, so r = 0 raises ZeroDivisionError.
     """
     if chi_range is None:
         chi_range = range(-3, (r + 1) * n_max + 11)
     tally = _Tally()
     for n in range(n_max + 1):
         for chi in chi_range:
-            rigid = residue_coeff(0, chi, r, n)
-            tally.eq(rigid, r ** n * binom(chi - r * n, n), "d=0", r, n, chi)
+            rigid = _residue(0, chi, r, n, 1 + r)
+            tally.eq_ratio(rigid, r ** n * _comb(chi - r * n, n), 1, "d=0", r, n, chi)
             if n >= 1:
-                one_dim = residue_coeff(1, chi, r, n)
-                want = r ** n * (-r + F(1, r) + F(chi, n)) * binom(chi - r * n - 1, n - 1)
-                tally.eq(one_dim, want, "d=1", r, n, chi)
+                one_dim = _residue(1, chi, r, n, 1 + r)
+                want = r ** n * (chi * r + n - r * r * n) * _comb(chi - r * n - 1, n - 1)
+                tally.eq_ratio(one_dim, want, r * n, "d=1", r, n, chi)
                 if r * n <= chi < (r + 1) * n:
-                    tally.eq(rigid, F(0), "vanish d=0", r, n, chi)
+                    tally.eq_ratio(rigid, 0, 1, "vanish d=0", r, n, chi)
                 if r * n + 1 <= chi < (r + 1) * n:
-                    tally.eq(one_dim, F(0), "vanish d=1", r, n, chi)
+                    tally.eq_ratio(one_dim, 0, 1, "vanish d=1", r, n, chi)
             else:
-                tally.eq(rigid, F(1), "n=0", r, chi)
+                tally.eq_ratio(rigid, 1, 1, "n=0", r, chi)
     # tie the sweep to the moduli constraint: spherical numerics have d=0,
     # isotropic numerics d=1, at every rank swept here
     for chi in (2, 5, 9):
@@ -307,21 +319,19 @@ def check_abelian(r, n_max=6, chi_range=None):
     The residue carries an extra (1+r(r+1)t) factor and a shifted
     exponent relative to the K3 case; the closed form is the d=0 row.
     Both sides are polynomials in chi of degree <= n, so the default
-    sweep proves the identity.
+    sweep proves the identity; both are compared in integers times n.
     """
     if chi_range is None:
         chi_range = range(-3, r * n_max + 12)
     tally = _Tally()
     for n in range(n_max + 1):
-        t = Series.gen(n, "t")
         for chi in chi_range:
-            integrand = (1 + r * t) ** (chi - r * n - 1) * (1 + r * (r + 1) * t)
-            got = integrand.coefficient(n)
+            got = _residue(1, chi, r, n, r * (r + 1))
             if n == 0:
-                tally.eq(got, F(1), "n=0", r, chi)
+                tally.eq_ratio(got, 1, 1, "n=0", r, chi)
             else:
-                want = r ** n * F(chi, n) * binom(chi - r * n - 1, n - 1)
-                tally.eq(got, want, r, n, chi)
+                want = r ** n * chi * _comb(chi - r * n - 1, n - 1)
+                tally.eq_ratio(got, want, n, r, n, chi)
     return tally.report(
         "abelian",
         "r=%d, n<=%d, chi in [%d,%d) (chi-degree <= n per n)"
@@ -557,12 +567,13 @@ def check_verlinde_trivial(order=10, chi_range=range(-3, 8)):
     tally = _Tally()
     w = Series.gen(order, "w")
     for chi in chi_range:
+        want0, want1 = (1 - w).inverse() ** chi, (1 + w) ** chi
         for chiO, c1K, Ksq in ((1, -3, 9), (1, -2, 8), (2, 0, 0)):
             got0 = catalog.verlinde_full(0, chi, chiO, c1K, Ksq, order)
-            tally.eq(got0, (1 - w).inverse() ** chi, 0, chi, chiO, c1K, Ksq)
+            tally.eq(got0, want0, 0, chi, chiO, c1K, Ksq)
             for r in (1, -1):
                 got = catalog.verlinde_full(r, chi, chiO, c1K, Ksq, order)
-                tally.eq(got, (1 + w) ** chi, r, chi, chiO, c1K, Ksq)
+                tally.eq(got, want1, r, chi, chiO, c1K, Ksq)
     return tally.report(
         "verlinde_trivial",
         "r in (0,1,-1), chi in [%d,%d), three numerics triples"

@@ -689,6 +689,33 @@ VERIFY_THM3_JSON = """\
 }
 """
 
+# The abelian residue sweep, table and JSON.
+VERIFY_ABELIAN_TABLE = """\
+# hilbseries command=verify order=10 suite=abelian
+abelian            PASS  (1008 checks)
+"""
+
+VERIFY_ABELIAN_JSON = """\
+{
+  "config": {
+    "command": "verify",
+    "order": 10,
+    "suite": "abelian"
+  },
+  "passed": true,
+  "reports": [
+    {
+      "checks": 1008,
+      "counterexample": null,
+      "detail": "",
+      "name": "abelian",
+      "passed": true,
+      "ranges": "r=2, n<=6, chi in [-3,24) (chi-degree <= n per n); r=3, n<=6, chi in [-3,30) (chi-degree <= n per n); r=4, n<=6, chi in [-3,36) (chi-degree <= n per n); r=5, n<=6, chi in [-3,42) (chi-degree <= n per n)"
+    }
+  ]
+}
+"""
+
 VERIFY_SPHERICAL_CHERN_JSON = """\
 {
   "config": {
@@ -746,6 +773,8 @@ ORACLE_VERLINDE_F1_N10 = """\
     ("series --family verlindeB --rank -3 --index 3 --order 8",
      SERIES_VERLINDE_B3_TWIST_MINUS3),
     ("verify --suite thm3 --json --order 10", VERIFY_THM3_JSON),
+    ("verify --suite abelian --order 10", VERIFY_ABELIAN_TABLE),
+    ("verify --suite abelian --order 10 --json", VERIFY_ABELIAN_JSON),
     ("verify --suite spherical_chern --json --order 10", VERIFY_SPHERICAL_CHERN_JSON),
     ("series --family Y --order 20", SERIES_Y_ORDER20),
     ("oracle --surface p2 --class O(1) --kind verlinde --r 2 --n 10", ORACLE_VERLINDE_P2_N10),

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial
+import sys
 
 import pytest
 
@@ -41,6 +42,41 @@ def ref_power(c, e, n):
 def ref_residue_coeff(d, chi, r, n):
     """The Series-power formulation that the binomial sum replaced."""
     return (ref_power(1 + r, d, n) * ref_power(r, chi - r * n - d, n)).coefficient(n)
+
+
+def ref_abelian_residue(r, n, chi):
+    """[t^n] (1+rt)^e (1+r(r+1)t), e = chi-rn-1: the Series integrand check_abelian read."""
+    return (ref_power(r, chi - r * n - 1, n) * ref_power(r * (r + 1), 1, n)).coefficient(n)
+
+
+def ref_one_dim_closed_form(r, n, chi):
+    """The d=1 closed form of check_thm3 in Fractions, as it was compared."""
+    return r ** n * (-r + F(1, r) + F(chi, n)) * binom(chi - r * n - 1, n - 1)
+
+
+# the residue sweeps: e = chi - rn - d reaches both signs, r = 0 and r = -1 included
+SWEEP_R = range(-4, 6)
+SWEEP_N = 10
+SWEEP_CHI = range(-5, 26)
+
+
+def record_ratios(monkeypatch):
+    """Every (context, got, num, den) that the checks hand to _Tally.eq_ratio."""
+    calls = []
+    original = verify._Tally.eq_ratio
+
+    def spy(self, got, num, den, *context):
+        calls.append((context, got, num, den))
+        return original(self, got, num, den, *context)
+    monkeypatch.setattr(verify._Tally, "eq_ratio", spy)
+    return calls
+
+
+def refuse_series_products(monkeypatch, who):
+    def refuse(*args):
+        raise AssertionError("%s multiplied series" % who)
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(Series, name, refuse)
 
 
 class TestModuliNumerics:
@@ -96,12 +132,107 @@ class TestResidueCoeff:
                         assert got == ref_residue_coeff(d, chi, r, n), (d, chi, r, n)
 
     def test_builds_no_series_product(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("residue_coeff multiplied series")
-        monkeypatch.setattr(Series, "__mul__", refuse)
-        monkeypatch.setattr(Series, "__rmul__", refuse)
+        refuse_series_products(monkeypatch, "residue_coeff")
         # [t^6] (1+3t)(1+2t)^-6 = C(11,6) 2^6 - 3 C(10,5) 2^5
         assert residue_coeff(1, 7, 2, 6) == 5376
+
+    def test_abelian_residue_matches_series_powers(self):
+        for r in SWEEP_R:
+            for chi in SWEEP_CHI:
+                for n in range(SWEEP_N + 1):
+                    got = verify._residue(1, chi, r, n, r * (r + 1))
+                    assert type(got) is int
+                    assert got == ref_abelian_residue(r, n, chi), (r, n, chi)
+
+
+class TestIntegerSweeps:
+    """thm3 and abelian compare integers; the Fractions they replaced are the reference."""
+
+    def test_closed_forms_are_the_fractions(self, monkeypatch):
+        calls = record_ratios(monkeypatch)
+        for r in SWEEP_R:
+            if r:
+                assert check_thm3(r, SWEEP_N, SWEEP_CHI).passed, r
+            assert check_abelian(r, SWEEP_N, SWEEP_CHI).passed, r
+        seen = {}
+        for context, got, num, den in calls:
+            kind = context[0] if isinstance(context[0], str) else "abelian"
+            seen[kind] = seen.get(kind, 0) + 1
+            want = F(num, den)
+            if kind == "d=1":
+                _, r, n, chi = context
+                assert want == ref_one_dim_closed_form(r, n, chi), context
+                assert got == ref_residue_coeff(1, chi, r, n), context
+            elif kind == "d=0":
+                _, r, n, chi = context
+                assert want == r ** n * binom(chi - r * n, n), context
+                assert got == ref_residue_coeff(0, chi, r, n), context
+            elif kind == "abelian":
+                r, n, chi = context
+                assert want == r ** n * F(chi, n) * binom(chi - r * n - 1, n - 1), context
+                assert got == ref_abelian_residue(r, n, chi), context
+        points = SWEEP_N * len(SWEEP_CHI)
+        assert seen["d=1"] == (len(SWEEP_R) - 1) * points
+        assert seen["abelian"] == len(SWEEP_R) * points
+
+    def test_rank_zero_raises(self):
+        # the d=1 closed form has 1/r; cross-multiplied by rn = 0 it would hold vacuously
+        with pytest.raises(ZeroDivisionError):
+            check_thm3(0)
+        with pytest.raises(ZeroDivisionError):
+            check_thm3(0, n_max=1, chi_range=range(0, 1))
+
+    def test_zero_denominator_raises_after_a_failure(self):
+        tally = verify._Tally()
+        tally.eq_ratio(1, 2, 1, "broken")
+        with pytest.raises(ZeroDivisionError):
+            tally.eq_ratio(0, 0, 0, "vacuous")
+
+    def test_ratio_is_the_fraction_comparison(self):
+        for got in range(-3, 4):
+            for num in range(-6, 7):
+                for den in (-3, -2, -1, 1, 2, 3):
+                    ratio, fraction = verify._Tally(), verify._Tally()
+                    ratio.eq_ratio(got, num, den, "ctx")
+                    fraction.eq(F(got), F(num, den), "ctx")
+                    assert ratio.report("x") == fraction.report("x"), (got, num, den)
+
+    def test_sweeps_build_no_series(self, monkeypatch):
+        refuse_series_products(monkeypatch, "a residue sweep")
+        for r in range(2, 7):
+            assert check_thm3(r).passed, r
+        for r in range(2, 6):
+            assert check_abelian(r).passed, r
+
+    def test_failures_record_unscaled_fractions(self, monkeypatch):
+        original = verify._residue
+        monkeypatch.setattr(verify, "_residue", lambda d, chi, r, n, c:
+                            original(d, chi, r, n, c) + (d == 1 and n == 2))
+        # the first d=1 point at n=2: [t^2] (1+3t)(1+2t)^-8 = 96, compared times rn = 4
+        report = check_thm3(2, n_max=3)
+        assert not report.passed
+        assert report.counterexample == ("d=1", 2, 2, -3, F(97), F(96))
+        assert report.counterexample[4:] == (F(97), ref_one_dim_closed_form(2, 2, -3))
+        assert all(type(x) is F for x in report.counterexample[4:])
+        # [t^2] (1+2t)^-8 (1+6t) = 48, compared times n = 2
+        report = check_abelian(2, n_max=3)
+        assert report.counterexample == (2, 2, -3, F(49), F(48))
+        assert all(type(x) is F for x in report.counterexample[3:])
+        assert report.to_dict()["counterexample"] == ["2", "2", "-3", "49", "48"]
+
+    def test_verlinde_references_once_per_chi(self, monkeypatch):
+        built = []
+        for name in ("__pow__", "inverse"):
+            original = getattr(Series, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                if sys._getframe(1).f_code is check_verlinde_trivial.__code__:
+                    built.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(Series, name, spy)
+        report = check_verlinde_trivial(order=6, chi_range=range(-2, 3))
+        assert report.passed and report.checks == 5 * 3 * 3
+        assert sorted(built) == ["__pow__"] * 10 + ["inverse"] * 5
 
 
 def ref_binom(a, n):
