@@ -16,9 +16,9 @@ generating function at twist r is
 Each factor this module knows has an algebraic closed form in an
 auxiliary variable t, held as its logarithm in t, and carries a
 provenance status: "proven", "trivial" (identically 1 for elementary
-reasons), or "conjectural".  A factor, or a product of powers of
-factors, is one Lagrange-Buermann substitution of a sum of logs to z or
-w = t (1+at)^b and one exp.  Every coefficient is an exact rational.
+reasons), or "conjectural".  A holder substitutes each factor's log to z
+or w = t (1+at)^b once (Lagrange-Buermann); a product of powers of factors
+is one exp of a sum of those logs.  Every coefficient is exact.
 
 Supported ranks for the third and fourth Segre factors are -4..2; the
 negative ranks -3 and -4 are produced from ranks 1 and 2 by a duality
@@ -159,7 +159,7 @@ def _mean_root_log(order, c, d):
 
 
 def _segre_log(s, index, order):
-    """(status, log in t) of the index-th Segre factor at rank s."""
+    """(status, log in t) of the index-th Segre factor at rank s, index 0..2."""
     r = s + 1
     if index == 0:
         return PROVEN, _log1p_sum(order, (r, -r), (1 + r, r - 1))
@@ -168,9 +168,7 @@ def _segre_log(s, index, order):
     if index == 2:
         return PROVEN, _log1p_sum(order, (r, F(r * r - 1, 2)), (1 + r, r - F(r * r, 2)),
                                   (r * (1 + r), F(-1, 2)))
-    if index not in (3, 4):
-        raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
-    return _segre34_logs(s, order, index)[index - 3]
+    raise UnknownSeriesError("Segre factor index must be 0..4, got %r" % (index,))
 
 
 def _segre34_logs(s, order, index=3):
@@ -235,51 +233,13 @@ def _segre34_by_duality(src_rank, order):
     return a3, a4
 
 
-def _exp_in(log, a, b, var):
-    """exp of a log in t, read in var = t (1+at)^b; every factor and full series ends here."""
-    return _lagrange(log, a, b, var).exp()
-
-
-def _log_sum(log_of, param, exponents, order):
-    """sum_i e_i log F_i in t over (index i, e_i); zero exponents are skipped."""
-    log = Series.zero(order)
-    for index, e in exponents:
-        if e:
-            log = log + e * log_of(param, index, order)[1]
-    return log
-
-
-def segre_A(s, index, order):
-    """The index-th universal Segre factor at rank s, as a series in z.
-
-    Indices 0..2 exist for every integer rank; indices 3 and 4 only for
-    ranks -4..2, conjecturally at rank 0 (index 3) and ranks -3, -4.
-    """
-    status, log = _segre_log(s, index, order)
-    return SeriesEntry("segre", index, s, status, _exp_in(log, s + 1, s + 1, "z"))
-
-
-def chern_A(s, index, order):
-    """The index-th universal Chern factor at rank s (indices 0..2).
-
-    Valid on K-trivial numerics.  As c(E) = s(-E), these are C0 = 1/A0,
-    C1 = A0 A1 and C2 = A2 of the Segre factors at rank -s.
-    """
-    if index not in (0, 1, 2):
-        raise UnknownSeriesError("Chern factor index must be 0..2, got %r" % (index,))
-    log = _log_sum(_segre_log, -s, (((0, -1),), ((0, 1), (1, 1)), ((2, 1),))[index], order)
-    return SeriesEntry("chern", index, s, PROVEN, _exp_in(log, 1 - s, 1 - s, "z"))
-
-
 def _verlinde_log(r, index, order):
-    """(status, log in t) of the index-th Verlinde factor at twist r."""
+    """(status, log in t) of the index-th Verlinde factor at twist r, index 1..2."""
     if index == 1:
         return PROVEN, _log1p_sum(order, (1, 1))
     if index == 2:
         return PROVEN, _log1p_sum(order, (1, F(r * r, 2)), (r * r, F(-1, 2)))
-    if index not in (3, 4):
-        raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
-    return _verlinde34_logs(r, order, index)[index - 3]
+    raise UnknownSeriesError("Verlinde factor index must be 1..4, got %r" % (index,))
 
 
 def _verlinde34_logs(r, order, index=3):
@@ -304,6 +264,100 @@ def _verlinde34_logs(r, order, index=3):
     return (CONJECTURAL, -b3 if r < 0 else b3), (CONJECTURAL, b4)
 
 
+class _Logs:
+    """The factor logs of one family at one rank or twist and order, each read
+    and substituted from t to x = t (1+at)^b at most once, when first asked
+    for (the third and fourth from one branch or mean root).  A holder lives
+    for one call or one sweep; nothing is kept across calls."""
+
+    def __init__(self, param, order, a, b):
+        self.param, self.order, self.a, self.b = param, order, a, b
+        self._read = {}
+
+    def __getitem__(self, index):
+        """(status, log in x) of the index-th factor."""
+        if index not in self._read:
+            if index in (3, 4):
+                pairs = zip((3, 4), self._tail(self.param, self.order, index))
+            else:
+                pairs = [(index, self._low(self.param, index, self.order))]
+            for i, (status, log) in pairs:
+                self._read[i] = status, _lagrange(log, self.a, self.b, self.var)
+        return self._read[index]
+
+    def entry(self, index):
+        status, log = self[index]
+        return SeriesEntry(self.family, index, self.param, status, log.exp())
+
+    def exp(self, exponents):
+        """prod_i F_i^(e_i) in x over (index i, integer e_i); a zero exponent reads nothing."""
+        log = Series.zero(self.order, self.var)
+        for index, e in exponents:
+            if e:
+                log = log + e * self[index][1]
+        return log.exp()
+
+
+class _SegreLogs(_Logs):
+    """The Segre factor logs at rank s, in z."""
+
+    family, var = "segre", "z"
+    _low, _tail = staticmethod(_segre_log), staticmethod(_segre34_logs)
+
+    def __init__(self, s, order):
+        super().__init__(s, order, s + 1, s + 1)
+
+    def segre_full(self, c2, c1sq, chiO, c1K, Ksq):
+        # c1.K first: an unknown rank is reported for the third factor if it is asked for
+        return self.exp(((3, c1K), (4, Ksq), (0, c2), (1, c1sq), (2, chiO)))
+
+    def chern_full(self, c2, c1sq, chiO):
+        """The Chern series at rank -s on K-trivial numerics."""
+        return self.segre_full(c1sq - c2, c1sq, chiO, 0, 0)
+
+
+class _VerlindeLogs(_Logs):
+    """The Verlinde factor logs at twist r, in w."""
+
+    family, var = "verlinde", "w"
+    _low, _tail = staticmethod(_verlinde_log), staticmethod(_verlinde34_logs)
+
+    def __init__(self, r, order):
+        super().__init__(r, order, 1, r * r - 1)
+
+    def verlinde_full(self, chi_c1, chiO, c1K, Ksq):
+        e3 = F(2 * c1K - Ksq, 2)
+        if e3.denominator != 1:
+            self[4]  # K^2 is odd: an unknown twist is reported for the fourth factor
+            if not self[3][1].is_zero():
+                raise ValueError(
+                    "third-factor exponent %s is not an integer (odd K^2) and the "
+                    "factor at twist %d is nontrivial" % (e3, self.param))
+            e3 = 0
+        return self.exp(((4, Ksq), (3, e3), (1, chi_c1), (2, chiO)))
+
+
+def segre_A(s, index, order):
+    """The index-th universal Segre factor at rank s, as a series in z.
+
+    Indices 0..2 exist for every integer rank; indices 3 and 4 only for
+    ranks -4..2, conjecturally at rank 0 (index 3) and ranks -3, -4.
+    """
+    return _SegreLogs(s, order).entry(index)
+
+
+def chern_A(s, index, order):
+    """The index-th universal Chern factor at rank s (indices 0..2).
+
+    Valid on K-trivial numerics.  As c(E) = s(-E), these are C0 = 1/A0,
+    C1 = A0 A1 and C2 = A2 of the Segre factors at rank -s.
+    """
+    if index not in (0, 1, 2):
+        raise UnknownSeriesError("Chern factor index must be 0..2, got %r" % (index,))
+    series = _SegreLogs(-s, order).exp((((0, -1),), ((0, 1), (1, 1)), ((2, 1),))[index])
+    return SeriesEntry("chern", index, s, PROVEN, series)
+
+
 def verlinde_B(r, index, order):
     """The index-th universal Euler-characteristic factor at twist r, in w.
 
@@ -312,8 +366,7 @@ def verlinde_B(r, index, order):
     negative twists come from the positive ones by Serre symmetry, which
     inverts the third factor and fixes the fourth.
     """
-    status, log = _verlinde_log(r, index, order)
-    return SeriesEntry("verlinde", index, r, status, _exp_in(log, 1, r * r - 1, "w"))
+    return _VerlindeLogs(r, order).entry(index)
 
 
 def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
@@ -322,16 +375,12 @@ def segre_full(s, c2, c1sq, chiO, c1K, Ksq, order):
     Factors with zero exponent are skipped, so any rank assembles on
     K-trivial numerics even where the last two factors are unknown.
     """
-    log = _log_sum(_segre_log, s, enumerate((c2, c1sq, chiO)), order)
-    if c1K or Ksq:  # the last two factors share one branch or mean root
-        a3, a4 = (tail for _, tail in _segre34_logs(s, order, 3 if c1K else 4))
-        log = log + c1K * a3 + Ksq * a4
-    return _exp_in(log, s + 1, s + 1, "z")
+    return _SegreLogs(s, order).segre_full(c2, c1sq, chiO, c1K, Ksq)
 
 
 def chern_full(s, c2, c1sq, chiO, order):
     """Assembled Chern series in z, K-trivial numerics: Segre at -s, c1^2 - c2."""
-    return segre_full(-s, c1sq - c2, c1sq, chiO, 0, 0, order)
+    return _SegreLogs(-s, order).chern_full(c2, c1sq, chiO)
 
 
 def verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
@@ -341,15 +390,4 @@ def verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
     integer (odd K^2) the assembly is refused unless the factor is
     trivially 1, rather than silently taking a square root.
     """
-    log = _log_sum(_verlinde_log, r, ((1, chi_c1), (2, chiO)), order)
-    e3 = F(2 * c1K - Ksq, 2)
-    if e3 or Ksq:  # the last two factors share one branch or mean root
-        b3, b4 = (tail for _, tail in _verlinde34_logs(r, order, 4 if Ksq else 3))
-        log = log + Ksq * b4
-        if e3.denominator == 1:
-            log = log + e3 * b3
-        elif not b3.is_zero():
-            raise ValueError(
-                "third-factor exponent %s is not an integer (odd K^2) and the "
-                "factor at twist %d is nontrivial" % (e3, r))
-    return _exp_in(log, 1, r * r - 1, "w")
+    return _VerlindeLogs(r, order).verlinde_full(chi_c1, chiO, c1K, Ksq)

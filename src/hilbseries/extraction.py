@@ -156,9 +156,9 @@ def _verlinde_exponents(surface, cls, r):
 # Per kind: the report key of the panel parameter, the exponent columns,
 # exponents(surface, class, param), oracle(surface, classes, param, order,
 # seed) with the values for n = 0..order per class of one surface,
-# lookup(param, index, order) of a catalog entry, the series variable,
-# the series label and the index of the first series.
-_Kind = namedtuple("_Kind", "param columns exponents oracle lookup var label first")
+# factors(param, order), the catalog's holder of every factor, the series
+# variable, the series label and the index of the first series.
+_Kind = namedtuple("_Kind", "param columns exponents oracle factors var label first")
 
 # The lambdas look the oracle and catalog up at call time, so a wrapper
 # installed on those functions later (a tracer, a test double) is seen.
@@ -166,12 +166,12 @@ _KINDS = {
     "segre": _Kind(
         "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
         lambda surface, classes, s, order, seed: segre_series(surface, classes, order, seed),
-        lambda s, index, order: catalog.segre_A(s, index, order),
+        lambda s, order: catalog._SegreLogs(s, order),
         "z", "A%d", 0),
     "verlinde": _Kind(
         "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
         lambda surface, classes, r, order, seed: verlinde_series(surface, classes, r, order, seed),
-        lambda r, index, order: catalog.verlinde_B(r, index, order),
+        lambda r, order: catalog._VerlindeLogs(r, order),
         "w", "B%d", 1),
 }
 
@@ -317,8 +317,10 @@ def _agreement_order(a, b, order):
 
 
 def _report(kind, param, order, extracted):
-    """Each extracted series beside its catalog closed form, if any."""
+    """Each extracted series beside its catalog closed form, if any, all read
+    from one holder, so a branch or mean root is built once per report."""
     spec = _KINDS[kind]
+    factors = spec.factors(param, order)
     report = {"kind": kind, spec.param: param, "order": order, "series": []}
     for index, series in enumerate(extracted, start=spec.first):
         entry = {
@@ -326,7 +328,7 @@ def _report(kind, param, order, extracted):
             "extracted": [frac_str(series.coefficient(n)) for n in range(order + 1)],
         }
         try:
-            closed = spec.lookup(param, index, order)
+            closed = factors.entry(index)
         except catalog.UnknownSeriesError:
             entry["status"] = catalog.CONJECTURAL
         else:

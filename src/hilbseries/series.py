@@ -8,7 +8,8 @@ equal series store equal integers.  Arithmetic reads and writes those
 integers only; ``coefficient`` and ``coeffs`` build the
 `fractions.Fraction` values on request.  Floats are rejected so nothing
 ever leaves exact arithmetic.  The exp recurrence, `exp_numerators`,
-also serves the fixed-point oracle.
+also serves the fixed-point oracle, and `solve_algebraic` reads a branch's
+coefficients one by one off a linear recurrence in integers.
 
 Binary operations insist that both operands carry the same truncation
 order.  Silently taking the minimum hides bookkeeping bugs in long
@@ -383,39 +384,36 @@ def solve_algebraic(relation, order, var="t"):
     """Unique series root y with y(0) = 0 of a polynomial P(y, t) = 0.
 
     ``relation`` maps (i, j) to the rational coefficient of y^i t^j.  The
-    branch through the origin must be simple: P(0,0) = 0 and dP/dy(0,0)
-    nonzero.  Newton iteration doubles the number of settled coefficients
-    per step; the residual is rechecked before returning.
+    branch through the origin must be simple: P(0,0) = 0 and c = dP/dy(0,0)
+    nonzero.  Then [t^n] P(y, t) = 0 is linear in y_n, whose other terms
+    read y_1..y_(n-1) only, through running coefficient lists of y^2, y^3,
+    ...  With P's denominators cleared, y = c Y(t/c^2) has integer
+    coefficients Y_n.  The residual is rechecked before returning.
     """
     rel = {k: as_fraction(v) for k, v in relation.items() if v}
-    if rel.get((0, 0), Fraction(0)) != 0:
+    if rel.get((0, 0)):
         raise BranchError("P(0,0) must vanish for a branch through the origin")
-    if rel.get((1, 0), Fraction(0)) == 0:
+    if not rel.get((1, 0)):
         raise BranchError("dP/dy(0,0) vanishes: branch through the origin is not simple")
-    ydeg = max(i for i, _ in rel)
-
-    def row(i, weight=1):
-        c = [Fraction(0)] * (order + 1)
-        for (a, j), v in rel.items():
-            if a == i and j <= order:
-                c[j] += weight * v
-        return Series(c, order, var)
-
-    p = [row(i) for i in range(ydeg + 1)]
-    dp = [row(i, weight=i) for i in range(1, ydeg + 1)]
-
-    def horner(cols, y):
-        out = Series.zero(order, var)
-        for c in reversed(cols):
-            out = out * y + c
-        return out
-
-    y = Series.zero(order, var)
-    for _ in range(order.bit_length() + 3):
-        r = horner(p, y)
-        if r.is_zero():
-            return y
-        y = y - r * horner(dp, y).inverse()
-    if horner(p, y).is_zero():
-        return y
-    raise BranchError("Newton failed to reach a root to the requested order")
+    m = lcm(*(v.denominator for v in rel.values()))
+    c = rel[1, 0].numerator * (m // rel[1, 0].denominator)
+    # m P(c Y, c^2 s) / c^2: integer coefficients m c_ij c^(i+2j-2), that of Y alone 1
+    rows = [[0] * (order + 1) for _ in range(max(i for i, _ in rel) + 1)]
+    for (i, j), v in rel.items():
+        if j <= order:
+            rows[i][j] = v.numerator * (m // v.denominator) * c ** (i + 2 * j - 1) // c
+    powers = [[int(n == 0) for n in range(order + 1)]] + [[0] * (order + 1) for _ in rows[1:]]
+    y = powers[1]  # Y, then Y^2, Y^3, ...: [s^n] Y^i reads Y_1..Y_(n-i+1)
+    terms = [(row[j], powers[i], j) for i, row in enumerate(rows)
+             for j in range(order + 1) if row[j] and (i, j) != (1, 0)]
+    for n in range(1, order + 1):
+        for low, high in zip(powers[1:], powers[2:]):
+            high[n] = sum(map(mul, y[1:n], low[n - 1:0:-1]))
+        y[n] = -sum(a * power[n - j] for a, power, j in terms if j <= n)
+    residual = rows[-1]
+    for row in reversed(rows[:-1]):
+        residual = [sum(map(mul, residual[:k], y[k:0:-1])) + a for k, a in enumerate(row)]
+    if any(residual):
+        raise BranchError("the coefficient recurrence left a nonzero residual")  # pragma: no cover
+    return Series._over(c ** (2 * order), [x * c ** (2 * (order - n) + 1) for n, x in enumerate(y)],
+                        var)

@@ -234,9 +234,10 @@ def check_2pt_grid(s_range=range(-4, 5), c1sq_range=range(-2, 3), c2_range=range
     """
     tally = _Tally()
     for s in s_range:
+        logs = catalog._SegreLogs(s, 2)
         for c1sq in c1sq_range:
             for c2 in c2_range:
-                got = catalog.segre_full(s, c2, c1sq, 2, 0, 0, 2).coefficient(2)
+                got = logs.segre_full(c2, c1sq, 2, 0, 0).coefficient(2)
                 tally.eq(got, _2pt_printed(s, c1sq, c2), s, c1sq, c2)
     return tally.report(
         "2pt",
@@ -278,9 +279,10 @@ def check_chern_rank2(order=10, c2_range=range(-3, 9)):
     """Rank-2 Chern series on K3 numerics collapses to (1+z)^c2."""
     tally = _Tally()
     z = Series.gen(order, "z")
+    logs = catalog._SegreLogs(-2, order)  # Chern at rank s reads the Segre factors at -s
     for c2 in c2_range:
         for c1sq in (-2, 0, 4):
-            got = catalog.chern_full(2, c2, c1sq, 2, order)
+            got = logs.chern_full(c2, c1sq, 2)
             tally.eq(got, (1 + z) ** c2, c2, c1sq)
     tally.eq(catalog.chern_full(2, 6, 0, 2, 2).coefficient(2), F(15), "C(6,2)")
     return tally.report("chern_rank2", "c2 in %s, order %d" % (list(c2_range), order))
@@ -295,10 +297,11 @@ def check_spherical_chern(s, n_max=6, chi_range=None):
     if chi_range is None:
         chi_range = range((s - 2) - 4, (s - 1) * n_max + 11)
     tally = _Tally()
+    logs = catalog._SegreLogs(-s, n_max)  # Chern at rank s reads the Segre factors at -s
     for chi in chi_range:
         nums = ModuliNumerics.spherical(s, chi)
         tally.eq(nums.d, 0, "d", s, chi)
-        series = catalog.chern_full(s, nums.c2, nums.c1sq, 2, n_max)
+        series = logs.chern_full(nums.c2, nums.c1sq, 2)
         for n in range(n_max + 1):
             want = (-r) ** n * binom(-chi + r * n, n)
             tally.eq(series.coefficient(n), want, s, chi, n)
@@ -380,13 +383,14 @@ def check_enriques(r, n_max=5, chi_range=range(1, 7), form_order=20):
     root = f2.pow_rational(F(1, 2))
     t_of_w = w2.revert()
     t_of_w = Series._over(t_of_w.den, t_of_w.nums, "w")
+    verlinde = catalog._VerlindeLogs(r, n_max)
+    cherns = [catalog._SegreLogs(-r - 1, n) for n in range(n_max + 1)]  # Chern at rank r+1
     for chi in chi_range:
         v_in_w = (root * g2 ** chi).compose(t_of_w)
-        tally.eq(v_in_w, catalog.verlinde_full(r, chi, 1, 0, 0, n_max),
-                 "verlinde assembly", r, chi)
-        for n in range(n_max + 1):
+        tally.eq(v_in_w, verlinde.verlinde_full(chi, 1, 0, 0), "verlinde assembly", r, chi)
+        for n, logs in enumerate(cherns):
             c2 = chi - (r - 1) * (n - 1)
-            chern = catalog.chern_full(r + 1, c2, 2 * chi - 2, 1, n).coefficient(n)
+            chern = logs.chern_full(c2, 2 * chi - 2, 1).coefficient(n)
             tally.eq(chern, v_in_w.coefficient(n), "chern=verlinde", r, chi, n)
     return tally.report(
         "enriques",
@@ -566,13 +570,14 @@ def check_verlinde_trivial(order=10, chi_range=range(-3, 8)):
     """
     tally = _Tally()
     w = Series.gen(order, "w")
+    logs = {r: catalog._VerlindeLogs(r, order) for r in (0, 1, -1)}
     for chi in chi_range:
         want0, want1 = (1 - w).inverse() ** chi, (1 + w) ** chi
         for chiO, c1K, Ksq in ((1, -3, 9), (1, -2, 8), (2, 0, 0)):
-            got0 = catalog.verlinde_full(0, chi, chiO, c1K, Ksq, order)
+            got0 = logs[0].verlinde_full(chi, chiO, c1K, Ksq)
             tally.eq(got0, want0, 0, chi, chiO, c1K, Ksq)
             for r in (1, -1):
-                got = catalog.verlinde_full(r, chi, chiO, c1K, Ksq, order)
+                got = logs[r].verlinde_full(chi, chiO, c1K, Ksq)
                 tally.eq(got, want1, r, chi, chiO, c1K, Ksq)
     return tally.report(
         "verlinde_trivial",

@@ -667,7 +667,7 @@ SERIES_VERLINDE_B3_TWIST_MINUS3 = """\
 
 
 # The binomial-residue sweep, the spherical Chern sweep, and a branch
-# series whose Newton solve inverts at every step.
+# series whose coefficient recurrence divides by dP/dy(0,0) at every step.
 VERIFY_THM3_JSON = """\
 {
   "config": {
@@ -807,9 +807,36 @@ DEEP_SERIES_SHA256 = {
 }
 
 
+# sha256 of the JSON report of each suite that assembles catalog series and
+# has no golden text above: its check counts, ranges and verdict.
+VERIFY_SUITE_SHA256 = {
+    "verify --suite 2pt --json --order 10":
+        "d30fa851679a2b2ceac7c9db9cb65467d1cb7bc044b5de516901bb2403353828",
+    "verify --suite chern_rank2 --json --order 10":
+        "a1786dc54044e6b756c5d4c75336641824d98bc1196b997614eb16c01a748064",
+    "verify --suite enriques --json --order 10":
+        "fa2618ecf322407f027797b03f9ef6a95c915a94fa702aa32a9b390521941a56",
+    "verify --suite verlinde_trivial --json --order 10":
+        "ca6c20cd1b71bec22cfcc727c3405397e70fe29a599ddd79b1f14ba63077b483",
+    "verify --suite verlinde_segre --json --order 10":
+        "67b20fd9ccc9c755002b29cc9da67eec7a4c75b54bddfeb35955dd7fc314df36",
+    "verify --suite fgh --json --order 10":
+        "abcc5f66d2b3b42b67b6ce6e9363a12d0435b430108e39b4b7d50ccc9ddead89",
+}
+
+
 @pytest.mark.parametrize("argv, digest", sorted(DEEP_SERIES_SHA256.items()),
                          ids=sorted(DEEP_SERIES_SHA256))
 def test_deep_series_digest(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", sorted(VERIFY_SUITE_SHA256.items()),
+                         ids=sorted(VERIFY_SUITE_SHA256))
+def test_verify_suite_digest(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)
     code, out = run(capsys, *argv.split())
     assert code == 0

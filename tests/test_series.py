@@ -88,6 +88,62 @@ def ref_exp_numerators(a, d, order):
         e.append(total // ((m + 1) * d))
     return e
 
+def ref_solve_algebraic(relation, order, var="t"):
+    """The Newton solve over Series that the integer coefficient recurrence
+    replaced: each step doubles the number of settled coefficients."""
+    rel = {k: as_fraction(v) for k, v in relation.items() if v}
+    if rel.get((0, 0), F(0)) != 0:
+        raise BranchError("P(0,0) must vanish for a branch through the origin")
+    if rel.get((1, 0), F(0)) == 0:
+        raise BranchError("dP/dy(0,0) vanishes: branch through the origin is not simple")
+    ydeg = max(i for i, _ in rel)
+
+    def row(i, weight=1):
+        c = [F(0)] * (order + 1)
+        for (a, j), v in rel.items():
+            if a == i and j <= order:
+                c[j] += weight * v
+        return Series(c, order, var)
+
+    p = [row(i) for i in range(ydeg + 1)]
+    dp = [row(i, weight=i) for i in range(1, ydeg + 1)]
+
+    def horner(cols, y):
+        out = Series.zero(order, var)
+        for c in reversed(cols):
+            out = out * y + c
+        return out
+
+    y = Series.zero(order, var)
+    for _ in range(order.bit_length() + 3):
+        r = horner(p, y)
+        if r.is_zero():
+            return y
+        y = y - r * horner(dp, y).inverse()
+    if horner(p, y).is_zero():
+        return y
+    raise BranchError("Newton failed to reach a root to the requested order")
+
+
+def random_relation(rng):
+    """P(y, t) with rational coefficients, y-degree <= 5, t-degree <= 3, a
+    simple branch through the origin and dP/dy(0,0) not a unit."""
+    while True:
+        slope = F(rng.randint(-6, 6), rng.randint(1, 4))
+        if slope not in (0, 1, -1):
+            break
+    rel = {(1, 0): slope}
+    for _ in range(rng.randint(1, 6)):
+        key = rng.randint(0, 5), rng.randint(0, 3)
+        if key not in ((0, 0), (1, 0)):
+            rel[key] = F(rng.randint(-5, 5), rng.randint(1, 4))
+    return rel
+
+
+def raw(series):
+    return series.order, series.den, series.nums, series.var
+
+
 def sparse_series(rng, order, const):
     """Random rationals, about half of them zero, with a given constant term."""
     c = [F(rng.choice((0, rng.randint(-40, 40))), rng.randint(1, 12))
@@ -456,6 +512,32 @@ class TestSolveAlgebraic:
         lhs = y * (1 + y) ** 2 * (1 + 3 * t)
         rhs = t * (1 - y) * (1 - y ** 3)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("relation", [QUARTIC, {(0, 1): -1, (1, 0): 1, (1, 1): 1,
+                                                    (2, 0): 2, (3, 0): 1, (3, 1): 1,
+                                                    (4, 1): -1}], ids=["rank2", "twist3"])
+    def test_catalog_relations_match_newton(self, relation):
+        for order in range(61):
+            assert raw(solve_algebraic(relation, order)) == \
+                raw(ref_solve_algebraic(relation, order)), order
+
+    def test_random_relations_match_newton(self):
+        # the reference at order 25 read at every lower order by truncation, and
+        # once in full at a drawn order
+        rng = random.Random(18)
+        for _ in range(300):
+            relation = random_relation(rng)
+            ref = ref_solve_algebraic(relation, 25, "s")
+            for order in range(26):
+                got = solve_algebraic(relation, order, "s")
+                assert raw(got) == raw(ref.truncate(order)), (relation, order)
+            order = rng.randint(0, 25)
+            assert raw(solve_algebraic(relation, order)) == \
+                raw(ref_solve_algebraic(relation, order)), (relation, order)
+
+    def test_string_coefficients_and_explicit_zeros(self):
+        relation = {(0, 0): "0", (0, 1): "-1/2", (1, 0): "3", (2, 1): F(0), (2, 0): "5/7"}
+        assert raw(solve_algebraic(relation, 12)) == raw(ref_solve_algebraic(relation, 12))
 
     def test_degenerate_branches_rejected(self):
         with pytest.raises(BranchError):
