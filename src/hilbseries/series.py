@@ -308,29 +308,17 @@ class Series:
         return out / self.den
 
     def revert(self):
-        """Compositional inverse b with self(b(x)) = x, by Newton iteration.
+        """Compositional inverse b with self(b(x)) = x: the branch through the
+        origin of self(y) = x, read by ``solve_algebraic``.
 
         Requires a(0) = 0 and a'(0) != 0.  The result lives in the same
         variable name; callers relabel if they care.
         """
-        n = self.order
-        if n < 1 or self.nums[0] or not self.nums[1]:
+        if self.order < 1 or self.nums[0] or not self.nums[1]:
             raise ReversionError("reversion needs a(0) = 0 and a'(0) != 0 at order >= 1")
-        x = Series.gen(n, self.var)
-        # zero-pad the derivative back to order n: the junk top coefficient
-        # is always multiplied by a series of valuation >= 1 below, so it
-        # cannot reach any retained order
-        slope = self.derivative()
-        da = Series._over(slope.den, slope.nums + (0,), self.var)
-        b = x * self.den / self.nums[1]
-        for _ in range(n.bit_length() + 2):
-            err = self.compose(b) - x
-            if err.is_zero():
-                return b
-            b = b - err * da.compose(b).inverse()
-        if (self.compose(b) - x).is_zero():
-            return b
-        raise ReversionError("Newton reversion failed to converge")  # pragma: no cover
+        relation = {(i, 0): a for i, a in enumerate(self.nums) if a}
+        relation[0, 1] = -self.den
+        return solve_algebraic(relation, self.order, self.var)
 
     def __eq__(self, other):
         if isinstance(other, Series):
@@ -390,18 +378,19 @@ def solve_algebraic(relation, order, var="t"):
     ...  With P's denominators cleared, y = c Y(t/c^2) has integer
     coefficients Y_n.  The residual is rechecked before returning.
     """
-    rel = {k: as_fraction(v) for k, v in relation.items() if v}
-    if rel.get((0, 0)):
+    rel = {k: _ratio(v) for k, v in relation.items()}
+    rel = {k: (p, q) for k, (p, q) in rel.items() if p}
+    if (0, 0) in rel:
         raise BranchError("P(0,0) must vanish for a branch through the origin")
-    if not rel.get((1, 0)):
+    if (1, 0) not in rel:
         raise BranchError("dP/dy(0,0) vanishes: branch through the origin is not simple")
-    m = lcm(*(v.denominator for v in rel.values()))
-    c = rel[1, 0].numerator * (m // rel[1, 0].denominator)
+    m = lcm(*(q for _, q in rel.values()))
+    c = rel[1, 0][0] * (m // rel[1, 0][1])
     # m P(c Y, c^2 s) / c^2: integer coefficients m c_ij c^(i+2j-2), that of Y alone 1
     rows = [[0] * (order + 1) for _ in range(max(i for i, _ in rel) + 1)]
-    for (i, j), v in rel.items():
+    for (i, j), (p, q) in rel.items():
         if j <= order:
-            rows[i][j] = v.numerator * (m // v.denominator) * c ** (i + 2 * j - 1) // c
+            rows[i][j] = p * (m // q) * c ** (i + 2 * j - 1) // c
     powers = [[int(n == 0) for n in range(order + 1)]] + [[0] * (order + 1) for _ in rows[1:]]
     y = powers[1]  # Y, then Y^2, Y^3, ...: [s^n] Y^i reads Y_1..Y_(n-i+1)
     terms = [(row[j], powers[i], j) for i, row in enumerate(rows)

@@ -243,7 +243,7 @@ class TestChangesOfVariable:
             assert verify._enriques_w_chart(r, N)[1] == printed, r
 
     def test_lagrange_matches_compose_with_revert(self):
-        # the coefficient formula against the Newton reversion it replaces
+        # the coefficient formula against the reversion it replaces
         rng = random.Random(20260815)
         order = 20
         t = Series.gen(order)

@@ -125,6 +125,23 @@ def ref_solve_algebraic(relation, order, var="t"):
     raise BranchError("Newton failed to reach a root to the requested order")
 
 
+def ref_revert(a):
+    """The Newton reversion over Series that the branch recurrence replaced."""
+    n = a.order
+    x = Series.gen(n, a.var)
+    # the derivative zero-padded back to order n: its junk top coefficient is
+    # always multiplied by a series of valuation >= 1 below
+    slope = a.derivative()
+    da = Series._over(slope.den, slope.nums + (0,), a.var)
+    b = x * a.den / a.nums[1]
+    for _ in range(n.bit_length() + 2):
+        err = a.compose(b) - x
+        if err.is_zero():
+            return b
+        b = b - err * da.compose(b).inverse()
+    raise ReversionError("Newton reversion failed to converge")
+
+
 def random_relation(rng):
     """P(y, t) with rational coefficients, y-degree <= 5, t-degree <= 3, a
     simple branch through the origin and dP/dy(0,0) not a unit."""
@@ -466,6 +483,15 @@ class TestComposition:
             while a.coeffs[1] == 0:
                 a = rand_series(rng, ORDER, const=0)
             assert a.revert() == revert_undetermined(a)
+
+    def test_revert_matches_newton(self):
+        rng = random.Random(18)
+        for order in range(1, 21):
+            for _ in range(4):
+                a = rand_series(rng, order, const=0)
+                if not a.nums[1]:
+                    a = a + Series.gen(order)
+                assert raw(a.revert()) == raw(ref_revert(a)), a
 
     @given(novanish_series())
     @settings(deadline=None, max_examples=40)
