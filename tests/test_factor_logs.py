@@ -182,7 +182,8 @@ def test_sweeps_build_one_holder_per_rank(monkeypatch):
     built.clear()
     assert verify.check_verlinde_trivial(10).passed and len(built) == 3
     built.clear()
-    assert verify.check_enriques(2, form_order=10).passed and len(built) == 1 + 6
+    assert verify.check_enriques(2, form_order=10).passed
+    assert len(built) == 1 + 6  # one Verlinde holder, one Chern holder per order 0..5
 
 
 @pytest.mark.parametrize("predict, param, branch, status", [
@@ -194,5 +195,5 @@ def test_one_branch_solve_per_report(monkeypatch, predict, param, branch, status
     calls = count_calls(monkeypatch, catalog, branch)
     report = predict(param, 3)
     assert calls == [(4,)]
-    assert [entry["status"] for entry in report["series"][-2:]] == [status, status]
-    assert all(entry["agreement_order"] == 3 for entry in report["series"])
+    assert [row["status"] for row in report["series"][-2:]] == [status, status]
+    assert all(row["agreement_order"] == 3 for row in report["series"])
