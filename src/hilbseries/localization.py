@@ -337,12 +337,12 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*O\(([^()]*)\)")
 
 
 def parse_class(surface, text):
-    """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"."""
+    """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"; later terms need a sign."""
     terms = []
     pos = 0
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
-        if match is None:
+        if match is None or terms and not match.group(1):
             raise ValueError("cannot parse class spec %r at %r" % (text, text[pos:]))
         sign = -1 if match.group(1) == "-" else 1
         try:

@@ -151,6 +151,10 @@ class TestOracle:
         assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
                                "O(1,2)", "--n", "1", "--kind", "segre") == 2
 
+    def test_juxtaposed_class_is_usage_error(self, capsys):
+        assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
+                               "O(1)O(2)", "--n", "1", "--kind", "segre") == 2
+
     def test_negative_n_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
                                "O(2)", "--n", "-1", "--kind", "segre") == 2
@@ -810,6 +814,8 @@ DEEP_SERIES_SHA256 = {
 # sha256 of the JSON report of each suite that assembles catalog series and
 # has no golden text above: its check counts, ranges and verdict.
 VERIFY_SUITE_SHA256 = {
+    "verify --suite asymptotics --json --order 10":
+        "9c4f19e6428f9aa071739496a51c9bbf2868dbb7f7fe3d3fcdc527c003968276",
     "verify --suite 2pt --json --order 10":
         "d30fa851679a2b2ceac7c9db9cb65467d1cb7bc044b5de516901bb2403353828",
     "verify --suite chern_rank2 --json --order 10":

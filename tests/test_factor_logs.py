@@ -183,7 +183,17 @@ def test_sweeps_build_one_holder_per_rank(monkeypatch):
     assert verify.check_verlinde_trivial(10).passed and len(built) == 3
     built.clear()
     assert verify.check_enriques(2, form_order=10).passed
-    assert len(built) == 1 + 6  # one Verlinde holder, one Chern holder per order 0..5
+    assert len(built) == 1 + 1  # one Verlinde holder, one Chern holder for every order
+
+
+def test_verlinde_segre_reads_one_holder_per_twist(monkeypatch):
+    # B3 and B4 at +-2 and +-3 from four holders: the twist +-3 ones solve the
+    # branch once each, and the cross-definition solves it at the order itself
+    branches = count_calls(monkeypatch, catalog, "verlinde_r3_branch")
+    substitutions = count_calls(monkeypatch, catalog, "_lagrange")
+    assert verify.check_verlinde_segre_prediction(10).passed
+    assert branches == [(11,), (11,), (10,)]
+    assert len(substitutions) == 4 * 2
 
 
 @pytest.mark.parametrize("predict, param, branch, status", [

@@ -90,6 +90,18 @@ class TestClassNumerics:
         with pytest.raises(ValueError):
             loc.parse_class(p2, "")
 
+    @pytest.mark.parametrize("spec", ["O(1)O(2)", "O(1) O(2)", "O(1)-O(2)O(3)"])
+    def test_parse_refuses_juxtaposed_terms(self, spec):
+        # juxtaposition would read as a product in K-theory, so it is not taken as a sum
+        with pytest.raises(ValueError) as info:
+            loc.parse_class(loc.get_surface("p2"), spec)
+        assert str(info.value).startswith("cannot parse class spec %r at " % spec)
+
+    def test_every_later_term_carries_its_sign(self):
+        p2 = loc.get_surface("p2")
+        for spec in ("O(1)+O(2)", " O(1) + O(2)", "+O(1)-O(2)", "-O(1) -O(2)"):
+            assert len(loc.parse_class(p2, spec).terms) == 2, spec
+
 
 class TestSurfaceLevelAnchors:
     def test_chi_of_line_bundles_on_p2(self):

@@ -12,7 +12,6 @@ from hilbseries.series import Series
 from hilbseries.verify import (
     CheckReport,
     ModuliNumerics,
-    binom,
     check_2pt_grid,
     check_abelian,
     check_asymptotics,
@@ -27,10 +26,19 @@ from hilbseries.verify import (
     check_thm3,
     check_verlinde_segre_prediction,
     check_verlinde_trivial,
-    residue_coeff,
     run_suite,
     suite_names,
 )
+
+
+def ref_binom(a, n):
+    """C(a, n) = a(a-1)...(a-n+1)/n! as a Fraction loop, for any integer a."""
+    if n < 0:
+        return F(0)
+    num = F(1)
+    for k in range(n):
+        num *= F(a) - k
+    return num / factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +59,7 @@ def ref_abelian_residue(r, n, chi):
 
 def ref_one_dim_closed_form(r, n, chi):
     """The d=1 closed form of check_thm3 in Fractions, as it was compared."""
-    return r ** n * (-r + F(1, r) + F(chi, n)) * binom(chi - r * n - 1, n - 1)
+    return r ** n * (-r + F(1, r) + F(chi, n)) * ref_binom(chi - r * n - 1, n - 1)
 
 
 # the residue sweeps: e = chi - rn - d reaches both signs, r = 0 and r = -1 included
@@ -70,6 +78,11 @@ def record_ratios(monkeypatch):
         return original(self, got, num, den, *context)
     monkeypatch.setattr(verify._Tally, "eq_ratio", spy)
     return calls
+
+
+def residue(d, chi, r, n):
+    """The K3 residue [t^n] (1+(1+r)t)^d (1+rt)^(chi-rn-d) that thm3 and asymptotics read."""
+    return verify._residue(d, chi, r, n, 1 + r)
 
 
 def refuse_series_products(monkeypatch, who):
@@ -106,20 +119,16 @@ class TestModuliNumerics:
 
 class TestResidueCoeff:
     def test_printed_example(self):
-        assert residue_coeff(0, 5, 2, 1) == 6
+        assert residue(0, 5, 2, 1) == 6
 
     def test_constant_term(self):
-        assert residue_coeff(3, -2, 4, 0) == 1
+        assert residue(3, -2, 4, 0) == 1
 
     def test_rigid_closed_form_spot(self):
         for r in (2, 3):
             for n in (1, 2, 3):
                 for chi in (-1, 4, 11):
-                    assert residue_coeff(0, chi, r, n) == r ** n * binom(chi - r * n, n)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            residue_coeff(0, 1, 2, -1)
+                    assert residue(0, chi, r, n) == r ** n * ref_binom(chi - r * n, n)
 
     def test_matches_series_powers(self):
         # the sweep reaches e = chi - rn - d < 0, r = -1 and r = 0
@@ -127,14 +136,14 @@ class TestResidueCoeff:
             for r in range(-4, 6):
                 for chi in range(-5, 26):
                     for n in range(11):
-                        got = residue_coeff(d, chi, r, n)
-                        assert type(got) is F
+                        got = residue(d, chi, r, n)
+                        assert type(got) is int
                         assert got == ref_residue_coeff(d, chi, r, n), (d, chi, r, n)
 
     def test_builds_no_series_product(self, monkeypatch):
-        refuse_series_products(monkeypatch, "residue_coeff")
+        refuse_series_products(monkeypatch, "_residue")
         # [t^6] (1+3t)(1+2t)^-6 = C(11,6) 2^6 - 3 C(10,5) 2^5
-        assert residue_coeff(1, 7, 2, 6) == 5376
+        assert residue(1, 7, 2, 6) == 5376
 
     def test_abelian_residue_matches_series_powers(self):
         for r in SWEEP_R:
@@ -165,11 +174,11 @@ class TestIntegerSweeps:
                 assert got == ref_residue_coeff(1, chi, r, n), context
             elif kind == "d=0":
                 _, r, n, chi = context
-                assert want == r ** n * binom(chi - r * n, n), context
+                assert want == r ** n * ref_binom(chi - r * n, n), context
                 assert got == ref_residue_coeff(0, chi, r, n), context
             elif kind == "abelian":
                 r, n, chi = context
-                assert want == r ** n * F(chi, n) * binom(chi - r * n - 1, n - 1), context
+                assert want == r ** n * F(chi, n) * ref_binom(chi - r * n - 1, n - 1), context
                 assert got == ref_abelian_residue(r, n, chi), context
         points = SWEEP_N * len(SWEEP_CHI)
         assert seen["d=1"] == (len(SWEEP_R) - 1) * points
@@ -235,39 +244,37 @@ class TestIntegerSweeps:
         assert sorted(built) == ["__pow__"] * 10 + ["inverse"] * 5
 
 
-def ref_binom(a, n):
-    """The Fraction loop that binom runs for rational a, and ran for every a before."""
-    if n < 0:
-        return F(0)
-    num = F(1)
-    for k in range(n):
-        num *= F(a) - k
-    return num / factorial(n)
-
-
 class TestBinom:
+    """The integer C(a, n) that spherical_chern and blowup read, against the Fraction loop."""
+
     def test_integers_match_the_fraction_loop(self):
         for a in range(-30, 31):
-            for n in range(-2, 16):
-                value = binom(a, n)
-                assert type(value) is F
+            for n in range(16):
+                value = verify._comb(a, n)
+                assert type(value) is int
                 assert value == ref_binom(a, n), (a, n)
-
-    def test_rationals_match_the_fraction_loop(self):
-        for a in (F(1, 2), F(-7, 3), F(4, 1), F(-5, 1)):
-            for n in range(-1, 10):
-                assert binom(a, n) == ref_binom(a, n), (a, n)
 
     def test_matches_comb_on_naturals(self):
         from math import comb
         for a in range(8):
             for n in range(8):
-                assert binom(a, n) == comb(a, n)
+                assert verify._comb(a, n) == comb(a, n)
 
     def test_negative_upper_index(self):
-        assert binom(-2, 3) == -4
-        assert binom(F(1, 2), 2) == F(-1, 8)
-        assert binom(5, -1) == 0
+        assert verify._comb(-2, 3) == -4
+        assert verify._comb(-1, 5) == -1
+        assert verify._comb(-3, 0) == 1
+
+    def test_failures_record_fractions(self, monkeypatch):
+        original = verify._comb
+        monkeypatch.setattr(verify, "_comb", lambda a, n: original(a, n) + 1)
+        chern, blowup = check_spherical_chern(2, n_max=3), check_blowup(n_max=3)
+        # the first point, chi = -4 at n = 0: the coefficient 1 against C(4, 0) + 1
+        assert chern.counterexample == (2, -4, 0, F(1), F(2))
+        # n = 0: (C(2, 0) + 1) (C(0, 0) + 1) = 4 against the excess coefficient 1
+        assert blowup.counterexample == ("direct sum", 0, F(1), F(4))
+        for report in (chern, blowup):
+            assert all(type(x) is F for x in report.counterexample[-2:]), report
 
 
 class TestChecks:
