@@ -26,8 +26,12 @@ r-1).  A class enters as its terms' weights and per-chart lifts
 (EqKClass.signed_lifts).  One chart pass serves every n <= N and a batch
 of classes on one surface (segre_series, verlinde_series).  Each partition
 comes after its parent, itself without the last box of its last row, and
-its Segre term is the parent's times that box's factors; the chart sums
-are multiplied with each u-row packed into one integer.
+its Segre term is the parent's times that box's factors.  The Euler
+exponent is a = |lambda| m + r B, B the sum of the boxes, so a Verlinde
+batch, whose classes share r, runs one exp per partition: a class whose
+lift at a chart is delta more than the first's has the first's chart sum
+at x -> x e^(delta u).  The chart sums are multiplied with each u-row
+packed into one integer.
 
 One rule draws the directions (_two_draws): the first two directions of
 a seeded stream over the draw box whose hook lengths keep every tangent
@@ -49,7 +53,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import lshift, mul
 
-from .series import Series, exp_numerators
+from .series import Series
 
 __all__ = [
     "DEFAULT_SEED",
@@ -455,43 +459,82 @@ def _todd_log(degree):
 
 
 def _euler_term(ks, boxes, lifts, degree, parent):
-    """Per class, e^(au) prod td(ku) / prod ks to u^degree, as (denominator, numerators):
-    by Hirzebruch-Riemann-Roch, the Euler characteristic of the determinant line, with
-    prod td(ku) = exp(sum_j tau_j p_j u^j), p_j = sum k^j in steps of k^2, and a =
-    sum weight (|lambda| m + B), B the sum of the boxes: |lambda| m_L + r B for L +
-    (r-1) O.  The parent is not read."""
+    """e^(au) prod td(ku) / prod ks to u^degree, as (denominator, [numerators]), for the
+    batch's first class (_chart_product scales the rest): by Hirzebruch-Riemann-Roch,
+    the Euler characteristic of the determinant line, with prod td(ku) = exp(sum_j tau_j
+    p_j u^j), p_j = sum k^j in steps of k^2, and a = |lambda| m + r B, B the sum of the
+    boxes, r and m those of the class's weights and weights times lifts: |lambda| m_L +
+    r B for L + (r-1) O.  The parent is not read."""
     d, tau, den = _todd_log(degree)
     exponent = [0] * (degree + 2)  # a_1 exists at degree 0 too
     powers = squares = list(map(mul, ks, ks))
     for j in range(2, degree + 1, 2):  # tau_j = 0 at odd j >= 3
         exponent[j] = tau[j] * sum(powers)
         powers = list(map(mul, powers, squares))
-    linear = degree and tau[1] * sum(ks)
-    size, total = len(boxes), sum(boxes)
-    out = []
-    for class_lifts in lifts:
-        exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
-        out.append(exp_numerators(exponent, d, degree))
-    return prod(ks) * den, out
+    r, m = sum(w for w, _ in lifts[0]), sum(w * m for w, m in lifts[0])
+    exponent[1] = (degree and tau[1] * sum(ks)) + d * (len(boxes) * m + r * sum(boxes))
+    return prod(ks) * den, [_todd_exp(exponent, d, den, degree)]
+
+
+def _todd_exp(a, d, den, degree):
+    """exp_numerators(a, d, degree), its E_0 = degree! d^degree given as ``den``, for an
+    a whose odd terms past a_1 are 0, as the Todd exponent's are: the sum skips them."""
+    steps = list(map(mul, range(2, degree + 1, 2), a[2:degree + 1:2]))  # (k+1) a_(k+1), odd k
+    e = [den]
+    for m in range(degree):
+        e.append((a[1] * e[-1] + sum(map(mul, steps, e[-2::-2]))) // ((m + 1) * d))
+    return e
+
+
+def _scaled(rows, moves):
+    """Per move t, ``rows`` with row n times degree! e^(n t u), to u^degree: the chart
+    sums of the classes whose lifts are ``moves`` more than the first's.  Each row and
+    each exp is packed (_slots), the exp by Horner over the integers degree!/k!."""
+    width = len(rows[0])
+    unit = [factorial(width - 1) // factorial(k) for k in range(width)]
+    most = (len(rows) - 1) * max(map(abs, moves))
+    shifts, unpack = _slots(width * max(map(abs, itertools.chain(*rows)))
+                            * max(c * most ** k for k, c in enumerate(unit)), width)
+
+    def exp(t):  # sum_k unit_k t^k 2^(s k)
+        e, step = 0, t << shifts.step
+        for c in reversed(unit):
+            e = e * step + c
+        return e
+    packed = [sum(map(lshift, row, shifts)) for row in rows]
+    return [[unpack(p * exp(n * move)) for n, p in enumerate(packed)] for move in moves]
+
+
+def _lowest(rows, den):
+    g = gcd(den, *itertools.chain(*rows))
+    return [[c // g for c in row] for row in rows], den // g
+
+
+def _slots(bound, width):
+    """(shifts, unpack) for a row of ``width`` integers packed into one in s-bit slots,
+    sum(map(lshift, row, shifts)), with 2^(s-1) > bound: unpack reads the low ``width``
+    slots of a product of packed rows whose coefficients ``bound`` bounds."""
+    s = bound.bit_length() + 1
+    shifts = range(0, s * width, s)
+    half, mask, top = 1 << (s - 1), (1 << s) - 1, (1 << (s * width)) - 1
+    bias = sum(half << shift for shift in shifts)  # makes every slot >= 0
+
+    def unpack(v):
+        v = (v + bias) & top
+        return [(v >> shift & mask) - half for shift in shifts]
+    return shifts, unpack
 
 
 def _times(a, b):
     """The product of two series in x of rows in u of one width, truncated as they are.
-    A row is packed into one integer in s-bit slots, rows * width * max|a| * max|b| <
-    2^(s-1) bounding every coefficient, so x-row n is one sum of integer products."""
+    With each row packed (_slots), rows * width * max|a| * max|b| bounding every
+    coefficient, x-row n is one sum of integer products."""
     rows, width = len(a), len(a[0])
-    bound = (rows * width * max(map(abs, itertools.chain(*a)))
-             * max(map(abs, itertools.chain(*b))))
-    s = bound.bit_length() + 1
-    shifts = range(0, s * width, s)
+    shifts, unpack = _slots(rows * width * max(map(abs, itertools.chain(*a)))
+                            * max(map(abs, itertools.chain(*b))), width)
     packed_a, packed_b = ([sum(map(lshift, row, shifts)) for row in x] for x in (a, b))
-    half, mask, top = 1 << (s - 1), (1 << s) - 1, (1 << (s * width)) - 1
-    bias = sum(half << shift for shift in shifts)  # makes every slot >= 0
-    out = []
-    for n in range(rows):
-        v = (sum(map(mul, packed_a[:n + 1], reversed(packed_b[:n + 1]))) + bias) & top
-        out.append([(v >> shift & mask) - half for shift in shifts])
-    return out
+    return [unpack(sum(map(mul, packed_a[:n + 1], reversed(packed_b[:n + 1]))))
+            for n in range(rows)]
 
 
 def _shapes(order):
@@ -516,12 +559,14 @@ def _chart_product(surface, classes, order, q, term, shapes):
     class's (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree,
     parent)`` returns its (den, numerators per class), with numerator_j / den at
     u^j; ``parent`` is the parent's numerators, None for the empty partition.
-    Each chart's sums are divided by their gcd with the chart's denominator,
-    which cancels most of the Euler terms' degree! D^degree.  Returns (rows, den)
-    per class, rows[n][j] for j <= 2 order.
+    The Euler term gives the first class's only: a class of its batch (one r)
+    whose sum of weight * lift.q is delta more has its rows times e^(n delta u)
+    (_scaled).  Each chart's sums are put in lowest terms, which cancels most of
+    the Euler terms' degree! D^degree.  Returns (rows, den) per class, rows[n][j]
+    for j <= 2 order.
     """
     degree = 2 * order
-    product, den = None, 1
+    product = None
     for index, (_, _, u1, u2) in enumerate(surface.charts):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
         across, up = _dot(u1, q), _dot(u2, q)
@@ -535,16 +580,21 @@ def _chart_product(surface, classes, order, q, term, shapes):
             parent = None if parent is None else terms[parent][1][1]
             terms.append((size, term(ks, boxes, lifts, degree, parent)))
         chart_den = lcm(*(d for _, (d, _) in terms))
-        chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in classes]
+        chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in terms[0][1][1]]
         for size, (d, numerators) in terms:
             factor = chart_den // d
             for series, c in zip(chart, numerators):
                 series[size] = [a + b * factor for a, b in zip(series[size], c)]
-        g = gcd(chart_den, *(c for series in chart for row in series for c in row))
-        chart = [[[c // g for c in row] for row in series] for series in chart]
-        den *= chart_den // g
-        product = chart if product is None else list(map(_times, product, chart))
-    return [(rows, den) for rows in product]
+        chart = [_lowest(series, chart_den) for series in chart]
+        if len(chart) < len(lifts):  # the Euler term gave the first class's sums only
+            if len({sum(w for w, _ in c) for c in lifts}) > 1:
+                raise ValueError("the classes of an Euler batch must share their weight sum r")
+            moves = [sum(w * m for w, m in c) for c in lifts]
+            chart += [_lowest(rows, chart[0][1] * factorial(degree)) for rows in
+                      _scaled(chart[0][0], [move - moves[0] for move in moves[1:]])]
+        product = chart if product is None else [
+            (_times(a, b), da * db) for (a, da), (b, db) in zip(product, chart)]
+    return product
 
 
 def _top_values(rows, den):

@@ -7,9 +7,9 @@ denominator ``den``, in lowest terms (``gcd(den, *nums) == 1``), so
 equal series store equal integers.  Arithmetic reads and writes those
 integers only; ``coefficient`` and ``coeffs`` build the
 `fractions.Fraction` values on request.  Floats are rejected so nothing
-ever leaves exact arithmetic.  The exp recurrence, `exp_numerators`,
-also serves the fixed-point oracle, and `solve_algebraic` reads a branch's
-coefficients one by one off a linear recurrence in integers.
+ever leaves exact arithmetic.  The fixed-point oracle's Todd exp runs the
+exp recurrence, `exp_numerators`, less its zero terms, and `solve_algebraic`
+reads a branch's coefficients one by one off a linear recurrence in integers.
 
 Binary operations insist that both operands carry the same truncation
 order.  Silently taking the minimum hides bookkeeping bugs in long

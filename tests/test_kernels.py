@@ -15,7 +15,10 @@ same values with either.  ref_segre_term, the Segre term over every box of
 a partition, and ref_times, the triple-loop chart product, are what the
 parent walk and the packed product replaced; the chart pass and _times
 must equal them exactly; ref_power_euler_term, whose power sums step by k
-at every j, is what the steps by k^2 replaced.  The references build the
+at every j, is what the steps by k^2 replaced; ref_class_euler_term, one
+dense exp_numerators per class of a batch, is what the batch's one sparse
+exp per partition and the row scaling x -> x e^(delta u) of every further
+class replaced.  The references build the
 Verlinde class as twisted_class does, a rank-r EqKClass with |r-1|
 trivial terms, and the Chern class as the negated EqKClass, where the
 oracle passes one trivial term of weight r-1 and signed_lifts(-1).
@@ -29,12 +32,12 @@ import re
 import time
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 import pytest
 
-from hilbseries import localization as loc
+from hilbseries import extraction, localization as loc
 from hilbseries.series import Series, exp_numerators
 
 
@@ -204,6 +207,34 @@ def ref_power_euler_term(ks, boxes, lifts, degree, parent):
         exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
         out.append(exp_numerators(exponent, d, degree))
     return prod(ks) * den, out
+
+
+def ref_class_euler_term(ks, boxes, lifts, degree, parent):
+    """Per class, e^(au) prod td(ku) / prod ks to u^degree, one full exp_numerators each,
+    a = sum weight (|lambda| m + B): the per-class Euler term that one exp per partition
+    for the whole batch, and the row scaling of every further class, replaced."""
+    d, tau, den = loc._todd_log(degree)
+    exponent = [0] * (degree + 2)  # a_1 exists at degree 0 too
+    powers = squares = list(map(mul, ks, ks))
+    for j in range(2, degree + 1, 2):  # tau_j = 0 at odd j >= 3
+        exponent[j] = tau[j] * sum(powers)
+        powers = list(map(mul, powers, squares))
+    linear = degree and tau[1] * sum(ks)
+    size, total = len(boxes), sum(boxes)
+    out = []
+    for class_lifts in lifts:
+        exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
+        out.append(exp_numerators(exponent, d, degree))
+    return prod(ks) * den, out
+
+
+def ref_scaled(rows, moves):
+    """Per move, row n of ``rows`` times exp_numerators([0, n move], 1, degree), the
+    integers degree! (n move)^k / k!, by the triple loop: the row scaling that one
+    packed product per row replaced."""
+    degree = len(rows[0]) - 1
+    return [[ref_times([row], [exp_numerators([0, n * move], 1, degree)])[0]
+             for n, row in enumerate(rows)] for move in moves]
 
 
 def every_box(kernel):
@@ -434,16 +465,18 @@ def test_euler_sum_fixed_directions(name):
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_hrr_term_is_the_binomial_term(name):
     # the chart pass read in u (HRR) and in e = e^u - 1 gives the same values,
-    # poles and errors: every twist at each direction's top generic order <= 8
-    # (so every n up to it), at orders 0 and 1 (ToricSurface._validate reads
-    # chi(O) at order 1), and one 3-class batch
+    # poles and errors: every twist, one pass each since a batch shares its
+    # twist, at each direction's top generic order <= 8 (so every n up to it),
+    # at orders 0 and 1 (ToricSurface._validate reads chi(O) at order 1), and
+    # one 3-class batch
     surface = loc.get_surface(name)
     gens = len(surface.generators)
     twisted = [twisted_class(loc.EqKClass(surface, [(1, tuple([r % 3 - 1] * gens))]), r)
                for r in range(-3, 4)]
     batch = [twisted_class(c, 2) for c in shifted_lines(surface)[:3]]
-    cases = [(twisted, order, q) for q in DIRECTIONS
-             for order in {0, 1, max(n for n in range(9) if loc._hook_generic(surface, n, q))}]
+    cases = [([c], order, q) for q in DIRECTIONS
+             for order in {0, 1, max(n for n in range(9) if loc._hook_generic(surface, n, q))}
+             for c in twisted]
     for classes, order, q in cases + [(batch, 4, (2, 5))]:
         hrr, ref = (outcome(chart_values, loc._euler_values, surface, classes, order, q, term)
                     for term in (loc._euler_term, weight_lists(ref_euler_term)))
@@ -455,18 +488,25 @@ def test_hrr_term_is_the_binomial_term(name):
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_trivial_term_of_weight_r_minus_1_is_the_twisted_class(name):
     # the oracle's Verlinde class, L and one trivial term of weight r-1, against
-    # the rank-r class with |r-1| unit trivial terms, at fixed directions
+    # the rank-r class with |r-1| unit trivial terms, at fixed directions: every
+    # line alone, and the lines of one twist as one batch, which reads the first
+    # line's weights and scales the others' rows
     surface = loc.get_surface(name)
     zero = ((0, 0),) * len(surface.charts)
-    for line in shifted_lines(surface):
-        for r in range(-3, 4):
-            lifts = line.signed_lifts() + [(r - 1, zero)]
-            for q in DIRECTIONS:
-                weighted = outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
-                    surface, [lifts], 4, q, loc._euler_term, loc._shapes(4))])
-                assert weighted == outcome(chart_values, loc._euler_values, surface,
-                                           [twisted_class(line, r)], 4, q, loc._euler_term), \
-                    (line, r, q)
+    lines = shifted_lines(surface)
+    for r in range(-3, 4):
+        lifts = [line.signed_lifts() + [(r - 1, zero)] for line in lines]
+        for q in DIRECTIONS:
+            alone = [outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
+                surface, [one], 4, q, loc._euler_term, loc._shapes(4))]) for one in lifts]
+            twisted = [outcome(chart_values, loc._euler_values, surface,
+                               [twisted_class(line, r)], 4, q, loc._euler_term)
+                       for line in lines]
+            assert alone == twisted, (r, q)
+            batch = outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
+                surface, lifts, 4, q, loc._euler_term, loc._shapes(4))])
+            failed = [c for c in alone if isinstance(c, str)]
+            assert batch == (failed[0] if failed else [c for c, in alone]), (r, q)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -678,6 +718,62 @@ def test_batch_rows_are_the_single_n_calls(name):
                         for n in range(order + 1)))), r
 
 
+@pytest.mark.parametrize("r, order", [(3, 8), (-2, 6), (2, 10), (0, 5), (1, 7), (-3, 6)])
+def test_verlinde_batch_is_each_line_alone(r, order):
+    # one exp per partition for a batch, its further lines by row scaling,
+    # against each line alone, which scales nothing, and against the chart pass
+    # with one dense exp per class: the default Verlinde panel, one batch per surface
+    by_surface = {}
+    for surface, line in extraction.default_panel("verlinde", r):
+        by_surface.setdefault(surface, []).append(line)
+    for surface, lines in by_surface.items():
+        batch = loc.verlinde_series(surface, lines, r, order)
+        assert batch == tuple(loc.verlinde_series(surface, [line], r, order)[0]
+                              for line in lines), (surface, r, order)
+        trivial = (r - 1, ((0, 0),) * len(surface.charts))
+        assert batch == loc._chart_pass(
+            ref_class_euler_term, loc._euler_values, surface,
+            [line.signed_lifts() + [trivial] for line in lines], order, None,
+            ["chi of %r at twist %d" % (line, r) for line in lines]), (surface, r, order)
+
+
+def test_euler_batch_of_two_twists_raises():
+    # the batch's rows are scaled from its first class, which holds only when
+    # every class has that class's weight sum r
+    p2 = loc.get_surface("p2")
+    line = loc.parse_class(p2, "O(1)")
+    with pytest.raises(ValueError, match="share their weight sum r"):
+        chart_values(loc._euler_values, p2, [twisted_class(line, 2), twisted_class(line, 3)],
+                     2, (2, 5), loc._euler_term)
+    alone = chart_values(loc._euler_values, p2, [twisted_class(line, 2)], 2, (2, 5),
+                         loc._euler_term)
+    assert chart_values(loc._euler_values, p2, [twisted_class(line, 2)] * 2, 2, (2, 5),
+                        loc._euler_term) == alone * 2 == [(1, 3, 0)] * 2
+
+
+def test_one_todd_exp_per_partition(monkeypatch):
+    # a Verlinde batch runs one Todd exp per partition, chart and direction,
+    # whatever its size (3 classes ran 126 exps, one per class); each further
+    # class scales at most rows n = 1..N of each chart per direction, and a
+    # one-class pass scales none
+    p2 = loc.get_surface("p2")
+    lines = [loc.parse_class(p2, spec) for spec in ("O(1)", "O(0)", "O(2)")]
+    todd, scaled = [], []
+    original_todd, original_scaled = loc._todd_exp, loc._scaled
+    monkeypatch.setattr(loc, "_todd_exp", lambda *a: todd.append(a) or original_todd(*a))
+    monkeypatch.setattr(loc, "_scaled", lambda rows, moves: scaled.append(
+        (len(rows) - 1) * len(moves)) or original_scaled(rows, moves))
+    order = 3
+    partitions = sum(len(loc.partitions(k)) for k in range(order + 1))
+    for batch in (lines, lines[:1]):
+        todd.clear()
+        scaled.clear()
+        loc.verlinde_series(p2, batch, 2, order)
+        assert len(todd) == len(p2.charts) * partitions * 2 == 42, len(batch)
+        assert sum(scaled) <= (len(batch) - 1) * order * len(p2.charts) * 2, len(batch)
+    assert scaled == []
+
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_parent_walk_is_the_full_box_term(name):
     # each partition's Segre term from its parent's and the new box against the
@@ -696,7 +792,8 @@ def test_parent_walk_is_the_full_box_term(name):
 
 def test_square_steps_are_the_power_loop():
     # tau_j = 0 at odd j >= 3: the term from steps by k^2 against the term from
-    # every power, on random signed weights, boxes and classes, degrees 0..16
+    # every power, on random signed weights, boxes and classes, degrees 0..16;
+    # the kernel reads a batch's first class only, so each class is run first
     rng = random.Random(16)
     for degree in range(17):
         for _ in range(6):
@@ -705,7 +802,27 @@ def test_square_steps_are_the_power_loop():
             lifts = [[(rng.randint(-3, 3), rng.randint(-20, 20))
                       for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 3))]
             assert loc._euler_term(ks, boxes, lifts, degree, None) == \
-                ref_power_euler_term(ks, boxes, lifts, degree, None), (degree, ks, boxes, lifts)
+                loc._euler_term(ks, boxes, lifts[:1], degree, None), (degree, ks, boxes, lifts)
+            for c in lifts:
+                assert loc._euler_term(ks, boxes, [c], degree, None) == \
+                    ref_power_euler_term(ks, boxes, [c], degree, None), (degree, ks, boxes, c)
+
+
+def test_sparse_exp_is_the_dense_exp():
+    # the Todd exponent's exp, whose sum skips the zero odd terms past a_1, against
+    # exp_numerators on the same dense exponent: random signed a_1 and even a_j
+    # (power sums times tau_j numerators, some zero) over random d, degrees 0..16
+    rng = random.Random(20)
+    for degree in range(17):
+        for _ in range(8):
+            d = rng.choice((1, 2, 6, 24, 2880, rng.randint(1, 10 ** 6)))
+            a = [rng.randint(-9, 9)] + [0] * (degree + 1)
+            for j in range(1, degree + 2):
+                if j == 1 or j % 2 == 0:
+                    a[j] = rng.choice((0, 1, -1)) * rng.randint(0, 10 ** rng.randint(1, 30))
+            den = factorial(degree) * d ** degree
+            assert loc._todd_exp(a, d, den, degree) == exp_numerators(a, d, degree), \
+                (degree, d, a)
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 7])
@@ -741,6 +858,20 @@ def test_packed_times_is_the_triple_loop():
               ([[1 << 250, -(1 << 250)] * 3] * 2, [[1 << 205] * 6] * 2)]
     for a, b in cases:
         assert loc._times(a, b) == ref_times(a, b), (a, b)
+
+
+def test_packed_scaling_is_the_row_product():
+    # signed rows of 0..300 bits, moves of either sign and 0, widths 1..21
+    rng = random.Random(21)
+    for count, width in ((1, 1), (2, 3), (4, 7), (6, 11), (11, 21)):
+        for bits in (0, 3, 64, 300):
+            rows = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(width)]
+                    for _ in range(count)]
+            for moves in ([0], [1], [-1, 9, 0], [rng.randint(-120, 120) for _ in range(4)]):
+                assert loc._scaled(rows, moves) == ref_scaled(rows, moves), \
+                    (count, width, bits, moves)
+    zeros = [[0] * 5 for _ in range(3)]
+    assert loc._scaled(zeros, [7, -3]) == ref_scaled(zeros, [7, -3]) == [zeros, zeros]
 
 
 class TestChecksStillFire:
@@ -783,20 +914,19 @@ class TestChecksStillFire:
             point_euler_sum(data, 2, 2)
 
     def test_chart_checks_run_per_class(self, monkeypatch):
-        # a term that doubles the second class's numerators off the empty
-        # partition breaks that class's sum and no other
+        # a row scaling that doubles the second class's chart rows off x^0, as
+        # doubling its terms off the empty partition did, breaks that class's
+        # sum and no other
         p2 = loc.get_surface("p2")
         line = loc.parse_class(p2, "O(1)")
-        original = loc._euler_term
+        original = loc._scaled
 
-        def broken(ks, boxes, lifts, degree, parent):
-            den, numerators = original(ks, boxes, lifts, degree, parent)
-            if ks and len(numerators) > 1:
-                numerators[1] = [2 * c for c in numerators[1]]
-            return den, numerators
+        def broken(rows, moves):
+            return [[head] + [[2 * c for c in row] for row in rest]
+                    for head, *rest in original(rows, moves)]
 
         value = at_n(loc.verlinde_series(p2, [line], 2, 4), 4)
-        monkeypatch.setattr(loc, "_euler_term", broken)
+        monkeypatch.setattr(loc, "_scaled", broken)
         assert at_n(loc.verlinde_series(p2, [line], 2, 4), 4) == value == (6,)
         with pytest.raises(ArithmeticError, match="pole|not an integer"):
             loc.verlinde_series(p2, [line, line], 2, 4)
