@@ -290,12 +290,15 @@ class _Logs:
         return SeriesEntry(self.family, index, self.param, status, log.exp())
 
     def exp(self, exponents):
-        """prod_i F_i^(e_i) in x over (index i, integer e_i); a zero exponent reads nothing."""
-        log = Series.zero(self.order, self.var)
-        for index, e in exponents:
-            if e:
-                log = log + e * self[index][1]
-        return log.exp()
+        """prod_i F_i^(e_i) in x over (index i, int or Fraction e_i), summing the e_i log F_i
+        over one denominator; factors are read in order, a zero exponent reads nothing."""
+        terms = [(e, self[index][1]) for index, e in exponents if e]
+        den = lcm(*(e.denominator * log.den for e, log in terms))
+        nums = [0] * (self.order + 1)
+        for e, log in terms:
+            scale = e.numerator * (den // (e.denominator * log.den))
+            nums = [a + scale * b for a, b in zip(nums, log.nums)]
+        return Series._over(den, nums, self.var).exp()
 
 
 class _SegreLogs(_Logs):

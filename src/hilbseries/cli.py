@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from math import gcd
 import os
 import sys
 
@@ -146,6 +147,12 @@ def _config_line(config):
         "%s=%s" % (key, config[key]) for key in sorted(config))
 
 
+def _lowest_str(num, den):
+    """frac_str(F(num, den)) for den > 0, with one gcd."""
+    g = gcd(num, den)
+    return "%d/%d" % (num // g, den // g)
+
+
 def _cmd_series(args, parser):
     order = _resolve_order(args, parser, SERIES_DEFAULT_ORDER)
     family = args.family
@@ -169,8 +176,7 @@ def _cmd_series(args, parser):
         branch = catalog.segre_rank2_branch if family == "y" else catalog.verlinde_r3_branch
         series, status, offset = branch(order), catalog.PROVEN, 1
     config["status"] = status
-    values = [extraction.frac_str(series.coefficient(n))
-              for n in range(offset, order + 1)]
+    values = [_lowest_str(x, series.den) for x in series.nums[offset:]]
     if args.format == "json":
         text = _json_doc(config, {"offset": offset, "var": series.var,
                                   "coefficients": values})

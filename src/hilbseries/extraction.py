@@ -54,7 +54,7 @@ class UniversalityError(ArithmeticError):
 
 
 def frac_str(x):
-    x = F(x)
+    x = x if type(x) is F else F(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 

@@ -15,6 +15,7 @@ wander off the K3 locus.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import comb
@@ -128,6 +129,12 @@ class _Tally:
         self.checks += 1
         if (self.counterexample is None and got * den != num) or not den:
             self.counterexample = context + (F(got), F(num, den))
+
+    def eq_coefficient(self, series, n, want, *context):
+        """eq(series.coefficient(n), F(want)) on integers, for an integer want."""
+        self.checks += 1
+        if self.counterexample is None and series.nums[n] != want * series.den:
+            self.counterexample = context + (series.coefficient(n), F(want))
 
     def ok(self, cond, *context):
         self.checks += 1
@@ -260,10 +267,10 @@ def check_chern_rank2(order=10, c2_range=range(-3, 9)):
     z = Series.gen(order, "z")
     logs = catalog._SegreLogs(-2, order)  # Chern at rank s reads the Segre factors at -s
     for c2 in c2_range:
+        want = (1 + z) ** c2
         for c1sq in (-2, 0, 4):
-            got = logs.chern_full(c2, c1sq, 2)
-            tally.eq(got, (1 + z) ** c2, c2, c1sq)
-    tally.eq(catalog.chern_full(2, 6, 0, 2, 2).coefficient(2), F(15), "C(6,2)")
+            tally.eq(logs.chern_full(c2, c1sq, 2), want, c2, c1sq)
+    tally.eq_coefficient(catalog.chern_full(2, 6, 0, 2, 2), 2, 15, "C(6,2)")
     return tally.report("chern_rank2", "c2 in %s, order %d" % (list(c2_range), order))
 
 
@@ -282,14 +289,13 @@ def check_spherical_chern(s, n_max=6, chi_range=None):
         tally.eq(nums.d, 0, "d", s, chi)
         series = logs.chern_full(nums.c2, nums.c1sq, 2)
         for n in range(n_max + 1):
-            want = F((-r) ** n * _comb(-chi + r * n, n))
-            tally.eq(series.coefficient(n), want, s, chi, n)
+            tally.eq_coefficient(series, n, (-r) ** n * _comb(-chi + r * n, n), s, chi, n)
             if n >= 1 and (s - 2) * n < chi <= (s - 1) * n:
-                tally.eq(series.coefficient(n), F(0), "vanish", s, chi, n)
+                tally.eq_coefficient(series, n, 0, "vanish", s, chi, n)
         if s == 2:
             for n in range(n_max + 1):
-                tally.eq(F((-r) ** n * _comb(-chi + r * n, n)), F(_comb(chi - 1, n)),
-                         "rank2 binomial flip", chi, n)
+                tally.eq_ratio((-r) ** n * _comb(-chi + r * n, n), _comb(chi - 1, n), 1,
+                               "rank2 binomial flip", chi, n)
     return tally.report(
         "spherical_chern",
         "s=%d, n<=%d, chi in [%d,%d)" % (s, n_max, chi_range[0], chi_range[-1] + 1))
@@ -341,22 +347,20 @@ def check_enriques(r, n_max=5, chi_range=range(1, 7), form_order=20):
     """
     tally = _Tally()
     # (a) residue-form identity, checked at several (chi, n) pairs
-    big = form_order + 1
-    t = Series.gen(big, "t")
-    u, w, f_big, g_big = _enriques_w_chart(r, big)
-    w_over_t = w.shift(-1)
-    dw = w.derivative()
+    _, w, f_big, g_big = _enriques_w_chart(r, form_order + 1)
+    w_over_t, dw = w.shift(-1), w.derivative()
     base = f_big.pow_rational(F(1, 2)).truncate(form_order)
+    ns = (0, 1, 3)
+    kernels = [dw * w_over_t ** -(n + 1) for n in ns]
     for chi in (1, 4):
         rhs_chi = base * g_big.truncate(form_order) ** chi
-        for n in (0, 1, 3):
+        for n, kernel in zip(ns, kernels):
             e2 = -chi + r * r * n - F(r * r, 2) - F(1, 2)
             e3 = chi - r * r * n + F(r * r, 2) + n - 1
-            lhs = ((1 + r * (r - 1) * t).pow_rational(F(1, 2))
-                   * (1 - r * t).pow_rational(e2)
-                   * (1 + (1 - r) * t).pow_rational(e3)).truncate(form_order)
-            rhs = rhs_chi * dw * w_over_t ** (-(n + 1))
-            tally.eq(lhs, rhs, "forms", r, chi, n)
+            # (1 + r(r-1)t)^(1/2) (1 - rt)^e2 (1 + (1-r)t)^e3 as one exp of its log
+            lhs = catalog._log1p_sum(form_order, (r * (r - 1), F(1, 2)), (-r, e2),
+                                     (1 - r, e3)).exp()
+            tally.eq(lhs, rhs_chi * kernel, "forms", r, chi, n)
     # (b) == (c), and (c) matches the assembled Euler-characteristic series
     _, w2, f2, g2 = _enriques_w_chart(r, n_max)
     root = f2.pow_rational(F(1, 2))
@@ -414,25 +418,25 @@ def check_theta_constant(n, box_radius=2):
     any point outside the radius-2 box has value >= 3, so the box
     minimum is the global minimum.
     """
-    shift = F(2 * n, 3) - (2 * n) // 3
-    values = {}
-    for i in range(-box_radius, box_radius + 1):
-        for j in range(-box_radius, box_radius + 1):
-            x = i + shift
-            y = j + shift
-            q = x * x + x * y + y * y
-            values[q] = values.get(q, 0) + 1
-    minimum = min(values)
+    values = _theta_values(n, box_radius)  # keyed by 9q
+    nine_min = min(values)
+    minimum = F(nine_min, 9)
     tally = _Tally()
     if n % 3 == 0:
         tally.eq(minimum, F(0), n, "minimum")
-        tally.eq(values[minimum], 1, n, "multiplicity")
+        tally.eq(values[nine_min], 1, n, "multiplicity")
     else:
         tally.ok(minimum > 0, n, "minimum", minimum)
         tally.eq(minimum, F(1, 3), n, "nonzero minimum value")
     return tally.report(
         "theta", "n=%d, box radius %d" % (n, box_radius),
-        detail="constant term %s" % (values.get(F(0), 0),))
+        detail="constant term %s" % (values.get(0, 0),))
+
+
+def _theta_values(n, box_radius):
+    """{9q: count} over the box, at the integer points (3x, 3y) = 3(i, j) + (2n mod 3)(1, 1)."""
+    thirds = [3 * i + 2 * n % 3 for i in range(-box_radius, box_radius + 1)]
+    return Counter(x * x + x * y + y * y for x in thirds for y in thirds)
 
 
 def check_fgh_derivation(order=20):

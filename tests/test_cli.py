@@ -49,6 +49,28 @@ class TestSeries:
         assert lines[2] == "1,1/1"
         assert lines[3] == "2,-3/1"
 
+    def test_coefficients_are_frac_str(self, capsys):
+        # each coefficient from the integers with one gcd; frac_str of the
+        # coefficient as a Fraction is the reference
+        from fractions import Fraction
+        from hilbseries import catalog, extraction
+        for num in range(-12, 13):
+            for den in range(1, 13):
+                want = extraction.frac_str(Fraction(num, den))
+                assert cli._lowest_str(num, den) == want, (num, den)
+        for family, rank, index, series, offset in [
+                ("segreA", 2, 4, catalog.segre_A(2, 4, 12).series, 0),
+                ("chernA", -3, 1, catalog.chern_A(-3, 1, 12).series, 0),
+                ("verlindeB", -2, 3, catalog.verlinde_B(-2, 3, 12).series, 0),
+                ("Y", None, None, catalog.verlinde_r3_branch(12), 1)]:
+            argv = ["series", "--family", family, "--order", "12", "--format", "json"]
+            if rank is not None:
+                argv += ["--rank", str(rank), "--index", str(index)]
+            code, out = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["coefficients"] == [
+                extraction.frac_str(series.coefficient(n)) for n in range(offset, 13)]
+
     def test_missing_rank_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "series", "--family", "segreA") == 2
 
@@ -811,8 +833,8 @@ DEEP_SERIES_SHA256 = {
 }
 
 
-# sha256 of the JSON report of each suite that assembles catalog series and
-# has no golden text above: its check counts, ranges and verdict.
+# sha256 of the JSON report of each suite with no golden text above: its check
+# counts, ranges, verdict and details (theta's constant terms among them).
 VERIFY_SUITE_SHA256 = {
     "verify --suite asymptotics --json --order 10":
         "9c4f19e6428f9aa071739496a51c9bbf2868dbb7f7fe3d3fcdc527c003968276",
@@ -828,6 +850,10 @@ VERIFY_SUITE_SHA256 = {
         "67b20fd9ccc9c755002b29cc9da67eec7a4c75b54bddfeb35955dd7fc314df36",
     "verify --suite fgh --json --order 10":
         "abcc5f66d2b3b42b67b6ce6e9363a12d0435b430108e39b4b7d50ccc9ddead89",
+    "verify --suite theta --json --order 10":
+        "c23bc3a3b86685167dc507a800c29f236e33b69cf16a8b465c853329e6d5f894",
+    "verify --suite lagrange_burmann --json --order 10":
+        "fdcf5ad7c38b8181d72849a4c9c51fed3b5e0e9c4be2bfcc36abb140b0f34318",
 }
 
 

@@ -449,3 +449,6 @@ class TestPredictions:
     def test_frac_str(self):
         assert ext.frac_str(F(3)) == "3/1"
         assert ext.frac_str(F(-1, 2)) == "-1/2"
+        # a Fraction is read as it is; anything else goes through Fraction
+        assert ext.frac_str(-4) == "-4/1"
+        assert ext.frac_str("-6/4") == "-3/2"

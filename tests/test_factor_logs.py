@@ -207,3 +207,58 @@ def test_one_branch_solve_per_report(monkeypatch, predict, param, branch, status
     assert calls == [(4,)]
     assert [row["status"] for row in report["series"][-2:]] == [status, status]
     assert all(row["agreement_order"] == 3 for row in report["series"])
+
+
+def ref_logs_exp(logs, exponents):
+    """The Series sum that _Logs.exp ran before its one integer pass: one scalar
+    product and one addition, each normalized, per nonzero exponent."""
+    log = Series.zero(logs.order, logs.var)
+    for index, e in exponents:
+        if e:
+            log = log + e * logs[index][1]
+    return log.exp()
+
+
+# (index, exponent) lists: int, negative and Fraction exponents, zeros on factors
+# that may be unknown, and the third and fourth factors asked for in both orders
+SEGRE_EXPONENTS = [(), ((3, 2), (4, -1), (0, 5), (1, -3), (2, 1)),
+                   ((0, F(1, 2)), (2, F(-7, 3)), (1, 0)), ((1, -4), (3, 0), (4, 0)),
+                   ((4, F(5, 4)), (3, F(-3, 2)), (2, -2)), ((0, 0), (2, 0))]
+VERLINDE_EXPONENTS = [(), ((4, 3), (3, F(-5, 2)), (1, 7), (2, -2)),
+                      ((1, F(2, 3)), (2, F(-1, 6))), ((3, 0), (4, 0), (2, 4)),
+                      ((3, -1), (4, F(9, 2)), (1, 0)), ((1, 0),)]
+
+
+def exp_outcome(exp, logs, exponents):
+    """outcome of exp(logs, exponents), and the keys the holder has read, in order."""
+    return outcome(exp, logs, exponents), list(logs._read)
+
+
+@pytest.mark.parametrize("order", range(31))
+def test_logs_exp_is_the_series_sum(order):
+    holders = [(catalog._SegreLogs, s, SEGRE_EXPONENTS) for s in range(-4, 4)]
+    holders += [(catalog._VerlindeLogs, r, VERLINDE_EXPONENTS) for r in range(-3, 4)]
+    for holder, param, exponent_lists in holders:
+        for exponents in exponent_lists:
+            # a fresh holder each side: both read the same factors, in the same order
+            want = exp_outcome(ref_logs_exp, holder(param, order), exponents)
+            got = exp_outcome(catalog._Logs.exp, holder(param, order), exponents)
+            assert got == want, (holder.family, param, exponents)
+
+
+def test_logs_exp_unknown_factor_texts():
+    # the first unknown factor asked for names the error, as in the Series sum;
+    # segre_full asks for c1.K first
+    for logs, exponents, text in [
+            (catalog._SegreLogs(3, 5), ((4, 1), (3, 1)),
+             "Segre factor 4 has no known closed form at rank 3"),
+            (catalog._SegreLogs(3, 5), ((0, 2), (3, F(1, 2)), (4, 1)),
+             "Segre factor 3 has no known closed form at rank 3"),
+            (catalog._VerlindeLogs(4, 5), ((1, 1), (3, 0), (4, -2)),
+             "Verlinde factor 4 has no known closed form at twist 4")]:
+        assert outcome(ref_logs_exp, logs, exponents) == ("UnknownSeriesError", text)
+        assert outcome(logs.exp, exponents) == ("UnknownSeriesError", text)
+    for c1K, Ksq in ((1, 1), (1, 0), (-2, 5)):
+        with pytest.raises(UnknownSeriesError) as info:
+            catalog._SegreLogs(5, 4).segre_full(1, 2, 3, c1K, Ksq)
+        assert str(info.value) == "Segre factor 3 has no known closed form at rank 5"

@@ -244,6 +244,156 @@ class TestIntegerSweeps:
         assert sorted(built) == ["__pow__"] * 10 + ["inverse"] * 5
 
 
+def ref_theta_values(n, box_radius):
+    """{q: count} by the Fraction loop that check_theta_constant ran before its integer sweep."""
+    shift = F(2 * n, 3) - (2 * n) // 3
+    values = {}
+    for i in range(-box_radius, box_radius + 1):
+        for j in range(-box_radius, box_radius + 1):
+            x, y = i + shift, j + shift
+            q = x * x + x * y + y * y
+            values[q] = values.get(q, 0) + 1
+    return values
+
+
+def ref_spherical_chern(s, n_max=6, chi_range=None):
+    """check_spherical_chern as it compared Fractions, before comparing numerators."""
+    r = s - 1
+    if chi_range is None:
+        chi_range = range((s - 2) - 4, (s - 1) * n_max + 11)
+    tally = verify._Tally()
+    logs = catalog._SegreLogs(-s, n_max)
+    for chi in chi_range:
+        nums = ModuliNumerics.spherical(s, chi)
+        tally.eq(nums.d, 0, "d", s, chi)
+        series = logs.chern_full(nums.c2, nums.c1sq, 2)
+        for n in range(n_max + 1):
+            want = F((-r) ** n * verify._comb(-chi + r * n, n))
+            tally.eq(series.coefficient(n), want, s, chi, n)
+            if n >= 1 and (s - 2) * n < chi <= (s - 1) * n:
+                tally.eq(series.coefficient(n), F(0), "vanish", s, chi, n)
+        if s == 2:
+            for n in range(n_max + 1):
+                tally.eq(F((-r) ** n * verify._comb(-chi + r * n, n)),
+                         F(verify._comb(chi - 1, n)), "rank2 binomial flip", chi, n)
+    return tally.report(
+        "spherical_chern",
+        "s=%d, n<=%d, chi in [%d,%d)" % (s, n_max, chi_range[0], chi_range[-1] + 1))
+
+
+def ref_chern_rank2(order=10, c2_range=range(-3, 9)):
+    """check_chern_rank2 as it built (1+z)^c2 once per (c2, c1^2)."""
+    tally = verify._Tally()
+    z = Series.gen(order, "z")
+    logs = catalog._SegreLogs(-2, order)
+    for c2 in c2_range:
+        for c1sq in (-2, 0, 4):
+            tally.eq(logs.chern_full(c2, c1sq, 2), (1 + z) ** c2, c2, c1sq)
+    tally.eq(catalog.chern_full(2, 6, 0, 2, 2).coefficient(2), F(15), "C(6,2)")
+    return tally.report("chern_rank2", "c2 in %s, order %d" % (list(c2_range), order))
+
+
+def ref_enriques_form(r, chi, n, form_order):
+    """The two sides of the (chi, n) residue-form check of check_enriques, as it built them:
+    three rational powers per left side, and the w power for every (chi, n)."""
+    big = form_order + 1
+    t = Series.gen(big, "t")
+    _, w, f_big, g_big = verify._enriques_w_chart(r, big)
+    e2 = -chi + r * r * n - F(r * r, 2) - F(1, 2)
+    e3 = chi - r * r * n + F(r * r, 2) + n - 1
+    lhs = ((1 + r * (r - 1) * t).pow_rational(F(1, 2))
+           * (1 - r * t).pow_rational(e2)
+           * (1 + (1 - r) * t).pow_rational(e3)).truncate(form_order)
+    rhs_chi = f_big.pow_rational(F(1, 2)).truncate(form_order) * g_big.truncate(form_order) ** chi
+    return lhs, rhs_chi * w.derivative() * w.shift(-1) ** (-(n + 1))
+
+
+def bump_chern_coefficient(monkeypatch, c2, n):
+    """Make the holders' Chern series at c2 wrong by 1 in coefficient n, for every c1^2."""
+    original = catalog._SegreLogs.chern_full
+
+    def bumped(self, c2_, c1sq, chiO):
+        series = original(self, c2_, c1sq, chiO)
+        if c2_ != c2:
+            return series
+        nums = list(series.nums)
+        nums[n] += series.den
+        return Series._over(series.den, nums, series.var)
+    monkeypatch.setattr(catalog._SegreLogs, "chern_full", bumped)
+
+
+class TestIntegerChecks:
+    """theta, spherical_chern and chern_rank2 compare integers and build each
+    value once; the forms they replaced are the reference, failures included."""
+
+    def test_theta_sweep_is_the_fraction_loop(self):
+        for n in range(31):
+            for radius in (1, 2, 3):
+                want = ref_theta_values(n, radius)
+                got = verify._theta_values(n, radius)
+                assert all(type(k) is int for k in got)
+                assert {F(k, 9): count for k, count in got.items()} == want, (n, radius)
+                assert F(min(got), 9) == min(want), (n, radius)
+                report = check_theta_constant(n, radius)
+                assert report.passed, (n, radius)
+                assert report.detail == "constant term %s" % want.get(F(0), 0)
+
+    def test_theta_failure_records_the_fraction_minimum(self, monkeypatch):
+        original = verify._theta_values
+        monkeypatch.setattr(verify, "_theta_values", lambda n, radius: {
+            k + 3: count for k, count in original(n, radius).items()})
+        assert check_theta_constant(3).counterexample == (3, "minimum", F(1, 3), F(0))
+        assert check_theta_constant(4).counterexample == (4, "nonzero minimum value",
+                                                           F(2, 3), F(1, 3))
+
+    def test_spherical_chern_is_the_fraction_comparison(self):
+        for s in range(2, 6):
+            assert check_spherical_chern(s) == ref_spherical_chern(s), s
+
+    def test_spherical_chern_failure_is_the_parents(self, monkeypatch):
+        # s = 3 at chi = 5: c2 = 5(2) - 9 + 6 - 1 = 6; coefficient 2 off by one
+        bump_chern_coefficient(monkeypatch, 6, 2)
+        got, want = check_spherical_chern(3), ref_spherical_chern(3)
+        assert not got.passed and got == want
+        assert got.counterexample[:3] == (3, 5, 2)
+        assert [type(x) for x in got.counterexample[3:]] == [F, F]
+        assert got.counterexample[3] == got.counterexample[4] + 1  # (coefficient, want)
+        assert got.to_dict() == want.to_dict()
+
+    def test_spherical_chern_comb_failure_is_the_parents(self, monkeypatch):
+        original = verify._comb
+        monkeypatch.setattr(verify, "_comb", lambda a, n: original(a, n) + (n == 3))
+        for s in range(2, 6):
+            got = check_spherical_chern(s)
+            assert not got.passed and got == ref_spherical_chern(s), s
+
+    def test_chern_rank2_failure_is_the_parents(self, monkeypatch):
+        assert check_chern_rank2(8) == ref_chern_rank2(8)
+        bump_chern_coefficient(monkeypatch, 4, 3)
+        got, want = check_chern_rank2(8), ref_chern_rank2(8)
+        assert not got.passed and got == want
+        assert got.counterexample[:2] == (4, -2)
+        assert got.to_dict() == want.to_dict()
+
+    def test_enriques_forms_are_the_rational_powers(self, monkeypatch):
+        seen = []
+        original = verify._Tally.eq
+
+        def spy(self, got, want, *context):
+            if context and context[0] == "forms":
+                seen.append((context, got, want))
+            return original(self, got, want, *context)
+        monkeypatch.setattr(verify._Tally, "eq", spy)
+        for r in range(1, 6):
+            for form_order in (0, 3, 10):
+                assert check_enriques(r, n_max=2, form_order=form_order).passed, r
+        assert len(seen) == 5 * 3 * 6
+        for (_, r, chi, n), got, want in seen:
+            lhs, rhs = ref_enriques_form(r, chi, n, got.order)
+            assert (got.order, got.den, got.nums) == (lhs.order, lhs.den, lhs.nums)
+            assert (want.order, want.den, want.nums) == (rhs.order, rhs.den, rhs.nums)
+
+
 class TestBinom:
     """The integer C(a, n) that spherical_chern and blowup read, against the Fraction loop."""
 
