@@ -247,8 +247,8 @@ def test_logs_exp_is_the_series_sum(order):
 
 
 def test_logs_exp_unknown_factor_texts():
-    # the first unknown factor asked for names the error, as in the Series sum;
-    # segre_full asks for c1.K first
+    # the first unknown factor asked for names the error, as in the Series sum
+    # (test_unknown_factor_texts: segre_full asks for c1.K first)
     for logs, exponents, text in [
             (catalog._SegreLogs(3, 5), ((4, 1), (3, 1)),
              "Segre factor 4 has no known closed form at rank 3"),
@@ -258,7 +258,3 @@ def test_logs_exp_unknown_factor_texts():
              "Verlinde factor 4 has no known closed form at twist 4")]:
         assert outcome(ref_logs_exp, logs, exponents) == ("UnknownSeriesError", text)
         assert outcome(logs.exp, exponents) == ("UnknownSeriesError", text)
-    for c1K, Ksq in ((1, 1), (1, 0), (-2, 5)):
-        with pytest.raises(UnknownSeriesError) as info:
-            catalog._SegreLogs(5, 4).segre_full(1, 2, 3, c1K, Ksq)
-        assert str(info.value) == "Segre factor 3 has no known closed form at rank 5"

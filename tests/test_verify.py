@@ -350,7 +350,7 @@ class TestIntegerChecks:
         for s in range(2, 6):
             assert check_spherical_chern(s) == ref_spherical_chern(s), s
 
-    def test_spherical_chern_failure_is_the_parents(self, monkeypatch):
+    def test_spherical_chern_failure_is_the_reference(self, monkeypatch):
         # s = 3 at chi = 5: c2 = 5(2) - 9 + 6 - 1 = 6; coefficient 2 off by one
         bump_chern_coefficient(monkeypatch, 6, 2)
         got, want = check_spherical_chern(3), ref_spherical_chern(3)
@@ -360,14 +360,14 @@ class TestIntegerChecks:
         assert got.counterexample[3] == got.counterexample[4] + 1  # (coefficient, want)
         assert got.to_dict() == want.to_dict()
 
-    def test_spherical_chern_comb_failure_is_the_parents(self, monkeypatch):
+    def test_spherical_chern_comb_failure_is_the_reference(self, monkeypatch):
         original = verify._comb
         monkeypatch.setattr(verify, "_comb", lambda a, n: original(a, n) + (n == 3))
         for s in range(2, 6):
             got = check_spherical_chern(s)
             assert not got.passed and got == ref_spherical_chern(s), s
 
-    def test_chern_rank2_failure_is_the_parents(self, monkeypatch):
+    def test_chern_rank2_failure_is_the_reference(self, monkeypatch):
         assert check_chern_rank2(8) == ref_chern_rank2(8)
         bump_chern_coefficient(monkeypatch, 4, 3)
         got, want = check_chern_rank2(8), ref_chern_rank2(8)
