@@ -242,12 +242,12 @@ def _cmd_oracle(args, parser):
             value = verlinde_chi(surface, kclass, args.r, args.n, args.seed)
         except ValueError as exc:  # not a single line bundle
             parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
-        result = "%d/1" % value
     else:
         if args.r is not None:
             parser.error("--r only applies to kind verlinde")
         integral = segre_integral if args.kind == "segre" else chern_integral
-        result = extraction.frac_str(integral(surface, kclass, args.n, args.seed))
+        value = integral(surface, kclass, args.n, args.seed)
+    result = extraction.frac_str(value)
     numerics = {"rank": kclass.rank, "c2": kclass.c2, "c1sq": kclass.c1sq,
                 "c1K": kclass.c1K, "Ksq": surface.ksq, "chiO": surface.chi_O}
     if args.json is not None:

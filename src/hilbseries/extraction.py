@@ -226,19 +226,17 @@ def _probe_classes(surface, s):
                 yield EqKClass(surface, [(1, c) for c in plus] + [(-1, c) for c in minus])
 
 
-def build_panel(s, size=6):
-    """Assemble a rank-5 Segre panel of small classes over all three surfaces.
+def build_panel(s):
+    """Assemble a six-row, rank-5 Segre panel of small classes over all three surfaces.
 
     Rows are taken round-robin from per-surface probe streams; a probe
-    is kept while it raises the exponent-matrix rank, then extra rows
-    are kept as redundancy for the universality check.
+    is kept while it raises the exponent-matrix rank, then one extra row
+    is kept as redundancy for the universality check.
     """
-    if size < 5:
-        raise PanelError("need at least 5 rows, got %d" % size)
     streams = [_probe_classes(get_surface(name), s) for name in ("p2", "p1xp1", "f1")]
     rows, basis = [], []
     for cls in itertools.chain.from_iterable(itertools.zip_longest(*streams)):
-        if len(rows) == size:
+        if len(rows) == 6:
             break
         if cls is None:  # an exhausted stream
             continue

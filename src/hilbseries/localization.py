@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import lshift, mul
 
-from .series import Series
+from .series import Series, exp_numerators
 
 __all__ = [
     "DEFAULT_SEED",
@@ -277,21 +277,14 @@ class EqKClass:
     """Signed sum of equivariantly lifted line bundles on a toric surface.
 
     Terms are (sign, generator coefficients); Chern data of the K-theory
-    class is accumulated by the Whitney formula term by term.  Optional
-    per-term lift shifts by a global character change the equivariant
-    data but no integral, which the tests exploit.
+    class is accumulated by the Whitney formula term by term.
     """
 
-    def __init__(self, surface, terms, lift_shifts=None):
+    def __init__(self, surface, terms):
         if not terms:
             raise ValueError("a class needs at least one term")
         self.surface = surface
         self.terms = [(1 if sign >= 0 else -1, tuple(coeffs)) for sign, coeffs in terms]
-        if lift_shifts is None:
-            lift_shifts = [(0, 0)] * len(self.terms)
-        if len(lift_shifts) != len(self.terms):
-            raise ValueError("one lift shift per term expected")
-        self.shifts = [tuple(shift) for shift in lift_shifts]
         gens = len(surface.generators)
         c1 = [0] * gens
         c2 = 0
@@ -308,17 +301,9 @@ class EqKClass:
         self.c2 = c2
         self.c1K = sum(a * k for a, k in zip(c1, surface.k_dot))
 
-    def signed_lifts(self, sign=1):
-        """Per term (sign times its sign, its per-chart lift plus shift): the class
-        as the chart pass reads it; sign -1 gives the negated class."""
-        return [(sign * term_sign, tuple(_vadd(m, shift) for m in self.surface.lift(coeffs)))
-                for (term_sign, coeffs), shift in zip(self.terms, self.shifts)]
-
-    def shifted(self, term_index, char):
-        """Same class with one term's lift moved by a global character."""
-        shifts = [(0, 0)] * len(self.terms)
-        shifts[term_index] = tuple(char)
-        return EqKClass(self.surface, self.terms, shifts)
+    def signed_lifts(self):
+        """Per term (its sign, its per-chart lift): the class as the chart pass reads it."""
+        return [(sign, self.surface.lift(coeffs)) for sign, coeffs in self.terms]
 
     def spec(self):
         """The parseable form of this class, inverse to parse_class."""
@@ -473,17 +458,7 @@ def _euler_term(ks, boxes, lifts, degree, parent):
         powers = list(map(mul, powers, squares))
     r, m = sum(w for w, _ in lifts[0]), sum(w * m for w, m in lifts[0])
     exponent[1] = (degree and tau[1] * sum(ks)) + d * (len(boxes) * m + r * sum(boxes))
-    return prod(ks) * den, [_todd_exp(exponent, d, den, degree)]
-
-
-def _todd_exp(a, d, den, degree):
-    """exp_numerators(a, d, degree), its E_0 = degree! d^degree given as ``den``, for an
-    a whose odd terms past a_1 are 0, as the Todd exponent's are: the sum skips them."""
-    steps = list(map(mul, range(2, degree + 1, 2), a[2:degree + 1:2]))  # (k+1) a_(k+1), odd k
-    e = [den]
-    for m in range(degree):
-        e.append((a[1] * e[-1] + sum(map(mul, steps, e[-2::-2]))) // ((m + 1) * d))
-    return e
+    return prod(ks) * den, [exp_numerators(exponent, d, degree)]
 
 
 def _scaled(rows, moves):
@@ -621,6 +596,8 @@ def _chart_pass(term, read, surface, classes, order, seed, whats):
     n = 0..order, agreed at two directions.  ``whats`` names each class in errors.
     """
     draws = _two_draws(surface, order, seed, ", ".join(whats))
+    if not classes:  # the draw alone, which raises DrawError at a dead order
+        return ()
     shapes = _shapes(order)
     first, second = ([read(*c) for c in _chart_product(surface, classes, order, q, term, shapes)]
                      for q in draws)
@@ -641,7 +618,8 @@ def segre_integral(surface, kclass, n, seed=None):
 
 def chern_integral(surface, kclass, n, seed=None):
     """Integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
-    return _chart_pass(_segre_term, _top_values, surface, [kclass.signed_lifts(-1)], n, seed,
+    negated = [(-w, lift) for w, lift in kclass.signed_lifts()]
+    return _chart_pass(_segre_term, _top_values, surface, [negated], n, seed,
                        [repr(kclass)])[0][n]
 
 

@@ -8,7 +8,7 @@ equal series store equal integers.  Arithmetic reads and writes those
 integers only; ``coefficient`` and ``coeffs`` build the
 `fractions.Fraction` values on request.  Floats are rejected so nothing
 ever leaves exact arithmetic.  The fixed-point oracle's Todd exp runs the
-exp recurrence, `exp_numerators`, less its zero terms, and `solve_algebraic`
+exp recurrence, `exp_numerators`, on its integer exponent, and `solve_algebraic`
 reads a branch's coefficients one by one off a linear recurrence in integers.
 
 Binary operations insist that both operands carry the same truncation
@@ -290,9 +290,6 @@ class Series:
             raise ConstantTermError("rational power needs constant term 1, got %s"
                                     % self.coefficient(0))
         return (self.log() * e).exp()
-
-    def sqrt(self):
-        return self.pow_rational(Fraction(1, 2))
 
     def compose(self, inner):
         """Substitute ``inner`` for the variable; inner constant term must be 0."""

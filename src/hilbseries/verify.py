@@ -460,7 +460,8 @@ def check_fgh_derivation(order=20):
     h = a0 ** -3 * a1 ** -18 * a2 ** 2 * a3 ** -2 * a4 ** -1
     w = t * (1 + 3 * t) ** 3
     y = catalog.segre_rank2_branch(big)
-    z = w * f.inverse()
+    f_inv = f.inverse()
+    z = w * f_inv
     tally = _Tally()
     tally.eq(f.coefficient(0), F(1), "f(0)")
     tally.eq(g.coefficient(0), F(1), "g(0)")
@@ -470,12 +471,13 @@ def check_fgh_derivation(order=20):
              (t * (1 + 3 * t).inverse()).truncate(order), "pivot")
     tally.eq(f.truncate(order), w.shift(-1) * y.shift(-1).inverse(), "f = w/y")
     # source identities via the chain rule in t
-    dw, dz = w.derivative(), z.derivative()
+    dw, dz_inv, dy = w.derivative(), z.derivative().inverse(), y.derivative()
+    dw_inv = dw.inverse()
     lhs1 = ((1 - z) * (1 + z) ** -2).truncate(order)
-    rhs1 = (g * f.inverse()).truncate(order) * dw * dz.inverse()
+    rhs1 = (g * f_inv).truncate(order) * dw * dz_inv
     tally.eq(lhs1, rhs1, "first source identity")
     lhs2 = (1 - z ** 3).inverse().truncate(order)
-    rhs2 = (h * f.inverse()).truncate(order) * dw * dz.inverse()
+    rhs2 = (h * f_inv).truncate(order) * dw * dz_inv
     tally.eq(lhs2, rhs2, "second source identity")
     # generating-function encodings
     zg = Series.gen(order, "z")
@@ -487,9 +489,9 @@ def check_fgh_derivation(order=20):
     tally.eq(a3.truncate(order),
              (f.pow_rational(F(1, 2)) * a0.pow_rational(F(-5, 2)) * a1 ** -10)
              .truncate(order), "third factor from f")
-    g_re = (f * (1 - y) * (1 + y) ** -2).truncate(order) * y.derivative() * dw.inverse()
+    g_re = (f * (1 - y) * (1 + y) ** -2).truncate(order) * dy * dw_inv
     tally.eq(g_re, g.truncate(order), "g from first identity")
-    h_re = (f * (1 - y ** 3).inverse()).truncate(order) * y.derivative() * dw.inverse()
+    h_re = (f * (1 - y ** 3).inverse()).truncate(order) * dy * dw_inv
     tally.eq(h_re, h.truncate(order), "h from second identity")
     a4_from_g = (a0 ** -4 * a1 ** -22 * a2 ** 2 * a3 ** -4).truncate(order) * g_re.inverse()
     tally.eq(a4_from_g, a4.truncate(order), "fourth factor via g")

@@ -14,6 +14,7 @@ from math import comb
 from hilbseries import catalog, extraction, verify
 from hilbseries import localization as loc
 from hilbseries.series import Series
+from shifted_class import shifted
 
 
 def _stamp(number, started, budget, message):
@@ -97,7 +98,7 @@ def test_criterion_07_oracle_convention_anchors():
         terms = [(1, tuple(rng.randint(0, 2) for _ in range(width))),
                  (rng.choice((1, -1)), tuple(rng.randint(0, 2) for _ in range(width)))]
         cls = loc.EqKClass(surface, terms)
-        moved = cls.shifted(rng.randrange(2), (rng.randint(-3, 3), rng.randint(-3, 3)))
+        moved = shifted(cls, rng.randrange(2), (rng.randint(-3, 3), rng.randint(-3, 3)))
         n = 1 + case % 2
         # each call already asserts two-specialization agreement internally
         assert loc.segre_integral(surface, cls, n, seed=case) == \

@@ -332,10 +332,6 @@ class TestPanels:
             ext.build_panel(s)
         assert calls == []
 
-    def test_too_small_size_rejected(self):
-        with pytest.raises(ext.PanelError):
-            ext.build_panel(1, size=4)
-
 
 class TestExtractUniversal:
     def test_order_zero_is_trivial(self):

@@ -16,13 +16,14 @@ a partition, and ref_times, the triple-loop chart product, are what the
 parent walk and the packed product replaced; the chart pass and _times
 must equal them exactly; ref_power_euler_term, whose power sums step by k
 at every j, is what the steps by k^2 replaced; ref_class_euler_term, one
-dense exp_numerators per class of a batch, is what the batch's one sparse
-exp per partition and the row scaling x -> x e^(delta u) of every further
-class replaced.  The references build the
-Verlinde class as twisted_class does, a rank-r EqKClass with |r-1|
-trivial terms, and the Chern class as the negated EqKClass, where the
-oracle passes one trivial term of weight r-1 and signed_lifts(-1).
-Every comparison is exact
+exp_numerators per class of a batch, is what the batch's one exp per
+partition and the row scaling x -> x e^(delta u) of every further class
+replaced.  The references build the Verlinde class as twisted_class does,
+a rank-r class with |r-1| trivial terms, and the Chern class as the
+negated class, where the oracle passes one trivial term of weight r-1 and
+negates the weights of signed_lifts() itself.  Most classes here are
+ShiftedClass test doubles (tests/shifted_class.py), whose lifts are moved
+by global characters, which changes no value.  Every comparison is exact
 equality, at a fixed direction and through the public entry points with
 their character draws.
 """
@@ -32,13 +33,14 @@ import re
 import time
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 
 import pytest
 
 from hilbseries import extraction, localization as loc
 from hilbseries.series import Series, exp_numerators
+from shifted_class import ShiftedClass, shifts_of
 
 
 class ZeroWeight(ArithmeticError):
@@ -260,8 +262,8 @@ def twisted_class(kclass, r):
     """L + (r-1) O, of rank r, for the line bundle L of kclass: |r-1| trivial terms."""
     extra = abs(r - 1)
     trivial = (1 if r > 1 else -1, (0,) * len(kclass.surface.generators))
-    return loc.EqKClass(kclass.surface, kclass.terms + [trivial] * extra,
-                        kclass.shifts + [(0, 0)] * extra)
+    return ShiftedClass(kclass.surface, kclass.terms + [trivial] * extra,
+                        shifts_of(kclass) + [(0, 0)] * extra)
 
 
 # The per-point path: the fixed-point sum the chart pass replaced, kept as
@@ -386,8 +388,8 @@ DIRECTIONS = [(2, 5), (-3, 7), (1, -4), (6, 1), (1, 1)]  # (1, 1) kills weights
 
 
 def negated(kclass):
-    return loc.EqKClass(kclass.surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
-                        kclass.shifts)
+    return ShiftedClass(kclass.surface, [(-sign, coeffs) for sign, coeffs in kclass.terms],
+                        shifts_of(kclass))
 
 
 def chart_values(read, surface, classes, order, q, term):
@@ -615,7 +617,7 @@ def shifted_classes(surface):
     for spec in CLASSES[surface.name]:
         kclass = loc.parse_class(surface, spec)
         out.append(kclass)
-        out.append(loc.EqKClass(surface, kclass.terms,
+        out.append(ShiftedClass(surface, kclass.terms,
                                 [(3 * i - 2, 5 - 2 * i) for i in range(len(kclass.terms))]))
     return out
 
@@ -623,7 +625,7 @@ def shifted_classes(surface):
 def shifted_lines(surface):
     """Four line bundles with moved lifts."""
     gens = len(surface.generators)
-    return [loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))],
+    return [ShiftedClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))],
                          [(d - 1, 2 - d)])
             for d in range(4)]
 
@@ -674,8 +676,8 @@ CHART_ORDER = 6
 def test_chart_pass_is_the_point_sum_segre(name):
     surface = loc.get_surface(name)
     # every mixed-sign class, with and without shifts, twisted by O(t, ..., t)
-    classes = [loc.EqKClass(surface, [(sign, tuple(c + t for c in coeffs))
-                                      for sign, coeffs in kclass.terms], kclass.shifts)
+    classes = [ShiftedClass(surface, [(sign, tuple(c + t for c in coeffs))
+                                      for sign, coeffs in kclass.terms], shifts_of(kclass))
                for kclass in shifted_classes(surface) for t in range(-3, 4)]
     whats = [repr(c) for c in classes]
     chart = loc.segre_series(surface, classes, CHART_ORDER, 7)
@@ -759,8 +761,8 @@ def test_one_todd_exp_per_partition(monkeypatch):
     p2 = loc.get_surface("p2")
     lines = [loc.parse_class(p2, spec) for spec in ("O(1)", "O(0)", "O(2)")]
     todd, scaled = [], []
-    original_todd, original_scaled = loc._todd_exp, loc._scaled
-    monkeypatch.setattr(loc, "_todd_exp", lambda *a: todd.append(a) or original_todd(*a))
+    original_todd, original_scaled = loc.exp_numerators, loc._scaled
+    monkeypatch.setattr(loc, "exp_numerators", lambda *a: todd.append(a) or original_todd(*a))
     monkeypatch.setattr(loc, "_scaled", lambda rows, moves: scaled.append(
         (len(rows) - 1) * len(moves)) or original_scaled(rows, moves))
     order = 3
@@ -781,7 +783,8 @@ def test_parent_walk_is_the_full_box_term(name):
     # direction and order <= 8, for mixed-sign classes and their negations
     surface = loc.get_surface(name)
     classes = shifted_classes(surface)
-    lifts = [c.signed_lifts(sign) for c in classes for sign in (1, -1)]
+    lifts = [[(sign * w, lift) for w, lift in c.signed_lifts()]
+             for c in classes for sign in (1, -1)]
     for q in DIRECTIONS:
         for order in range(9):
             walked, full = (outcome(loc._chart_product, surface, lifts, order, q, term,
@@ -806,23 +809,6 @@ def test_square_steps_are_the_power_loop():
             for c in lifts:
                 assert loc._euler_term(ks, boxes, [c], degree, None) == \
                     ref_power_euler_term(ks, boxes, [c], degree, None), (degree, ks, boxes, c)
-
-
-def test_sparse_exp_is_the_dense_exp():
-    # the Todd exponent's exp, whose sum skips the zero odd terms past a_1, against
-    # exp_numerators on the same dense exponent: random signed a_1 and even a_j
-    # (power sums times tau_j numerators, some zero) over random d, degrees 0..16
-    rng = random.Random(20)
-    for degree in range(17):
-        for _ in range(8):
-            d = rng.choice((1, 2, 6, 24, 2880, rng.randint(1, 10 ** 6)))
-            a = [rng.randint(-9, 9)] + [0] * (degree + 1)
-            for j in range(1, degree + 2):
-                if j == 1 or j % 2 == 0:
-                    a[j] = rng.choice((0, 1, -1)) * rng.randint(0, 10 ** rng.randint(1, 30))
-            den = factorial(degree) * d ** degree
-            assert loc._todd_exp(a, d, den, degree) == exp_numerators(a, d, degree), \
-                (degree, d, a)
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 7])

@@ -13,6 +13,7 @@ import pytest
 
 from hilbseries import catalog
 from hilbseries import localization as loc
+from shifted_class import shifted
 
 
 def test_partitions_counts():
@@ -184,6 +185,18 @@ class TestSeriesAnchors:
         with pytest.raises(ValueError):
             loc.verlinde_chi(p2, loc.parse_class(p2, "O(1)+O(2)"), 2, 1)
 
+    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
+    def test_empty_batch_is_empty_after_the_draw(self, kind):
+        # no class gives no values, at every order whose draw succeeds; the
+        # draw still runs, so an order past the draw box (17 on p1xp1) raises
+        quadric = loc.get_surface("p1xp1")
+        batch = {"segre": lambda n: loc.segre_series(quadric, [], n),
+                 "verlinde": lambda n: loc.verlinde_series(quadric, [], 2, n)}[kind]
+        for n in (0, 1, 4):
+            assert batch(n) == ()
+        with pytest.raises(loc.DrawError):
+            batch(17)
+
 
 class TestInvariances:
     def test_lift_shift_invariance(self):
@@ -194,7 +207,7 @@ class TestInvariances:
         for _ in range(5):
             shift = (rng.randint(-4, 4), rng.randint(-4, 4))
             term = rng.randrange(len(cls.terms))
-            moved = cls.shifted(term, shift)
+            moved = shifted(cls, term, shift)
             for n in (1, 2):
                 assert loc.segre_integral(quadric, moved, n) == \
                     loc.segre_integral(quadric, cls, n)

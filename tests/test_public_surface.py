@@ -4,7 +4,8 @@ Each module's ``__all__`` lists what it exports, and ``hilbseries/__init__``
 re-exports a subset of those.  A name deleted from a module but left in a
 list, or re-exported without being declared public, fails here.  So does a
 public function or class that no module of the package reads, unless it is
-named below as kept for the benchmark or the tests.
+named below as kept for the benchmark or the tests, and a public method of a
+public class whose name no module of the package reads as an attribute.
 """
 
 import ast
@@ -85,3 +86,16 @@ def test_every_public_definition_is_loaded_by_program_code():
                 and not node.name.startswith("_")
                 and (path.stem, node.name) not in names and node.name not in attributes]
     assert [entry for entry in unloaded if entry[1] not in UNLOADED_ALLOWED] == []
+
+
+def test_every_public_method_is_loaded_by_program_code():
+    # matched by name alone, as attribute reads are, so a method passes when any
+    # module reads an attribute of its name
+    attributes = set().union(*(reads(path)[1] for path in SOURCES))
+    unloaded = [(path.stem, node.name, item.name) for path in SOURCES
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                and item.name not in attributes]
+    assert unloaded == []
