@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from math import gcd
 import os
 import sys
 
@@ -147,12 +146,6 @@ def _config_line(config):
         "%s=%s" % (key, config[key]) for key in sorted(config))
 
 
-def _lowest_str(num, den):
-    """frac_str(F(num, den)) for den > 0, with one gcd."""
-    g = gcd(num, den)
-    return "%d/%d" % (num // g, den // g)
-
-
 def _cmd_series(args, parser):
     order = _resolve_order(args, parser, SERIES_DEFAULT_ORDER)
     family = args.family
@@ -176,7 +169,7 @@ def _cmd_series(args, parser):
         branch = catalog.segre_rank2_branch if family == "y" else catalog.verlinde_r3_branch
         series, status, offset = branch(order), catalog.PROVEN, 1
     config["status"] = status
-    values = [_lowest_str(x, series.den) for x in series.nums[offset:]]
+    values = [extraction.frac_str(x, series.den) for x in series.nums[offset:]]
     if args.format == "json":
         text = _json_doc(config, {"offset": offset, "var": series.var,
                                   "coefficients": values})
@@ -219,7 +212,7 @@ def _print_verify_table(config, reports):
         line = "%-18s %s  (%d checks)" % (
             report.name, "PASS" if report.passed else "FAIL", report.checks)
         if not report.passed and report.counterexample is not None:
-            line += "  counterexample: %s" % (report.counterexample,)
+            line += "  counterexample: (%s)" % ", ".join(report.to_dict()["counterexample"])
         print(line)
 
 

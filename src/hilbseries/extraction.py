@@ -53,9 +53,13 @@ class UniversalityError(ArithmeticError):
     """Redundant panel rows disagree; the factorization failed to hold."""
 
 
-def frac_str(x):
-    x = x if type(x) is F else F(x)
-    return "%d/%d" % (x.numerator, x.denominator)
+def frac_str(num, den=1):
+    """num / den, den > 0, as "p/q" in lowest terms: the package's one formatter.  An
+    int or Fraction num is read as it is, anything else through Fraction."""
+    x = num if isinstance(num, (int, F)) else F(num)
+    p, q = x.numerator, x.denominator * den
+    g = gcd(p, q)
+    return "%d/%d" % (p // g, q // g)
 
 
 def _cleared(row):
@@ -287,10 +291,9 @@ def _extract(kind, param, order, panel, seed):
             values[index] = row
     logs = []
     for row in values:
-        total = Series(row, order, spec.var)
-        if total.coefficient(0) != 1:
+        if row[0] != 1:
             raise ArithmeticError("n=0 integral should be 1, got %s" % row[0])
-        logs.append(total.log())
+        logs.append(Series(row, order, spec.var).log())
     by_unknown = _solve(panel.exponent_matrix,
                         [[lg.coefficient(n) for lg in logs] for n in range(1, order + 1)])
     return [Series([0, *values], order, spec.var).exp() for values in by_unknown]
@@ -309,7 +312,7 @@ def extract_verlinde(r, order, panel=None, seed=None):
 def _agreement_order(a, b, order):
     """Largest m <= order with all coefficients up to m equal, or -1."""
     for n in range(order + 1):
-        if a.coefficient(n) != b.coefficient(n):
+        if a.nums[n] * b.den != b.nums[n] * a.den:
             return n - 1
     return order
 
@@ -323,7 +326,7 @@ def _report(kind, param, order, extracted):
     for index, series in enumerate(extracted, start=spec.first):
         entry = {
             "series": spec.label % index,
-            "extracted": [frac_str(series.coefficient(n)) for n in range(order + 1)],
+            "extracted": [frac_str(x, series.den) for x in series.nums],
         }
         try:
             closed = factors.entry(index)
@@ -331,8 +334,7 @@ def _report(kind, param, order, extracted):
             entry["status"] = catalog.CONJECTURAL
         else:
             entry["status"] = closed.status
-            entry["reference"] = [frac_str(closed.series.coefficient(n))
-                                  for n in range(order + 1)]
+            entry["reference"] = [frac_str(x, closed.series.den) for x in closed.series.nums]
             entry["agreement_order"] = _agreement_order(series, closed.series, order)
         report["series"].append(entry)
     return report

@@ -37,10 +37,10 @@ One rule draws the directions (_two_draws): the first two directions of
 a seeded stream over the draw box whose hook lengths keep every tangent
 weight of every fixed point of S^[n] nonzero, screened before any chart
 is specialized; a box with fewer than two such directions raises
-DrawError.  Values are computed at both directions and must agree; Euler
-characteristics additionally require every coefficient below u^2n to
-cancel and the result to be an integer.  Any violation raises, loudly,
-instead of returning data.
+DrawError.  Values are computed at both directions and must agree, and
+one integer read serves every kind (_values): each coefficient below u^2n
+is a pole that must cancel, and the integral must be an integer.  Any
+violation raises, loudly, instead of returning data.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class ToricSurface:
             pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
                        for la in gen_lifts]
             k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
-            chi = _euler_values(*_chart_product(self, [[]], 1, q, _euler_term, shapes)[0])[1]
+            chi = _values(*_chart_product(self, [[]], 1, q, _euler_term, shapes)[0])[1]
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
         what = "%s intersections" % self.name
@@ -212,8 +212,11 @@ def _two_draws(surface, n, seed, what):
     Directions come from ``random.Random(seed)`` and are screened once
     each, by hook length (_hook_generic); DrawError, naming ``what``, ends
     the search once every direction in the box has been tried.  Callers
-    evaluate at both directions and compare the values with _agreed.
+    evaluate at both directions and compare the values with _agreed.  A
+    negative n raises ValueError before any draw.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     seen = set()
     draws = []
@@ -572,66 +575,71 @@ def _chart_product(surface, classes, order, q, term, shapes):
     return product
 
 
-def _top_values(rows, den):
-    """Per n, [x^n u^2n] of a chart product: the integral over S^[n]."""
-    return tuple(F(row[2 * n], den) for n, row in enumerate(rows))
-
-
-def _euler_values(rows, den):
-    """Per n, [x^n u^2n] of an Euler chart product, where every lower power is a pole."""
+def _values(rows, den):
+    """Per n, [x^n u^2n] / den of a chart product, the integral over S^[n]: every lower
+    power of u is a pole, which must cancel, and the value must be an integer."""
     for n, row in enumerate(rows):
         for j, c in enumerate(row[:2 * n]):
             if c:
                 raise ArithmeticError("fixed-point sum has a surviving pole coefficient "
                                       "at order %d" % (j - 2 * n))
-    values = _top_values(rows, den)
-    for value in values:
-        if value.denominator != 1:
-            raise ArithmeticError("Euler characteristic %s is not an integer" % value)
-    return tuple(map(int, values))
+    for n, row in enumerate(rows):
+        if row[2 * n] % den:
+            raise ArithmeticError("fixed-point sum %s at n = %d is not an integer"
+                                  % (F(row[2 * n], den), n))
+    return tuple(row[2 * n] // den for n, row in enumerate(rows))
 
 
-def _chart_pass(term, read, surface, classes, order, seed, whats):
-    """Per class, given as signed_lifts gives it, read(*chart product) for
+def _chart_pass(term, surface, classes, order, seed, whats):
+    """Per class, given as signed_lifts gives it, its integrals (_values) for
     n = 0..order, agreed at two directions.  ``whats`` names each class in errors.
     """
     draws = _two_draws(surface, order, seed, ", ".join(whats))
     if not classes:  # the draw alone, which raises DrawError at a dead order
         return ()
     shapes = _shapes(order)
-    first, second = ([read(*c) for c in _chart_product(surface, classes, order, q, term, shapes)]
+    first, second = ([_values(*c) for c in _chart_product(surface, classes, order, q, term, shapes)]
                      for q in draws)
     return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
 
 
-def segre_series(surface, classes, order, seed=None):
-    """Per class, its degree-2n Segre integral over S^[n] for n = 0..order, in one pass."""
+def _on_surface(surface, classes):
+    """The classes as a list, each one parsed on ``surface``, else ValueError."""
     classes = list(classes)
-    return _chart_pass(_segre_term, _top_values, surface, [c.signed_lifts() for c in classes],
+    for kclass in classes:
+        if kclass.surface is not surface:
+            raise ValueError("%r is a class on %s, not on %s"
+                             % (kclass, kclass.surface.name, surface.name))
+    return classes
+
+
+def segre_series(surface, classes, order, seed=None):
+    """Per class, the int degree-2n Segre integral over S^[n] for n = 0..order, in one pass."""
+    classes = _on_surface(surface, classes)
+    return _chart_pass(_segre_term, surface, [c.signed_lifts() for c in classes],
                        order, seed, [repr(c) for c in classes])
 
 
 def segre_integral(surface, kclass, n, seed=None):
-    """Integral of the degree-2n Segre class of the tautological class."""
+    """The int integral of the degree-2n Segre class of the tautological class."""
     return segre_series(surface, [kclass], n, seed)[0][n]
 
 
 def chern_integral(surface, kclass, n, seed=None):
-    """Integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
-    negated = [(-w, lift) for w, lift in kclass.signed_lifts()]
-    return _chart_pass(_segre_term, _top_values, surface, [negated], n, seed,
-                       [repr(kclass)])[0][n]
+    """The int integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
+    negated = [(-w, lift) for w, lift in _on_surface(surface, [kclass])[0].signed_lifts()]
+    return _chart_pass(_segre_term, surface, [negated], n, seed, [repr(kclass)])[0][n]
 
 
 def verlinde_series(surface, classes, r, order, seed=None):
     """Per line bundle L on ``surface``, chi of det(L^[n]) (x) det(O^[n])^(r-1),
     the determinant of the tautological class of L + (r-1) O, for n = 0..order."""
-    classes = list(classes)
+    classes = _on_surface(surface, classes)
     for kclass in classes:
         if kclass.rank != 1 or len(kclass.terms) != 1:
             raise ValueError("verlinde_series expects a single line bundle, got %r" % kclass)
     trivial = (r - 1, ((0, 0),) * len(surface.charts))
-    return _chart_pass(_euler_term, _euler_values, surface,
+    return _chart_pass(_euler_term, surface,
                        [c.signed_lifts() + [trivial] for c in classes], order, seed,
                        ["chi of %r at twist %d" % (c, r) for c in classes])
 

@@ -47,6 +47,27 @@ def test_every_traced_path_resolves():
         assert list(inspect.signature(fn).parameters)[2] == "panel"
 
 
+@pytest.mark.parametrize("kind", ["segre", "verlinde"])
+def test_extraction_reads_the_oracle_at_call_time(kind, monkeypatch):
+    # a tracer wraps extraction.segre_series and extraction.verlinde_series
+    # after import; extraction's kind table must call the wrapper, not the
+    # function it bound at import
+    from hilbseries import extraction
+    name = kind + "_series"
+    original, calls = getattr(extraction, name), []
+
+    def wrapper(*args):
+        calls.append(args[0].name)
+        return original(*args)
+
+    monkeypatch.setattr(extraction, name, wrapper)
+    extract = {"segre": extraction.extract_universal, "verlinde": extraction.extract_verlinde}
+    extract[kind](1, 1)
+    # one call per surface of the panel
+    assert sorted(calls) == sorted({s.name for s, _ in extraction.default_panel(kind, 1)})
+    assert calls
+
+
 def test_every_benchmark_argv_parses():
     # argparse exits 2 on an argv it cannot parse, which fails this test
     from hilbseries import cli

@@ -50,14 +50,15 @@ class TestSeries:
         assert lines[3] == "2,-3/1"
 
     def test_coefficients_are_frac_str(self, capsys):
-        # each coefficient from the integers with one gcd; frac_str of the
-        # coefficient as a Fraction is the reference
+        # each coefficient from the integers with one gcd; the Fraction in
+        # lowest terms is the reference
         from fractions import Fraction
         from hilbseries import catalog, extraction
         for num in range(-12, 13):
             for den in range(1, 13):
-                want = extraction.frac_str(Fraction(num, den))
-                assert cli._lowest_str(num, den) == want, (num, den)
+                x = Fraction(num, den)
+                want = "%d/%d" % (x.numerator, x.denominator)
+                assert extraction.frac_str(num, den) == want, (num, den)
         for family, rank, index, series, offset in [
                 ("segreA", 2, 4, catalog.segre_A(2, 4, 12).series, 0),
                 ("chernA", -3, 1, catalog.chern_A(-3, 1, 12).series, 0),
@@ -141,6 +142,21 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "all")
         assert code == 1
         assert "FAIL" in out and "(1, 2)" in out
+
+    def test_failure_table_prints_the_json_items(self, capsys, monkeypatch):
+        # the table prints each counterexample item as --json does, with str
+        from fractions import Fraction
+        bad = verify.CheckReport(name="broken", passed=False, checks=1, ranges={},
+                                 counterexample=("d=1", 2, 2, -3, Fraction(97), Fraction(-1, 2)),
+                                 detail="synthetic")
+        monkeypatch.setattr(verify, "run_suite", lambda names, order: [bad])
+        code, out = run(capsys, "verify", "--suite", "all")
+        assert code == 1
+        assert out.splitlines()[-1] == \
+            "broken             FAIL  (1 checks)  counterexample: (d=1, 2, 2, -3, 97, -1/2)"
+        code, out = run(capsys, "verify", "--suite", "all", "--json")
+        assert json.loads(out)["reports"][0]["counterexample"] == \
+            ["d=1", "2", "2", "-3", "97", "-1/2"]
 
 
 class TestOracle:

@@ -401,9 +401,9 @@ class TestExtractVerlinde:
         original = loc._chart_pass
         calls = []
 
-        def counted(term, read, surface, kclasses, order, seed, whats):
+        def counted(term, surface, kclasses, order, seed, whats):
             calls.append((surface.name, order, len(kclasses)))
-            return original(term, read, surface, kclasses, order, seed, whats)
+            return original(term, surface, kclasses, order, seed, whats)
 
         monkeypatch.setattr(loc, "_chart_pass", counted)
         ext.extract_verlinde(0, 3)

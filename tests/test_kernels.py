@@ -416,7 +416,7 @@ def test_integral_at_fixed_directions(name):
                         outcome(lambda *a: [ref_segre_top(*a)],
                                 single(point_records(surface, [kclass], fps, q)), 2 * n,
                                 chern), (spec, n, q, chern)
-                    chart = outcome(chart_values, loc._top_values, surface, [new_class],
+                    chart = outcome(chart_values, loc._values, surface, [new_class],
                                     n, q, loc._segre_term)
                     if isinstance(point, str):
                         assert chart == point, (spec, n, q, chern)
@@ -459,7 +459,7 @@ def test_euler_sum_fixed_directions(name):
                     continue
                 value = point_euler_sum(data, 2 * n, 1)
                 assert value == [ref_euler_sum(single(data), 2 * n)], (n, r, q)
-                chart = chart_values(loc._euler_values, surface, [twisted], n, q,
+                chart = chart_values(loc._values, surface, [twisted], n, q,
                                      loc._euler_term)
                 assert chart[0][n] == value[0], (n, r, q)
 
@@ -480,10 +480,10 @@ def test_hrr_term_is_the_binomial_term(name):
              for order in {0, 1, max(n for n in range(9) if loc._hook_generic(surface, n, q))}
              for c in twisted]
     for classes, order, q in cases + [(batch, 4, (2, 5))]:
-        hrr, ref = (outcome(chart_values, loc._euler_values, surface, classes, order, q, term)
+        hrr, ref = (outcome(chart_values, loc._values, surface, classes, order, q, term)
                     for term in (loc._euler_term, weight_lists(ref_euler_term)))
         assert hrr == ref, (q, order, len(classes))
-    assert loc._euler_values(*loc._chart_product(surface, [[]], 1, (2, 5), loc._euler_term,
+    assert loc._values(*loc._chart_product(surface, [[]], 1, (2, 5), loc._euler_term,
                                                  loc._shapes(1))[0]) == (1, surface.chi_O)
 
 
@@ -499,13 +499,13 @@ def test_trivial_term_of_weight_r_minus_1_is_the_twisted_class(name):
     for r in range(-3, 4):
         lifts = [line.signed_lifts() + [(r - 1, zero)] for line in lines]
         for q in DIRECTIONS:
-            alone = [outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
+            alone = [outcome(lambda: [loc._values(*c) for c in loc._chart_product(
                 surface, [one], 4, q, loc._euler_term, loc._shapes(4))]) for one in lifts]
-            twisted = [outcome(chart_values, loc._euler_values, surface,
+            twisted = [outcome(chart_values, loc._values, surface,
                                [twisted_class(line, r)], 4, q, loc._euler_term)
                        for line in lines]
             assert alone == twisted, (r, q)
-            batch = outcome(lambda: [loc._euler_values(*c) for c in loc._chart_product(
+            batch = outcome(lambda: [loc._values(*c) for c in loc._chart_product(
                 surface, lifts, 4, q, loc._euler_term, loc._shapes(4))])
             failed = [c for c in alone if isinstance(c, str)]
             assert batch == (failed[0] if failed else [c for c, in alone]), (r, q)
@@ -734,7 +734,7 @@ def test_verlinde_batch_is_each_line_alone(r, order):
                               for line in lines), (surface, r, order)
         trivial = (r - 1, ((0, 0),) * len(surface.charts))
         assert batch == loc._chart_pass(
-            ref_class_euler_term, loc._euler_values, surface,
+            ref_class_euler_term, surface,
             [line.signed_lifts() + [trivial] for line in lines], order, None,
             ["chi of %r at twist %d" % (line, r) for line in lines]), (surface, r, order)
 
@@ -745,11 +745,11 @@ def test_euler_batch_of_two_twists_raises():
     p2 = loc.get_surface("p2")
     line = loc.parse_class(p2, "O(1)")
     with pytest.raises(ValueError, match="share their weight sum r"):
-        chart_values(loc._euler_values, p2, [twisted_class(line, 2), twisted_class(line, 3)],
+        chart_values(loc._values, p2, [twisted_class(line, 2), twisted_class(line, 3)],
                      2, (2, 5), loc._euler_term)
-    alone = chart_values(loc._euler_values, p2, [twisted_class(line, 2)], 2, (2, 5),
+    alone = chart_values(loc._values, p2, [twisted_class(line, 2)], 2, (2, 5),
                          loc._euler_term)
-    assert chart_values(loc._euler_values, p2, [twisted_class(line, 2)] * 2, 2, (2, 5),
+    assert chart_values(loc._values, p2, [twisted_class(line, 2)] * 2, 2, (2, 5),
                         loc._euler_term) == alone * 2 == [(1, 3, 0)] * 2
 
 
@@ -868,7 +868,7 @@ class TestChecksStillFire:
             ref_euler_sum([([1, 1], [])], 2)
         # x^1 u^0 is a pole of the chart product
         with pytest.raises(ArithmeticError, match="pole coefficient at order -2"):
-            loc._euler_values([[1, 0, 0], [1, 0, 0]], 1)
+            loc._values([[1, 0, 0], [1, 0, 0]], 1)
 
     def test_non_integer_result_raises(self):
         # the e^-1 poles 1/2 and -1/2 cancel; the constant term is 1/2
@@ -878,13 +878,52 @@ class TestChecksStillFire:
         with pytest.raises(ArithmeticError, match="not an integer"):
             ref_euler_sum(single(data), 1)
         with pytest.raises(ArithmeticError, match="not an integer"):
-            loc._euler_values([[1, 5, 5], [0, 0, 3]], 2)
+            loc._values([[1, 5, 5], [0, 0, 3]], 2)
 
     def test_integer_result_passes(self):
         # same points with equal a: the constant term is 1
         data = [([2], [[(1, 1)]]), ([-2], [[(1, 1)]])]
         assert point_euler_sum(data, 1, 1) == [1] == [ref_euler_sum(single(data), 1)]
-        assert loc._euler_values([[18, 7, 7], [0, 0, 36]], 18) == (1, 2)
+        assert loc._values([[18, 7, 7], [0, 0, 36]], 18) == (1, 2)
+
+    @pytest.mark.parametrize("broken, match", [
+        ("pole", "pole coefficient at order -2"), ("halved", "not an integer")])
+    def test_every_kind_is_read_with_both_checks(self, broken, match, monkeypatch):
+        # Segre and Chern values are read like Euler characteristics: at both
+        # directions, a chart product with x^1 u^0 = 1 (a pole) or with every
+        # value halved (1/2 at n = 0) raises instead of returning the values
+        p2 = loc.get_surface("p2")
+        kclass, line = loc.parse_class(p2, "O(2)+O(-1)-O(1)"), loc.parse_class(p2, "O(1)")
+        original = loc._chart_product
+
+        def wrapped(*args):
+            out = []
+            for rows, den in original(*args):
+                if broken == "pole":
+                    rows = [list(row) for row in rows]
+                    rows[1][0] += den
+                    out.append((rows, den))
+                else:
+                    out.append((rows, 2 * den))
+            return out
+
+        monkeypatch.setattr(loc, "_chart_product", wrapped)
+        for call in (lambda: loc.segre_series(p2, [kclass, line], 3),
+                     lambda: loc.chern_integral(p2, kclass, 3),
+                     lambda: loc.verlinde_series(p2, [line], 2, 3)):
+            with pytest.raises(ArithmeticError, match=match):
+                call()
+
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_every_value_is_an_int(self, name):
+        surface = loc.get_surface(name)
+        classes = [loc.parse_class(surface, spec) for spec in CLASSES[name]]
+        lines = shifted_lines(surface)
+        values = [v for series in loc.segre_series(surface, classes, 3) for v in series]
+        values += [loc.chern_integral(surface, c, n) for c in classes for n in range(4)]
+        values += [v for r in (-2, 0, 3) for series in loc.verlinde_series(surface, lines, r, 3)
+                   for v in series]
+        assert [type(v) for v in values] == [int] * len(values)
 
     def test_checks_run_per_class(self):
         # the second class of each batch fails its check, the first passes

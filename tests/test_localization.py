@@ -6,12 +6,13 @@ another output of the same code path.
 """
 
 import random
+import re
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
-from hilbseries import catalog
+from hilbseries import catalog, extraction
 from hilbseries import localization as loc
 from shifted_class import shifted
 
@@ -236,3 +237,55 @@ class TestInvariances:
         for n in (1, 2):
             assert loc.chern_integral(hirzebruch, cls, n) == \
                 loc.segre_integral(hirzebruch, neg, n)
+
+
+# Every oracle entry point at n, on a line bundle of its surface.
+ENTRY_POINTS = {
+    "segre_series": lambda surface, line, n: loc.segre_series(surface, [line], n),
+    "segre_integral": lambda surface, line, n: loc.segre_integral(surface, line, n),
+    "chern_integral": lambda surface, line, n: loc.chern_integral(surface, line, n),
+    "verlinde_series": lambda surface, line, n: loc.verlinde_series(surface, [line], 2, n),
+    "verlinde_chi": lambda surface, line, n: loc.verlinde_chi(surface, line, 2, n),
+    "require_draws": lambda surface, line, n: loc.require_draws(surface, n, "a test"),
+    "extract_universal": lambda surface, line, n: extraction.extract_universal(1, n),
+    "extract_verlinde": lambda surface, line, n: extraction.extract_verlinde(1, n),
+}
+
+
+class TestEntryPointInputs:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_negative_n_is_refused_before_any_chart_work(self, entry, monkeypatch):
+        p2 = loc.get_surface("p2")
+        line = loc.parse_class(p2, "O(1)")
+        for name in loc.surface_names():  # each validates itself by a chart pass once
+            loc.get_surface(name)
+
+        def refuse(*args):
+            raise AssertionError("chart work for a negative n")
+
+        monkeypatch.setattr(loc, "_shapes", refuse)
+        monkeypatch.setattr(loc, "_chart_product", refuse)
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            ENTRY_POINTS[entry](p2, line, -1)
+
+    @pytest.mark.parametrize("spec", ["O(2,1)-O(0,1)", "O(1,0)", "O(0,1)"])
+    def test_a_class_of_another_surface_is_refused_before_the_draw(self, spec, monkeypatch):
+        # a class parsed on p1xp1 is not a class on f1, though both take
+        # two-parameter classes; a batch is refused if any class is foreign
+        quadric, hirzebruch = loc.get_surface("p1xp1"), loc.get_surface("f1")
+        foreign, own = loc.parse_class(quadric, spec), loc.parse_class(hirzebruch, spec)
+
+        def refuse(*args):
+            raise AssertionError("a draw for a class of another surface")
+
+        monkeypatch.setattr(loc, "_two_draws", refuse)
+        calls = [lambda: loc.segre_series(hirzebruch, [own, foreign], 3),
+                 lambda: loc.segre_integral(hirzebruch, foreign, 3),
+                 lambda: loc.chern_integral(hirzebruch, foreign, 3)]
+        if len(foreign.terms) == 1:
+            calls += [lambda: loc.verlinde_series(hirzebruch, [own, foreign], 2, 2),
+                      lambda: loc.verlinde_chi(hirzebruch, foreign, 2, 2)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(
+                    "EqKClass(p1xp1, %s) is a class on p1xp1, not on f1" % spec)):
+                call()
