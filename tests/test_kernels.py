@@ -484,7 +484,7 @@ def test_hrr_term_is_the_binomial_term(name):
                     for term in (loc._euler_term, weight_lists(ref_euler_term)))
         assert hrr == ref, (q, order, len(classes))
     assert loc._values(*loc._chart_product(surface, [[]], 1, (2, 5), loc._euler_term,
-                                                 loc._shapes(1))[0]) == (1, surface.chi_O)
+                                           loc._shapes(1))[0]) == (1, surface.chi_O)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
