@@ -232,14 +232,14 @@ def _cmd_oracle(args, parser):
             parser.error("--r is required for kind verlinde")
         config["r"] = args.r
         try:
-            value = verlinde_chi(surface, kclass, args.r, args.n, args.seed)
+            value = verlinde_chi(kclass, args.r, args.n, args.seed)
         except ValueError as exc:  # not a single line bundle
             parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
     else:
         if args.r is not None:
             parser.error("--r only applies to kind verlinde")
         integral = segre_integral if args.kind == "segre" else chern_integral
-        value = integral(surface, kclass, args.n, args.seed)
+        value = integral(kclass, args.n, args.seed)
     result = extraction.frac_str(value)
     numerics = {"rank": kclass.rank, "c2": kclass.c2, "c1sq": kclass.c1sq,
                 "c1K": kclass.c1K, "Ksq": surface.ksq, "chiO": surface.chi_O}
@@ -261,7 +261,7 @@ def _cmd_extract(args, parser):
                "verlinde": extraction.predict_verlinde}[args.kind]
     report = predict(args.rank, order, panel, args.seed)
     payload = {
-        "panel": [{"surface": surface.name, "class": cls.spec()} for surface, cls in panel],
+        "panel": [{"surface": cls.surface.name, "class": cls.spec()} for cls in panel],
         "exponent_columns": list(panel.columns),
         "exponent_matrix": [[str(x) for x in row] for row in panel.exponent_matrix],
         "series": report["series"],

@@ -5,10 +5,11 @@ universal series raised to geometric exponents (c2, c1^2, chi(O), c1.K,
 K^2 on the Segre/Chern side; chi(L), chi(O), c1.K - K^2/2, K^2 on the
 Euler-characteristic side).  Taking logarithms turns each coefficient
 order into an exact linear system over the exponent vectors of a panel
-of (surface, class) pairs.  Because the factorization is exact, every
-redundant panel row must be exactly consistent; any disagreement is
-raised as an error rather than averaged away.  Each system is solved
-fraction-free, in integers, reducing rows in the caller's order.
+of classes, each on its own surface.  Because the factorization is
+exact, every redundant panel row must be exactly consistent; any
+disagreement is raised as an error rather than averaged away.  Each
+system is solved fraction-free, in integers, reducing rows in the
+caller's order.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 from . import catalog
-from .series import Series
+from .series import Series, as_fraction
 from .localization import (
     EqKClass,
     get_surface,
-    require_draws,
     segre_integral,  # noqa: F401  not called here; perfbench's tracer test reads this binding
     segre_series,
     verlinde_series,
@@ -55,16 +55,18 @@ class UniversalityError(ArithmeticError):
 
 def frac_str(num, den=1):
     """num / den, den > 0, as "p/q" in lowest terms: the package's one formatter.  An
-    int or Fraction num is read as it is, anything else through Fraction."""
-    x = num if isinstance(num, (int, F)) else F(num)
+    int or Fraction num is read as it is, anything else through as_fraction, which
+    refuses a float."""
+    x = num if isinstance(num, (int, F)) else as_fraction(num)
     p, q = x.numerator, x.denominator * den
     g = gcd(p, q)
     return "%d/%d" % (p // g, q // g)
 
 
 def _cleared(row):
-    """The row times the lcm of its entries' denominators, as integers."""
-    row = [F(x) for x in row]
+    """The row times the lcm of its entries' denominators, as integers; a float
+    entry raises TypeError (as_fraction)."""
+    row = [as_fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row]
 
@@ -144,13 +146,14 @@ def solve_exact(matrix, rhs):
     return [values[0] for values in _solve(matrix, [rhs])]
 
 
-def _segre_exponents(surface, cls, s):
+def _segre_exponents(cls, s):
     if cls.rank != s:
         raise PanelError("class %r has rank %d, panel wants %d" % (cls, cls.rank, s))
-    return [cls.c2, cls.c1sq, surface.chi_O, cls.c1K, surface.ksq]
+    return [cls.c2, cls.c1sq, cls.surface.chi_O, cls.c1K, cls.surface.ksq]
 
 
-def _verlinde_exponents(surface, cls, r):
+def _verlinde_exponents(cls, r):
+    surface = cls.surface
     chi_L = surface.chi_O + F(cls.c1sq - cls.c1K, 2)
     if chi_L.denominator != 1:
         raise PanelError("chi(L) of %r is not an integer" % cls)
@@ -158,10 +161,10 @@ def _verlinde_exponents(surface, cls, r):
 
 
 # Per kind: the report key of the panel parameter, the exponent columns,
-# exponents(surface, class, param), oracle(surface, classes, param, order,
-# seed) with the values for n = 0..order per class of one surface,
-# factors(param, order), the catalog's holder of every factor, the series
-# variable, the series label and the index of the first series.
+# exponents(class, param), oracle(classes, param, order, seed) with the
+# values for n = 0..order per class, factors(param, order), the catalog's
+# holder of every factor, the series variable, the series label and the
+# index of the first series.
 _Kind = namedtuple("_Kind", "param columns exponents oracle factors var label first")
 
 # The lambdas look the oracle and catalog up at call time, so a wrapper
@@ -169,19 +172,20 @@ _Kind = namedtuple("_Kind", "param columns exponents oracle factors var label fi
 _KINDS = {
     "segre": _Kind(
         "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
-        lambda surface, classes, s, order, seed: segre_series(surface, classes, order, seed),
+        lambda classes, s, order, seed: segre_series(classes, order, seed),
         lambda s, order: catalog._SegreLogs(s, order),
         "z", "A%d", 0),
     "verlinde": _Kind(
         "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
-        lambda surface, classes, r, order, seed: verlinde_series(surface, classes, r, order, seed),
+        lambda classes, r, order, seed: verlinde_series(classes, r, order, seed),
         lambda r, order: catalog._VerlindeLogs(r, order),
         "w", "B%d", 1),
 }
 
 
 class Panel:
-    """(surface, class) rows whose exponent vectors span every universal series.
+    """Rows of classes, on several surfaces, whose exponent vectors span every
+    universal series.
 
     ``kind`` is "segre", with columns (c2, c1^2, chi(O), c1.K, K^2) for
     classes of rank ``param``, or "verlinde", with columns (chi(L),
@@ -196,8 +200,7 @@ class Panel:
         self.param = param
         self.rows = list(rows)
         self.columns = spec.columns
-        self.exponent_matrix = [spec.exponents(surface, cls, param)
-                                for surface, cls in self.rows]
+        self.exponent_matrix = [spec.exponents(cls, param) for cls in self.rows]
         rank = matrix_rank(self.exponent_matrix)
         if rank < len(self.columns):
             raise PanelError("exponent matrix has rank %d < %d; add geometries or classes"
@@ -233,9 +236,9 @@ def _probe_classes(surface, s):
 def build_panel(s):
     """Assemble a six-row, rank-5 Segre panel of small classes over all three surfaces.
 
-    Rows are taken round-robin from per-surface probe streams; a probe
-    is kept while it raises the exponent-matrix rank, then one extra row
-    is kept as redundancy for the universality check.
+    Rows are classes, taken round-robin from per-surface probe streams; a
+    probe is kept while it raises the exponent-matrix rank, then one extra
+    row is kept as redundancy for the universality check.
     """
     streams = [_probe_classes(get_surface(name), s) for name in ("p2", "p1xp1", "f1")]
     rows, basis = [], []
@@ -244,8 +247,8 @@ def build_panel(s):
             break
         if cls is None:  # an exhausted stream
             continue
-        if len(basis) == 5 or _reduce(basis, _cleared(_segre_exponents(cls.surface, cls, s)), 5):
-            rows.append((cls.surface, cls))
+        if len(basis) == 5 or _reduce(basis, _cleared(_segre_exponents(cls, s)), 5):
+            rows.append(cls)
     if len(basis) < 5:
         raise PanelError("probe streams could not reach exponent rank 5")
     return Panel("segre", s, rows)
@@ -260,37 +263,25 @@ def default_panel(kind, param):
     """The panel extraction uses when given none.
 
     Segre panels come from ``build_panel``; Verlinde panels are seven
-    line bundles, which reach rank 4 at every twist.
+    line bundles on the three surfaces, which reach rank 4 at every twist.
     """
     if kind == "segre":
         return build_panel(param)
-    rows = []
-    for name, line in _VERLINDE_LINES:
-        surface = get_surface(name)
-        rows.append((surface, EqKClass(surface, [(1, line)])))
-    return Panel(kind, param, rows)
+    return Panel(kind, param, [EqKClass(get_surface(name), [(1, line)])
+                               for name, line in _VERLINDE_LINES])
 
 
 def _extract(kind, param, order, panel, seed):
-    """Log of each row's series, one exact solve for every order at once, exp."""
+    """Log of each row's series, from one oracle call for the whole panel, one exact
+    solve for every order at once, exp."""
     if panel is None:
         panel = default_panel(kind, param)
     if (panel.kind, panel.param) != (kind, param):
         raise PanelError("panel was built for %s %d, not %s %d"
                          % (panel.kind, panel.param, kind, param))
     spec = _KINDS[kind]
-    by_surface = {}  # rows on one surface share one chart pass and its draws
-    for index, (surface, _) in enumerate(panel):
-        by_surface.setdefault(surface, []).append(index)
-    for surface in by_surface:  # a dead order fails before any oracle work
-        require_draws(surface, order, "%s at n = %d" % (surface.name, order))
-    values = [None] * len(panel.rows)
-    for surface, indices in by_surface.items():
-        classes = [panel.rows[index][1] for index in indices]
-        for index, row in zip(indices, spec.oracle(surface, classes, param, order, seed)):
-            values[index] = row
     logs = []
-    for row in values:
+    for row in spec.oracle(panel.rows, param, order, seed):
         if row[0] != 1:
             raise ArithmeticError("n=0 integral should be 1, got %s" % row[0])
         logs.append(Series(row, order, spec.var).log())

@@ -22,25 +22,27 @@ point is ever built.  g is a series in u over the tangent weights, read
 at u^2n: the Segre class prod (1+ku)^(-sign) (Chern is Segre of the
 negated class), or by Hirzebruch-Riemann-Roch ch(det) td = e^(au) prod
 td(ku) (Verlinde: det of L + (r-1) O, L and one trivial term of weight
-r-1).  A class enters as its terms' weights and per-chart lifts
-(EqKClass.signed_lifts).  One chart pass serves every n <= N and a batch
-of classes on one surface (segre_series, verlinde_series).  Each partition
-comes after its parent, itself without the last box of its last row, and
-its Segre term is the parent's times that box's factors.  The Euler
-exponent is a = |lambda| m + r B, B the sum of the boxes, so a Verlinde
-batch, whose classes share r, runs one exp per partition: a class whose
+r-1).  A class enters as its surface, its terms' weights and per-chart
+lifts (EqKClass.signed_lifts).  One chart pass serves every n <= N and a
+batch of classes on any of the surfaces, one chart product per surface
+(segre_series, verlinde_series).  Each partition comes after its parent,
+itself without the last box of its last row, and its Segre term is the
+parent's times that box's factors.  The Euler exponent is a = |lambda| m
++ r B, B the sum of the boxes, so a Verlinde batch on one surface, whose
+classes share r, runs one exp per partition: a class whose
 lift at a chart is delta more than the first's has the first's chart sum
 at x -> x e^(delta u).  The chart sums are multiplied with each u-row
 packed into one integer.
 
 One rule draws the directions (_two_draws): the first two directions of
 a seeded stream over the draw box whose hook lengths keep every tangent
-weight of every fixed point of S^[n] nonzero, screened before any chart
-is specialized; a box with fewer than two such directions raises
-DrawError.  Values are computed at both directions and must agree, and
-one integer read serves every kind (_values): each coefficient below u^2n
-is a pole that must cancel, and the integral must be an integer.  Any
-violation raises, loudly, instead of returning data.
+weight of every fixed point of S^[n] nonzero, screened for every surface
+of a batch before any chart is specialized; a box with fewer than two
+such directions raises DrawError.  Values are computed at both
+directions and must agree, and one integer read serves every kind
+(_values): each coefficient below u^2n is a pole that must cancel, and
+the integral must be an integer.  Any violation raises, loudly, instead
+of returning data.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ __all__ = [
     "get_surface",
     "parse_class",
     "partitions",
-    "require_draws",
     "segre_integral",
     "segre_series",
     "surface_names",
@@ -180,9 +181,8 @@ class ToricSurface:
             chi = _values(*_chart_product(self, [[]], 1, q, _euler_term, shapes)[0])[1]
             return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
 
-        what = "%s intersections" % self.name
-        draws = _two_draws(self, 1, DEFAULT_SEED, what)
-        found = _agreed(draws, what, *map(localized, draws))
+        draws = _two_draws(self, 1, DEFAULT_SEED)
+        found = _agreed(draws, "%s intersections" % self.name, *map(localized, draws))
         if found != (self.pairing, self.k_dot, self.ksq, self.chi_O):
             raise ArithmeticError("%s: localized pairing, K pairings, K^2, chi(O) %s "
                                   "disagree with the tables" % (self.name, found))
@@ -206,24 +206,22 @@ def _in_box(q):
 _DIRECTIONS = tuple(q for q in itertools.product(range(-9, 10), repeat=2) if _in_box(q))
 
 
-def _two_draws(surface, n, seed, what):
+def _two_draws(surface, n, seed):
     """The oracle's one draw rule: the first two directions that are generic for S^[n].
 
     Directions come from ``random.Random(seed)`` and are screened once
-    each, by hook length (_hook_generic); DrawError, naming ``what``, ends
-    the search once every direction in the box has been tried.  Callers
-    evaluate at both directions and compare the values with _agreed.  A
-    negative n raises ValueError before any draw.
+    each, by hook length (_hook_generic); DrawError, naming the surface
+    and n, ends the search once every direction in the box has been
+    tried.  Callers evaluate at both directions and compare the values
+    with _agreed.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     seen = set()
     draws = []
     while len(draws) < 2:
         if len(seen) == len(_DIRECTIONS):
             raise DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
-                            "generic for %s" % (len(_DIRECTIONS), what))
+                            "generic for %s at n = %d" % (len(_DIRECTIONS), surface.name, n))
         q = (rng.randint(-9, 9), rng.randint(-9, 9))
         if q in seen or not _in_box(q):
             continue
@@ -329,10 +327,11 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*O\(([^()]*)\)")
 
 
 def parse_class(surface, text):
-    """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"; later terms need a sign."""
+    """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"; later terms need a
+    sign.  Whitespace around terms and signs is ignored."""
     terms = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         match = _TERM_RE.match(text, pos)
         if match is None or terms and not match.group(1):
             raise ValueError("cannot parse class spec %r at %r" % (text, text[pos:]))
@@ -409,11 +408,6 @@ def _hook_generic(surface, n, q):
                 if (arm + 1) * x == leg * y or arm * x == (leg + 1) * y:
                     return False
     return True
-
-
-def require_draws(surface, n, what):
-    """Raise DrawError, naming ``what``, unless two directions are generic for S^[n]."""
-    _two_draws(surface, n, None, what)
 
 
 def _segre_term(ks, boxes, lifts, degree, parent):
@@ -590,60 +584,59 @@ def _values(rows, den):
     return tuple(row[2 * n] // den for n, row in enumerate(rows))
 
 
-def _chart_pass(term, surface, classes, order, seed, whats):
-    """Per class, given as signed_lifts gives it, its integrals (_values) for
-    n = 0..order, agreed at two directions.  ``whats`` names each class in errors.
-    """
-    draws = _two_draws(surface, order, seed, ", ".join(whats))
-    if not classes:  # the draw alone, which raises DrawError at a dead order
+def _chart_pass(term, batch, order, seed, whats):
+    """Per class of ``batch``, given as (surface, signed lifts) pairs, its integrals
+    (_values) for n = 0..order, agreed at two directions, in input order.  Every
+    surface is drawn for before any chart work, so a dead order raises DrawError
+    at once; then one shape table serves one chart product per surface and
+    direction.  ``whats`` names each class in errors."""
+    if order < 0:
+        raise ValueError("n must be nonnegative")
+    if not batch:  # names no surface, so nothing is drawn
         return ()
-    shapes = _shapes(order)
-    first, second = ([_values(*c) for c in _chart_product(surface, classes, order, q, term, shapes)]
-                     for q in draws)
-    return tuple(_agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
+    by_surface = {}
+    for index, (surface, _) in enumerate(batch):
+        by_surface.setdefault(surface, []).append(index)
+    draws = {surface: _two_draws(surface, order, seed) for surface in by_surface}
+    values, shapes = [None] * len(batch), _shapes(order)
+    for surface, indices in by_surface.items():
+        classes = [batch[index][1] for index in indices]
+        first, second = ([_values(*c) for c in _chart_product(surface, classes, order, q, term,
+                                                             shapes)] for q in draws[surface])
+        for index, a, b in zip(indices, first, second):
+            values[index] = _agreed(draws[surface], whats[index], a, b)
+    return tuple(values)
 
 
-def _on_surface(surface, classes):
-    """The classes as a list, each one parsed on ``surface``, else ValueError."""
-    classes = list(classes)
-    for kclass in classes:
-        if kclass.surface is not surface:
-            raise ValueError("%r is a class on %s, not on %s"
-                             % (kclass, kclass.surface.name, surface.name))
-    return classes
-
-
-def segre_series(surface, classes, order, seed=None):
-    """Per class, the int degree-2n Segre integral over S^[n] for n = 0..order, in one pass."""
-    classes = _on_surface(surface, classes)
-    return _chart_pass(_segre_term, surface, [c.signed_lifts() for c in classes],
+def segre_series(classes, order, seed=None):
+    """Per class, the int degree-2n Segre integral over S^[n] for n = 0..order, in one
+    pass whatever the classes' surfaces."""
+    return _chart_pass(_segre_term, [(c.surface, c.signed_lifts()) for c in classes],
                        order, seed, [repr(c) for c in classes])
 
 
-def segre_integral(surface, kclass, n, seed=None):
+def segre_integral(kclass, n, seed=None):
     """The int integral of the degree-2n Segre class of the tautological class."""
-    return segre_series(surface, [kclass], n, seed)[0][n]
+    return segre_series([kclass], n, seed)[0][n]
 
 
-def chern_integral(surface, kclass, n, seed=None):
+def chern_integral(kclass, n, seed=None):
     """The int integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
-    negated = [(-w, lift) for w, lift in _on_surface(surface, [kclass])[0].signed_lifts()]
-    return _chart_pass(_segre_term, surface, [negated], n, seed, [repr(kclass)])[0][n]
+    negated = [(-w, lift) for w, lift in kclass.signed_lifts()]
+    return _chart_pass(_segre_term, [(kclass.surface, negated)], n, seed, [repr(kclass)])[0][n]
 
 
-def verlinde_series(surface, classes, r, order, seed=None):
-    """Per line bundle L on ``surface``, chi of det(L^[n]) (x) det(O^[n])^(r-1),
-    the determinant of the tautological class of L + (r-1) O, for n = 0..order."""
-    classes = _on_surface(surface, classes)
+def verlinde_series(classes, r, order, seed=None):
+    """Per line bundle L, chi of det(L^[n]) (x) det(O^[n])^(r-1), the determinant of
+    the tautological class of L + (r-1) O, for n = 0..order."""
     for kclass in classes:
         if kclass.rank != 1 or len(kclass.terms) != 1:
             raise ValueError("verlinde_series expects a single line bundle, got %r" % kclass)
-    trivial = (r - 1, ((0, 0),) * len(surface.charts))
-    return _chart_pass(_euler_term, surface,
-                       [c.signed_lifts() + [trivial] for c in classes], order, seed,
-                       ["chi of %r at twist %d" % (c, r) for c in classes])
+    return _chart_pass(_euler_term, [
+        (c.surface, c.signed_lifts() + [(r - 1, ((0, 0),) * len(c.surface.charts))])
+        for c in classes], order, seed, ["chi of %r at twist %d" % (c, r) for c in classes])
 
 
-def verlinde_chi(surface, kclass, r, n, seed=None):
+def verlinde_chi(kclass, r, n, seed=None):
     """chi of det(L^[n]) (x) det(O^[n])^(r-1) for one line bundle L; see verlinde_series."""
-    return verlinde_series(surface, [kclass], r, n, seed)[0][n]
+    return verlinde_series([kclass], r, n, seed)[0][n]

@@ -84,12 +84,12 @@ def test_criterion_07_oracle_convention_anchors():
     for name, spec in [("p2", "O(2)"), ("p1xp1", "O(1,2)"), ("f1", "O(2,1)")]:
         surface = loc.get_surface(name)
         cls = loc.parse_class(surface, spec)
-        assert loc.segre_integral(surface, cls, 1) == cls.c1sq
-        assert loc.chern_integral(surface, cls, 1) == 0
+        assert loc.segre_integral(cls, 1) == cls.c1sq
+        assert loc.chern_integral(cls, 1) == 0
     p2 = loc.get_surface("p2")
     split = loc.parse_class(p2, "O(2)+O(3)")
     for n in range(5):
-        assert loc.chern_integral(p2, split, n) == comb(6, n)
+        assert loc.chern_integral(split, n) == comb(6, n)
     rng = random.Random(2026)
     surfaces = [loc.get_surface(k) for k in loc.surface_names()]
     for case in range(20):
@@ -101,8 +101,8 @@ def test_criterion_07_oracle_convention_anchors():
         moved = shifted(cls, rng.randrange(2), (rng.randint(-3, 3), rng.randint(-3, 3)))
         n = 1 + case % 2
         # each call already asserts two-specialization agreement internally
-        assert loc.segre_integral(surface, cls, n, seed=case) == \
-            loc.segre_integral(surface, moved, n, seed=1000 + case)
+        assert loc.segre_integral(cls, n, seed=case) == \
+            loc.segre_integral(moved, n, seed=1000 + case)
     _stamp(7, started, 30, "n=1 reductions, rank-2 Chern binomial n<=4, "
                            "20 random double-spec/lift-shift cases")
 

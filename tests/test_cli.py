@@ -167,6 +167,12 @@ class TestOracle:
         assert out.strip().splitlines()[-1] == "4/1"
         assert "seed=20260815" in out
 
+    def test_trailing_space_in_class_is_read(self, capsys):
+        code, out = run(capsys, "oracle", "--surface", "p1xp1", "--class",
+                        "O(2,1)+O(0,1) ", "--n", "1", "--kind", "segre")
+        assert code == 0
+        assert "class=O(2,1)+O(0,1) " in out
+
     def test_verlinde_json_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, _ = run(capsys, "oracle", "--surface", "p2", "--class", "O(2)",
@@ -212,7 +218,7 @@ class TestOracle:
         code, out = run(capsys, "oracle", "--surface", "p2", "--class=-O(1)+O(3)",
                         "--n", "2", "--kind", "segre")
         p2 = loc.get_surface("p2")
-        value = loc.segre_integral(p2, loc.parse_class(p2, "-O(1)+O(3)"), 2)
+        value = loc.segre_integral(loc.parse_class(p2, "-O(1)+O(3)"), 2)
         assert code == 0
         assert out.splitlines()[-1] == "%d/%d" % (value.numerator, value.denominator)
         assert "class=-O(1)+O(3)" in out
@@ -234,16 +240,20 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "hilbseries: error: fewer than two of the 288 directions in [-9, 9]^2 "
-            "are generic for EqKClass(p1xp1, O(1,0))"]
+            "are generic for p1xp1 at n = 17"]
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_extract_beyond_the_draw_box_exits_two_before_any_oracle_work(
             self, capsys, monkeypatch, kind):
-        # p2 is live at n = 17, p1xp1 and f1 are not
+        # p2 is live at n = 17, p1xp1 and f1 are not; the oracle draws for
+        # every surface of the panel before it specializes any chart
         def refuse(*args):
             raise AssertionError("oracle work for an order beyond the draw box")
 
-        monkeypatch.setattr(loc, "_chart_pass", refuse)
+        for name in loc.surface_names():  # each validates itself by a chart pass once
+            loc.get_surface(name)
+        monkeypatch.setattr(loc, "_shapes", refuse)
+        monkeypatch.setattr(loc, "_chart_product", refuse)
         started = time.perf_counter()
         with pytest.raises(SystemExit) as info:
             cli.main(["extract", "--kind", kind, "--rank", "1", "--order", "17"])

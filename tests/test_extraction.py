@@ -281,12 +281,12 @@ class TestPanels:
             panel = ext.build_panel(s)
             assert len(panel) >= 5
             assert ext.matrix_rank(panel.exponent_matrix) == 5
-            assert all(cls.rank == s for _, cls in panel)
+            assert all(cls.rank == s for cls in panel)
 
     def test_single_surface_panel_rejected(self):
         # chi(O) and K^2 columns are proportional on one surface
         p2 = loc.get_surface("p2")
-        rows = [(p2, loc.parse_class(p2, spec)) for spec in
+        rows = [loc.parse_class(p2, spec) for spec in
                 ("O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")]
         with pytest.raises(ext.PanelError):
             ext.Panel("segre", 1, rows)
@@ -294,12 +294,12 @@ class TestPanels:
     def test_panel_rejects_wrong_rank(self):
         p2 = loc.get_surface("p2")
         with pytest.raises(ext.PanelError):
-            ext.Panel("segre", 2, [(p2, loc.parse_class(p2, "O(1)"))])
+            ext.Panel("segre", 2, [loc.parse_class(p2, "O(1)")])
 
     def test_build_panel_rows_pinned(self):
         for s, expected in PANEL_ROWS.items():
             panel = ext.build_panel(s)
-            assert ["%s %s" % (surface.name, cls.spec()) for surface, cls in panel] == expected
+            assert ["%s %s" % (cls.surface.name, cls.spec()) for cls in panel] == expected
 
     def test_build_panel_reduces_each_probe_once(self, monkeypatch):
         # probes are reduced into a running basis; only Panel checks the rank
@@ -397,21 +397,46 @@ class TestExtractVerlinde:
             assert (series[index - 1] - 1).is_zero()
 
     def test_one_chart_pass_per_surface(self, monkeypatch):
-        # the seven default rows lie on three surfaces: one pass for n = 0..3 on each
-        original = loc._chart_pass
-        calls = []
+        # the seven default rows lie on three surfaces: one pass for n = 0..3
+        # over all of them, with one chart product per surface and direction
+        for name in loc.surface_names():  # each validates itself by a chart pass once
+            loc.get_surface(name)
+        original_pass, original_product = loc._chart_pass, loc._chart_product
+        passes, products = [], []
 
-        def counted(term, surface, kclasses, order, seed, whats):
-            calls.append((surface.name, order, len(kclasses)))
-            return original(term, surface, kclasses, order, seed, whats)
+        def counted_pass(term, batch, order, seed, whats):
+            passes.append((order, [surface.name for surface, _ in batch]))
+            return original_pass(term, batch, order, seed, whats)
 
-        monkeypatch.setattr(loc, "_chart_pass", counted)
+        def counted_product(surface, classes, order, q, term, shapes):
+            products.append((surface.name, order, len(classes)))
+            return original_product(surface, classes, order, q, term, shapes)
+
+        monkeypatch.setattr(loc, "_chart_pass", counted_pass)
+        monkeypatch.setattr(loc, "_chart_product", counted_product)
         ext.extract_verlinde(0, 3)
-        assert sorted(calls) == [("f1", 3, 1), ("p1xp1", 3, 3), ("p2", 3, 3)]
+        assert passes == [(3, [cls.surface.name for cls in ext.default_panel("verlinde", 0)])]
+        assert sorted(products) == sorted([("f1", 3, 1), ("p1xp1", 3, 3), ("p2", 3, 3)] * 2)
+
+    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
+    def test_a_warm_extraction_draws_once_per_surface(self, kind, monkeypatch):
+        # one oracle call for the panel: one draw per surface and one shape table
+        extract = {"segre": ext.extract_universal, "verlinde": ext.extract_verlinde}[kind]
+        extract(2, 3)
+        original_draws, original_shapes = loc._two_draws, loc._shapes
+        draws, shapes = [], []
+        monkeypatch.setattr(loc, "_two_draws", lambda surface, n, seed: draws.append(
+            (surface.name, n)) or original_draws(surface, n, seed))
+        monkeypatch.setattr(loc, "_shapes", lambda order: shapes.append(order) or
+                            original_shapes(order))
+        extract(2, 3)
+        names = {cls.surface.name for cls in ext.default_panel(kind, 2)}
+        assert sorted(draws) == [(name, 3) for name in sorted(names)]
+        assert shapes == [3]
 
     def test_rank4_row_requirement(self):
         p2 = loc.get_surface("p2")
-        rows = [(p2, loc.EqKClass(p2, [(1, (d,))])) for d in (0, 1, 2, 3)]
+        rows = [loc.EqKClass(p2, [(1, (d,))]) for d in (0, 1, 2, 3)]
         with pytest.raises(ext.PanelError):
             ext.Panel("verlinde", 0, rows)
 
@@ -448,3 +473,16 @@ class TestPredictions:
         # a Fraction is read as it is; anything else goes through Fraction
         assert ext.frac_str(-4) == "-4/1"
         assert ext.frac_str("-6/4") == "-3/2"
+
+    def test_floats_are_refused(self):
+        # the solver, the rank and the formatter coerce through as_fraction,
+        # as Series does, so a float raises instead of entering as its binary
+        # expansion
+        for call in (lambda: ext.solve_exact([[0.1, 1], [1, 0]], [1, 2]),
+                     lambda: ext.solve_exact([[1, 0], [0, 1]], [0.5, 2]),
+                     lambda: ext.matrix_rank([[0.5, 1]]),
+                     lambda: ext.frac_str(0.1)):
+            with pytest.raises(TypeError, match="float"):
+                call()
+        assert ext.solve_exact([[F(1, 10), 1], [1, 0]], ["1", 2]) == [F(2), F(4, 5)]
+        assert ext.matrix_rank([["1/2", 1]]) == 1

@@ -288,7 +288,7 @@ def point_records(surface, kclasses, fps, q):
 
 def point_sum(kernel, surface, kclasses, n, seed, whats):
     """Per class, kernel(records, 2n, len(kclasses)) agreed at the two drawn directions."""
-    draws = loc._two_draws(surface, n, seed, ", ".join(whats))
+    draws = loc._two_draws(surface, n, seed)
     fps = loc.enumerate_fixed_points(surface, n)
     first, second = (kernel(point_records(surface, kclasses, fps, q), 2 * n, len(kclasses))
                      for q in draws)
@@ -516,7 +516,7 @@ def test_segre_and_chern_through_draws(name):
     surface = loc.get_surface(name)
     cases = [(loc.parse_class(surface, spec), n, seed)
              for spec in CLASSES[name] for n in range(4) for seed in (None, 3, 41)]
-    new = [(loc.segre_integral(surface, c, n, seed), loc.chern_integral(surface, c, n, seed))
+    new = [(loc.segre_integral(c, n, seed), loc.chern_integral(c, n, seed))
            for c, n, seed in cases]
     kernel = ref_batch(ref_segre_top)
     old = [(point_sum(kernel, surface, [c], n, seed, [repr(c)])[0],
@@ -532,7 +532,7 @@ def test_verlinde_through_draws(name):
     cases = [(loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))]),
               r, n, seed)
              for d, r in enumerate(range(-3, 4)) for n, seed in enumerate((None, 17, 5, 17))]
-    new = [loc.verlinde_chi(surface, c, r, n, seed) for c, r, n, seed in cases]
+    new = [loc.verlinde_chi(c, r, n, seed) for c, r, n, seed in cases]
     old = [point_sum(ref_batch(ref_euler_sum), surface, [twisted_class(c, r)], n, seed,
                      [repr(c)])[0] for c, r, n, seed in cases]
     assert new == old
@@ -557,7 +557,7 @@ def test_one_chart_pass_per_call(oracle, args, monkeypatch):
 
     monkeypatch.setattr(loc, "_chart_pass", counted)
     monkeypatch.setattr(loc, "enumerate_fixed_points", refuse)
-    oracle(surface, loc.parse_class(surface, args[0]), *args[1:])
+    oracle(loc.parse_class(surface, args[0]), *args[1:])
     assert len(calls) == 1
 
 
@@ -579,8 +579,8 @@ def test_no_series_in_the_chart_pass(monkeypatch):
 
     monkeypatch.setattr(Series, "__init__", counted)
     monkeypatch.setattr(Series, "_over", classmethod(counted_over))
-    loc.verlinde_series(surface, [loc.parse_class(surface, "O(1)")], 2, 4)
-    loc.segre_series(surface, [loc.parse_class(surface, "O(2)+O(-1)-O(1)")], 4)
+    loc.verlinde_series([loc.parse_class(surface, "O(1)")], 2, 4)
+    loc.segre_series([loc.parse_class(surface, "O(2)+O(-1)-O(1)")], 4)
     assert built == []
     Series([1], 4)
     assert len(built) == 1
@@ -602,10 +602,10 @@ def test_the_oracle_builds_no_class(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(loc.EqKClass, "__init__", counted)
-    loc.segre_series(surface, [kclass, line], 3)
-    loc.chern_integral(surface, kclass, 3)
+    loc.segre_series([kclass, line], 3)
+    loc.chern_integral(kclass, 3)
     for r in (-2, 0, 1, 3):
-        loc.verlinde_series(surface, [line], r, 3)
+        loc.verlinde_series([line], r, 3)
     assert built == []
     loc.EqKClass(surface, kclass.terms)
     assert len(built) == 1
@@ -656,8 +656,8 @@ def test_batches_equal_the_references_class_by_class(name):
     classes = shifted_classes(surface)
     lines = shifted_lines(surface)
     cases = list(enumerate((None, 3, 41, 3)))
-    segre = [at_n(loc.segre_series(surface, classes, n, seed), n) for n, seed in cases]
-    chis = [at_n(loc.verlinde_series(surface, lines, r, n, seed), n) for n, seed in cases
+    segre = [at_n(loc.segre_series(classes, n, seed), n) for n, seed in cases]
+    chis = [at_n(loc.verlinde_series(lines, r, n, seed), n) for n, seed in cases
             for r in range(-3, 4)]
     segre_ref, euler_ref = ref_batch(ref_segre_top), ref_batch(ref_euler_sum)
     assert segre == [tuple(point_sum(segre_ref, surface, [c], n, seed, [repr(c)])[0]
@@ -680,13 +680,13 @@ def test_chart_pass_is_the_point_sum_segre(name):
                                       for sign, coeffs in kclass.terms], shifts_of(kclass))
                for kclass in shifted_classes(surface) for t in range(-3, 4)]
     whats = [repr(c) for c in classes]
-    chart = loc.segre_series(surface, classes, CHART_ORDER, 7)
+    chart = loc.segre_series(classes, CHART_ORDER, 7)
     point = [point_sum(point_segre_top, surface, classes, n, 7, whats)
              for n in range(CHART_ORDER + 1)]
     assert chart == tuple(zip(*point))
     # Chern through its own entry point, at the top n, on the untwisted classes
     classes = shifted_classes(surface)
-    chern = [loc.chern_integral(surface, c, CHART_ORDER, 7) for c in classes]
+    chern = [loc.chern_integral(c, CHART_ORDER, 7) for c in classes]
     assert chern == list(point_sum(point_segre_top, surface, [negated(c) for c in classes],
                                    CHART_ORDER, 7, [repr(c) for c in classes]))
 
@@ -697,7 +697,7 @@ def test_chart_pass_is_the_point_sum_verlinde(name):
     lines = shifted_lines(surface)
     twists = range(-3, 4)
     chart = [values for r in twists
-             for values in loc.verlinde_series(surface, lines, r, CHART_ORDER, 11)]
+             for values in loc.verlinde_series(lines, r, CHART_ORDER, 11)]
     # one point sum per n for every twist at once
     twisted = [twisted_class(c, r) for r in twists for c in lines]
     point = [point_sum(point_euler_sum, surface, twisted, n, 11, [repr(c) for c in twisted])
@@ -711,12 +711,12 @@ def test_batch_rows_are_the_single_n_calls(name):
     classes = shifted_classes(surface)
     lines = shifted_lines(surface)
     order = 5
-    assert loc.segre_series(surface, classes, order, 3) == \
-        tuple(zip(*(at_n(loc.segre_series(surface, classes, n, 3), n)
+    assert loc.segre_series(classes, order, 3) == \
+        tuple(zip(*(at_n(loc.segre_series(classes, n, 3), n)
                     for n in range(order + 1))))
     for r in (-2, 0, 3):
-        assert loc.verlinde_series(surface, lines, r, order, 3) == \
-            tuple(zip(*(at_n(loc.verlinde_series(surface, lines, r, n, 3), n)
+        assert loc.verlinde_series(lines, r, order, 3) == \
+            tuple(zip(*(at_n(loc.verlinde_series(lines, r, n, 3), n)
                         for n in range(order + 1)))), r
 
 
@@ -724,19 +724,16 @@ def test_batch_rows_are_the_single_n_calls(name):
 def test_verlinde_batch_is_each_line_alone(r, order):
     # one exp per partition for a batch, its further lines by row scaling,
     # against each line alone, which scales nothing, and against the chart pass
-    # with one dense exp per class: the default Verlinde panel, one batch per surface
-    by_surface = {}
-    for surface, line in extraction.default_panel("verlinde", r):
-        by_surface.setdefault(surface, []).append(line)
-    for surface, lines in by_surface.items():
-        batch = loc.verlinde_series(surface, lines, r, order)
-        assert batch == tuple(loc.verlinde_series(surface, [line], r, order)[0]
-                              for line in lines), (surface, r, order)
-        trivial = (r - 1, ((0, 0),) * len(surface.charts))
-        assert batch == loc._chart_pass(
-            ref_class_euler_term, surface,
-            [line.signed_lifts() + [trivial] for line in lines], order, None,
-            ["chi of %r at twist %d" % (line, r) for line in lines]), (surface, r, order)
+    # with one dense exp per class: the default Verlinde panel, one batch over
+    # its three surfaces
+    lines = extraction.default_panel("verlinde", r).rows
+    batch = loc.verlinde_series(lines, r, order)
+    assert batch == tuple(loc.verlinde_series([line], r, order)[0] for line in lines), (r, order)
+    assert batch == loc._chart_pass(
+        ref_class_euler_term,
+        [(line.surface, line.signed_lifts() + [(r - 1, ((0, 0),) * len(line.surface.charts))])
+         for line in lines], order, None,
+        ["chi of %r at twist %d" % (line, r) for line in lines]), (r, order)
 
 
 def test_euler_batch_of_two_twists_raises():
@@ -770,7 +767,7 @@ def test_one_todd_exp_per_partition(monkeypatch):
     for batch in (lines, lines[:1]):
         todd.clear()
         scaled.clear()
-        loc.verlinde_series(p2, batch, 2, order)
+        loc.verlinde_series(batch, 2, order)
         assert len(todd) == len(p2.charts) * partitions * 2 == 42, len(batch)
         assert sum(scaled) <= (len(batch) - 1) * order * len(p2.charts) * 2, len(batch)
     assert scaled == []
@@ -821,8 +818,8 @@ def test_one_shape_table_per_pass(order, monkeypatch):
     original = loc._hook_coefficients
     monkeypatch.setattr(loc, "_hook_coefficients", lambda lam: calls.append(lam) or original(lam))
     partitions = sum(len(loc.partitions(k)) for k in range(order + 1))
-    for run in (lambda: loc.segre_series(surface, [kclass], order),
-                lambda: loc.verlinde_series(surface, [line], 2, order)):
+    for run in (lambda: loc.segre_series([kclass], order),
+                lambda: loc.verlinde_series([line], 2, order)):
         calls.clear()
         run()
         assert len(calls) == partitions, order
@@ -908,9 +905,9 @@ class TestChecksStillFire:
             return out
 
         monkeypatch.setattr(loc, "_chart_product", wrapped)
-        for call in (lambda: loc.segre_series(p2, [kclass, line], 3),
-                     lambda: loc.chern_integral(p2, kclass, 3),
-                     lambda: loc.verlinde_series(p2, [line], 2, 3)):
+        for call in (lambda: loc.segre_series([kclass, line], 3),
+                     lambda: loc.chern_integral(kclass, 3),
+                     lambda: loc.verlinde_series([line], 2, 3)):
             with pytest.raises(ArithmeticError, match=match):
                 call()
 
@@ -919,9 +916,9 @@ class TestChecksStillFire:
         surface = loc.get_surface(name)
         classes = [loc.parse_class(surface, spec) for spec in CLASSES[name]]
         lines = shifted_lines(surface)
-        values = [v for series in loc.segre_series(surface, classes, 3) for v in series]
-        values += [loc.chern_integral(surface, c, n) for c in classes for n in range(4)]
-        values += [v for r in (-2, 0, 3) for series in loc.verlinde_series(surface, lines, r, 3)
+        values = [v for series in loc.segre_series(classes, 3) for v in series]
+        values += [loc.chern_integral(c, n) for c in classes for n in range(4)]
+        values += [v for r in (-2, 0, 3) for series in loc.verlinde_series(lines, r, 3)
                    for v in series]
         assert [type(v) for v in values] == [int] * len(values)
 
@@ -950,11 +947,11 @@ class TestChecksStillFire:
             return [[head] + [[2 * c for c in row] for row in rest]
                     for head, *rest in original(rows, moves)]
 
-        value = at_n(loc.verlinde_series(p2, [line], 2, 4), 4)
+        value = at_n(loc.verlinde_series([line], 2, 4), 4)
         monkeypatch.setattr(loc, "_scaled", broken)
-        assert at_n(loc.verlinde_series(p2, [line], 2, 4), 4) == value == (6,)
+        assert at_n(loc.verlinde_series([line], 2, 4), 4) == value == (6,)
         with pytest.raises(ArithmeticError, match="pole|not an integer"):
-            loc.verlinde_series(p2, [line, line], 2, 4)
+            loc.verlinde_series([line, line], 2, 4)
 
 
     def test_directions_are_compared_per_class(self, monkeypatch):
@@ -971,9 +968,9 @@ class TestChecksStillFire:
             return out
 
         monkeypatch.setattr(loc, "_chart_product", skewed)
-        assert at_n(loc.segre_series(p2, [first], 2), 2) == (loc.segre_integral(p2, first, 2),)
+        assert at_n(loc.segre_series([first], 2), 2) == (loc.segre_integral(first, 2),)
         with pytest.raises(ArithmeticError, match="disagree on " + re.escape(repr(second))):
-            loc.segre_series(p2, [first, second], 2)
+            loc.segre_series([first, second], 2)
 
 
 class TestHookScan:
@@ -992,9 +989,9 @@ class TestHookScan:
         monkeypatch.setattr(loc, "_chart_product", refuse)
         monkeypatch.setattr(loc, "enumerate_fixed_points", refuse)
         line = loc.EqKClass(surface, [(1, (1,) + (0,) * (len(surface.generators) - 1))])
-        oracles = [lambda n: loc.segre_integral(surface, line, n),
-                   lambda n: loc.chern_integral(surface, line, n),
-                   lambda n: loc.verlinde_chi(surface, line, 2, n)]
+        oracles = [lambda n: loc.segre_integral(line, n),
+                   lambda n: loc.chern_integral(line, n),
+                   lambda n: loc.verlinde_chi(line, 2, n)]
         started = time.perf_counter()
         for n in range(max(17, dead_from), 31):
             with pytest.raises(loc.DrawError) as info:
@@ -1056,7 +1053,7 @@ class TestDrawHelper:
 
     @pytest.mark.parametrize("name, n, seed, draws", PINNED)
     def test_draw_stream_is_pinned(self, name, n, seed, draws):
-        assert loc._two_draws(loc.get_surface(name), n, seed, "a test") == draws
+        assert loc._two_draws(loc.get_surface(name), n, seed) == draws
 
     def test_every_direction_rejected_raises_quickly(self, monkeypatch):
         tried = []
@@ -1069,7 +1066,7 @@ class TestDrawHelper:
         monkeypatch.setattr(loc, "_hook_generic", reject)
         started = time.perf_counter()
         with pytest.raises(loc.DrawError):
-            loc._two_draws(p2, 1, 5, "a test")
+            loc._two_draws(p2, 1, 5)
         assert time.perf_counter() - started < 2
         assert len(tried) == len(set(tried)) == 288
 
@@ -1077,13 +1074,13 @@ class TestDrawHelper:
         p2 = loc.get_surface("p2")
         monkeypatch.setattr(loc, "_hook_generic", lambda surface, n, q: q == (2, 5))
         with pytest.raises(loc.DrawError):
-            loc._two_draws(p2, 1, None, "a test")
+            loc._two_draws(p2, 1, None)
 
     def test_rejected_directions_keep_the_stream(self, monkeypatch):
         # rejecting a direction never shifts which later ones are drawn
         p2 = loc.get_surface("p2")
         monkeypatch.setattr(loc, "_hook_generic", lambda surface, n, q: True)
-        first = loc._two_draws(p2, 1, 9, "a test")
+        first = loc._two_draws(p2, 1, 9)
         tried = []
 
         def reject_first(surface, n, q):
@@ -1091,12 +1088,12 @@ class TestDrawHelper:
             return q != first[0]
 
         monkeypatch.setattr(loc, "_hook_generic", reject_first)
-        draws = loc._two_draws(p2, 1, 9, "a test")
+        draws = loc._two_draws(p2, 1, 9)
         assert tried[:2] == first
         assert draws == tried[1:3]
 
     def test_disagreement_is_not_a_draw_error(self):
-        draws = loc._two_draws(loc.get_surface("p2"), 1, 1, "a test")
+        draws = loc._two_draws(loc.get_surface("p2"), 1, 1)
         with pytest.raises(ArithmeticError, match="disagree") as info:
             loc._agreed(draws, "a test", *draws)
         assert not isinstance(info.value, loc.DrawError)

@@ -6,7 +6,6 @@ another output of the same code path.
 """
 
 import random
-import re
 from fractions import Fraction as F
 from math import comb
 
@@ -99,6 +98,13 @@ class TestClassNumerics:
             loc.parse_class(loc.get_surface("p2"), spec)
         assert str(info.value).startswith("cannot parse class spec %r at " % spec)
 
+    @pytest.mark.parametrize("spec", ["O(1) ", "O(1)+O(2)\t", " O(1) - O( 2 ) \n"])
+    def test_trailing_whitespace_is_ignored(self, spec):
+        # whitespace is ignored before a term and around its sign, and after the last
+        p2 = loc.get_surface("p2")
+        assert loc.parse_class(p2, spec).spec() == loc.parse_class(p2, spec.strip()).spec()
+        assert loc.parse_class(p2, "O(2) ").spec() == "O(2)"
+
     def test_every_later_term_carries_its_sign(self):
         p2 = loc.get_surface("p2")
         for spec in ("O(1)+O(2)", " O(1) + O(2)", "+O(1)-O(2)", "-O(1) -O(2)"):
@@ -111,7 +117,7 @@ class TestSurfaceLevelAnchors:
         p2 = loc.get_surface("p2")
         for d in range(-3, 4):
             cls = loc.parse_class(p2, "O(%d)" % d)
-            assert loc.verlinde_chi(p2, cls, 2, 1) == (d + 1) * (d + 2) // 2
+            assert loc.verlinde_chi(cls, 2, 1) == (d + 1) * (d + 2) // 2
 
     def test_chi_riemann_roch_on_f1(self):
         hirzebruch = loc.get_surface("f1")
@@ -119,15 +125,15 @@ class TestSurfaceLevelAnchors:
             cls = loc.parse_class(hirzebruch, "O(%d,%d)" % (a, b))
             want = 1 + F(cls.c1sq - cls.c1K, 2)
             assert want.denominator == 1
-            assert loc.verlinde_chi(hirzebruch, cls, 3, 1) == want
+            assert loc.verlinde_chi(cls, 3, 1) == want
 
     def test_n1_segre_and_chern_of_line_bundle(self):
         # S^[1] = S: int s_2(L) = c1^2, int c_2(L) = 0
         for name, spec in [("p2", "O(2)"), ("p1xp1", "O(1,2)"), ("f1", "O(2,1)")]:
             surface = loc.get_surface(name)
             cls = loc.parse_class(surface, spec)
-            assert loc.segre_integral(surface, cls, 1) == cls.c1sq
-            assert loc.chern_integral(surface, cls, 1) == 0
+            assert loc.segre_integral(cls, 1) == cls.c1sq
+            assert loc.chern_integral(cls, 1) == 0
 
 
 class TestSeriesAnchors:
@@ -136,14 +142,14 @@ class TestSeriesAnchors:
         p2 = loc.get_surface("p2")
         cls = loc.parse_class(p2, "O(2)+O(3)")
         for n in range(4):
-            assert loc.chern_integral(p2, cls, n) == comb(6, n)
+            assert loc.chern_integral(cls, n) == comb(6, n)
 
     def test_rank2_chern_binomial_off_p2(self):
         quadric = loc.get_surface("p1xp1")
         cls = loc.parse_class(quadric, "O(1,0)+O(1,1)")
         assert cls.c2 == 1
         for n in range(3):
-            assert loc.chern_integral(quadric, cls, n) == comb(1, n)
+            assert loc.chern_integral(cls, n) == comb(1, n)
 
     @pytest.mark.parametrize("name,spec", [("p2", "O(2)"), ("p1xp1", "O(1,2)")])
     def test_rank1_segre_closed_form(self, name, spec):
@@ -152,7 +158,7 @@ class TestSeriesAnchors:
         closed = catalog.segre_full(1, cls.c2, cls.c1sq, surface.chi_O,
                                     cls.c1K, surface.ksq, 3)
         for n in range(4):
-            assert loc.segre_integral(surface, cls, n) == closed.coefficient(n)
+            assert loc.segre_integral(cls, n) == closed.coefficient(n)
 
     def test_rank_minus_one_segre_closed_form(self):
         # -O(d): rank -1, both high factors trivial
@@ -162,7 +168,7 @@ class TestSeriesAnchors:
         assert (cls.rank, cls.c2, cls.c1sq, cls.c1K) == (-1, 1, 1, 3)
         closed = catalog.segre_full(-1, 1, 1, 1, 3, 9, 3)
         for n in range(4):
-            assert loc.segre_integral(p2, cls, n) == closed.coefficient(n)
+            assert loc.segre_integral(cls, n) == closed.coefficient(n)
 
     @pytest.mark.parametrize("r", [0, 1])
     def test_verlinde_small_twists(self, r):
@@ -171,7 +177,7 @@ class TestSeriesAnchors:
         cls = loc.parse_class(p2, "O(2)")
         closed = catalog.verlinde_full(r, 6, 1, 0, 0, 3)
         for n in range(4):
-            assert loc.verlinde_chi(p2, cls, r, n) == closed.coefficient(n)
+            assert loc.verlinde_chi(cls, r, n) == closed.coefficient(n)
 
     def test_verlinde_twist2_even_canonical(self):
         # K^2 even makes every exponent integral; twist-2 forms are proven
@@ -179,24 +185,28 @@ class TestSeriesAnchors:
         cls = loc.parse_class(quadric, "O(1,2)")
         closed = catalog.verlinde_full(2, 6, 1, cls.c1K, quadric.ksq, 3)
         for n in range(4):
-            assert loc.verlinde_chi(quadric, cls, 2, n) == closed.coefficient(n)
+            assert loc.verlinde_chi(cls, 2, n) == closed.coefficient(n)
 
     def test_verlinde_rejects_higher_rank_input(self):
         p2 = loc.get_surface("p2")
         with pytest.raises(ValueError):
-            loc.verlinde_chi(p2, loc.parse_class(p2, "O(1)+O(2)"), 2, 1)
+            loc.verlinde_chi(loc.parse_class(p2, "O(1)+O(2)"), 2, 1)
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
-    def test_empty_batch_is_empty_after_the_draw(self, kind):
-        # no class gives no values, at every order whose draw succeeds; the
-        # draw still runs, so an order past the draw box (17 on p1xp1) raises
+    def test_empty_batch_is_empty_after_the_draw(self, kind, monkeypatch):
+        # no class gives no values at every n >= 0: an empty batch names no
+        # surface, so nothing is drawn; one class at an order past the draw
+        # box (17 on p1xp1) raises
         quadric = loc.get_surface("p1xp1")
-        batch = {"segre": lambda n: loc.segre_series(quadric, [], n),
-                 "verlinde": lambda n: loc.verlinde_series(quadric, [], 2, n)}[kind]
-        for n in (0, 1, 4):
-            assert batch(n) == ()
-        with pytest.raises(loc.DrawError):
-            batch(17)
+        batch = {"segre": lambda classes, n: loc.segre_series(classes, n),
+                 "verlinde": lambda classes, n: loc.verlinde_series(classes, 2, n)}[kind]
+        original = loc._two_draws
+        monkeypatch.setattr(loc, "_two_draws", refuse_call)
+        for n in (0, 1, 4, 17, 25, 40):
+            assert batch([], n) == ()
+        monkeypatch.setattr(loc, "_two_draws", original)
+        with pytest.raises(loc.DrawError, match="generic for p1xp1 at n = 17$"):
+            batch([loc.parse_class(quadric, "O(1,0)")], 17)
 
 
 class TestInvariances:
@@ -210,23 +220,23 @@ class TestInvariances:
             term = rng.randrange(len(cls.terms))
             moved = shifted(cls, term, shift)
             for n in (1, 2):
-                assert loc.segre_integral(quadric, moved, n) == \
-                    loc.segre_integral(quadric, cls, n)
-                assert loc.chern_integral(quadric, moved, n) == \
-                    loc.chern_integral(quadric, cls, n)
+                assert loc.segre_integral(moved, n) == \
+                    loc.segre_integral(cls, n)
+                assert loc.chern_integral(moved, n) == \
+                    loc.chern_integral(cls, n)
 
     def test_seed_independence(self):
         p2 = loc.get_surface("p2")
         cls = loc.parse_class(p2, "O(1)+O(2)")
-        vals = {loc.segre_integral(p2, cls, 2, seed=s) for s in (None, 1, 99)}
+        vals = {loc.segre_integral(cls, 2, seed=s) for s in (None, 1, 99)}
         assert len(vals) == 1
 
     def test_ruling_swap_symmetry(self):
         # p1 x p1 has an automorphism exchanging the rulings
         quadric = loc.get_surface("p1xp1")
         for n in (1, 2):
-            a = loc.segre_integral(quadric, loc.parse_class(quadric, "O(1,2)"), n)
-            b = loc.segre_integral(quadric, loc.parse_class(quadric, "O(2,1)"), n)
+            a = loc.segre_integral(loc.parse_class(quadric, "O(1,2)"), n)
+            b = loc.segre_integral(loc.parse_class(quadric, "O(2,1)"), n)
             assert a == b
 
     def test_chern_segre_duality(self):
@@ -235,20 +245,23 @@ class TestInvariances:
         cls = loc.parse_class(hirzebruch, "O(1,1)+O(2,0)")
         neg = loc.parse_class(hirzebruch, "-O(1,1)-O(2,0)")
         for n in (1, 2):
-            assert loc.chern_integral(hirzebruch, cls, n) == \
-                loc.segre_integral(hirzebruch, neg, n)
+            assert loc.chern_integral(cls, n) == \
+                loc.segre_integral(neg, n)
 
 
-# Every oracle entry point at n, on a line bundle of its surface.
+def refuse_call(*args):
+    raise AssertionError("a call that should not happen")
+
+
+# Every oracle entry point at n, on a line bundle.
 ENTRY_POINTS = {
-    "segre_series": lambda surface, line, n: loc.segre_series(surface, [line], n),
-    "segre_integral": lambda surface, line, n: loc.segre_integral(surface, line, n),
-    "chern_integral": lambda surface, line, n: loc.chern_integral(surface, line, n),
-    "verlinde_series": lambda surface, line, n: loc.verlinde_series(surface, [line], 2, n),
-    "verlinde_chi": lambda surface, line, n: loc.verlinde_chi(surface, line, 2, n),
-    "require_draws": lambda surface, line, n: loc.require_draws(surface, n, "a test"),
-    "extract_universal": lambda surface, line, n: extraction.extract_universal(1, n),
-    "extract_verlinde": lambda surface, line, n: extraction.extract_verlinde(1, n),
+    "segre_series": lambda line, n: loc.segre_series([line], n),
+    "segre_integral": lambda line, n: loc.segre_integral(line, n),
+    "chern_integral": lambda line, n: loc.chern_integral(line, n),
+    "verlinde_series": lambda line, n: loc.verlinde_series([line], 2, n),
+    "verlinde_chi": lambda line, n: loc.verlinde_chi(line, 2, n),
+    "extract_universal": lambda line, n: extraction.extract_universal(1, n),
+    "extract_verlinde": lambda line, n: extraction.extract_verlinde(1, n),
 }
 
 
@@ -266,26 +279,61 @@ class TestEntryPointInputs:
         monkeypatch.setattr(loc, "_shapes", refuse)
         monkeypatch.setattr(loc, "_chart_product", refuse)
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
-            ENTRY_POINTS[entry](p2, line, -1)
+            ENTRY_POINTS[entry](line, -1)
 
     @pytest.mark.parametrize("spec", ["O(2,1)-O(0,1)", "O(1,0)", "O(0,1)"])
-    def test_a_class_of_another_surface_is_refused_before_the_draw(self, spec, monkeypatch):
-        # a class parsed on p1xp1 is not a class on f1, though both take
-        # two-parameter classes; a batch is refused if any class is foreign
-        quadric, hirzebruch = loc.get_surface("p1xp1"), loc.get_surface("f1")
-        foreign, own = loc.parse_class(quadric, spec), loc.parse_class(hirzebruch, spec)
+    def test_a_batch_reads_each_class_on_its_own_surface(self, spec):
+        # a class parsed on p1xp1 and one parsed on f1 from one spec are two
+        # classes; a batch of both gives each the closed form of its surface
+        hirzebruch, quadric = loc.get_surface("f1"), loc.get_surface("p1xp1")
+        classes = [loc.parse_class(hirzebruch, spec), loc.parse_class(quadric, spec)]
+        order = 3
+        segre = [catalog.segre_full(c.rank, c.c2, c.c1sq, c.surface.chi_O, c.c1K,
+                                    c.surface.ksq, order) for c in classes]
+        assert loc.segre_series(classes, order) == tuple(
+            tuple(closed.coefficient(n) for n in range(order + 1)) for closed in segre)
+        chern = [catalog.segre_full(-c.rank, c.c1sq - c.c2, c.c1sq, c.surface.chi_O, -c.c1K,
+                                    c.surface.ksq, order) for c in classes]
+        for c, closed in zip(classes, chern):
+            assert loc.chern_integral(c, order) == closed.coefficient(order)
+        if len(classes[0].terms) == 1:
+            verlinde = [catalog.verlinde_full(2, 1 + (c.c1sq - c.c1K) // 2, c.surface.chi_O,
+                                              c.c1K, c.surface.ksq, order) for c in classes]
+            assert loc.verlinde_series(classes, 2, order) == tuple(
+                tuple(closed.coefficient(n) for n in range(order + 1)) for closed in verlinde)
 
-        def refuse(*args):
-            raise AssertionError("a draw for a class of another surface")
 
-        monkeypatch.setattr(loc, "_two_draws", refuse)
-        calls = [lambda: loc.segre_series(hirzebruch, [own, foreign], 3),
-                 lambda: loc.segre_integral(hirzebruch, foreign, 3),
-                 lambda: loc.chern_integral(hirzebruch, foreign, 3)]
-        if len(foreign.terms) == 1:
-            calls += [lambda: loc.verlinde_series(hirzebruch, [own, foreign], 2, 2),
-                      lambda: loc.verlinde_chi(hirzebruch, foreign, 2, 2)]
-        for call in calls:
-            with pytest.raises(ValueError, match=re.escape(
-                    "EqKClass(p1xp1, %s) is a class on p1xp1, not on f1" % spec)):
-                call()
+# A class per surface, in an order that interleaves them.
+SPANNING = [("p1xp1", "O(2,1)-O(0,1)"), ("p2", "O(1)"), ("f1", "O(1,1)"), ("p2", "O(2)-O(1)"),
+            ("f1", "O(0,1)"), ("p1xp1", "O(1,0)"), ("p2", "O(-1)")]
+
+
+class TestBatchesSpanningSurfaces:
+    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
+    def test_a_batch_is_each_surface_alone_and_each_class_alone(self, kind):
+        classes = [loc.parse_class(loc.get_surface(name), spec) for name, spec in SPANNING]
+        if kind == "verlinde":
+            classes = [c for c in classes if len(c.terms) == 1]
+        run = {"segre": lambda batch: loc.segre_series(batch, 4, 5),
+               "verlinde": lambda batch: loc.verlinde_series(batch, 3, 4, 5)}[kind]
+        together = run(classes)
+        assert together == tuple(run([c])[0] for c in classes)
+        assert len({c.surface for c in classes}) == 3
+        for surface in {c.surface for c in classes}:
+            alone = run([c for c in classes if c.surface is surface])
+            assert alone == tuple(v for c, v in zip(classes, together) if c.surface is surface)
+
+    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
+    def test_a_dead_surface_fails_the_batch_before_any_chart_work(self, kind, monkeypatch):
+        # p2 is live at n = 17 and p1xp1 is not: the whole batch is drawn for
+        # first, so no chart is specialized for p2 either
+        p2, quadric = loc.get_surface("p2"), loc.get_surface("p1xp1")
+        classes = [loc.parse_class(p2, "O(1)"), loc.parse_class(quadric, "O(1,0)")]
+        monkeypatch.setattr(loc, "_shapes", refuse_call)
+        monkeypatch.setattr(loc, "_chart_product", refuse_call)
+        run = {"segre": lambda: loc.segre_series(classes, 17),
+               "verlinde": lambda: loc.verlinde_series(classes, 2, 17)}[kind]
+        with pytest.raises(loc.DrawError) as info:
+            run()
+        assert str(info.value) == ("fewer than two of the 288 directions in [-9, 9]^2 "
+                                   "are generic for p1xp1 at n = 17")
