@@ -13,6 +13,11 @@ The default truncation order is 10 for pure series work and 4 for
 oracle-driven commands; the HILBSERIES_ORDER environment variable
 overrides either default, and --order overrides everything.  A call
 whose first argument names a subcommand builds only that one's parser.
+
+Each handler ``_cmd_<name>(args, parser)`` only computes: it returns
+(exit code, config, payload, lines), where config is the echoed
+configuration, payload the JSON keys beside "config", and lines the table
+after the echo line.  ``main`` is the one output path.
 """
 
 from __future__ import annotations
@@ -123,8 +128,7 @@ def _resolve_order(args, parser, default):
 
 
 def _emit(text, path, parser):
-    text = text if text.endswith("\n") else text + "\n"
-    if path in (None, "-"):
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -133,17 +137,6 @@ def _emit(text, path, parser):
     except OSError as exc:
         parser.exit(2, "%s: error: cannot write %s: %s\n"
                     % (parser.prog, path, exc.strerror or exc))
-
-
-def _json_doc(config, payload):
-    doc = {"config": config}
-    doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _config_line(config):
-    return "# hilbseries " + " ".join(
-        "%s=%s" % (key, config[key]) for key in sorted(config))
 
 
 def _cmd_series(args, parser):
@@ -170,17 +163,11 @@ def _cmd_series(args, parser):
         series, status, offset = branch(order), catalog.PROVEN, 1
     config["status"] = status
     values = [extraction.frac_str(x, series.den) for x in series.nums[offset:]]
-    if args.format == "json":
-        text = _json_doc(config, {"offset": offset, "var": series.var,
-                                  "coefficients": values})
-    elif args.format == "csv":
-        lines = [_config_line(config), "n,coefficient"]
-        lines += ["%d,%s" % (n + offset, v) for n, v in enumerate(values)]
-        text = "\n".join(lines)
+    if args.format == "csv":
+        lines = ["n,coefficient"] + ["%d,%s" % (n + offset, v) for n, v in enumerate(values)]
     else:
-        text = _config_line(config) + "\n" + ", ".join(values)
-    _emit(text, None, parser)
-    return 0
+        lines = [", ".join(values)]
+    return 0, config, {"offset": offset, "var": series.var, "coefficients": values}, lines
 
 
 def _cmd_verify(args, parser):
@@ -193,27 +180,16 @@ def _cmd_verify(args, parser):
         parser.error("unknown suite %r; choose from all, %s"
                      % (args.suite, ", ".join(verify.suite_names())))
     config = {"command": "verify", "suite": args.suite, "order": order}
-    reports = verify.run_suite(names, order=order)
-    all_passed = all(report.passed for report in reports)
-    if args.json is not None:
-        text = _json_doc(config, {"passed": all_passed,
-                                  "reports": [r.to_dict() for r in reports]})
-        _emit(text, args.json, parser)
-        if args.json != "-":
-            _print_verify_table(config, reports)
-    else:
-        _print_verify_table(config, reports)
-    return 0 if all_passed else 1
-
-
-def _print_verify_table(config, reports):
-    print(_config_line(config))
+    reports = [report.to_dict() for report in verify.run_suite(names, order=order)]
+    lines = []
     for report in reports:
         line = "%-18s %s  (%d checks)" % (
-            report.name, "PASS" if report.passed else "FAIL", report.checks)
-        if not report.passed and report.counterexample is not None:
-            line += "  counterexample: (%s)" % ", ".join(report.to_dict()["counterexample"])
-        print(line)
+            report["name"], "PASS" if report["passed"] else "FAIL", report["checks"])
+        if not report["passed"] and report["counterexample"] is not None:
+            line += "  counterexample: (%s)" % ", ".join(report["counterexample"])
+        lines.append(line)
+    all_passed = all(report["passed"] for report in reports)
+    return 0 if all_passed else 1, config, {"passed": all_passed, "reports": reports}, lines
 
 
 def _cmd_oracle(args, parser):
@@ -243,13 +219,7 @@ def _cmd_oracle(args, parser):
     result = extraction.frac_str(value)
     numerics = {"rank": kclass.rank, "c2": kclass.c2, "c1sq": kclass.c1sq,
                 "c1K": kclass.c1K, "Ksq": surface.ksq, "chiO": surface.chi_O}
-    if args.json is not None:
-        _emit(_json_doc(config, {"value": result, "class_numerics": numerics}),
-              args.json, parser)
-    else:
-        print(_config_line(config))
-        print(result)
-    return 0
+    return 0, config, {"value": result, "class_numerics": numerics}, [result]
 
 
 def _cmd_extract(args, parser):
@@ -266,29 +236,39 @@ def _cmd_extract(args, parser):
         "exponent_matrix": [[str(x) for x in row] for row in panel.exponent_matrix],
         "series": report["series"],
     }
-    if args.json is not None:
-        _emit(_json_doc(config, payload), args.json, parser)
-    else:
-        print(_config_line(config))
-        for entry in report["series"]:
-            line = "%s [%s]: %s" % (entry["series"], entry["status"],
-                                    ", ".join(entry["extracted"]))
-            if "agreement_order" in entry:
-                line += "  (matches reference through order %d)" % entry["agreement_order"]
-            print(line)
-    return 0
+    lines = []
+    for entry in report["series"]:
+        line = "%s [%s]: %s" % (entry["series"], entry["status"],
+                                ", ".join(entry["extracted"]))
+        if "agreement_order" in entry:
+            line += "  (matches reference through order %d)" % entry["agreement_order"]
+        lines.append(line)
+    return 0, config, payload, lines
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code.  The handler returns
+    (code, config, payload, lines) and prints nothing; here the JSON
+    ``{"config": config, **payload}`` goes where ``--json`` or ``series
+    --format json`` asks, and otherwise stdout gets the config echo and lines."""
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     handler = {"series": _cmd_series, "verify": _cmd_verify,
                "oracle": _cmd_oracle, "extract": _cmd_extract}[args.command]
     try:
-        return handler(args, parser)
+        code, config, payload, lines = handler(args, parser)
     except DrawError as exc:
         parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
+    path = args.json if args.command != "series" else "-" if args.format == "json" else None
+    if path is not None:
+        _emit(json.dumps({"config": config, **payload}, indent=2, sort_keys=True) + "\n",
+              path, parser)
+    # verify's table still shows beside a JSON file, as the README's --json report.json run does
+    if path is None or path != "-" and args.command == "verify":
+        print("\n".join(["# hilbseries " + " ".join(
+            "%s=%s" % (key, config[key]) for key in sorted(config))] + lines))
+    return code
 
 
 if __name__ == "__main__":

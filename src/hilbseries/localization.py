@@ -324,11 +324,13 @@ class EqKClass:
 
 
 _TERM_RE = re.compile(r"\s*([+-]?)\s*O\(([^()]*)\)")
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_class(surface, text):
     """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"; later terms need a
-    sign.  Whitespace around terms and signs is ignored."""
+    sign.  Whitespace around terms, signs and integers is ignored; an integer
+    is an optional sign and ASCII digits."""
     terms = []
     pos, end = 0, len(text.rstrip())
     while pos < end:
@@ -336,9 +338,12 @@ def parse_class(surface, text):
         if match is None or terms and not match.group(1):
             raise ValueError("cannot parse class spec %r at %r" % (text, text[pos:]))
         sign = -1 if match.group(1) == "-" else 1
+        pieces = match.group(2).split(",")
         try:
-            coeffs = tuple(int(piece) for piece in match.group(2).split(","))
-        except ValueError:
+            coeffs = tuple(int(piece) for piece in pieces if _INT_RE.fullmatch(piece))
+        except ValueError:  # more digits than int() reads
+            coeffs = ()
+        if len(coeffs) < len(pieces):
             raise ValueError("bad integers in term %r" % match.group(0))
         if len(coeffs) != len(surface.generators):
             raise ValueError("surface %s expects %d-parameter classes, got %r"

@@ -87,7 +87,8 @@ def test_a_named_subcommand_builds_only_its_parser(monkeypatch):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         lambda self, name, **kw: added.append(name) or original(self, name, **kw))
     for name in ("series", "verify", "oracle", "extract"):
-        monkeypatch.setattr(cli, "_cmd_" + name, lambda args, parser: 0)
+        monkeypatch.setattr(cli, "_cmd_" + name,
+                            lambda args, parser, name=name: (0, {"command": name}, {}, []))
     workloads = _load("workloads")
     for workload in workloads.WORKLOADS:
         for argv in next(workloads.blocks(workload, 1)):

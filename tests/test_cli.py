@@ -298,6 +298,37 @@ def test_unwritable_json_path_exits_two(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "theta", "--order", "3"],
+    ["oracle", "--surface", "p1xp1", "--class", "O(1,1)-O(0,1)", "--n", "2",
+     "--kind", "chern"],
+    ["extract", "--kind", "verlinde", "--rank", "1", "--order", "2"],
+])
+def test_json_file_holds_the_printed_document(capsys, tmp_path, argv):
+    # --json PATH writes the bytes --json prints; stdout then keeps verify's
+    # echo line and table, and is empty for oracle and extract
+    path = tmp_path / "out.json"
+    table = run(capsys, *argv)
+    document = run(capsys, *argv, "--json")
+    assert table[0] == document[0] == 0
+    assert run(capsys, *argv, "--json", str(path)) == (
+        0, table[1] if argv[0] == "verify" else "")
+    assert path.read_bytes() == document[1].encode()
+    echo = "# hilbseries " + " ".join(
+        "%s=%s" % item for item in sorted(json.loads(document[1])["config"].items()))
+    assert table[1].splitlines()[0] == echo
+
+
+def test_series_json_is_one_document_with_the_echoed_config(capsys):
+    argv = ["series", "--family", "chernA", "--rank", "2", "--index", "1", "--order", "3"]
+    _, table = run(capsys, *argv)
+    _, document = run(capsys, *argv, "--format", "json")
+    config = json.loads(document)["config"]
+    assert config.pop("format") == "json"
+    pairs = table.splitlines()[0].split()[2:]
+    assert pairs == ["%s=%s" % item for item in sorted(dict(config, format="table").items())]
+
+
 class TestExtract:
     def test_segre_json_document(self, capsys):
         code, out = run(capsys, "extract", "--rank", "1", "--order", "2",

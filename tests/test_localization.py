@@ -105,6 +105,21 @@ class TestClassNumerics:
         assert loc.parse_class(p2, spec).spec() == loc.parse_class(p2, spec.strip()).spec()
         assert loc.parse_class(p2, "O(2) ").spec() == "O(2)"
 
+    @pytest.mark.parametrize("spec", ["O(1_0)", "O(\u0663)", "O(\uff12)", "O(+ 1)",
+                                      "O(1)+O(2_0)"])
+    def test_integers_are_ascii_digits(self, spec):
+        # int() alone reads "1_0" as 10, the Arabic-Indic three as 3 and a
+        # fullwidth two as 2
+        with pytest.raises(ValueError) as info:
+            loc.parse_class(loc.get_surface("p2"), spec)
+        assert str(info.value).startswith("bad integers in term ")
+
+    def test_integers_take_a_sign_and_whitespace(self):
+        p2, f1 = loc.get_surface("p2"), loc.get_surface("f1")
+        for spec, want in (("O( 1 )", "O(1)"), ("O(+2)", "O(2)"), ("O(-0)", "O(0)")):
+            assert loc.parse_class(p2, spec).spec() == want
+        assert loc.parse_class(f1, "O( 1 ,-2 )-O(0,+3)").spec() == "O(1,-2)-O(0,3)"
+
     def test_every_later_term_carries_its_sign(self):
         p2 = loc.get_surface("p2")
         for spec in ("O(1)+O(2)", " O(1) + O(2)", "+O(1)-O(2)", "-O(1) -O(2)"):
