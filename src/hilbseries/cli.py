@@ -34,6 +34,7 @@ from .localization import (
     chern_integral,
     get_surface,
     parse_class,
+    parse_int,
     segre_integral,
     surface_names,
     verlinde_chi,
@@ -46,20 +47,28 @@ ORACLE_DEFAULT_ORDER = 4
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
 
+def _int_option(text):
+    """argparse's int type by parse_int's rule: ASCII digits only."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def _series_arguments(p):
     p.add_argument("--family", required=True, choices=_FAMILIES)
-    p.add_argument("--rank", type=int, default=None,
+    p.add_argument("--rank", type=_int_option, default=None,
                    help="class rank (segreA/chernA) or twist (verlindeB)")
-    p.add_argument("--index", type=int, default=None,
+    p.add_argument("--index", type=_int_option, default=None,
                    help="which factor of the family, e.g. 3 for A3")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_option, default=None)
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
 
 def _verify_arguments(p):
     p.add_argument("--suite", default="all",
                    help="'all' or one of: %s" % ", ".join(verify.suite_names()))
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_option, default=None)
     p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
                    help="write a JSON report to PATH (or stdout)")
 
@@ -69,19 +78,19 @@ def _oracle_arguments(p):
     p.add_argument("--class", dest="class_spec", required=True,
                    help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that '
                         'starts with a minus needs the = form, --class=-O(1)+O(2)')
-    p.add_argument("--n", type=int, required=True, help="number of points")
+    p.add_argument("--n", type=_int_option, required=True, help="number of points")
     p.add_argument("--kind", required=True, choices=("segre", "chern", "verlinde"))
-    p.add_argument("--r", type=int, default=None, help="twist (verlinde only)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--r", type=_int_option, default=None, help="twist (verlinde only)")
+    p.add_argument("--seed", type=_int_option, default=DEFAULT_SEED)
     p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
 
 
 def _extract_arguments(p):
-    p.add_argument("--rank", type=int, required=True,
+    p.add_argument("--rank", type=_int_option, required=True,
                    help="class rank (segre) or twist (verlinde)")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_int_option, default=None)
     p.add_argument("--kind", choices=("segre", "verlinde"), default="segre")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_option, default=DEFAULT_SEED)
     p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
 
 
@@ -116,7 +125,7 @@ def _resolve_order(args, parser, default):
         order = args.order
     elif os.environ.get(ORDER_ENV):
         try:
-            order = int(os.environ[ORDER_ENV])
+            order = parse_int(os.environ[ORDER_ENV])
         except ValueError:
             parser.error("%s must be an integer, got %r"
                          % (ORDER_ENV, os.environ[ORDER_ENV]))

@@ -66,6 +66,7 @@ __all__ = [
     "enumerate_fixed_points",
     "get_surface",
     "parse_class",
+    "parse_int",
     "partitions",
     "segre_integral",
     "segre_series",
@@ -114,8 +115,9 @@ class ToricSurface:
 
     ``generators`` expresses a basis of line-bundle classes in ray
     divisors; ``pairing`` is their intersection matrix, ``k_dot`` their
-    intersections with the canonical class, both validated against
-    localization at construction.
+    intersections with the canonical class.  At construction these, chi_O
+    and ``ksq`` are checked through the chart pass at n = 1, by
+    Riemann-Roch and Noether's formula (_validate).
     """
 
     def __init__(self, name, rays, generators, pairing, k_dot, ksq):
@@ -158,41 +160,22 @@ class ToricSurface:
         return sum(a[i] * self.pairing[i][j] * b[j]
                    for i in range(len(a)) for j in range(len(b)))
 
-    def _surface_integral(self, lift_a, lift_b, q):
-        total = F(0)
-        for index, (_, _, u1, u2) in enumerate(self.charts):
-            k1, k2 = _dot(u1, q), _dot(u2, q)
-            if k1 == 0 or k2 == 0:
-                raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
-            total += F(_dot(lift_a[index], q) * _dot(lift_b[index], q), k1 * k2)
-        return total
-
     def _validate(self):
-        k_lift = self.lift_canonical()
-        gen_lifts = [self.lift(tuple(1 if j == i else 0 for j in range(len(self.generators))))
-                     for i in range(len(self.generators))]
-
-        shapes = _shapes(1)
-
-        def localized(q):
-            pairing = [[self._surface_integral(la, lb, q) for lb in gen_lifts]
-                       for la in gen_lifts]
-            k_dot = [self._surface_integral(la, k_lift, q) for la in gen_lifts]
-            chi = _values(*_chart_product(self, [[]], 1, q, _euler_term, shapes)[0])[1]
-            return pairing, k_dot, self._surface_integral(k_lift, k_lift, q), chi
-
-        draws = _two_draws(self, 1, DEFAULT_SEED)
-        found = _agreed(draws, "%s intersections" % self.name, *map(localized, draws))
-        if found != (self.pairing, self.k_dot, self.ksq, self.chi_O):
-            raise ArithmeticError("%s: localized pairing, K pairings, K^2, chi(O) %s "
-                                  "disagree with the tables" % (self.name, found))
-
-    def lift_canonical(self):
-        """Lift of the canonical class, minus the sum of all ray divisors."""
-        out = []
-        for _, _, u1, u2 in self.charts:
-            out.append(_vadd(u1, u2))
-        return tuple(out)
+        """Check the tables through the chart pass at n = 1, where S^[1] = S: the Segre
+        integral of O(G_i) and O(G_i + G_j), i < j, is c1^2, and twice its chi is
+        2 chi(O) + c1^2 - c1.K (Riemann-Roch); with Noether's 12 chi(O) = K^2 + e, e
+        one fixed point per chart, these fix every entry of the tables given chi_O."""
+        zero = (0,) * len(self.generators)
+        units = [zero] + [zero[:i] + (1,) + zero[i + 1:] for i in range(len(zero))]
+        classes = [EqKClass(self, [(1, tuple(map(sum, zip(a, b))))])
+                   for a, b in itertools.combinations(units, 2)]
+        found = [(s[1], 2 * chi[1]) for s, chi in
+                 zip(segre_series(classes, 1), verlinde_series(classes, 1, 1))]
+        tables = [(c.c1sq, 2 * self.chi_O + c.c1sq - c.c1K) for c in classes]
+        if found != tables or 12 * self.chi_O != self.ksq + len(self.charts):
+            raise ArithmeticError("%s: localized (c1^2, 2 chi) %s of %s and Noether's "
+                                  "12 chi(O) = K^2 + %d disagree with the tables"
+                                  % (self.name, found, classes, len(self.charts)))
 
     def __repr__(self):
         return "ToricSurface(%r)" % self.name
@@ -238,37 +221,29 @@ def _agreed(draws, what, first, second):
     return first
 
 
-@lru_cache(maxsize=None)
-def _p2():
-    return ToricSurface("p2", [(1, 0), (0, 1), (-1, -1)],
-                        generators=[(1, 0, 0)], pairing=[[1]], k_dot=[-3], ksq=9)
-
-
-@lru_cache(maxsize=None)
-def _p1xp1():
-    return ToricSurface("p1xp1", [(1, 0), (0, 1), (-1, 0), (0, -1)],
-                        generators=[(1, 0, 0, 0), (0, 1, 0, 0)],
-                        pairing=[[0, 1], [1, 0]], k_dot=[-2, -2], ksq=8)
-
-
-@lru_cache(maxsize=None)
-def _f1():
+# name: (rays, generators, pairing, k_dot, ksq)
+_FANS = {
+    "p2": ([(1, 0), (0, 1), (-1, -1)], [(1, 0, 0)], [[1]], [-3], 9),
+    "p1xp1": ([(1, 0), (0, 1), (-1, 0), (0, -1)], [(1, 0, 0, 0), (0, 1, 0, 0)],
+              [[0, 1], [1, 0]], [-2, -2], 8),
     # generators: the fiber class and the exceptional (-1)-curve
-    return ToricSurface("f1", [(1, 0), (0, 1), (-1, 1), (0, -1)],
-                        generators=[(1, 0, 0, 0), (0, 1, 0, 0)],
-                        pairing=[[0, 1], [1, -1]], k_dot=[-2, -1], ksq=8)
+    "f1": ([(1, 0), (0, 1), (-1, 1), (0, -1)], [(1, 0, 0, 0), (0, 1, 0, 0)],
+           [[0, 1], [1, -1]], [-2, -1], 8),
+}
 
 
-_SURFACES = {"p2": _p2, "p1xp1": _p1xp1, "f1": _f1}
+@lru_cache(maxsize=None)
+def _surface(name):
+    return ToricSurface(name, *_FANS[name])
 
 
 def surface_names():
-    return sorted(_SURFACES)
+    return sorted(_FANS)
 
 
 def get_surface(name):
     try:
-        return _SURFACES[name.lower()]()
+        return _surface(name.lower())
     except KeyError:
         raise KeyError("unknown surface %r; choose from %s"
                        % (name, ", ".join(surface_names())))
@@ -327,6 +302,15 @@ _TERM_RE = re.compile(r"\s*([+-]?)\s*O\(([^()]*)\)")
 _INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
+def parse_int(text):
+    """The integer ``text`` spells: an optional sign and ASCII digits, whitespace
+    around them ignored.  Anything else raises ValueError, also what int() alone
+    reads, such as "1_0" or non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
 def parse_class(surface, text):
     """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"; later terms need a
     sign.  Whitespace around terms, signs and integers is ignored; an integer
@@ -338,12 +322,9 @@ def parse_class(surface, text):
         if match is None or terms and not match.group(1):
             raise ValueError("cannot parse class spec %r at %r" % (text, text[pos:]))
         sign = -1 if match.group(1) == "-" else 1
-        pieces = match.group(2).split(",")
         try:
-            coeffs = tuple(int(piece) for piece in pieces if _INT_RE.fullmatch(piece))
-        except ValueError:  # more digits than int() reads
-            coeffs = ()
-        if len(coeffs) < len(pieces):
+            coeffs = tuple(map(parse_int, match.group(2).split(",")))
+        except ValueError:  # also more digits than int() reads
             raise ValueError("bad integers in term %r" % match.group(0))
         if len(coeffs) != len(surface.generators):
             raise ValueError("surface %s expects %d-parameter classes, got %r"
@@ -532,10 +513,11 @@ def _chart_product(surface, classes, order, q, term, shapes):
 
     ``classes`` holds each class as signed_lifts gives it.  Each partition
     of ``shapes`` = _shapes(order) gets its integer tangent weights ks, none zero
-    at a drawn q, and its box characters c u1.q + s u2.q, row by row; with each
-    class's (weight, lift.q) at the chart, ``term(ks, boxes, lifts, degree,
-    parent)`` returns its (den, numerators per class), with numerator_j / den at
-    u^j; ``parent`` is the parent's numerators, None for the empty partition.
+    at a drawn q, and its box characters c u1.q + s u2.q = -c x - s y, the tangent
+    characters (x, y) being -u1.q, -u2.q, row by row; with each class's (weight,
+    lift.q) at the chart, ``term(ks, boxes, lifts, degree, parent)`` returns its
+    (den, numerators per class), with numerator_j / den at u^j; ``parent`` is the
+    parent's numerators, None for the empty partition.
     The Euler term gives the first class's only: a class of its batch (one r)
     whose sum of weight * lift.q is delta more has its rows times e^(n delta u)
     (_scaled).  Each chart's sums are put in lowest terms, which cancels most of
@@ -544,16 +526,15 @@ def _chart_product(surface, classes, order, q, term, shapes):
     """
     degree = 2 * order
     product = None
-    for index, (_, _, u1, u2) in enumerate(surface.charts):
+    for index in range(len(surface.charts)):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
-        across, up = _dot(u1, q), _dot(u2, q)
         lifts = [[(w, _dot(lift[index], q)) for w, lift in c] for c in classes]
         terms = []
         for size, hooks, cells, parent in shapes:
             ks = [a * x + b * y for a, b in hooks]
             if 0 in ks:
                 raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
-            boxes = [col * across + row * up for col, row in cells]
+            boxes = [-col * x - row * y for col, row in cells]
             parent = None if parent is None else terms[parent][1][1]
             terms.append((size, term(ks, boxes, lifts, degree, parent)))
         chart_den = lcm(*(d for _, (d, _) in terms))

@@ -89,8 +89,14 @@ class TestSeries:
         assert out.strip().splitlines()[-1] == "1/1, -6/1, 41/1"
 
     def test_bad_env_order_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ORDER_ENV, "ten")
-        assert run_usage_error(capsys, "series", "--family", "y") == 2
+        # int() alone reads the Arabic-Indic three as 3 and "1_0" as 10
+        for value in ("ten", "\u0663", "1_0"):
+            monkeypatch.setenv(cli.ORDER_ENV, value)
+            with pytest.raises(SystemExit) as info:
+                cli.main(["series", "--family", "y"])
+            assert info.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: %s must be an integer, got %r\n" % (cli.ORDER_ENV, value))
 
 
 ORDER_COMMANDS = [
@@ -115,6 +121,34 @@ class TestOrderBelowOne:
     def test_order_env_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.setenv(cli.ORDER_ENV, "0")
         assert run_usage_error(capsys, *argv.split()) == 2
+
+
+# int() alone reads "1_0" as 10, the Arabic-Indic three as 3 and a fullwidth two
+# as 2; the option read by the ASCII rule comes last
+ASCII_INTEGER_OPTIONS = [
+    "series --family=y --order=1_0",
+    "series --family=segreA --index=1 --rank=\u0663",
+    "series --family=segreA --rank=1 --index=\uff12",
+    "verify --suite=theta --order=\u0663",
+    "oracle --surface=p2 --class=O(1) --kind=segre --n=\uff12",
+    "oracle --surface=p2 --class=O(1) --n=1 --kind=verlinde --r=\u0663",
+    "oracle --surface=p2 --class=O(1) --n=1 --kind=segre --seed=1_0",
+    "extract --order=1 --rank=\u0663",
+    "extract --rank=1 --order=\uff12",
+    "extract --rank=1 --order=1 --seed=1_0",
+]
+
+
+@pytest.mark.parametrize("argv", ASCII_INTEGER_OPTIONS)
+def test_integer_options_are_ascii_digits(capsys, monkeypatch, argv):
+    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    option, value = argv.split()[-1].split("=")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("error: argument %s: invalid int value: %r\n"
+                                 % (option, value))
 
 
 class TestVerify:

@@ -27,24 +27,31 @@ def test_partitions_respect_max_part():
 
 
 def test_surface_factories_validate():
-    # construction runs localization checks of the intersection tables
+    # construction checks the intersection tables through the oracle
     for name in loc.surface_names():
         surface = loc.get_surface(name)
         assert surface.chi_O == 1
     assert loc.get_surface("p2").ksq == 9
     assert loc.get_surface("f1").pairing == [[0, 1], [1, -1]]
+    # one surface object per name, whatever its case
+    assert loc.get_surface("P2") is loc.get_surface("p2")
 
 
-@pytest.mark.parametrize("pairing,k_dot,ksq", [([[2]], [-3], 9), ([[1]], [3], 9),
-                                                ([[1]], [-3], 8)])
+# the p2 rows first, then f1's (two generators): an off-diagonal pairing, its
+# diagonal swapped, its second K pairing, its K^2
+@pytest.mark.parametrize("pairing,k_dot,ksq", [
+    ([[2]], [-3], 9), ([[1]], [3], 9), ([[1]], [-3], 8),
+    ([[0, 2], [2, -1]], [-2, -1], 8), ([[-1, 1], [1, 0]], [-2, -1], 8),
+    ([[0, 1], [1, -1]], [-2, 0], 8), ([[0, 1], [1, -1]], [-2, -1], 9)])
 def test_wrong_intersection_table_raises(pairing, k_dot, ksq):
+    fan = loc.get_surface("p2" if len(k_dot) == 1 else "f1")
     with pytest.raises(ArithmeticError, match="disagree"):
-        loc.ToricSurface("bad", [(1, 0), (0, 1), (-1, -1)], generators=[(1, 0, 0)],
+        loc.ToricSurface("bad", fan.rays, generators=fan.generators,
                          pairing=pairing, k_dot=k_dot, ksq=ksq)
 
 
 def test_unknown_surface_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown surface 'k3'; choose from f1, p1xp1, p2"):
         loc.get_surface("k3")
 
 
