@@ -6,8 +6,8 @@ fixed-point integral, and ``extract`` recovers universal series from
 oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, no generic character draw for the oracle, or
-a --json PATH that cannot be written.
+failure, 2 usage error, oracle --n above ORACLE_MAX_N, an extract order above
+EXTRACT_MAX_ORDER, or a --json PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
 oracle-driven commands; the HILBSERIES_ORDER environment variable
@@ -29,8 +29,6 @@ import sys
 
 from . import catalog, extraction, verify
 from .localization import (
-    DEFAULT_SEED,
-    DrawError,
     chern_integral,
     get_surface,
     parse_class,
@@ -43,6 +41,13 @@ from .localization import (
 ORDER_ENV = "HILBSERIES_ORDER"
 SERIES_DEFAULT_ORDER = 10
 ORACLE_DEFAULT_ORDER = 4
+# --seed is echoed only: the oracle's directions are fixed (localization._directions)
+DEFAULT_SEED = 20260815
+# The deepest requests answered, refused above at once so that each run ends in
+# bounded time: oracle --n (at n = 24, p1xp1 Verlinde at r = 3 already takes
+# minutes) and extract's order (every default panel holds a p1xp1 row).
+ORACLE_MAX_N = 24
+EXTRACT_MAX_ORDER = 16
 
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
@@ -209,6 +214,9 @@ def _cmd_oracle(args, parser):
         parser.error(str(exc))
     if args.n < 0:
         parser.error("--n must be nonnegative")
+    if args.n > ORACLE_MAX_N:
+        parser.exit(2, "%s: error: --n %d is beyond the oracle's cap of %d\n"
+                    % (parser.prog, args.n, ORACLE_MAX_N))
     config = {"command": "oracle", "surface": surface.name,
               "class": kclass.spec(), "n": args.n, "kind": args.kind,
               "seed": args.seed}
@@ -217,14 +225,14 @@ def _cmd_oracle(args, parser):
             parser.error("--r is required for kind verlinde")
         config["r"] = args.r
         try:
-            value = verlinde_chi(kclass, args.r, args.n, args.seed)
+            value = verlinde_chi(kclass, args.r, args.n)
         except ValueError as exc:  # not a single line bundle
             parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
     else:
         if args.r is not None:
             parser.error("--r only applies to kind verlinde")
         integral = segre_integral if args.kind == "segre" else chern_integral
-        value = integral(kclass, args.n, args.seed)
+        value = integral(kclass, args.n)
     result = extraction.frac_str(value)
     numerics = {"rank": kclass.rank, "c2": kclass.c2, "c1sq": kclass.c1sq,
                 "c1K": kclass.c1K, "Ksq": surface.ksq, "chiO": surface.chi_O}
@@ -233,12 +241,15 @@ def _cmd_oracle(args, parser):
 
 def _cmd_extract(args, parser):
     order = _resolve_order(args, parser, ORACLE_DEFAULT_ORDER)
+    if order > EXTRACT_MAX_ORDER:
+        parser.exit(2, "%s: error: order %d is beyond extract's cap of %d\n"
+                    % (parser.prog, order, EXTRACT_MAX_ORDER))
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
     panel = extraction.default_panel(args.kind, args.rank)
     predict = {"segre": extraction.predict_unknown,
                "verlinde": extraction.predict_verlinde}[args.kind]
-    report = predict(args.rank, order, panel, args.seed)
+    report = predict(args.rank, order, panel)
     payload = {
         "panel": [{"surface": cls.surface.name, "class": cls.spec()} for cls in panel],
         "exponent_columns": list(panel.columns),
@@ -265,10 +276,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = {"series": _cmd_series, "verify": _cmd_verify,
                "oracle": _cmd_oracle, "extract": _cmd_extract}[args.command]
-    try:
-        code, config, payload, lines = handler(args, parser)
-    except DrawError as exc:
-        parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
+    code, config, payload, lines = handler(args, parser)
     path = args.json if args.command != "series" else "-" if args.format == "json" else None
     if path is not None:
         _emit(json.dumps({"config": config, **payload}, indent=2, sort_keys=True) + "\n",

@@ -161,7 +161,7 @@ def _verlinde_exponents(cls, r):
 
 
 # Per kind: the report key of the panel parameter, the exponent columns,
-# exponents(class, param), oracle(classes, param, order, seed) with the
+# exponents(class, param), oracle(classes, param, order) with the
 # values for n = 0..order per class, factors(param, order), the catalog's
 # holder of every factor, the series variable, the series label and the
 # index of the first series.
@@ -172,12 +172,12 @@ _Kind = namedtuple("_Kind", "param columns exponents oracle factors var label fi
 _KINDS = {
     "segre": _Kind(
         "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
-        lambda classes, s, order, seed: segre_series(classes, order, seed),
+        lambda classes, s, order: segre_series(classes, order),
         lambda s, order: catalog._SegreLogs(s, order),
         "z", "A%d", 0),
     "verlinde": _Kind(
         "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
-        lambda classes, r, order, seed: verlinde_series(classes, r, order, seed),
+        lambda classes, r, order: verlinde_series(classes, r, order),
         lambda r, order: catalog._VerlindeLogs(r, order),
         "w", "B%d", 1),
 }
@@ -271,7 +271,7 @@ def default_panel(kind, param):
                                for name, line in _VERLINDE_LINES])
 
 
-def _extract(kind, param, order, panel, seed):
+def _extract(kind, param, order, panel):
     """Log of each row's series, from one oracle call for the whole panel, one exact
     solve for every order at once, exp."""
     if panel is None:
@@ -281,7 +281,7 @@ def _extract(kind, param, order, panel, seed):
                          % (panel.kind, panel.param, kind, param))
     spec = _KINDS[kind]
     logs = []
-    for row in spec.oracle(panel.rows, param, order, seed):
+    for row in spec.oracle(panel.rows, param, order):
         if row[0] != 1:
             raise ArithmeticError("n=0 integral should be 1, got %s" % row[0])
         logs.append(Series(row, order, spec.var).log())
@@ -290,14 +290,14 @@ def _extract(kind, param, order, panel, seed):
     return [Series([0, *values], order, spec.var).exp() for values in by_unknown]
 
 
-def extract_universal(s, order, panel=None, seed=None):
+def extract_universal(s, order, panel=None):
     """Recover A0..A4 at rank s from oracle Segre integrals over a panel."""
-    return _extract("segre", s, order, panel, seed)
+    return _extract("segre", s, order, panel)
 
 
-def extract_verlinde(r, order, panel=None, seed=None):
+def extract_verlinde(r, order, panel=None):
     """Recover B1..B4 at twist r from oracle Euler characteristics."""
-    return _extract("verlinde", r, order, panel, seed)
+    return _extract("verlinde", r, order, panel)
 
 
 def _agreement_order(a, b, order):
@@ -331,7 +331,7 @@ def _report(kind, param, order, extracted):
     return report
 
 
-def predict_unknown(s, order, panel=None, seed=None):
+def predict_unknown(s, order, panel=None):
     """Confront extracted A-series with closed forms where any exist.
 
     The low factors A0..A2 are proven at every rank and act as an
@@ -339,9 +339,9 @@ def predict_unknown(s, order, panel=None, seed=None):
     closed forms when the catalog has them (e.g. rank 0) and otherwise
     emitted as conjecture-grade data (e.g. rank 3).
     """
-    return _report("segre", s, order, extract_universal(s, order, panel, seed))
+    return _report("segre", s, order, extract_universal(s, order, panel))
 
 
-def predict_verlinde(r, order, panel=None, seed=None):
+def predict_verlinde(r, order, panel=None):
     """Confront extracted B-series with printed closed forms at twist r."""
-    return _report("verlinde", r, order, extract_verlinde(r, order, panel, seed))
+    return _report("verlinde", r, order, extract_verlinde(r, order, panel))

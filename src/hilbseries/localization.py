@@ -34,21 +34,18 @@ lift at a chart is delta more than the first's has the first's chart sum
 at x -> x e^(delta u).  The chart sums are multiplied with each u-row
 packed into one integer.
 
-One rule draws the directions (_two_draws): the first two directions of
-a seeded stream over the draw box whose hook lengths keep every tangent
-weight of every fixed point of S^[n] nonzero, screened for every surface
-of a batch before any chart is specialized; a box with fewer than two
-such directions raises DrawError.  Values are computed at both
-directions and must agree, and one integer read serves every kind
-(_values): each coefficient below u^2n is a pole that must cancel, and
-the integral must be an integer.  Any violation raises, loudly, instead
-of returning data.
+Two closed-form directions serve every request (_directions): q = (1, B)
+and (1, B + 1), B = max(n, 2), which keep every tangent weight of every
+fixed point of S^[n] nonzero on these surfaces; a direction that zeroes
+one raises in _chart_product.  Values are computed at both directions and
+must agree, and one integer read serves every kind (_values): each
+coefficient below u^2n is a pole that must cancel, and the integral must
+be an integer.  Any violation raises, loudly, instead of returning data.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from fractions import Fraction as F
 from functools import lru_cache
@@ -58,8 +55,6 @@ from operator import lshift, mul
 from .series import Series, exp_numerators
 
 __all__ = [
-    "DEFAULT_SEED",
-    "DrawError",
     "EqKClass",
     "ToricSurface",
     "chern_integral",
@@ -76,13 +71,6 @@ __all__ = [
     "verlinde_chi",
     "verlinde_series",
 ]
-
-DEFAULT_SEED = 20260815
-
-
-class DrawError(ArithmeticError):
-    """Fewer than two directions in the draw box keep every weight nonzero."""
-
 
 def _dot(vec, q):
     return vec[0] * q[0] + vec[1] * q[1]
@@ -181,43 +169,24 @@ class ToricSurface:
         return "ToricSurface(%r)" % self.name
 
 
-def _in_box(q):
-    """Whether _two_draws can draw q: [-9, 9]^2 off the axes and both diagonals."""
-    return q[0] != 0 and q[1] != 0 and abs(q[0]) != abs(q[1])
+def _directions(n):
+    """The oracle's two directions for S^[n]: (1, B) and (1, B + 1), B = max(n, 2).
 
-
-_DIRECTIONS = tuple(q for q in itertools.product(range(-9, 10), repeat=2) if _in_box(q))
-
-
-def _two_draws(surface, n, seed):
-    """The oracle's one draw rule: the first two directions that are generic for S^[n].
-
-    Directions come from ``random.Random(seed)`` and are screened once
-    each, by hook length (_hook_generic); DrawError, naming the surface
-    and n, ends the search once every direction in the box has been
-    tried.  Callers evaluate at both directions and compare the values
-    with _agreed.
+    Any direction that keeps every tangent weight nonzero gives the same exact
+    integral, so no search is needed.  On p2, p1xp1 and f1 every tangent
+    character pairs with (1, B) to +-1, +-B or +-(B +- 1), so no hook relation
+    (a + 1) x = l y or a x = (l + 1) y with a + l + 1 <= n holds once B >= n;
+    B = 1 fails on p2 at n = 1, hence the max.  Callers evaluate at both
+    directions and compare the values with _agreed.
     """
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    seen = set()
-    draws = []
-    while len(draws) < 2:
-        if len(seen) == len(_DIRECTIONS):
-            raise DrawError("fewer than two of the %d directions in [-9, 9]^2 are "
-                            "generic for %s at n = %d" % (len(_DIRECTIONS), surface.name, n))
-        q = (rng.randint(-9, 9), rng.randint(-9, 9))
-        if q in seen or not _in_box(q):
-            continue
-        seen.add(q)
-        if _hook_generic(surface, n, q):
-            draws.append(q)
-    return draws
+    b = max(n, 2)
+    return [(1, b), (1, b + 1)]
 
 
-def _agreed(draws, what, first, second):
+def _agreed(directions, what, first, second):
     if first != second:
         raise ArithmeticError(
-            "directions %s disagree on %s: %s vs %s" % (draws, what, first, second))
+            "directions %s disagree on %s: %s vs %s" % (directions, what, first, second))
     return first
 
 
@@ -384,18 +353,6 @@ def taut_weights(lifts, fp, surface):
     return [(weight, _vadd(lift[index], box)) for weight, lift in lifts for index, box in boxes]
 
 
-def _hook_generic(surface, n, q):
-    """Whether q keeps every tangent weight of every fixed point of S^[n] nonzero:
-    a box with hook (a, l) occurs in size at most n exactly when a + l + 1 <= n."""
-    for index in range(len(surface.charts)):
-        x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
-        for arm in range(n):
-            for leg in range(n - arm):
-                if (arm + 1) * x == leg * y or arm * x == (leg + 1) * y:
-                    return False
-    return True
-
-
 def _segre_term(ks, boxes, lifts, degree, parent):
     """Per class, prod (1+ku)^(-sign) / prod ks to u^degree over k = m + box, as
     (denominator, numerators): the parent's numerators times the factors of the new
@@ -512,8 +469,8 @@ def _chart_product(surface, classes, order, q, term, shapes):
     """Per class, prod over charts of sum_lambda x^|lambda| term(lambda) at direction q.
 
     ``classes`` holds each class as signed_lifts gives it.  Each partition
-    of ``shapes`` = _shapes(order) gets its integer tangent weights ks, none zero
-    at a drawn q, and its box characters c u1.q + s u2.q = -c x - s y, the tangent
+    of ``shapes`` = _shapes(order) gets its integer tangent weights ks (a zero one
+    raises), and its box characters c u1.q + s u2.q = -c x - s y, the tangent
     characters (x, y) being -u1.q, -u2.q, row by row; with each class's (weight,
     lift.q) at the chart, ``term(ks, boxes, lifts, degree, parent)`` returns its
     (den, numerators per class), with numerator_j / den at u^j; ``parent`` is the
@@ -570,49 +527,47 @@ def _values(rows, den):
     return tuple(row[2 * n] // den for n, row in enumerate(rows))
 
 
-def _chart_pass(term, batch, order, seed, whats):
+def _chart_pass(term, batch, order, whats):
     """Per class of ``batch``, given as (surface, signed lifts) pairs, its integrals
-    (_values) for n = 0..order, agreed at two directions, in input order.  Every
-    surface is drawn for before any chart work, so a dead order raises DrawError
-    at once; then one shape table serves one chart product per surface and
-    direction.  ``whats`` names each class in errors."""
+    (_values) for n = 0..order, agreed at the two directions (_directions), in input
+    order: one shape table serves one chart product per surface and direction.
+    ``whats`` names each class in errors."""
     if order < 0:
         raise ValueError("n must be nonnegative")
-    if not batch:  # names no surface, so nothing is drawn
+    if not batch:
         return ()
     by_surface = {}
     for index, (surface, _) in enumerate(batch):
         by_surface.setdefault(surface, []).append(index)
-    draws = {surface: _two_draws(surface, order, seed) for surface in by_surface}
-    values, shapes = [None] * len(batch), _shapes(order)
+    directions, values, shapes = _directions(order), [None] * len(batch), _shapes(order)
     for surface, indices in by_surface.items():
         classes = [batch[index][1] for index in indices]
         first, second = ([_values(*c) for c in _chart_product(surface, classes, order, q, term,
-                                                             shapes)] for q in draws[surface])
+                                                             shapes)] for q in directions)
         for index, a, b in zip(indices, first, second):
-            values[index] = _agreed(draws[surface], whats[index], a, b)
+            values[index] = _agreed(directions, whats[index], a, b)
     return tuple(values)
 
 
-def segre_series(classes, order, seed=None):
+def segre_series(classes, order):
     """Per class, the int degree-2n Segre integral over S^[n] for n = 0..order, in one
     pass whatever the classes' surfaces."""
     return _chart_pass(_segre_term, [(c.surface, c.signed_lifts()) for c in classes],
-                       order, seed, [repr(c) for c in classes])
+                       order, [repr(c) for c in classes])
 
 
-def segre_integral(kclass, n, seed=None):
+def segre_integral(kclass, n):
     """The int integral of the degree-2n Segre class of the tautological class."""
-    return segre_series([kclass], n, seed)[0][n]
+    return segre_series([kclass], n)[0][n]
 
 
-def chern_integral(kclass, n, seed=None):
+def chern_integral(kclass, n):
     """The int integral of the degree-2n Chern class: c(E) = s(-E), the Segre integral of -E."""
     negated = [(-w, lift) for w, lift in kclass.signed_lifts()]
-    return _chart_pass(_segre_term, [(kclass.surface, negated)], n, seed, [repr(kclass)])[0][n]
+    return _chart_pass(_segre_term, [(kclass.surface, negated)], n, [repr(kclass)])[0][n]
 
 
-def verlinde_series(classes, r, order, seed=None):
+def verlinde_series(classes, r, order):
     """Per line bundle L, chi of det(L^[n]) (x) det(O^[n])^(r-1), the determinant of
     the tautological class of L + (r-1) O, for n = 0..order."""
     for kclass in classes:
@@ -620,9 +575,9 @@ def verlinde_series(classes, r, order, seed=None):
             raise ValueError("verlinde_series expects a single line bundle, got %r" % kclass)
     return _chart_pass(_euler_term, [
         (c.surface, c.signed_lifts() + [(r - 1, ((0, 0),) * len(c.surface.charts))])
-        for c in classes], order, seed, ["chi of %r at twist %d" % (c, r) for c in classes])
+        for c in classes], order, ["chi of %r at twist %d" % (c, r) for c in classes])
 
 
-def verlinde_chi(kclass, r, n, seed=None):
+def verlinde_chi(kclass, r, n):
     """chi of det(L^[n]) (x) det(O^[n])^(r-1) for one line bundle L; see verlinde_series."""
-    return verlinde_series([kclass], r, n, seed)[0][n]
+    return verlinde_series([kclass], r, n)[0][n]

@@ -16,6 +16,9 @@ from hilbseries import localization as loc
 from hilbseries.series import Series
 from shifted_class import shifted
 
+# generic for S^[1] and S^[2] on every surface
+DIRECTIONS = [(2, 5), (-3, 7), (1, -4), (6, 1)]
+
 
 def _stamp(number, started, budget, message):
     elapsed = time.time() - started
@@ -100,9 +103,13 @@ def test_criterion_07_oracle_convention_anchors():
         cls = loc.EqKClass(surface, terms)
         moved = shifted(cls, rng.randrange(2), (rng.randint(-3, 3), rng.randint(-3, 3)))
         n = 1 + case % 2
-        # each call already asserts two-specialization agreement internally
-        assert loc.segre_integral(cls, n, seed=case) == \
-            loc.segre_integral(moved, n, seed=1000 + case)
+        # each value is agreed at two directions internally; the moved class is
+        # also read at a fixed direction
+        q = DIRECTIONS[case % len(DIRECTIONS)]
+        rows = loc._chart_product(surface, [moved.signed_lifts()], n, q, loc._segre_term,
+                                  loc._shapes(n))
+        assert loc.segre_integral(cls, n) == loc.segre_integral(moved, n) == \
+            loc._values(*rows[0])[n]
     _stamp(7, started, 30, "n=1 reductions, rank-2 Chern binomial n<=4, "
                            "20 random double-spec/lift-shift cases")
 

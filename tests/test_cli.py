@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hilbseries import cli, verify
+from hilbseries import catalog, cli, extraction, verify
 from hilbseries import localization as loc
 
 
@@ -263,56 +263,82 @@ class TestOracle:
         assert info.value.code == 2
         assert "expected one argument" in captured.err
 
-    def test_n_beyond_the_draw_box_exits_two_quickly(self, capsys):
+    def test_n_beyond_the_draw_box_exits_two_quickly(self, capsys, monkeypatch):
+        # every n above ORACLE_MAX_N is refused before any oracle work
+        def refuse(*args):
+            raise AssertionError("oracle work for n beyond the cap")
+
+        for name in loc.surface_names():  # each validates itself by a chart pass once
+            loc.get_surface(name)
+        monkeypatch.setattr(loc, "_chart_pass", refuse)
         started = time.perf_counter()
-        with pytest.raises(SystemExit) as info:
-            cli.main(["oracle", "--surface", "p1xp1", "--class", "O(1,0)", "--n", "17",
-                      "--kind", "segre"])
-        captured = capsys.readouterr()
+        for n in (cli.ORACLE_MAX_N + 1, 30, 10 ** 6):
+            for name, spec in (("p2", "O(1)"), ("p1xp1", "O(1,0)"), ("f1", "O(0,1)")):
+                for kind in ("segre", "chern", "verlinde"):
+                    argv = ["oracle", "--surface", name, "--class", spec, "--n", str(n),
+                            "--kind", kind] + ["--r", "2"] * (kind == "verlinde")
+                    with pytest.raises(SystemExit) as info:
+                        cli.main(argv)
+                    captured = capsys.readouterr()
+                    assert info.value.code == 2
+                    assert captured.out == ""
+                    assert captured.err.splitlines() == [
+                        "hilbseries: error: --n %d is beyond the oracle's cap of 24" % n]
         assert time.perf_counter() - started < 5
-        assert info.value.code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "hilbseries: error: fewer than two of the 288 directions in [-9, 9]^2 "
-            "are generic for p1xp1 at n = 17"]
+
+    @pytest.mark.parametrize("kind", ["segre", "chern", "verlinde"])
+    def test_the_oracle_cap_answers_its_own_n(self, capsys, monkeypatch, kind):
+        # n = ORACLE_MAX_N reaches the oracle, whose value here is a stand-in
+        monkeypatch.setattr(cli, kind + ("_chi" if kind == "verlinde" else "_integral"),
+                            lambda kclass, *args: 7 + args[-1])
+        argv = ["oracle", "--surface", "p2", "--class", "O(1)", "--n", "24", "--kind", kind]
+        code, out = run(capsys, *argv + ["--r", "2"] * (kind == "verlinde"))
+        assert (cli.ORACLE_MAX_N, code, out.splitlines()[-1]) == (24, 0, "31/1")
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_extract_beyond_the_draw_box_exits_two_before_any_oracle_work(
             self, capsys, monkeypatch, kind):
-        # p2 is live at n = 17, p1xp1 and f1 are not; the oracle draws for
-        # every surface of the panel before it specializes any chart
+        # an order above EXTRACT_MAX_ORDER, given or from HILBSERIES_ORDER, is
+        # refused before any oracle work; the cap itself is answered
         def refuse(*args):
-            raise AssertionError("oracle work for an order beyond the draw box")
+            raise AssertionError("oracle work for an order beyond the cap")
 
         for name in loc.surface_names():  # each validates itself by a chart pass once
             loc.get_surface(name)
         monkeypatch.setattr(loc, "_shapes", refuse)
         monkeypatch.setattr(loc, "_chart_product", refuse)
+        monkeypatch.delenv(cli.ORDER_ENV, raising=False)
         started = time.perf_counter()
-        with pytest.raises(SystemExit) as info:
-            cli.main(["extract", "--kind", kind, "--rank", "1", "--order", "17"])
-        captured = capsys.readouterr()
+        for order, env in ((17, None), (40, None), (None, "17")):
+            if env is not None:
+                monkeypatch.setenv(cli.ORDER_ENV, env)
+            with pytest.raises(SystemExit) as info:
+                cli.main(["extract", "--kind", kind, "--rank", "1"]
+                         + ["--order", str(order)] * (order is not None))
+            captured = capsys.readouterr()
+            assert info.value.code == 2
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "hilbseries: error: order %d is beyond extract's cap of 16" % (order or 17)]
         assert time.perf_counter() - started < 10
-        assert info.value.code == 2
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "hilbseries: error: fewer than two of the 288 directions in [-9, 9]^2 "
-            "are generic for p1xp1 at n = 17"]
+        monkeypatch.setattr(cli.extraction, "predict_" + {"segre": "unknown",
+                                                          "verlinde": "verlinde"}[kind],
+                            lambda param, order, panel: {"series": []})
+        assert run(capsys, "extract", "--kind", kind, "--rank", "1", "--order", "16") == \
+            (0, "# hilbseries command=extract kind=%s order=16 rank=1 seed=20260815\n" % kind)
 
-    @pytest.mark.parametrize("kind", ["segre", "verlinde"])
-    def test_no_generic_draw_exits_two(self, capsys, monkeypatch, kind):
-        loc.get_surface("p2")  # validated before every direction is rejected
-        monkeypatch.setattr(loc, "_hook_generic", lambda *args: False)
-        argv = ["oracle", "--surface", "p2", "--class", "O(2)", "--n", "1", "--kind", kind]
-        if kind == "verlinde":
-            argv += ["--r", "2"]
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv)
-        captured = capsys.readouterr()
-        assert info.value.code == 2
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert "generic" in captured.err
+    @pytest.mark.parametrize("name", ["p1xp1", "f1"])
+    def test_n_seventeen_is_answered(self, capsys, name):
+        # rank 1 is proven, so the catalog's z^17 coefficient is the value
+        code, out = run(capsys, "oracle", "--surface", name, "--class", "O(1,1)",
+                        "--n", "17", "--kind", "segre", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        numerics = doc["class_numerics"]
+        assert numerics["rank"] == 1
+        closed = catalog.segre_full(1, numerics["c2"], numerics["c1sq"], numerics["chiO"],
+                                    numerics["c1K"], numerics["Ksq"], 17)
+        assert doc["value"] == extraction.frac_str(closed.coefficient(17))
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,12 +25,12 @@ negates the weights of signed_lifts() itself.  Most classes here are
 ShiftedClass test doubles (tests/shifted_class.py), whose lifts are moved
 by global characters, which changes no value.  Every comparison is exact
 equality, at a fixed direction and through the public entry points with
-their character draws.
+their two directions.  hook_generic, the hook-length scan of a direction,
+is the reference for which directions the chart pass accepts.
 """
 
 import random
 import re
-import time
 from fractions import Fraction as F
 from functools import lru_cache
 from math import comb, lcm, prod
@@ -38,7 +38,7 @@ from operator import mul
 
 import pytest
 
-from hilbseries import extraction, localization as loc
+from hilbseries import cli, extraction, localization as loc
 from hilbseries.series import Series, exp_numerators
 from shifted_class import ShiftedClass, shifts_of
 
@@ -286,13 +286,16 @@ def point_records(surface, kclasses, fps, q):
                     for index, box in boxes] for class_terms in terms]
 
 
-def point_sum(kernel, surface, kclasses, n, seed, whats):
-    """Per class, kernel(records, 2n, len(kclasses)) agreed at the two drawn directions."""
-    draws = loc._two_draws(surface, n, seed)
+def point_sum(kernel, surface, kclasses, n, whats, directions=None):
+    """Per class, kernel(records, 2n, len(kclasses)) agreed at every direction of
+    ``directions``, by default the oracle's two (_directions)."""
+    directions = loc._directions(n) if directions is None else directions
     fps = loc.enumerate_fixed_points(surface, n)
-    first, second = (kernel(point_records(surface, kclasses, fps, q), 2 * n, len(kclasses))
-                     for q in draws)
-    return tuple(loc._agreed(draws, name, a, b) for name, a, b in zip(whats, first, second))
+    first, *rest = (kernel(point_records(surface, kclasses, fps, q), 2 * n, len(kclasses))
+                    for q in directions)
+    for other in rest:
+        first = [loc._agreed(directions, name, a, b) for name, a, b in zip(whats, first, other)]
+    return tuple(first)
 
 
 def point_segre_top(records, order, count):
@@ -385,6 +388,25 @@ CLASSES = {
     "f1": ["O(1,1)-O(2,0)", "-O(0,1)+O(1,-1)+O(2,1)", "O(-1,2)-O(1,1)"],
 }
 DIRECTIONS = [(2, 5), (-3, 7), (1, -4), (6, 1), (1, 1)]  # (1, 1) kills weights
+# [-9, 9]^2 off the axes and both diagonals: 288 directions, generic or not
+BOX = [(a, b) for a in range(-9, 10) for b in range(-9, 10) if a and b and abs(a) != abs(b)]
+
+
+def hook_generic(surface, n, q):
+    """Whether q keeps every tangent weight of every fixed point of S^[n] nonzero:
+    a box with hook (a, l) occurs in size at most n exactly when a + l + 1 <= n."""
+    for index in range(len(surface.charts)):
+        x, y = (loc._dot(chi, q) for chi in surface.tangent_chars(index))
+        for arm in range(n):
+            for leg in range(n - arm):
+                if (arm + 1) * x == leg * y or arm * x == (leg + 1) * y:
+                    return False
+    return True
+
+
+def generic_directions(surface, n):
+    """The directions of DIRECTIONS that are generic for S^[n]."""
+    return [q for q in DIRECTIONS if hook_generic(surface, n, q)]
 
 
 def negated(kclass):
@@ -477,7 +499,7 @@ def test_hrr_term_is_the_binomial_term(name):
                for r in range(-3, 4)]
     batch = [twisted_class(c, 2) for c in shifted_lines(surface)[:3]]
     cases = [([c], order, q) for q in DIRECTIONS
-             for order in {0, 1, max(n for n in range(9) if loc._hook_generic(surface, n, q))}
+             for order in {0, 1, max(n for n in range(9) if hook_generic(surface, n, q))}
              for c in twisted]
     for classes, order, q in cases + [(batch, 4, (2, 5))]:
         hrr, ref = (outcome(chart_values, loc._values, surface, classes, order, q, term)
@@ -511,17 +533,18 @@ def test_trivial_term_of_weight_r_minus_1_is_the_twisted_class(name):
             assert batch == (failed[0] if failed else [c for c, in alone]), (r, q)
 
 
+# The entry points, at the oracle's two directions, against the references
+# agreed at every generic direction of DIRECTIONS.
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_segre_and_chern_through_draws(name):
     surface = loc.get_surface(name)
-    cases = [(loc.parse_class(surface, spec), n, seed)
-             for spec in CLASSES[name] for n in range(4) for seed in (None, 3, 41)]
-    new = [(loc.segre_integral(c, n, seed), loc.chern_integral(c, n, seed))
-           for c, n, seed in cases]
+    cases = [(loc.parse_class(surface, spec), n) for spec in CLASSES[name] for n in range(4)]
+    new = [(loc.segre_integral(c, n), loc.chern_integral(c, n)) for c, n in cases]
     kernel = ref_batch(ref_segre_top)
-    old = [(point_sum(kernel, surface, [c], n, seed, [repr(c)])[0],
-            point_sum(kernel, surface, [negated(c)], n, seed, [repr(c)])[0])
-           for c, n, seed in cases]
+    old = [tuple(point_sum(kernel, surface, [e], n, [repr(c)],
+                           generic_directions(surface, n))[0] for e in (c, negated(c)))
+           for c, n in cases]
     assert new == old
 
 
@@ -529,12 +552,11 @@ def test_segre_and_chern_through_draws(name):
 def test_verlinde_through_draws(name):
     surface = loc.get_surface(name)
     gens = len(surface.generators)
-    cases = [(loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))]),
-              r, n, seed)
-             for d, r in enumerate(range(-3, 4)) for n, seed in enumerate((None, 17, 5, 17))]
-    new = [loc.verlinde_chi(c, r, n, seed) for c, r, n, seed in cases]
-    old = [point_sum(ref_batch(ref_euler_sum), surface, [twisted_class(c, r)], n, seed,
-                     [repr(c)])[0] for c, r, n, seed in cases]
+    cases = [(loc.EqKClass(surface, [(1, tuple((d + j) % 4 - 1 for j in range(gens)))]), r, n)
+             for d, r in enumerate(range(-3, 4)) for n in range(4)]
+    new = [loc.verlinde_chi(c, r, n) for c, r, n in cases]
+    old = [point_sum(ref_batch(ref_euler_sum), surface, [twisted_class(c, r)], n, [repr(c)],
+                     generic_directions(surface, n))[0] for c, r, n in cases]
     assert new == old
 
 
@@ -637,7 +659,7 @@ def test_shared_specialization_is_taut_weights(name):
     for n in range(4):
         fps = loc.enumerate_fixed_points(surface, n)
         for q in DIRECTIONS:
-            if not loc._hook_generic(surface, n, q):
+            if not hook_generic(surface, n, q):
                 continue
             records = list(point_records(surface, classes, fps, q))
             assert len(records) == len(fps)
@@ -655,17 +677,16 @@ def test_batches_equal_the_references_class_by_class(name):
     surface = loc.get_surface(name)
     classes = shifted_classes(surface)
     lines = shifted_lines(surface)
-    cases = list(enumerate((None, 3, 41, 3)))
-    segre = [at_n(loc.segre_series(classes, n, seed), n) for n, seed in cases]
-    chis = [at_n(loc.verlinde_series(lines, r, n, seed), n) for n, seed in cases
-            for r in range(-3, 4)]
+    cases = range(4)
+    segre = [at_n(loc.segre_series(classes, n), n) for n in cases]
+    chis = [at_n(loc.verlinde_series(lines, r, n), n) for n in cases for r in range(-3, 4)]
     segre_ref, euler_ref = ref_batch(ref_segre_top), ref_batch(ref_euler_sum)
-    assert segre == [tuple(point_sum(segre_ref, surface, [c], n, seed, [repr(c)])[0]
+    assert segre == [tuple(point_sum(segre_ref, surface, [c], n, [repr(c)])[0]
                            for c in classes)
-                     for n, seed in cases]
-    assert chis == [tuple(point_sum(euler_ref, surface, [twisted_class(c, r)], n, seed,
+                     for n in cases]
+    assert chis == [tuple(point_sum(euler_ref, surface, [twisted_class(c, r)], n,
                                     [repr(c)])[0] for c in lines)
-                    for n, seed in cases for r in range(-3, 4)]
+                    for n in cases for r in range(-3, 4)]
 
 
 # The chart pass against the per-point path, exactly, for every n <= 6.
@@ -680,15 +701,15 @@ def test_chart_pass_is_the_point_sum_segre(name):
                                       for sign, coeffs in kclass.terms], shifts_of(kclass))
                for kclass in shifted_classes(surface) for t in range(-3, 4)]
     whats = [repr(c) for c in classes]
-    chart = loc.segre_series(classes, CHART_ORDER, 7)
-    point = [point_sum(point_segre_top, surface, classes, n, 7, whats)
+    chart = loc.segre_series(classes, CHART_ORDER)
+    point = [point_sum(point_segre_top, surface, classes, n, whats)
              for n in range(CHART_ORDER + 1)]
     assert chart == tuple(zip(*point))
     # Chern through its own entry point, at the top n, on the untwisted classes
     classes = shifted_classes(surface)
-    chern = [loc.chern_integral(c, CHART_ORDER, 7) for c in classes]
+    chern = [loc.chern_integral(c, CHART_ORDER) for c in classes]
     assert chern == list(point_sum(point_segre_top, surface, [negated(c) for c in classes],
-                                   CHART_ORDER, 7, [repr(c) for c in classes]))
+                                   CHART_ORDER, [repr(c) for c in classes]))
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -697,10 +718,10 @@ def test_chart_pass_is_the_point_sum_verlinde(name):
     lines = shifted_lines(surface)
     twists = range(-3, 4)
     chart = [values for r in twists
-             for values in loc.verlinde_series(lines, r, CHART_ORDER, 11)]
+             for values in loc.verlinde_series(lines, r, CHART_ORDER)]
     # one point sum per n for every twist at once
     twisted = [twisted_class(c, r) for r in twists for c in lines]
-    point = [point_sum(point_euler_sum, surface, twisted, n, 11, [repr(c) for c in twisted])
+    point = [point_sum(point_euler_sum, surface, twisted, n, [repr(c) for c in twisted])
              for n in range(CHART_ORDER + 1)]
     assert chart == list(zip(*point))
 
@@ -711,12 +732,12 @@ def test_batch_rows_are_the_single_n_calls(name):
     classes = shifted_classes(surface)
     lines = shifted_lines(surface)
     order = 5
-    assert loc.segre_series(classes, order, 3) == \
-        tuple(zip(*(at_n(loc.segre_series(classes, n, 3), n)
+    assert loc.segre_series(classes, order) == \
+        tuple(zip(*(at_n(loc.segre_series(classes, n), n)
                     for n in range(order + 1))))
     for r in (-2, 0, 3):
-        assert loc.verlinde_series(lines, r, order, 3) == \
-            tuple(zip(*(at_n(loc.verlinde_series(lines, r, n, 3), n)
+        assert loc.verlinde_series(lines, r, order) == \
+            tuple(zip(*(at_n(loc.verlinde_series(lines, r, n), n)
                         for n in range(order + 1)))), r
 
 
@@ -732,7 +753,7 @@ def test_verlinde_batch_is_each_line_alone(r, order):
     assert batch == loc._chart_pass(
         ref_class_euler_term,
         [(line.surface, line.signed_lifts() + [(r - 1, ((0, 0),) * len(line.surface.charts))])
-         for line in lines], order, None,
+         for line in lines], order,
         ["chi of %r at twist %d" % (line, r) for line in lines]), (r, order)
 
 
@@ -866,6 +887,12 @@ class TestChecksStillFire:
         # x^1 u^0 is a pole of the chart product
         with pytest.raises(ArithmeticError, match="pole coefficient at order -2"):
             loc._values([[1, 0, 0], [1, 0, 0]], 1)
+        # the pole just below the integral, x^n u^(2n-1), is read too
+        for n in (1, 2, 3):
+            rows = [[1] + [0] * (2 * n)] + [[0] * (2 * n + 1) for _ in range(n)]
+            rows[n][2 * n - 1] = 1
+            with pytest.raises(ArithmeticError, match="surviving pole coefficient at order -1"):
+                loc._values(rows, 1)
 
     def test_non_integer_result_raises(self):
         # the e^-1 poles 1/2 and -1/2 cancel; the constant term is 1/2
@@ -964,7 +991,7 @@ class TestChecksStillFire:
             out = original(surface, classes, order, q, term, shapes)
             if len(out) > 1:
                 rows, den = out[1]
-                rows[order][2 * order] += q[0] * den
+                rows[order][2 * order] += q[1] * den
             return out
 
         monkeypatch.setattr(loc, "_chart_product", skewed)
@@ -974,47 +1001,33 @@ class TestChecksStillFire:
 
 
 class TestHookScan:
-    """Directions are screened by hook length before any chart is specialized."""
+    """hook_generic is what the chart pass and the fixed points accept, and the
+    oracle's two directions are generic at every n."""
 
-    # (surface, first n at which no direction of the box is generic)
-    DEAD_FROM = [("p2", 25), ("p1xp1", 17), ("f1", 17)]
-
-    @pytest.mark.parametrize("name, dead_from", DEAD_FROM)
-    def test_dead_box_raises_before_enumerating(self, name, dead_from, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_the_directions_are_generic(self, name):
         surface = loc.get_surface(name)
-
-        def refuse(*args):
-            raise AssertionError("charts specialized for n beyond the draw box")
-
-        monkeypatch.setattr(loc, "_chart_product", refuse)
-        monkeypatch.setattr(loc, "enumerate_fixed_points", refuse)
-        line = loc.EqKClass(surface, [(1, (1,) + (0,) * (len(surface.generators) - 1))])
-        oracles = [lambda n: loc.segre_integral(line, n),
-                   lambda n: loc.chern_integral(line, n),
-                   lambda n: loc.verlinde_chi(line, 2, n)]
-        started = time.perf_counter()
-        for n in range(max(17, dead_from), 31):
-            with pytest.raises(loc.DrawError) as info:
-                oracles[n % 3](n)
-            assert str(info.value).startswith(
-                "fewer than two of the 288 directions in [-9, 9]^2 are generic for ")
-        assert time.perf_counter() - started < 10
-        assert not any(loc._hook_generic(surface, dead_from, q) for q in loc._DIRECTIONS)
-        assert sum(loc._hook_generic(surface, dead_from - 1, q) for q in loc._DIRECTIONS) >= 2
+        for n in range(61):
+            directions = loc._directions(n)
+            assert len(set(directions)) == 2, n
+            assert all(hook_generic(surface, n, q) for q in directions), n
+        for n in range(9):
+            for q in loc._directions(n):
+                loc._chart_product(surface, [], n, q, loc._segre_term, loc._shapes(n))
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_hook_generic_is_what_records_accept(self, name):
         # the chart pass specializes every partition of size <= n per chart
         surface = loc.get_surface(name)
         for n in range(7):
-            for q in loc._DIRECTIONS:
+            for q in BOX:
                 try:
                     loc._chart_product(surface, [], n, q, loc._segre_term, loc._shapes(n))
                 except ArithmeticError:
                     accepted = False
                 else:
                     accepted = True
-                assert loc._hook_generic(surface, n, q) == accepted, (n, q)
+                assert hook_generic(surface, n, q) == accepted, (n, q)
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_the_chart_pass_accepts_what_the_points_accept(self, name):
@@ -1023,7 +1036,7 @@ class TestHookScan:
         surface = loc.get_surface(name)
         for n in range(5):
             fps = loc.enumerate_fixed_points(surface, n)
-            for q in loc._DIRECTIONS:
+            for q in BOX:
                 verdicts = []
                 for attempt in (lambda: loc._chart_product(surface, [], n, q, loc._segre_term,
                                                            loc._shapes(n)),
@@ -1038,62 +1051,66 @@ class TestHookScan:
 
 
 class TestDrawHelper:
-    # The first two hook-generic directions of the seeded stream, as the
-    # draw loop has always drawn them: draws stay deterministic from the seed.
+    """The oracle's two directions are pinned, a direction that zeroes a tangent
+    weight raises in the chart product, and the two directions' values are
+    compared."""
+
+    # (surface, n, the CLI's --seed or None, the directions its chart products
+    # use): (1, B) and (1, B + 1), B = max(n, 2), whatever the seed, which is
+    # only echoed
     PINNED = [
-        ("p2", 0, None, [(-7, -9), (7, 8)]),
-        ("p2", 1, None, [(-7, -9), (7, 8)]),
-        ("p2", 12, 123456, [(-4, -9), (-9, 7)]),
-        ("p1xp1", 16, None, [(-9, -8), (9, -8)]),
-        ("p1xp1", 16, 3, [(-8, -9), (-9, -8)]),
-        ("p1xp1", 16, 5, [(9, 8), (-8, 9)]),
-        ("f1", 5, 41, [(-2, -9), (-5, 1)]),
-        ("f1", 16, 17, [(-9, -8), (8, 9)]),
+        ("p2", 0, None, [(1, 2), (1, 3)]),
+        ("p2", 1, None, [(1, 2), (1, 3)]),
+        ("p2", 12, 123456, [(1, 12), (1, 13)]),
+        ("p1xp1", 16, None, [(1, 16), (1, 17)]),
+        ("p1xp1", 16, 3, [(1, 16), (1, 17)]),
+        ("p1xp1", 16, 5, [(1, 16), (1, 17)]),
+        ("f1", 5, 41, [(1, 5), (1, 6)]),
+        ("f1", 16, 17, [(1, 16), (1, 17)]),
     ]
 
     @pytest.mark.parametrize("name, n, seed, draws", PINNED)
-    def test_draw_stream_is_pinned(self, name, n, seed, draws):
-        assert loc._two_draws(loc.get_surface(name), n, seed) == draws
+    def test_draw_stream_is_pinned(self, name, n, seed, draws, monkeypatch, capsys):
+        surface = loc.get_surface(name)  # validated before the products are counted
+        original, used = loc._chart_product, []
+
+        def counted(on, classes, order, q, *rest):
+            used.append(q)
+            return original(on, classes, order, q, *rest)
+
+        monkeypatch.setattr(loc, "_chart_product", counted)
+        spec = "O(%s)" % ",".join(["1"] * len(surface.generators))
+        argv = ["oracle", "--surface", name, "--class", spec, "--n", str(n), "--kind", "segre"]
+        assert cli.main(argv + ["--seed", str(seed)] * (seed is not None)) == 0
+        assert "seed=%d" % (cli.DEFAULT_SEED if seed is None else seed) in capsys.readouterr().out
+        assert used == loc._directions(n) == draws
+
+    ORACLES = [lambda line: loc.segre_integral(line, 1),
+               lambda line: loc.chern_integral(line, 1),
+               lambda line: loc.verlinde_chi(line, 2, 1)]
 
     def test_every_direction_rejected_raises_quickly(self, monkeypatch):
-        tried = []
+        # (1, 1) zeroes a tangent weight of S^[1] on p2, and so does (1, 0); the
+        # first chart product raises, before any value is read
+        line = loc.parse_class(loc.get_surface("p2"), "O(1)")
 
-        def reject(surface, n, q):
-            tried.append(q)
-            return False
+        def refuse(*args):
+            raise AssertionError("a value was read")
 
-        p2 = loc.get_surface("p2")
-        monkeypatch.setattr(loc, "_hook_generic", reject)
-        started = time.perf_counter()
-        with pytest.raises(loc.DrawError):
-            loc._two_draws(p2, 1, 5)
-        assert time.perf_counter() - started < 2
-        assert len(tried) == len(set(tried)) == 288
+        monkeypatch.setattr(loc, "_directions", lambda n: [(1, 1), (1, 0)])
+        monkeypatch.setattr(loc, "_values", refuse)
+        for oracle in self.ORACLES:
+            with pytest.raises(ArithmeticError, match=r"direction \(1, 1\) zeroes"):
+                oracle(line)
 
     def test_one_usable_direction_raises(self, monkeypatch):
-        p2 = loc.get_surface("p2")
-        monkeypatch.setattr(loc, "_hook_generic", lambda surface, n, q: q == (2, 5))
-        with pytest.raises(loc.DrawError):
-            loc._two_draws(p2, 1, None)
-
-    def test_rejected_directions_keep_the_stream(self, monkeypatch):
-        # rejecting a direction never shifts which later ones are drawn
-        p2 = loc.get_surface("p2")
-        monkeypatch.setattr(loc, "_hook_generic", lambda surface, n, q: True)
-        first = loc._two_draws(p2, 1, 9)
-        tried = []
-
-        def reject_first(surface, n, q):
-            tried.append(q)
-            return q != first[0]
-
-        monkeypatch.setattr(loc, "_hook_generic", reject_first)
-        draws = loc._two_draws(p2, 1, 9)
-        assert tried[:2] == first
-        assert draws == tried[1:3]
+        line = loc.parse_class(loc.get_surface("p2"), "O(1)")
+        monkeypatch.setattr(loc, "_directions", lambda n: [(2, 5), (1, 1)])
+        for oracle in self.ORACLES:
+            with pytest.raises(ArithmeticError, match=r"direction \(1, 1\) zeroes"):
+                oracle(line)
 
     def test_disagreement_is_not_a_draw_error(self):
-        draws = loc._two_draws(loc.get_surface("p2"), 1, 1)
-        with pytest.raises(ArithmeticError, match="disagree") as info:
-            loc._agreed(draws, "a test", *draws)
-        assert not isinstance(info.value, loc.DrawError)
+        directions = loc._directions(1)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            loc._agreed(directions, "a test", *directions)
