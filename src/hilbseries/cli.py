@@ -44,8 +44,8 @@ ORACLE_DEFAULT_ORDER = 4
 # --seed is echoed only: the oracle's directions are fixed (localization._directions)
 DEFAULT_SEED = 20260815
 # The deepest requests answered, refused above at once so that each run ends in
-# bounded time: oracle --n (at n = 24, p1xp1 Verlinde at r = 3 already takes
-# minutes) and extract's order (every default panel holds a p1xp1 row).
+# bounded time: oracle --n (at n = 24, p1xp1 Verlinde at r = 3 already takes minutes)
+# and extract's order (at 16, up to 0.3 s CPU at Segre ranks -4..5, 2.0 s at twists -3..3).
 ORACLE_MAX_N = 24
 EXTRACT_MAX_ORDER = 16
 
@@ -246,7 +246,7 @@ def _cmd_extract(args, parser):
                     % (parser.prog, order, EXTRACT_MAX_ORDER))
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
-    panel = extraction.default_panel(args.kind, args.rank)
+    panel = extraction.default_panel(args.kind, args.rank, order)
     predict = {"segre": extraction.predict_unknown,
                "verlinde": extraction.predict_verlinde}[args.kind]
     report = predict(args.rank, order, panel)

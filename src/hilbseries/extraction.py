@@ -1,15 +1,15 @@
-"""Recovery of the universal series from fixed-point integrals.
+"""Recovery of the universal series from the equivariant vertex.
 
 The generating functions of tautological integrals factor as products of
 universal series raised to geometric exponents (c2, c1^2, chi(O), c1.K,
 K^2 on the Segre/Chern side; chi(L), chi(O), c1.K - K^2/2, K^2 on the
-Euler-characteristic side).  Taking logarithms turns each coefficient
-order into an exact linear system over the exponent vectors of a panel
-of classes, each on its own surface.  Because the factorization is
-exact, every redundant panel row must be exactly consistent; any
-disagreement is raised as an error rather than averaged away.  Each
-system is solved fraction-free, in integers, reducing rows in the
-caller's order.
+Euler-characteristic side), also chart by chart on C^2 with equivariant
+exponents.  A panel holds classes on two C^2 charts (Chart); the u^0 part of
+the log of each chart product (_log_values) turns each coefficient order
+into an exact linear system over the panel's exponent vectors.  Because the
+factorization is exact, every redundant panel row must be exactly
+consistent; any disagreement is raised as an error rather than averaged
+away.  Each system is solved fraction-free, in integers, in row order.
 """
 
 from __future__ import annotations
@@ -18,18 +18,15 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction as F
 from math import gcd, lcm
+from operator import lshift
 
-from . import catalog
+from . import catalog, localization
 from .series import Series, as_fraction
-from .localization import (
-    EqKClass,
-    get_surface,
-    segre_integral,  # noqa: F401  not called here; perfbench's tracer test reads this binding
-    segre_series,
-    verlinde_series,
-)
+# segre_integral is not called here; perfbench's tracer test reads this binding
+from .localization import EqKClass, _lowest, _slots, get_surface, segre_integral  # noqa: F401
 
 __all__ = [
+    "Chart",
     "Panel",
     "PanelError",
     "UniversalityError",
@@ -153,45 +150,69 @@ def _segre_exponents(cls, s):
 
 
 def _verlinde_exponents(cls, r):
+    if cls.rank != 1 or len(cls.terms) != 1:
+        raise PanelError("a Verlinde row is a single line bundle, got %r" % cls)
     surface = cls.surface
     chi_L = surface.chi_O + F(cls.c1sq - cls.c1K, 2)
-    if chi_L.denominator != 1:
-        raise PanelError("chi(L) of %r is not an integer" % cls)
     return [chi_L, F(surface.chi_O), cls.c1K - F(surface.ksq, 2), F(surface.ksq)]
 
 
 # Per kind: the report key of the panel parameter, the exponent columns,
-# exponents(class, param), oracle(classes, param, order) with the
-# values for n = 0..order per class, factors(param, order), the catalog's
-# holder of every factor, the series variable, the series label and the
-# index of the first series.
-_Kind = namedtuple("_Kind", "param columns exponents oracle factors var label first")
+# exponents(class, param), the chart product's term, lifts(class, param) as the
+# term reads a class, factors(param, order), the catalog's holder of every
+# factor, the series variable, the series label and the index of the first series.
+_Kind = namedtuple("_Kind", "param columns exponents term lifts factors var label first")
 
-# The lambdas look the oracle and catalog up at call time, so a wrapper
-# installed on those functions later (a tracer, a test double) is seen.
+# The catalog, like localization._chart_product in _extract, is looked up at call
+# time, so a wrapper installed later (a tracer, a test double) is seen.
 _KINDS = {
     "segre": _Kind(
         "rank", ("c2", "c1sq", "chiO", "c1K", "Ksq"), _segre_exponents,
-        lambda classes, s, order: segre_series(classes, order),
+        localization._segre_term, lambda cls, s: cls.signed_lifts(),
         lambda s, order: catalog._SegreLogs(s, order),
         "z", "A%d", 0),
     "verlinde": _Kind(
         "twist", ("chiL", "chiO", "c1K-Ksq/2", "Ksq"), _verlinde_exponents,
-        lambda classes, r, order: verlinde_series(classes, r, order),
+        localization._euler_term, lambda cls, r: cls.signed_lifts() + [(r - 1, ((0, 0),))],
         lambda r, order: catalog._VerlindeLogs(r, order),
         "w", "B%d", 1),
 }
 
 
+class Chart:
+    """C^2 at q = (1, beta) as a one-chart surface: coordinate characters (1, 0) and
+    (0, 1), so tangent weights -1 and -beta, and O(w) the trivial line bundle of weight
+    w.  Pairings, K and K^2 are equivariant integrals, with e = 1/beta the point's and
+    K = 1 + beta, and chi_O = (K^2 e + 1)/12 by Noether's formula."""
+
+    generators = [(1,)]
+    charts = [(0, 1, (1, 0), (0, 1))]
+
+    def __init__(self, beta):
+        self.beta, self.name = beta, "C2(1,%d)" % beta
+        self.k_dot = [F(1 + beta, beta)]
+        self.ksq = F((1 + beta) ** 2, beta)
+        self.chi_O = (self.ksq + 1) / 12
+
+    def lift(self, coeffs):
+        return ((coeffs[0], 0),)
+
+    def tangent_chars(self, index):
+        return (-1, 0), (0, -1)
+
+    def pair(self, a, b):
+        return F(a[0] * b[0], self.beta)
+
+
 class Panel:
-    """Rows of classes, on several surfaces, whose exponent vectors span every
-    universal series.
+    """Rows of classes, on several charts or surfaces, whose exponent vectors span
+    every universal series.
 
     ``kind`` is "segre", with columns (c2, c1^2, chi(O), c1.K, K^2) for
     classes of rank ``param``, or "verlinde", with columns (chi(L),
     chi(O), c1.K - K^2/2, K^2) at twist ``param``.  Construction asserts
-    full column rank, which a single surface can never reach since its
-    chi(O) and K^2 columns are proportional.
+    full column rank, which a single chart or surface can never reach since
+    its chi(O) and K^2 columns are proportional.
     """
 
     def __init__(self, kind, param, rows):
@@ -203,7 +224,7 @@ class Panel:
         self.exponent_matrix = [spec.exponents(cls, param) for cls in self.rows]
         rank = matrix_rank(self.exponent_matrix)
         if rank < len(self.columns):
-            raise PanelError("exponent matrix has rank %d < %d; add geometries or classes"
+            raise PanelError("exponent matrix has rank %d < %d; add charts or classes"
                              % (rank, len(self.columns)))
 
     def __len__(self):
@@ -254,49 +275,78 @@ def build_panel(s):
     return Panel("segre", s, rows)
 
 
-_VERLINDE_LINES = (("p2", (0,)), ("p2", (1,)), ("p2", (2,)),
-                   ("p1xp1", (0, 0)), ("p1xp1", (1, 1)), ("p1xp1", (1, 2)),
-                   ("f1", (1, 1)))
-
-
-def default_panel(kind, param):
-    """The panel extraction uses when given none.
-
-    Segre panels come from ``build_panel``; Verlinde panels are seven
-    line bundles on the three surfaces, which reach rank 4 at every twist.
-    """
+def default_panel(kind, param, order):
+    """Three classes on each Chart at the oracle's directions at ``order`` (_directions):
+    at rank s, p = max(s, 1) + 1 positive and p - s negative terms, 0, 1 or 2 of weight
+    1 and the rest 0, so c2 varies too; at a twist, the lines O(0), O(2) and O(-1)."""
+    charts = [Chart(beta) for _, beta in localization._directions(order)]
     if kind == "segre":
-        return build_panel(param)
-    return Panel(kind, param, [EqKClass(get_surface(name), [(1, line)])
-                               for name, line in _VERLINDE_LINES])
+        plus = max(param, 1) + 1
+        rows = [EqKClass(chart, [(1, (int(i < ones),)) for i in range(plus)]
+                         + [(-1, (0,))] * (plus - param))
+                for chart in charts for ones in range(3)]
+    else:
+        rows = [EqKClass(chart, [(1, (w,))]) for chart in charts for w in (0, 2, -1)]
+    return Panel(kind, param, rows)
+
+
+def _log_values(rows, den):
+    """Per n = 1..order, [x^n u^0] log Z, Z = sum_n x^n u^(-2n) rows[n] / den a chart
+    product.  [x^n] log Z integrates classes of every degree over C^2, so a pole below
+    u^-2 raises.  In y = x u^-2, n [y^n] log Z = M_n = -sum_(0<=k<n) M_k Z_(n-k), M_0 =
+    -n, each M_k and Z_k a u-row over its own denominator, packed (_slots) to multiply."""
+    if rows[0] != [den] + [0] * (len(rows[0]) - 1):
+        raise ArithmeticError("a chart series should start at 1, got %s" % rows[0])
+    z = [(row, d) for (row,), d in (_lowest([row], den) for row in rows)]
+    width, tops, logs, values = len(rows[0]), [max(map(abs, row)) for row, _ in z], [], []
+    for n in range(1, len(rows)):
+        factors = [(k, m, d * z[n - k][1]) for k, (m, d) in enumerate([([-n], 1)] + logs)]
+        d = lcm(*(scale for _, _, scale in factors))
+        shifts, unpack = _slots(sum(width * max(map(abs, m)) * tops[n - k] * (d // scale)
+                                    for k, m, scale in factors), width)
+        m = unpack(-sum(sum(map(lshift, m, shifts)) * sum(map(lshift, z[n - k][0], shifts))
+                        * (d // scale) for k, m, scale in factors))
+        if any(m[:2 * n - 2]):
+            raise ArithmeticError("the log of a chart series keeps a pole at u^%d, below u^-2"
+                                  % (next(j for j, c in enumerate(m) if c) - 2 * n))
+        (m,), d = _lowest([m], d)
+        logs.append((m, d))
+        values.append(F(m[2 * n], n * d))
+    return values
 
 
 def _extract(kind, param, order, panel):
-    """Log of each row's series, from one oracle call for the whole panel, one exact
-    solve for every order at once, exp."""
+    """Per chart of the panel one chart product for its classes, read by
+    _log_values, then one exact solve for every order at once, exp."""
+    if order < 0:
+        raise ValueError("n must be nonnegative")
     if panel is None:
-        panel = default_panel(kind, param)
+        panel = default_panel(kind, param, order)
     if (panel.kind, panel.param) != (kind, param):
         raise PanelError("panel was built for %s %d, not %s %d"
                          % (panel.kind, panel.param, kind, param))
-    spec = _KINDS[kind]
-    logs = []
-    for row in spec.oracle(panel.rows, param, order):
-        if row[0] != 1:
-            raise ArithmeticError("n=0 integral should be 1, got %s" % row[0])
-        logs.append(Series(row, order, spec.var).log())
-    by_unknown = _solve(panel.exponent_matrix,
-                        [[lg.coefficient(n) for lg in logs] for n in range(1, order + 1)])
-    return [Series([0, *values], order, spec.var).exp() for values in by_unknown]
+    spec, by_chart, values = _KINDS[kind], {}, [None] * len(panel)
+    for index, cls in enumerate(panel):
+        if not isinstance(cls.surface, Chart):
+            raise PanelError("extraction reads classes on C^2 charts, got %r" % cls)
+        by_chart.setdefault(cls.surface, []).append(index)
+    shapes = localization._shapes(order)
+    for chart, indices in by_chart.items():
+        classes = [spec.lifts(panel.rows[index], param) for index in indices]
+        for index, product in zip(indices, localization._chart_product(
+                chart, classes, order, (1, chart.beta), spec.term, shapes)):
+            values[index] = _log_values(*product)
+    by_unknown = _solve(panel.exponent_matrix, [list(column) for column in zip(*values)])
+    return [Series([0, *column], order, spec.var).exp() for column in by_unknown]
 
 
 def extract_universal(s, order, panel=None):
-    """Recover A0..A4 at rank s from oracle Segre integrals over a panel."""
+    """Recover A0..A4 at rank s from the Segre vertex of a panel."""
     return _extract("segre", s, order, panel)
 
 
 def extract_verlinde(r, order, panel=None):
-    """Recover B1..B4 at twist r from oracle Euler characteristics."""
+    """Recover B1..B4 at twist r from the Euler-characteristic vertex of a panel."""
     return _extract("verlinde", r, order, panel)
 
 

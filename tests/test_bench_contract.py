@@ -16,6 +16,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -49,22 +50,24 @@ def test_every_traced_path_resolves():
 
 @pytest.mark.parametrize("kind", ["segre", "verlinde"])
 def test_extraction_reads_the_oracle_at_call_time(kind, monkeypatch):
-    # a tracer wraps extraction.segre_series and extraction.verlinde_series
-    # after import; extraction's kind table must call the wrapper, not the
-    # function it bound at import
-    from hilbseries import extraction
-    name = kind + "_series"
-    original, calls = getattr(extraction, name), []
+    # a tracer or test double installed on localization._chart_product after
+    # import is what extraction calls, once per chart of the panel, with that
+    # chart's rows in order
+    from hilbseries import extraction, localization
+    original, calls = localization._chart_product, []
 
-    def wrapper(*args):
-        calls.append([repr(c) for c in args[0]])
-        return original(*args)
+    def wrapper(surface, classes, order, q, term, shapes):
+        calls.append((surface.name, q, classes))
+        return original(surface, classes, order, q, term, shapes)
 
-    monkeypatch.setattr(extraction, name, wrapper)
+    monkeypatch.setattr(localization, "_chart_product", wrapper)
     extract = {"segre": extraction.extract_universal, "verlinde": extraction.extract_verlinde}
     extract[kind](1, 1)
-    # one call for the whole panel, its rows in order
-    assert calls == [[repr(c) for c in extraction.default_panel(kind, 1)]]
+    panel = extraction.default_panel(kind, 1, 1)
+    lifts = extraction._KINDS[kind].lifts
+    assert calls == [("C2(1,%d)" % beta, (1, beta),
+                      [lifts(cls, 1) for cls in panel if cls.surface.beta == beta])
+                     for _, beta in localization._directions(1)]
 
 
 def test_every_benchmark_argv_parses():
@@ -107,11 +110,11 @@ def test_a_named_subcommand_builds_only_its_parser(monkeypatch):
 # block, in block order.
 FIRST_BLOCK_SHA256 = {
     "extract": (
-        "a5ffda5b0b7374ab", "7a3dfe3dd4b78d23", "5532e4c6ced80ffd", "bc33756a2dafa5ef",
-        "7952d645a5f2ace5", "6162833edea6eb35", "02ffa8492270b3e7", "d1c4af2d4999b1b6",
-        "59ce997b7cf88cd6", "17de53af8fcd333e", "d262d3c029c3071f", "da030b25e29108b4",
-        "36747d035c8d7f3f", "d7eefad1a05cc681", "66ef0e4334ed5247", "3b2c1279b96a3848",
-        "17f329c4f931de9b", "d89dbeba43c8070c", "1b6d0535f1e9cc32",
+        "d4007085bb2618f6", "9ab8567bde1176e7", "0bfde07404213494", "c9ba8be1a3821917",
+        "3587a92d42a9b105", "589bb6317ea9f5c8", "6029bc6eeeebe457", "45ff7556800435d6",
+        "321a9a68a1dff08a", "303e2502e7a5a0fc", "7a3f6cbf6ab1793c", "6c6082ac97eb090c",
+        "35ccfc0b8656ec75", "226971c47677d787", "11973e39520b34d5", "10ef6d15232716d8",
+        "9b56024da462a379", "ba2e4ad15169cb0c", "4356ec9d245ad11d",
     ),
     "oracle_points": (
         "426bb9e3abfd2ce9", "d414d8a5481ae6fd", "6b686b62187bb4ba", "68bc479f48d30c36",
@@ -144,14 +147,36 @@ FIRST_BLOCK_SHA256 = {
 }
 
 
+# The same for each extract job's JSON "series" list, dumped with sorted keys:
+# the extracted and reference coefficients, statuses and agreement orders,
+# pinned when extraction still read three compact surfaces, which the vertex
+# panel must not move.
+EXTRACT_SERIES_SHA256 = (
+    "527c48b9fc4363c1", "775fd260345eeff7", "d4ab7abfb673566a", "d4ab7abfb673566a",
+    "029949cbca61c1d8", "4cddb2367784295d", "029949cbca61c1d8", "5f2f45a2848332ab",
+    "f97c933fcaf15474", "22c4951136900335", "cb6d4365001827c5", "5f2f45a2848332ab",
+    "029949cbca61c1d8", "4cddb2367784295d", "d4ab7abfb673566a", "e8275c0683c8195b",
+    "5f2f45a2848332ab", "4cddb2367784295d", "cb6d4365001827c5",
+)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("workload", sorted(FIRST_BLOCK_SHA256))
 def test_first_block_prints_pinned_bytes(monkeypatch, workload):
     from hilbseries import cli
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)
-    got = []
+    got, series = [], []
     for argv in next(_load("workloads").blocks(workload, 1)):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(list(argv)) == 0, argv
-        got.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])
+        got.append(_digest(out.getvalue()))
+        if workload == "extract":
+            series.append(_digest(json.dumps(json.loads(out.getvalue())["series"],
+                                             sort_keys=True)))
     assert tuple(got) == FIRST_BLOCK_SHA256[workload]
+    if workload == "extract":
+        assert tuple(series) == EXTRACT_SERIES_SHA256

@@ -465,70 +465,70 @@ EXTRACT_SEGRE_RANK2_JSON = """\
     [
       "0",
       "0",
-      "1",
+      "11/24",
       "0",
-      "9"
+      "9/2"
+    ],
+    [
+      "0",
+      "1/2",
+      "11/24",
+      "3/2",
+      "9/2"
+    ],
+    [
+      "1/2",
+      "2",
+      "11/24",
+      "3",
+      "9/2"
     ],
     [
       "0",
       "0",
-      "1",
+      "19/36",
       "0",
-      "8"
+      "16/3"
     ],
     [
       "0",
-      "1",
-      "1",
-      "-3",
-      "9"
+      "1/3",
+      "19/36",
+      "4/3",
+      "16/3"
     ],
     [
-      "0",
-      "0",
-      "1",
-      "-2",
-      "8"
-    ],
-    [
-      "1",
-      "4",
-      "1",
-      "-6",
-      "9"
-    ],
-    [
-      "0",
-      "-2",
-      "1",
-      "0",
-      "8"
+      "1/3",
+      "4/3",
+      "19/36",
+      "8/3",
+      "16/3"
     ]
   ],
   "panel": [
     {
-      "class": "O(0)+O(0)",
-      "surface": "p2"
+      "class": "O(0)+O(0)+O(0)-O(0)",
+      "surface": "C2(1,2)"
     },
     {
-      "class": "O(0,0)+O(0,0)",
-      "surface": "p1xp1"
+      "class": "O(1)+O(0)+O(0)-O(0)",
+      "surface": "C2(1,2)"
     },
     {
-      "class": "O(0)+O(1)",
-      "surface": "p2"
+      "class": "O(1)+O(1)+O(0)-O(0)",
+      "surface": "C2(1,2)"
     },
     {
-      "class": "O(0,0)+O(1,0)",
-      "surface": "p1xp1"
+      "class": "O(0)+O(0)+O(0)-O(0)",
+      "surface": "C2(1,3)"
     },
     {
-      "class": "O(1)+O(1)",
-      "surface": "p2"
+      "class": "O(1)+O(0)+O(0)-O(0)",
+      "surface": "C2(1,3)"
     },
     {
-      "class": "O(0,0)+O(-1,1)",
-      "surface": "p1xp1"
+      "class": "O(1)+O(1)+O(0)-O(0)",
+      "surface": "C2(1,3)"
     }
   ],
   "series": [
@@ -628,76 +628,66 @@ EXTRACT_VERLINDE_TWIST_MINUS1_JSON = """\
   ],
   "exponent_matrix": [
     [
-      "1",
-      "1",
-      "-9/2",
-      "9"
+      "11/24",
+      "11/24",
+      "-9/4",
+      "9/2"
     ],
     [
-      "3",
-      "1",
-      "-15/2",
-      "9"
+      "-1/24",
+      "11/24",
+      "3/4",
+      "9/2"
     ],
     [
-      "6",
-      "1",
-      "-21/2",
-      "9"
+      "35/24",
+      "11/24",
+      "-15/4",
+      "9/2"
     ],
     [
-      "1",
-      "1",
+      "19/36",
+      "19/36",
+      "-8/3",
+      "16/3"
+    ],
+    [
+      "-5/36",
+      "19/36",
+      "0",
+      "16/3"
+    ],
+    [
+      "49/36",
+      "19/36",
       "-4",
-      "8"
-    ],
-    [
-      "4",
-      "1",
-      "-8",
-      "8"
-    ],
-    [
-      "6",
-      "1",
-      "-10",
-      "8"
-    ],
-    [
-      "3",
-      "1",
-      "-7",
-      "8"
+      "16/3"
     ]
   ],
   "panel": [
     {
       "class": "O(0)",
-      "surface": "p2"
-    },
-    {
-      "class": "O(1)",
-      "surface": "p2"
+      "surface": "C2(1,2)"
     },
     {
       "class": "O(2)",
-      "surface": "p2"
+      "surface": "C2(1,2)"
     },
     {
-      "class": "O(0,0)",
-      "surface": "p1xp1"
+      "class": "O(-1)",
+      "surface": "C2(1,2)"
     },
     {
-      "class": "O(1,1)",
-      "surface": "p1xp1"
+      "class": "O(0)",
+      "surface": "C2(1,3)"
     },
     {
-      "class": "O(1,2)",
-      "surface": "p1xp1"
+      "class": "O(2)",
+      "surface": "C2(1,3)"
     },
     {
-      "class": "O(1,1)",
-      "surface": "f1"
+      "class": "O(-1)",
+      "surface": "C2(1,3)"
     }
   ],
   "series": [

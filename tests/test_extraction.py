@@ -1,8 +1,10 @@
 """Universality extraction tests.
 
-The extracted series come from oracle integrals and exact linear solves
-only; comparing them against the closed-form catalog cross-validates all
-three layers at once.
+The extracted series come from the vertex, chart products on C^2 and the
+u^0 part of their logs, and exact linear solves only; comparing them against
+the closed-form catalog cross-validates all three layers at once, and the
+compact-surface extraction they replaced (compact_reference) must give the
+same bytes.
 """
 
 import random
@@ -13,6 +15,7 @@ import pytest
 from hilbseries import catalog
 from hilbseries import extraction as ext
 from hilbseries import localization as loc
+from compact_reference import compact_extract, compact_panel
 
 
 # build_panel's chosen rows, pinned from the rank-growth rule that keeps a
@@ -218,12 +221,16 @@ class TestSolveExact:
             ext.solve_exact([[1, 0], [2, 0], [0, 1]], [1, 3, 1])
 
     def test_half_integer_verlinde_rows(self):
-        # (chi(L), chi(O), c1.K - K^2/2, K^2) of the default twist-0 panel
-        matrix = ext.default_panel("verlinde", 0).exponent_matrix
-        assert any(F(x).denominator == 2 for row in matrix for x in row)
-        x = [F(1, 3), F(-2), F(5, 7), F(1, 2)]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
-        assert ext.solve_exact(matrix, rhs) == x
+        # (chi(L), chi(O), c1.K - K^2/2, K^2) of the compact twist-0 panel, and of
+        # the vertex one at beta = 4 and 5, whose denominators divide 8, beta, 12 beta
+        compact = compact_panel("verlinde", 0).exponent_matrix
+        assert any(F(x).denominator == 2 for row in compact for x in row)
+        vertex = ext.default_panel("verlinde", 0, 4).exponent_matrix
+        assert {F(x).denominator for row in vertex for x in row} >= {5, 8, 48, 60}
+        for matrix in (compact, vertex):
+            x = [F(1, 3), F(-2), F(5, 7), F(1, 2)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+            assert ext.solve_exact(matrix, rhs) == x
 
     def test_inconsistent_rational_rows_raise(self):
         matrix = [[F(1, 2), F(1, 3)], [F(1, 4), 0], [F(3, 2), 1]]
@@ -268,11 +275,14 @@ class TestAgainstFractionReference:
     @pytest.mark.parametrize("s", range(-4, 4))
     def test_segre_panels(self, s):
         _assert_matches_reference(ext.build_panel(s).exponent_matrix, random.Random(s))
+        _assert_matches_reference(ext.default_panel("segre", s, 4).exponent_matrix,
+                                  random.Random(s))
 
     @pytest.mark.parametrize("r", range(-3, 4))
     def test_verlinde_panels(self, r):
-        _assert_matches_reference(ext.default_panel("verlinde", r).exponent_matrix,
-                                  random.Random(r))
+        for matrix in (compact_panel("verlinde", r).exponent_matrix,
+                       ext.default_panel("verlinde", r, 4).exponent_matrix):
+            _assert_matches_reference(matrix, random.Random(r))
 
 
 class TestPanels:
@@ -284,12 +294,18 @@ class TestPanels:
             assert all(cls.rank == s for cls in panel)
 
     def test_single_surface_panel_rejected(self):
-        # chi(O) and K^2 columns are proportional on one surface
+        # chi(O) and K^2 columns are proportional on one surface, and on one chart
         p2 = loc.get_surface("p2")
         rows = [loc.parse_class(p2, spec) for spec in
                 ("O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")]
         with pytest.raises(ext.PanelError):
             ext.Panel("segre", 1, rows)
+        panel = ext.default_panel("segre", 1, 3)
+        assert len({cls.surface for cls in panel}) == 2
+        chart = panel.rows[0].surface
+        with pytest.raises(ext.PanelError, match="rank 4 < 5"):
+            ext.Panel("segre", 1, [loc.parse_class(chart, spec) for spec in
+                                   ("O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")])
 
     def test_panel_rejects_wrong_rank(self):
         p2 = loc.get_surface("p2")
@@ -355,7 +371,7 @@ class TestExtractUniversal:
     def test_one_reduction_for_every_order(self, monkeypatch):
         # each panel row is reduced once per extraction, with one trailing
         # entry per order
-        panel = ext.build_panel(1)
+        panel = ext.default_panel("segre", 1, 3)
         original = ext._reduce
         trailing = []
 
@@ -370,12 +386,12 @@ class TestExtractUniversal:
             assert trailing == [order] * len(panel)
 
     def test_panel_rank_mismatch_rejected(self):
-        panel = ext.build_panel(1)
-        with pytest.raises(ext.PanelError):
-            ext.extract_universal(2, 2, panel)
+        for panel in (ext.build_panel(1), ext.default_panel("segre", 1, 2)):
+            with pytest.raises(ext.PanelError):
+                ext.extract_universal(2, 2, panel)
 
     def test_panel_row_order_irrelevant(self):
-        panel = ext.build_panel(1)
+        panel = ext.default_panel("segre", 1, 2)
         shuffled = ext.Panel("segre", 1, list(reversed(panel.rows)))
         a = ext.extract_universal(1, 2, panel)
         b = ext.extract_universal(1, 2, shuffled)
@@ -396,34 +412,32 @@ class TestExtractVerlinde:
         for index in (3, 4):
             assert (series[index - 1] - 1).is_zero()
 
-    def test_one_chart_pass_per_surface(self, monkeypatch):
-        # the seven default rows lie on three surfaces: one pass for n = 0..3
-        # over all of them, with one chart product per surface and direction
-        for name in loc.surface_names():  # each validates itself by a chart pass once
-            loc.get_surface(name)
-        original_pass, original_product = loc._chart_pass, loc._chart_product
-        passes, products = [], []
-
-        def counted_pass(term, batch, order, whats):
-            passes.append((order, [surface.name for surface, _ in batch]))
-            return original_pass(term, batch, order, whats)
+    def test_one_chart_product_per_chart(self, monkeypatch):
+        # the six default rows lie on two C^2 charts: one chart product each for
+        # n = 0..3, and no compact chart pass and no surface at all
+        original_product = loc._chart_product
+        products = []
 
         def counted_product(surface, classes, order, q, term, shapes):
-            products.append((surface.name, order, len(classes)))
+            products.append((surface.name, q, order, len(classes)))
             return original_product(surface, classes, order, q, term, shapes)
 
-        monkeypatch.setattr(loc, "_chart_pass", counted_pass)
+        def refuse(*args):
+            raise AssertionError("compact oracle work in an extraction")
+
         monkeypatch.setattr(loc, "_chart_product", counted_product)
+        monkeypatch.setattr(loc, "_chart_pass", refuse)
+        monkeypatch.setattr(loc, "ToricSurface", refuse)
+        monkeypatch.setattr(ext, "get_surface", refuse)
         ext.extract_verlinde(0, 3)
-        assert passes == [(3, [cls.surface.name for cls in ext.default_panel("verlinde", 0)])]
-        assert sorted(products) == sorted([("f1", 3, 1), ("p1xp1", 3, 3), ("p2", 3, 3)] * 2)
+        assert products == [("C2(1,3)", (1, 3), 3, 3), ("C2(1,4)", (1, 4), 3, 3)]
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
-    def test_a_warm_extraction_draws_once_per_surface(self, kind, monkeypatch):
-        # one oracle call for the panel: one pair of directions for every
-        # surface and one shape table
+    def test_a_warm_extraction_draws_once(self, kind, monkeypatch):
+        # one pair of directions for the panel's two charts and one shape table
         extract = {"segre": ext.extract_universal, "verlinde": ext.extract_verlinde}[kind]
         extract(2, 3)
+        assert len({cls.surface.beta for cls in ext.default_panel(kind, 2, 3)}) == 2
         original_directions, original_shapes = loc._directions, loc._shapes
         directions, shapes = [], []
         monkeypatch.setattr(loc, "_directions", lambda n: directions.append(n) or
@@ -431,7 +445,6 @@ class TestExtractVerlinde:
         monkeypatch.setattr(loc, "_shapes", lambda order: shapes.append(order) or
                             original_shapes(order))
         extract(2, 3)
-        assert len({cls.surface for cls in ext.default_panel(kind, 2)}) > 1
         assert directions == shapes == [3]
 
     def test_rank4_row_requirement(self):
@@ -486,3 +499,71 @@ class TestPredictions:
                 call()
         assert ext.solve_exact([[F(1, 10), 1], [1, 0]], ["1", 2]) == [F(2), F(4, 5)]
         assert ext.matrix_rank([["1/2", 1]]) == 1
+
+
+def _bytes(series):
+    return [(s.nums, s.den) for s in series]
+
+
+class TestAgainstCompactReference:
+    """The vertex against the compact-surface extraction it replaced, byte for byte:
+    the same series through order 8, and at order 3, read at that order's own
+    two directions, their truncations."""
+
+    @pytest.mark.parametrize("s", range(-4, 6))
+    def test_segre(self, s):
+        reference = compact_extract("segre", s, 8)
+        assert _bytes(ext.extract_universal(s, 8)) == _bytes(reference)
+        assert _bytes(ext.extract_universal(s, 3)) == _bytes(x.truncate(3) for x in reference)
+
+    @pytest.mark.parametrize("r", range(-3, 4))
+    def test_verlinde(self, r):
+        reference = compact_extract("verlinde", r, 8)
+        assert _bytes(ext.extract_verlinde(r, 8)) == _bytes(reference)
+        assert _bytes(ext.extract_verlinde(r, 3)) == _bytes(x.truncate(3) for x in reference)
+
+
+class TestVertex:
+    def test_exponent_rows(self):
+        # at q = (1, 3): e = 1/3, K = 4; O(2)+O(1)-O(-1) has c1 = 4, c2 = 2 + 4 = 6
+        chart = ext.Chart(3)
+        e, k = F(1, 3), 4
+        cls = loc.parse_class(chart, "O(2)+O(1)-O(-1)")
+        assert (cls.rank, cls.c1, cls.c2) == (1, (4,), 6 * e)
+        assert ext._segre_exponents(cls, 1) == [
+            6 * e, 16 * e, (k * k * e + 1) / 12, 4 * k * e, k * k * e]
+        line = loc.parse_class(chart, "O(-2)")
+        chi_O = (k * k * e + 1) / 12
+        assert ext._verlinde_exponents(line, 0) == [
+            chi_O + (4 * e + 2 * k * e) / 2, chi_O, -2 * k * e - k * k * e / 2, k * k * e]
+        with pytest.raises(ext.PanelError, match="single line bundle"):
+            ext._verlinde_exponents(cls, 0)
+
+    def test_the_log_reads_u0(self):
+        # Z = exp(x a), a = (u^-2 + 3) / 2, to x^2: its x^2 row holds u^-4, which the
+        # log cancels; the log is x a, whose u^0 parts are 3/2 and 0
+        rows = [[8, 0, 0, 0, 0], [4, 0, 12, 0, 0], [1, 0, 6, 0, 9]]
+        assert ext._log_values(rows, 8) == [F(3, 2), 0]
+
+    def test_a_pole_below_u_minus_two_raises(self):
+        # x^2 u^-3 in Z stays in its log, as x^2 u^-3 at n = 2
+        rows = [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
+        with pytest.raises(ArithmeticError, match=r"pole at u\^-3, below u\^-2"):
+            ext._log_values(rows, 1)
+        rows[2] = [0, 0, 1, 0, 0]  # x^2 u^-2 is a pole the log keeps
+        assert ext._log_values(rows, 1) == [0, 0]
+        with pytest.raises(ArithmeticError, match="should start at 1"):
+            ext._log_values([[2, 0, 0]], 1)
+
+    def test_a_direction_that_zeroes_a_tangent_weight_raises(self):
+        # (1, 2) zeroes the weight (arm + 1) - leg beta of the box with arm = leg = 1,
+        # which a partition of 3 has: a panel for order 2 cannot serve order 3
+        panel = ext.default_panel("segre", 1, 2)
+        assert [cls.surface.beta for cls in panel] == [2, 2, 2, 3, 3, 3]
+        ext.extract_universal(1, 2, panel)
+        with pytest.raises(ArithmeticError, match=r"direction \(1, 2\) zeroes a tangent weight"):
+            ext.extract_universal(1, 3, panel)
+
+    def test_compact_rows_are_refused(self):
+        with pytest.raises(ext.PanelError, match="C\\^2 charts"):
+            ext.extract_universal(1, 2, ext.build_panel(1))

@@ -40,6 +40,7 @@ import pytest
 
 from hilbseries import cli, extraction, localization as loc
 from hilbseries.series import Series, exp_numerators
+from compact_reference import verlinde_lines
 from shifted_class import ShiftedClass, shifts_of
 
 
@@ -745,9 +746,9 @@ def test_batch_rows_are_the_single_n_calls(name):
 def test_verlinde_batch_is_each_line_alone(r, order):
     # one exp per partition for a batch, its further lines by row scaling,
     # against each line alone, which scales nothing, and against the chart pass
-    # with one dense exp per class: the default Verlinde panel, one batch over
-    # its three surfaces
-    lines = extraction.default_panel("verlinde", r).rows
+    # with one dense exp per class: the compact reference's seven Verlinde lines,
+    # one batch over the three surfaces
+    lines = verlinde_lines()
     batch = loc.verlinde_series(lines, r, order)
     assert batch == tuple(loc.verlinde_series([line], r, order)[0] for line in lines), (r, order)
     assert batch == loc._chart_pass(
@@ -1014,6 +1015,16 @@ class TestHookScan:
         for n in range(9):
             for q in loc._directions(n):
                 loc._chart_product(surface, [], n, q, loc._segre_term, loc._shapes(n))
+
+    def test_the_directions_are_generic_on_the_vertex_charts(self):
+        # extraction's C^2 chart at q = (1, beta), for both beta of the rule
+        for n in range(61):
+            assert all(hook_generic(extraction.Chart(q[1]), n, q) for q in loc._directions(n)), n
+        for n in range(9):
+            for q in loc._directions(n):
+                loc._chart_product(extraction.Chart(q[1]), [], n, q, loc._segre_term,
+                                   loc._shapes(n))
+        assert not hook_generic(extraction.Chart(2), 3, (1, 2))
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_hook_generic_is_what_records_accept(self, name):
