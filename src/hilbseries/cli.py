@@ -44,7 +44,8 @@ ORACLE_DEFAULT_ORDER = 4
 # --seed is echoed only: the oracle's directions are fixed (localization._directions)
 DEFAULT_SEED = 20260815
 # The deepest requests answered, refused above at once so that each run ends in
-# bounded time: oracle --n (at n = 24, p1xp1 Verlinde at r = 3 already takes minutes)
+# bounded time: oracle --n (at n = 24, p1xp1 Verlinde at r = 3 takes about 40 s of
+# CPU, its Todd exps at Hirzebruch's M_48 of 227 bits, where 48! d^48 had 11,092)
 # and extract's order (at 16, up to 0.3 s CPU at Segre ranks -4..5, 2.0 s at twists -3..3).
 ORACLE_MAX_N = 24
 EXTRACT_MAX_ORDER = 16

@@ -29,7 +29,9 @@ batch of classes on any of the surfaces, one chart product per surface
 itself without the last box of its last row, and its Segre term is the
 parent's times that box's factors.  The Euler exponent is a = |lambda| m
 + r B, B the sum of the boxes, so a Verlinde batch on one surface, whose
-classes share r, runs one exp per partition: a class whose
+classes share r, runs one exp per partition, at E_0 = M_2N, Hirzebruch's
+denominator of the Todd polynomial T_2N, which clears every coefficient
+and which a remainder check in exp_numerators enforces: a class whose
 lift at a chart is delta more than the first's has the first's chart sum
 at x -> x e^(delta u).  The chart sums are multiplied with each u-row
 packed into one integer.
@@ -377,10 +379,13 @@ def _segre_term(ks, boxes, lifts, degree, parent):
 
 @lru_cache(maxsize=None)
 def _todd_log(degree):
-    """(D, [D tau_j], degree! D^degree) for tau = log(x / (1 - e^-x)) = x/2 - x^2/24 +
-    x^4/2880 - ... to x^degree; the last is the denominator exp_numerators puts at E_0."""
+    """(D, [D tau_j], M) for tau = log(x / (1 - e^-x)) = x/2 - x^2/24 + x^4/2880 - ... to
+    x^degree, and M = prod p^floor(degree / (p - 1)) over the primes p <= degree + 1:
+    Hirzebruch's denominator M_degree of the Todd polynomial T_degree, which every
+    M_j, j <= degree, divides; the E_0 at which _euler_term runs exp_numerators."""
     tau = -Series([F((-1) ** j, factorial(j + 1)) for j in range(degree + 1)]).log()
-    return tau.den, tau.nums, factorial(degree) * tau.den ** degree
+    primes = [p for p in range(2, degree + 2) if all(p % f for f in range(2, p))]
+    return tau.den, tau.nums, prod(p ** (degree // (p - 1)) for p in primes)
 
 
 def _euler_term(ks, boxes, lifts, degree, parent):
@@ -389,8 +394,11 @@ def _euler_term(ks, boxes, lifts, degree, parent):
     the Euler characteristic of the determinant line, with prod td(ku) = exp(sum_j tau_j
     p_j u^j), p_j = sum k^j in steps of k^2, and a = |lambda| m + r B, B the sum of the
     boxes, r and m those of the class's weights and weights times lifts: |lambda| m_L +
-    r B for L + (r-1) O.  The parent is not read."""
-    d, tau, den = _todd_log(degree)
+    r B for L + (r-1) O.  The denominator is prod ks M_degree (_todd_log): with a and
+    the ks integers, [u^j] is the degree-j part of ch td of a sum of line bundles, whose
+    denominator divides M_j, as i! | M_i and M_i M_(j-i) | M_j, so M_degree clears it;
+    exp_numerators raises if it does not.  The parent is not read."""
+    d, tau, scale = _todd_log(degree)
     exponent = [0] * (degree + 2)  # a_1 exists at degree 0 too
     powers = squares = list(map(mul, ks, ks))
     for j in range(2, degree + 1, 2):  # tau_j = 0 at odd j >= 3
@@ -398,7 +406,7 @@ def _euler_term(ks, boxes, lifts, degree, parent):
         powers = list(map(mul, powers, squares))
     r, m = sum(w for w, _ in lifts[0]), sum(w * m for w, m in lifts[0])
     exponent[1] = (degree and tau[1] * sum(ks)) + d * (len(boxes) * m + r * sum(boxes))
-    return prod(ks) * den, [exp_numerators(exponent, d, degree)]
+    return prod(ks) * scale, [exp_numerators(exponent, d, degree, scale)]
 
 
 def _scaled(rows, moves):
@@ -477,9 +485,9 @@ def _chart_product(surface, classes, order, q, term, shapes):
     parent's numerators, None for the empty partition.
     The Euler term gives the first class's only: a class of its batch (one r)
     whose sum of weight * lift.q is delta more has its rows times e^(n delta u)
-    (_scaled).  Each chart's sums are put in lowest terms, which cancels most of
-    the Euler terms' degree! D^degree.  Returns (rows, den) per class, rows[n][j]
-    for j <= 2 order.
+    (_scaled).  Each chart's sums are put in lowest terms, which cancels what the
+    Euler terms' M_degree and the scaling's degree! leave over.  Returns (rows, den)
+    per class, rows[n][j] for j <= 2 order.
     """
     degree = 2 * order
     product = None

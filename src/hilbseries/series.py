@@ -281,7 +281,8 @@ class Series:
         """Series exponential; requires constant term 0."""
         if self.nums[0]:
             raise ConstantTermError("exp needs constant term 0, got %s" % self.coefficient(0))
-        e = exp_numerators(self.nums, self.den, self.order)
+        e = exp_numerators(self.nums, self.den, self.order,
+                           factorial(self.order) * self.den ** self.order)
         return Series._over(e[0], e, self.var)
 
     def pow_rational(self, e):
@@ -354,14 +355,19 @@ class Series:
         return "%s + O(%s^%d)" % (body, self.var, self.order + 1)
 
 
-def exp_numerators(a, d, order):
-    """E_0..E_order with exp(sum_k a_k x^k / d) = sum_m E_m x^m / E_0, E_0 = order! d^order;
-    a_0 is not read.  e' = a' e gives (m+1) d E_(m+1) = sum_(k<=m) (k+1) a_(k+1) E_(m-k);
-    the division is exact, as m! d^m [x^m] exp is an integer and m <= order."""
+def exp_numerators(a, d, order, e0):
+    """E_0..E_order with exp(sum_k a_k x^k / d) = sum_m E_m x^m / E_0, E_0 = e0, which
+    must clear every coefficient to x^order: order! d^order always does (Series.exp),
+    as m! d^m [x^m] exp is an integer.  a_0 is not read.  e' = a' e gives
+    (m+1) d E_(m+1) = sum_(k<=m) (k+1) a_(k+1) E_(m-k); a remainder in that division
+    means e0 does not clear [x^(m+1)] and raises ArithmeticError."""
     b = list(map(mul, range(1, order + 1), a[1:order + 1]))  # (k+1) a_(k+1)
-    e = [factorial(order) * d ** order]
+    e = [e0]
     for m in range(order):
-        e.append(sum(map(mul, b, reversed(e))) // ((m + 1) * d))
+        q, rem = divmod(sum(map(mul, b, reversed(e))), (m + 1) * d)
+        if rem:
+            raise ArithmeticError("E_0 = %d does not clear [x^%d] of the exp" % (e0, m + 1))
+        e.append(q)
     return e
 
 

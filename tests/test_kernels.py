@@ -18,12 +18,15 @@ must equal them exactly; ref_power_euler_term, whose power sums step by k
 at every j, is what the steps by k^2 replaced; ref_class_euler_term, one
 exp_numerators per class of a batch, is what the batch's one exp per
 partition and the row scaling x -> x e^(delta u) of every further class
-replaced.  The references build the Verlinde class as twisted_class does,
-a rank-r class with |r-1| trivial terms, and the Chern class as the
-negated class, where the oracle passes one trivial term of weight r-1 and
-negates the weights of signed_lifts() itself.  Most classes here are
-ShiftedClass test doubles (tests/shifted_class.py), whose lifts are moved
-by global characters, which changes no value.  Every comparison is exact
+replaced.  Both run their exps at E_0 = degree! d^degree, the scale that
+Hirzebruch's M_degree (_todd_log) replaced, so a term of theirs is
+compared with the Euler term as rationals.  The references build the
+Verlinde class as twisted_class does, a rank-r class with |r-1| trivial
+terms, and the Chern class as the negated class, where the oracle passes
+one trivial term of weight r-1 and negates the weights of signed_lifts()
+itself.  Most classes here are ShiftedClass test doubles
+(tests/shifted_class.py), whose lifts are moved by global characters,
+which changes no value.  Every comparison is exact
 equality, at a fixed direction and through the public entry points with
 their two directions.  hook_generic, the hook-length scan of a direction,
 is the reference for which directions the chart pass accepts.
@@ -33,7 +36,7 @@ import random
 import re
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 import pytest
@@ -196,8 +199,10 @@ def ref_segre_term(ks, boxes, lifts, degree):
 
 def ref_power_euler_term(ks, boxes, lifts, degree, parent):
     """The HRR Euler term with p_j = sum k^j built for every j <= degree, odd j >= 3
-    too, where tau_j = 0: the per-j power loop the steps by k^2 replaced."""
-    d, tau, den = loc._todd_log(degree)
+    too, where tau_j = 0: the per-j power loop the steps by k^2 replaced.  Its exp
+    runs at E_0 = degree! d^degree, the scale Hirzebruch's M_degree replaced."""
+    d, tau, _ = loc._todd_log(degree)
+    den = factorial(degree) * d ** degree
     exponent, powers = [0], ks
     for t in tau[1:]:
         exponent.append(t and t * sum(powers))
@@ -208,15 +213,17 @@ def ref_power_euler_term(ks, boxes, lifts, degree, parent):
     out = []
     for class_lifts in lifts:
         exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
-        out.append(exp_numerators(exponent, d, degree))
+        out.append(exp_numerators(exponent, d, degree, den))
     return prod(ks) * den, out
 
 
 def ref_class_euler_term(ks, boxes, lifts, degree, parent):
     """Per class, e^(au) prod td(ku) / prod ks to u^degree, one full exp_numerators each,
     a = sum weight (|lambda| m + B): the per-class Euler term that one exp per partition
-    for the whole batch, and the row scaling of every further class, replaced."""
-    d, tau, den = loc._todd_log(degree)
+    for the whole batch, and the row scaling of every further class, replaced; each exp
+    at E_0 = degree! d^degree, as ref_power_euler_term's."""
+    d, tau, _ = loc._todd_log(degree)
+    den = factorial(degree) * d ** degree
     exponent = [0] * (degree + 2)  # a_1 exists at degree 0 too
     powers = squares = list(map(mul, ks, ks))
     for j in range(2, degree + 1, 2):  # tau_j = 0 at odd j >= 3
@@ -227,7 +234,7 @@ def ref_class_euler_term(ks, boxes, lifts, degree, parent):
     out = []
     for class_lifts in lifts:
         exponent[1] = linear + d * sum(w * (size * m + total) for w, m in class_lifts)
-        out.append(exp_numerators(exponent, d, degree))
+        out.append(exp_numerators(exponent, d, degree, den))
     return prod(ks) * den, out
 
 
@@ -236,7 +243,8 @@ def ref_scaled(rows, moves):
     integers degree! (n move)^k / k!, by the triple loop: the row scaling that one
     packed product per row replaced."""
     degree = len(rows[0]) - 1
-    return [[ref_times([row], [exp_numerators([0, n * move], 1, degree)])[0]
+    unit = factorial(degree)
+    return [[ref_times([row], [exp_numerators([0, n * move], 1, degree, unit)])[0]
              for n, row in enumerate(rows)] for move in moves]
 
 
@@ -826,8 +834,82 @@ def test_square_steps_are_the_power_loop():
             assert loc._euler_term(ks, boxes, lifts, degree, None) == \
                 loc._euler_term(ks, boxes, lifts[:1], degree, None), (degree, ks, boxes, lifts)
             for c in lifts:
-                assert loc._euler_term(ks, boxes, [c], degree, None) == \
-                    ref_power_euler_term(ks, boxes, [c], degree, None), (degree, ks, boxes, c)
+                assert same_rationals(loc._euler_term(ks, boxes, [c], degree, None),
+                                      ref_power_euler_term(ks, boxes, [c], degree, None)), \
+                    (degree, ks, boxes, c)
+
+
+def same_rationals(a, b):
+    """Two (den, numerators per class) terms are the same rationals, cross-multiplied."""
+    (da, na), (db, nb) = a, b
+    return len(na) == len(nb) and all(
+        len(x) == len(y) and all(p * db == q * da for p, q in zip(x, y))
+        for x, y in zip(na, nb))
+
+
+def hirzebruch_denominator(degree):
+    """prod p^floor(degree / (p - 1)) over the primes p <= degree + 1, the primes by a
+    sieve of Eratosthenes."""
+    sieve = [True] * (degree + 2)
+    out = 1
+    for p in range(2, degree + 2):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+            out *= p ** (degree // (p - 1))
+    return out
+
+
+def test_todd_log_scale_is_hirzebruchs_denominator():
+    # the Euler term's E_0 is M_D, 12! at D = 10: 29 bits where D! d^D has 321,
+    # and 227 bits at D = 48 where D! d^D has 11,092
+    for degree in range(49):
+        assert loc._todd_log(degree)[2] == hirzebruch_denominator(degree), degree
+    assert loc._todd_log(10)[2] == factorial(12)
+    for degree, small, large in ((10, 29, 321), (48, 227, 11092)):
+        d, _, scale = loc._todd_log(degree)
+        assert (scale.bit_length(), (factorial(degree) * d ** degree).bit_length()) == \
+            (small, large)
+
+
+def test_hirzebruch_scale_is_the_factorial_scale():
+    # the Euler term at E_0 = M_D against the same term at D! d^D, as rationals, on
+    # random signed weights, boxes and classes, degrees 0..24; the kernel reads a
+    # batch's first class only, and a scale too small would raise, not floor
+    rng = random.Random(29)
+    for degree in range(25):
+        for _ in range(4):
+            ks = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(rng.randint(0, 12))]
+            boxes = [rng.randint(-30, 30) for _ in range(rng.randint(0, 6))]
+            lifts = [[(rng.randint(-3, 3), rng.randint(-20, 20))
+                      for _ in range(rng.randint(0, 3))]]
+            assert same_rationals(loc._euler_term(ks, boxes, lifts, degree, None),
+                                  ref_class_euler_term(ks, boxes, lifts, degree, None)), \
+                (degree, ks, boxes, lifts)
+
+
+def test_an_e0_that_does_not_clear_the_exp_raises():
+    # exp_numerators divides with a remainder check: at an E_0 that leaves some
+    # coefficient to x^order fractional it raises, and at one that clears them all
+    # it gives E_0 times the exact coefficients
+    with pytest.raises(ArithmeticError, match="does not clear"):
+        exp_numerators([0, 1], 1, 2, 1)  # e^x: 1/2 at x^2
+    rng = random.Random(2029)
+    for degree in range(2, 25):
+        d, tau, scale = loc._todd_log(degree)
+        with pytest.raises(ArithmeticError, match="does not clear"):
+            exp_numerators(tau, d, degree, 1)  # td(u): 1/2 at u
+        for _ in range(3):
+            ks = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+            a = [0] + [t * sum(k ** j for k in ks) for j, t in enumerate(tau[1:], 1)] + [0]
+            a[1] += d * rng.randint(-9, 9)
+            exact = Series(F(c, d) for c in a[:degree + 1]).exp().coeffs
+            for e0 in (1, scale // 2, scale):
+                if all((e0 * c).denominator == 1 for c in exact):
+                    assert exp_numerators(a, d, degree, e0) == [e0 * c for c in exact]
+                else:
+                    with pytest.raises(ArithmeticError, match="does not clear"):
+                        exp_numerators(a, d, degree, e0)
+                    assert e0 != scale, (degree, ks, a)
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 7])

@@ -209,6 +209,18 @@ class TestSeriesAnchors:
         for n in range(4):
             assert loc.verlinde_chi(cls, 2, n) == closed.coefficient(n)
 
+    @pytest.mark.parametrize("name, spec, r", [("p1xp1", "O(1,0)", -3), ("p1xp1", "O(1,0)", 3),
+                                               ("f1", "O(1,1)", -2), ("p2", "O(1)", 1)])
+    def test_deep_verlinde_series_is_the_catalog(self, name, spec, r):
+        # the oracle through n = 12, its Todd exps at M_24 = 2^24 3^12 5^6 7^4 11^2
+        # 13^2 17 19 23, against the closed form; chi(L) by Riemann-Roch
+        surface = loc.get_surface(name)
+        line = loc.parse_class(surface, spec)
+        chi = surface.chi_O + (line.c1sq - line.c1K) // 2
+        closed = catalog.verlinde_full(r, chi, surface.chi_O, line.c1K, surface.ksq, 12)
+        assert loc.verlinde_series([line], r, 12) == \
+            (tuple(closed.coefficient(n) for n in range(13)),)
+
     def test_verlinde_rejects_higher_rank_input(self):
         p2 = loc.get_surface("p2")
         with pytest.raises(ValueError):
