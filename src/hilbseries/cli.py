@@ -254,7 +254,8 @@ def _cmd_extract(args, parser):
     payload = {
         "panel": [{"surface": cls.surface.name, "class": cls.spec()} for cls in panel],
         "exponent_columns": list(panel.columns),
-        "exponent_matrix": [[str(x) for x in row] for row in panel.exponent_matrix],
+        "exponent_matrix": [[extraction.frac_str(x, den).removesuffix("/1") for x in row]
+                            for row, den in panel.exponents],
         "series": report["series"],
     }
     lines = []

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import lshift
 
 from . import catalog, localization
-from .series import Series, as_fraction
+from .series import Series, _ratio
 # segre_integral is not called here; perfbench's tracer test reads this binding
 from .localization import EqKClass, _lowest, _slots, get_surface, segre_integral  # noqa: F401
 
@@ -51,31 +51,30 @@ class UniversalityError(ArithmeticError):
 
 
 def frac_str(num, den=1):
-    """num / den, den > 0, as "p/q" in lowest terms: the package's one formatter.  An
-    int or Fraction num is read as it is, anything else through as_fraction, which
-    refuses a float."""
-    x = num if isinstance(num, (int, F)) else as_fraction(num)
-    p, q = x.numerator, x.denominator * den
-    g = gcd(p, q)
-    return "%d/%d" % (p // g, q // g)
+    """num / den, den > 0, as "p/q" in lowest terms: the package's one formatter.  A
+    float num is refused (_ratio)."""
+    p, q = _ratio(num)
+    g = gcd(p, q * den)
+    return "%d/%d" % (p // g, q * den // g)
 
 
 def _cleared(row):
-    """The row times the lcm of its entries' denominators, as integers; a float
-    entry raises TypeError (as_fraction)."""
-    row = [as_fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    """(The row times the lcm of its entries' denominators, as integers, that lcm); a
+    float raises TypeError (as_fraction)."""
+    row = [_ratio(x) for x in row]
+    scale = lcm(*(q for _, q in row))
+    return [p * (scale // q) for p, q in row], scale
 
 
 def _reduce(basis, row, width):
-    """Reduce an integer row against ``basis``; True if it raised the rank.
+    """Reduce an integer row against ``basis``: None if it raised the rank, else
+    the reduced row.
 
     ``basis`` holds echelon rows as (pivot column, row), each zero in the
     pivot columns of the rows before it; a row that raises the rank joins
     it.  Each pivot p clears the row's entry f without division, by
     row := (p/g) row - (f/g) pivot row, g = gcd(p, f).  Entries past
-    ``width``, a right-hand side, ride along.
+    ``width``, right-hand sides, ride along.
     """
     for col, pivot_row in basis:
         f = row[col]
@@ -87,8 +86,8 @@ def _reduce(basis, row, width):
     for col in range(width):
         if row[col]:
             basis.append((col, row))
-            return True
-    return False
+            return None
+    return row
 
 
 def _width(matrix):
@@ -101,34 +100,37 @@ def _width(matrix):
 def matrix_rank(matrix):
     width, basis = _width(matrix), []
     for row in matrix:
-        _reduce(basis, _cleared(row), width)
+        _reduce(basis, _cleared(row)[0], width)
     return len(basis)
 
 
-def _solve(matrix, rhs_columns):
-    """``solve_exact`` for every right-hand side in ``rhs_columns`` by one
-    reduction, the right-hand sides riding along as trailing row entries.
-    Returns, per unknown, its value for each right-hand side."""
-    if any(len(rhs) != len(matrix) for rhs in rhs_columns):
-        raise ValueError("matrix and right-hand side sizes differ")
-    width, basis, redundant = _width(matrix), [], []
-    for i, row in enumerate(matrix):
-        if not _reduce(basis, _cleared([*row, *(rhs[i] for rhs in rhs_columns)]), width):
-            redundant.append(i)
+def _solve(rows, width):
+    """Per unknown, (numerators, denominator) of its values, for (row, scale) pairs, row
+    the ``width`` coefficients and the right-hand sides times scale, in integers.  A
+    redundant row holds iff its reduced right-hand side is zero, as _reduce scales by
+    nonzero integers only; the first that fails, by right-hand side then row, raises."""
+    basis, redundant = [], []
+    for i, (row, _) in enumerate(rows):
+        reduced = _reduce(basis, row, width)
+        if reduced is not None:
+            redundant.append((i, reduced[width:]))
     if len(basis) < width:
         raise ValueError("system is underdetermined: rank %d < %d unknowns"
                          % (len(basis), width))
     solution = [None] * width
     for col, row in reversed(basis):
-        solution[col] = [F(row[width + k] - sum(row[j] * solution[j][k]
-                                                for j in range(col + 1, width) if row[j]),
-                           row[col]) for k in range(len(rhs_columns))]
-    for k, rhs in enumerate(rhs_columns):
-        for i in redundant:
-            residual = rhs[i] - sum(x * values[k] for x, values in zip(matrix[i], solution))
-            if residual:
-                raise UniversalityError(
-                    "redundant row %d has nonzero residual %s" % (i, residual))
+        terms = [(row[j], solution[j]) for j in range(col + 1, width) if row[j]]
+        den = lcm(*(d for _, (_, d) in terms))
+        nums = [rhs * den - sum(a * x[k] * (den // d) for a, (x, d) in terms)
+                for k, rhs in enumerate(row[width:])]
+        g = gcd(den * row[col], *nums) * (1 if row[col] > 0 else -1)
+        solution[col] = [x // g for x in nums], den * row[col] // g
+    failed = min(((k, i) for i, rhs in redundant for k, x in enumerate(rhs) if x), default=None)
+    if failed is not None:
+        k, i = failed
+        row, scale = rows[i]
+        residual = row[width + k] - sum(a * F(x[k], d) for a, (x, d) in zip(row, solution))
+        raise UniversalityError("redundant row %d has nonzero residual %s" % (i, residual / scale))
     return solution
 
 
@@ -140,21 +142,30 @@ def solve_exact(matrix, rhs):
     row that fails to hold raises UniversalityError with its index and
     residual rhs_i - row_i.x.  Underdetermined systems raise ValueError.
     """
-    return [values[0] for values in _solve(matrix, [rhs])]
+    if len(rhs) != len(matrix):
+        raise ValueError("matrix and right-hand side sizes differ")
+    width = _width(matrix)
+    solution = _solve([_cleared([*row, x]) for row, x in zip(matrix, rhs)], width)
+    return [F(nums[0], den) for nums, den in solution]
 
 
 def _segre_exponents(cls, s):
+    """(12 t (c2, c1^2, chi(O), c1.K, K^2), 12 t), t = beta on a Chart, else 1; 12 chi(O)
+    = K^2 + (one point per chart) by Noether's formula."""
     if cls.rank != s:
         raise PanelError("class %r has rank %d, panel wants %d" % (cls, cls.rank, s))
-    return [cls.c2, cls.c1sq, cls.surface.chi_O, cls.c1K, cls.surface.ksq]
+    surface = cls.surface
+    t = surface.beta if isinstance(surface, Chart) else 1
+    return [12 * cls.c2, 12 * cls.c1sq, surface.ksq + t * len(surface.charts),
+            12 * cls.c1K, 12 * surface.ksq], 12 * t
 
 
 def _verlinde_exponents(cls, r):
+    """chi(L) = chi(O) + (c1^2 - c1.K)/2 by Riemann-Roch."""
     if cls.rank != 1 or len(cls.terms) != 1:
         raise PanelError("a Verlinde row is a single line bundle, got %r" % cls)
-    surface = cls.surface
-    chi_L = surface.chi_O + F(cls.c1sq - cls.c1K, 2)
-    return [chi_L, F(surface.chi_O), cls.c1K - F(surface.ksq, 2), F(surface.ksq)]
+    (_, c1sq, chi, c1K, ksq), den = _segre_exponents(cls, 1)
+    return [chi + (c1sq - c1K) // 2, chi, c1K - ksq // 2, ksq], den
 
 
 # Per kind: the report key of the panel parameter, the exponent columns,
@@ -182,17 +193,16 @@ _KINDS = {
 class Chart:
     """C^2 at q = (1, beta) as a one-chart surface: coordinate characters (1, 0) and
     (0, 1), so tangent weights -1 and -beta, and O(w) the trivial line bundle of weight
-    w.  Pairings, K and K^2 are equivariant integrals, with e = 1/beta the point's and
-    K = 1 + beta, and chi_O = (K^2 e + 1)/12 by Noether's formula."""
+    w.  Pairings, K and K^2 are equivariant integrals times beta, with e = 1/beta the
+    point's and K = 1 + beta."""
 
     generators = [(1,)]
     charts = [(0, 1, (1, 0), (0, 1))]
 
     def __init__(self, beta):
         self.beta, self.name = beta, "C2(1,%d)" % beta
-        self.k_dot = [F(1 + beta, beta)]
-        self.ksq = F((1 + beta) ** 2, beta)
-        self.chi_O = (self.ksq + 1) / 12
+        self.k_dot = [1 + beta]
+        self.ksq = (1 + beta) ** 2
 
     def lift(self, coeffs):
         return ((coeffs[0], 0),)
@@ -201,7 +211,7 @@ class Chart:
         return (-1, 0), (0, -1)
 
     def pair(self, a, b):
-        return F(a[0] * b[0], self.beta)
+        return a[0] * b[0]
 
 
 class Panel:
@@ -210,9 +220,9 @@ class Panel:
 
     ``kind`` is "segre", with columns (c2, c1^2, chi(O), c1.K, K^2) for
     classes of rank ``param``, or "verlinde", with columns (chi(L),
-    chi(O), c1.K - K^2/2, K^2) at twist ``param``.  Construction asserts
-    full column rank, which a single chart or surface can never reach since
-    its chi(O) and K^2 columns are proportional.
+    chi(O), c1.K - K^2/2, K^2) at twist ``param``, in ``exponents`` as (row,
+    den) integers.  Construction asserts full column rank, which a single chart
+    or surface can never reach since its chi(O) and K^2 columns are proportional.
     """
 
     def __init__(self, kind, param, rows):
@@ -221,8 +231,8 @@ class Panel:
         self.param = param
         self.rows = list(rows)
         self.columns = spec.columns
-        self.exponent_matrix = [spec.exponents(cls, param) for cls in self.rows]
-        rank = matrix_rank(self.exponent_matrix)
+        self.exponents = [spec.exponents(cls, param) for cls in self.rows]
+        rank = matrix_rank([row for row, _ in self.exponents])
         if rank < len(self.columns):
             raise PanelError("exponent matrix has rank %d < %d; add charts or classes"
                              % (rank, len(self.columns)))
@@ -268,7 +278,7 @@ def build_panel(s):
             break
         if cls is None:  # an exhausted stream
             continue
-        if len(basis) == 5 or _reduce(basis, _cleared(_segre_exponents(cls, s)), 5):
+        if len(basis) == 5 or _reduce(basis, _segre_exponents(cls, s)[0], 5) is None:
             rows.append(cls)
     if len(basis) < 5:
         raise PanelError("probe streams could not reach exponent rank 5")
@@ -292,9 +302,9 @@ def default_panel(kind, param, order):
 
 def _log_values(rows, den):
     """Per n = 1..order, [x^n u^0] log Z, Z = sum_n x^n u^(-2n) rows[n] / den a chart
-    product.  [x^n] log Z integrates classes of every degree over C^2, so a pole below
-    u^-2 raises.  In y = x u^-2, n [y^n] log Z = M_n = -sum_(0<=k<n) M_k Z_(n-k), M_0 =
-    -n, each M_k and Z_k a u-row over its own denominator, packed (_slots) to multiply."""
+    product, as (numerators, D).  [x^n] log Z integrates classes of every degree over
+    C^2, so a pole below u^-2 raises.  In y = x u^-2, n [y^n] log Z = M_n = -sum_(k<n)
+    M_k Z_(n-k), M_0 = -n, each a u-row over its own denominator, packed (_slots)."""
     if rows[0] != [den] + [0] * (len(rows[0]) - 1):
         raise ArithmeticError("a chart series should start at 1, got %s" % rows[0])
     z = [(row, d) for (row,), d in (_lowest([row], den) for row in rows)]
@@ -311,13 +321,14 @@ def _log_values(rows, den):
                                   % (next(j for j, c in enumerate(m) if c) - 2 * n))
         (m,), d = _lowest([m], d)
         logs.append((m, d))
-        values.append(F(m[2 * n], n * d))
-    return values
+        values.append((m[2 * n], n * d))
+    top = lcm(*(d for _, d in values))
+    return [v * (top // d) for v, d in values], top
 
 
 def _extract(kind, param, order, panel):
-    """Per chart of the panel one chart product for its classes, read by
-    _log_values, then one exact solve for every order at once, exp."""
+    """Per beta of the panel's charts one chart product for its classes, read by
+    _log_values, then one integer solve for every order at once, exp."""
     if order < 0:
         raise ValueError("n must be nonnegative")
     if panel is None:
@@ -325,19 +336,21 @@ def _extract(kind, param, order, panel):
     if (panel.kind, panel.param) != (kind, param):
         raise PanelError("panel was built for %s %d, not %s %d"
                          % (panel.kind, panel.param, kind, param))
-    spec, by_chart, values = _KINDS[kind], {}, [None] * len(panel)
+    spec, by_beta, values = _KINDS[kind], {}, [None] * len(panel)
     for index, cls in enumerate(panel):
         if not isinstance(cls.surface, Chart):
             raise PanelError("extraction reads classes on C^2 charts, got %r" % cls)
-        by_chart.setdefault(cls.surface, []).append(index)
+        by_beta.setdefault(cls.surface.beta, []).append(index)
     shapes = localization._shapes(order)
-    for chart, indices in by_chart.items():
+    for beta, indices in by_beta.items():
         classes = [spec.lifts(panel.rows[index], param) for index in indices]
         for index, product in zip(indices, localization._chart_product(
-                chart, classes, order, (1, chart.beta), spec.term, shapes)):
+                panel.rows[indices[0]].surface, classes, order, (1, beta), spec.term, shapes)):
             values[index] = _log_values(*product)
-    by_unknown = _solve(panel.exponent_matrix, [list(column) for column in zip(*values)])
-    return [Series([0, *column], order, spec.var).exp() for column in by_unknown]
+    solution = _solve([([x * d for x in row] + [v * den for v in nums], den * d)
+                       for (row, den), (nums, d) in zip(panel.exponents, values)],
+                      len(panel.columns))
+    return [Series._over(den, [0, *nums], spec.var).exp() for nums, den in solution]
 
 
 def extract_universal(s, order, panel=None):

@@ -6,6 +6,8 @@ whose logs pair with the exponent rows, one exact solve per order, exp.
 Segre rows are build_panel's, Verlinde rows the seven lines below.
 """
 
+from fractions import Fraction as F
+
 from hilbseries import extraction as ext
 from hilbseries import localization as loc
 from hilbseries.series import Series
@@ -18,6 +20,11 @@ VERLINDE_LINES = (("p2", (0,)), ("p2", (1,)), ("p2", (2,)),
 
 def verlinde_lines():
     return [loc.EqKClass(loc.get_surface(name), [(1, line)]) for name, line in VERLINDE_LINES]
+
+
+def exponent_matrix(panel):
+    """The panel's exponent rows, integers over a denominator each, as Fractions."""
+    return [[F(x, den) for x in row] for row, den in panel.exponents]
 
 
 def compact_panel(kind, param):
@@ -35,6 +42,6 @@ def compact_extract(kind, param, order):
     else:
         values, var = loc.verlinde_series(panel.rows, param, order), "w"
     logs = [Series(row, order, var).log() for row in values]
-    by_order = [ext.solve_exact(panel.exponent_matrix, [log.coefficient(n) for log in logs])
+    by_order = [ext.solve_exact(exponent_matrix(panel), [log.coefficient(n) for log in logs])
                 for n in range(1, order + 1)]
     return [Series([0, *column], order, var).exp() for column in zip(*by_order)]

@@ -7,15 +7,19 @@ compact-surface extraction they replaced (compact_reference) must give the
 same bytes.
 """
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from hilbseries import catalog
+from hilbseries import catalog, cli
 from hilbseries import extraction as ext
 from hilbseries import localization as loc
-from compact_reference import compact_extract, compact_panel
+from hilbseries.series import Series
+from compact_reference import compact_extract, compact_panel, exponent_matrix
 
 
 # build_panel's chosen rows, pinned from the rank-growth rule that keeps a
@@ -127,6 +131,52 @@ def _ref_solve_exact(matrix, rhs):
     return out
 
 
+# The Fraction formulation that the integer rows and the integer solve replaced:
+# a chart whose pairings are the equivariant integrals, e = 1/beta, so EqKClass
+# sums Fraction pairings; each kind's exponents from the class's Chern numbers;
+# the values as Fractions; one _ref_solve_exact per order; exp.
+class FractionChart(ext.Chart):
+    def __init__(self, beta):
+        super().__init__(beta)
+        self.k_dot = [F(1 + beta, beta)]
+        self.ksq = F((1 + beta) ** 2, beta)
+        self.chi_O = (self.ksq + 1) / 12
+
+    def pair(self, a, b):
+        return F(a[0] * b[0], self.beta)
+
+
+def _ref_exponents(kind, cls):
+    surface = cls.surface
+    if kind == "segre":
+        return [cls.c2, cls.c1sq, surface.chi_O, cls.c1K, surface.ksq]
+    chi_L = surface.chi_O + F(cls.c1sq - cls.c1K, 2)
+    return [chi_L, F(surface.chi_O), cls.c1K - F(surface.ksq, 2), F(surface.ksq)]
+
+
+def _ref_rows(kind, param, order, panel):
+    """Per panel row its Fraction exponents, on a FractionChart, and its log values
+    for n = 1..order as Fractions, one chart product per row."""
+    spec, shapes, out = ext._KINDS[kind], loc._shapes(order), []
+    for cls in panel:
+        beta = cls.surface.beta
+        (rows, den), = loc._chart_product(cls.surface, [spec.lifts(cls, param)], order,
+                                          (1, beta), spec.term, shapes)
+        nums, d = ext._log_values(rows, den)
+        out.append((_ref_exponents(kind, loc.EqKClass(FractionChart(beta), cls.terms)),
+                    [F(v, d) for v in nums]))
+    return out
+
+
+def _ref_extract(kind, param, order, panel):
+    rows = _ref_rows(kind, param, order, panel)
+    matrix = [exponents for exponents, _ in rows]
+    by_order = [_ref_solve_exact(matrix, [values[n] for _, values in rows])
+                for n in range(order)]
+    var = ext._KINDS[kind].var
+    return matrix, [Series([0, *column], order, var).exp() for column in zip(*by_order)]
+
+
 def _outcome(solve, matrix, rhs):
     """The solution, or the type of the error raised."""
     try:
@@ -182,8 +232,11 @@ def _one_solve_per_column(matrix, columns):
 
 
 def _one_reduction(matrix, columns):
+    """Every right-hand side in one reduction (_solve), the rows cleared as solve_exact
+    clears them: the values per unknown, or the error."""
+    rows = [ext._cleared([*row, *(rhs[i] for rhs in columns)]) for i, row in enumerate(matrix)]
     try:
-        return ext._solve(matrix, columns)
+        return [[F(x, den) for x in nums] for nums, den in ext._solve(rows, len(matrix[0]))]
     except (ValueError, ext.UniversalityError) as error:
         return type(error), str(error)
 
@@ -223,9 +276,9 @@ class TestSolveExact:
     def test_half_integer_verlinde_rows(self):
         # (chi(L), chi(O), c1.K - K^2/2, K^2) of the compact twist-0 panel, and of
         # the vertex one at beta = 4 and 5, whose denominators divide 8, beta, 12 beta
-        compact = compact_panel("verlinde", 0).exponent_matrix
+        compact = exponent_matrix(compact_panel("verlinde", 0))
         assert any(F(x).denominator == 2 for row in compact for x in row)
-        vertex = ext.default_panel("verlinde", 0, 4).exponent_matrix
+        vertex = exponent_matrix(ext.default_panel("verlinde", 0, 4))
         assert {F(x).denominator for row in vertex for x in row} >= {5, 8, 48, 60}
         for matrix in (compact, vertex):
             x = [F(1, 3), F(-2), F(5, 7), F(1, 2)]
@@ -274,14 +327,14 @@ class TestAgainstFractionReference:
 
     @pytest.mark.parametrize("s", range(-4, 4))
     def test_segre_panels(self, s):
-        _assert_matches_reference(ext.build_panel(s).exponent_matrix, random.Random(s))
-        _assert_matches_reference(ext.default_panel("segre", s, 4).exponent_matrix,
+        _assert_matches_reference(exponent_matrix(ext.build_panel(s)), random.Random(s))
+        _assert_matches_reference(exponent_matrix(ext.default_panel("segre", s, 4)),
                                   random.Random(s))
 
     @pytest.mark.parametrize("r", range(-3, 4))
     def test_verlinde_panels(self, r):
-        for matrix in (compact_panel("verlinde", r).exponent_matrix,
-                       ext.default_panel("verlinde", r, 4).exponent_matrix):
+        for matrix in (exponent_matrix(compact_panel("verlinde", r)),
+                       exponent_matrix(ext.default_panel("verlinde", r, 4))):
             _assert_matches_reference(matrix, random.Random(r))
 
 
@@ -290,7 +343,7 @@ class TestPanels:
         for s in (0, 1, 2, -1):
             panel = ext.build_panel(s)
             assert len(panel) >= 5
-            assert ext.matrix_rank(panel.exponent_matrix) == 5
+            assert ext.matrix_rank(exponent_matrix(panel)) == 5
             assert all(cls.rank == s for cls in panel)
 
     def test_single_surface_panel_rejected(self):
@@ -370,20 +423,27 @@ class TestExtractUniversal:
 
     def test_one_reduction_for_every_order(self, monkeypatch):
         # each panel row is reduced once per extraction, with one trailing
-        # entry per order
+        # entry per order: integers, exponents * D || values * 12 beta, which is
+        # the Fraction formulation's row (exponents || values) times 12 beta D
         panel = ext.default_panel("segre", 1, 3)
         original = ext._reduce
-        trailing = []
+        trailing, rows = [], []
 
         def counted(basis, row, width):
             trailing.append(len(row) - width)
+            rows.append(row)
             return original(basis, row, width)
 
         monkeypatch.setattr(ext, "_reduce", counted)
         for order in (1, 3):
             trailing.clear()
+            rows.clear()
             ext.extract_universal(1, order, panel)
             assert trailing == [order] * len(panel)
+            for row, (exponents, values) in zip(rows, _ref_rows("segre", 1, order, panel)):
+                assert all(type(x) is int for x in row)
+                scale = F(exponents[2], row[2])  # the chi(O) entry is never 0
+                assert [x * scale for x in row] == exponents + values
 
     def test_panel_rank_mismatch_rejected(self):
         for panel in (ext.build_panel(1), ext.default_panel("segre", 1, 2)):
@@ -525,25 +585,35 @@ class TestAgainstCompactReference:
 
 class TestVertex:
     def test_exponent_rows(self):
-        # at q = (1, 3): e = 1/3, K = 4; O(2)+O(1)-O(-1) has c1 = 4, c2 = 2 + 4 = 6
+        # at q = (1, 3): e = 1/3, K = 4; O(2)+O(1)-O(-1) has c1 = 4, c2 = 2 + 4 = 6, and
+        # the chart's pairings are its integrals times beta, so each row is integers
+        # over 12 beta = 36: (12 c2, 12 c1^2, K^2 + beta, 12 c1 K, 12 K^2) on the Segre
+        # side, (K^2 + beta + 6 (w^2 - w K), K^2 + beta, 12 w K - 6 K^2, 12 K^2) for O(w)
         chart = ext.Chart(3)
         e, k = F(1, 3), 4
         cls = loc.parse_class(chart, "O(2)+O(1)-O(-1)")
-        assert (cls.rank, cls.c1, cls.c2) == (1, (4,), 6 * e)
-        assert ext._segre_exponents(cls, 1) == [
+        assert (cls.rank, cls.c1, cls.c2) == (1, (4,), 6)
+        assert F(cls.c2, chart.beta) == 6 * e
+        row, den = ext._segre_exponents(cls, 1)
+        assert (row, den) == ([72, 192, 19, 192, 192], 36)
+        assert [F(x, den) for x in row] == [
             6 * e, 16 * e, (k * k * e + 1) / 12, 4 * k * e, k * k * e]
         line = loc.parse_class(chart, "O(-2)")
         chi_O = (k * k * e + 1) / 12
-        assert ext._verlinde_exponents(line, 0) == [
+        row, den = ext._verlinde_exponents(line, 0)
+        assert (row, den) == ([91, 19, -192, 192], 36)
+        assert [F(x, den) for x in row] == [
             chi_O + (4 * e + 2 * k * e) / 2, chi_O, -2 * k * e - k * k * e / 2, k * k * e]
         with pytest.raises(ext.PanelError, match="single line bundle"):
             ext._verlinde_exponents(cls, 0)
 
     def test_the_log_reads_u0(self):
         # Z = exp(x a), a = (u^-2 + 3) / 2, to x^2: its x^2 row holds u^-4, which the
-        # log cancels; the log is x a, whose u^0 parts are 3/2 and 0
+        # log cancels; the log is x a, whose u^0 parts are 3/2 and 0, here over D = 2
         rows = [[8, 0, 0, 0, 0], [4, 0, 12, 0, 0], [1, 0, 6, 0, 9]]
-        assert ext._log_values(rows, 8) == [F(3, 2), 0]
+        nums, den = ext._log_values(rows, 8)
+        assert (nums, den) == ([3, 0], 2)
+        assert [F(x, den) for x in nums] == [F(3, 2), 0]
 
     def test_a_pole_below_u_minus_two_raises(self):
         # x^2 u^-3 in Z stays in its log, as x^2 u^-3 at n = 2
@@ -551,7 +621,7 @@ class TestVertex:
         with pytest.raises(ArithmeticError, match=r"pole at u\^-3, below u\^-2"):
             ext._log_values(rows, 1)
         rows[2] = [0, 0, 1, 0, 0]  # x^2 u^-2 is a pole the log keeps
-        assert ext._log_values(rows, 1) == [0, 0]
+        assert ext._log_values(rows, 1) == ([0, 0], 2)
         with pytest.raises(ArithmeticError, match="should start at 1"):
             ext._log_values([[2, 0, 0]], 1)
 
@@ -567,3 +637,89 @@ class TestVertex:
     def test_compact_rows_are_refused(self):
         with pytest.raises(ext.PanelError, match="C\\^2 charts"):
             ext.extract_universal(1, 2, ext.build_panel(1))
+
+
+def _cli_exponent_strings(kind, param, order):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["extract", "--kind=%s" % kind, "--rank=%d" % param,
+                         "--order=%d" % order, "--json=-"]) == 0
+    return json.loads(out.getvalue())["exponent_matrix"]
+
+
+class TestAgainstFractionFormulation:
+    """The integer rows and the integer solve against the Fraction formulation they
+    replaced (FractionChart's exponents, Fraction values, _ref_solve_exact per order):
+    the same series bytes and the same exponent strings in extract's JSON."""
+
+    @pytest.mark.parametrize("kind,param", [("segre", s) for s in range(-4, 6)]
+                             + [("verlinde", r) for r in range(-3, 4)])
+    def test_default_panels(self, kind, param):
+        for order in range(1, 7):
+            panel = ext.default_panel(kind, param, order)
+            matrix, reference = _ref_extract(kind, param, order, panel)
+            assert _bytes(ext._extract(kind, param, order, panel)) == _bytes(reference)
+            assert _cli_exponent_strings(kind, param, order) == [
+                [str(x) for x in row] for row in matrix]
+
+    @pytest.mark.parametrize("kind,param", [("segre", 2), ("verlinde", -2)])
+    def test_a_shuffled_panel(self, kind, param):
+        rows = ext.default_panel(kind, param, 4).rows
+        random.Random(param).shuffle(rows)
+        panel = ext.Panel(kind, param, rows)
+        matrix, reference = _ref_extract(kind, param, 4, panel)
+        assert exponent_matrix(panel) == matrix
+        assert _bytes(ext._extract(kind, param, 4, panel)) == _bytes(reference)
+
+
+class TestIntegerExtraction:
+    def test_rows_are_grouped_by_chart_direction(self, monkeypatch):
+        # six rows, each on its own Chart(3) or Chart(4), still run one chart
+        # product per beta, and give the default panel's series
+        default = ext.default_panel("segre", 1, 3)
+        panel = ext.Panel("segre", 1, [loc.EqKClass(ext.Chart(cls.surface.beta), cls.terms)
+                                       for cls in default])
+        assert len({id(cls.surface) for cls in panel}) == 6
+        original, calls = loc._chart_product, []
+
+        def counted(surface, classes, order, q, term, shapes):
+            calls.append((q, len(classes)))
+            return original(surface, classes, order, q, term, shapes)
+
+        monkeypatch.setattr(loc, "_chart_product", counted)
+        series = ext.extract_universal(1, 3, panel)
+        assert calls == [((1, 3), 3), ((1, 4), 3)]
+        assert _bytes(series) == _bytes(ext.extract_universal(1, 3, default))
+
+    @pytest.mark.parametrize("kind,perturb,row", [
+        # Segre: row 5 is the one redundant row; a value one unit of D off at
+        # order 2 is a residual of 1/D there
+        ("segre", {5: 2}, 5),
+        # Verlinde: rows 4 and 5 are redundant; the first right-hand side (order),
+        # then the first row, that fails is named
+        ("verlinde", {4: 2, 5: 1}, 5),
+        ("verlinde", {4: 1, 5: 1}, 4),
+    ])
+    def test_a_failing_redundant_row_raises_through_extract(self, kind, perturb, row,
+                                                            monkeypatch):
+        panel = ext.default_panel(kind, 1, 3)
+        matrix = exponent_matrix(panel)
+        redundant = [i for i in range(len(matrix))
+                     if ext.matrix_rank(matrix[:i + 1]) == ext.matrix_rank(matrix[:i])]
+        assert set(perturb) <= set(redundant)
+        original, dens = ext._log_values, []
+
+        def perturbed(rows, den):
+            nums, d = original(rows, den)
+            index = len(dens)
+            dens.append(d)
+            if index in perturb:
+                nums = list(nums)
+                nums[perturb[index] - 1] += 1
+            return nums, d
+
+        monkeypatch.setattr(ext, "_log_values", perturbed)
+        with pytest.raises(ext.UniversalityError) as raised:
+            ext._extract(kind, 1, 3, panel)
+        assert str(raised.value) == "redundant row %d has nonzero residual %s" % (
+            row, F(1, dens[row]))
