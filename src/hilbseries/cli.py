@@ -41,12 +41,12 @@ from .localization import (
 ORDER_ENV = "HILBSERIES_ORDER"
 SERIES_DEFAULT_ORDER = 10
 ORACLE_DEFAULT_ORDER = 4
-# --seed is echoed only: the oracle's directions are fixed (localization._directions)
+# --seed is echoed only: nothing is drawn at random
 DEFAULT_SEED = 20260815
-# The deepest requests answered, refused above at once so that each run ends in
-# bounded time: oracle --n (at n = 24, p1xp1 Verlinde at r = 3 takes about 40 s of
-# CPU, its Todd exps at Hirzebruch's M_48 of 227 bits, where 48! d^48 had 11,092)
-# and extract's order (at 16, up to 0.3 s CPU at Segre ranks -4..5, 2.0 s at twists -3..3).
+# The deepest requests answered, refused above at once so that each run ends in bounded time:
+# oracle --n (at n = 24, p1xp1 Verlinde at r = 3 takes about 40 s of CPU, its Todd exps at
+# Hirzebruch's M_48 of 227 bits) and extract's order (at 16, `extract --order 16` takes up
+# to 0.45 s CPU at ranks -4..5, 0.6 s at twists -3..3).
 ORACLE_MAX_N = 24
 EXTRACT_MAX_ORDER = 16
 
@@ -247,7 +247,7 @@ def _cmd_extract(args, parser):
                     % (parser.prog, order, EXTRACT_MAX_ORDER))
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
-    panel = extraction.default_panel(args.kind, args.rank, order)
+    panel = extraction.default_panel(args.kind, args.rank)
     predict = {"segre": extraction.predict_unknown,
                "verlinde": extraction.predict_verlinde}[args.kind]
     report = predict(args.rank, order, panel)

@@ -150,14 +150,15 @@ def solve_exact(matrix, rhs):
 
 
 def _segre_exponents(cls, s):
-    """(12 t (c2, c1^2, chi(O), c1.K, K^2), 12 t), t = beta on a Chart, else 1; 12 chi(O)
-    = K^2 + (one point per chart) by Noether's formula."""
+    """(12 |t| (c2, c1^2, chi(O), c1.K, K^2), 12 |t|), t = beta on a Chart, else 1;
+    12 chi(O) = K^2 + (one point per chart) by Noether."""
     if cls.rank != s:
         raise PanelError("class %r has rank %d, panel wants %d" % (cls, cls.rank, s))
     surface = cls.surface
     t = surface.beta if isinstance(surface, Chart) else 1
-    return [12 * cls.c2, 12 * cls.c1sq, surface.ksq + t * len(surface.charts),
-            12 * cls.c1K, 12 * surface.ksq], 12 * t
+    row = [12 * cls.c2, 12 * cls.c1sq, surface.ksq + t * len(surface.charts),
+           12 * cls.c1K, 12 * surface.ksq]
+    return [x if t > 0 else -x for x in row], 12 * abs(t)
 
 
 def _verlinde_exponents(cls, r):
@@ -191,18 +192,17 @@ _KINDS = {
 
 
 class Chart:
-    """C^2 at q = (1, beta) as a one-chart surface: coordinate characters (1, 0) and
-    (0, 1), so tangent weights -1 and -beta, and O(w) the trivial line bundle of weight
-    w.  Pairings, K and K^2 are equivariant integrals times beta, with e = 1/beta the
-    point's and K = 1 + beta."""
+    """C^2 at q = (1, beta) as a one-chart surface: coordinate characters (1, 0) and (0, 1), so
+    tangent weights -1 and -beta, and O(w) the trivial line bundle of weight w.  Pairings, K and
+    K^2 are equivariant integrals times beta, with e = 1/beta the point's and K = 1 + beta.  A
+    beta < 0 is generic at every order: a box's weights -(a+1) - l|beta| < 0 < a + (l+1)|beta|."""
 
     generators = [(1,)]
     charts = [(0, 1, (1, 0), (0, 1))]
 
     def __init__(self, beta):
         self.beta, self.name = beta, "C2(1,%d)" % beta
-        self.k_dot = [1 + beta]
-        self.ksq = (1 + beta) ** 2
+        self.k_dot, self.ksq = [1 + beta], (1 + beta) ** 2
 
     def lift(self, coeffs):
         return ((coeffs[0], 0),)
@@ -285,11 +285,11 @@ def build_panel(s):
     return Panel("segre", s, rows)
 
 
-def default_panel(kind, param, order):
-    """Three classes on each Chart at the oracle's directions at ``order`` (_directions):
-    at rank s, p = max(s, 1) + 1 positive and p - s negative terms, 0, 1 or 2 of weight
-    1 and the rest 0, so c2 varies too; at a twist, the lines O(0), O(2) and O(-1)."""
-    charts = [Chart(beta) for _, beta in localization._directions(order)]
+def default_panel(kind, param):
+    """Three classes on each of Chart(-1) and Chart(-2), generic at any order: at rank s, p =
+    max(s, 1) + 1 positive and p - s negative terms, 0, 1 or 2 of weight 1 and the rest 0, so
+    c2 varies too; at a twist, O(0), O(2) and O(-1)."""
+    charts = [Chart(-1), Chart(-2)]
     if kind == "segre":
         plus = max(param, 1) + 1
         rows = [EqKClass(chart, [(1, (int(i < ones),)) for i in range(plus)]
@@ -332,7 +332,7 @@ def _extract(kind, param, order, panel):
     if order < 0:
         raise ValueError("n must be nonnegative")
     if panel is None:
-        panel = default_panel(kind, param, order)
+        panel = default_panel(kind, param)
     if (panel.kind, panel.param) != (kind, param):
         raise PanelError("panel was built for %s %d, not %s %d"
                          % (panel.kind, panel.param, kind, param))

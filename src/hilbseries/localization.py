@@ -178,8 +178,8 @@ def _directions(n):
     integral, so no search is needed.  On p2, p1xp1 and f1 every tangent
     character pairs with (1, B) to +-1, +-B or +-(B +- 1), so no hook relation
     (a + 1) x = l y or a x = (l + 1) y with a + l + 1 <= n holds once B >= n;
-    B = 1 fails on p2 at n = 1, hence the max.  Callers evaluate at both
-    directions and compare the values with _agreed.
+    B = 1 fails on p2 at n = 1, hence the max.  _chart_pass evaluates at
+    both and compares them with _agreed.
     """
     b = max(n, 2)
     return [(1, b), (1, b + 1)]

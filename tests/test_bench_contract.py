@@ -63,11 +63,11 @@ def test_extraction_reads_the_oracle_at_call_time(kind, monkeypatch):
     monkeypatch.setattr(localization, "_chart_product", wrapper)
     extract = {"segre": extraction.extract_universal, "verlinde": extraction.extract_verlinde}
     extract[kind](1, 1)
-    panel = extraction.default_panel(kind, 1, 1)
+    panel = extraction.default_panel(kind, 1)
     lifts = extraction._KINDS[kind].lifts
     assert calls == [("C2(1,%d)" % beta, (1, beta),
                       [lifts(cls, 1) for cls in panel if cls.surface.beta == beta])
-                     for _, beta in localization._directions(1)]
+                     for beta in (-1, -2)]
 
 
 def test_every_benchmark_argv_parses():
@@ -110,11 +110,11 @@ def test_a_named_subcommand_builds_only_its_parser(monkeypatch):
 # block, in block order.
 FIRST_BLOCK_SHA256 = {
     "extract": (
-        "d4007085bb2618f6", "9ab8567bde1176e7", "0bfde07404213494", "c9ba8be1a3821917",
-        "3587a92d42a9b105", "589bb6317ea9f5c8", "6029bc6eeeebe457", "45ff7556800435d6",
-        "321a9a68a1dff08a", "303e2502e7a5a0fc", "7a3f6cbf6ab1793c", "6c6082ac97eb090c",
-        "35ccfc0b8656ec75", "226971c47677d787", "11973e39520b34d5", "10ef6d15232716d8",
-        "9b56024da462a379", "ba2e4ad15169cb0c", "4356ec9d245ad11d",
+        "5e9a10571791c502", "7a2d9c29179ad2b3", "27534cf4ae1003f3", "4e37378425905615",
+        "2f546e95ee5a43be", "3974dcd62e9294c7", "0d565e08c51d9424", "0f388cea5c0ab5b1",
+        "79a61efb32147e64", "0030b3693166369d", "2f60c7be3b5b8033", "048de52bfac96bb8",
+        "5e143995d13b0420", "ced5794b41609a09", "d373f3af529f769b", "9cd4dd485c83ab92",
+        "f1c2faf7eb501fa8", "1cc4ee5a0898cab0", "2bc7a8cd5696091f",
     ),
     "oracle_points": (
         "426bb9e3abfd2ce9", "d414d8a5481ae6fd", "6b686b62187bb4ba", "68bc479f48d30c36",

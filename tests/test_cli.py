@@ -465,70 +465,70 @@ EXTRACT_SEGRE_RANK2_JSON = """\
     [
       "0",
       "0",
-      "11/24",
+      "1/12",
       "0",
-      "9/2"
+      "0"
     ],
     [
       "0",
+      "-1",
+      "1/12",
+      "0",
+      "0"
+    ],
+    [
+      "-1",
+      "-4",
+      "1/12",
+      "0",
+      "0"
+    ],
+    [
+      "0",
+      "0",
+      "1/24",
+      "0",
+      "-1/2"
+    ],
+    [
+      "0",
+      "-1/2",
+      "1/24",
       "1/2",
-      "11/24",
-      "3/2",
-      "9/2"
+      "-1/2"
     ],
     [
-      "1/2",
-      "2",
-      "11/24",
-      "3",
-      "9/2"
-    ],
-    [
-      "0",
-      "0",
-      "19/36",
-      "0",
-      "16/3"
-    ],
-    [
-      "0",
-      "1/3",
-      "19/36",
-      "4/3",
-      "16/3"
-    ],
-    [
-      "1/3",
-      "4/3",
-      "19/36",
-      "8/3",
-      "16/3"
+      "-1/2",
+      "-2",
+      "1/24",
+      "1",
+      "-1/2"
     ]
   ],
   "panel": [
     {
       "class": "O(0)+O(0)+O(0)-O(0)",
-      "surface": "C2(1,2)"
+      "surface": "C2(1,-1)"
     },
     {
       "class": "O(1)+O(0)+O(0)-O(0)",
-      "surface": "C2(1,2)"
+      "surface": "C2(1,-1)"
     },
     {
       "class": "O(1)+O(1)+O(0)-O(0)",
-      "surface": "C2(1,2)"
+      "surface": "C2(1,-1)"
     },
     {
       "class": "O(0)+O(0)+O(0)-O(0)",
-      "surface": "C2(1,3)"
+      "surface": "C2(1,-2)"
     },
     {
       "class": "O(1)+O(0)+O(0)-O(0)",
-      "surface": "C2(1,3)"
+      "surface": "C2(1,-2)"
     },
     {
       "class": "O(1)+O(1)+O(0)-O(0)",
-      "surface": "C2(1,3)"
+      "surface": "C2(1,-2)"
     }
   ],
   "series": [
@@ -628,66 +628,66 @@ EXTRACT_VERLINDE_TWIST_MINUS1_JSON = """\
   ],
   "exponent_matrix": [
     [
-      "11/24",
-      "11/24",
-      "-9/4",
-      "9/2"
-    ],
-    [
-      "-1/24",
-      "11/24",
-      "3/4",
-      "9/2"
-    ],
-    [
-      "35/24",
-      "11/24",
-      "-15/4",
-      "9/2"
-    ],
-    [
-      "19/36",
-      "19/36",
-      "-8/3",
-      "16/3"
-    ],
-    [
-      "-5/36",
-      "19/36",
+      "1/12",
+      "1/12",
       "0",
-      "16/3"
+      "0"
     ],
     [
-      "49/36",
-      "19/36",
-      "-4",
-      "16/3"
+      "-23/12",
+      "1/12",
+      "0",
+      "0"
+    ],
+    [
+      "-5/12",
+      "1/12",
+      "0",
+      "0"
+    ],
+    [
+      "1/24",
+      "1/24",
+      "1/4",
+      "-1/2"
+    ],
+    [
+      "-35/24",
+      "1/24",
+      "5/4",
+      "-1/2"
+    ],
+    [
+      "1/24",
+      "1/24",
+      "-1/4",
+      "-1/2"
     ]
   ],
   "panel": [
     {
       "class": "O(0)",
-      "surface": "C2(1,2)"
+      "surface": "C2(1,-1)"
     },
     {
       "class": "O(2)",
-      "surface": "C2(1,2)"
+      "surface": "C2(1,-1)"
     },
     {
       "class": "O(-1)",
-      "surface": "C2(1,2)"
+      "surface": "C2(1,-1)"
     },
     {
       "class": "O(0)",
-      "surface": "C2(1,3)"
+      "surface": "C2(1,-2)"
     },
     {
       "class": "O(2)",
-      "surface": "C2(1,3)"
+      "surface": "C2(1,-2)"
     },
     {
       "class": "O(-1)",
-      "surface": "C2(1,3)"
+      "surface": "C2(1,-2)"
     }
   ],
   "series": [

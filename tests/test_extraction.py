@@ -275,11 +275,11 @@ class TestSolveExact:
 
     def test_half_integer_verlinde_rows(self):
         # (chi(L), chi(O), c1.K - K^2/2, K^2) of the compact twist-0 panel, and of
-        # the vertex one at beta = 4 and 5, whose denominators divide 8, beta, 12 beta
+        # the vertex one at beta = -1 and -2, whose denominators divide 12 |beta|
         compact = exponent_matrix(compact_panel("verlinde", 0))
         assert any(F(x).denominator == 2 for row in compact for x in row)
-        vertex = exponent_matrix(ext.default_panel("verlinde", 0, 4))
-        assert {F(x).denominator for row in vertex for x in row} >= {5, 8, 48, 60}
+        vertex = exponent_matrix(ext.default_panel("verlinde", 0))
+        assert {F(x).denominator for row in vertex for x in row} == {1, 2, 4, 12, 24}
         for matrix in (compact, vertex):
             x = [F(1, 3), F(-2), F(5, 7), F(1, 2)]
             rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
@@ -328,13 +328,13 @@ class TestAgainstFractionReference:
     @pytest.mark.parametrize("s", range(-4, 4))
     def test_segre_panels(self, s):
         _assert_matches_reference(exponent_matrix(ext.build_panel(s)), random.Random(s))
-        _assert_matches_reference(exponent_matrix(ext.default_panel("segre", s, 4)),
+        _assert_matches_reference(exponent_matrix(ext.default_panel("segre", s)),
                                   random.Random(s))
 
     @pytest.mark.parametrize("r", range(-3, 4))
     def test_verlinde_panels(self, r):
         for matrix in (exponent_matrix(compact_panel("verlinde", r)),
-                       exponent_matrix(ext.default_panel("verlinde", r, 4))):
+                       exponent_matrix(ext.default_panel("verlinde", r))):
             _assert_matches_reference(matrix, random.Random(r))
 
 
@@ -353,12 +353,21 @@ class TestPanels:
                 ("O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")]
         with pytest.raises(ext.PanelError):
             ext.Panel("segre", 1, rows)
-        panel = ext.default_panel("segre", 1, 3)
+        panel = ext.default_panel("segre", 1)
         assert len({cls.surface for cls in panel}) == 2
-        chart = panel.rows[0].surface
-        with pytest.raises(ext.PanelError, match="rank 4 < 5"):
-            ext.Panel("segre", 1, [loc.parse_class(chart, spec) for spec in
-                                   ("O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")])
+        assert [cls.surface.name for cls in panel] == ["C2(1,-1)"] * 3 + ["C2(1,-2)"] * 3
+        # K = 0 on Chart(-1) also zeroes its c1.K column
+        for chart, rank in zip((panel.rows[0].surface, panel.rows[3].surface), (3, 4)):
+            with pytest.raises(ext.PanelError, match="rank %d < 5" % rank):
+                ext.Panel("segre", 1, [loc.parse_class(chart, spec) for spec in (
+                    "O(0)", "O(1)", "O(2)", "O(0)+O(0)-O(1)", "O(1)+O(1)-O(3)")])
+        # every row's denominator is 12 |beta| > 0, on the default charts and any other
+        mixed = ext.Panel("segre", 1, [loc.EqKClass(chart, cls.terms)
+                                       for chart in (ext.Chart(-5), ext.Chart(-1))
+                                       for cls in panel.rows[:3]])
+        for rows in (panel, ext.default_panel("verlinde", 1), mixed):
+            assert all(den > 0 for _, den in rows.exponents)
+        assert [den for _, den in mixed.exponents] == [60] * 3 + [12] * 3
 
     def test_panel_rejects_wrong_rank(self):
         p2 = loc.get_surface("p2")
@@ -423,9 +432,9 @@ class TestExtractUniversal:
 
     def test_one_reduction_for_every_order(self, monkeypatch):
         # each panel row is reduced once per extraction, with one trailing
-        # entry per order: integers, exponents * D || values * 12 beta, which is
-        # the Fraction formulation's row (exponents || values) times 12 beta D
-        panel = ext.default_panel("segre", 1, 3)
+        # entry per order: integers, exponents * D || values * 12 |beta|, which is
+        # the Fraction formulation's row (exponents || values) times 12 |beta| D
+        panel = ext.default_panel("segre", 1)
         original = ext._reduce
         trailing, rows = [], []
 
@@ -446,12 +455,12 @@ class TestExtractUniversal:
                 assert [x * scale for x in row] == exponents + values
 
     def test_panel_rank_mismatch_rejected(self):
-        for panel in (ext.build_panel(1), ext.default_panel("segre", 1, 2)):
+        for panel in (ext.build_panel(1), ext.default_panel("segre", 1)):
             with pytest.raises(ext.PanelError):
                 ext.extract_universal(2, 2, panel)
 
     def test_panel_row_order_irrelevant(self):
-        panel = ext.default_panel("segre", 1, 2)
+        panel = ext.default_panel("segre", 1)
         shuffled = ext.Panel("segre", 1, list(reversed(panel.rows)))
         a = ext.extract_universal(1, 2, panel)
         b = ext.extract_universal(1, 2, shuffled)
@@ -490,14 +499,15 @@ class TestExtractVerlinde:
         monkeypatch.setattr(loc, "ToricSurface", refuse)
         monkeypatch.setattr(ext, "get_surface", refuse)
         ext.extract_verlinde(0, 3)
-        assert products == [("C2(1,3)", (1, 3), 3, 3), ("C2(1,4)", (1, 4), 3, 3)]
+        assert products == [("C2(1,-1)", (1, -1), 3, 3), ("C2(1,-2)", (1, -2), 3, 3)]
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_a_warm_extraction_draws_once(self, kind, monkeypatch):
-        # one pair of directions for the panel's two charts and one shape table
+        # the panel's two charts are fixed, so no direction rule is read, and one
+        # shape table serves both
         extract = {"segre": ext.extract_universal, "verlinde": ext.extract_verlinde}[kind]
         extract(2, 3)
-        assert len({cls.surface.beta for cls in ext.default_panel(kind, 2, 3)}) == 2
+        assert len({cls.surface.beta for cls in ext.default_panel(kind, 2)}) == 2
         original_directions, original_shapes = loc._directions, loc._shapes
         directions, shapes = [], []
         monkeypatch.setattr(loc, "_directions", lambda n: directions.append(n) or
@@ -505,7 +515,8 @@ class TestExtractVerlinde:
         monkeypatch.setattr(loc, "_shapes", lambda order: shapes.append(order) or
                             original_shapes(order))
         extract(2, 3)
-        assert directions == shapes == [3]
+        assert directions == []
+        assert shapes == [3]
 
     def test_rank4_row_requirement(self):
         p2 = loc.get_surface("p2")
@@ -627,8 +638,9 @@ class TestVertex:
 
     def test_a_direction_that_zeroes_a_tangent_weight_raises(self):
         # (1, 2) zeroes the weight (arm + 1) - leg beta of the box with arm = leg = 1,
-        # which a partition of 3 has: a panel for order 2 cannot serve order 3
-        panel = ext.default_panel("segre", 1, 2)
+        # which a partition of 3 has: a panel on Chart(2) serves order 2, not order 3
+        panel = ext.Panel("segre", 1, [loc.EqKClass(ext.Chart(beta), cls.terms) for beta, cls
+                                       in zip((2, 2, 2, 3, 3, 3), ext.default_panel("segre", 1))])
         assert [cls.surface.beta for cls in panel] == [2, 2, 2, 3, 3, 3]
         ext.extract_universal(1, 2, panel)
         with pytest.raises(ArithmeticError, match=r"direction \(1, 2\) zeroes a tangent weight"):
@@ -656,7 +668,7 @@ class TestAgainstFractionFormulation:
                              + [("verlinde", r) for r in range(-3, 4)])
     def test_default_panels(self, kind, param):
         for order in range(1, 7):
-            panel = ext.default_panel(kind, param, order)
+            panel = ext.default_panel(kind, param)
             matrix, reference = _ref_extract(kind, param, order, panel)
             assert _bytes(ext._extract(kind, param, order, panel)) == _bytes(reference)
             assert _cli_exponent_strings(kind, param, order) == [
@@ -664,7 +676,7 @@ class TestAgainstFractionFormulation:
 
     @pytest.mark.parametrize("kind,param", [("segre", 2), ("verlinde", -2)])
     def test_a_shuffled_panel(self, kind, param):
-        rows = ext.default_panel(kind, param, 4).rows
+        rows = ext.default_panel(kind, param).rows
         random.Random(param).shuffle(rows)
         panel = ext.Panel(kind, param, rows)
         matrix, reference = _ref_extract(kind, param, 4, panel)
@@ -674,9 +686,9 @@ class TestAgainstFractionFormulation:
 
 class TestIntegerExtraction:
     def test_rows_are_grouped_by_chart_direction(self, monkeypatch):
-        # six rows, each on its own Chart(3) or Chart(4), still run one chart
+        # six rows, each on its own Chart(-1) or Chart(-2), still run one chart
         # product per beta, and give the default panel's series
-        default = ext.default_panel("segre", 1, 3)
+        default = ext.default_panel("segre", 1)
         panel = ext.Panel("segre", 1, [loc.EqKClass(ext.Chart(cls.surface.beta), cls.terms)
                                        for cls in default])
         assert len({id(cls.surface) for cls in panel}) == 6
@@ -688,21 +700,21 @@ class TestIntegerExtraction:
 
         monkeypatch.setattr(loc, "_chart_product", counted)
         series = ext.extract_universal(1, 3, panel)
-        assert calls == [((1, 3), 3), ((1, 4), 3)]
+        assert calls == [((1, -1), 3), ((1, -2), 3)]
         assert _bytes(series) == _bytes(ext.extract_universal(1, 3, default))
 
     @pytest.mark.parametrize("kind,perturb,row", [
         # Segre: row 5 is the one redundant row; a value one unit of D off at
         # order 2 is a residual of 1/D there
         ("segre", {5: 2}, 5),
-        # Verlinde: rows 4 and 5 are redundant; the first right-hand side (order),
+        # Verlinde: rows 2 and 5 are redundant; the first right-hand side (order),
         # then the first row, that fails is named
-        ("verlinde", {4: 2, 5: 1}, 5),
-        ("verlinde", {4: 1, 5: 1}, 4),
+        ("verlinde", {2: 2, 5: 1}, 5),
+        ("verlinde", {2: 1, 5: 1}, 2),
     ])
     def test_a_failing_redundant_row_raises_through_extract(self, kind, perturb, row,
                                                             monkeypatch):
-        panel = ext.default_panel(kind, 1, 3)
+        panel = ext.default_panel(kind, 1)
         matrix = exponent_matrix(panel)
         redundant = [i for i in range(len(matrix))
                      if ext.matrix_rank(matrix[:i + 1]) == ext.matrix_rank(matrix[:i])]

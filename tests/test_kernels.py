@@ -40,6 +40,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hilbseries import cli, extraction, localization as loc
 from hilbseries.series import Series, exp_numerators
@@ -1099,14 +1100,20 @@ class TestHookScan:
                 loc._chart_product(surface, [], n, q, loc._segre_term, loc._shapes(n))
 
     def test_the_directions_are_generic_on_the_vertex_charts(self):
-        # extraction's C^2 chart at q = (1, beta), for both beta of the rule
+        # extraction's two fixed C^2 charts, at q = (1, -1) and (1, -2), at every order
+        charts = [extraction.Chart(-1), extraction.Chart(-2)]
         for n in range(61):
-            assert all(hook_generic(extraction.Chart(q[1]), n, q) for q in loc._directions(n)), n
+            assert all(hook_generic(chart, n, (1, chart.beta)) for chart in charts), n
         for n in range(9):
-            for q in loc._directions(n):
-                loc._chart_product(extraction.Chart(q[1]), [], n, q, loc._segre_term,
+            for chart in charts:
+                loc._chart_product(chart, [], n, (1, chart.beta), loc._segre_term,
                                    loc._shapes(n))
         assert not hook_generic(extraction.Chart(2), 3, (1, 2))
+
+    @given(st.integers(max_value=-1), st.integers(min_value=0, max_value=12))
+    def test_every_negative_beta_is_generic(self, beta, n):
+        # a box's weights -(arm + 1) - leg |beta| and arm + (leg + 1) |beta| are never 0
+        assert hook_generic(extraction.Chart(beta), n, (1, beta))
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_hook_generic_is_what_records_accept(self, name):
