@@ -44,9 +44,8 @@ ORACLE_DEFAULT_ORDER = 4
 # --seed is echoed only: nothing is drawn at random
 DEFAULT_SEED = 20260815
 # The deepest requests answered, refused above at once so that each run ends in bounded time:
-# oracle --n (at n = 24, p1xp1 Verlinde at r = 3 takes about 40 s of CPU, its Todd exps at
-# Hirzebruch's M_48 of 227 bits) and extract's order (at 16, `extract --order 16` takes up
-# to 0.45 s CPU at ranks -4..5, 0.6 s at twists -3..3).
+# oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 40 s CPU, its Todd exps at M_48) and
+# extract's order (at 16, at most 0.37 s CPU at ranks -4..5, 0.62 s at twists -3..3).
 ORACLE_MAX_N = 24
 EXTRACT_MAX_ORDER = 16
 

@@ -18,12 +18,11 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction as F
 from math import gcd, lcm
-from operator import lshift
 
 from . import catalog, localization
 from .series import Series, _ratio
 # segre_integral is not called here; perfbench's tracer test reads this binding
-from .localization import EqKClass, _lowest, _slots, get_surface, segre_integral  # noqa: F401
+from .localization import EqKClass, get_surface, segre_integral  # noqa: F401
 
 __all__ = [
     "Chart",
@@ -51,8 +50,9 @@ class UniversalityError(ArithmeticError):
 
 
 def frac_str(num, den=1):
-    """num / den, den > 0, as "p/q" in lowest terms: the package's one formatter.  A
-    float num is refused (_ratio)."""
+    """num / den as "p/q" in lowest terms, the one formatter; a float num or den <= 0 raises."""
+    if den <= 0:
+        raise ValueError("frac_str needs a positive denominator, got %s" % den)
     p, q = _ratio(num)
     g = gcd(p, q * den)
     return "%d/%d" % (p // g, q * den // g)
@@ -302,28 +302,28 @@ def default_panel(kind, param):
 
 def _log_values(rows, den):
     """Per n = 1..order, [x^n u^0] log Z, Z = sum_n x^n u^(-2n) rows[n] / den a chart
-    product, as (numerators, D).  [x^n] log Z integrates classes of every degree over
-    C^2, so a pole below u^-2 raises.  In y = x u^-2, n [y^n] log Z = M_n = -sum_(k<n)
-    M_k Z_(n-k), M_0 = -n, each a u-row over its own denominator, packed (_slots)."""
+    product, as (numerators, D); a pole below u^-2 raises, as [x^n] log Z integrates
+    classes of every degree over C^2.  In y = x u^-2, n [y^n] log Z = M_n = -sum_(k<n) M_k
+    Z_(n-k), M_0 = -n: plain integer u-rows over lowest denominators, M_k 0 below u^(2k-2)."""
     if rows[0] != [den] + [0] * (len(rows[0]) - 1):
         raise ArithmeticError("a chart series should start at 1, got %s" % rows[0])
-    z = [(row, d) for (row,), d in (_lowest([row], den) for row in rows)]
-    width, tops, logs, values = len(rows[0]), [max(map(abs, row)) for row, _ in z], [], []
+    width, logs = len(rows[0]), []
     for n in range(1, len(rows)):
-        factors = [(k, m, d * z[n - k][1]) for k, (m, d) in enumerate([([-n], 1)] + logs)]
-        d = lcm(*(scale for _, _, scale in factors))
-        shifts, unpack = _slots(sum(width * max(map(abs, m)) * tops[n - k] * (d // scale)
-                                    for k, m, scale in factors), width)
-        m = unpack(-sum(sum(map(lshift, m, shifts)) * sum(map(lshift, z[n - k][0], shifts))
-                        * (d // scale) for k, m, scale in factors))
+        d = lcm(*(dk for _, dk in logs))
+        m = [n * d * c for c in rows[n]]
+        for k, (row, dk) in enumerate(logs, 1):
+            z, scale = rows[n - k], d // dk
+            for i in range(2 * k - 2, width):
+                if c := row[i] * scale:
+                    for j in range(width - i):
+                        m[i + j] -= c * z[j]
         if any(m[:2 * n - 2]):
             raise ArithmeticError("the log of a chart series keeps a pole at u^%d, below u^-2"
                                   % (next(j for j, c in enumerate(m) if c) - 2 * n))
-        (m,), d = _lowest([m], d)
-        logs.append((m, d))
-        values.append((m[2 * n], n * d))
-    top = lcm(*(d for _, d in values))
-    return [v * (top // d) for v, d in values], top
+        g = gcd(d * den, *m)
+        logs.append(([c // g for c in m], d * den // g))
+    top = lcm(*(n * d for n, (_, d) in enumerate(logs, 1)))
+    return [m[2 * n] * (top // (n * d)) for n, (m, d) in enumerate(logs, 1)], top
 
 
 def _extract(kind, param, order, panel):

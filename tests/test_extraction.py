@@ -12,8 +12,11 @@ import io
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
+from operator import lshift
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbseries import catalog, cli
 from hilbseries import extraction as ext
@@ -129,6 +132,32 @@ def _ref_solve_exact(matrix, rhs):
     for position, original in enumerate(colperm):
         out[original] = solution[position]
     return out
+
+
+# The packed log that _log_values' plain integer rows replaced: every row of Z put in
+# lowest terms first, then per n every earlier log row and Z row packed into one
+# integer at that n's slot width (loc._slots), one product per k, and the sum
+# unpacked and put in lowest terms.
+def _ref_log_values(rows, den):
+    if rows[0] != [den] + [0] * (len(rows[0]) - 1):
+        raise ArithmeticError("a chart series should start at 1, got %s" % rows[0])
+    z = [(row, d) for (row,), d in (loc._lowest([row], den) for row in rows)]
+    width, tops, logs, values = len(rows[0]), [max(map(abs, row)) for row, _ in z], [], []
+    for n in range(1, len(rows)):
+        factors = [(k, m, d * z[n - k][1]) for k, (m, d) in enumerate([([-n], 1)] + logs)]
+        d = lcm(*(scale for _, _, scale in factors))
+        shifts, unpack = loc._slots(sum(width * max(map(abs, m)) * tops[n - k] * (d // scale)
+                                        for k, m, scale in factors), width)
+        m = unpack(-sum(sum(map(lshift, m, shifts)) * sum(map(lshift, z[n - k][0], shifts))
+                        * (d // scale) for k, m, scale in factors))
+        if any(m[:2 * n - 2]):
+            raise ArithmeticError("the log of a chart series keeps a pole at u^%d, below u^-2"
+                                  % (next(j for j, c in enumerate(m) if c) - 2 * n))
+        (m,), d = loc._lowest([m], d)
+        logs.append((m, d))
+        values.append((m[2 * n], n * d))
+    top = lcm(*(d for _, d in values))
+    return [v * (top // d) for v, d in values], top
 
 
 # The Fraction formulation that the integer rows and the integer solve replaced:
@@ -558,6 +587,13 @@ class TestPredictions:
         assert ext.frac_str(-4) == "-4/1"
         assert ext.frac_str("-6/4") == "-3/2"
 
+    def test_frac_str_refuses_a_denominator_below_one(self):
+        # a den <= 0 would print "1/0", "1/-4" or "0/-1" rather than a reduced fraction
+        for num, den in [(1, 0), (3, -12), (0, -5), (F(1, 2), -1)]:
+            with pytest.raises(ValueError, match="positive denominator, got %d" % den):
+                ext.frac_str(num, den)
+        assert ext.frac_str(3, 12) == "1/4" and ext.frac_str(0, 5) == "0/1"
+
     def test_floats_are_refused(self):
         # the solver, the rank and the formatter coerce through as_fraction,
         # as Series does, so a float raises instead of entering as its binary
@@ -578,8 +614,8 @@ def _bytes(series):
 
 class TestAgainstCompactReference:
     """The vertex against the compact-surface extraction it replaced, byte for byte:
-    the same series through order 8, and at order 3, read at that order's own
-    two directions, their truncations."""
+    the same series through order 8, and at order 3, read on the same fixed charts
+    Chart(-1) and Chart(-2), their truncations."""
 
     @pytest.mark.parametrize("s", range(-4, 6))
     def test_segre(self, s):
@@ -649,6 +685,82 @@ class TestVertex:
     def test_compact_rows_are_refused(self):
         with pytest.raises(ext.PanelError, match="C\\^2 charts"):
             ext.extract_universal(1, 2, ext.build_panel(1))
+
+
+def _log_outcome(log, rows, den):
+    try:
+        return log(rows, den)
+    except ArithmeticError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def _chart_series(draw):
+    """(rows, den, logs) for Z = exp(L), L = sum_n x^n u^-2n L_n with L_n's entries
+    drawn from u^-2 up, so Z's log keeps poles at u^-2 and u^-1 only; the rows are
+    Z's over a den with a drawn extra factor, so they need not be in lowest terms."""
+    order = draw(st.integers(min_value=0, max_value=5))
+    width = 2 * order + 1
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    logs = [None] + [[F(0)] * (2 * n - 2) + draw(st.lists(
+        entries, min_size=width - 2 * n + 2, max_size=width - 2 * n + 2))
+        for n in range(1, order + 1)]
+    z = [[F(1)] + [F(0)] * (width - 1)]
+    for n in range(1, order + 1):  # n Z_n = sum_k k L_k Z_(n-k), as u-rows cut at width
+        row = [F(0)] * width
+        for k in range(1, n + 1):
+            for i, a in enumerate(logs[k]):
+                for j in range(width - i):
+                    row[i + j] += k * a * z[n - k][j]
+        z.append([c / n for c in row])
+    den = lcm(*(c.denominator for row in z for c in row)) * draw(st.integers(1, 4))
+    return [[int(c * den) for c in row] for row in z], den, logs
+
+
+class TestPlainRowLog:
+    """_log_values on plain integer rows against the packed log it replaced
+    (_ref_log_values): the same (numerators, D), or the same error text."""
+
+    @pytest.mark.parametrize("kind,param", [("segre", s) for s in range(-4, 6)]
+                             + [("verlinde", r) for r in range(-3, 4)])
+    def test_default_panel_rows(self, kind, param):
+        spec, panel = ext._KINDS[kind], ext.default_panel(kind, param)
+        for order in range(1, 9):
+            shapes = loc._shapes(order)
+            for beta in (-1, -2):
+                classes = [spec.lifts(cls, param) for cls in panel if cls.surface.beta == beta]
+                for rows, den in loc._chart_product(ext.Chart(beta), classes, order,
+                                                    (1, beta), spec.term, shapes):
+                    assert ext._log_values(rows, den) == _ref_log_values(rows, den)
+
+    @given(_chart_series())
+    @settings(deadline=None, max_examples=60)
+    def test_random_chart_series(self, series):
+        rows, den, logs = series
+        nums, d = ext._log_values(rows, den)
+        assert (nums, d) == _ref_log_values(rows, den)
+        assert [F(v, d) for v in nums] == [logs[n][2 * n] for n in range(1, len(rows))]
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3),
+           st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_random_rows(self, den, order, data):
+        # mostly rows whose log keeps a pole below u^-2, and some that do not start at 1
+        width = 2 * order + 1
+        start = data.draw(st.sampled_from([den, den + 1]))
+        rows = [[start] + [0] * (width - 1)] + [
+            data.draw(st.lists(st.integers(-5, 5), min_size=width, max_size=width))
+            for _ in range(order)]
+        assert _log_outcome(ext._log_values, rows, den) == _log_outcome(_ref_log_values, rows, den)
+
+    def test_both_raise_the_same_errors(self):
+        # x^2 u^-3 is a pole below u^-2 at n = 2; a series starting at 2 is not a chart series
+        for rows, den, text in [
+                ([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 1, 0, 0, 0]], 1,
+                 "the log of a chart series keeps a pole at u^-3, below u^-2"),
+                ([[2, 0, 0]], 1, "a chart series should start at 1, got [2, 0, 0]")]:
+            for log in (ext._log_values, _ref_log_values):
+                assert _log_outcome(log, rows, den) == (ArithmeticError, text)
 
 
 def _cli_exponent_strings(kind, param, order):
