@@ -7,12 +7,13 @@ oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, oracle --n above ORACLE_MAX_N, an extract order above
-EXTRACT_MAX_ORDER, or a --json PATH that cannot be written.
+EXTRACT_MAX_ORDER, a Segre extract |--rank| above EXTRACT_MAX_RANK, or a --json
+PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
-oracle-driven commands; the HILBSERIES_ORDER environment variable
-overrides either default, and --order overrides everything.  A call
-whose first argument names a subcommand builds only that one's parser.
+extract; the HILBSERIES_ORDER environment variable overrides either
+default, and --order overrides everything.  A call whose first argument
+names a subcommand builds only that one's parser.
 
 Each handler ``_cmd_<name>(args, parser)`` only computes: it returns
 (exit code, config, payload, lines), where config is the echoed
@@ -40,14 +41,17 @@ from .localization import (
 
 ORDER_ENV = "HILBSERIES_ORDER"
 SERIES_DEFAULT_ORDER = 10
-ORACLE_DEFAULT_ORDER = 4
+EXTRACT_DEFAULT_ORDER = 4
 # --seed is echoed only: nothing is drawn at random
 DEFAULT_SEED = 20260815
 # The deepest requests answered, refused above at once so that each run ends in bounded time:
-# oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 40 s CPU, its Todd exps at M_48) and
-# extract's order (at 16, at most 0.37 s CPU at ranks -4..5, 0.62 s at twists -3..3).
+# oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 40 s CPU, its Todd exps at M_48),
+# extract's order (at 16, at most 0.37 s CPU at ranks -4..5, 0.62 s at twists -3..3) and
+# extract's Segre |rank|, whose classes hold about 2 |rank| terms each (at order 16, 2-3 s
+# CPU at rank 64 or -64).  A Verlinde twist costs about the same at any size: no cap.
 ORACLE_MAX_N = 24
 EXTRACT_MAX_ORDER = 16
+EXTRACT_MAX_RANK = 64
 
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
@@ -240,10 +244,13 @@ def _cmd_oracle(args, parser):
 
 
 def _cmd_extract(args, parser):
-    order = _resolve_order(args, parser, ORACLE_DEFAULT_ORDER)
+    order = _resolve_order(args, parser, EXTRACT_DEFAULT_ORDER)
     if order > EXTRACT_MAX_ORDER:
         parser.exit(2, "%s: error: order %d is beyond extract's cap of %d\n"
                     % (parser.prog, order, EXTRACT_MAX_ORDER))
+    if args.kind == "segre" and abs(args.rank) > EXTRACT_MAX_RANK:
+        parser.exit(2, "%s: error: --rank %d is beyond extract's Segre cap of |rank| <= %d\n"
+                    % (parser.prog, args.rank, EXTRACT_MAX_RANK))
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
     panel = extraction.default_panel(args.kind, args.rank)

@@ -14,7 +14,6 @@ away.  Each system is solved fraction-free, in integers, in row order.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -244,57 +243,31 @@ class Panel:
         return iter(self.rows)
 
 
-_PROBE_LINES = {
-    "p2": [(0,), (1,), (2,), (3,), (-1,), (4,), (-2,), (5,)],
-    "p1xp1": [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
-              (2, 0), (0, 2), (-1, 1), (2, 2)],
-    "f1": [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
-           (2, 0), (0, 2), (1, -1), (2, 2)],
-}
-
-
-def _probe_classes(surface, s):
-    """Deterministic stream of rank-s classes with varied Chern data: p positive and
-    p - s negative probe lines, for p = max(s, 1) and then one more."""
-    lines = _PROBE_LINES[surface.name]
-    low = max(s, 1)
-    for p in (low, low + 1):
-        for plus in itertools.combinations_with_replacement(lines, p):
-            for minus in itertools.combinations_with_replacement(lines, p - s):
-                yield EqKClass(surface, [(1, c) for c in plus] + [(-1, c) for c in minus])
+def _segre_rows(surfaces, s):
+    """Three rank-s classes per surface: p = max(s, 1) + 1 positive and p - s negative
+    terms, 0, 1 or 2 of the positive ones the first generator and the rest 0, so c2 varies
+    too; coefficients are padded with zeros to the surface's generator count."""
+    plus, rows = max(s, 1) + 1, []
+    for surface in surfaces:
+        pad = (0,) * (len(surface.generators) - 1)
+        rows += [EqKClass(surface, [(1, (int(i < ones), *pad)) for i in range(plus)]
+                          + [(-1, (0, *pad))] * (plus - s)) for ones in range(3)]
+    return rows
 
 
 def build_panel(s):
-    """Assemble a six-row, rank-5 Segre panel of small classes over all three surfaces.
-
-    Rows are classes, taken round-robin from per-surface probe streams; a
-    probe is kept while it raises the exponent-matrix rank, then one extra
-    row is kept as redundancy for the universality check.
-    """
-    streams = [_probe_classes(get_surface(name), s) for name in ("p2", "p1xp1", "f1")]
-    rows, basis = [], []
-    for cls in itertools.chain.from_iterable(itertools.zip_longest(*streams)):
-        if len(rows) == 6:
-            break
-        if cls is None:  # an exhausted stream
-            continue
-        if len(basis) == 5 or _reduce(basis, _segre_exponents(cls, s)[0], 5) is None:
-            rows.append(cls)
-    if len(basis) < 5:
-        raise PanelError("probe streams could not reach exponent rank 5")
-    return Panel("segre", s, rows)
+    """The compact reference's Segre panel: _segre_rows on P2 and P1xP1, which differ in
+    chi(O) and K^2 beside the classes' own numbers, so the six rows reach exponent rank 5.
+    By universality the series do not depend on which full-rank rows are read."""
+    return Panel("segre", s, _segre_rows([get_surface("p2"), get_surface("p1xp1")], s))
 
 
 def default_panel(kind, param):
-    """Three classes on each of Chart(-1) and Chart(-2), generic at any order: at rank s, p =
-    max(s, 1) + 1 positive and p - s negative terms, 0, 1 or 2 of weight 1 and the rest 0, so
-    c2 varies too; at a twist, O(0), O(2) and O(-1)."""
+    """Three classes on each of Chart(-1) and Chart(-2), generic at any order: at rank s,
+    _segre_rows; at a twist, O(0), O(2) and O(-1)."""
     charts = [Chart(-1), Chart(-2)]
     if kind == "segre":
-        plus = max(param, 1) + 1
-        rows = [EqKClass(chart, [(1, (int(i < ones),)) for i in range(plus)]
-                         + [(-1, (0,))] * (plus - param))
-                for chart in charts for ones in range(3)]
+        rows = _segre_rows(charts, param)
     else:
         rows = [EqKClass(chart, [(1, (w,))]) for chart in charts for w in (0, 2, -1)]
     return Panel(kind, param, rows)

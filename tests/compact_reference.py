@@ -3,7 +3,10 @@
 Each panel row is a class on p2, p1xp1 or f1; the oracle's whole-surface
 integrals for n = 0..order (segre_series, verlinde_series) are the series
 whose logs pair with the exponent rows, one exact solve per order, exp.
-Segre rows are build_panel's, Verlinde rows the seven lines below.
+Segre rows are build_panel's: the default panel's class rule, three classes
+on p2 and three on p1xp1, whose chi(O) and K^2 differ, so they reach rank 5.
+Verlinde rows are the seven lines below.  By universality the series do not
+depend on which full-rank rows are read.
 """
 
 from fractions import Fraction as F

@@ -327,6 +327,42 @@ class TestOracle:
         assert run(capsys, "extract", "--kind", kind, "--rank", "1", "--order", "16") == \
             (0, "# hilbseries command=extract kind=%s order=16 rank=1 seed=20260815\n" % kind)
 
+    def test_extract_beyond_the_rank_cap_exits_two_before_any_panel(self, capsys, monkeypatch):
+        # a Segre |rank| above EXTRACT_MAX_RANK is refused before a panel is built or the
+        # oracle runs; the cap itself is answered, and a Verlinde twist has no cap
+        def refuse(*args):
+            raise AssertionError("panel or oracle work for a rank beyond the cap")
+
+        monkeypatch.setattr(loc, "_chart_product", refuse)
+        monkeypatch.setattr(cli.extraction, "default_panel", refuse)
+        monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+        started = time.perf_counter()
+        for rank, flags in ((65, ["--rank", "65"]), (-65, ["--rank=-65"]),
+                            (10 ** 7, ["--rank", "10000000"])):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["extract", *flags])
+            captured = capsys.readouterr()
+            assert info.value.code == 2
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "hilbseries: error: --rank %d is beyond extract's Segre cap of |rank| <= 64"
+                % rank]
+        assert time.perf_counter() - started < 5
+        monkeypatch.undo()
+        assert cli.EXTRACT_MAX_RANK == 64
+        for flag in ("--rank=64", "--rank=-64"):
+            code, out = run(capsys, "extract", flag, "--order", "1")
+            assert code == 0
+            assert out.splitlines()[1:] == [
+                "A0 [proven]: 1/1, -1/1  (matches reference through order 1)",
+                "A1 [proven]: 1/1, 1/1  (matches reference through order 1)",
+                "A2 [proven]: 1/1, 0/1  (matches reference through order 1)",
+                "A3 [conjectural]: 1/1, 0/1", "A4 [conjectural]: 1/1, 0/1"]
+        for flags in (["--rank", "65"], ["--rank", "10000000"], ["--rank=-2000000000"]):
+            code, out = run(capsys, "extract", "--kind", "verlinde", *flags, "--order", "1")
+            assert code == 0
+            assert len(out.splitlines()) == 5
+
     @pytest.mark.parametrize("name", ["p1xp1", "f1"])
     def test_n_seventeen_is_answered(self, capsys, name):
         # rank 1 is proven, so the catalog's z^17 coefficient is the value

@@ -25,46 +25,54 @@ from hilbseries.series import Series
 from compact_reference import compact_extract, compact_panel, exponent_matrix
 
 
-# build_panel's chosen rows, pinned from the rank-growth rule that keeps a
-# probe while it raises the exponent rank and every probe once it is 5.
+# build_panel's rows, pinned from the one Segre class rule (_segre_rows) that
+# default_panel reads too: three classes on P2, then three on P1xP1.
 PANEL_ROWS = {
     -4: [
-        "p2 O(0)-O(0)-O(0)-O(0)-O(0)-O(0)",
-        "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
-        "p2 O(0)-O(0)-O(0)-O(0)-O(0)-O(1)",
-        "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(1,0)",
-        "p2 O(0)-O(0)-O(0)-O(0)-O(1)-O(1)",
-        "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(-1,1)",
+        "p2 O(0)+O(0)-O(0)-O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p2 O(1)+O(0)-O(0)-O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p2 O(1)+O(1)-O(0)-O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p1xp1 O(0,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(1,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
     ],
     -3: [
-        "p2 O(0)-O(0)-O(0)-O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
-        "p2 O(0)-O(0)-O(0)-O(0)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(1,0)",
-        "p2 O(0)-O(0)-O(0)-O(1)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(-1,1)",
+        "p2 O(0)+O(0)-O(0)-O(0)-O(0)-O(0)-O(0)", "p2 O(1)+O(0)-O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p2 O(1)+O(1)-O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p1xp1 O(0,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(1,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
     ],
     -2: [
-        "p2 O(0)-O(0)-O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(0,0)",
-        "p2 O(0)-O(0)-O(0)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(1,0)",
-        "p2 O(0)-O(0)-O(1)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(0,0)-O(-1,1)",
+        "p2 O(0)+O(0)-O(0)-O(0)-O(0)-O(0)", "p2 O(1)+O(0)-O(0)-O(0)-O(0)-O(0)",
+        "p2 O(1)+O(1)-O(0)-O(0)-O(0)-O(0)", "p1xp1 O(0,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(1,0)-O(0,0)-O(0,0)-O(0,0)-O(0,0)",
     ],
     -1: [
-        "p2 O(0)-O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)-O(0,0)", "p2 O(0)-O(0)-O(1)",
-        "p1xp1 O(0,0)-O(0,0)-O(1,0)", "p2 O(0)-O(1)-O(1)", "p1xp1 O(0,0)-O(0,0)-O(-1,1)",
+        "p2 O(0)+O(0)-O(0)-O(0)-O(0)", "p2 O(1)+O(0)-O(0)-O(0)-O(0)",
+        "p2 O(1)+O(1)-O(0)-O(0)-O(0)", "p1xp1 O(0,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(0,0)-O(0,0)-O(0,0)-O(0,0)", "p1xp1 O(1,0)+O(1,0)-O(0,0)-O(0,0)-O(0,0)",
     ],
     0: [
-        "p2 O(0)-O(0)", "p1xp1 O(0,0)-O(0,0)", "p2 O(0)-O(1)", "p1xp1 O(0,0)-O(1,0)",
-        "p2 O(1)-O(0)", "p1xp1 O(0,0)-O(-1,1)",
+        "p2 O(0)+O(0)-O(0)-O(0)", "p2 O(1)+O(0)-O(0)-O(0)", "p2 O(1)+O(1)-O(0)-O(0)",
+        "p1xp1 O(0,0)+O(0,0)-O(0,0)-O(0,0)", "p1xp1 O(1,0)+O(0,0)-O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(1,0)-O(0,0)-O(0,0)",
     ],
     1: [
-        "p2 O(0)", "p1xp1 O(0,0)", "p2 O(1)", "p1xp1 O(1,0)", "p2 O(0)+O(0)-O(1)",
-        "p1xp1 O(2,2)",
+        "p2 O(0)+O(0)-O(0)", "p2 O(1)+O(0)-O(0)", "p2 O(1)+O(1)-O(0)",
+        "p1xp1 O(0,0)+O(0,0)-O(0,0)", "p1xp1 O(1,0)+O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(1,0)-O(0,0)",
     ],
     2: [
-        "p2 O(0)+O(0)", "p1xp1 O(0,0)+O(0,0)", "p2 O(0)+O(1)", "p1xp1 O(0,0)+O(1,0)",
-        "p2 O(1)+O(1)", "p1xp1 O(0,0)+O(-1,1)",
+        "p2 O(0)+O(0)+O(0)-O(0)", "p2 O(1)+O(0)+O(0)-O(0)", "p2 O(1)+O(1)+O(0)-O(0)",
+        "p1xp1 O(0,0)+O(0,0)+O(0,0)-O(0,0)", "p1xp1 O(1,0)+O(0,0)+O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(1,0)+O(0,0)-O(0,0)",
     ],
     3: [
-        "p2 O(0)+O(0)+O(0)", "p1xp1 O(0,0)+O(0,0)+O(0,0)", "p2 O(0)+O(0)+O(1)",
-        "p1xp1 O(0,0)+O(0,0)+O(1,0)", "p2 O(0)+O(1)+O(1)", "p1xp1 O(0,0)+O(0,0)+O(-1,1)",
+        "p2 O(0)+O(0)+O(0)+O(0)-O(0)", "p2 O(1)+O(0)+O(0)+O(0)-O(0)",
+        "p2 O(1)+O(1)+O(0)+O(0)-O(0)", "p1xp1 O(0,0)+O(0,0)+O(0,0)+O(0,0)-O(0,0)",
+        "p1xp1 O(1,0)+O(0,0)+O(0,0)+O(0,0)-O(0,0)", "p1xp1 O(1,0)+O(1,0)+O(0,0)+O(0,0)-O(0,0)",
     ],
 }
 
@@ -374,6 +382,20 @@ class TestPanels:
             assert len(panel) >= 5
             assert ext.matrix_rank(exponent_matrix(panel)) == 5
             assert all(cls.rank == s for cls in panel)
+
+    def test_build_panel_reads_the_default_panels_class_rule(self):
+        # one Segre class rule for both panels: build_panel's rows, the padding
+        # dropped, are default_panel's term by term, P2 for Chart(-1) and P1xP1
+        # for Chart(-2); P2 and P1xP1 reach exponent rank 5 well past the tested ranks
+        for s in range(-4, 6):
+            compact, vertex = ext.build_panel(s), ext.default_panel("segre", s)
+            assert [cls.surface.name for cls in compact] == ["p2"] * 3 + ["p1xp1"] * 3
+            for mine, theirs in zip(compact, vertex, strict=True):
+                pad = (0,) * (len(mine.surface.generators) - 1)
+                assert [coeffs[1:] for _, coeffs in mine.terms] == [pad] * len(mine.terms)
+                assert [(sign, coeffs[:1]) for sign, coeffs in mine.terms] == theirs.terms
+        for s in range(-6, 8):
+            assert ext.matrix_rank(exponent_matrix(ext.build_panel(s))) == 5, s
 
     def test_single_surface_panel_rejected(self):
         # chi(O) and K^2 columns are proportional on one surface, and on one chart
