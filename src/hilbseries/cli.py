@@ -7,8 +7,8 @@ oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, oracle --n above ORACLE_MAX_N, an extract order above
-EXTRACT_MAX_ORDER, a Segre extract |--rank| above EXTRACT_MAX_RANK, or a --json
-PATH that cannot be written.
+EXTRACT_MAX_ORDER, a Segre extract |--rank| above EXTRACT_MAX_RANK, a Verlinde twist
+of more than VERLINDE_MAX_TWIST_DIGITS digits, or a --json PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
 extract; the HILBSERIES_ORDER environment variable overrides either
@@ -45,13 +45,15 @@ EXTRACT_DEFAULT_ORDER = 4
 # --seed is echoed only: nothing is drawn at random
 DEFAULT_SEED = 20260815
 # The deepest requests answered, refused above at once so that each run ends in bounded time:
-# oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 40 s CPU, its Todd exps at M_48),
+# oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 23 s CPU, its Todd exps at M_48),
 # extract's order (at 16, at most 0.37 s CPU at ranks -4..5, 0.62 s at twists -3..3) and
 # extract's Segre |rank|, whose classes hold about 2 |rank| terms each (at order 16, 2-3 s
-# CPU at rank 64 or -64).  A Verlinde twist costs about the same at any size: no cap.
+# CPU at rank 64 or -64).  A value at n points has about 2n times the twist's digits: at
+# 80, oracle --n 24 prints about 3,850, under Python's 4,300-digit int-to-str limit.
 ORACLE_MAX_N = 24
 EXTRACT_MAX_ORDER = 16
 EXTRACT_MAX_RANK = 64
+VERLINDE_MAX_TWIST_DIGITS = 80
 
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
@@ -127,6 +129,13 @@ def build_parser(command=None):
         if command in (None, name):
             add_arguments(sub.add_parser(name, help=text))
     return parser
+
+
+def _refuse_long_twist(parser, option, twist):
+    digits = len(str(abs(twist)))
+    if digits > VERLINDE_MAX_TWIST_DIGITS:
+        parser.exit(2, "%s: error: %s has %d digits, beyond the Verlinde twist cap of %d "
+                    "digits\n" % (parser.prog, option, digits, VERLINDE_MAX_TWIST_DIGITS))
 
 
 def _resolve_order(args, parser, default):
@@ -221,6 +230,8 @@ def _cmd_oracle(args, parser):
     if args.n > ORACLE_MAX_N:
         parser.exit(2, "%s: error: --n %d is beyond the oracle's cap of %d\n"
                     % (parser.prog, args.n, ORACLE_MAX_N))
+    if args.kind == "verlinde" and args.r is not None:
+        _refuse_long_twist(parser, "--r", args.r)
     config = {"command": "oracle", "surface": surface.name,
               "class": kclass.spec(), "n": args.n, "kind": args.kind,
               "seed": args.seed}
@@ -251,6 +262,8 @@ def _cmd_extract(args, parser):
     if args.kind == "segre" and abs(args.rank) > EXTRACT_MAX_RANK:
         parser.exit(2, "%s: error: --rank %d is beyond extract's Segre cap of |rank| <= %d\n"
                     % (parser.prog, args.rank, EXTRACT_MAX_RANK))
+    if args.kind == "verlinde":
+        _refuse_long_twist(parser, "--rank", args.rank)
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
     panel = extraction.default_panel(args.kind, args.rank)

@@ -25,16 +25,17 @@ td(ku) (Verlinde: det of L + (r-1) O, L and one trivial term of weight
 r-1).  A class enters as its surface, its terms' weights and per-chart
 lifts (EqKClass.signed_lifts).  One chart pass serves every n <= N and a
 batch of classes on any of the surfaces, one chart product per surface
-(segre_series, verlinde_series).  Each partition comes after its parent,
-itself without the last box of its last row, and its Segre term is the
-parent's times that box's factors.  The Euler exponent is a = |lambda| m
-+ r B, B the sum of the boxes, so a Verlinde batch on one surface, whose
-classes share r, runs one exp per partition, at E_0 = M_2N, Hirzebruch's
+(segre_series, verlinde_series), whose kernels are prepared once per
+chart and direction.  Each partition comes after its parent, itself
+without the last box of its last row, and its Segre term is the parent's
+times that box's factors.  The Euler exponent is a = |lambda| m + r B, B
+the sum of the boxes, so a Verlinde batch on one surface, whose classes
+share r, runs one Todd exp per partition, at E_0 = M_2N, Hirzebruch's
 denominator of the Todd polynomial T_2N, which clears every coefficient
-and which a remainder check in exp_numerators enforces: a class whose
-lift at a chart is delta more than the first's has the first's chart sum
-at x -> x e^(delta u).  The chart sums are multiplied with each u-row
-packed into one integer.
+and which a remainder check enforces: a class whose lift at a chart is
+delta more than the first's has the first's chart sum at x -> x e^(delta
+u).  The chart sums are multiplied with each u-row packed into one
+integer.
 
 Two closed-form directions serve every request (_directions): q = (1, B)
 and (1, B + 1), B = max(n, 2), which keep every tangent weight of every
@@ -54,7 +55,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import lshift, mul
 
-from .series import Series, exp_numerators
+from .series import Series
 
 __all__ = [
     "EqKClass",
@@ -355,26 +356,42 @@ def taut_weights(lifts, fp, surface):
     return [(weight, _vadd(lift[index], box)) for weight, lift in lifts for index, box in boxes]
 
 
-def _segre_term(ks, boxes, lifts, degree, parent):
-    """Per class, prod (1+ku)^(-sign) / prod ks to u^degree over k = m + box, as
-    (denominator, numerators): the parent's numerators times the factors of the new
-    box, boxes[-1], or 1 for the empty partition (parent None).  Every sign is +-1,
-    as every EqKClass term's is."""
-    if parent is None:
-        return prod(ks), [[1] + [0] * degree for _ in lifts]
-    out = []
-    for c, class_lifts in zip(parent, lifts):
-        c = list(c)
+@lru_cache(maxsize=None)
+def _hook_pairs(order):
+    """The distinct _hook_coefficients of the partitions of size <= order: arm + leg < order."""
+    return tuple(pair for arm in range(order) for leg in range(order - arm)
+                 for pair in ((arm + 1, -leg), (-arm, leg + 1)))
+
+
+def _segre_term(x, y, lifts, degree):
+    """The Segre step: per class, prod (1+ku)^(-sign) / prod ks to u^degree over k = m +
+    box, as (den, numerators), the parent's times the new box's factors, or 1 (parent
+    None).  Each distinct m enters at its net sign, so cancelling terms cost nothing."""
+    nets = []
+    for class_lifts in lifts:
+        net = {}
         for sign, m in class_lifts:
-            k = m + boxes[-1]
-            if sign > 0:
-                for j in range(1, degree + 1):  # divide by 1 + k u
-                    c[j] -= k * c[j - 1]
-            else:
-                for j in range(degree, 0, -1):  # multiply by 1 + k u
-                    c[j] += k * c[j - 1]
-        out.append(c)
-    return prod(ks), out
+            net[m] = net.get(m, 0) + sign
+        nets.append([(1 if mult > 0 else -1, m) for m, mult in net.items()
+                     for _ in range(abs(mult))])
+
+    def step(ks, box, size, box_sum, parent):
+        if parent is None:
+            return prod(ks), [[1] + [0] * degree for _ in nets]
+        out = []
+        for c, net in zip(parent, nets):
+            c = list(c)
+            for sign, m in net:
+                k = m + box
+                if sign > 0:
+                    for j in range(1, degree + 1):  # divide by 1 + k u
+                        c[j] -= k * c[j - 1]
+                else:
+                    for j in range(degree, 0, -1):  # multiply by 1 + k u
+                        c[j] += k * c[j - 1]
+            out.append(c)
+        return prod(ks), out
+    return step
 
 
 @lru_cache(maxsize=None)
@@ -382,31 +399,51 @@ def _todd_log(degree):
     """(D, [D tau_j], M) for tau = log(x / (1 - e^-x)) = x/2 - x^2/24 + x^4/2880 - ... to
     x^degree, and M = prod p^floor(degree / (p - 1)) over the primes p <= degree + 1:
     Hirzebruch's denominator M_degree of the Todd polynomial T_degree, which every
-    M_j, j <= degree, divides; the E_0 at which _euler_term runs exp_numerators."""
+    M_j, j <= degree, divides; the E_0 of the Todd exp (_todd_exp)."""
     tau = -Series([F((-1) ** j, factorial(j + 1)) for j in range(degree + 1)]).log()
     primes = [p for p in range(2, degree + 2) if all(p % f for f in range(2, p))]
     return tau.den, tau.nums, prod(p ** (degree // (p - 1)) for p in primes)
 
 
-def _euler_term(ks, boxes, lifts, degree, parent):
-    """e^(au) prod td(ku) / prod ks to u^degree, as (denominator, [numerators]), for the
-    batch's first class (_chart_product scales the rest): by Hirzebruch-Riemann-Roch,
-    the Euler characteristic of the determinant line, with prod td(ku) = exp(sum_j tau_j
-    p_j u^j), p_j = sum k^j in steps of k^2, and a = |lambda| m + r B, B the sum of the
-    boxes, r and m those of the class's weights and weights times lifts: |lambda| m_L +
-    r B for L + (r-1) O.  The denominator is prod ks M_degree (_todd_log): with a and
-    the ks integers, [u^j] is the degree-j part of ch td of a sum of line bundles, whose
-    denominator divides M_j, as i! | M_i and M_i M_(j-i) | M_j, so M_degree clears it;
-    exp_numerators raises if it does not.  The parent is not read."""
+def _todd_exp(weights, degree):
+    """todd(ks, a1) = exp_numerators([0, a1, tau_2 p_2, ...], D, degree, M_degree), p_j =
+    sum k^j, for at most ``degree`` ks of ``weights``: as tau_j = 0 at odd
+    j >= 3, it reads b_0 = a1 and the odd b_k only, and p_2j from packed geometric sums
+    k^2 + k^4 2^s + ... in s-bit slots that hold degree max|k|^degree."""
     d, tau, scale = _todd_log(degree)
-    exponent = [0] * (degree + 2)  # a_1 exists at degree 0 too
-    powers = squares = list(map(mul, ks, ks))
-    for j in range(2, degree + 1, 2):  # tau_j = 0 at odd j >= 3
-        exponent[j] = tau[j] * sum(powers)
-        powers = list(map(mul, powers, squares))
+    odd = [j * tau[j] for j in range(2, degree + 1, 2)]
+    s = max(1, (degree * max(map(abs, weights), default=0) ** degree).bit_length())
+    shifts, mask = range(0, s * len(odd), s), (1 << s) - 1
+    powers = {k: k * k * ((k * k << s) ** len(odd) - 1) // ((k * k << s) - 1) for k in weights}
+
+    def todd(ks, a1):
+        packed = sum(map(powers.__getitem__, ks))
+        b, e = [c * (packed >> shift & mask) for c, shift in zip(odd, shifts)], [scale]
+        for m, divisor in enumerate(range(d, d * degree + 1, d)):  # (m + 1) D
+            q, rem = divmod(a1 * e[m] + sum(map(mul, b, e[m - 1::-2] if m else ())), divisor)
+            if rem:
+                raise ArithmeticError("E_0 = %d does not clear [u^%d] of the Todd exp"
+                                      % (scale, m + 1))
+            e.append(q)
+        return e
+    return todd
+
+
+def _euler_term(x, y, lifts, degree):
+    """The Euler step: e^(au) prod td(ku) / prod ks to u^degree, as (denominator,
+    [numerators]), for the batch's first class (_chart_product scales the rest); a =
+    |lambda| m + r B, B the box sum, r and m those of the class's weights and weights
+    times lifts: |lambda| m_L + r B for L + (r-1) O.  The denominator is prod ks
+    M_degree: [u^j] is the degree-j part of ch td of a sum of line bundles, whose
+    denominator divides M_j, as i! | M_i and M_i M_(j-i) | M_j."""
+    d, tau, scale = _todd_log(degree)
     r, m = sum(w for w, _ in lifts[0]), sum(w * m for w, m in lifts[0])
-    exponent[1] = (degree and tau[1] * sum(ks)) + d * (len(boxes) * m + r * sum(boxes))
-    return prod(ks) * scale, [exp_numerators(exponent, d, degree, scale)]
+    half = degree and tau[1]
+    todd = _todd_exp({a * x + b * y for a, b in _hook_pairs(degree // 2)}, degree)
+
+    def step(ks, box, size, box_sum, parent):
+        return prod(ks) * scale, [todd(ks, half * sum(ks) + d * (size * m + r * box_sum))]
+    return step
 
 
 def _scaled(rows, moves):
@@ -462,46 +499,46 @@ def _times(a, b):
 
 def _shapes(order):
     """Per partition of size at most ``order``, by size, so after its parent (itself
-    without the last box of its last row): (size, hook coefficients, cells (col, row)
-    row by row, the parent's index or None).  Built once per pass, for both directions."""
+    without the last box of its last row): (size, hooks as indices into _hook_pairs,
+    new cell (col, row), the sums of its cells' cols and rows, the parent's index or
+    None).  Built once per pass, for both directions."""
+    index = {pair: i for i, pair in enumerate(_hook_pairs(order))}
     shapes, where = [], {}
     for lam in (lam for size in range(order + 1) for lam in partitions(size)):
         where[lam] = len(shapes)
-        cells = [(col, row) for row, part in enumerate(lam) for col in range(part)]
         parent = lam[:-1] + (lam[-1] - 1,) * (lam[-1] > 1) if lam else None
-        shapes.append((len(cells), _hook_coefficients(lam), cells, where.get(parent)))
+        shapes.append((sum(lam), tuple(index[hook] for hook in _hook_coefficients(lam)),
+                       (lam[-1] - 1, len(lam) - 1) if lam else (0, 0),
+                       (sum(p * (p - 1) // 2 for p in lam), sum(map(mul, range(len(lam)), lam))),
+                       where.get(parent)))
     return shapes
 
 
 def _chart_product(surface, classes, order, q, term, shapes):
     """Per class, prod over charts of sum_lambda x^|lambda| term(lambda) at direction q.
 
-    ``classes`` holds each class as signed_lifts gives it.  Each partition
-    of ``shapes`` = _shapes(order) gets its integer tangent weights ks (a zero one
-    raises), and its box characters c u1.q + s u2.q = -c x - s y, the tangent
-    characters (x, y) being -u1.q, -u2.q, row by row; with each class's (weight,
-    lift.q) at the chart, ``term(ks, boxes, lifts, degree, parent)`` returns its
-    (den, numerators per class), with numerator_j / den at u^j; ``parent`` is the
-    parent's numerators, None for the empty partition.
-    The Euler term gives the first class's only: a class of its batch (one r)
-    whose sum of weight * lift.q is delta more has its rows times e^(n delta u)
-    (_scaled).  Each chart's sums are put in lowest terms, which cancels what the
-    Euler terms' M_degree and the scaling's degree! leave over.  Returns (rows, den)
-    per class, rows[n][j] for j <= 2 order.
+    ``classes`` holds each class as signed_lifts gives it.  At a chart, tangent characters
+    (x, y) = -u1.q, -u2.q, each pair (a, b) of _hook_pairs gets its weight a x + b y (0
+    raises), and term(x, y, each class's (weight, lift.q), degree) is the step that each
+    partition of ``shapes`` = _shapes(order) calls with its tangent weights, -c x - s y
+    of its new cell (c, s), its size, that of all its cells and its parent's numerators
+    (or None), for (den, numerators per class).  The Euler term gives the first class's
+    only: a class of its batch whose sum of weight * lift.q is delta more has its rows
+    times e^(n delta u) (_scaled).  Each chart's sums are put in lowest terms.  Returns
+    (rows, den) per class, rows[n][j] for j <= 2 order.
     """
-    degree = 2 * order
-    product = None
+    degree, product = 2 * order, None
     for index in range(len(surface.charts)):
         x, y = (_dot(chi, q) for chi in surface.tangent_chars(index))
+        weights = [a * x + b * y for a, b in _hook_pairs(order)]
+        if 0 in weights:
+            raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
         lifts = [[(w, _dot(lift[index], q)) for w, lift in c] for c in classes]
-        terms = []
-        for size, hooks, cells, parent in shapes:
-            ks = [a * x + b * y for a, b in hooks]
-            if 0 in ks:
-                raise ArithmeticError("direction %s zeroes a tangent weight" % (q,))
-            boxes = [-col * x - row * y for col, row in cells]
-            parent = None if parent is None else terms[parent][1][1]
-            terms.append((size, term(ks, boxes, lifts, degree, parent)))
+        step, terms = term(x, y, lifts, degree), []
+        for size, hooks, (col, row), (cols, rows), parent in shapes:
+            terms.append((size, step([weights[i] for i in hooks], -col * x - row * y, size,
+                                     -cols * x - rows * y,
+                                     None if parent is None else terms[parent][1][1])))
         chart_den = lcm(*(d for _, (d, _) in terms))
         chart = [[[0] * (degree + 1) for _ in range(order + 1)] for _ in terms[0][1][1]]
         for size, (d, numerators) in terms:

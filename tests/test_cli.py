@@ -329,7 +329,7 @@ class TestOracle:
 
     def test_extract_beyond_the_rank_cap_exits_two_before_any_panel(self, capsys, monkeypatch):
         # a Segre |rank| above EXTRACT_MAX_RANK is refused before a panel is built or the
-        # oracle runs; the cap itself is answered, and a Verlinde twist has no cap
+        # oracle runs; the cap itself is answered, and a Verlinde twist has no rank cap
         def refuse(*args):
             raise AssertionError("panel or oracle work for a rank beyond the cap")
 
@@ -362,6 +362,46 @@ class TestOracle:
             code, out = run(capsys, "extract", "--kind", "verlinde", *flags, "--order", "1")
             assert code == 0
             assert len(out.splitlines()) == 5
+
+    def test_a_twist_beyond_the_digit_cap_exits_two_before_any_oracle_work(
+            self, capsys, monkeypatch):
+        # a Verlinde twist of more than VERLINDE_MAX_TWIST_DIGITS digits, whose values
+        # would pass Python's int-to-str limit only after all the work, is refused at
+        # once by oracle --r and extract --rank; 80 digits are answered
+        def refuse(*args):
+            raise AssertionError("panel or oracle work for a twist beyond the cap")
+
+        loc.get_surface("p2")  # validates itself by a chart pass once
+        monkeypatch.setattr(loc, "_shapes", refuse)
+        monkeypatch.setattr(loc, "_chart_product", refuse)
+        monkeypatch.setattr(cli.extraction, "default_panel", refuse)
+        monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+        started = time.perf_counter()
+        for twist, digits in ((10 ** 80, 81), (-10 ** 80, 81), (10 ** 300, 301)):
+            for argv, option in (
+                    (["oracle", "--surface", "p2", "--class", "O(1)", "--n", "16",
+                      "--kind", "verlinde", "--r=%d" % twist], "--r"),
+                    (["extract", "--kind", "verlinde", "--rank=%d" % twist, "--order", "16"],
+                     "--rank")):
+                with pytest.raises(SystemExit) as info:
+                    cli.main(argv)
+                captured = capsys.readouterr()
+                assert info.value.code == 2
+                assert captured.out == ""
+                assert captured.err.splitlines() == [
+                    "hilbseries: error: %s has %d digits, beyond the Verlinde twist cap of 80 "
+                    "digits" % (option, digits)]
+        assert time.perf_counter() - started < 5
+        monkeypatch.undo()
+        assert cli.VERLINDE_MAX_TWIST_DIGITS == 80
+        line = loc.parse_class(loc.get_surface("p2"), "O(1)")
+        for twist in (10 ** 80 - 1, 1 - 10 ** 80):
+            code, out = run(capsys, "oracle", "--surface", "p2", "--class", "O(1)", "--n", "2",
+                            "--kind", "verlinde", "--r=%d" % twist)
+            assert (code, out.splitlines()[-1]) == (0, "%d/1" % loc.verlinde_chi(line, twist, 2))
+            code, out = run(capsys, "extract", "--kind", "verlinde", "--rank=%d" % twist,
+                            "--order", "1")
+            assert (code, len(out.splitlines())) == (0, 5)
 
     @pytest.mark.parametrize("name", ["p1xp1", "f1"])
     def test_n_seventeen_is_answered(self, capsys, name):

@@ -20,7 +20,9 @@ exp_numerators per class of a batch, is what the batch's one exp per
 partition and the row scaling x -> x e^(delta u) of every further class
 replaced.  Both run their exps at E_0 = degree! d^degree, the scale that
 Hirzebruch's M_degree (_todd_log) replaced, so a term of theirs is
-compared with the Euler term as rationals.  The references build the
+compared with the Euler term as rationals.  exp_numerators itself is the
+reference of the prepared Todd recurrence (_todd_exp), which reads only
+the odd b_k and packed power sums.  The references build the
 Verlinde class as twisted_class does, a rank-r class with |r-1| trivial
 terms, and the Chern class as the negated class, where the oracle passes
 one trivial term of weight r-1 and negates the weights of signed_lifts()
@@ -147,7 +149,7 @@ def ref_euler_term(ks, class_weights, degree):
     d_j / Q_0^(j+1) with d_j = Q_0^j C(A, j) - sum_{i=1..j} Q_i Q_0^(i-1) d_(j-i);
     returned over the one denominator Q_0^(degree+1), as the chart pass reads terms.
     It reads each class as its list of (sign, k); run it under the chart pass's
-    contract through weight_lists.
+    contract through every_box(weight_lists(...)).
     """
     shift = sum(k for k in ks if k > 0)
     sign = -1 if sum(1 for k in ks if k < 0) % 2 else 1
@@ -171,13 +173,12 @@ def ref_euler_term(ks, class_weights, degree):
 
 
 def weight_lists(kernel):
-    """A kernel under the contract term(ks, boxes, lifts, degree, parent) from one that
-    reads each class as its list of (weight, m + box), term by term and box by box;
-    the parent's numerators are not read."""
-    def term(ks, boxes, lifts, degree, parent):
+    """A kernel(ks, boxes, lifts, degree), as every_box reads one, from one that reads
+    each class as its list of (weight, m + box), term by term and box by box."""
+    def every(ks, boxes, lifts, degree):
         return kernel(ks, [[(w, m + box) for w, m in class_lifts for box in boxes]
                            for class_lifts in lifts], degree)
-    return term
+    return every
 
 
 def ref_segre_term(ks, boxes, lifts, degree):
@@ -198,7 +199,7 @@ def ref_segre_term(ks, boxes, lifts, degree):
     return prod(ks), out
 
 
-def ref_power_euler_term(ks, boxes, lifts, degree, parent):
+def ref_power_euler_term(ks, boxes, lifts, degree):
     """The HRR Euler term with p_j = sum k^j built for every j <= degree, odd j >= 3
     too, where tau_j = 0: the per-j power loop the steps by k^2 replaced.  Its exp
     runs at E_0 = degree! d^degree, the scale Hirzebruch's M_degree replaced."""
@@ -218,7 +219,7 @@ def ref_power_euler_term(ks, boxes, lifts, degree, parent):
     return prod(ks) * den, out
 
 
-def ref_class_euler_term(ks, boxes, lifts, degree, parent):
+def ref_class_euler_term(ks, boxes, lifts, degree):
     """Per class, e^(au) prod td(ku) / prod ks to u^degree, one full exp_numerators each,
     a = sum weight (|lambda| m + B): the per-class Euler term that one exp per partition
     for the whole batch, and the row scaling of every further class, replaced; each exp
@@ -249,9 +250,24 @@ def ref_scaled(rows, moves):
              for n, row in enumerate(rows)] for move in moves]
 
 
+class Boxed(list):
+    """A step's numerators per class, carrying its partition's box characters."""
+
+
 def every_box(kernel):
-    """A kernel under the chart pass's contract that ignores the parent's numerators."""
-    return lambda ks, boxes, lifts, degree, parent: kernel(ks, boxes, lifts, degree)
+    """A term under the chart pass's contract, term(x, y, lifts, degree) returning
+    step(ks, box, size, box_sum, parent), from a kernel(ks, boxes, lifts, degree) that
+    reads every box of the partition and no parent: each step hands its boxes on with
+    its numerators, so a partition's boxes are its parent's and its new box."""
+    def term(x, y, lifts, degree):
+        def step(ks, box, size, box_sum, parent):
+            boxes = [] if parent is None else parent.boxes + [box]
+            den, numerators = kernel(ks, boxes, lifts, degree)
+            numerators = Boxed(numerators)
+            numerators.boxes = boxes
+            return den, numerators
+        return step
+    return term
 
 
 def ref_times(a, b):
@@ -513,7 +529,7 @@ def test_hrr_term_is_the_binomial_term(name):
              for c in twisted]
     for classes, order, q in cases + [(batch, 4, (2, 5))]:
         hrr, ref = (outcome(chart_values, loc._values, surface, classes, order, q, term)
-                    for term in (loc._euler_term, weight_lists(ref_euler_term)))
+                    for term in (loc._euler_term, every_box(weight_lists(ref_euler_term))))
         assert hrr == ref, (q, order, len(classes))
     assert loc._values(*loc._chart_product(surface, [[]], 1, (2, 5), loc._euler_term,
                                            loc._shapes(1))[0]) == (1, surface.chi_O)
@@ -761,7 +777,7 @@ def test_verlinde_batch_is_each_line_alone(r, order):
     batch = loc.verlinde_series(lines, r, order)
     assert batch == tuple(loc.verlinde_series([line], r, order)[0] for line in lines), (r, order)
     assert batch == loc._chart_pass(
-        ref_class_euler_term,
+        every_box(ref_class_euler_term),
         [(line.surface, line.signed_lifts() + [(r - 1, ((0, 0),) * len(line.surface.charts))])
          for line in lines], order,
         ["chi of %r at twist %d" % (line, r) for line in lines]), (r, order)
@@ -789,8 +805,13 @@ def test_one_todd_exp_per_partition(monkeypatch):
     p2 = loc.get_surface("p2")
     lines = [loc.parse_class(p2, spec) for spec in ("O(1)", "O(0)", "O(2)")]
     todd, scaled = [], []
-    original_todd, original_scaled = loc.exp_numerators, loc._scaled
-    monkeypatch.setattr(loc, "exp_numerators", lambda *a: todd.append(a) or original_todd(*a))
+    original_todd, original_scaled = loc._todd_exp, loc._scaled
+
+    def counted_todd(weights, degree):  # each chart's prepared Todd recurrence, counted
+        recurrence = original_todd(weights, degree)
+        return lambda ks, a1: todd.append(ks) or recurrence(ks, a1)
+
+    monkeypatch.setattr(loc, "_todd_exp", counted_todd)
     monkeypatch.setattr(loc, "_scaled", lambda rows, moves: scaled.append(
         (len(rows) - 1) * len(moves)) or original_scaled(rows, moves))
     order = 3
@@ -804,13 +825,23 @@ def test_one_todd_exp_per_partition(monkeypatch):
     assert scaled == []
 
 
+# classes whose terms cancel or repeat, which the Segre step reads by net multiplicity
+NETTED = {
+    "p2": ["O(1)+O(0)-O(0)", "-O(1)-O(1)+O(2)", "O(1)-O(1)"],
+    "p1xp1": ["O(1,0)+O(0,0)-O(0,0)", "-O(1,1)-O(1,1)+O(2,0)", "O(0,1)-O(0,1)"],
+    "f1": ["O(1,1)+O(0,1)-O(0,1)", "-O(1,0)-O(1,0)+O(2,1)", "O(1,-1)-O(1,-1)"],
+}
+
+
 @pytest.mark.parametrize("name", sorted(CLASSES))
 def test_parent_walk_is_the_full_box_term(name):
     # each partition's Segre term from its parent's and the new box against the
     # term over every box: the same chart product, or the same error, at every
-    # direction and order <= 8, for mixed-sign classes and their negations
+    # direction and order <= 8, for mixed-sign classes, classes whose terms cancel
+    # or repeat, and their negations
     surface = loc.get_surface(name)
-    classes = shifted_classes(surface)
+    classes = shifted_classes(surface) + [loc.parse_class(surface, spec)
+                                          for spec in NETTED[name]]
     lifts = [[(sign * w, lift) for w, lift in c.signed_lifts()]
              for c in classes for sign in (1, -1)]
     for q in DIRECTIONS:
@@ -821,22 +852,41 @@ def test_parent_walk_is_the_full_box_term(name):
             assert walked == full, (q, order)
 
 
+def drawn_weights(rng, degree):
+    """A random chart (x, y) whose hook weights to order degree // 2 are all nonzero,
+    and at most min(degree, 12) of those weights: ks as the chart's Euler step reads
+    them."""
+    while True:
+        x, y = (rng.choice((-1, 1)) * rng.randint(1, 8) for _ in range(2))
+        weights = [a * x + b * y for a, b in loc._hook_pairs(degree // 2)]
+        if 0 not in weights:
+            count = rng.randint(0, min(degree, 12)) if weights else 0
+            return x, y, [rng.choice(weights) for _ in range(count)]
+
+
+def euler_step(x, y, lifts, degree, ks, boxes):
+    """The Euler step prepared at chart (x, y), on one partition with tangent weights
+    ks and box characters ``boxes``, the last one its new box."""
+    return loc._euler_term(x, y, lifts, degree)(ks, boxes[-1] if boxes else 0, len(boxes),
+                                                sum(boxes), None)
+
+
 def test_square_steps_are_the_power_loop():
-    # tau_j = 0 at odd j >= 3: the term from steps by k^2 against the term from
-    # every power, on random signed weights, boxes and classes, degrees 0..16;
-    # the kernel reads a batch's first class only, so each class is run first
+    # tau_j = 0 at odd j >= 3: the term from the packed even power sums against the
+    # term from every power, on random chart weights, boxes and classes, degrees
+    # 0..16; the kernel reads a batch's first class only, so each class is run first
     rng = random.Random(16)
     for degree in range(17):
         for _ in range(6):
-            ks = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(rng.randint(0, 12))]
+            x, y, ks = drawn_weights(rng, degree)
             boxes = [rng.randint(-30, 30) for _ in range(rng.randint(0, 6))]
             lifts = [[(rng.randint(-3, 3), rng.randint(-20, 20))
                       for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 3))]
-            assert loc._euler_term(ks, boxes, lifts, degree, None) == \
-                loc._euler_term(ks, boxes, lifts[:1], degree, None), (degree, ks, boxes, lifts)
+            assert euler_step(x, y, lifts, degree, ks, boxes) == \
+                euler_step(x, y, lifts[:1], degree, ks, boxes), (degree, ks, boxes, lifts)
             for c in lifts:
-                assert same_rationals(loc._euler_term(ks, boxes, [c], degree, None),
-                                      ref_power_euler_term(ks, boxes, [c], degree, None)), \
+                assert same_rationals(euler_step(x, y, [c], degree, ks, boxes),
+                                      ref_power_euler_term(ks, boxes, [c], degree)), \
                     (degree, ks, boxes, c)
 
 
@@ -874,18 +924,84 @@ def test_todd_log_scale_is_hirzebruchs_denominator():
 
 def test_hirzebruch_scale_is_the_factorial_scale():
     # the Euler term at E_0 = M_D against the same term at D! d^D, as rationals, on
-    # random signed weights, boxes and classes, degrees 0..24; the kernel reads a
+    # random chart weights, boxes and classes, degrees 0..24; the kernel reads a
     # batch's first class only, and a scale too small would raise, not floor
     rng = random.Random(29)
     for degree in range(25):
         for _ in range(4):
-            ks = [rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(rng.randint(0, 12))]
+            x, y, ks = drawn_weights(rng, degree)
             boxes = [rng.randint(-30, 30) for _ in range(rng.randint(0, 6))]
             lifts = [[(rng.randint(-3, 3), rng.randint(-20, 20))
                       for _ in range(rng.randint(0, 3))]]
-            assert same_rationals(loc._euler_term(ks, boxes, lifts, degree, None),
-                                  ref_class_euler_term(ks, boxes, lifts, degree, None)), \
+            assert same_rationals(euler_step(x, y, lifts, degree, ks, boxes),
+                                  ref_class_euler_term(ks, boxes, lifts, degree)), \
                 (degree, ks, boxes, lifts)
+
+
+def test_todd_step_is_exp_numerators():
+    # the odd-only Todd recurrence against exp_numerators on the same exponent at
+    # every degree 0..48, on weights as large as the oracle's at n = 24 (p1xp1, its
+    # first chart at q = (1, 24)); each degree also runs ``degree`` copies of the
+    # largest weight, which fill the packed power sums' top slot to its bound
+    surface = loc.get_surface("p1xp1")
+    x, y = (loc._dot(chi, loc._directions(24)[0]) for chi in surface.tangent_chars(0))
+    weights = sorted({a * x + b * y for a, b in loc._hook_pairs(24)}, key=abs)
+    assert abs(weights[-1]) == 24 * 24
+    rng = random.Random(48)
+    for degree in range(49):
+        d, tau, scale = loc._todd_log(degree)
+        todd = loc._todd_exp(weights, degree)
+        cases = [[rng.choice(weights) for _ in range(rng.randint(0, degree))] for _ in range(4)]
+        for ks in cases + [[weights[-1]] * degree]:
+            a1 = (degree and tau[1] * sum(ks)) + d * rng.randint(-10 ** 6, 10 ** 6)
+            exponent = [0, a1] + [t * sum(k ** j for k in ks) for j, t in enumerate(tau[2:], 2)]
+            assert todd(ks, a1) == exp_numerators(exponent, d, degree, scale), (degree, ks)
+
+
+def test_an_e0_that_leaves_a_remainder_raises_in_the_todd_step(monkeypatch):
+    # the Todd step divides with exp_numerators' remainder check: at E_0 = 1 the
+    # exp of 3u/2 - 9u^2/24 has 3/2 at u, and a Verlinde pass at E_0 = 1 raises
+    # instead of flooring
+    d, tau, scale = loc._todd_log(2)
+    exponent = [0, 3 * tau[1], 9 * tau[2]]
+    assert loc._todd_exp([3], 2)([3], exponent[1]) == exp_numerators(exponent, d, 2, scale)
+    original = loc._todd_log
+    monkeypatch.setattr(loc, "_todd_log", lambda degree: original(degree)[:2] + (1,))
+    with pytest.raises(ArithmeticError, match=r"E_0 = 1 does not clear \[u\^1\]"):
+        loc._todd_exp([3], 2)([3], exponent[1])
+    with pytest.raises(ArithmeticError, match="does not clear"):
+        exp_numerators(exponent, d, 2, 1)
+    with pytest.raises(ArithmeticError, match="does not clear"):
+        loc.verlinde_series([loc.parse_class(loc.get_surface("p2"), "O(1)")], 2, 2)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_a_zeroed_hook_weight_raises_before_its_chart_term(name):
+    # each chart's distinct hook weights are checked once, before its term is
+    # prepared: a direction that zeroes any of them raises, also where it zeroes
+    # just one (the axes at n = 1), and only the charts before it prepare a term
+    surface = loc.get_surface(name)
+    single = 0
+    for n in range(1, 5):
+        for q in [(a, b) for a in range(-6, 7) for b in range(-6, 7) if a or b]:
+            charts = [tuple(loc._dot(chi, q) for chi in surface.tangent_chars(index))
+                      for index in range(len(surface.charts))]
+            zeros = [[a * x + b * y for a, b in loc._hook_pairs(n)].count(0) for x, y in charts]
+            if not any(zeros):
+                continue
+            first = next(index for index, count in enumerate(zeros) if count)
+            single += zeros[first] == 1
+            prepared = []
+
+            def term(x, y, lifts, degree):
+                prepared.append((x, y))
+                return loc._segre_term(x, y, lifts, degree)
+
+            with pytest.raises(ArithmeticError, match="zeroes a tangent weight"):
+                loc._chart_product(surface, [[(1, ((0, 0),) * len(charts))]], n, q, term,
+                                   loc._shapes(n))
+            assert prepared == charts[:first], (n, q)
+    assert single >= 4, single
 
 
 def test_an_e0_that_does_not_clear_the_exp_raises():
