@@ -6,19 +6,21 @@ fixed-point integral, and ``extract`` recovers universal series from
 oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, oracle --n above ORACLE_MAX_N, an extract order above
-EXTRACT_MAX_ORDER, a Segre extract |--rank| above EXTRACT_MAX_RANK, a Verlinde twist
-of more than VERLINDE_MAX_TWIST_DIGITS digits, or a --json PATH that cannot be written.
+failure, 2 usage error, a series, verify or extract order above SERIES_MAX_ORDER,
+VERIFY_MAX_ORDER or EXTRACT_MAX_ORDER, oracle --n above ORACLE_MAX_N, a Segre extract
+|--rank| above EXTRACT_MAX_RANK, a Verlinde twist or a --class coefficient of more than
+VERLINDE_MAX_TWIST_DIGITS or CLASS_MAX_DIGITS digits, or a --json PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
 extract; the HILBSERIES_ORDER environment variable overrides either
-default, and --order overrides everything.  A call whose first argument
-names a subcommand builds only that one's parser.
+default, and --order overrides everything.  A call builds one parser: that
+of the subcommand its first argument names, or else the full one, which
+``main`` also builds to print a usage error.
 
-Each handler ``_cmd_<name>(args, parser)`` only computes: it returns
-(exit code, config, payload, lines), where config is the echoed
-configuration, payload the JSON keys beside "config", and lines the table
-after the echo line.  ``main`` is the one output path.
+Each handler ``_cmd_<name>(args)`` only computes: it returns (exit code,
+config, payload, lines), where config is the echoed configuration, payload
+the JSON keys beside "config", and lines the table after the echo line, or
+raises UsageError or Refusal.  ``main`` is the one output path.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import catalog, extraction, verify
@@ -48,12 +51,18 @@ DEFAULT_SEED = 20260815
 # oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 23 s CPU, its Todd exps at M_48),
 # extract's order (at 16, at most 0.37 s CPU at ranks -4..5, 0.62 s at twists -3..3) and
 # extract's Segre |rank|, whose classes hold about 2 |rank| terms each (at order 16, 2-3 s
-# CPU at rank 64 or -64).  A value at n points has about 2n times the twist's digits: at
-# 80, oracle --n 24 prints about 3,850, under Python's 4,300-digit int-to-str limit.
+# CPU at rank 64 or -64).  A value at n points has about 2n times the digits of the twist
+# or of a class coefficient: at 80, oracle --n 24 prints about 3,850, under Python's
+# 4,300-digit int-to-str limit.  The series and verify orders stop where the slowest factor,
+# A3 at rank 1 (8.4 s CPU at 280, 10.5 s at 300), and the whole check run, led by
+# lagrange_burmann (8.9 s at 56, 10.9 s at 57), pass about 10 s.
 ORACLE_MAX_N = 24
+SERIES_MAX_ORDER = 280
+VERIFY_MAX_ORDER = 56
 EXTRACT_MAX_ORDER = 16
 EXTRACT_MAX_RANK = 64
 VERLINDE_MAX_TWIST_DIGITS = 80
+CLASS_MAX_DIGITS = 80
 
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
@@ -115,46 +124,52 @@ _SUBCOMMANDS = (
 _COMMANDS = tuple(name for name, _, _ in _SUBCOMMANDS)
 
 
-def build_parser(command=None):
-    """The parser of every subcommand, or of ``command`` alone.  The explicit
-    metavar keeps all four names in the top-level usage of the one-subcommand
-    parser; the full parser leaves it unset, so a missing command is "command"."""
+def build_parser():
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="hilbseries",
         description="Universal tautological-integral series over Hilbert "
                     "schemes of surface points, with a toric fixed-point oracle.")
-    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, text, add_arguments in _SUBCOMMANDS:
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=text))
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
-def _refuse_long_twist(parser, option, twist):
+class UsageError(Exception):
+    """Exit 2 after the top-level usage and "hilbseries: error: <message>"."""
+
+
+class Refusal(Exception):
+    """Exit 2 after "hilbseries: error: <message>" alone: a well-formed request refused."""
+
+
+def _refuse_long_twist(option, twist):
     digits = len(str(abs(twist)))
     if digits > VERLINDE_MAX_TWIST_DIGITS:
-        parser.exit(2, "%s: error: %s has %d digits, beyond the Verlinde twist cap of %d "
-                    "digits\n" % (parser.prog, option, digits, VERLINDE_MAX_TWIST_DIGITS))
+        raise Refusal("%s has %d digits, beyond the Verlinde twist cap of %d digits"
+                      % (option, digits, VERLINDE_MAX_TWIST_DIGITS))
 
 
-def _resolve_order(args, parser, default):
+def _resolve_order(args, command, default, cap):
     if args.order is not None:
         order = args.order
     elif os.environ.get(ORDER_ENV):
         try:
             order = parse_int(os.environ[ORDER_ENV])
         except ValueError:
-            parser.error("%s must be an integer, got %r"
-                         % (ORDER_ENV, os.environ[ORDER_ENV]))
+            raise UsageError("%s must be an integer, got %r"
+                             % (ORDER_ENV, os.environ[ORDER_ENV]))
     else:
         order = default
     if order < 1:
-        parser.error("order must be at least 1")
+        raise UsageError("order must be at least 1")
+    if order > cap:
+        raise Refusal("order %d is beyond %s's cap of %d" % (order, command, cap))
     return order
 
 
-def _emit(text, path, parser):
+def _emit(text, path):
     if path == "-":
         sys.stdout.write(text)
         return
@@ -162,18 +177,17 @@ def _emit(text, path, parser):
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        parser.exit(2, "%s: error: cannot write %s: %s\n"
-                    % (parser.prog, path, exc.strerror or exc))
+        raise Refusal("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
-def _cmd_series(args, parser):
-    order = _resolve_order(args, parser, SERIES_DEFAULT_ORDER)
+def _cmd_series(args):
+    order = _resolve_order(args, "series", SERIES_DEFAULT_ORDER, SERIES_MAX_ORDER)
     family = args.family
     config = {"command": "series", "family": family, "order": order,
               "format": args.format}
     if family in ("segreA", "chernA", "verlindeB"):
         if args.rank is None or args.index is None:
-            parser.error("--rank and --index are required for family %s" % family)
+            raise UsageError("--rank and --index are required for family %s" % family)
         config["rank"] = args.rank
         config["index"] = args.index
         lookup = {"segreA": catalog.segre_A, "chernA": catalog.chern_A,
@@ -181,11 +195,11 @@ def _cmd_series(args, parser):
         try:
             entry = lookup(args.rank, args.index, order)
         except catalog.UnknownSeriesError as exc:
-            parser.error(str(exc))
+            raise UsageError(str(exc))
         series, status, offset = entry.series, entry.status, 0
     else:
         if args.rank is not None or args.index is not None:
-            parser.error("--rank/--index do not apply to branch family %s" % family)
+            raise UsageError("--rank/--index do not apply to branch family %s" % family)
         branch = catalog.segre_rank2_branch if family == "y" else catalog.verlinde_r3_branch
         series, status, offset = branch(order), catalog.PROVEN, 1
     config["status"] = status
@@ -197,15 +211,15 @@ def _cmd_series(args, parser):
     return 0, config, {"offset": offset, "var": series.var, "coefficients": values}, lines
 
 
-def _cmd_verify(args, parser):
-    order = _resolve_order(args, parser, SERIES_DEFAULT_ORDER)
+def _cmd_verify(args):
+    order = _resolve_order(args, "verify", SERIES_DEFAULT_ORDER, VERIFY_MAX_ORDER)
     if args.suite == "all":
         names = None
     elif args.suite in verify.suite_names():
         names = [args.suite]
     else:
-        parser.error("unknown suite %r; choose from all, %s"
-                     % (args.suite, ", ".join(verify.suite_names())))
+        raise UsageError("unknown suite %r; choose from all, %s"
+                         % (args.suite, ", ".join(verify.suite_names())))
     config = {"command": "verify", "suite": args.suite, "order": order}
     reports = [report.to_dict() for report in verify.run_suite(names, order=order)]
     lines = []
@@ -219,33 +233,36 @@ def _cmd_verify(args, parser):
     return 0 if all_passed else 1, config, {"passed": all_passed, "reports": reports}, lines
 
 
-def _cmd_oracle(args, parser):
+def _cmd_oracle(args):
     surface = get_surface(args.surface)
     try:
         kclass = parse_class(surface, args.class_spec)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc))
     if args.n < 0:
-        parser.error("--n must be nonnegative")
+        raise UsageError("--n must be nonnegative")
     if args.n > ORACLE_MAX_N:
-        parser.exit(2, "%s: error: --n %d is beyond the oracle's cap of %d\n"
-                    % (parser.prog, args.n, ORACLE_MAX_N))
+        raise Refusal("--n %d is beyond the oracle's cap of %d" % (args.n, ORACLE_MAX_N))
+    digits = max(map(len, re.findall("[0-9]+", args.class_spec)))  # a class has a term
+    if digits > CLASS_MAX_DIGITS:
+        raise Refusal("--class has a coefficient of %d digits, beyond the class cap of %d "
+                      "digits" % (digits, CLASS_MAX_DIGITS))
     if args.kind == "verlinde" and args.r is not None:
-        _refuse_long_twist(parser, "--r", args.r)
+        _refuse_long_twist("--r", args.r)
     config = {"command": "oracle", "surface": surface.name,
               "class": kclass.spec(), "n": args.n, "kind": args.kind,
               "seed": args.seed}
     if args.kind == "verlinde":
         if args.r is None:
-            parser.error("--r is required for kind verlinde")
+            raise UsageError("--r is required for kind verlinde")
         config["r"] = args.r
         try:
             value = verlinde_chi(kclass, args.r, args.n)
         except ValueError as exc:  # not a single line bundle
-            parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
+            raise Refusal(str(exc))
     else:
         if args.r is not None:
-            parser.error("--r only applies to kind verlinde")
+            raise UsageError("--r only applies to kind verlinde")
         integral = segre_integral if args.kind == "segre" else chern_integral
         value = integral(kclass, args.n)
     result = extraction.frac_str(value)
@@ -254,16 +271,13 @@ def _cmd_oracle(args, parser):
     return 0, config, {"value": result, "class_numerics": numerics}, [result]
 
 
-def _cmd_extract(args, parser):
-    order = _resolve_order(args, parser, EXTRACT_DEFAULT_ORDER)
-    if order > EXTRACT_MAX_ORDER:
-        parser.exit(2, "%s: error: order %d is beyond extract's cap of %d\n"
-                    % (parser.prog, order, EXTRACT_MAX_ORDER))
+def _cmd_extract(args):
+    order = _resolve_order(args, "extract", EXTRACT_DEFAULT_ORDER, EXTRACT_MAX_ORDER)
     if args.kind == "segre" and abs(args.rank) > EXTRACT_MAX_RANK:
-        parser.exit(2, "%s: error: --rank %d is beyond extract's Segre cap of |rank| <= %d\n"
-                    % (parser.prog, args.rank, EXTRACT_MAX_RANK))
+        raise Refusal("--rank %d is beyond extract's Segre cap of |rank| <= %d"
+                      % (args.rank, EXTRACT_MAX_RANK))
     if args.kind == "verlinde":
-        _refuse_long_twist(parser, "--rank", args.rank)
+        _refuse_long_twist("--rank", args.rank)
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
               "order": order, "seed": args.seed}
     panel = extraction.default_panel(args.kind, args.rank)
@@ -291,19 +305,34 @@ def main(argv=None):
     """Run one subcommand and return its exit code.  The handler returns
     (code, config, payload, lines) and prints nothing; here the JSON
     ``{"config": config, **payload}`` goes where ``--json`` or ``series
-    --format json`` asks, and otherwise stdout gets the config echo and lines."""
+    --format json`` asks, and otherwise stdout gets the config echo and lines.  A
+    UsageError or Refusal ends the call as argparse's error and exit 2 would."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        parser = argparse.ArgumentParser(prog="hilbseries " + command)
+        _SUBCOMMANDS[_COMMANDS.index(command)][2](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().error("unrecognized arguments: %s" % " ".join(extra))
+    else:
+        args = build_parser().parse_args(argv)
+        command = args.command
     handler = {"series": _cmd_series, "verify": _cmd_verify,
-               "oracle": _cmd_oracle, "extract": _cmd_extract}[args.command]
-    code, config, payload, lines = handler(args, parser)
-    path = args.json if args.command != "series" else "-" if args.format == "json" else None
-    if path is not None:
-        _emit(json.dumps({"config": config, **payload}, indent=2, sort_keys=True) + "\n",
-              path, parser)
+               "oracle": _cmd_oracle, "extract": _cmd_extract}[command]
+    try:
+        code, config, payload, lines = handler(args)
+        path = args.json if command != "series" else "-" if args.format == "json" else None
+        if path is not None:
+            _emit(json.dumps({"config": config, **payload}, indent=2, sort_keys=True) + "\n",
+                  path)
+    except Refusal as exc:
+        sys.stderr.write("hilbseries: error: %s\n" % exc)
+        sys.exit(2)
+    except UsageError as exc:
+        build_parser().error(str(exc))
     # verify's table still shows beside a JSON file, as the README's --json report.json run does
-    if path is None or path != "-" and args.command == "verify":
+    if path is None or path != "-" and command == "verify":
         print("\n".join(["# hilbseries " + " ".join(
             "%s=%s" % (key, config[key]) for key in sorted(config))] + lines))
     return code

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -403,6 +404,39 @@ class TestOracle:
                             "--order", "1")
             assert (code, len(out.splitlines())) == (0, 5)
 
+    def test_a_class_coefficient_beyond_the_digit_cap_exits_two_before_any_oracle_work(
+            self, capsys, monkeypatch):
+        # a --class coefficient of more than CLASS_MAX_DIGITS digits in its text, whose
+        # values would pass Python's int-to-str limit only after all the work, is
+        # refused at once; 80 digits are answered
+        def refuse(*args):
+            raise AssertionError("oracle work for a coefficient beyond the cap")
+
+        for name in ("segre_integral", "chern_integral", "verlinde_chi"):
+            monkeypatch.setattr(cli, name, refuse)
+        started = time.perf_counter()
+        for surface, spec, kind, digits in (
+                ("p2", "O(1%s)" % ("0" * 2200), "segre", 2201),
+                ("p2", "O(1)-O(%d)" % 10 ** 80, "chern", 81),
+                ("f1", "O(1,-%s1)" % ("0" * 80), "verlinde", 81)):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["oracle", "--surface", surface, "--class", spec, "--n", "1",
+                          "--kind", kind] + ["--r", "2"] * (kind == "verlinde"))
+            captured = capsys.readouterr()
+            assert (info.value.code, captured.out) == (2, "")
+            assert captured.err.splitlines() == [
+                "hilbseries: error: --class has a coefficient of %d digits, beyond the class "
+                "cap of 80 digits" % digits]
+        assert time.perf_counter() - started < 5
+        monkeypatch.undo()
+        assert cli.CLASS_MAX_DIGITS == 80
+        p2 = loc.get_surface("p2")
+        for spec in ("O(%d)" % (10 ** 80 - 1), "O(-%d)+O(1)" % (10 ** 79)):
+            code, out = run(capsys, "oracle", "--surface", "p2", "--class", spec, "--n", "1",
+                            "--kind", "segre")
+            value = loc.segre_integral(loc.parse_class(p2, spec), 1)
+            assert (code, out.splitlines()[-1]) == (0, "%d/1" % value)
+
     @pytest.mark.parametrize("name", ["p1xp1", "f1"])
     def test_n_seventeen_is_answered(self, capsys, name):
         # rank 1 is proven, so the catalog's z^17 coefficient is the value
@@ -415,6 +449,47 @@ class TestOracle:
         closed = catalog.segre_full(1, numerics["c2"], numerics["c1sq"], numerics["chiO"],
                                     numerics["c1K"], numerics["Ksq"], 17)
         assert doc["value"] == extraction.frac_str(closed.coefficient(17))
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", ["series --family segreA --rank 1 --index 3",
+                                  "series --family chernA --rank 1 --index 0",
+                                  "series --family verlindeB --rank 2 --index 3",
+                                  "series --family y", "series --family Y",
+                                  "verify --suite all", "verify --suite fgh"])
+def test_an_order_beyond_the_cap_exits_two_before_any_work(capsys, monkeypatch, argv):
+    # series and verify refuse an order above SERIES_MAX_ORDER or VERIFY_MAX_ORDER,
+    # given or from HILBSERIES_ORDER, before any catalog or check work; the cap
+    # itself reaches that work, here a stand-in that stops with the order it got
+    def reach(*args, order=None):
+        raise _Reached(args[-1] if order is None else order)
+
+    for name in ("segre_A", "chern_A", "verlinde_B", "segre_rank2_branch",
+                 "verlinde_r3_branch"):
+        monkeypatch.setattr(catalog, name, reach)
+    monkeypatch.setattr(verify, "run_suite", reach)
+    monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    command = argv.split()[0]
+    cap = {"series": cli.SERIES_MAX_ORDER, "verify": cli.VERIFY_MAX_ORDER}[command]
+    assert (cli.SERIES_MAX_ORDER, cli.VERIFY_MAX_ORDER) == (280, 56)
+    for order, env in ((cap + 1, None), (10 ** 6, None), (None, str(cap + 1))):
+        if env is not None:
+            monkeypatch.setenv(cli.ORDER_ENV, env)
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv.split() + ["--order", str(order)] * (order is not None))
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            "hilbseries: error: order %d is beyond %s's cap of %d" % (order or cap + 1,
+                                                                     command, cap)]
+    for flags in (["--order", str(cap)], []):  # the second reads HILBSERIES_ORDER
+        monkeypatch.setenv(cli.ORDER_ENV, str(cap))
+        with pytest.raises(_Reached) as info:
+            cli.main(argv.split() + flags)
+        assert info.value.args == (cap,)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1059,7 +1134,8 @@ def test_verify_suite_digest(capsys, monkeypatch, argv, digest):
 
 
 # Every help, usage and error text with its exit code, at COLUMNS=80: stdout and
-# stderr byte for byte, whether main built one subcommand's parser or all four.
+# stderr byte for byte, whether main parsed with one subcommand's parser or the
+# full one.
 TOP_USAGE = "usage: hilbseries [-h] {series,verify,oracle,extract} ...\n"
 ORACLE_USAGE = """\
 usage: hilbseries oracle [-h] --surface {f1,p1xp1,p2} --class CLASS_SPEC --n N
@@ -1161,14 +1237,49 @@ options:
                     "(choose from 'f1', 'p1xp1', 'p2')\n"),
     ("series --family=y --bogus", 2, "",
      TOP_USAGE + "hilbseries: error: unrecognized arguments: --bogus\n"),
+    # a stray positional after a named command, a "--" before it, help after other
+    # options, an abbreviated and a repeated option, and more handler errors
+    ("extract --rank=1 extra", 2, "",
+     TOP_USAGE + "hilbseries: error: unrecognized arguments: extra\n"),
+    ("-- series --family=y", 2, "",
+     TOP_USAGE + "hilbseries: error: argument command: invalid choice: '--' "
+                 "(choose from 'series', 'verify', 'oracle', 'extract')\n"),
+    ("series --family=y --order=3 -h", 0, """\
+usage: hilbseries series [-h] --family {segreA,chernA,verlindeB,y,Y}
+                         [--rank RANK] [--index INDEX] [--order ORDER]
+                         [--format {json,csv,table}]
+
+options:
+  -h, --help            show this help message and exit
+  --family {segreA,chernA,verlindeB,y,Y}
+  --rank RANK           class rank (segreA/chernA) or twist (verlindeB)
+  --index INDEX         which factor of the family, e.g. 3 for A3
+  --order ORDER
+  --format {json,csv,table}
+""", ""),
+    ("series --fam=y --ord=3", 0,
+     "# hilbseries command=series family=y format=table order=3 status=proven\n"
+     "1/1, -6/1, 41/1\n", ""),
+    ("series --family=segreA --family=y --order=3", 0,
+     "# hilbseries command=series family=y format=table order=3 status=proven\n"
+     "1/1, -6/1, 41/1\n", ""),
+    ("oracle --surface=p2 --class=O(1) --n=-1 --kind=segre", 2, "",
+     TOP_USAGE + "hilbseries: error: --n must be nonnegative\n"),
+    ("oracle --surface=p2 --class=O(1,2) --n=1 --kind=segre", 2, "",
+     TOP_USAGE + "hilbseries: error: surface p2 expects 1-parameter classes, got 'O(1,2)'\n"),
+    ("extract --rank=65", 2, "",
+     "hilbseries: error: --rank 65 is beyond extract's Segre cap of |rank| <= 64\n"),
+    ("oracle --surface=p2 --class=O(1) --n=1 --kind=segre --json=no/such/dir/out.json", 2, "",
+     "hilbseries: error: cannot write no/such/dir/out.json: No such file or directory\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", USAGE_TEXTS,
                          ids=[argv or "no-arguments" for argv, *_ in USAGE_TEXTS])
-def test_usage_texts_are_pinned(capsys, monkeypatch, argv, code, out, err):
+def test_usage_texts_are_pinned(capsys, monkeypatch, tmp_path, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)  # which has no directory "no"
     with pytest.raises(SystemExit) as info:
-        cli.main(argv.split())
+        sys.exit(cli.main(argv.split()))  # as the installed script exits
     assert (info.value.code, *capsys.readouterr()) == (code, out, err)
