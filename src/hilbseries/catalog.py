@@ -153,9 +153,15 @@ def _branch_tail(y):
 
 
 def _mean_root_log(order, c, d):
-    """log((sqrt(1+ct) + sqrt(1+dt)) / 2) in t."""
-    root_c, root_d = (_log1p_sum(order, (x, F(1, 2))).exp() for x in (c, d))
-    return ((root_c + root_d) / 2).log()
+    """log((sqrt(1+ct) + sqrt(1+dt)) / 2) in t.  Each root is in closed form over
+    4^order: [t^k] sqrt(1+ct) = (-1)^(k-1) 2 Cat_(k-1) c^k / 4^k for k >= 1."""
+    if order < 0:  # 4^order would be a float
+        raise ValueError("truncation order must be >= 0")
+    nums, b = [2 * 4 ** order], 1  # b = 4^k binom(1/2, k) = (-1)^(k-1) 2 Cat_(k-1)
+    for k in range(1, order + 1):
+        b = b * 2 * (3 - 2 * k) // k
+        nums.append(b * (c ** k + d ** k) * 4 ** (order - k))
+    return Series._over(2 * 4 ** order, nums, "t").log()
 
 
 def _segre_log(s, index, order):

@@ -54,8 +54,10 @@ DEFAULT_SEED = 20260815
 # CPU at rank 64 or -64).  A value at n points has about 2n times the digits of the twist
 # or of a class coefficient: at 80, oracle --n 24 prints about 3,850, under Python's
 # 4,300-digit int-to-str limit.  The series and verify orders stop where the slowest factor,
-# A3 at rank 1 (8.4 s CPU at 280, 10.5 s at 300), and the whole check run, led by
-# lagrange_burmann (8.9 s at 56, 10.9 s at 57), pass about 10 s.
+# then A3 at rank 1 (8.4 s CPU at 280, 10.5 s at 300), and the whole check run, led by
+# lagrange_burmann (8.9 s at 56, 10.9 s at 57), passed about 10 s.  With closed-form roots
+# A3 at rank 1 takes 3.4 s at 280, and the slowest factor at ranks -4..4 is A0 at rank 4
+# (5.6 s), whose cost grows with the rank.
 ORACLE_MAX_N = 24
 SERIES_MAX_ORDER = 280
 VERIFY_MAX_ORDER = 56
@@ -235,6 +237,11 @@ def _cmd_verify(args):
 
 def _cmd_oracle(args):
     surface = get_surface(args.surface)
+    # counted in the text, before parse_class's int() can meet a huge coefficient
+    digits = max(map(len, re.findall("[0-9]+", args.class_spec)), default=0)
+    if digits > CLASS_MAX_DIGITS:
+        raise Refusal("--class has a coefficient of %d digits, beyond the class cap of %d "
+                      "digits" % (digits, CLASS_MAX_DIGITS))
     try:
         kclass = parse_class(surface, args.class_spec)
     except ValueError as exc:
@@ -243,10 +250,6 @@ def _cmd_oracle(args):
         raise UsageError("--n must be nonnegative")
     if args.n > ORACLE_MAX_N:
         raise Refusal("--n %d is beyond the oracle's cap of %d" % (args.n, ORACLE_MAX_N))
-    digits = max(map(len, re.findall("[0-9]+", args.class_spec)))  # a class has a term
-    if digits > CLASS_MAX_DIGITS:
-        raise Refusal("--class has a coefficient of %d digits, beyond the class cap of %d "
-                      "digits" % (digits, CLASS_MAX_DIGITS))
     if args.kind == "verlinde" and args.r is not None:
         _refuse_long_twist("--r", args.r)
     config = {"command": "oracle", "surface": surface.name,

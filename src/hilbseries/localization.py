@@ -283,6 +283,14 @@ def parse_int(text):
     return int(text)
 
 
+def _echo(text):
+    """repr(text) for an error message; past 80 characters, the CLI's class digit
+    cap, only its first 80 and its length, so a huge bad term cannot flood it."""
+    if len(text) <= 80:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:80], len(text))
+
+
 def parse_class(surface, text):
     """Parse a signed line-bundle sum like "O(2,1)+O(0,1)-O(1,0)"; later terms need a
     sign.  Whitespace around terms, signs and integers is ignored; an integer
@@ -292,15 +300,15 @@ def parse_class(surface, text):
     while pos < end:
         match = _TERM_RE.match(text, pos)
         if match is None or terms and not match.group(1):
-            raise ValueError("cannot parse class spec %r at %r" % (text, text[pos:]))
+            raise ValueError("cannot parse class spec %s at %s" % (_echo(text), _echo(text[pos:])))
         sign = -1 if match.group(1) == "-" else 1
         try:
             coeffs = tuple(map(parse_int, match.group(2).split(",")))
         except ValueError:  # also more digits than int() reads
-            raise ValueError("bad integers in term %r" % match.group(0))
+            raise ValueError("bad integers in term %s" % _echo(match.group(0)))
         if len(coeffs) != len(surface.generators):
-            raise ValueError("surface %s expects %d-parameter classes, got %r"
-                             % (surface.name, len(surface.generators), match.group(0)))
+            raise ValueError("surface %s expects %d-parameter classes, got %s"
+                             % (surface.name, len(surface.generators), _echo(match.group(0))))
         terms.append((sign, coeffs))
         pos = match.end()
     return EqKClass(surface, terms)

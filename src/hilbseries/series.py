@@ -7,9 +7,13 @@ denominator ``den``, in lowest terms (``gcd(den, *nums) == 1``), so
 equal series store equal integers.  Arithmetic reads and writes those
 integers only; ``coefficient`` and ``coeffs`` build the
 `fractions.Fraction` values on request.  Floats are rejected so nothing
-ever leaves exact arithmetic.  The fixed-point oracle's Todd exp runs the
-exp recurrence, `exp_numerators`, on its integer exponent, and `solve_algebraic`
-reads a branch's coefficients one by one off a linear recurrence in integers.
+ever leaves exact arithmetic.  Inverse, exp, log, integer and rational powers
+and composition each run one coefficient recurrence on the numerators, in
+integers, and build one series at the end: exp by `exp_numerators`, which the
+fixed-point oracle's Todd exp also runs, powers by Miller's recurrence,
+`pow_numerators`, log by a L' = a', and composition by Horner's rule on integer
+rows.  `solve_algebraic` reads a branch's coefficients one by one off a linear
+recurrence in integers.
 
 Binary operations insist that both operands carry the same truncation
 order.  Silently taking the minimum hides bookkeeping bugs in long
@@ -36,6 +40,7 @@ __all__ = [
     "ReversionError",
     "BranchError",
     "exp_numerators",
+    "pow_numerators",
     "solve_algebraic",
 ]
 
@@ -224,20 +229,27 @@ class Series:
         return self.inverse() * other
 
     def __pow__(self, e):
-        """Integer powers; rational exponents go through pow_rational."""
+        """Integer powers, by one pass of ``pow_numerators``; rational exponents go
+        through pow_rational.  With a = t^v b and b(0) != 0, a^e = t^(ve) b^e; a
+        negative power needs a(0) != 0."""
         if not isinstance(e, int):
             raise TypeError("use pow_rational for non-integer exponents")
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Series.one(self.order, self.var)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        n, a = self.order, self.nums
+        if e == 0:
+            return Series.one(n, self.var)
+        if e < 0 and not a[0]:
+            raise ConstantTermError("cannot invert a series in %s with zero constant term"
+                                    % self.var)
+        v = next((k for k, x in enumerate(a) if x), n + 1)
+        if v * e > n:
+            return Series.zero(n, self.var)
+        m = n - v * e
+        if e > 0:  # the powers of the integer numerators are integers
+            out = pow_numerators(a[v:v + m + 1], e, 1, m, a[v] ** e)
+            return Series._over(self.den ** e, [0] * (v * e) + out, self.var)
+        # a_0^(n-e) a^e has integer coefficients to x^n
+        out = pow_numerators(a, e, 1, n, a[0] ** n)
+        return Series._over(a[0] ** (n - e), [x * self.den ** -e for x in out], self.var)
 
     def inverse(self):
         """Multiplicative inverse; the constant term must be nonzero."""
@@ -262,20 +274,23 @@ class Series:
         return Series._over(self.den, [k * self.nums[k] for k in range(1, self.order + 1)],
                             self.var)
 
-    def integral(self):
-        """Antiderivative with constant term 0; the order grows by one."""
-        m = lcm(*range(1, self.order + 2))
-        nums = [a * (m // k) for k, a in enumerate(self.nums, 1)]
-        return Series._over(self.den * m, [0] + nums, self.var)
-
     def log(self):
-        """Series logarithm, integral of a'/a; requires constant term 1."""
+        """Series logarithm L, requires constant term 1: a L' = a' on the numerators a
+        over D gives D k l_k = k a_k - sum_(0<j<k) a_j (k-j) l_(k-j), and k D^order l_k
+        is an integer, so one pass writes L over lcm(1..order) D^order."""
         if self.nums[0] != self.den:
             raise ConstantTermError("log needs constant term 1, got %s" % self.coefficient(0))
-        if self.order == 0:
-            return Series.zero(0, self.var)
-        quot = self.derivative() * self.truncate(self.order - 1).inverse()
-        return quot.integral()
+        n, a, d = self.order, self.nums, self.den
+        scale = d ** n
+        m = [0]  # m_k = k D^n l_k
+        for k in range(1, n + 1):
+            q, rem = divmod(k * a[k] * scale - sum(map(mul, a[1:k], m[:0:-1])), d)
+            if rem:
+                raise ArithmeticError("D^%d does not clear [x^%d] of the log" % (n, k))
+            m.append(q)
+        den = lcm(*range(1, n + 1))
+        return Series._over(den * scale, [0] + [x * (den // k) for k, x in enumerate(m[1:], 1)],
+                            self.var)
 
     def exp(self):
         """Series exponential; requires constant term 0."""
@@ -286,24 +301,35 @@ class Series:
         return Series._over(e[0], e, self.var)
 
     def pow_rational(self, e):
-        """Arbitrary rational power via exp(e*log); constant term must be 1."""
+        """Rational power a^(p/q), by one pass of ``pow_numerators``; the constant term
+        must be 1.  Each step divides by k q D, so q^n n! D^n clears every coefficient."""
         if self.nums[0] != self.den:
             raise ConstantTermError("rational power needs constant term 1, got %s"
                                     % self.coefficient(0))
-        return (self.log() * e).exp()
+        p, q = _ratio(e)
+        n = self.order
+        out = pow_numerators(self.nums, p, q, n, q ** n * factorial(n) * self.den ** n)
+        return Series._over(out[0], out, self.var)
 
     def compose(self, inner):
-        """Substitute ``inner`` for the variable; inner constant term must be 0."""
+        """Substitute ``inner`` for the variable; inner constant term must be 0.
+
+        Horner on integer rows: with self = a/D and inner = b/E, out = out b + a_k E^(n-k)
+        from k = n down gives sum_k a_k b^k E^(n-k) over D E^n.  The row of step k is later
+        multiplied by b^k, of valuation >= k, so it is kept to x^(n-k) only."""
         if not isinstance(inner, Series):
             raise TypeError("compose expects a Series")
         self._require_same_order(inner)
         if inner.nums[0]:
             raise CompositionError("inner series has constant term %s, expected 0"
                                    % inner.coefficient(0))
-        out = Series.zero(self.order, inner.var)
-        for a in reversed(self.nums):
-            out = out * inner + a
-        return out / self.den
+        n, a, b = self.order, self.nums, inner.nums
+        out, scale = [a[n]], 1
+        for k in range(n - 1, -1, -1):
+            scale *= inner.den
+            out = [a[k] * scale] + [sum(map(mul, b[1:c + 1], out[c - 1::-1]))
+                                    for c in range(1, n - k + 1)]
+        return Series._over(self.den * scale, out, inner.var)
 
     def revert(self):
         """Compositional inverse b with self(b(x)) = x: the branch through the
@@ -369,6 +395,24 @@ def exp_numerators(a, d, order, e0):
             raise ArithmeticError("E_0 = %d does not clear [x^%d] of the exp" % (e0, m + 1))
         e.append(q)
     return e
+
+
+def pow_numerators(a, p, q, order, e0):
+    """S_0..S_order with (sum_k a_k x^k / a_0)^(p/q) = sum_k S_k x^k / S_0, S_0 = e0, which
+    must clear every coefficient to x^order; a_0 != 0 and q > 0.  P = a^e has a P' = e a' P,
+    J.C.P. Miller's recurrence: k q a_0 S_k = sum_(0<j<=k) ((p+q) j - k q) a_j S_(k-j).  A
+    remainder in that division means e0 does not clear [x^k] and raises ArithmeticError."""
+    a = a[:max((k for k, x in enumerate(a[:order + 1]) if x), default=0) + 1]  # a binomial reads 2
+    b = list(map(mul, range(order + 1), a))  # j a_j
+    s = [e0]
+    for k in range(1, order + 1):
+        low = s[::-1]  # S_(k-1), ..., S_0
+        total = (p + q) * sum(map(mul, b[1:k + 1], low)) - k * q * sum(map(mul, a[1:k + 1], low))
+        quo, rem = divmod(total, k * q * a[0])
+        if rem:
+            raise ArithmeticError("S_0 = %d does not clear [x^%d] of the power" % (e0, k))
+        s.append(quo)
+    return s
 
 
 def solve_algebraic(relation, order, var="t"):

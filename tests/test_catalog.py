@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilbseries import catalog, verify
 from hilbseries.catalog import (
@@ -213,6 +214,13 @@ def ref_verlinde_full(r, chi_c1, chiO, c1K, Ksq, order):
                 "third-factor exponent %s is not an integer (odd K^2) and the "
                 "factor at twist %d is nontrivial" % (e3, r))
     return out
+
+
+def ref_mean_root_log(order, c, d):
+    """log((sqrt(1+ct) + sqrt(1+dt)) / 2) with each root as exp(log(1+ct)/2), as the
+    catalog built it before it wrote the roots in closed form."""
+    root_c, root_d = (catalog._log1p_sum(order, (x, F(1, 2))).exp() for x in (c, d))
+    return ((root_c + root_d) / 2).log()
 
 
 def outcome(fn, *args):
@@ -687,6 +695,17 @@ class TestAgainstProductForm:
             for exponents in verlinde_exponents:
                 assert (outcome(verlinde_full, r, *exponents, order)
                         == outcome(ref_verlinde_full, r, *exponents, order)), (r, exponents)
+
+
+@given(st.integers(0, 25), st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+@example(0, 2, 6)
+@example(25, 0, 4)
+@example(12, 0, 0)
+@example(25, -7, 0)
+@settings(deadline=None, max_examples=100)
+def test_mean_root_matches_the_two_exp_root(order, c, d):
+    got, want = catalog._mean_root_log(order, c, d), ref_mean_root_log(order, c, d)
+    assert (got.order, got.den, got.nums, got.var) == (want.order, want.den, want.nums, want.var)
 
 
 def test_no_series_power_in_the_catalog(monkeypatch):

@@ -437,6 +437,38 @@ class TestOracle:
             value = loc.segre_integral(loc.parse_class(p2, spec), 1)
             assert (code, out.splitlines()[-1]) == (0, "%d/1" % value)
 
+    def test_a_huge_bad_coefficient_gets_the_cap_message_not_its_echo(self, capsys):
+        # past int()'s 4,300 digits parse_class cannot read the term; the cap is
+        # counted in the text first, so its short message shows, not the whole term
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle", "--surface", "p2", "--class", "O(1%s)" % ("0" * 5000),
+                      "--n", "1", "--kind", "segre"])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err == ("hilbseries: error: --class has a coefficient of 5001 digits, "
+                                "beyond the class cap of 80 digits\n")
+        assert len(captured.err.encode()) < 200
+
+    def test_an_eighty_digit_coefficient_is_answered(self, capsys):
+        spec = "O(%d)" % (10 ** 80 - 7)
+        code, out = run(capsys, "oracle", "--surface", "p2", "--class", spec, "--n", "2",
+                        "--kind", "chern")
+        value = loc.chern_integral(loc.parse_class(loc.get_surface("p2"), spec), 2)
+        assert (code, out.splitlines()[-1]) == (0, "%d/1" % value)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("O(1_0)", "bad integers in term 'O(1_0)'"),
+        ("O(1)O(2)", "cannot parse class spec 'O(1)O(2)' at 'O(2)'"),
+        ("O(1, -2)", "surface p2 expects 1-parameter classes, got 'O(1, -2)'")])
+    def test_a_short_bad_term_is_echoed_whole(self, capsys, spec, message):
+        # bytes as printed before long terms were cut
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle", "--surface", "p2", "--class=" + spec, "--n", "1",
+                      "--kind", "segre"])
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err == TOP_USAGE + "hilbseries: error: %s\n" % message
+
     @pytest.mark.parametrize("name", ["p1xp1", "f1"])
     def test_n_seventeen_is_answered(self, capsys, name):
         # rank 1 is proven, so the catalog's z^17 coefficient is the value
@@ -1076,7 +1108,10 @@ def test_golden_stdout(capsys, monkeypatch, argv, expected):
 
 # sha256 of the full stdout at order 60, deeper than the benchmark's catalog
 # jobs (orders 20..40) reach: the branch factors, a duality-transported
-# factor, a Chern product and a Serre-inverted Verlinde factor.
+# factor, a Chern product and a Serre-inverted Verlinde factor.  At order 200:
+# the mean-root factors at rank 1 and at twists 2 and -2, and the rank -3 factor
+# transported from them, whose digests come from the commit before powers, logs
+# and compositions became one integer recurrence each.
 DEEP_SERIES_SHA256 = {
     "series --family=segreA --rank=2 --index=4 --order=60":
         "76585e28f7af2a648da8d7904fe31ca45247490cbe233f4fc66f5b300eecb664",
@@ -1088,6 +1123,16 @@ DEEP_SERIES_SHA256 = {
         "c1af811ceb71f080f497f51c60a5fb1a48ba6998193246393bd2354ef69fd23e",
     "series --family=verlindeB --rank=-2 --index=3 --order=60":
         "c5f99a77d353df313fd56870f0fc047f6082e6b3c78da02758728616c6ec877e",
+    "series --family=segreA --rank=1 --index=3 --order=200":
+        "c4b4ed620e9c932b4650594a1b277ce50f1e30373b9cf4ea01b7ce7877701b1d",
+    "series --family=segreA --rank=1 --index=4 --order=200":
+        "3773dd599f8026432ee417f71d1d54472649e15f83be810a7b1acfe908d0db5b",
+    "series --family=verlindeB --rank=2 --index=3 --order=200":
+        "d2e268f25976dc2ea19c62e088169438a07558737884860a7b2fe29b4e20f1ba",
+    "series --family=verlindeB --rank=-2 --index=4 --order=200":
+        "1a001683e8fa1e86a5d8aca2ea16a7454a09e81cfb33211ca48866e8f702e9c6",
+    "series --family=segreA --rank=-3 --index=3 --order=200":
+        "da59ffeb5369f29bc24e0cb75c7eb72aa929f2d2db6086523d97c8e307747a6a",
 }
 
 

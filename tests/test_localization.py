@@ -121,6 +121,18 @@ class TestClassNumerics:
             loc.parse_class(loc.get_surface("p2"), spec)
         assert str(info.value).startswith("bad integers in term ")
 
+    @pytest.mark.parametrize("spec, start", [
+        ("O(1%s)" % ("0" * 5000), "bad integers in term 'O(1000"),
+        ("O(1,%s)" % ("2" * 100), "surface p2 expects 1-parameter classes, got 'O(1,222"),
+        ("O(1)+%s" % ("x" * 5000), "cannot parse class spec 'O(1)+xxx")])
+    def test_a_long_bad_term_is_cut_in_the_message(self, spec, start):
+        # 80 characters of each echoed text and its length, not the whole of it
+        with pytest.raises(ValueError) as info:
+            loc.parse_class(loc.get_surface("p2"), spec)
+        message = str(info.value)
+        assert message.startswith(start) and len(message) < 300
+        assert "... (%d characters)" % len(spec) in message
+
     def test_integers_take_a_sign_and_whitespace(self):
         p2, f1 = loc.get_surface("p2"), loc.get_surface("f1")
         for spec, want in (("O( 1 )", "O(1)"), ("O(+2)", "O(2)"), ("O(-0)", "O(0)")):

@@ -5,11 +5,11 @@ from __future__ import annotations
 import fractions
 import random
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbseries import (
     BranchError,
@@ -20,7 +20,7 @@ from hilbseries import (
     Series,
     solve_algebraic,
 )
-from hilbseries.series import as_fraction, exp_numerators
+from hilbseries.series import as_fraction, exp_numerators, pow_numerators
 
 ORDER = 8
 
@@ -78,6 +78,65 @@ def ref_exp(a):
                 acc += (k + 1) * c[k + 1] * out[m - k]
         out[m + 1] = acc / (m + 1)
     return tuple(out)
+
+def ref_pow(a, e):
+    """Integer powers by repeated squaring, as __pow__ computed them before it ran
+    Miller's recurrence."""
+    if not isinstance(e, int):
+        raise TypeError("use pow_rational for non-integer exponents")
+    if e < 0:
+        return ref_pow(a.inverse(), -e)
+    out, base = Series.one(a.order, a.var), a
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+def ref_integral(a):
+    """Antiderivative with constant term 0, the order one higher: the Series.integral
+    that log read before it ran its own recurrence."""
+    m = lcm(*range(1, a.order + 2))
+    return Series._over(a.den * m, [0] + [x * (m // k) for k, x in enumerate(a.nums, 1)],
+                        a.var)
+
+def ref_log(a):
+    """log a as the integral of a'/a, the derivative times the inverse, as Series.log
+    computed it before."""
+    if a.nums[0] != a.den:
+        raise ConstantTermError("log needs constant term 1, got %s" % a.coefficient(0))
+    if a.order == 0:
+        return Series.zero(0, a.var)
+    return ref_integral(a.derivative() * a.truncate(a.order - 1).inverse())
+
+def ref_pow_rational(a, e):
+    """a^e as exp(e log a), as pow_rational computed it before."""
+    if a.nums[0] != a.den:
+        raise ConstantTermError("rational power needs constant term 1, got %s"
+                                % a.coefficient(0))
+    return (ref_log(a) * e).exp()
+
+def ref_compose(a, inner):
+    """Horner's rule over Series products and sums, as compose computed it before."""
+    if not isinstance(inner, Series):
+        raise TypeError("compose expects a Series")
+    a._require_same_order(inner)
+    if inner.nums[0]:
+        raise CompositionError("inner series has constant term %s, expected 0"
+                               % inner.coefficient(0))
+    out = Series.zero(a.order, inner.var)
+    for x in reversed(a.nums):
+        out = out * inner + x
+    return out / a.den
+
+def outcome(fn):
+    """The raw result, or the type and message of the error raised."""
+    try:
+        return raw(fn())
+    except Exception as error:
+        return type(error), str(error)
 
 def ref_exp_numerators(a, d, order):
     """The integer exp recurrence with the weights (k+1) a_(k+1) rebuilt for every m,
@@ -167,6 +226,27 @@ def sparse_series(rng, order, const):
          for _ in range(order + 1)]
     c[0] = F(const)
     return Series(c, order)
+
+
+@st.composite
+def wide_series(draw, order=None, head="any"):
+    """Orders 0..25, numerators up to 40 digits over one denominator that is 1 or up to
+    40 digits, about a third of them zero; head "unit" sets the constant term to 1,
+    "zero" clears the first 1..3 coefficients."""
+    if order is None:
+        order = draw(st.integers(0, 25))
+    den = draw(st.one_of(st.just(1), st.integers(1, 10 ** 40)))
+    big = st.integers(-10 ** 40, 10 ** 40)
+    nums = draw(st.lists(st.one_of(st.just(0), big, st.integers(-9, 9)),
+                         min_size=order + 1, max_size=order + 1))
+    if head == "unit":
+        nums[0] = den
+    elif head == "zero":
+        v = draw(st.integers(1, 3))
+        nums[:v] = [0] * min(v, order + 1)
+    return Series([F(x, den) for x in nums], order)
+
+heads = st.sampled_from(["any", "unit", "zero"])
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -267,7 +347,7 @@ THIRD = F(1, 3)
 def operation_results(a, b, y):
     """Every arithmetic operation once, on units a and b and on y with y(0) = 0."""
     return [a * b, a + b, a - b, -a, a.inverse(), a.log(), y.exp(), a.pow_rational(THIRD),
-            a.truncate(3), y.shift(-1), a.shift(2), a.derivative(), a.integral(),
+            a.truncate(3), y.shift(-1), a.shift(2), a.derivative(), a ** 5, y ** 3, a ** -2,
             a * THIRD, 2 * a, a / 3, 1 + a, THIRD - a, y.compose(y), y.revert()]
 
 
@@ -440,6 +520,93 @@ class TestTranscendental:
             (2 + t).pow_rational(F(1, 2))
 
 
+class TestRecurrencesMatchReferences:
+    """Powers, logs and compositions each run one integer recurrence; every result and
+    every error, its type and message, equals that of the Series chain it replaced."""
+
+    @given(wide_series(head=heads), st.one_of(st.integers(-8, 64), st.sampled_from([0, -1, 1])))
+    @example(Series.gen(3), 0)
+    @example(Series.gen(3), -1)
+    @example(Series.zero(4), 2)
+    @example(Series.gen(5) ** 2, 3)
+    @settings(deadline=None, max_examples=150)
+    def test_power(self, a, e):
+        assert outcome(lambda: a ** e) == outcome(lambda: ref_pow(a, e))
+
+    @given(wide_series(head=st.sampled_from(["unit", "unit", "unit", "any"])),
+           st.fractions(min_value=-40, max_value=40, max_denominator=6))
+    @example(Series.one(0), F(1, 2))
+    @example(Series([1, 2], 1), F(0))
+    @settings(deadline=None, max_examples=150)
+    def test_rational_power(self, a, e):
+        assert outcome(lambda: a.pow_rational(e)) == outcome(lambda: ref_pow_rational(a, e))
+
+    @given(wide_series(head=st.sampled_from(["unit", "unit", "unit", "any"])))
+    @example(Series.one(0))
+    @example(Series([2, 1], 1))
+    @settings(deadline=None, max_examples=150)
+    def test_log(self, a):
+        assert outcome(a.log) == outcome(lambda: ref_log(a))
+
+    @given(st.integers(0, 25).flatmap(
+        lambda n: st.tuples(wide_series(n, heads), wide_series(n, st.sampled_from(
+            ["zero", "zero", "zero", "any"])))))
+    @settings(deadline=None, max_examples=150)
+    def test_compose(self, pair):
+        a, inner = pair
+        assert outcome(lambda: a.compose(inner)) == outcome(lambda: ref_compose(a, inner))
+
+    def test_error_paths(self):
+        t = Series.gen(3)
+        cases = [(lambda: t ** -2, ConstantTermError,
+                  "cannot invert a series in t with zero constant term"),
+                 (lambda: t ** F(1, 2), TypeError, "use pow_rational for non-integer exponents"),
+                 (lambda: (2 + t).pow_rational(F(1, 3)), ConstantTermError,
+                  "rational power needs constant term 1, got 2"),
+                 (lambda: (1 + t).pow_rational(0.5), TypeError,
+                  "float coefficients are not allowed; pass Fraction, int or 'p/q'"),
+                 (lambda: (2 + t).log(), ConstantTermError, "log needs constant term 1, got 2"),
+                 (lambda: t.compose(1 + t), CompositionError,
+                  "inner series has constant term 1, expected 0"),
+                 (lambda: t.compose(Series.gen(4)), OrderMismatchError,
+                  "order mismatch: 3 (t) vs 4 (t); truncate explicitly"),
+                 (lambda: t.compose(2), TypeError, "compose expects a Series")]
+        refs = [lambda: ref_pow(t, -2), lambda: ref_pow(t, F(1, 2)),
+                lambda: ref_pow_rational(2 + t, F(1, 3)), lambda: ref_pow_rational(1 + t, 0.5),
+                lambda: ref_log(2 + t), lambda: ref_compose(t, 1 + t),
+                lambda: ref_compose(t, Series.gen(4)), lambda: ref_compose(t, 2)]
+        for (fn, kind, message), ref in zip(cases, refs):
+            with pytest.raises(kind) as info:
+                fn()
+            assert str(info.value) == message
+            assert outcome(fn) == outcome(ref)
+
+    def test_each_builds_one_series(self, monkeypatch):
+        # one integer pass and one Series._over each, no chain of Series operations
+        rng = random.Random(36)
+        a, y = rand_series(rng, 12, const=1), rand_series(rng, 12, const=0)
+        built = []
+        over = Series._over.__func__
+
+        def counted(cls, den, nums, var):
+            built.append(len(nums))
+            return over(cls, den, nums, var)
+
+        monkeypatch.setattr(Series, "_over", classmethod(counted))
+        for fn in (lambda: a ** 7, lambda: a ** -3, lambda: y ** 2, lambda: a ** 0,
+                   lambda: y ** 13, lambda: a.pow_rational(F(-5, 6)), a.log,
+                   lambda: a.compose(y)):
+            built.clear()
+            fn()
+            assert built == [13]
+
+    def test_pow_numerators_remainder_raises(self):
+        # 1 does not clear (1 + x)^(1/2) past x^0
+        assert pow_numerators([1, 1], 1, 2, 2, 8) == [8, 4, -1]
+        with pytest.raises(ArithmeticError, match=r"S_0 = 1 does not clear \[x\^1\]"):
+            pow_numerators([1, 1], 1, 2, 2, 1)
+
+
 class TestCalculus:
     def test_derivative_drops_order(self):
         t = Series.gen(3)
@@ -447,9 +614,10 @@ class TestCalculus:
         assert d == Series([0, 2, 0], 2) and d.order == 2
 
     def test_integral_then_derivative(self):
+        # the antiderivative the log reference reads
         rng = random.Random(10)
         a = rand_series(rng, 6)
-        assert a.integral().derivative() == a
+        assert ref_integral(a).derivative() == a
 
     def test_leibniz(self):
         rng = random.Random(11)
