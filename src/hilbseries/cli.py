@@ -13,9 +13,9 @@ VERLINDE_MAX_TWIST_DIGITS or CLASS_MAX_DIGITS digits, or a --json PATH that cann
 
 The default truncation order is 10 for pure series work and 4 for
 extract; the HILBSERIES_ORDER environment variable overrides either
-default, and --order overrides everything.  A call builds one parser: that
-of the subcommand its first argument names, or else the full one, which
-``main`` also builds to print a usage error.
+default, and --order overrides everything.  ``main`` reads a plain command line
+from the option table that builds the parser (``_read``), and hands help, errors and
+every other form to the full parser, whose Namespace the table's read equals.
 
 Each handler ``_cmd_<name>(args)`` only computes: it returns (exit code,
 config, payload, lines), where config is the echoed configuration, payload
@@ -33,6 +33,8 @@ import sys
 
 from . import catalog, extraction, verify
 from .localization import (
+    _INT_RE,
+    _echo,
     chern_integral,
     get_surface,
     parse_class,
@@ -57,7 +59,9 @@ DEFAULT_SEED = 20260815
 # then A3 at rank 1 (8.4 s CPU at 280, 10.5 s at 300), and the whole check run, led by
 # lagrange_burmann (8.9 s at 56, 10.9 s at 57), passed about 10 s.  With closed-form roots
 # A3 at rank 1 takes 3.4 s at 280, and the slowest factor at ranks -4..4 is A0 at rank 4
-# (5.6 s), whose cost grows with the rank.
+# (5.6 s), whose cost grows with the rank.  With a_1 divided out before reversion the
+# check run takes 0.9 s at 56, 1.3 s at 60, 4.0 s at 80 and 11.3 s at 100, still led by
+# lagrange_burmann (0.6, 0.9, 3.0 and 9.4 s).
 ORACLE_MAX_N = 24
 SERIES_MAX_ORDER = 280
 VERIFY_MAX_ORDER = 56
@@ -70,60 +74,61 @@ _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
 
 def _int_option(text):
-    """argparse's int type by parse_int's rule: ASCII digits only."""
+    """argparse's int type by parse_int's rule: ASCII digits only.  An integer past
+    int()'s digit limit is refused in one line; errors echo the text cut by _echo."""
     try:
         return parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if _INT_RE.fullmatch(text):
+            raise Refusal("integer %s is beyond int()'s digit limit" % _echo(text))
+        raise argparse.ArgumentTypeError("invalid int value: %s" % _echo(text))
 
 
-def _series_arguments(p):
-    p.add_argument("--family", required=True, choices=_FAMILIES)
-    p.add_argument("--rank", type=_int_option, default=None,
-                   help="class rank (segreA/chernA) or twist (verlindeB)")
-    p.add_argument("--index", type=_int_option, default=None,
-                   help="which factor of the family, e.g. 3 for A3")
-    p.add_argument("--order", type=_int_option, default=None)
-    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+# Each subcommand's options as (option string, add_argument keywords), read by
+# build_parser and _read alike.
+_SERIES_OPTIONS = (
+    ("--family", dict(required=True, choices=_FAMILIES)),
+    ("--rank", dict(type=_int_option, help="class rank (segreA/chernA) or twist (verlindeB)")),
+    ("--index", dict(type=_int_option, help="which factor of the family, e.g. 3 for A3")),
+    ("--order", dict(type=_int_option)),
+    ("--format", dict(choices=("json", "csv", "table"), default="table")),
+)
+_VERIFY_OPTIONS = (
+    ("--suite", dict(default="all",
+                     help="'all' or one of: %s" % ", ".join(verify.suite_names()))),
+    ("--order", dict(type=_int_option)),
+    ("--json", dict(nargs="?", const="-", metavar="PATH",
+                    help="write a JSON report to PATH (or stdout)")),
+)
+_ORACLE_OPTIONS = (
+    ("--surface", dict(required=True, choices=surface_names())),
+    ("--class", dict(dest="class_spec", required=True,
+                     help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that '
+                          'starts with a minus needs the = form, --class=-O(1)+O(2)')),
+    ("--n", dict(type=_int_option, required=True, help="number of points")),
+    ("--kind", dict(required=True, choices=("segre", "chern", "verlinde"))),
+    ("--r", dict(type=_int_option, help="twist (verlinde only)")),
+    ("--seed", dict(type=_int_option, default=DEFAULT_SEED)),
+    ("--json", dict(nargs="?", const="-", metavar="PATH")),
+)
+_EXTRACT_OPTIONS = (
+    ("--rank", dict(type=_int_option, required=True,
+                    help="class rank (segre) or twist (verlinde)")),
+    ("--order", dict(type=_int_option)),
+    ("--kind", dict(choices=("segre", "verlinde"), default="segre")),
+    ("--seed", dict(type=_int_option, default=DEFAULT_SEED)),
+    ("--json", dict(nargs="?", const="-", metavar="PATH")),
+)
 
-
-def _verify_arguments(p):
-    p.add_argument("--suite", default="all",
-                   help="'all' or one of: %s" % ", ".join(verify.suite_names()))
-    p.add_argument("--order", type=_int_option, default=None)
-    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
-                   help="write a JSON report to PATH (or stdout)")
-
-
-def _oracle_arguments(p):
-    p.add_argument("--surface", required=True, choices=surface_names())
-    p.add_argument("--class", dest="class_spec", required=True,
-                   help='signed sum such as "O(2,1)+O(0,1)-O(1,0)"; one that '
-                        'starts with a minus needs the = form, --class=-O(1)+O(2)')
-    p.add_argument("--n", type=_int_option, required=True, help="number of points")
-    p.add_argument("--kind", required=True, choices=("segre", "chern", "verlinde"))
-    p.add_argument("--r", type=_int_option, default=None, help="twist (verlinde only)")
-    p.add_argument("--seed", type=_int_option, default=DEFAULT_SEED)
-    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-
-
-def _extract_arguments(p):
-    p.add_argument("--rank", type=_int_option, required=True,
-                   help="class rank (segre) or twist (verlinde)")
-    p.add_argument("--order", type=_int_option, default=None)
-    p.add_argument("--kind", choices=("segre", "verlinde"), default="segre")
-    p.add_argument("--seed", type=_int_option, default=DEFAULT_SEED)
-    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-
-
-# (name, help, function that adds its arguments), in usage order
+# (name, help, options), in usage order
 _SUBCOMMANDS = (
-    ("series", "print coefficients of a catalog series", _series_arguments),
-    ("verify", "run identity-check suites", _verify_arguments),
-    ("oracle", "one fixed-point integral or Euler char", _oracle_arguments),
-    ("extract", "recover universal series from the oracle", _extract_arguments),
+    ("series", "print coefficients of a catalog series", _SERIES_OPTIONS),
+    ("verify", "run identity-check suites", _VERIFY_OPTIONS),
+    ("oracle", "one fixed-point integral or Euler char", _ORACLE_OPTIONS),
+    ("extract", "recover universal series from the oracle", _EXTRACT_OPTIONS),
 )
 _COMMANDS = tuple(name for name, _, _ in _SUBCOMMANDS)
+_OPTIONS = {name: dict(options) for name, _, options in _SUBCOMMANDS}
 
 
 def build_parser():
@@ -133,9 +138,53 @@ def build_parser():
         description="Universal tautological-integral series over Hilbert "
                     "schemes of surface points, with a toric fixed-point oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text, add_arguments in _SUBCOMMANDS:
-        add_arguments(sub.add_parser(name, help=text))
+    for name, text, options in _SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=text)
+        for flag, keywords in options:
+            subparser.add_argument(flag, **keywords)
     return parser
+
+
+def _read(argv):
+    """The Namespace ``build_parser().parse_args(argv)`` returns, read from the option
+    table, or None for any other form than a subcommand, then ``--name=value`` or
+    ``--name value`` (the value not starting with "-"; --json may be bare), each name
+    exact and once, each value passing its type and choices and not "--", which
+    argparse drops even after "=", and every required option given."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given, i = {}, 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        keywords = options.get(flag)
+        i += 1
+        if keywords is None or flag in given:
+            return None
+        if not eq:
+            if i < len(argv) and not argv[i].startswith("-"):
+                value, i = argv[i], i + 1
+            elif "const" in keywords:
+                given[flag] = keywords["const"]
+                continue
+            else:
+                return None
+        if value == "--":
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except argparse.ArgumentTypeError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        setattr(args, keywords.get("dest", flag[2:]), given.get(flag, keywords.get("default")))
+    return args
 
 
 class UsageError(Exception):
@@ -287,13 +336,13 @@ def _cmd_extract(args):
     predict = {"segre": extraction.predict_unknown,
                "verlinde": extraction.predict_verlinde}[args.kind]
     report = predict(args.rank, order, panel)
-    payload = {
-        "panel": [{"surface": cls.surface.name, "class": cls.spec()} for cls in panel],
-        "exponent_columns": list(panel.columns),
-        "exponent_matrix": [[extraction.frac_str(x, den).removesuffix("/1") for x in row]
-                            for row, den in panel.exponents],
-        "series": report["series"],
-    }
+    payload = {"series": report["series"]}
+    if args.json is not None:  # the table prints neither the panel nor its exponents
+        payload.update(
+            panel=[{"surface": cls.surface.name, "class": cls.spec()} for cls in panel],
+            exponent_columns=list(panel.columns),
+            exponent_matrix=[[extraction.frac_str(x, den).removesuffix("/1") for x in row]
+                             for row, den in panel.exponents])
     lines = []
     for entry in report["series"]:
         line = "%s [%s]: %s" % (entry["series"], entry["status"],
@@ -311,19 +360,13 @@ def main(argv=None):
     --format json`` asks, and otherwise stdout gets the config echo and lines.  A
     UsageError or Refusal ends the call as argparse's error and exit 2 would."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        command = argv[0]
-        parser = argparse.ArgumentParser(prog="hilbseries " + command)
-        _SUBCOMMANDS[_COMMANDS.index(command)][2](parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if extra:
-            build_parser().error("unrecognized arguments: %s" % " ".join(extra))
-    else:
-        args = build_parser().parse_args(argv)
-        command = args.command
-    handler = {"series": _cmd_series, "verify": _cmd_verify,
-               "oracle": _cmd_oracle, "extract": _cmd_extract}[command]
     try:
+        args = _read(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
+        command = args.command
+        handler = {"series": _cmd_series, "verify": _cmd_verify,
+                   "oracle": _cmd_oracle, "extract": _cmd_extract}[command]
         code, config, payload, lines = handler(args)
         path = args.json if command != "series" else "-" if args.format == "json" else None
         if path is not None:

@@ -335,14 +335,26 @@ class Series:
         """Compositional inverse b with self(b(x)) = x: the branch through the
         origin of self(y) = x, read by ``solve_algebraic``.
 
+        With b_i = a_i / a_1 and mu = ``_least_cover`` of the pairs (den b_i, i - 1),
+        y = mu Y(x / (a_1 mu)) turns self(y) = x into Y + sum_(i>=2) b_i mu^(i-1) Y^i = T,
+        with integer coefficients, whose root Y_n = y_n a_1^n mu^(n-1) stays near the
+        size of y_n.
+
         Requires a(0) = 0 and a'(0) != 0.  The result lives in the same
         variable name; callers relabel if they care.
         """
         if self.order < 1 or self.nums[0] or not self.nums[1]:
             raise ReversionError("reversion needs a(0) = 0 and a'(0) != 0 at order >= 1")
-        relation = {(i, 0): a for i, a in enumerate(self.nums) if a}
-        relation[0, 1] = -self.den
-        return solve_algebraic(relation, self.order, self.var)
+        n, a, a1 = self.order, self.nums, self.nums[1]
+        mu = _least_cover([(abs(a1) // gcd(a1, x), i - 1) for i, x in enumerate(a) if i > 1])
+        relation = {(i, 0): x * mu ** (i - 1) // a1 for i, x in enumerate(a) if x}
+        relation[0, 1] = -1
+        y = solve_algebraic(relation, n, self.var).nums  # over 1, since T has coefficient 1
+        g = gcd(a1, self.den)
+        p, q = a1 // g * mu, self.den // g
+        # y_k = mu Y_k / (a_1 mu)^k, over (a_1's reduced numerator mu)^n
+        return Series._over(p ** n, [x * mu * q ** k * p ** (n - k) for k, x in enumerate(y)],
+                            self.var)
 
     def __eq__(self, other):
         if isinstance(other, Series):
@@ -413,6 +425,32 @@ def pow_numerators(a, p, q, order, e0):
             raise ArithmeticError("S_0 = %d does not clear [x^%d] of the power" % (e0, k))
         s.append(quo)
     return s
+
+
+def _least_cover(pairs):
+    """The least mu with d | mu^k for every (d, k >= 1) in pairs, among the products of
+    powers of a coprime base of the d's, which gcds alone find: no d is factored."""
+    base, todo = [], [d for d, _ in pairs if d > 1]
+    while todo:  # each split lowers the product of base and todo, so this ends
+        x = todo.pop()
+        for i, e in enumerate(base):
+            g = gcd(x, e)
+            if g > 1:
+                del base[i]
+                todo += [z for z in (x // g, e // g, g) if z > 1]
+                break
+        else:
+            base.append(x)
+    mu = 1
+    for e in base:
+        need = 0
+        for d, k in pairs:
+            v = 0
+            while d % e == 0:
+                d, v = d // e, v + 1
+            need = max(need, -(-v // k))
+        mu *= e ** need
+    return mu
 
 
 def solve_algebraic(relation, order, var="t"):

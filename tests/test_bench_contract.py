@@ -80,11 +80,26 @@ def test_every_benchmark_argv_parses():
             parser.parse_args(argv)
 
 
-def test_a_named_subcommand_builds_only_its_parser(monkeypatch):
-    # every benchmark argv names its subcommand first and builds that one parser
-    # alone; help, no arguments and an unknown command build the full parser
+# Forms the option table declines, which the full parser reads or reports: help
+# (alone and after options), no arguments, an unknown command, an abbreviation, a
+# repeated option, a separate negative value, the value "--", a positional, an
+# invalid choice, a bad integer and a missing required option.
+DECLINED_ARGVS = (
+    ["--help"], [], ["bogus"], ["extract", "--rank=1", "-h"], ["series", "--fam=y"],
+    ["series", "--family=y", "--order=3", "--order=2"], ["extract", "--rank", "-3"],
+    ["verify", "--suite=--"], ["extract", "--rank=1", "extra"],
+    ["oracle", "--surface=p9", "--class=O(1)", "--n=1", "--kind=segre"],
+    ["oracle", "--surface=p2", "--class=O(1)", "--n=x", "--kind=segre"],
+    ["oracle", "--surface=p2", "--class=O(1)", "--kind=segre"],
+)
+
+
+def test_a_plain_command_line_builds_no_parser(monkeypatch, tmp_path):
+    # every benchmark argv and every README command line is read from the option
+    # table with no ArgumentParser built; each declined form builds the full parser
     import argparse
     from hilbseries import cli
+    from test_readme import COMMANDS
     built = []
     original = argparse.ArgumentParser.__init__
 
@@ -99,17 +114,19 @@ def test_a_named_subcommand_builds_only_its_parser(monkeypatch):
     for name in cli._COMMANDS:
         monkeypatch.setattr(cli, "_cmd_" + name,
                             lambda args, name=name: (0, {"command": name}, {}, []))
+    monkeypatch.chdir(tmp_path)  # a README line writes --json report.json
     workloads = _load("workloads")
-    for workload in workloads.WORKLOADS:
-        for argv in next(workloads.blocks(workload, 1)):
-            built.clear()
+    plain = [argv for workload in workloads.WORKLOADS
+             for argv in next(workloads.blocks(workload, 1))]
+    for argv in plain + COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(list(argv)) == 0
-            assert built == ["hilbseries " + argv[0]], argv
-    for argv in (["--help"], [], ["bogus"]):
+        assert built == [], argv
+    for argv in DECLINED_ARGVS:
         built.clear()
-        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            cli.main(argv)
+            cli.main(list(argv))
         assert len(built) == full, argv
 
 

@@ -5,7 +5,11 @@ import json
 import sys
 import time
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hilbseries import catalog, cli, extraction, verify
 from hilbseries import localization as loc
@@ -150,6 +154,87 @@ def test_integer_options_are_ascii_digits(capsys, monkeypatch, argv):
     assert (info.value.code, captured.out) == (2, "")
     assert captured.err.endswith("error: argument %s: invalid int value: %r\n"
                                  % (option, value))
+
+
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--family=y", "--order=" + HUGE],
+    ["oracle", "--surface", "p2", "--class", "O(1)", "--n", "1", "--kind", "verlinde",
+     "--r=" + HUGE]], ids=["series --order", "oracle --r"])
+def test_an_integer_option_past_the_int_limit_gets_one_short_line(capsys, argv):
+    # int() cannot read it; the refusal echoes its first 80 digits, not all 5,001
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err == ("hilbseries: error: integer %r... (5001 characters) is beyond "
+                            "int()'s digit limit\n" % HUGE[:80])
+    assert len(captured.err.encode()) < 200
+
+
+# The equivalence of the option table's read and argparse, over argv drawn from each
+# subcommand's option strings, abbreviations, help, unknown options, repeats, bare
+# options and stray values; values are integers, "-", "--", empty, non-ASCII digits,
+# a 5,001-digit integer, choices and class specs.
+JUNK_VALUES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["-", "--", "", "-3", " 3 ", "1_0", "\u0663", "\uff12", HUGE, "-h",
+                     "--json", "all", "theta", "nope", "p2", "segre", "y", "out.json",
+                     "O(1)", "O(1,0)+O(0,1)", "-O(1)+O(2)", "O(1)O(2)"]))
+
+
+def _good_values(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(list(keywords["choices"]))
+    if "type" in keywords:
+        return st.integers(-30, 30).map(str)
+    return st.sampled_from(["all", "theta", "-", "out.json", "O(2)", "O(1,1)-O(1,0)"])
+
+
+@st.composite
+def command_lines(draw):
+    # half the draws are well formed (each option at most once, the required ones
+    # always, a value of the option's own kind), so that the table reads many of them
+    command = draw(st.sampled_from(cli._COMMANDS))
+    options = cli._OPTIONS[command]
+    if draw(st.booleans()):
+        items = [(flag, draw(_good_values(keywords))) for flag, keywords in options.items()
+                 if keywords.get("required") or draw(st.booleans())]
+        forms = ["=", " ", "bare"] if "--json" in options else ["=", " "]
+    else:
+        strays = [flag[:-1] for flag in options if len(flag) > 3]
+        strays += ["-h", "--help", "--bogus", "--", "-"]
+        items = [(flag, draw(st.one_of(_good_values(options[flag]), JUNK_VALUES)
+                             if flag in options else JUNK_VALUES))
+                 for flag in draw(st.lists(st.sampled_from(list(options) + strays), max_size=8))]
+        forms = ["=", " ", "bare", "value"]
+    argv = [command]
+    for flag, value in draw(st.permutations(items)):
+        form = draw(st.sampled_from(forms))
+        argv += {"=": [flag + "=" + value], " ": [flag, value], "bare": [flag],
+                 "value": [value]}[form]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=command_lines())
+@example(["verify", "--suite=--"])  # argparse reads suite=[]
+@example(["verify", "--json=--"])  # and json="-", the const
+@example(["oracle", "--surface=p2", "--class=--", "--n=1", "--kind=segre"])
+@example(["extract", "--rank", "-3"])
+def test_the_table_read_equals_argparse(argv):
+    quiet = contextlib.redirect_stderr(io.StringIO())
+    try:
+        args = cli._read(argv)
+    except cli.Refusal:  # an integer past int()'s limit, which argparse meets too
+        with quiet, pytest.raises((cli.Refusal, SystemExit)):
+            cli.build_parser().parse_args(argv)
+        return
+    if args is not None:
+        with quiet, contextlib.redirect_stdout(io.StringIO()):
+            assert vars(cli.build_parser().parse_args(argv)) == vars(args)
 
 
 class TestVerify:
@@ -1316,11 +1401,73 @@ options:
      "hilbseries: error: --rank 65 is beyond extract's Segre cap of |rank| <= 64\n"),
     ("oracle --surface=p2 --class=O(1) --n=1 --kind=segre --json=no/such/dir/out.json", 2, "",
      "hilbseries: error: cannot write no/such/dir/out.json: No such file or directory\n"),
+    # forms the option table declines, which the full parser reads or reports: one
+    # abbreviation, a repeated --order, a separate negative value and help after
+    # options; and a bare --json before other options, which the table reads
+    ("series --fam=y --order=3", 0,
+     "# hilbseries command=series family=y format=table order=3 status=proven\n"
+     "1/1, -6/1, 41/1\n", ""),
+    ("series --family=y --order=3 --order=2", 0,
+     "# hilbseries command=series family=y format=table order=2 status=proven\n"
+     "1/1, -6/1\n", ""),
+    ("extract --rank -3 --order 1", 0, """\
+# hilbseries command=extract kind=segre order=1 rank=-3 seed=20260815
+A0 [proven]: 1/1, -1/1  (matches reference through order 1)
+A1 [proven]: 1/1, 1/1  (matches reference through order 1)
+A2 [proven]: 1/1, 0/1  (matches reference through order 1)
+A3 [conjectural]: 1/1, 0/1  (matches reference through order 1)
+A4 [conjectural]: 1/1, 0/1  (matches reference through order 1)
+""", ""),
+    ("oracle --surface=p2 --class=O(1) --json --n=1 --kind=segre", 0, """\
+{
+  "class_numerics": {
+    "Ksq": 9,
+    "c1K": -3,
+    "c1sq": 1,
+    "c2": 0,
+    "chiO": 1,
+    "rank": 1
+  },
+  "config": {
+    "class": "O(1)",
+    "command": "oracle",
+    "kind": "segre",
+    "n": 1,
+    "seed": 20260815,
+    "surface": "p2"
+  },
+  "value": "1/1"
+}
+""", ""),
+    ("extract --rank=1 -h", 0, """\
+usage: hilbseries extract [-h] --rank RANK [--order ORDER]
+                          [--kind {segre,verlinde}] [--seed SEED]
+                          [--json [PATH]]
+
+options:
+  -h, --help            show this help message and exit
+  --rank RANK           class rank (segre) or twist (verlinde)
+  --order ORDER
+  --kind {segre,verlinde}
+  --seed SEED
+  --json [PATH]
+""", ""),
+    # argparse drops a value "--" even after "=" (Python 3.10-3.13), so the suite is []
+    pytest.param(
+        "verify --suite=--", 2, "",
+        TOP_USAGE + "hilbseries: error: unknown suite []; choose from all, 2pt, abelian, "
+                    "asymptotics, blowup, chern_rank2, enriques, fgh, lagrange_burmann, "
+                    "spherical_chern, theta, thm3, verlinde_segre, verlinde_trivial\n",
+        marks=pytest.mark.skipif(
+            cli.build_parser().parse_args(["verify", "--suite=--"]).suite != [],
+            reason="this Python's argparse keeps a value '--' after '='"),
+        id="verify --suite=--"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", USAGE_TEXTS,
-                         ids=[argv or "no-arguments" for argv, *_ in USAGE_TEXTS])
+                         ids=[getattr(row, "id", None) or row[0] or "no-arguments"
+                              for row in USAGE_TEXTS])
 def test_usage_texts_are_pinned(capsys, monkeypatch, tmp_path, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)

@@ -201,6 +201,16 @@ def ref_revert(a):
     raise ReversionError("Newton reversion failed to converge")
 
 
+def ref_revert_scaled(a):
+    """The reversion that read sum_i a_i y^i = D t through solve_algebraic as it
+    stands, y = c Y(t/c^2) with c the numerator of a_1, before a_1 was divided out."""
+    if a.order < 1 or a.nums[0] or not a.nums[1]:
+        raise ReversionError("reversion needs a(0) = 0 and a'(0) != 0 at order >= 1")
+    relation = {(i, 0): x for i, x in enumerate(a.nums) if x}
+    relation[0, 1] = -a.den
+    return solve_algebraic(relation, a.order, a.var)
+
+
 def random_relation(rng):
     """P(y, t) with rational coefficients, y-degree <= 5, t-degree <= 3, a
     simple branch through the origin and dP/dy(0,0) not a unit."""
@@ -671,6 +681,29 @@ class TestComposition:
         ident = Series.gen(a.order)
         assert a.compose(b) == ident
         assert b.compose(a) == ident
+
+    @given(wide_series(), st.one_of(
+        st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40),
+        st.sampled_from([2 ** 44, -6 ** 20, 12 ** 15, -(30 ** 12), 7 ** 9 * 2])))
+    @example(Series.one(0), 1)
+    @example(Series.gen(1), 0)
+    @example(Series([0, F(1, 2 ** 44), F(1, 3), 5], 3), 2 ** 44)
+    @settings(deadline=None, max_examples=150)
+    def test_revert_matches_the_scaled_revert(self, a, a1):
+        # a_1 = 0 and order 0 raise the same error; a non-monic or negative a_1 and
+        # numerators over a large denominator give the same series
+        nums = list(a.nums)
+        nums[0] = 0
+        nums[1:2] = [a1][:len(nums) - 1]
+        a = Series._over(a.den, nums, a.var)
+        assert outcome(a.revert) == outcome(lambda: ref_revert_scaled(a))
+
+    @given(st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 6)), max_size=6))
+    def test_least_cover_clears_every_pair(self, pairs):
+        from hilbseries.series import _least_cover
+        mu = _least_cover(pairs)
+        assert all(mu ** k % d == 0 for d, k in pairs)
+        assert lcm(1, *(d for d, _ in pairs)) % mu == 0
 
     def test_revert_contract(self):
         t = Series.gen(4)
