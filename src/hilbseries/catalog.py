@@ -85,7 +85,10 @@ class SeriesEntry:
 
 def _lagrange(h, a, b, var):
     """h(t(x)) in ``var`` for x = t (1+at)^b, by Lagrange-Buermann:
-    [x^n] h(t(x)) = (1/n) [t^(n-1)] h'(t) (1+at)^(-bn) for n >= 1."""
+    [x^n] h(t(x)) = (1/n) [t^(n-1)] h'(t) (1+at)^(-bn) for n >= 1.  A zero h, the log
+    of a trivial factor, is zero in x too and runs no loop."""
+    if h.is_zero():
+        return Series.zero(h.order, var)
     dh = [k * x for k, x in enumerate(h.nums)]
     m = lcm(*range(1, h.order + 1))  # the 1/n, over one denominator
     out = [h.nums[0] * m]
@@ -153,15 +156,19 @@ def _branch_tail(y):
 
 
 def _mean_root_log(order, c, d):
-    """log((sqrt(1+ct) + sqrt(1+dt)) / 2) in t.  Each root is in closed form over
-    4^order: [t^k] sqrt(1+ct) = (-1)^(k-1) 2 Cat_(k-1) c^k / 4^k for k >= 1."""
+    """log((sqrt(1+ct) + sqrt(1+dt)) / 2) in t, built in s = t/4, where each root has
+    integer coefficients, [s^k] sqrt(1+4cs) = (-1)^(k-1) 2 Cat_(k-1) c^k for k >= 1:
+    the mean root is an integer series, its log is taken at scale 1, and coefficient
+    k of the log is then divided by 4^k."""
     if order < 0:  # 4^order would be a float
         raise ValueError("truncation order must be >= 0")
-    nums, b = [2 * 4 ** order], 1  # b = 4^k binom(1/2, k) = (-1)^(k-1) 2 Cat_(k-1)
+    nums, b = [1], 2  # b = (-1)^(k-1) 2 Cat_(k-1), even
     for k in range(1, order + 1):
-        b = b * 2 * (3 - 2 * k) // k
-        nums.append(b * (c ** k + d ** k) * 4 ** (order - k))
-    return Series._over(2 * 4 ** order, nums, "t").log()
+        nums.append(b // 2 * (c ** k + d ** k))
+        b = b * 2 * (1 - 2 * k) // (k + 1)
+    log = Series._over(1, nums, "t").log()
+    return Series._over(log.den * 4 ** order,
+                        [x * 4 ** (order - k) for k, x in enumerate(log.nums)], "t")
 
 
 def _segre_log(s, index, order):
@@ -273,22 +280,24 @@ def _verlinde34_logs(r, order, index=3):
 class _Logs:
     """The factor logs of one family at one rank or twist and order, each read
     and substituted from t to x = t (1+at)^b at most once, when first asked
-    for (the third and fourth from one branch or mean root).  A holder lives
-    for one call or one sweep; nothing is kept across calls."""
+    for.  The third and fourth logs in t come from one branch or mean root, kept
+    for the other of the two.  A holder lives for one call or one sweep; nothing
+    is kept across calls."""
 
     def __init__(self, param, order, a, b):
         self.param, self.order, self.a, self.b = param, order, a, b
-        self._read = {}
+        self._read, self._tails = {}, None
 
     def __getitem__(self, index):
         """(status, log in x) of the index-th factor."""
         if index not in self._read:
             if index in (3, 4):
-                pairs = zip((3, 4), self._tail(self.param, self.order, index))
+                if self._tails is None:
+                    self._tails = self._tail(self.param, self.order, index)
+                status, log = self._tails[index - 3]
             else:
-                pairs = [(index, self._low(self.param, index, self.order))]
-            for i, (status, log) in pairs:
-                self._read[i] = status, _lagrange(log, self.a, self.b, self.var)
+                status, log = self._low(self.param, index, self.order)
+            self._read[index] = status, _lagrange(log, self.a, self.b, self.var)
         return self._read[index]
 
     def entry(self, index):

@@ -58,10 +58,12 @@ DEFAULT_SEED = 20260815
 # 4,300-digit int-to-str limit.  The series and verify orders stop where the slowest factor,
 # then A3 at rank 1 (8.4 s CPU at 280, 10.5 s at 300), and the whole check run, led by
 # lagrange_burmann (8.9 s at 56, 10.9 s at 57), passed about 10 s.  With closed-form roots
-# A3 at rank 1 takes 3.4 s at 280, and the slowest factor at ranks -4..4 is A0 at rank 4
-# (5.6 s), whose cost grows with the rank.  With a_1 divided out before reversion the
-# check run takes 0.9 s at 56, 1.3 s at 60, 4.0 s at 80 and 11.3 s at 100, still led by
-# lagrange_burmann (0.6, 0.9, 3.0 and 9.4 s).
+# in s = t/4 and each exp run at the denominator of its exponent's derivative, every factor
+# at ranks -4..4 and twists -3..3 takes under 0.7 s CPU at 280, the slowest A4 at rank -4;
+# the cost still grows with the digits of the rank, as the coefficients do (A1 at rank
+# 1,000 takes 0.7 s at 250, at rank 1,000,000 1.4 s).  With a_1 divided out before
+# reversion the check run takes 0.9 s at 56, 1.3 s at 60, 4.0 s at 80 and 11.3 s at 100,
+# still led by lagrange_burmann (0.6, 0.9, 3.0 and 9.4 s).
 ORACLE_MAX_N = 24
 SERIES_MAX_ORDER = 280
 VERIFY_MAX_ORDER = 56
@@ -193,6 +195,14 @@ class UsageError(Exception):
 
 class Refusal(Exception):
     """Exit 2 after "hilbseries: error: <message>" alone: a well-formed request refused."""
+
+
+def _refuse_dropped_values(args):
+    """A usage error for an option whose value "--" argparse dropped, storing [] where no
+    type or choice sees it; verify reports an unknown --suite itself."""
+    for flag, keywords in _OPTIONS[args.command].items():
+        if flag != "--suite" and isinstance(getattr(args, keywords.get("dest", flag[2:])), list):
+            raise UsageError("argument %s: expected one argument" % flag)
 
 
 def _refuse_long_twist(option, twist):
@@ -364,6 +374,7 @@ def main(argv=None):
         args = _read(argv)
         if args is None:
             args = build_parser().parse_args(argv)
+            _refuse_dropped_values(args)
         command = args.command
         handler = {"series": _cmd_series, "verify": _cmd_verify,
                    "oracle": _cmd_oracle, "extract": _cmd_extract}[command]

@@ -9,8 +9,8 @@ integers only; ``coefficient`` and ``coeffs`` build the
 `fractions.Fraction` values on request.  Floats are rejected so nothing
 ever leaves exact arithmetic.  Inverse, exp, log, integer and rational powers
 and composition each run one coefficient recurrence on the numerators, in
-integers, and build one series at the end: exp by `exp_numerators`, which the
-fixed-point oracle's Todd exp also runs, powers by Miller's recurrence,
+integers, and build one series at the end: exp by `exp_numerators`, scaled by the
+denominator of the exponent's derivative, powers by Miller's recurrence,
 `pow_numerators`, log by a L' = a', and composition by Horner's rule on integer
 rows.  `solve_algebraic` reads a branch's coefficients one by one off a linear
 recurrence in integers.
@@ -293,11 +293,14 @@ class Series:
                             self.var)
 
     def exp(self):
-        """Series exponential; requires constant term 0."""
+        """Series exponential; requires constant term 0.  One pass of ``exp_numerators``
+        at its least scale, order! delta^order with delta the denominator of the
+        derivative, which may be far below the series' own: a log substituted by
+        Lagrange-Buermann carries lcm(1..order) in its denominator, and its
+        derivative does not."""
         if self.nums[0]:
             raise ConstantTermError("exp needs constant term 0, got %s" % self.coefficient(0))
-        e = exp_numerators(self.nums, self.den, self.order,
-                           factorial(self.order) * self.den ** self.order)
+        e = exp_numerators(self.nums, self.den, self.order)
         return Series._over(e[0], e, self.var)
 
     def pow_rational(self, e):
@@ -393,13 +396,23 @@ class Series:
         return "%s + O(%s^%d)" % (body, self.var, self.order + 1)
 
 
-def exp_numerators(a, d, order, e0):
+def exp_numerators(a, d, order, e0=None):
     """E_0..E_order with exp(sum_k a_k x^k / d) = sum_m E_m x^m / E_0, E_0 = e0, which
-    must clear every coefficient to x^order: order! d^order always does (Series.exp),
-    as m! d^m [x^m] exp is an integer.  a_0 is not read.  e' = a' e gives
-    (m+1) d E_(m+1) = sum_(k<=m) (k+1) a_(k+1) E_(m-k); a remainder in that division
-    means e0 does not clear [x^(m+1)] and raises ArithmeticError."""
-    b = list(map(mul, range(1, order + 1), a[1:order + 1]))  # (k+1) a_(k+1)
+    must clear every coefficient to x^order.  a_0 is not read.  The exponent's
+    derivative is sum_k b_k x^k / d with b_k = (k+1) a_(k+1), over the reduced
+    denominator delta = d / g, g = gcd(d, b_0, ..., b_(order-1)), and e' = a' e gives
+    (m+1) delta E_(m+1) = sum_(k<=m) (b_k / g) E_(m-k).  So (m+1)! delta^(m+1) [x^(m+1)]
+    is a sum of b_k / g times m!/(m-k)! delta^k times (m-k)! delta^(m-k) [x^(m-k)]:
+    by induction m! delta^m [x^m] exp is an integer, and order! delta^order, the
+    default e0, clears every coefficient (order! d^order, a multiple, does too).  A
+    remainder in the division means e0 does not clear [x^(m+1)] and raises
+    ArithmeticError."""
+    b = list(map(mul, range(1, order + 1), a[1:order + 1]))
+    g = gcd(d, *b)
+    if g != 1:
+        d, b = d // g, [x // g for x in b]
+    if e0 is None:
+        e0 = factorial(order) * d ** order
     e = [e0]
     for m in range(order):
         q, rem = divmod(sum(map(mul, b, reversed(e))), (m + 1) * d)

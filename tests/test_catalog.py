@@ -708,6 +708,26 @@ def test_mean_root_matches_the_two_exp_root(order, c, d):
     assert (got.order, got.den, got.nums, got.var) == (want.order, want.den, want.nums, want.var)
 
 
+MEAN_ROOT_PAIRS = [(2, 6), (0, 4)] + [
+    (random.Random(seed).randint(-10 ** 9, 10 ** 9), random.Random(-seed).randint(-99, 99))
+    for seed in range(1, 4)]
+
+
+@pytest.mark.parametrize("c, d", MEAN_ROOT_PAIRS)
+def test_mean_root_at_every_order_to_sixty(c, d):
+    # the root in s = t/4, its log at scale 1, against the two-exp root in t
+    for order in range(61):
+        got, want = catalog._mean_root_log(order, c, d), ref_mean_root_log(order, c, d)
+        assert (got.order, got.den, got.nums, got.var) == \
+            (want.order, want.den, want.nums, want.var), order
+
+
+@pytest.mark.parametrize("order", [-1, -5])
+def test_mean_root_refuses_a_negative_order(order):
+    with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+        catalog._mean_root_log(order, 2, 6)
+
+
 def test_no_series_power_in_the_catalog(monkeypatch):
     # every factor is a sum of logs in t: one substitution and one exp
     raised = []

@@ -1196,7 +1196,10 @@ def test_golden_stdout(capsys, monkeypatch, argv, expected):
 # factor, a Chern product and a Serre-inverted Verlinde factor.  At order 200:
 # the mean-root factors at rank 1 and at twists 2 and -2, and the rank -3 factor
 # transported from them, whose digests come from the commit before powers, logs
-# and compositions became one integer recurrence each.
+# and compositions became one integer recurrence each.  At the series cap, 280:
+# A1 at rank 4, A0 at rank 2 and B1 at twist -3, each a substituted log's exp,
+# whose digests come from the commit before the exp ran at the denominator of
+# its exponent's derivative.
 DEEP_SERIES_SHA256 = {
     "series --family=segreA --rank=2 --index=4 --order=60":
         "76585e28f7af2a648da8d7904fe31ca45247490cbe233f4fc66f5b300eecb664",
@@ -1218,6 +1221,12 @@ DEEP_SERIES_SHA256 = {
         "1a001683e8fa1e86a5d8aca2ea16a7454a09e81cfb33211ca48866e8f702e9c6",
     "series --family=segreA --rank=-3 --index=3 --order=200":
         "da59ffeb5369f29bc24e0cb75c7eb72aa929f2d2db6086523d97c8e307747a6a",
+    "series --family=segreA --rank=4 --index=1 --order=280":
+        "72b10b1d6a40958ee251ad88aeaa516f92d815f39a752c1b0ffe657954ee666b",
+    "series --family=segreA --rank=2 --index=0 --order=280":
+        "817f4ec77cdef6be9cfec1df26aa9495392dcc98d752db603d25ebc5d3798e17",
+    "series --family=verlindeB --rank=-3 --index=1 --order=280":
+        "6b68c6517cb697f4e36fd99894381a0dd23084ce54d48e288d441285eb38ad96",
 }
 
 
@@ -1462,6 +1471,23 @@ options:
             cli.build_parser().parse_args(["verify", "--suite=--"]).suite != [],
             reason="this Python's argparse keeps a value '--' after '='"),
         id="verify --suite=--"),
+    # and every other option whose value argparse drops is a usage error, not a traceback
+    pytest.param(
+        "series --family=y --order=--", 2, "",
+        TOP_USAGE + "hilbseries: error: argument --order: expected one argument\n",
+        marks=pytest.mark.skipif(
+            cli.build_parser().parse_args(["series", "--family=y", "--order=--"]).order != [],
+            reason="this Python's argparse keeps a value '--' after '='"),
+        id="series --family=y --order=--"),
+    pytest.param(
+        "oracle --surface=p2 --class=-- --n=1 --kind=segre", 2, "",
+        TOP_USAGE + "hilbseries: error: argument --class: expected one argument\n",
+        marks=pytest.mark.skipif(
+            cli.build_parser().parse_args(
+                ["oracle", "--surface=p2", "--class=--", "--n=1", "--kind=segre"]
+            ).class_spec != [],
+            reason="this Python's argparse keeps a value '--' after '='"),
+        id="oracle --surface=p2 --class=-- --n=1 --kind=segre"),
 ]
 
 
@@ -1475,3 +1501,27 @@ def test_usage_texts_are_pinned(capsys, monkeypatch, tmp_path, argv, code, out, 
     with pytest.raises(SystemExit) as info:
         sys.exit(cli.main(argv.split()))  # as the installed script exits
     assert (info.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def _required_argv(command):
+    return [flag + "=" + str(list(keywords.get("choices", ["1"]))[0])
+            for flag, keywords in cli._OPTIONS[command].items() if keywords.get("required")]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in cli._COMMANDS for flag in cli._OPTIONS[command]
+    if flag not in ("--suite", "--json")])
+def test_a_dropped_value_is_one_usage_error(capsys, monkeypatch, command, flag):
+    # argparse drops a value "--" even after "=" and stores [] (Python 3.10-3.13); the
+    # handlers would meet it as a list, so main refuses it first.  --suite is verify's
+    # own "unknown suite []" and --json=-- reads the const, both pinned above.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command] + [x for x in _required_argv(command) if not x.startswith(flag + "=")]
+    argv.append(flag + "=--")
+    if getattr(cli.build_parser().parse_args(argv),
+               cli._OPTIONS[command][flag].get("dest", flag[2:])) != []:
+        pytest.skip("this Python's argparse keeps a value '--' after '='")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert (info.value.code, *capsys.readouterr()) == (
+        2, "", TOP_USAGE + "hilbseries: error: argument %s: expected one argument\n" % flag)

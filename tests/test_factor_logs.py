@@ -196,6 +196,45 @@ def test_verlinde_segre_reads_one_holder_per_twist(monkeypatch):
     assert len(substitutions) == 4 * 2
 
 
+def test_a_factor_lookup_substitutes_only_its_own_log(monkeypatch):
+    # A3 at rank 1 substitutes A3's log alone, though A4's comes from the same mean
+    # root; a second read of the holder substitutes A4 and reuses the root
+    substitutions = count_calls(monkeypatch, catalog, "_lagrange")
+    tails = count_calls(monkeypatch, catalog._SegreLogs, "_tail")
+    segre_A = catalog.segre_A(1, 3, 12)
+    assert (len(substitutions), len(tails)) == (1, 1)
+    logs = catalog._SegreLogs(1, 12)
+    assert logs.entry(3) == segre_A
+    assert logs[4] == logs[4]
+    assert (len(substitutions), len(tails)) == (3, 2)
+
+
+@pytest.mark.parametrize("lookup, param, index", [
+    (catalog.segre_A, -1, 3), (catalog.segre_A, -2, 4), (catalog.segre_A, 0, 4),
+    (catalog.verlinde_B, 0, 4), (catalog.verlinde_B, -1, 3)])
+def test_a_trivial_factor_runs_no_substitution_loop(monkeypatch, lookup, param, index):
+    # the loop puts its 1/n over lcm(1..order) first; a zero log reads none of it
+    var = "z" if lookup is catalog.segre_A else "w"
+    substitutions = count_calls(monkeypatch, catalog, "_lagrange")
+    entry = lookup(param, index, 20)
+    assert entry.status == catalog.TRIVIAL and entry.series == Series.one(20, var)
+    (log, a, b, _), = substitutions
+    assert log.is_zero()
+    scales = count_calls(monkeypatch, catalog, "lcm")
+    assert catalog._lagrange(log, a, b, var) == Series.zero(20, var) and scales == []
+
+
+@pytest.mark.parametrize("lookup, param, family", [
+    (catalog.segre_A, 3, "Segre factor %d has no known closed form at rank 3"),
+    (catalog.segre_A, -5, "Segre factor %d has no known closed form at rank -5"),
+    (catalog.verlinde_B, 4, "Verlinde factor %d has no known closed form at twist 4")])
+def test_unknown_third_and_fourth_factor_texts(lookup, param, family):
+    for index in (3, 4):
+        with pytest.raises(UnknownSeriesError) as info:
+            lookup(param, index, 6)
+        assert str(info.value) == family % index
+
+
 @pytest.mark.parametrize("predict, param, branch, status", [
     (extraction.predict_unknown, 2, "segre_rank2_branch", catalog.PROVEN),
     (extraction.predict_verlinde, 3, "verlinde_r3_branch", catalog.CONJECTURAL),

@@ -617,6 +617,69 @@ class TestRecurrencesMatchReferences:
             pow_numerators([1, 1], 1, 2, 2, 1)
 
 
+def ref_exp_full_scale(a):
+    """Series.exp at the scale it ran before it read the derivative's denominator:
+    exp_numerators with E_0 = order! d^order, d the series' own denominator."""
+    if a.nums[0]:
+        raise ConstantTermError("exp needs constant term 0, got %s" % a.coefficient(0))
+    e = exp_numerators(a.nums, a.den, a.order, factorial(a.order) * a.den ** a.order)
+    return Series._over(e[0], e, a.var)
+
+
+@st.composite
+def log_like_series(draw):
+    """The integral of a series with integer numerators over a small denominator, as a
+    log substituted by Lagrange-Buermann is: its own denominator carries lcm(1..order)
+    and its derivative's does not."""
+    order = draw(st.integers(0, 40))
+    delta = draw(st.sampled_from([1, 2, 3, 4, 12, 10 ** 20 + 39]))
+    c = draw(st.lists(st.one_of(st.just(0), st.integers(-10 ** 30, 10 ** 30)),
+                      min_size=order, max_size=order))
+    return Series([0] + [F(x, k * delta) for k, x in enumerate(c, 1)], order)
+
+
+class TestExpScale:
+    """Series.exp at the derivative's denominator against the full-scale exp."""
+
+    @given(st.one_of(log_like_series(), wide_series(head=st.sampled_from(["zero", "any"])),
+                     novanish_series(), novanish_series(0)))
+    @example(Series.zero(0))
+    @example(Series.zero(30))
+    @example(Series([0, F(1, 10 ** 40 + 7)], 1))
+    @example(Series.one(3).log())
+    @example((1 + Series.gen(25)).log())
+    @settings(deadline=None, max_examples=200)
+    def test_exp_is_the_full_scale_exp(self, a):
+        assert outcome(a.exp) == outcome(lambda: ref_exp_full_scale(a))
+
+    def test_catalog_logs(self):
+        # a substituted factor log and a sum of them, as the catalog's holders exp them
+        from hilbseries import catalog
+        for order in (0, 1, 7, 30):
+            logs = catalog._SegreLogs(1, order)
+            for log in (logs[0][1], logs[3][1], logs[4][1], 3 * logs[1][1] - logs[2][1] / 2):
+                assert raw(log.exp()) == raw(ref_exp_full_scale(log)), order
+
+    def test_default_scale_is_order_factorial_times_delta_power(self):
+        # a = x/6 + x^2/4 + x^3/3: a' = (1 + 3x + 6x^2)/6, so delta = 6, and E_0 = 3! 6^3
+        a = [0, 2, 3, 4]
+        assert exp_numerators(a, 12, 3)[0] == factorial(3) * 6 ** 3
+        assert exp_numerators(a, 12, 3, factorial(3) * 12 ** 3) == \
+            [8 * x for x in exp_numerators(a, 12, 3)]
+        assert exp_numerators([0], 5, 0) == [1]
+
+    def test_exp_numerators_remainder_raises(self):
+        # exp(x) = 1 + x + x^2/2: E_0 = 1 clears x^1 but not x^2, at any d that scales x
+        assert exp_numerators([0, 1], 1, 2) == [2, 2, 1]
+        with pytest.raises(ArithmeticError, match=r"E_0 = 1 does not clear \[x\^2\]"):
+            exp_numerators([0, 1], 1, 2, 1)
+        with pytest.raises(ArithmeticError, match=r"E_0 = 1 does not clear \[x\^2\]"):
+            exp_numerators([0, 7], 7, 2, 1)
+        # delta = 3 at d = 6: one power of 3 short of 2! 3^2
+        with pytest.raises(ArithmeticError, match=r"E_0 = 6 does not clear \[x\^2\]"):
+            exp_numerators([0, 2], 6, 2, 6)
+
+
 class TestCalculus:
     def test_derivative_drops_order(self):
         t = Series.gen(3)
