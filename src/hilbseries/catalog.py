@@ -162,9 +162,9 @@ def _mean_root_log(order, c, d):
     k of the log is then divided by 4^k."""
     if order < 0:  # 4^order would be a float
         raise ValueError("truncation order must be >= 0")
-    nums, b = [1], 2  # b = (-1)^(k-1) 2 Cat_(k-1), even
+    nums, b = [1], 1  # b = (-1)^(k-1) Cat_(k-1), half the roots' common factor
     for k in range(1, order + 1):
-        nums.append(b // 2 * (c ** k + d ** k))
+        nums.append(b * (c ** k + d ** k))
         b = b * 2 * (1 - 2 * k) // (k + 1)
     log = Series._over(1, nums, "t").log()
     return Series._over(log.den * 4 ** order,

@@ -294,10 +294,8 @@ class Series:
 
     def exp(self):
         """Series exponential; requires constant term 0.  One pass of ``exp_numerators``
-        at its least scale, order! delta^order with delta the denominator of the
-        derivative, which may be far below the series' own: a log substituted by
-        Lagrange-Buermann carries lcm(1..order) in its denominator, and its
-        derivative does not."""
+        at its default scale, set by the derivative's denominator: a log substituted by
+        Lagrange-Buermann carries lcm(1..order) in its own denominator but not there."""
         if self.nums[0]:
             raise ConstantTermError("exp needs constant term 0, got %s" % self.coefficient(0))
         e = exp_numerators(self.nums, self.den, self.order)
@@ -398,15 +396,12 @@ class Series:
 
 def exp_numerators(a, d, order, e0=None):
     """E_0..E_order with exp(sum_k a_k x^k / d) = sum_m E_m x^m / E_0, E_0 = e0, which
-    must clear every coefficient to x^order.  a_0 is not read.  The exponent's
-    derivative is sum_k b_k x^k / d with b_k = (k+1) a_(k+1), over the reduced
-    denominator delta = d / g, g = gcd(d, b_0, ..., b_(order-1)), and e' = a' e gives
-    (m+1) delta E_(m+1) = sum_(k<=m) (b_k / g) E_(m-k).  So (m+1)! delta^(m+1) [x^(m+1)]
-    is a sum of b_k / g times m!/(m-k)! delta^k times (m-k)! delta^(m-k) [x^(m-k)]:
-    by induction m! delta^m [x^m] exp is an integer, and order! delta^order, the
-    default e0, clears every coefficient (order! d^order, a multiple, does too).  A
-    remainder in the division means e0 does not clear [x^(m+1)] and raises
-    ArithmeticError."""
+    must clear every coefficient to x^order.  a_0 is not read.  With b_k = (k+1) a_(k+1)
+    and g = gcd(d, b_0, ..., b_(order-1)), delta = d / g is the denominator of the
+    exponent's derivative, and e' = a' e gives (m+1) delta E_(m+1) = sum_(k<=m) (b_k / g)
+    E_(m-k), so by induction m! delta^m [x^m] exp is an integer: order! delta^order, the
+    default e0, clears every coefficient.  A remainder in the division means e0 does
+    not clear [x^(m+1)] and raises ArithmeticError."""
     b = list(map(mul, range(1, order + 1), a[1:order + 1]))
     g = gcd(d, *b)
     if g != 1:
