@@ -619,10 +619,10 @@ class TestRecurrencesMatchReferences:
 
 def ref_exp_full_scale(a):
     """Series.exp at the scale it ran before it read the derivative's denominator:
-    exp_numerators with E_0 = order! d^order, d the series' own denominator."""
+    the exp recurrence over E_0 = order! d^order, d the series' own denominator."""
     if a.nums[0]:
         raise ConstantTermError("exp needs constant term 0, got %s" % a.coefficient(0))
-    e = exp_numerators(a.nums, a.den, a.order, factorial(a.order) * a.den ** a.order)
+    e = ref_exp_numerators(a.nums, a.den, a.order)
     return Series._over(e[0], e, a.var)
 
 
