@@ -6,10 +6,9 @@ fixed-point integral, and ``extract`` recovers universal series from
 oracle data.  All numeric output is exact (strings "p/q"); every run
 echoes its fully resolved configuration, so identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, a series, verify or extract order above SERIES_MAX_ORDER,
-VERIFY_MAX_ORDER or EXTRACT_MAX_ORDER, oracle --n above ORACLE_MAX_N, a Segre extract
-|--rank| above EXTRACT_MAX_RANK, a Verlinde twist or a --class coefficient of more than
-VERLINDE_MAX_TWIST_DIGITS or CLASS_MAX_DIGITS digits, or a --json PATH that cannot be written.
+failure, 2 usage error, a request whose estimated work passes BUDGET or whose
+printed numbers would pass Python's int-to-str digit limit (_check_budget,
+before any work), or a --json PATH that cannot be written.
 
 The default truncation order is 10 for pure series work and 4 for
 extract; the HILBSERIES_ORDER environment variable overrides either
@@ -49,28 +48,9 @@ SERIES_DEFAULT_ORDER = 10
 EXTRACT_DEFAULT_ORDER = 4
 # --seed is echoed only: nothing is drawn at random
 DEFAULT_SEED = 20260815
-# The deepest requests answered, refused above at once so that each run ends in bounded time:
-# oracle --n (at 24, p1xp1 Verlinde at r = 3 takes about 23 s CPU, its Todd exps at M_48),
-# extract's order (at 16, at most 0.37 s CPU at ranks -4..5, 0.62 s at twists -3..3) and
-# extract's Segre |rank|, whose classes hold about 2 |rank| terms each (at order 16, 2-3 s
-# CPU at rank 64 or -64).  A value at n points has about 2n times the digits of the twist
-# or of a class coefficient: at 80, oracle --n 24 prints about 3,850, under Python's
-# 4,300-digit int-to-str limit.  The series and verify orders stop where the slowest factor,
-# then A3 at rank 1 (8.4 s CPU at 280, 10.5 s at 300), and the whole check run, led by
-# lagrange_burmann (8.9 s at 56, 10.9 s at 57), passed about 10 s.  With closed-form roots
-# in s = t/4 and each exp run at the denominator of its exponent's derivative, every factor
-# at ranks -4..4 and twists -3..3 takes under 0.7 s CPU at 280, the slowest A4 at rank -4;
-# the cost still grows with the digits of the rank, as the coefficients do (A1 at rank
-# 1,000 takes 0.7 s at 250, at rank 1,000,000 1.4 s).  With a_1 divided out before
-# reversion the check run takes 0.9 s at 56, 1.3 s at 60, 4.0 s at 80 and 11.3 s at 100,
-# still led by lagrange_burmann (0.6, 0.9, 3.0 and 9.4 s).
-ORACLE_MAX_N = 24
-SERIES_MAX_ORDER = 280
-VERIFY_MAX_ORDER = 56
-EXTRACT_MAX_ORDER = 16
-EXTRACT_MAX_RANK = 64
-VERLINDE_MAX_TWIST_DIGITS = 80
-CLASS_MAX_DIGITS = 80
+# The work a request may cost, in ns of CPU as _check_budget estimates it (calibrated
+# with Python 3.11 on a 2-core x86-64 host)
+BUDGET = 10 ** 10
 
 _FAMILIES = ("segreA", "chernA", "verlindeB", "y", "Y")
 
@@ -205,29 +185,63 @@ def _refuse_dropped_values(args):
             raise UsageError("argument %s: expected one argument" % flag)
 
 
-def _refuse_long_twist(option, twist):
-    digits = len(str(abs(twist)))
-    if digits > VERLINDE_MAX_TWIST_DIGITS:
-        raise Refusal("%s has %d digits, beyond the Verlinde twist cap of %d digits"
-                      % (option, digits, VERLINDE_MAX_TWIST_DIGITS))
-
-
-def _resolve_order(args, command, default, cap):
-    if args.order is not None:
-        order = args.order
-    elif os.environ.get(ORDER_ENV):
+def _resolve_order(args):
+    order = args.order
+    if order is None and os.environ.get(ORDER_ENV):
         try:
-            order = parse_int(os.environ[ORDER_ENV])
-        except ValueError:
-            raise UsageError("%s must be an integer, got %r"
-                             % (ORDER_ENV, os.environ[ORDER_ENV]))
-    else:
-        order = default
+            order = _int_option(os.environ[ORDER_ENV])
+        except argparse.ArgumentTypeError:
+            raise UsageError("%s must be an integer, got %s"
+                             % (ORDER_ENV, _echo(os.environ[ORDER_ENV])))
+    elif order is None:
+        order = EXTRACT_DEFAULT_ORDER if args.command == "extract" else SERIES_DEFAULT_ORDER
     if order < 1:
         raise UsageError("order must be at least 1")
-    if order > cap:
-        raise Refusal("order %d is beyond %s's cap of %d" % (order, command, cap))
     return order
+
+
+def _digits(value):
+    """The decimal digits of an int, within one, from its bit length: no str() of it."""
+    return (abs(value or 1).bit_length() * 1233 >> 12) + 1
+
+
+def _check_budget(args):
+    """A request's estimated (work, printed digits), or a Refusal before any work if the
+    work passes BUDGET or the digits Python's int-to-str limit.  At order or n = N, D the
+    digits of the rank, twist or class coefficients, the digits are 2N (D + 1) and the
+    work, stopped once past BUDGET: series N^4 (D + 1)^2 / 64; verify 128 N^4; oracle and
+    extract 2/3 (D + 15)^2 per step of width W, W the class terms plus 12 (Segre, Chern)
+    or 3N (a Verlinde Todd exp), times degree 2N, sum_(k <= N) p(k) partitions and two
+    directions per chart (the panel: two charts, six classes), plus 25 us a class term."""
+    n = min(args.n if args.command == "oracle" else args.order, BUDGET + 1)
+    if args.command == "verify":
+        digits, work = 0, 128 * n ** 4
+    elif args.command == "series":
+        digits = _digits(args.rank)
+        work = n ** 4 * (digits + 1) ** 2 // 64
+    else:
+        verlinde = args.kind == "verlinde"
+        if args.command == "oracle":
+            terms, passes = args.class_spec.count("("), 2 * len(get_surface(args.surface).charts)
+            size = max(_digits(args.r), *map(len, re.findall("[0-9]+", args.class_spec)))
+            digits = size + _digits(terms) - 1
+        else:
+            plus, passes, digits = max(args.rank, 1) + 1, 2, _digits(args.rank)
+            terms, size = (6, digits) if verlinde else (6 * (2 * plus - args.rank), 1)
+        step = passes * 2 * n * (3 * n if verlinde else terms + 12) * (size + 15) ** 2 * 2 // 3
+        p, work = [1], step + 25_000 * terms
+        while len(p) <= n and work <= BUDGET:  # p(k) by Euler's pentagonal recurrence
+            p.append(sum((-1) ** (j + 1) * p[-g] for j in range(1, len(p) + 1)
+                         for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= len(p)))
+            work += step * p[-1]
+    printed, limit = 2 * n * (digits + 1), getattr(sys, "get_int_max_str_digits", int)()
+    if work > BUDGET:
+        why = "estimated work above %d ns of CPU" % BUDGET
+    elif limit and printed > limit:
+        why = "printed numbers above %d digits" % limit
+    else:
+        return work, printed
+    raise Refusal("this %s request is beyond the cost budget (%s)" % (args.command, why))
 
 
 def _emit(text, path):
@@ -242,15 +256,13 @@ def _emit(text, path):
 
 
 def _cmd_series(args):
-    order = _resolve_order(args, "series", SERIES_DEFAULT_ORDER, SERIES_MAX_ORDER)
-    family = args.family
+    order, family = args.order, args.family
     config = {"command": "series", "family": family, "order": order,
               "format": args.format}
     if family in ("segreA", "chernA", "verlindeB"):
         if args.rank is None or args.index is None:
             raise UsageError("--rank and --index are required for family %s" % family)
-        config["rank"] = args.rank
-        config["index"] = args.index
+        config.update(rank=args.rank, index=args.index)
         lookup = {"segreA": catalog.segre_A, "chernA": catalog.chern_A,
                   "verlindeB": catalog.verlinde_B}[family]
         try:
@@ -273,16 +285,15 @@ def _cmd_series(args):
 
 
 def _cmd_verify(args):
-    order = _resolve_order(args, "verify", SERIES_DEFAULT_ORDER, VERIFY_MAX_ORDER)
     if args.suite == "all":
         names = None
     elif args.suite in verify.suite_names():
         names = [args.suite]
     else:
-        raise UsageError("unknown suite %r; choose from all, %s"
-                         % (args.suite, ", ".join(verify.suite_names())))
-    config = {"command": "verify", "suite": args.suite, "order": order}
-    reports = [report.to_dict() for report in verify.run_suite(names, order=order)]
+        raise UsageError("unknown suite %s; choose from all, %s"
+                         % (_echo(args.suite), ", ".join(verify.suite_names())))
+    config = {"command": "verify", "suite": args.suite, "order": args.order}
+    reports = [report.to_dict() for report in verify.run_suite(names, order=args.order)]
     lines = []
     for report in reports:
         line = "%-18s %s  (%d checks)" % (
@@ -296,21 +307,12 @@ def _cmd_verify(args):
 
 def _cmd_oracle(args):
     surface = get_surface(args.surface)
-    # counted in the text, before parse_class's int() can meet a huge coefficient
-    digits = max(map(len, re.findall("[0-9]+", args.class_spec)), default=0)
-    if digits > CLASS_MAX_DIGITS:
-        raise Refusal("--class has a coefficient of %d digits, beyond the class cap of %d "
-                      "digits" % (digits, CLASS_MAX_DIGITS))
     try:
         kclass = parse_class(surface, args.class_spec)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    if args.n > ORACLE_MAX_N:
-        raise Refusal("--n %d is beyond the oracle's cap of %d" % (args.n, ORACLE_MAX_N))
-    if args.kind == "verlinde" and args.r is not None:
-        _refuse_long_twist("--r", args.r)
     config = {"command": "oracle", "surface": surface.name,
               "class": kclass.spec(), "n": args.n, "kind": args.kind,
               "seed": args.seed}
@@ -334,18 +336,12 @@ def _cmd_oracle(args):
 
 
 def _cmd_extract(args):
-    order = _resolve_order(args, "extract", EXTRACT_DEFAULT_ORDER, EXTRACT_MAX_ORDER)
-    if args.kind == "segre" and abs(args.rank) > EXTRACT_MAX_RANK:
-        raise Refusal("--rank %d is beyond extract's Segre cap of |rank| <= %d"
-                      % (args.rank, EXTRACT_MAX_RANK))
-    if args.kind == "verlinde":
-        _refuse_long_twist("--rank", args.rank)
     config = {"command": "extract", "kind": args.kind, "rank": args.rank,
-              "order": order, "seed": args.seed}
+              "order": args.order, "seed": args.seed}
     panel = extraction.default_panel(args.kind, args.rank)
     predict = {"segre": extraction.predict_unknown,
                "verlinde": extraction.predict_verlinde}[args.kind]
-    report = predict(args.rank, order, panel)
+    report = predict(args.rank, args.order, panel)
     payload = {"series": report["series"]}
     if args.json is not None:  # the table prints neither the panel nor its exponents
         payload.update(
@@ -378,6 +374,9 @@ def main(argv=None):
         command = args.command
         handler = {"series": _cmd_series, "verify": _cmd_verify,
                    "oracle": _cmd_oracle, "extract": _cmd_extract}[command]
+        if command != "oracle":
+            args.order = _resolve_order(args)
+        _check_budget(args)
         code, config, payload, lines = handler(args)
         path = args.json if command != "series" else "-" if args.format == "json" else None
         if path is not None:

@@ -284,8 +284,8 @@ def parse_int(text):
 
 
 def _echo(text):
-    """repr(text) for an error message; past 80 characters, the CLI's class digit
-    cap, only its first 80 and its length, so a huge bad term cannot flood it."""
+    """repr(text) for an error message; past 80 characters only its first 80 and its
+    length, so a huge bad term or value cannot flood it."""
     if len(text) <= 80:
         return repr(text)
     return "%r... (%d characters)" % (text[:80], len(text))

@@ -529,18 +529,18 @@ def check_lagrange_burmann(f, g, order):
 
 
 def _lagrange_burmann_suite(order=15, cases=10, seed=20260815):
-    rng = random.Random(seed)
+    """Case c draws (f_k, g_k), f_0 := 1, from "seed/c": a prefix of itself at any higher order."""
     reports = []
     one = Series.one(order + 1, "w")
     reports.append(check_lagrange_burmann(one, one, order))
     w = Series.gen(order + 1, "w")
     reports.append(check_lagrange_burmann(1 + w, one, order))
-    for _ in range(cases):
-        f = Series([F(1)] + [F(rng.randint(-4, 4), rng.randint(1, 3))
-                             for _ in range(order + 1)], order + 1, "w")
-        g = Series([F(rng.randint(-4, 4), rng.randint(1, 3))
-                    for _ in range(order + 2)], order + 1, "w")
-        reports.append(check_lagrange_burmann(f, g, order))
+    for case in range(cases):
+        rng = random.Random("%d/%d" % (seed, case))
+        f, g = zip(*[[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in "fg"]
+                     for _ in range(order + 2)])
+        reports.append(check_lagrange_burmann(Series((F(1),) + f[1:], order + 1, "w"),
+                                              Series(g, order + 1, "w"), order))
     merged = _merge("lagrange_burmann", reports)
     merged.ranges = "order %d, %d random cases, seed %d" % (order, cases, seed)
     return merged

@@ -28,6 +28,21 @@ def run_usage_error(capsys, *argv):
     return info.value.code
 
 
+OVER_BUDGET = ("hilbseries: error: this %s request is beyond the cost budget (estimated work "
+               "above 10000000000 ns of CPU)\n")
+OVER_LIMIT = ("hilbseries: error: this %s request is beyond the cost budget (printed numbers "
+              "above 4300 digits)\n")
+
+
+def refused(capsys, argv):
+    """The stderr of a request refused with exit 2 and no stdout."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    return captured.err
+
+
 class TestSeries:
     def test_branch_coefficients(self, capsys):
         code, out = run(capsys, "series", "--family", "y", "--order", "5")
@@ -237,6 +252,135 @@ def test_the_table_read_equals_argparse(argv):
             assert vars(cli.build_parser().parse_args(argv)) == vars(args)
 
 
+# The cost budget over the four subcommands' argv grammar: integers of up to 4,000
+# digits, and now and then not ASCII, classes of up to 20,000 terms or of 5,001-digit
+# coefficients, long twists, a 5,000-character suite name, and orders from
+# HILBSERIES_ORDER, one of them past int()'s digit limit.
+def _int_values(low, high):
+    big = st.sampled_from([10 ** 6, 10 ** 80 - 1, 10 ** 300, 10 ** 3999]) | st.integers(
+        1, 4000).map(lambda digits: 10 ** digits - 1)
+    return st.integers(low, high) | (big | big.map(lambda value: -value) if low < 0 else big)
+
+
+@st.composite
+def budget_requests(draw):
+    """(argv, HILBSERIES_ORDER or None, whether the request is surely past the budget)."""
+    command = draw(st.sampled_from(cli._COMMANDS))
+    env = draw(st.none() | _int_values(1, 30).map(str) | st.sampled_from(["\u0663", HUGE]))
+    argv, values, digits, terms = [command], {}, 0, 1
+
+    def option(flag, value):
+        text = str(value)
+        if isinstance(value, int) and draw(st.integers(0, 9)) == 0:
+            text, value = "\u0663" + text, 0  # Arabic-Indic three: a usage error
+        argv.extend(draw(st.sampled_from([[flag + "=" + text], [flag, text]])))
+        values[flag] = value
+    if command == "series":
+        family = draw(st.sampled_from(["segreA", "verlindeB", "y"]))
+        option("--family", family)
+        if family != "y":
+            option("--rank", draw(_int_values(-5, 5)))
+            option("--index", 1)
+    elif command == "oracle":
+        surface = draw(st.sampled_from(["p2", "p1xp1", "f1"]))
+        kind = draw(st.sampled_from(["segre", "chern", "verlinde"]))
+        digits = draw(st.sampled_from([1, 3, 80, 2201, 5001]))
+        terms = 1 if kind == "verlinde" else draw(st.sampled_from(
+            [1, 2, 50] + [2000, 20000] * (digits < 100)))
+        term = "O(%s)" % ",".join(["9" * digits] + ["0"] * (surface != "p2"))
+        option("--surface", surface)
+        option("--class", "+".join([term] * terms))
+        option("--n", draw(_int_values(0, 30)))
+        option("--kind", kind)
+        if kind == "verlinde":
+            option("--r", draw(_int_values(-5, 5)))
+    elif command == "extract":
+        option("--kind", draw(st.sampled_from(["segre", "verlinde"])))
+        option("--rank", draw(_int_values(-70, 70)))
+    else:
+        option("--suite", draw(st.sampled_from(["all", "theta", "x" * 5000])))
+    if command != "oracle" and (env is None or draw(st.booleans())):
+        option("--order", draw(_int_values(1, 30)))
+    order = values.get("--order", int(env) if env and env.isascii() and env != HUGE else 0)
+    n, size = values.get("--n", 0), len(str(abs(values.get("--rank", values.get("--r", 0)))))
+    if command == "series":
+        over = order >= 2000 or size > 2200
+    elif command == "verify":
+        over = order >= 300
+    elif command == "oracle":
+        over = n >= 40 or n >= 1 and max(digits, size) > 2200 or n >= 20 and terms >= 2000
+    else:
+        over = order >= 60 or size > 2200 or (
+            values["--kind"] == "segre" and abs(values["--rank"]) >= 10 ** 7)
+    return argv, env, over
+
+
+@settings(max_examples=300, deadline=None)
+@given(request=budget_requests())
+def test_every_request_exits_two_or_reaches_work_within_the_budget(request):
+    argv, env, over = request
+    for name in loc.surface_names():  # each validates itself by a chart pass once
+        loc.get_surface(name)
+
+    def reach(*args, **kwargs):
+        raise _Reached()
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in [(loc, "_chart_pass"), (loc, "_chart_product"),
+                             (extraction, "default_panel"), (verify, "run_suite")] + [
+                (catalog, entry) for entry in ("segre_A", "chern_A", "verlinde_B",
+                                               "segre_rank2_branch", "verlinde_r3_branch")]:
+            patch.setattr(module, name, reach)
+        if env is None:
+            patch.delenv(cli.ORDER_ENV, raising=False)
+        else:
+            patch.setenv(cli.ORDER_ENV, env)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                cli.main(argv)
+                outcome = None
+            except SystemExit as exc:
+                outcome = exc.code
+            except _Reached:
+                outcome = "work"
+    # exit 2 with one error line, short before any fixed list of choices, after at most
+    # the parser's usage; or the work reached, which a request surely past the budget
+    # never does
+    lines = err.getvalue().splitlines()
+    assert outcome == 2 or outcome == "work" and not over and not lines
+    assert len(lines) <= 4
+    assert all(len(line.partition("; choose from")[0].encode()) < 200 for line in lines[-1:])
+
+
+def test_the_estimate_grows_with_each_input():
+    # the work _check_budget estimates never falls as n, the order, the class terms or the
+    # digits grow, until the budget refuses the request
+    def work(argv):
+        args = cli._read(argv)
+        if args.command != "oracle":
+            args.order = cli._resolve_order(args)
+        try:
+            return cli._check_budget(args)[0]
+        except cli.Refusal:
+            return cli.BUDGET + 1
+
+    rows = [[work(["oracle", "--surface=p1xp1", "--class=" + "+".join(["O(1,%s)" % size] * terms),
+                   "--n=%d" % n, "--kind=segre"]) for n in range(30)]
+            for terms in (1, 2, 50) for size in ("0", "9" * 20, "9" * 60)]
+    rows += [[work(["oracle", "--surface=p2", "--class=O(1)", "--n=%d" % n, "--kind=verlinde",
+                    "--r=%d" % r]) for n in range(30)] for r in (3, 10 ** 20)]
+    rows += [[work([command, "--order=%d" % order] + flags) for order in range(1, 1000, 7)]
+             for command, flags in (("verify", []), ("series", ["--family=y"]),
+                                    ("series", ["--family=segreA", "--rank=10000", "--index=1"]),
+                                    ("extract", ["--rank=64"]), ("extract", ["--kind=verlinde",
+                                                                             "--rank=3"]))]
+    for row in rows:
+        assert row == sorted(row) and row[-1] == cli.BUDGET + 1
+    for column in zip(*rows[:9]):  # terms, then digits, at each n
+        assert list(column[::3]) == sorted(column[::3]) and list(column[:3]) == sorted(column[:3])
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "--suite", "theta", "--order", "6")
@@ -350,44 +494,41 @@ class TestOracle:
         assert "expected one argument" in captured.err
 
     def test_n_beyond_the_draw_box_exits_two_quickly(self, capsys, monkeypatch):
-        # every n above ORACLE_MAX_N is refused before any oracle work
+        # an n past the budget is refused before any oracle work, however large: the
+        # estimate stops once it passes BUDGET
         def refuse(*args):
-            raise AssertionError("oracle work for n beyond the cap")
+            raise AssertionError("oracle work for an n beyond the budget")
 
         for name in loc.surface_names():  # each validates itself by a chart pass once
             loc.get_surface(name)
         monkeypatch.setattr(loc, "_chart_pass", refuse)
         started = time.perf_counter()
-        for n in (cli.ORACLE_MAX_N + 1, 30, 10 ** 6):
+        for n in (30, 10 ** 6, 10 ** 4000):
             for name, spec in (("p2", "O(1)"), ("p1xp1", "O(1,0)"), ("f1", "O(0,1)")):
                 for kind in ("segre", "chern", "verlinde"):
                     argv = ["oracle", "--surface", name, "--class", spec, "--n", str(n),
                             "--kind", kind] + ["--r", "2"] * (kind == "verlinde")
-                    with pytest.raises(SystemExit) as info:
-                        cli.main(argv)
-                    captured = capsys.readouterr()
-                    assert info.value.code == 2
-                    assert captured.out == ""
-                    assert captured.err.splitlines() == [
-                        "hilbseries: error: --n %d is beyond the oracle's cap of 24" % n]
-        assert time.perf_counter() - started < 5
+                    assert refused(capsys, argv) == OVER_BUDGET % "oracle"
+        assert time.perf_counter() - started < 1
 
     @pytest.mark.parametrize("kind", ["segre", "chern", "verlinde"])
     def test_the_oracle_cap_answers_its_own_n(self, capsys, monkeypatch, kind):
-        # n = ORACLE_MAX_N reaches the oracle, whose value here is a stand-in
+        # n = 20 is within the budget on every surface, and reaches the oracle, whose
+        # value here is a stand-in
         monkeypatch.setattr(cli, kind + ("_chi" if kind == "verlinde" else "_integral"),
                             lambda kclass, *args: 7 + args[-1])
-        argv = ["oracle", "--surface", "p2", "--class", "O(1)", "--n", "24", "--kind", kind]
-        code, out = run(capsys, *argv + ["--r", "2"] * (kind == "verlinde"))
-        assert (cli.ORACLE_MAX_N, code, out.splitlines()[-1]) == (24, 0, "31/1")
+        for name, spec in (("p2", "O(1)"), ("p1xp1", "O(1,0)"), ("f1", "O(1,1)")):
+            argv = ["oracle", "--surface", name, "--class", spec, "--n", "20", "--kind", kind]
+            code, out = run(capsys, *argv + ["--r", "3"] * (kind == "verlinde"))
+            assert (code, out.splitlines()[-1]) == (0, "27/1")
 
     @pytest.mark.parametrize("kind", ["segre", "verlinde"])
     def test_extract_beyond_the_draw_box_exits_two_before_any_oracle_work(
             self, capsys, monkeypatch, kind):
-        # an order above EXTRACT_MAX_ORDER, given or from HILBSERIES_ORDER, is
-        # refused before any oracle work; the cap itself is answered
+        # an order past the budget, given or from HILBSERIES_ORDER, is refused before
+        # any oracle work; orders 16 and 20 are answered
         def refuse(*args):
-            raise AssertionError("oracle work for an order beyond the cap")
+            raise AssertionError("oracle work for an order beyond the budget")
 
         for name in loc.surface_names():  # each validates itself by a chart pass once
             loc.get_surface(name)
@@ -395,48 +536,38 @@ class TestOracle:
         monkeypatch.setattr(loc, "_chart_product", refuse)
         monkeypatch.delenv(cli.ORDER_ENV, raising=False)
         started = time.perf_counter()
-        for order, env in ((17, None), (40, None), (None, "17")):
+        for order, env in ((40, None), (10 ** 6, None), (10 ** 4000, None), (None, "40")):
             if env is not None:
                 monkeypatch.setenv(cli.ORDER_ENV, env)
-            with pytest.raises(SystemExit) as info:
-                cli.main(["extract", "--kind", kind, "--rank", "1"]
-                         + ["--order", str(order)] * (order is not None))
-            captured = capsys.readouterr()
-            assert info.value.code == 2
-            assert captured.out == ""
-            assert captured.err.splitlines() == [
-                "hilbseries: error: order %d is beyond extract's cap of 16" % (order or 17)]
-        assert time.perf_counter() - started < 10
+            argv = (["extract", "--kind", kind, "--rank", "1"]
+                    + ["--order", str(order)] * (order is not None))
+            assert refused(capsys, argv) == OVER_BUDGET % "extract"
+        assert time.perf_counter() - started < 1
         monkeypatch.setattr(cli.extraction, "predict_" + {"segre": "unknown",
                                                           "verlinde": "verlinde"}[kind],
                             lambda param, order, panel: {"series": []})
-        assert run(capsys, "extract", "--kind", kind, "--rank", "1", "--order", "16") == \
-            (0, "# hilbseries command=extract kind=%s order=16 rank=1 seed=20260815\n" % kind)
+        for order in ("16", "20"):
+            assert run(capsys, "extract", "--kind", kind, "--rank", "1", "--order", order) == (
+                0, "# hilbseries command=extract kind=%s order=%s rank=1 seed=20260815\n"
+                % (kind, order))
 
     def test_extract_beyond_the_rank_cap_exits_two_before_any_panel(self, capsys, monkeypatch):
-        # a Segre |rank| above EXTRACT_MAX_RANK is refused before a panel is built or the
-        # oracle runs; the cap itself is answered, and a Verlinde twist has no rank cap
+        # a Segre rank whose panel classes, about |rank| terms each, pass the budget is
+        # refused before a panel is built or the oracle runs; a Verlinde panel is three
+        # line bundles whatever the twist
         def refuse(*args):
-            raise AssertionError("panel or oracle work for a rank beyond the cap")
+            raise AssertionError("panel or oracle work for a rank beyond the budget")
 
         monkeypatch.setattr(loc, "_chart_product", refuse)
         monkeypatch.setattr(cli.extraction, "default_panel", refuse)
         monkeypatch.delenv(cli.ORDER_ENV, raising=False)
         started = time.perf_counter()
-        for rank, flags in ((65, ["--rank", "65"]), (-65, ["--rank=-65"]),
-                            (10 ** 7, ["--rank", "10000000"])):
-            with pytest.raises(SystemExit) as info:
-                cli.main(["extract", *flags])
-            captured = capsys.readouterr()
-            assert info.value.code == 2
-            assert captured.out == ""
-            assert captured.err.splitlines() == [
-                "hilbseries: error: --rank %d is beyond extract's Segre cap of |rank| <= 64"
-                % rank]
-        assert time.perf_counter() - started < 5
+        for flags in (["--rank", "1000000"], ["--rank=-1000000"], ["--rank=%d" % 10 ** 4000],
+                      ["--rank", "1000", "--order", "16"]):
+            assert refused(capsys, ["extract", *flags]) == OVER_BUDGET % "extract"
+        assert time.perf_counter() - started < 1
         monkeypatch.undo()
-        assert cli.EXTRACT_MAX_RANK == 64
-        for flag in ("--rank=64", "--rank=-64"):
+        for flag in ("--rank=64", "--rank=-64", "--rank=65"):
             code, out = run(capsys, "extract", flag, "--order", "1")
             assert code == 0
             assert out.splitlines()[1:] == [
@@ -451,11 +582,11 @@ class TestOracle:
 
     def test_a_twist_beyond_the_digit_cap_exits_two_before_any_oracle_work(
             self, capsys, monkeypatch):
-        # a Verlinde twist of more than VERLINDE_MAX_TWIST_DIGITS digits, whose values
-        # would pass Python's int-to-str limit only after all the work, is refused at
-        # once by oracle --r and extract --rank; 80 digits are answered
+        # a Verlinde twist whose digits put the work past the budget, or the printed
+        # values past Python's int-to-str limit, is refused at once by oracle --r and
+        # extract --rank; 80 digits at n = 2 or order 1 are answered
         def refuse(*args):
-            raise AssertionError("panel or oracle work for a twist beyond the cap")
+            raise AssertionError("panel or oracle work for a twist beyond the budget")
 
         loc.get_surface("p2")  # validates itself by a chart pass once
         monkeypatch.setattr(loc, "_shapes", refuse)
@@ -463,23 +594,16 @@ class TestOracle:
         monkeypatch.setattr(cli.extraction, "default_panel", refuse)
         monkeypatch.delenv(cli.ORDER_ENV, raising=False)
         started = time.perf_counter()
-        for twist, digits in ((10 ** 80, 81), (-10 ** 80, 81), (10 ** 300, 301)):
-            for argv, option in (
-                    (["oracle", "--surface", "p2", "--class", "O(1)", "--n", "16",
-                      "--kind", "verlinde", "--r=%d" % twist], "--r"),
-                    (["extract", "--kind", "verlinde", "--rank=%d" % twist, "--order", "16"],
-                     "--rank")):
-                with pytest.raises(SystemExit) as info:
-                    cli.main(argv)
-                captured = capsys.readouterr()
-                assert info.value.code == 2
-                assert captured.out == ""
-                assert captured.err.splitlines() == [
-                    "hilbseries: error: %s has %d digits, beyond the Verlinde twist cap of 80 "
-                    "digits" % (option, digits)]
-        assert time.perf_counter() - started < 5
+        for twist, n, message in ((10 ** 80, 16, OVER_BUDGET), (-10 ** 80, 16, OVER_BUDGET),
+                                  (10 ** 300, 16, OVER_BUDGET), (10 ** 3999, 1, OVER_LIMIT)):
+            for command, argv in (
+                    ("oracle", ["oracle", "--surface", "p2", "--class", "O(1)", "--n", str(n),
+                                "--kind", "verlinde", "--r=%d" % twist]),
+                    ("extract", ["extract", "--kind", "verlinde", "--rank=%d" % twist,
+                                 "--order", str(n)])):
+                assert refused(capsys, argv) == message % command
+        assert time.perf_counter() - started < 1
         monkeypatch.undo()
-        assert cli.VERLINDE_MAX_TWIST_DIGITS == 80
         line = loc.parse_class(loc.get_surface("p2"), "O(1)")
         for twist in (10 ** 80 - 1, 1 - 10 ** 80):
             code, out = run(capsys, "oracle", "--surface", "p2", "--class", "O(1)", "--n", "2",
@@ -491,30 +615,24 @@ class TestOracle:
 
     def test_a_class_coefficient_beyond_the_digit_cap_exits_two_before_any_oracle_work(
             self, capsys, monkeypatch):
-        # a --class coefficient of more than CLASS_MAX_DIGITS digits in its text, whose
-        # values would pass Python's int-to-str limit only after all the work, is
-        # refused at once; 80 digits are answered
+        # a --class whose coefficients' digits, counted in its text, put the work past the
+        # budget or the printed value past Python's int-to-str limit is refused at once;
+        # 80 digits at n = 1 are answered
         def refuse(*args):
-            raise AssertionError("oracle work for a coefficient beyond the cap")
+            raise AssertionError("oracle work for a coefficient beyond the budget")
 
         for name in ("segre_integral", "chern_integral", "verlinde_chi"):
             monkeypatch.setattr(cli, name, refuse)
         started = time.perf_counter()
-        for surface, spec, kind, digits in (
-                ("p2", "O(1%s)" % ("0" * 2200), "segre", 2201),
-                ("p2", "O(1)-O(%d)" % 10 ** 80, "chern", 81),
-                ("f1", "O(1,-%s1)" % ("0" * 80), "verlinde", 81)):
-            with pytest.raises(SystemExit) as info:
-                cli.main(["oracle", "--surface", surface, "--class", spec, "--n", "1",
-                          "--kind", kind] + ["--r", "2"] * (kind == "verlinde"))
-            captured = capsys.readouterr()
-            assert (info.value.code, captured.out) == (2, "")
-            assert captured.err.splitlines() == [
-                "hilbseries: error: --class has a coefficient of %d digits, beyond the class "
-                "cap of 80 digits" % digits]
-        assert time.perf_counter() - started < 5
+        for surface, spec, kind, n, message in (
+                ("p2", "O(1%s)" % ("0" * 2200), "segre", 1, OVER_LIMIT),
+                ("p2", "O(1)-O(%d)" % 10 ** 80, "chern", 20, OVER_BUDGET),
+                ("f1", "O(1,-%s1)" % ("0" * 80), "verlinde", 20, OVER_BUDGET)):
+            argv = (["oracle", "--surface", surface, "--class", spec, "--n", str(n),
+                     "--kind", kind] + ["--r", "2"] * (kind == "verlinde"))
+            assert refused(capsys, argv) == message % "oracle"
+        assert time.perf_counter() - started < 1
         monkeypatch.undo()
-        assert cli.CLASS_MAX_DIGITS == 80
         p2 = loc.get_surface("p2")
         for spec in ("O(%d)" % (10 ** 80 - 1), "O(-%d)+O(1)" % (10 ** 79)):
             code, out = run(capsys, "oracle", "--surface", "p2", "--class", spec, "--n", "1",
@@ -523,16 +641,12 @@ class TestOracle:
             assert (code, out.splitlines()[-1]) == (0, "%d/1" % value)
 
     def test_a_huge_bad_coefficient_gets_the_cap_message_not_its_echo(self, capsys):
-        # past int()'s 4,300 digits parse_class cannot read the term; the cap is
-        # counted in the text first, so its short message shows, not the whole term
-        with pytest.raises(SystemExit) as info:
-            cli.main(["oracle", "--surface", "p2", "--class", "O(1%s)" % ("0" * 5000),
-                      "--n", "1", "--kind", "segre"])
-        captured = capsys.readouterr()
-        assert (info.value.code, captured.out) == (2, "")
-        assert captured.err == ("hilbseries: error: --class has a coefficient of 5001 digits, "
-                                "beyond the class cap of 80 digits\n")
-        assert len(captured.err.encode()) < 200
+        # past int()'s 4,300 digits parse_class cannot read the term; the budget counts
+        # the digits in the text first, so its short message shows, not the whole term
+        err = refused(capsys, ["oracle", "--surface", "p2", "--class", "O(1%s)" % ("0" * 5000),
+                               "--n", "1", "--kind", "segre"])
+        assert err == OVER_LIMIT % "oracle"
+        assert len(err.encode()) < 200
 
     def test_an_eighty_digit_coefficient_is_answered(self, capsys):
         spec = "O(%d)" % (10 ** 80 - 7)
@@ -578,9 +692,9 @@ class _Reached(Exception):
                                   "series --family y", "series --family Y",
                                   "verify --suite all", "verify --suite fgh"])
 def test_an_order_beyond_the_cap_exits_two_before_any_work(capsys, monkeypatch, argv):
-    # series and verify refuse an order above SERIES_MAX_ORDER or VERIFY_MAX_ORDER,
-    # given or from HILBSERIES_ORDER, before any catalog or check work; the cap
-    # itself reaches that work, here a stand-in that stops with the order it got
+    # series and verify refuse an order past the budget, given or from HILBSERIES_ORDER,
+    # before any catalog or check work; series at 280 and verify at 80 reach that work,
+    # here a stand-in that stops with the order it got
     def reach(*args, order=None):
         raise _Reached(args[-1] if order is None else order)
 
@@ -590,23 +704,17 @@ def test_an_order_beyond_the_cap_exits_two_before_any_work(capsys, monkeypatch, 
     monkeypatch.setattr(verify, "run_suite", reach)
     monkeypatch.delenv(cli.ORDER_ENV, raising=False)
     command = argv.split()[0]
-    cap = {"series": cli.SERIES_MAX_ORDER, "verify": cli.VERIFY_MAX_ORDER}[command]
-    assert (cli.SERIES_MAX_ORDER, cli.VERIFY_MAX_ORDER) == (280, 56)
-    for order, env in ((cap + 1, None), (10 ** 6, None), (None, str(cap + 1))):
+    over, within = {"series": (1000, 280), "verify": (200, 80)}[command]
+    for order, env in ((over, None), (10 ** 6, None), (10 ** 4000, None), (None, str(over))):
         if env is not None:
             monkeypatch.setenv(cli.ORDER_ENV, env)
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv.split() + ["--order", str(order)] * (order is not None))
-        captured = capsys.readouterr()
-        assert (info.value.code, captured.out) == (2, "")
-        assert captured.err.splitlines() == [
-            "hilbseries: error: order %d is beyond %s's cap of %d" % (order or cap + 1,
-                                                                     command, cap)]
-    for flags in (["--order", str(cap)], []):  # the second reads HILBSERIES_ORDER
-        monkeypatch.setenv(cli.ORDER_ENV, str(cap))
+        err = refused(capsys, argv.split() + ["--order", str(order)] * (order is not None))
+        assert err == OVER_BUDGET % command
+    for flags in (["--order", str(within)], []):  # the second reads HILBSERIES_ORDER
+        monkeypatch.setenv(cli.ORDER_ENV, str(within))
         with pytest.raises(_Reached) as info:
             cli.main(argv.split() + flags)
-        assert info.value.args == (cap,)
+        assert info.value.args == (within,)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1281,6 +1389,17 @@ usage: hilbseries oracle [-h] --surface {f1,p1xp1,p2} --class CLASS_SPEC --n N
                          --kind {segre,chern,verlinde} [--r R] [--seed SEED]
                          [--json [PATH]]
 """
+# extract at rank 65, past the old fixed rank cap of 64, as the library computes it at
+# the commit before the cost budget
+EXTRACT_RANK65 = """\
+# hilbseries command=extract kind=segre order=4 rank=65 seed=20260815
+A0 [proven]: 1/1, -1/1, 2212/1, -9733560/1, 57033422304/1  (matches reference through order 4)
+A1 [proven]: 1/1, 1/1, -6633/2, 38914337/2, -1140069324757/8  (matches reference through order 4)
+A2 [proven]: 1/1, 0/1, 4886310/1, -56983955600/1, 620371840095150/1  (matches reference through \
+order 4)
+A3 [conjectural]: 1/1, 0/1, -98021/2, 548210080/1, -45338024670125/8
+A4 [conjectural]: 1/1, 0/1, -814385/1, 11506397760/1, -138227531400530/1
+"""
 USAGE_TEXTS = [
     ("--help", 0, TOP_USAGE + """\
 
@@ -1406,8 +1525,16 @@ options:
      TOP_USAGE + "hilbseries: error: --n must be nonnegative\n"),
     ("oracle --surface=p2 --class=O(1,2) --n=1 --kind=segre", 2, "",
      TOP_USAGE + "hilbseries: error: surface p2 expects 1-parameter classes, got 'O(1,2)'\n"),
-    ("extract --rank=65", 2, "",
-     "hilbseries: error: --rank 65 is beyond extract's Segre cap of |rank| <= 64\n"),
+    ("extract --rank=65", 0, EXTRACT_RANK65, ""),
+    # requests the cost budget refuses before any work: a 2,000-term class, whose Segre
+    # steps run over every term, a Verlinde twist of 80 digits at n = 24, and a rank
+    # whose order-250 coefficients would pass Python's int-to-str limit
+    pytest.param("oracle --surface=p2 --class=%s --n=20 --kind=segre" % "+".join(["O(1)"] * 2000),
+                 2, "", OVER_BUDGET % "oracle", id="oracle --class=<2,000 terms> --n=20"),
+    ("oracle --surface p1xp1 --class O(1,0) --n 24 --kind verlinde --r=-%d" % (10 ** 80 - 1),
+     2, "", OVER_BUDGET % "oracle"),
+    ("series --family segreA --rank 10000000000 --index 1 --order 250", 2, "",
+     OVER_LIMIT % "series"),
     ("oracle --surface=p2 --class=O(1) --n=1 --kind=segre --json=no/such/dir/out.json", 2, "",
      "hilbseries: error: cannot write no/such/dir/out.json: No such file or directory\n"),
     # forms the option table declines, which the full parser reads or reports: one
