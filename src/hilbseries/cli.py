@@ -208,22 +208,25 @@ def _digits(value):
 def _check_budget(args):
     """A request's estimated (work, printed digits), or a Refusal before any work if the
     work passes BUDGET or the digits Python's int-to-str limit.  At order or n = N, D the
-    digits of the rank, twist or class coefficients, the digits are 2N (D + 1) and the
-    work, stopped once past BUDGET: series N^4 (D + 1)^2 / 64; verify 128 N^4; oracle and
-    extract 2/3 (D + 15)^2 per step of width W, W the class terms plus 12 (Segre, Chern)
-    or 3N (a Verlinde Todd exp), times degree 2N, sum_(k <= N) p(k) partitions and two
+    digits of the rank, twist or class coefficients, the digits are N (2 log10 |rank| +
+    3/2) for series, from the rank's bit length, else 2N (D + 1), and the work, stopped
+    once past BUDGET: series N^4 (D + 1)^2 / 64; verify 128 N^4; oracle and extract
+    2/3 (D + 15)^2 per step of width W, W the class terms plus 12 (Segre, Chern) or 3N
+    (a Verlinde Todd exp), times degree 2N, sum_(k <= N) p(k) partitions and two
     directions per chart (the panel: two charts, six classes), plus 25 us a class term."""
     n = min(args.n if args.command == "oracle" else args.order, BUDGET + 1)
     if args.command == "verify":
-        digits, work = 0, 128 * n ** 4
+        printed, work = 0, 128 * n ** 4
     elif args.command == "series":
-        digits = _digits(args.rank)
-        work = n ** 4 * (digits + 1) ** 2 // 64
+        rank = None if args.family in ("y", "Y") else args.rank  # a branch takes no rank
+        printed = n * (abs(rank or 1).bit_length() * 1233 + 3072) >> 11
+        work = n ** 4 * (_digits(rank) + 1) ** 2 // 64
     else:
         verlinde = args.kind == "verlinde"
         if args.command == "oracle":
             terms, passes = args.class_spec.count("("), 2 * len(get_surface(args.surface).charts)
-            size = max(_digits(args.r), *map(len, re.findall("[0-9]+", args.class_spec)))
+            size = max([_digits(args.r) if verlinde else 1,
+                        *map(len, re.findall("[0-9]+", args.class_spec))])
             digits = size + _digits(terms) - 1
         else:
             plus, passes, digits = max(args.rank, 1) + 1, 2, _digits(args.rank)
@@ -234,7 +237,8 @@ def _check_budget(args):
             p.append(sum((-1) ** (j + 1) * p[-g] for j in range(1, len(p) + 1)
                          for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= len(p)))
             work += step * p[-1]
-    printed, limit = 2 * n * (digits + 1), getattr(sys, "get_int_max_str_digits", int)()
+        printed = 2 * n * (digits + 1)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     if work > BUDGET:
         why = "estimated work above %d ns of CPU" % BUDGET
     elif limit and printed > limit:
@@ -256,13 +260,15 @@ def _emit(text, path):
 
 
 def _cmd_series(args):
-    order, family = args.order, args.family
+    order = args.order
+    family = args.family
     config = {"command": "series", "family": family, "order": order,
               "format": args.format}
     if family in ("segreA", "chernA", "verlindeB"):
         if args.rank is None or args.index is None:
             raise UsageError("--rank and --index are required for family %s" % family)
-        config.update(rank=args.rank, index=args.index)
+        config["rank"] = args.rank
+        config["index"] = args.index
         lookup = {"segreA": catalog.segre_A, "chernA": catalog.chern_A,
                   "verlindeB": catalog.verlinde_B}[family]
         try:

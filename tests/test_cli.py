@@ -284,10 +284,10 @@ def budget_requests(draw):
     elif command == "oracle":
         surface = draw(st.sampled_from(["p2", "p1xp1", "f1"]))
         kind = draw(st.sampled_from(["segre", "chern", "verlinde"]))
-        digits = draw(st.sampled_from([1, 3, 80, 2201, 5001]))
+        digits = draw(st.sampled_from([0, 1, 3, 80, 2201, 5001]))  # 0: a bad term "O(x)"
         terms = 1 if kind == "verlinde" else draw(st.sampled_from(
-            [1, 2, 50] + [2000, 20000] * (digits < 100)))
-        term = "O(%s)" % ",".join(["9" * digits] + ["0"] * (surface != "p2"))
+            [0, 1, 2, 50] + [2000, 20000] * (digits < 100)))
+        term = "O(%s)" % ",".join(["9" * digits or "x"] + ["0"] * (surface != "p2"))
         option("--surface", surface)
         option("--class", "+".join([term] * terms))
         option("--n", draw(_int_values(0, 30)))
@@ -454,6 +454,17 @@ class TestOracle:
     def test_twist_rejected_for_segre(self, capsys):
         assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
                                "O(2)", "--n", "1", "--kind", "segre", "--r", "1") == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--surface=p2", "--class=O(2)", "--n=1", "--kind=segre"],
+         "--r only applies to kind verlinde"),
+        (["series", "--family=y"], "--rank/--index do not apply to branch family y")])
+    def test_a_long_misplaced_twist_is_a_usage_error_not_over_budget(
+            self, capsys, argv, message):
+        # the budget counts a twist or rank only where the command reads it
+        flag = "--r" if argv[0] == "oracle" else "--rank"
+        err = refused(capsys, argv + ["%s=%d" % (flag, 10 ** 3999)])
+        assert err == TOP_USAGE + "hilbseries: error: %s\n" % message
 
     def test_malformed_class_is_usage_error(self, capsys):
         assert run_usage_error(capsys, "oracle", "--surface", "p2", "--class",
@@ -658,7 +669,10 @@ class TestOracle:
     @pytest.mark.parametrize("spec, message", [
         ("O(1_0)", "bad integers in term 'O(1_0)'"),
         ("O(1)O(2)", "cannot parse class spec 'O(1)O(2)' at 'O(2)'"),
-        ("O(1, -2)", "surface p2 expects 1-parameter classes, got 'O(1, -2)'")])
+        ("O(1, -2)", "surface p2 expects 1-parameter classes, got 'O(1, -2)'"),
+        ("O(x)", "bad integers in term 'O(x)'"),
+        ("foo", "cannot parse class spec 'foo' at 'foo'"),
+        ("", "a class needs at least one term")])
     def test_a_short_bad_term_is_echoed_whole(self, capsys, spec, message):
         # bytes as printed before long terms were cut
         with pytest.raises(SystemExit) as info:
@@ -1304,10 +1318,12 @@ def test_golden_stdout(capsys, monkeypatch, argv, expected):
 # factor, a Chern product and a Serre-inverted Verlinde factor.  At order 200:
 # the mean-root factors at rank 1 and at twists 2 and -2, and the rank -3 factor
 # transported from them, whose digests come from the commit before powers, logs
-# and compositions became one integer recurrence each.  At the series cap, 280:
-# A1 at rank 4, A0 at rank 2 and B1 at twist -3, each a substituted log's exp,
-# whose digests come from the commit before the exp ran at the denominator of
-# its exponent's derivative.
+# and compositions became one integer recurrence each.  At order 280, the old
+# series cap: A1 at rank 4, A0 at rank 2 and B1 at twist -3, each a substituted
+# log's exp, whose digests come from the commit before the exp ran at the
+# denominator of its exponent's derivative; and A1 at rank 10^6 and B2 at twist
+# -10^6, whose numbers of about 3,500 digits the budget's digit estimate must let
+# through, with digests from the commit before the budget.
 DEEP_SERIES_SHA256 = {
     "series --family=segreA --rank=2 --index=4 --order=60":
         "76585e28f7af2a648da8d7904fe31ca45247490cbe233f4fc66f5b300eecb664",
@@ -1335,6 +1351,10 @@ DEEP_SERIES_SHA256 = {
         "817f4ec77cdef6be9cfec1df26aa9495392dcc98d752db603d25ebc5d3798e17",
     "series --family=verlindeB --rank=-3 --index=1 --order=280":
         "6b68c6517cb697f4e36fd99894381a0dd23084ce54d48e288d441285eb38ad96",
+    "series --family=segreA --rank=1000000 --index=1 --order=280":
+        "1c068c5ec03bd49be5b2016b65ea35f5be2fa488104f301f80b44ab180bb9ccb",
+    "series --family=verlindeB --rank=-1000000 --index=2 --order=280":
+        "d47a1a8216b11ab4e48d6af5a0910827b93f52d9b6e9952132a9da513953f515",
 }
 
 
