@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from math import lcm
 
-from .series import Series, solve_algebraic
+from .series import ConstantTermError, Series, exp_numerators, solve_algebraic
 
 __all__ = [
     "PROVEN",
@@ -313,7 +313,10 @@ class _Logs:
         for e, log in terms:
             scale = e.numerator * (den // (e.denominator * log.den))
             nums = [a + scale * b for a, b in zip(nums, log.nums)]
-        return Series._over(den, nums, self.var).exp()
+        if nums[0]:  # Series.exp's check
+            raise ConstantTermError("exp needs constant term 0, got %s" % F(nums[0], den))
+        e = exp_numerators(nums, den, self.order)
+        return Series._over(e[0], e, self.var)
 
 
 class _SegreLogs(_Logs):

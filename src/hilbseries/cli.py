@@ -113,9 +113,24 @@ _COMMANDS = tuple(name for name, _, _ in _SUBCOMMANDS)
 _OPTIONS = {name: dict(options) for name, _, options in _SUBCOMMANDS}
 
 
+_ECHOED = re.compile(
+    r"((?:argument \S+: )?(?:invalid choice|ignored explicit argument|unrecognized arguments|"
+    r"ambiguous option):? )(['\"]?)(.*?)\2(?= \(choose| could|$)", re.S)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's error, with the value or words it echoes past 40 characters cut by
+        _echo, so that the line stays under 200 bytes."""
+        match = _ECHOED.match(message)
+        if match and len(match[3]) > 40:
+            message = match[1] + _echo(match[3], 40) + message[match.end():]
+        super().error(message)
+
+
 def build_parser():
     """The parser of every subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbseries",
         description="Universal tautological-integral series over Hilbert "
                     "schemes of surface points, with a toric fixed-point oracle.")
@@ -211,9 +226,10 @@ def _check_budget(args):
     digits of the rank, twist or class coefficients, the digits are N (2 log10 |rank| +
     3/2) for series, from the rank's bit length, else 2N (D + 1), and the work, stopped
     once past BUDGET: series N^4 (D + 1)^2 / 64; verify 128 N^4; oracle and extract
-    2/3 (D + 15)^2 per step of width W, W the class terms plus 12 (Segre, Chern) or 3N
-    (a Verlinde Todd exp), times degree 2N, sum_(k <= N) p(k) partitions and two
-    directions per chart (the panel: two charts, six classes), plus 25 us a class term."""
+    2/3 (D + 15)^2 per step of width W, W the class terms plus 12 (Segre), 3N (a Verlinde
+    Todd exp) or twice the terms plus 12, or 6 with no minus term (Chern), times degree
+    2N, sum_(k <= N) p(k) partitions and two directions per chart (the panel: two
+    charts, six classes), plus 25 us a class term."""
     n = min(args.n if args.command == "oracle" else args.order, BUDGET + 1)
     if args.command == "verify":
         printed, work = 0, 128 * n ** 4
@@ -231,7 +247,10 @@ def _check_budget(args):
         else:
             plus, passes, digits = max(args.rank, 1) + 1, 2, _digits(args.rank)
             terms, size = (6, digits) if verlinde else (6 * (2 * plus - args.rank), 1)
-        step = passes * 2 * n * (3 * n if verlinde else terms + 12) * (size + 15) ** 2 * 2 // 3
+        width = 3 * n if verlinde else terms + 12
+        if args.kind == "chern":  # c(E) = s(-E) divides by 1 + ku at E's minus terms only
+            width = 2 * terms + (12 if re.search(r"-\s*O", args.class_spec) else 6)
+        step = passes * 2 * n * width * (size + 15) ** 2 * 2 // 3
         p, work = [1], step + 25_000 * terms
         while len(p) <= n and work <= BUDGET:  # p(k) by Euler's pentagonal recurrence
             p.append(sum((-1) ** (j + 1) * p[-g] for j in range(1, len(p) + 1)

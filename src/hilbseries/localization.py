@@ -283,12 +283,12 @@ def parse_int(text):
     return int(text)
 
 
-def _echo(text):
-    """repr(text) for an error message; past 80 characters only its first 80 and its
-    length, so a huge bad term or value cannot flood it."""
-    if len(text) <= 80:
+def _echo(text, width=80):
+    """repr(text) for an error message; past ``width`` characters only its first ``width``
+    and its length, so a huge bad term or value cannot flood it."""
+    if len(text) <= width:
         return repr(text)
-    return "%r... (%d characters)" % (text[:80], len(text))
+    return "%r... (%d characters)" % (text[:width], len(text))
 
 
 def parse_class(surface, text):

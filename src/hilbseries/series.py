@@ -489,7 +489,7 @@ def solve_algebraic(relation, order, var="t"):
     terms = [(row[j], powers[i], j) for i, row in enumerate(rows)
              for j in range(order + 1) if row[j] and (i, j) != (1, 0)]
     for n in range(1, order + 1):
-        for low, high in zip(powers[1:], powers[2:]):
+        for low, high in zip(powers[1:n], powers[2:n + 1]):  # Y^i is O(s^i)
             high[n] = sum(map(mul, y[1:n], low[n - 1:0:-1]))
         y[n] = -sum(a * power[n - j] for a, power, j in terms if j <= n)
     residual = rows[-1]

@@ -163,12 +163,23 @@ def _comb(a, k):
     return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
 
 
-def _residue(d, chi, r, n, c):
-    """[t^n] (1+ct)^d (1+rt)^e, e = chi-rn-d: the integer sum over i of
-    C(d,i) c^i C(e,n-i) r^(n-i), where C(d,i) = 0 for i > d >= 0."""
-    e = chi - r * n - d
-    return sum(_comb(d, i) * c ** i * _comb(e, n - i) * r ** (n - i)
-               for i in range(n + 1 if d < 0 else min(n, d) + 1))
+def _combs(uppers, k):
+    """[_comb(a, k) for a in uppers] as one list over math.comb; C(a, k) = 0 if k < 0."""
+    if k < 0:
+        return [0] * len(uppers)
+    sign = (-1) ** k
+    return [comb(a, k) if a >= 0 else sign * comb(k - a - 1, k) for a in uppers]
+
+
+def _residues(d, c, r, n, chis):
+    """[[t^n] (1+ct)^d (1+rt)^e for chi in chis], e = chi-rn-d: the sum over i of C(d,i) c^i
+    r^(n-i) times a row of C(e,n-i), where C(d,i) = 0 for i > d >= 0."""
+    es = [chi - r * n - d for chi in chis]
+    row = [0] * len(es)
+    for i in range(n + 1 if d < 0 else min(n, d) + 1):
+        scale = _comb(d, i) * c ** i * r ** (n - i)
+        row = [s + scale * b for s, b in zip(row, _combs(es, n - i))]
+    return row
 
 
 def check_thm3(r, n_max=8, chi_range=None):
@@ -183,12 +194,13 @@ def check_thm3(r, n_max=8, chi_range=None):
         chi_range = range(-3, (r + 1) * n_max + 11)
     tally = _Tally()
     for n in range(n_max + 1):
-        for chi in chi_range:
-            rigid = _residue(0, chi, r, n, 1 + r)
-            tally.eq_ratio(rigid, r ** n * _comb(chi - r * n, n), 1, "d=0", r, n, chi)
+        scale, shifted = r ** n, [chi - r * n for chi in chi_range]
+        rows = zip(chi_range, _residues(0, 1 + r, r, n, chi_range), _combs(shifted, n),
+                   _residues(1, 1 + r, r, n, chi_range), _combs([a - 1 for a in shifted], n - 1))
+        for chi, rigid, binom, one_dim, below in rows:
+            tally.eq_ratio(rigid, scale * binom, 1, "d=0", r, n, chi)
             if n >= 1:
-                one_dim = _residue(1, chi, r, n, 1 + r)
-                want = r ** n * (chi * r + n - r * r * n) * _comb(chi - r * n - 1, n - 1)
+                want = scale * (chi * r + n - r * r * n) * below
                 tally.eq_ratio(one_dim, want, r * n, "d=1", r, n, chi)
                 if r * n <= chi < (r + 1) * n:
                     tally.eq_ratio(rigid, 0, 1, "vanish d=0", r, n, chi)
@@ -206,10 +218,10 @@ def check_thm3(r, n_max=8, chi_range=None):
 
 
 def _2pt_printed(s, c1sq, c2):
-    return F(1, 4) * (2 * c1sq ** 2 + 2 * c2 ** 2 - 4 * c1sq * c2 - 8 * c1sq + 6 * c2
-                      + s * (-9 * c1sq + 6 * c2 + 12)
-                      + s * s * (-3 * c1sq + 2 * c2 + 22)
-                      + 12 * s ** 3 + 2 * s ** 4)
+    return F(2 * c1sq ** 2 + 2 * c2 ** 2 - 4 * c1sq * c2 - 8 * c1sq + 6 * c2
+             + s * (-9 * c1sq + 6 * c2 + 12)
+             + s * s * (-3 * c1sq + 2 * c2 + 22)
+             + 12 * s ** 3 + 2 * s ** 4, 4)
 
 
 def check_2pt_grid(s_range=range(-4, 5), c1sq_range=range(-2, 3), c2_range=range(-2, 3)):
@@ -251,9 +263,11 @@ def check_asymptotics(r, order=8):
     v_series = log_v - log_q
     tally.eq(v_series.coefficient(1), F(1 - r * r), "v1", r)
     # the closed form itself against residue sums, across a (d, chi) grid
+    chis = (-2, 0, 3, 7)
     for d in (0, 1, 3):
-        for chi in (-2, 0, 3, 7):
-            lhs = Series._over(1, [_residue(d, chi, r, n, 1 + r) for n in range(order + 1)], "z")
+        columns = [_residues(d, 1 + r, r, n, chis) for n in range(order + 1)]
+        for chi, row in zip(chis, zip(*columns)):  # the n sweep at chi
+            lhs = Series._over(1, row, "z")
             rhs = (chi + 1 - d) * u_series + d * log_v - log_q
             tally.eq(lhs.log(), rhs, "closed form", r, d, chi)
     return tally.report(
@@ -313,13 +327,13 @@ def check_abelian(r, n_max=6, chi_range=None):
         chi_range = range(-3, r * n_max + 12)
     tally = _Tally()
     for n in range(n_max + 1):
-        for chi in chi_range:
-            got = _residue(1, chi, r, n, r * (r + 1))
+        scale = r ** n
+        for chi, got, below in zip(chi_range, _residues(1, r * (r + 1), r, n, chi_range),
+                                   _combs([chi - r * n - 1 for chi in chi_range], n - 1)):
             if n == 0:
                 tally.eq_ratio(got, 1, 1, "n=0", r, chi)
             else:
-                want = r ** n * chi * _comb(chi - r * n - 1, n - 1)
-                tally.eq_ratio(got, want, n, r, n, chi)
+                tally.eq_ratio(got, scale * chi * below, n, r, n, chi)
     return tally.report(
         "abelian",
         "r=%d, n<=%d, chi in [%d,%d) (chi-degree <= n per n)"
@@ -512,12 +526,11 @@ def check_lagrange_burmann(f, g, order):
         raise ValueError("inputs must carry at least the requested order")
     f = f.truncate(order)
     g = g.truncate(order)
-    coeffs = []
-    power = g
-    for n in range(order + 1):
-        coeffs.append(power.coefficient(n))
+    den, nums, power = f.den ** order * g.den, [], g  # f^n g is over a divisor of den
+    for n in range(order):  # the left side is compared to order - 1
+        nums.append(power.nums[n] * (den // power.den))
         power = power * f
-    lhs = Series(coeffs, order, "z").truncate(order - 1)
+    lhs = Series._over(den, nums, "z")
     z_of_w = Series.gen(order, "w") * f.inverse()
     w_of_z = z_of_w.revert()
     w_of_z = Series._over(w_of_z.den, w_of_z.nums, "z")
@@ -537,10 +550,9 @@ def _lagrange_burmann_suite(order=15, cases=10, seed=20260815):
     reports.append(check_lagrange_burmann(1 + w, one, order))
     for case in range(cases):
         rng = random.Random("%d/%d" % (seed, case))
-        f, g = zip(*[[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in "fg"]
-                     for _ in range(order + 2)])
-        reports.append(check_lagrange_burmann(Series((F(1),) + f[1:], order + 1, "w"),
-                                              Series(g, order + 1, "w"), order))
+        sixths = [rng.randint(-4, 4) * (6 // rng.randint(1, 3)) for _ in range(2 * order + 4)]
+        reports.append(check_lagrange_burmann(Series._over(6, [6] + sixths[2::2], "w"),
+                                              Series._over(6, sixths[1::2], "w"), order))
     merged = _merge("lagrange_burmann", reports)
     merged.ranges = "order %d, %d random cases, seed %d" % (order, cases, seed)
     return merged

@@ -381,6 +381,30 @@ def test_the_estimate_grows_with_each_input():
         assert list(column[::3]) == sorted(column[::3]) and list(column[:3]) == sorted(column[:3])
 
 
+def test_a_chern_step_has_its_own_width(monkeypatch):
+    # c(E) = s(-E): a Chern step divides by 1 + ku only at E's minus terms, so -E's Chern
+    # request is estimated at least as E's Segre request, a plus-only class at about half
+    def work(surface, spec, n, kind):
+        args = cli._read(["oracle", "--surface=" + surface, "--class=" + spec, "--n=%d" % n,
+                          "--kind=" + kind])
+        try:
+            return cli._check_budget(args)[0]
+        except cli.Refusal:
+            return cli.BUDGET + 1
+
+    for n in (1, 12, 26):
+        assert work("p2", "-O(1)", n, "chern") > work("p2", "O(1)", n, "segre")
+        assert work("p2", "O(2) - O(1)", n, "chern") > work("p2", "O(1)-O(2)", n, "segre")
+    assert work("f1", "O(1,1)", 26, "chern") < cli.BUDGET < work("f1", "O(1,1)", 26, "segre")
+    assert [work("f1", "O(1,-2)", n, "chern") for n in range(31)] == sorted(
+        work("f1", "O(1,-2)", n, "chern") for n in range(31))
+    monkeypatch.setattr(cli, "chern_integral", lambda kclass, n: 7)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["oracle", "--surface=f1", "--class=O(1,1)", "--n=26",
+                         "--kind=chern"]) == 0
+    assert out.getvalue().endswith("\n7/1\n")
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "--suite", "theta", "--order", "6")
@@ -1359,8 +1383,13 @@ DEEP_SERIES_SHA256 = {
 
 
 # sha256 of the JSON report of each suite with no golden text above: its check
-# counts, ranges, verdict and details (theta's constant terms among them).
+# counts, ranges, verdict and details (theta's constant terms among them); and of every
+# suite at orders 20 and 40.
 VERIFY_SUITE_SHA256 = {
+    "verify --suite all --json --order 20":
+        "700620dd10afc25b3a4145f37c66aa2a171b7d3d370b47af824f0602bd2a7d03",
+    "verify --suite all --json --order 40":
+        "e8059ea3a22324d530af41e32bfb5e7c697a38f72bc83656296d464c7e5b4887",
     "verify --suite asymptotics --json --order 10":
         "9c4f19e6428f9aa071739496a51c9bbf2868dbb7f7fe3d3fcdc527c003968276",
     "verify --suite 2pt --json --order 10":
@@ -1635,6 +1664,17 @@ options:
             ).class_spec != [],
             reason="this Python's argparse keeps a value '--' after '='"),
         id="oracle --surface=p2 --class=-- --n=1 --kind=segre"),
+    # a long value or run of stray words is echoed as its first 40 characters and length
+    pytest.param(
+        "oracle --surface=%s --class=O(1) --n=1 --kind=segre" % ("x" * 3000), 2, "",
+        ORACLE_USAGE + "hilbseries oracle: error: argument --surface: invalid choice: "
+                       "'%s'... (3000 characters) (choose from 'f1', 'p1xp1', 'p2')\n" % ("x" * 40),
+        id="oracle --surface=<3,000 x's>"),
+    pytest.param(
+        "series --family=y " + " ".join(["zz"] * 1000), 2, "",
+        TOP_USAGE + "hilbseries: error: unrecognized arguments: "
+                    "'%s'... (2999 characters)\n" % ("zz " * 14)[:40],
+        id="series --family=y <1,000 stray words>"),
 ]
 
 
@@ -1648,6 +1688,32 @@ def test_usage_texts_are_pinned(capsys, monkeypatch, tmp_path, argv, code, out, 
     with pytest.raises(SystemExit) as info:
         sys.exit(cli.main(argv.split()))  # as the installed script exits
     assert (info.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+LONG = "x" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    [LONG],
+    ["series", "--family=" + LONG],
+    ["series", "--family=y", "--format=" + LONG],
+    ["series", "--family=y", LONG],
+    ["series", "--family=y"] + ["z"] * 1500,
+    ["oracle", "--surface=p2", "--class=O(1)", "--n=1", "--kind=" + LONG],
+    ["oracle", "--s=" + LONG],
+    ["oracle", "--help=" + LONG],
+    ["extract", "--rank=1", "--kind=" + "x'" * 1500],
+], ids=["command", "--family", "--format", "one stray word", "stray words", "--kind",
+        "ambiguous --s", "--help=", "--kind with quotes"])
+def test_a_long_echo_is_one_short_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    line = captured.err.splitlines(keepends=True)[-1]
+    assert (info.value.code, captured.out) == (2, "")
+    assert ": error: " in line and " characters)" in line
+    assert len(line.encode()) < 200
 
 
 def _required_argv(command):

@@ -66,6 +66,8 @@ def ref_one_dim_closed_form(r, n, chi):
 SWEEP_R = range(-4, 6)
 SWEEP_N = 10
 SWEEP_CHI = range(-5, 26)
+# a chi list that is not a range: unsorted, repeated, both signs of e at every r
+SCATTERED_CHI = (7, -5, 25, 0, 0, -1, 13, 3)
 
 
 def record_ratios(monkeypatch):
@@ -82,7 +84,14 @@ def record_ratios(monkeypatch):
 
 def residue(d, chi, r, n):
     """The K3 residue [t^n] (1+(1+r)t)^d (1+rt)^(chi-rn-d) that thm3 and asymptotics read."""
-    return verify._residue(d, chi, r, n, 1 + r)
+    return verify._residues(d, 1 + r, r, n, [chi])[0]
+
+
+def k3_rows(d, r, chis):
+    """(n, the kernel's row, the reference row) of the K3 residue, n = 0..SWEEP_N."""
+    for n in range(SWEEP_N + 1):
+        yield (n, verify._residues(d, 1 + r, r, n, chis),
+               [ref_residue_coeff(d, chi, r, n) for chi in chis])
 
 
 def refuse_series_products(monkeypatch, who):
@@ -132,26 +141,39 @@ class TestResidueCoeff:
 
     def test_matches_series_powers(self):
         # the sweep reaches e = chi - rn - d < 0, r = -1 and r = 0
+        signs = set()
         for d in range(-2, 3):
-            for r in range(-4, 6):
-                for chi in range(-5, 26):
-                    for n in range(11):
-                        got = residue(d, chi, r, n)
-                        assert type(got) is int
-                        assert got == ref_residue_coeff(d, chi, r, n), (d, chi, r, n)
+            for r in SWEEP_R:
+                for chis in (SWEEP_CHI, SCATTERED_CHI):
+                    for n, got, want in k3_rows(d, r, chis):
+                        assert [type(x) for x in got] == [int] * len(chis)
+                        assert got == want, (d, r, n, chis)
+                        signs.update((r, chi - r * n - d >= 0) for chi in chis)
+        assert signs == {(r, sign) for r in SWEEP_R for sign in (False, True)}
+
+    def test_point_rows_are_the_sweep_rows(self):
+        for r in (-1, 0, 3):
+            for n in range(SWEEP_N + 1):
+                for d, c in ((0, 1 + r), (1, 1 + r), (3, 1 + r), (1, r * (r + 1))):
+                    row = verify._residues(d, c, r, n, SWEEP_CHI)
+                    assert row == [verify._residues(d, c, r, n, (chi,))[0]
+                                   for chi in SWEEP_CHI], (d, c, r, n)
+                    assert verify._residues(d, c, r, n, ()) == []
 
     def test_builds_no_series_product(self, monkeypatch):
-        refuse_series_products(monkeypatch, "_residue")
+        want = [ref_residue_coeff(1, chi, 2, 6) for chi in range(5, 9)]
+        refuse_series_products(monkeypatch, "_residues")
         # [t^6] (1+3t)(1+2t)^-6 = C(11,6) 2^6 - 3 C(10,5) 2^5
         assert residue(1, 7, 2, 6) == 5376
+        assert verify._residues(1, 3, 2, 6, range(5, 9)) == want
 
     def test_abelian_residue_matches_series_powers(self):
         for r in SWEEP_R:
-            for chi in SWEEP_CHI:
+            for chis in (SWEEP_CHI, SCATTERED_CHI):
                 for n in range(SWEEP_N + 1):
-                    got = verify._residue(1, chi, r, n, r * (r + 1))
-                    assert type(got) is int
-                    assert got == ref_abelian_residue(r, n, chi), (r, n, chi)
+                    got = verify._residues(1, r * (r + 1), r, n, chis)
+                    assert [type(x) for x in got] == [int] * len(chis)
+                    assert got == [ref_abelian_residue(r, n, chi) for chi in chis], (r, n, chis)
 
 
 class TestIntegerSweeps:
@@ -214,9 +236,9 @@ class TestIntegerSweeps:
             assert check_abelian(r).passed, r
 
     def test_failures_record_unscaled_fractions(self, monkeypatch):
-        original = verify._residue
-        monkeypatch.setattr(verify, "_residue", lambda d, chi, r, n, c:
-                            original(d, chi, r, n, c) + (d == 1 and n == 2))
+        original = verify._residues
+        monkeypatch.setattr(verify, "_residues", lambda d, c, r, n, chis: [
+            x + (d == 1 and n == 2) for x in original(d, c, r, n, chis)])
         # the first d=1 point at n=2: [t^2] (1+3t)(1+2t)^-8 = 96, compared times rn = 4
         report = check_thm3(2, n_max=3)
         assert not report.passed
@@ -409,6 +431,13 @@ class TestBinom:
         for a in range(8):
             for n in range(8):
                 assert verify._comb(a, n) == comb(a, n)
+
+    def test_rows_are_the_scalar_binomials(self):
+        uppers = list(range(-30, 31)) + [7, -7, 0]
+        for n in range(16):
+            assert verify._combs(uppers, n) == [verify._comb(a, n) for a in uppers], n
+        assert verify._combs(uppers, -1) == [0] * len(uppers)
+        assert verify._combs((), 3) == []
 
     def test_negative_upper_index(self):
         assert verify._comb(-2, 3) == -4
