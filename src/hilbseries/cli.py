@@ -146,11 +146,18 @@ def _read(argv):
     """The Namespace ``build_parser().parse_args(argv)`` returns, read from the option
     table, or None for any other form than a subcommand, then ``--name=value`` or
     ``--name value`` (the value not starting with "-"; --json may be bare), each name
-    exact and once, each value passing its type and choices and not "--", which
-    argparse drops even after "=", and every required option given."""
+    exact and once, each value passing its type and choices, and every required option
+    given.  A UsageError first for an option or its abbreviation given "=--" anywhere,
+    a value each Python's argparse reads its own way."""
     options = _OPTIONS.get(argv[0]) if argv else None
     if options is None:
         return None
+    for word in argv[1:]:
+        name, _, value = word.partition("=")
+        if value == "--":
+            flags = [name] if name in options else [f for f in options if f.startswith(name)]
+            if len(flags) == 1:
+                raise UsageError("argument %s: expected one argument" % flags[0])
     given, i = {}, 1
     while i < len(argv):
         flag, eq, value = argv[i].partition("=")
@@ -166,8 +173,6 @@ def _read(argv):
                 continue
             else:
                 return None
-        if value == "--":
-            return None
         if "type" in keywords:
             try:
                 value = keywords["type"](value)
@@ -190,14 +195,6 @@ class UsageError(Exception):
 
 class Refusal(Exception):
     """Exit 2 after "hilbseries: error: <message>" alone: a well-formed request refused."""
-
-
-def _refuse_dropped_values(args):
-    """A usage error for an option whose value "--" argparse dropped, storing [] where no
-    type or choice sees it; verify reports an unknown --suite itself."""
-    for flag, keywords in _OPTIONS[args.command].items():
-        if flag != "--suite" and isinstance(getattr(args, keywords.get("dest", flag[2:])), list):
-            raise UsageError("argument %s: expected one argument" % flag)
 
 
 def _resolve_order(args):
@@ -275,7 +272,7 @@ def _emit(text, path):
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        raise Refusal("cannot write %s: %s" % (path, exc.strerror or exc))
+        raise Refusal("cannot write %s: %s" % (_echo(path), exc.strerror or exc))
 
 
 def _cmd_series(args):
@@ -395,7 +392,6 @@ def main(argv=None):
         args = _read(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-            _refuse_dropped_values(args)
         command = args.command
         handler = {"series": _cmd_series, "verify": _cmd_verify,
                    "oracle": _cmd_oracle, "extract": _cmd_extract}[command]

@@ -300,7 +300,8 @@ def parse_class(surface, text):
     while pos < end:
         match = _TERM_RE.match(text, pos)
         if match is None or terms and not match.group(1):
-            raise ValueError("cannot parse class spec %s at %s" % (_echo(text), _echo(text[pos:])))
+            raise ValueError("cannot parse class spec %s at %s"
+                             % (_echo(text, 40), _echo(text[pos:], 40)))
         sign = -1 if match.group(1) == "-" else 1
         try:
             coeffs = tuple(map(parse_int, match.group(2).split(",")))

@@ -82,8 +82,9 @@ def test_every_benchmark_argv_parses():
 
 # Forms the option table declines, which the full parser reads or reports: help
 # (alone and after options), no arguments, an unknown command, an abbreviation, a
-# repeated option, a separate negative value, the value "--", a positional, an
-# invalid choice, a bad integer and a missing required option.
+# repeated option, a separate negative value, a positional, an invalid choice, a bad
+# integer and a missing required option; and the value "--", which the table refuses
+# under the full parser's usage line.
 DECLINED_ARGVS = (
     ["--help"], [], ["bogus"], ["extract", "--rank=1", "-h"], ["series", "--fam=y"],
     ["series", "--family=y", "--order=3", "--order=2"], ["extract", "--rank", "-3"],

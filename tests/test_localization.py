@@ -126,7 +126,8 @@ class TestClassNumerics:
         ("O(1,%s)" % ("2" * 100), "surface p2 expects 1-parameter classes, got 'O(1,222"),
         ("O(1)+%s" % ("x" * 5000), "cannot parse class spec 'O(1)+xxx")])
     def test_a_long_bad_term_is_cut_in_the_message(self, spec, start):
-        # 80 characters of each echoed text and its length, not the whole of it
+        # the first 80 characters (40 of an unparsed spec) of each echoed text and its
+        # length, not the whole of it
         with pytest.raises(ValueError) as info:
             loc.parse_class(loc.get_surface("p2"), spec)
         message = str(info.value)
