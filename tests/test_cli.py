@@ -1641,6 +1641,11 @@ options:
   --seed SEED
   --json [PATH]
 """, ""),
+    # a value "--" after "=" is refused by the option table itself, on every Python
+    ("series --family=y --order=--", 2, "",
+     TOP_USAGE + "hilbseries: error: argument --order: expected one argument\n"),
+    ("oracle --surface=p2 --class=-- --n=1 --kind=segre", 2, "",
+     TOP_USAGE + "hilbseries: error: argument --class: expected one argument\n"),
     # a long value or run of stray words is echoed as its first 40 characters and length
     pytest.param(
         "oracle --surface=%s --class=O(1) --n=1 --kind=segre" % ("x" * 3000), 2, "",
